@@ -42,11 +42,15 @@ class DetKSearch:
         use_cache: bool = True,
         label_pruning: bool = True,
         subedge_domination: bool = True,
+        root_partition: Iterable[int] | None = None,
     ) -> None:
         self.context = context
         self.use_cache = use_cache
         self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination and label_pruning
+        # As in LogKSearch: the depth-1 label loop only tries labels whose
+        # smallest edge lies in the partition (the parallel backend's share).
+        self.root_partition = frozenset(root_partition) if root_partition is not None else None
         self._cache: dict[
             tuple[int, tuple[int, ...], int, int | None],
             FragmentNode | None,
@@ -130,15 +134,21 @@ class DetKSearch:
     ) -> FragmentNode | None:
         context = self.context
         host = context.host
-        comp_vertices = comp.vertices(host)
         splitter = ComponentSplitter(host, comp, stats=context.stats)
-        for lam in context.enumerator.labels(
-            allowed=allowed,
+        comp_vertices = splitter.comp_vertices
+        constraints = dict(
             require_from=comp.edges,
             cover=conn,
             component_vertices=comp_vertices if self.subedge_domination else None,
             pruning=self.label_pruning,
-        ):
+        )
+        if depth == 1 and self.root_partition is not None:
+            labels = context.enumerator.labels_for_partition(
+                allowed, self.root_partition, **constraints
+            )
+        else:
+            labels = context.enumerator.labels(allowed=allowed, **constraints)
+        for lam in labels:
             context.stats.labels_tried += 1
             context.check_timeout()
             lam_union = host.edges_to_mask(lam)
@@ -147,12 +157,10 @@ class DetKSearch:
                 # conn ⊆ ∪λ is guaranteed by the enumerator; conn ⊆ V(comp)
                 # by Claim A, so this only triggers for inconsistent input.
                 continue
-            sub_components = splitter.split_bits(chi)
             children: list[FragmentNode] = []
             failed = False
-            for sub in sub_components:
-                sub_conn = sub.vertices(host) & chi
-                child = self._search(sub, sub_conn, depth + 1, allowed)
+            for sub, sub_vertices in splitter.split_with_vertices(chi):
+                child = self._search(sub, sub_vertices & chi, depth + 1, allowed)
                 if child is None:
                     failed = True
                     break

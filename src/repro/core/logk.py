@@ -189,12 +189,12 @@ class LogKSearch:
         ):
             context.stats.subproblems_delegated += 1
             return self.leaf_delegate(comp, conn, depth, allowed_pool)
-        comp_vertices = comp.vertices(host)
         half = comp.size / 2
         # Pooled splitter: the same comp recurs across search calls under
         # different (conn, allowed) keys and keeps its incidence index and
         # split memo across those visits.
         splitter = self._splitter_for(comp)
+        comp_vertices = splitter.comp_vertices
 
         # ----- ChildLoop (lines 11-43) --------------------------------- #
         child_labels = self._child_labels(comp, allowed_pool, comp_vertices, depth)
@@ -203,12 +203,12 @@ class LogKSearch:
             context.check_timeout()
             lam_c_union = label_union(host, lam_c)
 
-            if self.require_balanced and splitter.largest_size(lam_c_union) > half:
+            if self.require_balanced and splitter.has_oversized(lam_c_union, half):
                 continue
 
             if conn & ~lam_c_union == 0:
                 # ----- c is the root of the fragment (lines 15-21) ----- #
-                comps_c = splitter.split_bits(lam_c_union)
+                comps_c = splitter.split_with_vertices(lam_c_union)
                 fragment = self._try_root(
                     comp, lam_c, lam_c_union, comps_c, comp_vertices,
                     allowed_pool, depth,
@@ -238,7 +238,7 @@ class LogKSearch:
         if depth == 1 and self.root_partition is not None:
             return enumerator.labels_for_partition(
                 allowed_pool,
-                sorted(self.root_partition),
+                self.root_partition,
                 require_from=comp.edges,
                 component_vertices=domination,
                 pruning=self.label_pruning,
@@ -255,18 +255,16 @@ class LogKSearch:
         comp: BitComp,
         lam_c: tuple[int, ...],
         lam_c_union: int,
-        comps_c: list[BitComp],
+        comps_c: Iterable[tuple[BitComp, int]],
         comp_vertices: int,
         allowed_pool: int,
         depth: int,
     ) -> FragmentNode | None:
         """Lines 15-21: the child label covers Conn, so c roots the fragment."""
-        host = self.context.host
         chi_c = lam_c_union & comp_vertices
         children: list[FragmentNode] = []
-        for sub in comps_c:
-            sub_conn = sub.vertices(host) & chi_c
-            child = self._search(sub, sub_conn, allowed_pool, depth + 1)
+        for sub, sub_vertices in comps_c:
+            child = self._search(sub, sub_vertices & chi_c, allowed_pool, depth + 1)
             if child is None:
                 return None
             children.append(child)
@@ -309,11 +307,10 @@ class LogKSearch:
             context.check_timeout()
             lam_p_union = label_union(host, lam_p)
 
-            comps_p = splitter.split_bits(lam_p_union)
-            comp_down = next((c for c in comps_p if c.size > half), None)
-            if comp_down is None:
+            down = splitter.oversized(lam_p_union, half)
+            if down is None:
                 continue
-            down_vertices = comp_down.vertices(host)
+            comp_down, down_vertices = down
 
             chi_c = lam_c_union & down_vertices
             if down_vertices & conn & ~lam_p_union:
@@ -321,12 +318,11 @@ class LogKSearch:
             if down_vertices & lam_p_union & ~chi_c:
                 continue  # connectedness check, line 31
 
-            sub_components = self._splitter_for(comp_down).split_bits(chi_c)
+            sub_components = self._splitter_for(comp_down).split_with_vertices(chi_c)
             children: list[FragmentNode] = []
             failed = False
-            for sub in sub_components:
-                sub_conn = sub.vertices(host) & chi_c
-                child = self._search(sub, sub_conn, allowed_pool, depth + 1)
+            for sub, sub_vertices in sub_components:
+                child = self._search(sub, sub_vertices & chi_c, allowed_pool, depth + 1)
                 if child is None:
                     failed = True
                     break

@@ -5,11 +5,17 @@ balanced separators uniformly over the available cores; because subproblems
 are independent, no communication between workers is needed.  This module
 reproduces that strategy:
 
-* The candidate pool of the *top-level* child-separator loop is partitioned
-  round-robin into ``num_workers`` groups; worker ``i`` only explores labels
-  whose smallest edge index falls in group ``i``.  The union of the groups
-  covers the full label space, so "all workers fail" is a sound "no" answer
-  and "any worker succeeds" is a sound "yes".
+* The edges are partitioned round-robin into ``num_workers`` groups and
+  worker ``i`` enumerates, at recursion depth 1, only the labels whose
+  smallest edge index falls in group ``i``.  *Whichever search runs the
+  depth-1 label loop owns the partition*: log-k-decomp's child loop, or —
+  when the hybrid metric puts the whole instance below the threshold and
+  the root itself is delegated — det-k-decomp's.  The groups' label streams
+  are disjoint and their union is the full stream, so "all workers fail" is
+  a sound "no" answer and "any worker succeeds" is a sound "yes".  Below
+  depth 1 each worker searches on its own, with a private memo (no
+  communication, as in the paper), so subproblems reachable from several
+  groups are solved once per worker that meets them.
 * Two backends are provided.  The ``process`` backend uses
   :mod:`multiprocessing` and delivers real speedups (each worker is a
   separate interpreter); the ``thread`` backend exists for API parity and to
@@ -32,9 +38,8 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 from .. import faults
-from ..decomp.covers import CoverEnumerator
 from ..decomp.extended import FragmentNode, full_bitcomp
-from ..exceptions import SolverError
+from ..exceptions import SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from .base import Decomposer, DecompositionResult, SearchContext, SearchStatistics
 from .detk import DetKSearch
@@ -121,6 +126,7 @@ def _worker_search(
             context,
             label_pruning=label_pruning,
             subedge_domination=subedge_domination,
+            root_partition=partition,
         )
         metric = make_metric(metric_name)
 
@@ -142,7 +148,12 @@ def _worker_search(
         fragment = search.search(
             full_bitcomp(host), conn=0, allowed=host.all_edges_mask
         )
-    except Exception:  # TimeoutExceeded or unexpected failure in the worker
+    except TimeoutExceeded:
+        return True, False, None, context.stats
+    except Exception:
+        # A bug must not pass for a timeout unseen.  The partition still only
+        # degrades to undecided, never to a wrong answer.
+        logger.exception("parallel worker failed on partition %s", partition)
         return True, False, None, context.stats
     return False, fragment is not None, fragment, context.stats
 
@@ -192,10 +203,11 @@ class ParallelLogKDecomposer(Decomposer):
                 hypergraph, k, timeout=timeout, cancel_event=cancel_event
             )
         start = time.monotonic()
-        partitions = CoverEnumerator(hypergraph, k).partition_first_edges(
-            None, self.num_workers
-        )
-        partitions = [p for p in partitions if p]
+        num_edges = hypergraph.num_edges
+        partitions = [
+            list(range(slot, num_edges, self.num_workers))
+            for slot in range(min(self.num_workers, num_edges))
+        ]
         runner = self._run_processes if self.backend == "process" else self._run_threads
         effective_timeout = self.timeout if timeout is None else timeout
         timed_out, success, fragment, stats = runner(

@@ -16,17 +16,20 @@ split against thousands of candidate separators:
 * results are memoised under the *effective* separator
   ``separator & V(comp)`` — λ-labels with equal restriction to the component
   (extremely common in the parent-label loop) share one split;
-* :meth:`ComponentSplitter.largest_size` stops early once the remaining
-  unprocessed items cannot beat the largest component found so far;
-* :meth:`ComponentSplitter.split_bits` hands the groups to the searches as
-  :class:`~repro.decomp.extended.BitComp` records (no frozenset is ever
-  built on the hot path); :meth:`ComponentSplitter.split` remains the public
-  :class:`Comp`-based view.
+* the fill hands over one group at a time, so a caller that only asks about
+  a large component stops it early: :meth:`ComponentSplitter.largest_size`
+  once the unvisited rest cannot beat the largest group so far,
+  :meth:`ComponentSplitter.has_oversized` (the balancedness filter) as soon
+  as a *growing* group exceeds the limit;
+* the groups reach the searches as :class:`~repro.decomp.extended.BitComp`
+  records paired with their vertex sets, which the fill collects anyway (no
+  frozenset is built and no V(C) recomputed on the hot path);
+  :meth:`ComponentSplitter.split` remains the public :class:`Comp`-based view.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import bits_of
@@ -54,12 +57,14 @@ class ComponentSplitter:
     [U]-components of the *same* extended subhypergraph for thousands of
     candidate separators U.  This helper works on the packed representation
     (edge-index bitmask + special vertex masks, accepting either a
-    :class:`Comp` or a :class:`BitComp`) and offers three operations:
+    :class:`Comp` or a :class:`BitComp`) and offers:
 
-    * :meth:`largest_size` — only the size of the largest component (the
-      balancedness filter), without allocating component objects;
-    * :meth:`split_bits` — the components as :class:`BitComp` records (the
-      searches' representation);
+    * :meth:`largest_size` / :meth:`has_oversized` — the size of the largest
+      component, or only whether one exceeds a limit (the balancedness
+      filter), without allocating component objects;
+    * :meth:`oversized` — that one component alone, with its vertex set;
+    * :meth:`split_with_vertices` / :meth:`split_bits` — the components as
+      :class:`BitComp` records (the searches' representation);
     * :meth:`split` — the components as public :class:`Comp` values.
 
     All are memoised (LRU, keyed by the effective separator) unless
@@ -80,6 +85,7 @@ class ComponentSplitter:
         "_memoize",
         "_split_memo",
         "_largest_memo",
+        "_oversized_memo",
     )
 
     def __init__(
@@ -101,19 +107,11 @@ class ComponentSplitter:
         if stats is not None and not host.has_incidence_masks:
             stats.mask_table_builds += 1
         self._incidence = host.incidence_masks()
-        comp_vertices = 0
-        edge_bits = host.edge_bits
-        rest = comp.edges
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            comp_vertices |= edge_bits(low.bit_length() - 1)
-        for special in comp.specials:
-            comp_vertices |= special
-        self._comp_vertices = comp_vertices
+        self._comp_vertices = comp.vertices(host)
         self._memoize = memoize
         self._split_memo: BoundedLRU = BoundedLRU(memo_size)
         self._largest_memo: BoundedLRU = BoundedLRU(memo_size)
+        self._oversized_memo: BoundedLRU = BoundedLRU(memo_size)
 
     @property
     def comp_vertices(self) -> int:
@@ -124,41 +122,41 @@ class ComponentSplitter:
     # flood fill over the incidence-mask table
     # ------------------------------------------------------------------ #
     def _flood(
-        self, effective: int, stop_when_decided: bool = False
-    ) -> list[tuple[int, int]]:
-        """The [effective]-components as ``(edge_mask, special_mask)`` pairs.
+        self, effective: int, abort_above: float | None = None
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Yield the [effective]-components, one ``(edge_mask, special_mask,
+        vertices, remaining)`` tuple per group, as the fill finishes them.
 
         ``edge_mask`` is over host edge indices, ``special_mask`` over the
-        positions of this component's specials tuple.  With
-        ``stop_when_decided`` the fill returns early once the unvisited
-        remainder cannot contain a component larger than the largest found so
-        far — only :meth:`largest_size` may use that mode, the returned
-        grouping is incomplete.
+        positions of this component's specials tuple, ``vertices`` is V(group)
+        — separator vertices its items touch included — and ``remaining``
+        counts the items not yet visited, so a consumer that only looks for a
+        large component can stop once nothing left can matter.  With
+        ``abort_above`` a group is yielded *incomplete* the moment it holds
+        more than that many items, and the fill ends there: enough to decide
+        balancedness, useless as a component.
         """
         host_edge_bits = self.host.edge_bits
         incidence = self._incidence
         specials = self._special_bits
         unvisited = self._edges_mask
         unvisited_sp = self._all_specials_mask
-        groups: list[tuple[int, int]] = []
-        largest = 0
         while unvisited or unvisited_sp:
             # Start a new group at the lowest unvisited item (edges first,
             # matching the deterministic item order of the set-based fill).
             if unvisited:
                 start_bit = unvisited & -unvisited
                 unvisited ^= start_bit
-                start_vertices = host_edge_bits(start_bit.bit_length() - 1)
+                vertices = host_edge_bits(start_bit.bit_length() - 1)
                 member_edges, member_sp = start_bit, 0
             else:
                 start_bit = unvisited_sp & -unvisited_sp
                 unvisited_sp ^= start_bit
-                start_vertices = specials[start_bit.bit_length() - 1]
+                vertices = specials[start_bit.bit_length() - 1]
                 member_edges, member_sp = 0, start_bit
-            frontier = start_vertices & ~effective
+            frontier = vertices & ~effective
             if frontier == 0:
                 continue  # fully covered by the separator: in no component
-            seen = frontier
             while True:
                 while frontier:
                     low = frontier & -frontier
@@ -171,58 +169,50 @@ class ComponentSplitter:
                         while rest:
                             edge_bit = rest & -rest
                             rest ^= edge_bit
-                            grow = (
-                                host_edge_bits(edge_bit.bit_length() - 1)
-                                & ~effective
-                                & ~seen
-                            )
-                            seen |= grow
-                            frontier |= grow
+                            bits = host_edge_bits(edge_bit.bit_length() - 1)
+                            frontier |= bits & ~vertices & ~effective
+                            vertices |= bits
+                        if abort_above is not None and (
+                            member_edges.bit_count() + member_sp.bit_count() > abort_above
+                        ):
+                            yield member_edges, member_sp, vertices, 0
+                            return
                 # Specials sharing a live vertex with the group join it (and
                 # may extend the frontier); loop until no special is absorbed.
                 if not unvisited_sp:
                     break
-                absorbed = False
+                live = vertices & ~effective
                 rest = unvisited_sp
                 while rest:
                     sp_bit = rest & -rest
                     rest ^= sp_bit
                     sp_vertices = specials[sp_bit.bit_length() - 1]
-                    if sp_vertices & seen:
+                    if sp_vertices & live:
                         unvisited_sp ^= sp_bit
                         member_sp |= sp_bit
-                        grow = sp_vertices & ~effective & ~seen
-                        if grow:
-                            seen |= grow
-                            frontier |= grow
-                            absorbed = True
-                if not (absorbed and frontier):
+                        frontier |= sp_vertices & ~vertices & ~effective
+                        vertices |= sp_vertices
+                        live = vertices & ~effective
+                if not frontier:
                     break
-            groups.append((member_edges, member_sp))
-            if stop_when_decided:
-                size = member_edges.bit_count() + member_sp.bit_count()
-                if size > largest:
-                    largest = size
-                if unvisited.bit_count() + unvisited_sp.bit_count() <= largest:
-                    break  # nothing left can beat the current largest
-        return groups
+            remaining = unvisited.bit_count() + unvisited_sp.bit_count()
+            yield member_edges, member_sp, vertices, remaining
 
-    def _groups_to_bitcomps(self, groups: list[tuple[int, int]]) -> list[BitComp]:
+    def _bitcomp(self, edge_mask: int, special_mask: int) -> BitComp:
         specials = self._special_bits
-        result = []
-        for edge_mask, special_mask in groups:
-            selected = tuple(specials[i] for i in bits_of(special_mask))
-            result.append(BitComp(edge_mask, selected))
-        # A deterministic order keeps the search (and therefore the produced
-        # decompositions) reproducible across runs.
-        num_edges = self.host.num_edges
-        result.sort(
-            key=lambda c: (
-                (c.edges & -c.edges).bit_length() - 1 if c.edges else num_edges,
-                c.specials,
-            )
-        )
-        return result
+        return BitComp(edge_mask, tuple(specials[i] for i in bits_of(special_mask)))
+
+    def _lookup(self, memo: BoundedLRU, key):
+        """Memo read that keeps the hit/miss counters; None when absent."""
+        if not self._memoize:
+            return None
+        cached = memo.get(key)
+        if self.stats is not None:
+            if cached is None:
+                self.stats.splitter_memo_misses += 1
+            else:
+                self.stats.splitter_memo_hits += 1
+        return cached
 
     # ------------------------------------------------------------------ #
     # public operations
@@ -242,34 +232,78 @@ class ComponentSplitter:
                 # Served from the full split: a memo hit, not a miss.
                 if stats is not None:
                     stats.splitter_memo_hits += 1
-                largest = max((c.size for c in split_cached), default=0)
+                largest = max((c.size for c, _ in split_cached), default=0)
                 self._largest_memo.put(effective, largest)
                 return largest
             if stats is not None:
                 stats.splitter_memo_misses += 1
-        groups = self._flood(effective, stop_when_decided=True)
-        largest = max(
-            (edges.bit_count() + sp.bit_count() for edges, sp in groups), default=0
-        )
+        largest = 0
+        for edges, sp, _, remaining in self._flood(effective):
+            largest = max(largest, edges.bit_count() + sp.bit_count())
+            if remaining <= largest:
+                break  # nothing left can beat the current largest
         if self._memoize:
             self._largest_memo.put(effective, largest)
         return largest
 
+    def _oversized(self, separator: int, limit: float, whole: bool):
+        """Shared body of :meth:`has_oversized` (``whole=False``) and
+        :meth:`oversized`; the memo holds False, True (decided only) or the
+        ``(BitComp, V)`` pair.  At most one group can exceed a limit of half
+        the component or more, so the first one found is the answer."""
+        effective = separator & self._comp_vertices
+        key = (effective, limit)
+        cached = self._lookup(self._oversized_memo, key)
+        if cached is None or (whole and cached is True):
+            cached = False
+            for edges, sp, vertices, remaining in self._flood(
+                effective, None if whole else limit
+            ):
+                if edges.bit_count() + sp.bit_count() > limit:
+                    cached = (self._bitcomp(edges, sp), vertices) if whole else True
+                    break
+                if remaining <= limit:
+                    break  # nothing left can exceed the limit
+            if self._memoize:
+                self._oversized_memo.put(key, cached)
+        return cached
+
+    def has_oversized(self, separator: int, limit: float) -> bool:
+        """True iff some [separator]-component has more than ``limit`` items.
+
+        The balancedness filter: equal to ``largest_size(separator) > limit``,
+        but the fill is left as soon as a growing group exceeds the limit
+        instead of measuring the largest component.
+        """
+        return self._oversized(separator, limit, whole=False) is not False
+
+    def oversized(self, separator: int, limit: float) -> tuple[BitComp, int] | None:
+        """The [separator]-component with more than ``limit`` items and its
+        vertex set V, or None — the other components are never built."""
+        return self._oversized(separator, limit, whole=True) or None
+
+    def split_with_vertices(self, separator: int) -> tuple[tuple[BitComp, int], ...]:
+        """The [separator]-components, packed, each paired with its V.
+
+        In a deterministic order, which keeps the search (and therefore the
+        produced decompositions) reproducible: by smallest edge index, groups
+        of specials only last — the order the fill finds them in, as every
+        group starts at the lowest item not yet visited.
+        """
+        effective = separator & self._comp_vertices
+        result = self._lookup(self._split_memo, effective)
+        if result is None:
+            result = tuple(
+                (self._bitcomp(edges, sp), vertices)
+                for edges, sp, vertices, _ in self._flood(effective)
+            )
+            if self._memoize:
+                self._split_memo.put(effective, result)
+        return result
+
     def split_bits(self, separator: int) -> list[BitComp]:
         """The [separator]-components of the wrapped component, packed."""
-        effective = separator & self._comp_vertices
-        if self._memoize:
-            cached = self._split_memo.get(effective)
-            if cached is not None:
-                if self.stats is not None:
-                    self.stats.splitter_memo_hits += 1
-                return list(cached)
-            if self.stats is not None:
-                self.stats.splitter_memo_misses += 1
-        result = self._groups_to_bitcomps(self._flood(effective))
-        if self._memoize:
-            self._split_memo.put(effective, result)
-        return list(result)
+        return [part for part, _ in self.split_with_vertices(separator)]
 
     def split(self, separator: int) -> list[Comp]:
         """The [separator]-components as public :class:`Comp` values."""

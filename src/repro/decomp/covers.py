@@ -83,7 +83,7 @@ from itertools import combinations
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..hypergraph import Hypergraph
-from ..hypergraph.bitset import from_indices, indices_of
+from ..hypergraph.bitset import bits_of, from_indices, indices_of
 from ..lru import BoundedLRU
 
 __all__ = ["CoverEnumerator", "label_union", "count_labels"]
@@ -92,17 +92,22 @@ __all__ = ["CoverEnumerator", "label_union", "count_labels"]
 DOMINATION_MEMO_SIZE = 2048
 
 
-def _pool_of(host: Hypergraph, allowed: Iterable[int] | int | None) -> list[int]:
-    """Normalise an allowed-edge argument into a sorted index list.
+def _pool_mask_of(host: Hypergraph, allowed: Iterable[int] | int | None) -> int:
+    """Normalise an allowed-edge argument into an edge-index bitmask.
 
     The searches pass packed edge-index bitmasks; iterables (the public,
     set-based convention) and ``None`` (= all edges) keep working.
     """
     if allowed is None:
-        return list(range(host.num_edges))
+        return host.all_edges_mask
     if isinstance(allowed, int):
-        return indices_of(allowed)
-    return sorted(allowed)
+        return allowed
+    return from_indices(allowed)
+
+
+def _pool_of(host: Hypergraph, allowed: Iterable[int] | int | None) -> list[int]:
+    """The allowed-edge argument as a sorted index list."""
+    return indices_of(_pool_mask_of(host, allowed))
 
 
 def _require_mask_of(require_from: Iterable[int] | int | None) -> int | None:
@@ -304,7 +309,7 @@ class CoverEnumerator:
     # ------------------------------------------------------------------ #
     def _dominated_pool(
         self,
-        pool: list[int],
+        pool_mask: int,
         require: int | None,
         component_vertices: int,
         strict: bool,
@@ -318,13 +323,14 @@ class CoverEnumerator:
         ``f`` has the smaller index, so exactly one representative of every
         equivalence class survives, deterministically.
 
-        ``require`` is an edge-index bitmask (or None).  Results are memoised
-        under the packed ``(pool, require, V, strict)`` key: the searches
-        re-enumerate labels for the same component against many Conn/overlap
-        variations, and the dominated pool depends on none of those.
+        ``pool_mask`` and ``require`` are edge-index bitmasks (``require``
+        may be None); the survivors come back as a sorted index list.
+        Results are memoised under the packed ``(pool, require, V, strict)``
+        key: the searches re-enumerate labels for the same component against
+        many Conn/overlap variations.
         """
         host = self.host
-        memo_key = (from_indices(pool), require, component_vertices, strict)
+        memo_key = (pool_mask, require, component_vertices, strict)
         cached = self._domination_memo.get(memo_key)
         if cached is not None:
             survivors, skipped = cached
@@ -332,63 +338,56 @@ class CoverEnumerator:
                 self.stats.bitset_memo_hits += 1
                 self.stats.enum_domination_skips += skipped
             return survivors
-        restricted = [host.edge_bits(e) & component_vertices for e in pool]
-        if require is not None:
-            progress = [(require >> e) & 1 != 0 for e in pool]
-        else:
-            progress = None
-        survivors: list[int] = []
-        skipped = 0
-        n = len(pool)
-
+        pool = indices_of(pool_mask)
+        progress_mask = require or 0
         if not strict:
             # Equal-restriction collapse is plain dedup: one survivor per
             # restricted mask — the smallest-index progress member if the
             # class has one (an old edge must never outlive a progress
-            # witness), else the smallest index.  O(n) instead of the
-            # pairwise pass below; this runs per parent-label enumeration,
-            # i.e. once per child label on the hottest loop.
+            # witness), else the smallest index.  This runs per parent-label
+            # enumeration, i.e. once per child label on the hottest loop.
             chosen: dict[int, int] = {}
-            for i in range(n):
-                mask = restricted[i]
+            for e in pool:
+                mask = host.edge_bits(e) & component_vertices
                 head = chosen.get(mask)
                 if head is None or (
-                    progress is not None and progress[i] and not progress[head]
+                    progress_mask >> e & 1 and not progress_mask >> head & 1
                 ):
-                    chosen[mask] = i
-            keep = set(chosen.values())
-            for i in range(n):
-                if i in keep:
-                    survivors.append(pool[i])
-                else:
-                    skipped += 1
-            if skipped and self.stats is not None:
-                self.stats.enum_domination_skips += skipped
-            self._domination_memo.put(memo_key, (survivors, skipped))
-            return survivors
-
-        # strict=True from here on: full-containment domination, pairwise.
-        for i in range(n):
-            ri = restricted[i]
-            dominated = False
-            for j in range(n):
-                if j == i:
-                    continue
-                rj = restricted[j]
-                if ri & ~rj:
-                    continue  # not a subset: no domination
-                if progress is not None and progress[i] and not progress[j]:
-                    continue  # never lose a progress witness to an old edge
-                if ri == rj:
-                    same_status = progress is None or progress[i] == progress[j]
-                    if same_status and j > i:
-                        continue  # tie-break: the smaller index survives
-                dominated = True
-                break
-            if dominated:
-                skipped += 1
-            else:
-                survivors.append(pool[i])
+                    chosen[mask] = e
+            survivors = sorted(chosen.values())
+        else:
+            # Full containment.  The dominators of e are found by one
+            # AND-chain over the vertex → edge incidence table: the pool
+            # edges containing every vertex of e ∩ V.  A progress edge only
+            # yields to progress edges.  Any candidate with a smaller index
+            # dominates (on equal restrictions it wins the tie-break or is
+            # the progress witness); a larger one does unless it is e's
+            # equal-restriction, equal-status twin, which e outranks.
+            incidence = host.incidence_masks()
+            survivors = []
+            for e in pool:
+                restricted = host.edge_bits(e) & component_vertices
+                is_progress = progress_mask >> e & 1
+                candidates = pool_mask ^ (1 << e)
+                if is_progress:
+                    candidates &= progress_mask
+                rest = restricted
+                while rest and candidates:
+                    low = rest & -rest
+                    rest ^= low
+                    candidates &= incidence[low.bit_length() - 1]
+                dominated = candidates & ((1 << e) - 1) != 0
+                while candidates and not dominated:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    f = low.bit_length() - 1
+                    dominated = (
+                        host.edge_bits(f) & component_vertices != restricted
+                        or progress_mask >> f & 1 != is_progress
+                    )
+                if not dominated:
+                    survivors.append(e)
+        skipped = len(pool) - len(survivors)
         if skipped and self.stats is not None:
             self.stats.enum_domination_skips += skipped
         self._domination_memo.put(memo_key, (survivors, skipped))
@@ -407,16 +406,23 @@ class CoverEnumerator:
     ) -> Iterator[tuple[int, ...]]:
         host = self.host
         limit = self.k if max_size is None else min(max_size, self.k)
-        pool = _pool_of(host, allowed)
+        pool_mask = _pool_mask_of(host, allowed)
         if overlap_with is not None:
-            pool = [i for i in pool if host.edge_bits(i) & overlap_with]
-        if not pool:
+            # Edges sharing a vertex with it: the union of its incidence rows.
+            incidence = host.incidence_masks()
+            touching = 0
+            for vertex in bits_of(overlap_with & host.all_vertices_mask):
+                touching |= incidence[vertex]
+            pool_mask &= touching
+        if not pool_mask:
             return
         require = _require_mask_of(require_from)
         if component_vertices is not None:
             pool = self._dominated_pool(
-                pool, require, component_vertices, strict_domination
+                pool_mask, require, component_vertices, strict_domination
             )
+        else:
+            pool = indices_of(pool_mask)
         bits = [host.edge_bits(i) for i in pool]
         n = len(pool)
         stats = self.stats
@@ -540,8 +546,9 @@ class CoverEnumerator:
     def labels_for_partition(
         self,
         allowed: Iterable[int] | int | None,
-        first_edges: Sequence[int],
+        first_edges: Iterable[int],
         require_from: Iterable[int] | int | None = None,
+        cover: int | None = None,
         component_vertices: int | None = None,
         pruning: bool | None = None,
     ) -> Iterator[tuple[int, ...]]:
@@ -553,14 +560,17 @@ class CoverEnumerator:
         label space is never materialised.  Subedge domination, when enabled,
         is applied to the full pool *before* the partition restriction, so
         every worker prunes the same edges and the per-worker streams still
-        partition the (dominated) label space.
+        partition the (dominated) label space.  ``cover`` is det-k-decomp's
+        Conn-covering requirement, as in :meth:`labels`.
         """
         firsts = set(first_edges)
         if not (self.pruning if pruning is None else pruning):
-            for label in self.labels_reference(allowed=allowed, require_from=require_from):
+            for label in self.labels_reference(
+                allowed=allowed, require_from=require_from, cover=cover
+            ):
                 if label[0] in firsts:
                     yield label
             return
         yield from self._branch_and_bound(
-            allowed, require_from, None, None, None, component_vertices, True, firsts
+            allowed, require_from, None, cover, None, component_vertices, True, firsts
         )

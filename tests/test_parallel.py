@@ -7,16 +7,17 @@ import time
 
 import pytest
 
-from repro.core import LogKDecomposer, ParallelLogKDecomposer
+from repro.core import HybridDecomposer, LogKDecomposer, ParallelLogKDecomposer
 from repro.core.logk import LogKSearch
 from repro.core.base import SearchContext
+from repro.core.detk import DetKSearch
 from repro.core.fragments import fragment_to_decomposition
 from repro.core.parallel import _worker_search
 from repro.decomp import validate_hd
 from repro.decomp.covers import CoverEnumerator
-from repro.decomp.extended import full_comp
+from repro.decomp.extended import full_bitcomp, full_comp
 from repro.exceptions import SolverError, TimeoutExceeded
-from repro.hypergraph import generators
+from repro.hypergraph import Hypergraph, generators
 
 
 def test_rejects_bad_configuration():
@@ -101,6 +102,90 @@ def test_partitioned_search_is_complete_unionwise(cycle10):
     assert all(fragment is None for fragment in negatives)
 
 
+def _detk_root_labels(host, k, partition, domination):
+    """The labels det-k-decomp's depth-1 loop tries when every child fails."""
+    context = SearchContext(host, k)
+    search = DetKSearch(context, subedge_domination=domination, root_partition=partition)
+    recurse = search._search
+    search._search = lambda comp, conn, depth, allowed: (
+        recurse(comp, conn, depth, allowed) if depth == 1 else None
+    )
+    tried = []
+    enumerator = context.enumerator
+    for method in ("labels", "labels_for_partition"):
+
+        def spy(*args, _inner=getattr(enumerator, method), **kwargs):
+            for label in _inner(*args, **kwargs):
+                tried.append(label)
+                yield label
+
+        setattr(enumerator, method, spy)
+    assert search.search(full_bitcomp(host), conn=0, allowed=host.all_edges_mask) is None
+    return tried
+
+
+#: Subedges inside a hyperedge: domination drops pool edges, so some members
+#: of a partition never start a label.
+_SUBEDGES = Hypergraph(
+    {"big": "abc", "ab": "ab", "bc": "bc", "cd": "cd", "de": "de", "ea": "ea", "ce": "ce"}
+)
+
+
+@pytest.mark.parametrize("domination", [True, False], ids=["dominated", "plain"])
+@pytest.mark.parametrize(
+    "host,k",
+    [
+        (generators.cycle(10), 2),
+        (generators.with_chords(generators.cycle(14), 3, seed=1), 2),
+        (generators.grid(3, 3), 2),
+        (_SUBEDGES, 1),
+    ],
+    ids=["cycle10", "cc14", "grid3x3", "subedges"],
+)
+def test_detk_root_partition_streams_are_disjoint_and_complete(host, k, domination):
+    """The det-k root honours the partition exactly as the log-k root does.
+
+    Under root delegation (every ledger instance is below the hybrid
+    threshold) det-k-decomp runs the depth-1 label loop; its per-partition
+    streams must be pairwise disjoint and their union the sequential stream,
+    or "all workers fail" is not a sound "no".
+    """
+    sequential = _detk_root_labels(host, k, None, domination)
+    assert sequential and len(set(sequential)) == len(sequential)
+    for workers in (2, 3):
+        streams = [
+            _detk_root_labels(host, k, range(slot, host.num_edges, workers), domination)
+            for slot in range(workers)
+        ]
+        for slot, stream in enumerate(streams):
+            # Disjoint by construction of the expected value, and each a
+            # subsequence of the one agreed order.
+            assert stream == [label for label in sequential if label[0] % workers == slot]
+        assert sum(len(stream) for stream in streams) == len(sequential)
+
+
+def test_workers_split_one_search_instead_of_repeating_it():
+    """Count-based no-duplication guard (counts repeat exactly).
+
+    Before the det-k root honoured the partition both workers ran the whole
+    search: merged ``labels_tried`` was exactly 2.0x the sequential count.
+    Private per-worker memos still re-solve shared subproblems, hence > 1.0x.
+    """
+    hard = generators.with_chords(generators.cycle(30), 4, seed=2)
+    sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
+    parallel = ParallelLogKDecomposer(
+        num_workers=2, backend="thread", use_engine=False
+    ).decompose(hard, 2)
+    assert not sequential.success and not parallel.success
+    assert not sequential.timed_out and not parallel.timed_out
+    assert parallel.statistics.subproblems_delegated == 2  # one root per worker
+    assert (
+        sequential.statistics.labels_tried
+        <= parallel.statistics.labels_tried
+        <= 1.6 * sequential.statistics.labels_tried
+    )
+
+
 def test_worker_statistics_are_merged(cycle10):
     result = ParallelLogKDecomposer(num_workers=2, hybrid=False).decompose(cycle10, 2)
     assert result.statistics.recursive_calls > 0
@@ -167,6 +252,40 @@ def test_thread_backend_sets_cancel_event_on_success(cycle10, monkeypatch):
     assert result.success
     assert seen and all(event is seen[0] for event in seen)
     assert seen[0].is_set()
+
+
+def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, caplog):
+    # A TypeError in one worker used to be indistinguishable from a timeout.
+    # It still must not become an answer, but it has to leave a traceback.
+    from repro.core import parallel as parallel_module
+
+    original = parallel_module.LogKSearch.search
+
+    def broken(self, comp, conn, allowed, depth=1):
+        if 0 in self.root_partition:
+            raise TypeError("injected worker bug")
+        return original(self, comp, conn, allowed, depth)
+
+    monkeypatch.setattr(parallel_module.LogKSearch, "search", broken)
+    decomposer = ParallelLogKDecomposer(
+        num_workers=2, backend="thread", hybrid=False, use_engine=False
+    )
+    with caplog.at_level("ERROR", logger="repro.parallel"):
+        refuted = decomposer.decompose(cycle10, 1)
+    # The healthy worker refuted its share; the broken share is unknown.
+    assert not refuted.success and refuted.timed_out
+    failures = [r for r in caplog.records if r.name == "repro.parallel"]
+    assert len(failures) == 1 and failures[0].exc_info[0] is TypeError
+    assert "injected worker bug" in caplog.text
+
+    # A cancelled or timed-out worker stays quiet.
+    caplog.clear()
+    monkeypatch.setattr(parallel_module.LogKSearch, "search", original)
+    event = threading.Event()
+    event.set()
+    with caplog.at_level("ERROR", logger="repro.parallel"):
+        cancelled = decomposer.decompose_raw(cycle10, 1, cancel_event=event)
+    assert cancelled.timed_out and not caplog.records
 
 
 # --------------------------------------------------------------------------- #
