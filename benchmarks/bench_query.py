@@ -267,7 +267,7 @@ def test_sql_disk_summary(disk_database):
         f"({size / MEMORY_BUDGET_BYTES:.1f}x the {MEMORY_BUDGET_BYTES // 1024} KiB in-memory budget)",
         f"  rows / answers     : {_DISK_ROWS} base rows -> {expected} counted answers",
         f"  sql cold           : {cold_seconds * 1000:8.1f} ms (decompose + plan + compile + run)",
-        f"  sql warm (per run) : {warm_seconds * 1000:8.1f} ms (plan and SQL program cached)",
+        f"  sql warm (per run) : {warm_seconds * 1000:8.1f} ms (plan and SQL program cached, temp tables recycled)",
     ]
     write_result("sql_pushdown", "\n".join(lines))
     assert size > MEMORY_BUDGET_BYTES, "the on-disk arm must exceed the memory budget"

@@ -13,20 +13,30 @@ memory be answered with Yannakakis-over-SQL:
    :meth:`~repro.query.columnar.ColumnStore.atom_table`); indexes on the
    probed columns keep the correlated ``EXISTS`` probes at seek cost;
 2. every :class:`~repro.query.plan.BagOp` materialises as
-   ``CREATE TEMP TABLE bag_i AS SELECT DISTINCT ...`` joining the λ-cover
-   views, with one ``EXISTS`` per assigned atom;
-3. the bottom-up/top-down semijoin passes run as
-   ``DELETE FROM bag_t WHERE NOT EXISTS (...)`` — the full reduction in
-   place, no copies;
+   ``CREATE TEMP TABLE bag_<h> AS SELECT DISTINCT ...`` joining the λ-cover
+   tables, with one ``EXISTS`` per assigned atom;
+3. every semijoin of the bottom-up/top-down passes derives a new table,
+   ``CREATE TEMP TABLE red_<h> AS SELECT T.* FROM <target> AS T WHERE EXISTS
+   (... <source> ...)`` — the full reduction, never destroying its inputs;
 4. the plan's bottom-up join schedule compiles step by step — each
    :class:`~repro.query.plan.JoinOp` / :class:`~repro.query.plan.ProjectOp`
-   becomes one ``CREATE TEMP TABLE res_k AS SELECT DISTINCT ...`` over the
+   becomes one ``CREATE TEMP TABLE ... AS SELECT DISTINCT ...`` over the
    previous step's tables (never a flat n-way join, which SQLite caps at 64
    tables and misorders long before that), so every intermediate stays
    within Yannakakis' output-bounded guarantee; the answer then reads the
    root's result with mode-specific tails: a plain ``SELECT`` for
    ``enumerate``, ``EXISTS`` for ``boolean``, ``COUNT(*)`` for ``count``
    (rows are never decoded).
+
+Every table is a pure function of its inputs and is *named* by a hash of its
+defining ``SELECT`` — which mentions its inputs by their hashed names — so
+on one :class:`SQLStore` an equal name means equal contents.  The store
+keeps ("recycles") the tables across executions, up to a row budget: a step
+whose name the store still holds is skipped, so the three answer modes of
+one query shape share atoms, bags and the bottom-up pass, and a repeated
+query runs its final ``SELECT`` only.  In-memory sources never change under
+a store; an on-disk file is watched through ``PRAGMA data_version`` and a
+commit by another connection drops every recycled table.
 
 Two data sources are supported.  An in-memory
 :class:`~repro.query.database.Database` is bulk-loaded once per
@@ -41,8 +51,9 @@ and the differential tests — accept the same handle.
 All equality predicates use SQLite's null-safe ``IS`` operator, so ``None``
 values join with themselves exactly as they do in the Python executors.
 
-Cancellation mirrors the columnar ``_Watchdog``: an armed execution runs a
-small watcher thread that calls :meth:`sqlite3.Connection.interrupt` when
+Cancellation mirrors the columnar ``_Watchdog``: an armed execution that
+has a statement to run (not a recycled one) starts a small watcher thread
+that calls :meth:`sqlite3.Connection.interrupt` when
 the cancel event sets or the deadline passes, and the interrupted statement
 surfaces as :class:`~repro.exceptions.TimeoutExceeded` with the same
 messages — the serving layer's ``cancelled_running`` accounting works
@@ -54,10 +65,12 @@ never double-apply); interrupts are never retried.
 
 from __future__ import annotations
 
+import hashlib
 import sqlite3
 import threading
 import time
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import faults
@@ -91,6 +104,18 @@ __all__ = [
 
 #: Watcher poll interval; bounds how late an interrupt lands.
 _INTERRUPT_POLL = 0.02
+#: Rows of recycled temp tables a :class:`SQLStore` keeps; beyond it the
+#: least recently used tables not pinned by the running program are dropped.
+_ROW_BUDGET = 1_000_000
+#: ``(step kind, recycled?)`` → the ``ExecutionStatistics`` counter it bumps.
+_COUNTERS = {
+    ("bag", False): "bags_built",
+    ("bag", True): "bags_reused",
+    ("index", False): "indexes_built",
+    ("index", True): "indexes_reused",
+    ("red", False): "semijoins_run",
+    ("join", False): "joins_run",
+}
 
 
 def _quote(name: str) -> str:
@@ -98,45 +123,38 @@ def _quote(name: str) -> str:
     return '"' + str(name).replace('"', '""') + '"'
 
 
+def _digest(text: str) -> str:
+    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+
 @dataclass(frozen=True)
 class SQLProgram:
     """A compiled, connection-independent SQL rendering of one plan.
 
-    ``setup`` holds the atom views and bag ``CREATE``s in execution order;
-    ``bottom_up``/``top_down`` pair each ``DELETE`` with its target bag table
-    (for the post-delete emptiness probe); ``joins`` renders the plan's join
-    schedule as ``CREATE TEMP TABLE res_k`` steps (each tagged ``"join"`` or
-    ``"project"`` for statistics); ``answer`` is the final ``SELECT`` and
-    ``answer_kind`` says how to interpret its single result — ``"rows"``
-    (enumerate), ``"count"`` (a scalar count) or ``"exists"`` (a 0/1
-    existence flag).  ``cleanup`` drops every temp object so the connection
-    can be reused by the next query.
+    ``steps`` lists ``(kind, name, sql)`` in execution order: ``sql`` creates
+    the temp table ``name`` — of ``kind`` ``"atom"``, ``"bag"``, ``"red"``
+    (one semijoin), ``"join"`` or ``"proj"`` — or the ``"index"`` ``name``.
+    A table's name hashes its defining ``SELECT``, which mentions its inputs
+    by *their* hashed names, so on one store a name determines the contents
+    and a step whose name the store still holds need not run.  ``answer`` is
+    the final ``SELECT`` and ``answer_kind`` says how to interpret its single
+    result — ``"rows"`` (enumerate), ``"count"`` (a scalar count) or
+    ``"exists"`` (a 0/1 existence flag).
     """
 
     mode: AnswerMode
     output: tuple[str, ...]
-    setup: tuple[str, ...]
-    bag_tables: tuple[str, ...]
-    bottom_up: tuple[tuple[str, str], ...]
-    top_down: tuple[tuple[str, str], ...]
-    joins: tuple[tuple[str, str], ...]
+    steps: tuple[tuple[str, str, str], ...]
     answer: str
     answer_kind: str
-    cleanup: tuple[str, ...]
 
     @property
     def statements(self) -> tuple[str, ...]:
         """Every statement of the program in execution order (answer last)."""
-        return (
-            self.setup
-            + tuple(sql for sql, _ in self.bottom_up)
-            + tuple(sql for sql, _ in self.top_down)
-            + tuple(sql for sql, _ in self.joins)
-            + (self.answer,)
-        )
+        return tuple(sql for _, _, sql in self.steps) + (self.answer,)
 
     def describe(self) -> str:
-        """The SQL program as one script (cleanup omitted)."""
+        """The SQL program as one script."""
         return ";\n".join(self.statements) + ";"
 
 
@@ -148,14 +166,29 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
     is the only source-specific input: the interned in-memory tables and an
     attached database file compile through the same generator.
     """
-    setup: list[str] = []
+    steps: dict[str, tuple[str, str, str]] = {}
+
+    def table(kind: str, select: str) -> str:
+        """The table holding ``select``, named by its hash (one step a name)."""
+        name = f"{kind}_{_digest(select)}"
+        steps.setdefault(name, (kind, name, f"CREATE TEMP TABLE {name} AS {select}"))
+        return name
+
+    def index(on: str, columns: tuple[str, ...]) -> None:
+        """Index table ``on`` on ``columns`` (once) so correlated probes seek."""
+        if columns:
+            cols = ", ".join(_quote(c) for c in columns)
+            name = f"{on}_ix{_digest(cols)}"
+            steps.setdefault(name, ("index", name, f"CREATE INDEX {name} ON {on} ({cols})"))
+
     # -- atom tables: project onto distinct variables, enforce repeats ------ #
     # Materialised (not views): the assigned-atom EXISTS probes below are
     # correlated subqueries, and SQLite re-evaluates a *view* body per outer
     # row — an indexed temp table turns each probe into one B-tree lookup.
-    for index, binding in enumerate(plan.atoms):
+    atoms: list[str] = []
+    for binding in plan.atoms:
         try:
-            table, columns = catalog[binding.relation]
+            base, columns = catalog[binding.relation]
         except KeyError:
             raise QueryError(f"unknown relation {binding.relation!r}") from None
         if len(columns) != len(binding.arguments):
@@ -172,26 +205,13 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
             for i, v in enumerate(binding.arguments)
             if binding.arguments.index(v) != i
         ]
-        sql = (
-            f"CREATE TEMP TABLE atom_{index} AS "
-            f"SELECT DISTINCT {', '.join(selects)} FROM {table}"
-        )
+        select = f"SELECT DISTINCT {', '.join(selects)} FROM {base}"
         if where:
-            sql += f" WHERE {' AND '.join(where)}"
-        setup.append(sql)
+            select += f" WHERE {' AND '.join(where)}"
+        atoms.append(table("atom", select))
 
     # -- bag materialisation ---------------------------------------------- #
-    bag_tables: list[str] = []
-    indexed: set[tuple[str, tuple[str, ...]]] = set()
-
-    def ensure_index(table: str, columns: tuple[str, ...]) -> None:
-        """Index ``table`` on ``columns`` (once) so correlated probes seek."""
-        if not columns or (table, columns) in indexed:
-            return
-        indexed.add((table, columns))
-        cols = ", ".join(_quote(c) for c in columns)
-        setup.append(f"CREATE INDEX idx_{len(indexed)}_{table} ON {table} ({cols})")
-
+    current: dict[int, str] = {}  # node → the table holding its latest state
     for bag in plan.bags:
         aliases = [f"c{j}" for j in range(len(bag.cover))]
         canonical: dict[str, str] = {}
@@ -213,8 +233,8 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
         for atom_index in bag.assigned:
             binding = plan.atoms[atom_index]
             shared = [v for v in binding.variables if v in canonical]
-            ensure_index(f"atom_{atom_index}", tuple(shared))
-            inner = f"SELECT 1 FROM atom_{atom_index} AS e"
+            index(atoms[atom_index], tuple(shared))
+            inner = f"SELECT 1 FROM {atoms[atom_index]} AS e"
             if shared:
                 inner += " WHERE " + " AND ".join(
                     f"e.{_quote(v)} IS {canonical[v]}.{_quote(v)}" for v in shared
@@ -227,150 +247,89 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
         else:
             select = '1 AS "__unit__"'  # a 0-ary bag still has 0 or 1 rows
         sources = ", ".join(
-            f"atom_{atom_index} AS {alias}"
+            f"{atoms[atom_index]} AS {alias}"
             for alias, atom_index in zip(aliases, bag.cover)
         )
-        table_name = f"bag_{bag.node}"
-        sql = f"CREATE TEMP TABLE {table_name} AS SELECT DISTINCT {select} FROM {sources}"
+        select = f"SELECT DISTINCT {select} FROM {sources}"
         if predicates:
-            sql += f" WHERE {' AND '.join(predicates)}"
-        setup.append(sql)
-        bag_tables.append(table_name)
+            select += f" WHERE {' AND '.join(predicates)}"
+        current[bag.node] = table("bag", select)
 
-    # -- the semijoin passes (full reduction, in place) -------------------- #
-    def delete_for(op) -> tuple[str, str]:
-        target, source = f"bag_{op.target}", f"bag_{op.source}"
-        inner = f"SELECT 1 FROM {source}"
+    # -- the semijoin passes (full reduction, one derived table a step) ---- #
+    # Each step probes its *source* per target row; an index on the join
+    # columns makes that probe a seek instead of a scan.
+    for op in plan.bottom_up + plan.top_down:
+        target, source = current[op.target], current[op.source]
+        index(source, op.on)
+        inner = f"SELECT 1 FROM {source} AS S"
         if op.on:
             inner += " WHERE " + " AND ".join(
-                f"{source}.{_quote(v)} IS {target}.{_quote(v)}" for v in op.on
+                f"S.{_quote(v)} IS T.{_quote(v)}" for v in op.on
             )
-        return (f"DELETE FROM {target} WHERE NOT EXISTS ({inner})", target)
-
-    bottom_up = tuple(delete_for(op) for op in plan.bottom_up)
-    top_down = tuple(delete_for(op) for op in plan.top_down)
-    # Each DELETE probes its *source* bag per surviving target row; an index
-    # on the join columns makes that probe a seek instead of a scan.
-    for op in plan.bottom_up + plan.top_down:
-        ensure_index(f"bag_{op.source}", tuple(op.on))
+        current[op.target] = table(
+            "red", f"SELECT T.* FROM {target} AS T WHERE EXISTS ({inner})"
+        )
 
     # -- the join schedule, one temp table per step ------------------------- #
-    # The plan's bottom-up join schedule is compiled step by step rather than
-    # as one flat SELECT over all bags: a flat join hands SQLite's planner an
-    # n-way join (hard-capped at 64 tables, and catastrophically ordered well
-    # before that on wide plans), while the schedule keeps every intermediate
-    # bounded by Yannakakis' guarantee — each step retains only output
-    # variables plus the parent bag's own.
-    joins: list[tuple[str, str]] = []
-    join_tables: list[str] = []
-    current: dict[int, tuple[str, tuple[str, ...]]] = {}
-
-    def node_state(node: int) -> tuple[str, tuple[str, ...]]:
-        state = current.get(node)
-        if state is None:
-            state = (f"bag_{node}", plan.node_variables[node])
-            current[node] = state
-        return state
-
-    def fresh_table() -> str:
-        name = f"res_{len(join_tables)}"
-        join_tables.append(name)
-        return name
-
-    if plan.mode is not AnswerMode.BOOLEAN:
-        for op in plan.join_schedule:
-            if isinstance(op, JoinOp):
-                left_table, left_schema = node_state(op.target)
-                right_table, _ = node_state(op.source)
-                shared = tuple(v for v in left_schema if v in op.retain)
-                extras = tuple(v for v in op.retain if v not in left_schema)
-                name = fresh_table()
-                if extras:
-                    select = ", ".join(
-                        [f"L.{_quote(v)} AS {_quote(v)}" for v in left_schema]
-                        + [f"R.{_quote(v)} AS {_quote(v)}" for v in extras]
+    # The plan's bottom-up join schedule (empty for BOOLEAN plans) is
+    # compiled step by step rather than as one flat SELECT over all bags: a
+    # flat join hands SQLite's planner an n-way join (hard-capped at 64
+    # tables, and catastrophically ordered well before that on wide plans),
+    # while the schedule keeps every intermediate bounded by Yannakakis'
+    # guarantee — each step retains only output variables plus the parent
+    # bag's own.
+    schemas = list(plan.node_variables)
+    for op in plan.join_schedule:
+        if isinstance(op, JoinOp):
+            left, left_schema, right = current[op.target], schemas[op.target], current[op.source]
+            shared = tuple(v for v in left_schema if v in op.retain)
+            extras = tuple(v for v in op.retain if v not in left_schema)
+            if extras:
+                select = ", ".join(
+                    [f"L.{_quote(v)} AS {_quote(v)}" for v in left_schema]
+                    + [f"R.{_quote(v)} AS {_quote(v)}" for v in extras]
+                )
+                retained = ", ".join(_quote(v) for v in op.retain)
+                select = (
+                    f"SELECT DISTINCT {select} FROM {left} AS L, "
+                    f"(SELECT DISTINCT {retained} FROM {right}) AS R"
+                )
+                if shared:
+                    select += " WHERE " + " AND ".join(
+                        f"L.{_quote(v)} IS R.{_quote(v)}" for v in shared
                     )
-                    retained = ", ".join(_quote(v) for v in op.retain)
-                    sql = (
-                        f"CREATE TEMP TABLE {name} AS SELECT DISTINCT {select} "
-                        f"FROM {left_table} AS L, "
-                        f"(SELECT DISTINCT {retained} FROM {right_table}) AS R"
+                schemas[op.target] = left_schema + extras
+            else:
+                # The child contributes no new columns — a pure semijoin.
+                inner = f"SELECT 1 FROM {right} AS R"
+                if shared:
+                    inner += " WHERE " + " AND ".join(
+                        f"R.{_quote(v)} IS L.{_quote(v)}" for v in shared
                     )
-                    if shared:
-                        sql += " WHERE " + " AND ".join(
-                            f"L.{_quote(v)} IS R.{_quote(v)}" for v in shared
-                        )
-                    schema = left_schema + extras
-                else:
-                    # The child contributes no new columns — a pure semijoin.
-                    inner = f"SELECT 1 FROM {right_table} AS R"
-                    if shared:
-                        inner += " WHERE " + " AND ".join(
-                            f"R.{_quote(v)} IS L.{_quote(v)}" for v in shared
-                        )
-                    select = ", ".join(
-                        f"L.{_quote(v)} AS {_quote(v)}" for v in left_schema
-                    ) or '1 AS "__unit__"'
-                    sql = (
-                        f"CREATE TEMP TABLE {name} AS SELECT DISTINCT {select} "
-                        f"FROM {left_table} AS L WHERE EXISTS ({inner})"
-                    )
-                    schema = left_schema
-                joins.append((sql, "join"))
-                current[op.target] = (name, schema)
-            elif isinstance(op, ProjectOp):
-                table, _ = node_state(op.node)
-                name = fresh_table()
-                if op.attributes:
-                    select = ", ".join(_quote(v) for v in op.attributes)
-                    sql = f"CREATE TEMP TABLE {name} AS SELECT DISTINCT {select} FROM {table}"
-                else:
-                    sql = (
-                        f"CREATE TEMP TABLE {name} AS "
-                        f'SELECT DISTINCT 1 AS "__unit__" FROM {table}'
-                    )
-                joins.append((sql, "project"))
-                current[op.node] = (name, op.attributes)
-            else:  # pragma: no cover - the schedule has exactly two op kinds
-                raise QueryError(f"unknown join-schedule op {op!r}")
+                select = ", ".join(
+                    f"L.{_quote(v)} AS {_quote(v)}" for v in left_schema
+                ) or '1 AS "__unit__"'
+                select = f"SELECT DISTINCT {select} FROM {left} AS L WHERE EXISTS ({inner})"
+            current[op.target] = table("join", select)
+        elif isinstance(op, ProjectOp):
+            select = ", ".join(_quote(v) for v in op.attributes) or '1 AS "__unit__"'
+            current[op.node] = table("proj", f"SELECT DISTINCT {select} FROM {current[op.node]}")
+            schemas[op.node] = op.attributes
+        else:  # pragma: no cover - the schedule has exactly two op kinds
+            raise QueryError(f"unknown join-schedule op {op!r}")
 
     # -- the final SELECT over the root's result ---------------------------- #
-    if plan.mode is AnswerMode.BOOLEAN:
-        # The plan stops after the bottom-up pass; a surviving root tuple
-        # decides the query, so only the root bag is probed.
-        answer = "SELECT EXISTS (SELECT 1 FROM bag_0)"
-        answer_kind = "exists"
+    # A BOOLEAN plan stops after the bottom-up pass: a surviving root tuple
+    # decides the query, so only the reduced root bag is probed.
+    if plan.mode is AnswerMode.BOOLEAN or not plan.output:
+        answer, answer_kind = f"SELECT EXISTS (SELECT 1 FROM {current[0]})", "exists"
+    elif plan.mode is AnswerMode.COUNT:
+        # Every schedule step selects DISTINCT, so rows are unique already.
+        answer, answer_kind = f"SELECT COUNT(*) FROM {current[0]}", "count"
     else:
-        root_table, _ = node_state(0)
-        if not plan.output:
-            answer = f"SELECT EXISTS (SELECT 1 FROM {root_table})"
-            answer_kind = "exists"
-        elif plan.mode is AnswerMode.COUNT:
-            # Every schedule step selects DISTINCT, so rows are unique already.
-            answer = f"SELECT COUNT(*) FROM {root_table}"
-            answer_kind = "count"
-        else:
-            select = ", ".join(_quote(v) for v in plan.output)
-            answer = f"SELECT {select} FROM {root_table}"
-            answer_kind = "rows"
-
-    cleanup = tuple(
-        [f"DROP TABLE IF EXISTS {table}" for table in reversed(join_tables)]
-        + [f"DROP TABLE IF EXISTS {table}" for table in bag_tables]
-        + [f"DROP TABLE IF EXISTS atom_{index}" for index in range(len(plan.atoms))]
-    )
-    return SQLProgram(
-        mode=plan.mode,
-        output=plan.output,
-        setup=tuple(setup),
-        bag_tables=tuple(bag_tables),
-        bottom_up=bottom_up,
-        top_down=top_down,
-        joins=tuple(joins),
-        answer=answer,
-        answer_kind=answer_kind,
-        cleanup=cleanup,
-    )
+        select = ", ".join(_quote(v) for v in plan.output)
+        answer, answer_kind = f"SELECT {select} FROM {current[0]}", "rows"
+    return SQLProgram(plan.mode, plan.output, tuple(steps.values()), answer, answer_kind)
 
 
 # --------------------------------------------------------------------------- #
@@ -490,8 +449,11 @@ class SQLStore:
     """Persistent SQL-execution state of one database (the warm-cache unit).
 
     Holds the long-lived connection (an in-memory SQLite holding the
-    interned base tables, or the opened :class:`SQLDatabase` file) plus the
-    value-interning dictionary for in-memory sources.  Executions serialise
+    interned base tables, or the opened :class:`SQLDatabase` file), the
+    value-interning dictionary for in-memory sources and the registry of
+    recycled temp tables (see the module docstring): name → row count in
+    least-recently-used order, trimmed to :data:`_ROW_BUDGET` rows after each
+    execution, emptied when an on-disk source changes.  Executions serialise
     on :attr:`lock` — SQLite connections are single-statement engines — so
     one store serves concurrent callers safely; keep one store per database
     to amortise bulk loading across a workload, exactly like
@@ -507,6 +469,11 @@ class SQLStore:
         self._loaded: set[str] = set()
         self._codes: dict[object, int] = {}
         self._values: list[object] = []
+        #: Recycled temp objects, least recently used first: table → rows;
+        #: an index is named ``<table>_ix<h>`` and counts no rows.
+        self._tables: "OrderedDict[str, int]" = OrderedDict()
+        self._rows = 0
+        self._data_version: int | None = None
 
     @property
     def interned(self) -> bool:
@@ -542,7 +509,31 @@ class SQLStore:
                     )
 
                 self._connection = self.retry.call(attempt, retry_on=(sqlite3.Error,))
+                weakref.finalize(self, self._connection.close)
             return self._connection
+
+    def close(self) -> None:
+        """Close the connection, and with it every recycled and loaded table
+        (idempotent; also run when the store is collected).  A later
+        execution reconnects and starts cold."""
+        with self.lock:
+            connection, self._connection = self._connection, None
+            self._tables.clear()
+            self._loaded.clear()
+            self._rows = 0
+            if connection is not None:
+                connection.close()
+
+    def trim(self, budget: int = -1, pinned=()) -> None:
+        """Drop least-recently-used recycled tables until at most ``budget``
+        rows remain (by default: all of them), sparing the ``pinned`` names."""
+        for name in [n for n in self._tables if "_ix" not in n and n not in pinned]:
+            if self._rows <= budget:
+                break
+            self._connection.execute(f"DROP TABLE {name}")
+            self._rows -= self._tables.pop(name)
+        for name in [n for n in self._tables if n.partition("_ix")[0] not in self._tables]:
+            del self._tables[name]  # SQLite dropped the index with its table
 
     def catalog_for(self, plan: QueryPlan) -> dict[str, tuple[str, tuple[str, ...]]]:
         """The base-table catalog :func:`compile_sql` needs for ``plan``."""
@@ -562,21 +553,20 @@ class SQLStore:
         return catalog
 
     def source_fingerprint(self, plan: QueryPlan) -> tuple:
-        """Identity of the generated SQL's source side (for program caching)."""
-        if self.path is None:
-            return ("memory",)
-        return ("disk",) + tuple(
-            sorted(
-                (r, self.database.table_columns(r))  # type: ignore[attr-defined]
-                for r in {binding.relation for binding in plan.atoms}
-            )
-        )
+        """Identity of the generated SQL's source side (for program caching):
+        the catalog itself — base table and columns, hence arity, per relation."""
+        return tuple(sorted(self.catalog_for(plan).items()))
 
     def ensure_loaded(self, plan: QueryPlan, executor: "SQLExecutor") -> None:
-        """Bulk-load (once) every base relation an in-memory plan touches."""
-        if self.path is not None:
-            return
+        """Bulk-load (once) every base relation an in-memory plan touches; for
+        an on-disk source, drop what was recycled from a since-changed file."""
         connection = self.connection()
+        if self.path is not None:
+            version = executor._exec(connection, "PRAGMA data_version").fetchone()[0]
+            if version != self._data_version:  # another connection committed
+                self._data_version = version
+                self.trim()
+            return
         for binding in plan.atoms:
             name = binding.relation
             if name in self._loaded:
@@ -599,12 +589,14 @@ class SQLStore:
 class _InterruptGuard:
     """Armed cancellation for one SQL execution (the ``_Watchdog`` twin).
 
-    While armed, a watcher thread polls the cancel event and deadline and
-    calls :meth:`sqlite3.Connection.interrupt` the moment either fires; the
+    Once :meth:`watch` is called on an armed guard, a watcher thread polls
+    the cancel event and deadline and calls
+    :meth:`sqlite3.Connection.interrupt` the moment either fires; the
     aborted statement's :class:`sqlite3.OperationalError` is translated to
     :class:`~repro.exceptions.TimeoutExceeded` by the executor.  ``check()``
-    at statement boundaries catches a signal that lands *between*
-    statements.  Unarmed guards (no event, no deadline) start no thread.
+    at step boundaries catches a signal that lands *between* statements.
+    Unarmed guards (no event, no deadline) and executions that recycle every
+    step (a thread costs more than they do) start no thread.
     """
 
     __slots__ = ("connection", "cancel_event", "deadline", "fired", "reason", "_stop", "_thread")
@@ -646,12 +638,15 @@ class _InterruptGuard:
         if self.fired or self._poll():
             raise TimeoutExceeded(self.reason)
 
-    def __enter__(self) -> "_InterruptGuard":
-        if self.cancel_event is not None or self.deadline is not None:
+    def watch(self) -> None:
+        """Start the watcher (once, if armed): a statement that can run long follows."""
+        if self._thread is None and (self.cancel_event is not None or self.deadline is not None):
             self._thread = threading.Thread(
                 target=self._watch, name="repro-sqlgen-watchdog", daemon=True
             )
             self._thread.start()
+
+    def __enter__(self) -> "_InterruptGuard":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -691,10 +686,6 @@ class SQLExecutor:
 
         return self.store.retry.call(attempt, retry_on=(sqlite3.Error,))
 
-    def _is_empty(self, connection, table: str, guard) -> bool:
-        cursor = self._exec(connection, f"SELECT EXISTS (SELECT 1 FROM {table})", guard)
-        return not cursor.fetchone()[0]
-
     # ------------------------------------------------------------------ #
     # public entry point
     # ------------------------------------------------------------------ #
@@ -718,42 +709,43 @@ class SQLExecutor:
                             raise TimeoutExceeded(guard.reason) from None
                         raise
             finally:
-                for statement in program.cleanup:
-                    try:
-                        connection.execute(statement)
-                    except sqlite3.Error:  # pragma: no cover - best-effort drop
-                        pass
+                if store._rows > _ROW_BUDGET:
+                    store.trim(_ROW_BUDGET, {name for _, name, _ in program.steps})
 
     def _run(
         self, plan: QueryPlan, program: SQLProgram, connection, guard: _InterruptGuard
     ) -> ExecutionResult:
-        stats = ExecutionStatistics()
-        guard.check()
-        bag_index = 0
-        for statement in program.setup:
-            self._exec(connection, statement, guard)
-            if statement.startswith("CREATE TEMP TABLE bag_"):
-                stats.bags_built += 1
-                table = program.bag_tables[bag_index]
-                bag_index += 1
-                if self._is_empty(connection, table, guard):
-                    stats.early_exit = True
-                    return self._empty_result(plan, stats)
-        for phase in (program.bottom_up, program.top_down):
-            for statement, target in phase:
-                cursor = self._exec(connection, statement, guard)
-                stats.semijoins_run += 1
-                if cursor.rowcount and self._is_empty(connection, target, guard):
-                    stats.early_exit = True
-                    return self._empty_result(plan, stats)
+        stats, tables = ExecutionStatistics(), self.store._tables
+        for kind, name, sql in program.steps:
+            guard.check()
+            rows = tables.get(name)
+            counter = _COUNTERS.get((kind, rows is not None))
+            if counter is not None:
+                setattr(stats, counter, getattr(stats, counter) + 1)
+            if rows is not None:
+                tables.move_to_end(name)
+            else:
+                guard.watch()
+                self._exec(connection, sql, guard)
+                rows = 0
+                if kind != "index":
+                    try:
+                        count = self._exec(connection, f"SELECT COUNT(*) FROM {name}", guard)
+                        rows = count.fetchone()[0]
+                    except BaseException:
+                        connection.execute(f"DROP TABLE {name}")  # exists ⇔ registered
+                        raise
+                tables[name] = rows
+                self.store._rows += rows
+            if rows == 0 and kind != "index":
+                # Any empty table — recycled or new — empties the answer.
+                stats.early_exit = True
+                return self._empty_result(plan, stats)
         if plan.mode is AnswerMode.BOOLEAN:
             # Bottom-up reduction succeeded with a surviving root tuple.
             return ExecutionResult(plan.mode, boolean=True, statistics=stats)
-
-        for statement, kind in program.joins:
-            self._exec(connection, statement, guard)
-            if kind == "join":
-                stats.joins_run += 1
+        if program.answer_kind == "rows":
+            guard.watch()
         cursor = self._exec(connection, program.answer, guard)
         if program.answer_kind == "count":
             count = int(cursor.fetchone()[0])

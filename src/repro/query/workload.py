@@ -268,8 +268,8 @@ class QueryEngine:
 
         Cached next to the plan cache in the decomposition engine's
         auxiliary LRU, keyed like a plan plus the source fingerprint —
-        in-memory sources share one program, on-disk sources re-key when
-        the file schema differs."""
+        sources whose used relations agree in table name and columns share
+        one program (its hashed table names are per-store facts)."""
         key = (
             query_signature(query),
             planned.plan.mode.value,

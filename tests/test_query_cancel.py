@@ -207,3 +207,31 @@ def test_query_timeout_aborts_running_execution():
         assert stats.cancelled_running == 0  # deadline, not a cancel
     finally:
         svc.shutdown(wait=True, cancel_pending=True)
+
+
+# --------------------------------------------------------------------------- #
+# the SQL arm's watcher thread starts lazily
+# --------------------------------------------------------------------------- #
+def test_recycled_sql_execution_starts_no_watchdog_thread(monkeypatch):
+    # A fully recycled query costs less than starting and joining a thread,
+    # so an armed guard only starts its watcher before a statement that can
+    # run long; cancellation is still honoured at every step boundary.
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda self: (started.append(self.name), start(self))[1]
+    )
+    engine, database = _engine_and_database()
+    armed = threading.Event()  # what the service always passes
+    cold = engine.execute(QUERY, database, "count", executor="sql", cancel_event=armed)
+    assert started == ["repro-sqlgen-watchdog"]  # tables had to be built
+    del started[:]
+    for mode in ("count", "boolean"):
+        warm = engine.execute(QUERY, database, mode, executor="sql", cancel_event=armed)
+        assert warm.boolean == cold.boolean
+        assert warm.execution.statistics.bags_built == 0
+    assert warm.execution.statistics.bags_reused > 0 and started == []
+    armed.set()
+    with pytest.raises(TimeoutExceeded, match="cancelled"):
+        engine.execute(QUERY, database, "count", executor="sql", cancel_event=armed)
+    assert started == []

@@ -5,12 +5,14 @@ this suite is the contract: on generated acyclic and bounded-width CQs with
 random databases, ``eager`` == ``columnar`` == ``sql`` — byte-identical
 answers across all three answer modes, including empty relations, repeated
 variables and single-atom queries, for in-memory *and* on-disk (SQLite
-file) sources.  The satellite units cover program caching, store reuse,
+file) sources, with every mode run twice per store so a recycled execution
+must equal a fresh one.  The satellite units cover program caching, store reuse,
 cancellation and the path-shipping codec branch.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -32,7 +34,7 @@ from repro.query import (
     naive_join_query,
     random_database_for_query,
 )
-from repro.query.sqlgen import SQLExecutor
+from repro.query.sqlgen import SQLExecutor, _digest
 
 # --------------------------------------------------------------------------- #
 # strategies: random CQs with matching random databases
@@ -41,6 +43,7 @@ _VARIABLES = [f"v{i}" for i in range(6)]
 #: Mixed-type values: SQL must agree with Python across ints, strings and
 #: None (null-safe ``IS`` joins) — not just on a dense integer domain.
 _VALUES = st.one_of(st.integers(0, 3), st.sampled_from(["a", "b"]), st.none())
+_MODES = ("enumerate", "boolean", "count")
 
 
 @st.composite
@@ -65,15 +68,23 @@ def _query_and_database(draw, values=st.integers(0, 3)):
             st.lists(st.tuples(*[values for _ in atom.arguments]), max_size=10)
         )
         database.add(Relation(atom.relation, schema, rows))
-    return query, database
+    # The SQL arm runs all three modes twice on one store, each round in a
+    # drawn order: whatever an earlier run left behind is recycled by the
+    # later ones, and the whole second round is.
+    order = draw(st.permutations(_MODES)) + draw(st.permutations(_MODES))
+    return query, database, order
 
 
-def _assert_three_way(query, database, sql_database=None):
+def _assert_three_way(query, database, order, sql_database=None):
     """eager == columnar == sql on every answer mode, byte-identical."""
     eager = evaluate_query(query, database, executor="eager")
     target = database if sql_database is None else sql_database
-    for mode in ("enumerate", "boolean", "count"):
-        columnar = evaluate_query(query, database, mode=mode, executor="columnar")
+    columnars = {
+        mode: evaluate_query(query, database, mode=mode, executor="columnar")
+        for mode in _MODES
+    }
+    for mode in order:
+        columnar = columnars[mode]
         sql = evaluate_query(query, target, mode=mode, executor="sql")
         assert sql.boolean_answer == columnar.boolean_answer == (len(eager.answers) > 0), mode
         assert sql.count == columnar.count, mode
@@ -115,10 +126,10 @@ def test_three_way_differential_mixed_types(case):
 def test_three_way_differential_on_disk(tmp_path_factory, case):
     # The same query answered against the database dumped to a SQLite file:
     # the SQL arm reads the file in place, eager/columnar load it lazily.
-    query, database = case
+    query, database, order = case
     path = tmp_path_factory.mktemp("sqldb") / "facts.sqlite"
     on_disk = dump_database(database, path)
-    _assert_three_way(query, database, sql_database=on_disk)
+    _assert_three_way(query, database, order, sql_database=on_disk)
 
 
 # --------------------------------------------------------------------------- #
@@ -203,6 +214,24 @@ def test_sql_program_and_plan_are_cached():
     assert engine.sql_program(query, planned, store) is engine.sql_program(
         query, planned, store
     )
+
+
+def test_sql_program_is_not_shared_across_arities():
+    # Two in-memory databases on one engine whose `r` differs in arity: the
+    # program compiled for the first must not be handed to the second (it
+    # once was — both fingerprinted as ("memory",) — and answered count == 1).
+    query = parse_conjunctive_query("ans(x, y) :- r(x,y), s(y,z).")
+    binary = Database(
+        [Relation("r", ["a0", "a1"], [(1, 2)]), Relation("s", ["a0", "a1"], [(2, 3)])]
+    )
+    ternary = Database(
+        [Relation("r", ["a0", "a1", "a2"], [(1, 2, 3)]), Relation("s", ["a0", "a1"], [(2, 3)])]
+    )
+    engine = QueryEngine()
+    for executor in ("columnar", "sql"):
+        assert engine.execute(query, binary, "count", executor=executor).count == 1
+        with pytest.raises(QueryError, match="atom r has arity 2 but relation 'r' has arity 3"):
+            engine.execute(query, ternary, "count", executor=executor)
 
 
 def test_sql_executor_rejects_unknown_name():
@@ -324,11 +353,33 @@ def test_compile_sql_program_shape():
     planned, _ = engine.plan(query, "count")
     store = SQLStore(database)
     program = compile_sql(planned.plan, store.catalog_for(planned.plan))
-    script = program.describe()
-    assert "CREATE TEMP TABLE bag_0" in script
-    assert "DELETE FROM bag_" in script and "NOT EXISTS" in script
+    kinds = [kind for kind, _, _ in program.steps]
+    assert kinds[0] == "atom" and {"atom", "index", "bag", "red", "join", "proj"} >= set(kinds)
+    assert kinds.count("bag") == planned.plan.num_nodes
+    assert kinds.count("red") == planned.plan.semijoin_count
+    names = [name for _, name, _ in program.steps]
+    assert len(set(names)) == len(names)
+    for kind, name, sql in program.steps:
+        if kind == "index":
+            assert sql.startswith(f"CREATE INDEX {name} ON {name.split('_ix')[0]} (")
+            continue
+        # A table is named by the hash of the SELECT that defines it ...
+        head, select = f"CREATE TEMP TABLE {name} AS ", sql.split(" AS ", 1)[1]
+        assert sql == head + select and name == f"{kind}_{_digest(select)}"
+        # ... and reads only tables that earlier steps made (or a base table).
+        for used in re.findall(r"\b(?:atom|bag|red|join|proj)_[0-9a-f]{16}\b", select):
+            assert names.index(used) < names.index(name)
+        if kind == "red":  # non-destructive: a derived table, not a DELETE
+            assert select.startswith("SELECT T.* FROM ") and " WHERE EXISTS (" in select
+    assert program.statements == tuple(sql for _, _, sql in program.steps) + (program.answer,)
+    assert not re.search(r"\b(DELETE|DROP)\b", program.describe())
     assert program.answer_kind == "count" and "COUNT(*)" in program.answer
-    assert all(stmt.startswith("DROP") for stmt in program.cleanup)
+    # Names depend on the definition alone: recompiling yields the same
+    # program, and the other modes of the shape share its tables.
+    assert compile_sql(planned.plan, store.catalog_for(planned.plan)) == program
+    boolean, _ = engine.plan(query, "boolean")
+    shared = compile_sql(boolean.plan, store.catalog_for(boolean.plan)).steps
+    assert shared == program.steps[: len(shared)]
     # Executing the compiled program directly matches the engine result.
     result = SQLExecutor(store).execute(planned.plan, program)
     assert result.count == engine.execute(query, database, "count", executor="sql").count
