@@ -13,21 +13,30 @@ Design
 * **Column-major storage** — a :class:`ColumnarRelation` stores one code
   list per attribute.  Operators slice out exactly the key columns they
   need; no full-width tuples are rebuilt per operator.
-* **Shared key indexes** — hash indexes (key → row ids) are cached on the
-  relation per attribute subset.  Yannakakis repeatedly touches the same
-  (node, shared-variable) pairs — the bottom-up semijoin, the top-down
-  semijoin and the final join all probe the same keys — so each index is
-  built once and reused; :class:`ExecutionStatistics` counts the reuse.
+* **Shared key indexes** — one index per (relation, attribute subset) is
+  cached on the relation.  Yannakakis repeatedly touches the same (node,
+  shared-variable) pairs — the bottom-up semijoin, the top-down semijoin
+  and the final join all probe the same keys — so each index is built once
+  and reused; :class:`ExecutionStatistics` counts the reuse.
 * **Selection masks instead of rebuilds** — semijoins never copy a bag;
   they operate on a packed-int ``alive`` bitmask (bit ``i`` = row ``i``
-  survives).  A semijoin ORs together the row bitmasks of the *dead* key
-  groups (``key_masks``) and clears them from the alive set with one ``&``;
-  the surviving row count is a single popcount.  The cached indexes stay
-  valid across the passes (dead rows are skipped on probe).
-* **Packed columns** — code columns are ``array('q')`` buffers rather than
-  Python lists; joins gather and compact them through an optional numpy
-  fast path (``np.take`` over zero-copy ``frombuffer`` views) and fall back
-  to pure-Python loops where numpy is unavailable (CI runs without it).
+  survives).  A semijoin gathers the rows of the *dead* key groups into one
+  bitmask and clears them from the alive set with one ``&``; the surviving
+  row count is a single popcount.  The cached indexes stay valid across the
+  passes (dead rows are skipped on probe).
+* **Packed columns, two kernel arms** — code columns are ``array('q')``
+  buffers.  With numpy, an operator whose keys are *packable* (non-negative
+  codes, key span below ``2**62``) folds its key columns into one int64 per
+  row (``key = key * base_j + col_j``, ``base_j = max(col_j) + 1``) and runs
+  on zero-copy ``frombuffer`` views with no per-row Python: the index is a
+  **sorted key index** (distinct keys ascending, group starts and counts,
+  the stable argsort grouping the rows), the join is ``searchsorted`` +
+  ``repeat``/offset expansion, the semijoin ``reduceat`` over the source's
+  index and ``isin`` against the target's, the projection dedupe a 1-D
+  ``sort`` + neighbour compare.  Any other operator runs the pure-Python
+  kernel on a hash index (key → row ids, key → row bitmask).  Both arms
+  return the same rows, ``_join`` in the same order (left-major, ascending
+  right row id), and the alive set is one int bitmask on both.
 * **Early exit** — ``BOOLEAN`` plans stop at the first empty bag and skip
   the top-down pass and join stage entirely; all modes short-circuit when a
   bag or a reduced node comes out empty.
@@ -43,8 +52,9 @@ import threading
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
+from typing import NamedTuple
 
 from ..exceptions import QueryError, TimeoutExceeded
 from ..lru import ShardedLRU
@@ -142,13 +152,86 @@ def _mask_indices(mask: int) -> list[int]:
     return ids
 
 
+#: Packed keys must stay below this span so ``key * base + code`` never
+#: overflows int64; a wider key sends its operator to the pure-Python kernel.
+_PACK_LIMIT = 2**62
+
+
+class _KeyIndex(NamedTuple):
+    """Sorted key index: distinct packed ``keys`` ascending; group ``g`` is the
+    rows ``order[starts[g]:][:counts[g]]``, ascending (a stable argsort)."""
+
+    bases: tuple[int, ...]
+    keys: "_np.ndarray"
+    starts: "_np.ndarray"
+    counts: "_np.ndarray"
+    order: "_np.ndarray"
+
+
+def _views(columns) -> list | None:
+    """Zero-copy int64 views of packed code columns (None off the numpy arm)."""
+    if _np is None or not all(isinstance(column, array) for column in columns):
+        return None
+    return [_np.frombuffer(column, dtype=_np.int64) for column in columns]
+
+
+def _bases(views) -> tuple[int, ...] | None:
+    """The packability predicate: per-column radix ``max code + 1``, or None
+    off the numpy arm, on a negative code or a key span at ``_PACK_LIMIT``."""
+    if views is None:
+        return None
+    bases, span = [], 1
+    for view in views:
+        if len(view) and int(view.min()) < 0:
+            return None
+        bases.append(int(view.max()) + 1 if len(view) else 1)
+        span *= bases[-1]
+    return tuple(bases) if span < _PACK_LIMIT else None
+
+
+def _pack(views, bases: tuple[int, ...], foreign: bool = False):
+    """Fold key columns into one int64 per row, lexicographic in the columns.
+
+    ``foreign`` columns were not measured by ``bases``: a row holding a code
+    outside ``[0, base_j)`` matches no key packed under them and gets ``-1``.
+    """
+    keys = views[0]
+    for view, base in zip(views[1:], bases[1:]):
+        keys = keys * base + view
+    if foreign:
+        outside = _np.zeros(len(keys), dtype=_np.bool_)
+        for view, base in zip(views, bases):
+            outside |= (view < 0) | (view >= base)
+        keys = _np.where(outside, -1, keys)
+    return keys
+
+
+def _unpack(keys, bases: tuple[int, ...]) -> list:
+    """Inverse of :func:`_pack`: the code columns of packed ``keys``."""
+    columns = []
+    for base in reversed(bases[1:]):
+        keys, codes = _np.divmod(keys, base)
+        columns.append(codes)
+    columns.append(keys)
+    return columns[::-1]
+
+
+def _group_heads(sorted_keys):
+    """Boolean mask of the rows that differ from their predecessor."""
+    heads = _np.ones(len(sorted_keys), dtype=_np.bool_)
+    _np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=heads[1:])
+    return heads
+
+
+def _column(codes) -> array:
+    """A contiguous int64 vector as a packed code column (one copy)."""
+    out = array(_CODE_TYPECODE)
+    out.frombytes(memoryview(codes).cast("B"))
+    return out
+
+
 def _gather(column: Sequence[int], row_ids: list[int]) -> array:
     """Materialise ``column[row_ids]`` as a packed code column."""
-    if _np is not None and isinstance(column, array):
-        taken = _np.frombuffer(column, dtype=_np.int64)[row_ids]
-        out = array(_CODE_TYPECODE)
-        out.frombytes(taken.tobytes())
-        return out
     return array(_CODE_TYPECODE, map(column.__getitem__, row_ids))
 
 
@@ -157,37 +240,32 @@ def _dedupe_columns(
 ) -> "ColumnarRelation":
     """Distinct rows of parallel code columns, as a new relation.
 
-    The numpy path stacks the columns into one int64 matrix and takes
-    ``np.unique(..., axis=0)``; the fallback dedupes through a row-tuple set.
-    Output row order differs between the two (sorted vs arbitrary) — both are
-    valid: relations are sets and every consumer dedupes or indexes by key.
+    Packable rows are sorted as packed keys, kept where they differ from
+    their predecessor and unpacked again; the fallback dedupes through a
+    row-tuple set.  Output row order differs between the two (lexicographic
+    vs arbitrary) — both are valid: relations are sets and every consumer
+    dedupes or indexes by key.
     """
     if nrows == 0:
         return ColumnarRelation(
             schema, tuple(array(_CODE_TYPECODE) for _ in schema), nrows=0
         )
-    if _np is not None and all(isinstance(c, array) for c in columns):
-        stacked = _np.empty((nrows, len(columns)), dtype=_np.int64)
-        for j, column in enumerate(columns):
-            stacked[:, j] = _np.frombuffer(column, dtype=_np.int64)
-        unique = _np.unique(stacked, axis=0)
-        out = []
-        for j in range(len(columns)):
-            packed = array(_CODE_TYPECODE)
-            packed.frombytes(_np.ascontiguousarray(unique[:, j]).tobytes())
-            out.append(packed)
-        return ColumnarRelation(schema, tuple(out), nrows=len(unique))
+    views = _views(columns)
+    bases = _bases(views)
+    if bases is not None:
+        keys = _np.sort(_pack(views, bases))
+        keys = keys[_group_heads(keys)]
+        return ColumnarRelation(
+            schema, tuple(map(_column, _unpack(keys, bases))), nrows=len(keys)
+        )
     return ColumnarRelation.from_rows(schema, set(zip(*columns)))
 
 
 def _compress_column(column: Sequence[int], selectors: bytes) -> array:
     """Keep the rows whose selector byte is 1, as a packed code column."""
-    if _np is not None and isinstance(column, array):
-        keep = _np.frombuffer(selectors, dtype=_np.bool_)
-        taken = _np.frombuffer(column, dtype=_np.int64)[keep]
-        out = array(_CODE_TYPECODE)
-        out.frombytes(taken.tobytes())
-        return out
+    views = _views([column])
+    if views is not None:
+        return _column(views[0][_np.frombuffer(selectors, dtype=_np.bool_)])
     return array(_CODE_TYPECODE, compress(column, selectors))
 
 
@@ -201,6 +279,8 @@ class ColumnarRelation:
         "_indexes",
         "_key_columns",
         "_key_masks",
+        "_sorted_indexes",
+        "_counted",
         "_position",
     )
 
@@ -218,6 +298,8 @@ class ColumnarRelation:
         self._indexes: dict[tuple[str, ...], dict] = {}
         self._key_columns: dict[tuple[str, ...], list] = {}
         self._key_masks: dict[tuple[str, ...], dict] = {}
+        self._sorted_indexes: dict[tuple[str, ...], _KeyIndex | None] = {}
+        self._counted: set[tuple[str, ...]] = set()
         self._position = {attribute: i for i, attribute in enumerate(schema)}
 
     def __len__(self) -> int:
@@ -248,20 +330,57 @@ class ColumnarRelation:
             self._key_columns[attributes] = keys
         return keys
 
+    def _count_index(self, attributes, stats) -> None:
+        """Count an index request: the sorted, row-id and bitmask forms are one
+        logical index per subset — built once, reused in whichever form."""
+        if stats is None:
+            return
+        if attributes in self._counted:
+            stats.indexes_reused += 1
+        else:
+            self._counted.add(attributes)
+            stats.indexes_built += 1
+
+    def sorted_index(
+        self, attributes: tuple[str, ...], stats: "ExecutionStatistics | None" = None
+    ) -> _KeyIndex | None:
+        """The sorted key index over ``attributes``, built once per subset.
+
+        None (and nothing counted) when the keys are not packable — the
+        caller then runs its pure-Python kernel on :meth:`index_on` /
+        :meth:`key_masks`.  Both semijoin passes and the join share it.
+        """
+        if attributes in self._sorted_indexes:
+            index = self._sorted_indexes[attributes]
+        else:
+            views = _views([self.column(a) for a in attributes])
+            bases = _bases(views)
+            index = None
+            if bases is not None:
+                packed = _pack(views, bases)
+                order = _np.argsort(packed, kind="stable")
+                packed = packed[order]
+                starts = _np.flatnonzero(_group_heads(packed))
+                counts = _np.diff(starts, append=self.nrows)
+                index = _KeyIndex(bases, packed[starts], starts, counts, order)
+            self._sorted_indexes[attributes] = index
+        if index is not None:
+            self._count_index(attributes, stats)
+        return index
+
     def key_masks(
         self, attributes: tuple[str, ...], stats: "ExecutionStatistics | None" = None
     ) -> dict:
         """Hash index key → bitmask of row ids, built once per attribute subset.
 
-        This is the probe structure of the bitmask semijoin: the rows of a
-        dead key group are removed from an alive mask with one OR + AND-NOT
-        instead of per-row byte flips.  Built chunk-wise so the per-row shift
-        work stays bounded by ``_MASK_CHUNK`` bits.
+        This is the probe structure of the pure-Python bitmask semijoin: the
+        rows of a dead key group are removed from an alive mask with one OR +
+        AND-NOT instead of per-row byte flips.  Built chunk-wise so the
+        per-row shift work stays bounded by ``_MASK_CHUNK`` bits.
         """
+        self._count_index(attributes, stats)
         masks = self._key_masks.get(attributes)
         if masks is not None:
-            if stats is not None:
-                stats.indexes_reused += 1
             return masks
         index = self._indexes.get(attributes)
         if index is not None:
@@ -271,8 +390,6 @@ class ColumnarRelation:
                 for key, row_ids in index.items()
             }
             self._key_masks[attributes] = masks
-            if stats is not None:
-                stats.indexes_reused += 1
             return masks
         masks = {}
         keys = self.key_column(attributes)
@@ -289,8 +406,6 @@ class ColumnarRelation:
             else:
                 masks = local
         self._key_masks[attributes] = masks
-        if stats is not None:
-            stats.indexes_built += 1
         return masks
 
     def index_on(
@@ -302,17 +417,14 @@ class ColumnarRelation:
         representation exists the other is derived from it (the hashing and
         key grouping are shared), which counts as a reuse, not a build.
         """
+        self._count_index(attributes, stats)
         index = self._indexes.get(attributes)
         if index is not None:
-            if stats is not None:
-                stats.indexes_reused += 1
             return index
         masks = self._key_masks.get(attributes)
         if masks is not None:
             index = {key: _mask_indices(mask) for key, mask in masks.items()}
             self._indexes[attributes] = index
-            if stats is not None:
-                stats.indexes_reused += 1
             return index
         index = {}
         for row_id, key in enumerate(self.key_column(attributes)):
@@ -322,8 +434,6 @@ class ColumnarRelation:
             else:
                 bucket.append(row_id)
         self._indexes[attributes] = index
-        if stats is not None:
-            stats.indexes_built += 1
         return index
 
     def rows(self):
@@ -362,17 +472,7 @@ class ExecutionStatistics:
 
     def as_dict(self) -> dict[str, int | bool]:
         """Plain-dict view used by reports and the benchmarks."""
-        return {
-            "indexes_built": self.indexes_built,
-            "indexes_reused": self.indexes_reused,
-            "semijoins_run": self.semijoins_run,
-            "semijoins_skipped": self.semijoins_skipped,
-            "joins_run": self.joins_run,
-            "rows_materialised": self.rows_materialised,
-            "bags_built": self.bags_built,
-            "bags_reused": self.bags_reused,
-            "early_exit": self.early_exit,
-        }
+        return asdict(self)
 
 
 class ColumnStore:
@@ -518,7 +618,7 @@ class _NodeState:
         self.alive: int | None = None  # None = every row alive
         self.live_count = table.nrows
         self._version = 0
-        self._live_keys: dict[tuple[str, ...], tuple[int, set]] = {}
+        self._live_keys: dict[tuple, tuple[int, object]] = {}
 
     def kill(self, dead: int) -> None:
         """Clear the rows of the ``dead`` bitmask from the alive set."""
@@ -560,6 +660,27 @@ class _NodeState:
         self._live_keys[attributes] = (self._version, result)
         return result
 
+    def live_packed_keys(self, attributes: tuple[str, ...], bases: tuple[int, ...]):
+        """:meth:`live_keys` on the numpy arm: distinct packed keys, ascending.
+
+        Read off the table's own sorted index (a group lives while any of its
+        rows does), re-packed under the probing side's ``bases`` when the two
+        tables measured different radixes, and cached the same way.
+        """
+        cached = self._live_keys.get((attributes, bases))
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        index = self.table.sorted_index(attributes)
+        keys = index.keys
+        if self.alive is not None:
+            alive = _np.frombuffer(self.selectors(), dtype=_np.bool_)
+            keys = keys[_np.logical_or.reduceat(alive[index.order], index.starts)]
+        if index.bases != bases:
+            keys = _pack(_unpack(keys, index.bases), bases, foreign=True)
+            keys = keys[keys >= 0]
+        self._live_keys[(attributes, bases)] = (self._version, keys)
+        return keys
+
 
 @dataclass
 class ExecutionResult:
@@ -582,7 +703,8 @@ class PlanExecutor:
     ``cancel_event`` (any object with ``is_set()``) and ``deadline`` (a
     ``time.monotonic`` instant) arm in-flight cancellation: the executor
     polls at stage boundaries and every ``check_stride`` rows inside the
-    join/semijoin kernels, raising
+    join/semijoin kernels (every ``16 * check_stride`` rows — one vectorised
+    block — in the packed join and the cartesian product), raising
     :class:`~repro.exceptions.TimeoutExceeded` promptly instead of running
     the plan to completion.  Unarmed executions (both ``None``, the default)
     pay a single ``is None`` test per kernel row.
@@ -633,11 +755,10 @@ class PlanExecutor:
         if self._watchdog is not None:
             self._watchdog.check()
         # Decode column-at-a-time and adopt the zipped tuples directly.
-        values = self.store._values
-        decoded_columns = [[values[code] for code in column] for column in root.columns]
-        rows = set(zip(*decoded_columns)) if decoded_columns else (
-            {()} if root.nrows else set()
-        )
+        decode = self.store._values.__getitem__
+        rows = set(zip(*(map(decode, column) for column in root.columns))) if (
+            root.columns
+        ) else ({()} if root.nrows else set())
         relation = Relation.from_trusted_rows("answer", plan.output, rows)
         return ExecutionResult(
             plan.mode,
@@ -756,6 +877,21 @@ class PlanExecutor:
         watchdog = self._watchdog
         if watchdog is not None:
             watchdog.check()
+        # Packed kernel when both sides pack (the source's index is not counted,
+        # like its key set): mark the key groups the source no longer holds,
+        # scatter them to rows and clear them as the same int bitmask.
+        index = source.table.sorted_index(on) and target.table.sorted_index(on, stats)
+        if index is not None:
+            gone = ~_np.isin(
+                index.keys, source.live_packed_keys(on, index.bases), assume_unique=True
+            )
+            if gone.any():
+                dead = _np.empty(target.table.nrows, dtype=_np.bool_)
+                dead[index.order] = _np.repeat(gone, index.counts)
+                target.kill(
+                    int.from_bytes(_np.packbits(dead, bitorder="little").tobytes(), "little")
+                )
+            return target.live_count > 0
         source_keys = source.live_keys(on)
         key_masks = target.table.key_masks(on, stats)
         # OR the row masks of the dead key groups, then clear them all at
@@ -829,7 +965,8 @@ class PlanExecutor:
         Works column-at-a-time: the probe phase only collects matching
         (left, right) row-id pairs, then every output column is gathered in
         one pass.  Both inputs hold distinct rows, so the output rows are
-        distinct without a dedupe pass.
+        distinct without a dedupe pass.  Output order is the same on both
+        kernel arms: left-major, right row ids ascending per left row.
         """
         stats.joins_run += 1
         watchdog = self._watchdog
@@ -839,21 +976,47 @@ class PlanExecutor:
         right_extra = tuple(a for a in right.schema if a not in left._position)
         schema = left.schema + right_extra
 
+        # A vectorised block does the work of this many ticked rows.
+        block = 16 * (watchdog.stride if watchdog is not None else _CHECK_STRIDE)
+
         if not shared:
-            # Cartesian product (rare: disjoint λ-cover atoms in one bag).
-            n_left, n_right = left.nrows, right.nrows
-            columns = [
-                array(
-                    _CODE_TYPECODE,
-                    (value for value in column for _ in range(n_right)),
+            return self._product(left, right, schema, block)
+
+        # Empty inputs take the pure kernel, which is trivial on them.
+        left_views = _views(left.columns) if left.nrows and right.nrows else None
+        index = right.sorted_index(shared, stats) if left_views is not None else None
+        if index is not None:
+            # Packed kernel: locate each left key's group in the right index,
+            # then expand the (left, right) row-id pairs block by block —
+            # left-major, right row ids ascending within a group.
+            keys = _pack(
+                [left_views[left._position[a]] for a in shared], index.bases, foreign=True
+            )
+            groups = _np.minimum(_np.searchsorted(index.keys, keys), len(index.keys) - 1)
+            matches = _np.where(index.keys[groups] == keys, index.counts[groups], 0)
+            left_blocks, right_blocks = [], []
+            for start in range(0, left.nrows, block):
+                if watchdog is not None:
+                    watchdog.check()
+                counts = matches[start : start + block]
+                ends = _np.cumsum(counts)
+                left_blocks.append(
+                    _np.repeat(_np.arange(start, start + len(counts)), counts)
                 )
-                for column in left.columns
-            ]
+                # Position in ``order`` = group start + offset within the group.
+                first = index.starts[groups[start : start + block]] - (ends - counts)
+                right_blocks.append(
+                    index.order[_np.repeat(first, counts) + _np.arange(int(ends[-1]))]
+                )
+            left_ids = _np.concatenate(left_blocks)
+            right_ids = _np.concatenate(right_blocks)
+            stats.rows_materialised += len(right_ids)
+            columns = [_column(view[left_ids]) for view in left_views]
             columns += [
-                array(_CODE_TYPECODE, list(column) * n_left)
-                for column in right.columns
+                _column(view[right_ids])
+                for view in _views([right.column(a) for a in right_extra])
             ]
-            return ColumnarRelation(schema, tuple(columns), nrows=n_left * n_right)
+            return ColumnarRelation(schema, tuple(columns), nrows=len(right_ids))
 
         # Probe the (cached) index of the right side with left-side keys.
         index = right.index_on(shared, stats)
@@ -873,6 +1036,28 @@ class PlanExecutor:
             _gather(right.column(a), right_ids) for a in right_extra
         ]
         return ColumnarRelation(schema, tuple(columns), nrows=len(right_ids))
+
+    def _product(
+        self, left: ColumnarRelation, right: ColumnarRelation, schema: tuple[str, ...], block: int
+    ) -> ColumnarRelation:
+        """Cartesian product (rare: disjoint λ-cover atoms in one bag).
+
+        Built in blocks of about ``block`` output rows with a poll before
+        each, so a cancelled query never runs the whole product.
+        """
+        n_left, n_right = left.nrows, right.nrows
+        step = max(1, block // max(1, n_right))
+        columns = [array(_CODE_TYPECODE) for _ in schema]
+        for start in range(0, n_left if n_right else 0, step):
+            if self._watchdog is not None:
+                self._watchdog.check()
+            rows = min(step, n_left - start)
+            for out, column in zip(columns, left.columns):
+                for value in column[start : start + rows]:
+                    out.extend(array(_CODE_TYPECODE, (value,)) * n_right)
+            for out, column in zip(columns[len(left.columns) :], right.columns):
+                out.extend(column * rows)
+        return ColumnarRelation(schema, tuple(columns), nrows=n_left * n_right)
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -64,3 +64,21 @@ HD_ALGORITHMS = ["logk", "logk-basic", "detk", "hybrid"]
 def hd_algorithm(request) -> str:
     """Parametrised fixture iterating over all exact HD algorithms."""
     return request.param
+
+
+@pytest.fixture(params=["numpy", "pure"])
+def kernels(request, monkeypatch) -> str:
+    """Run a test once per kernel arm of the columnar executor.
+
+    CI's numpy-less legs and a local run with numpy each exercise one arm by
+    default; this pins both wherever numpy is importable.  Tables built under
+    one arm cache that arm's indexes, so tests taking this fixture build
+    their stores and relations inside the test body.
+    """
+    from repro.query import columnar
+
+    if request.param == "pure":
+        monkeypatch.setattr(columnar, "_np", None)
+    elif columnar._np is None:
+        pytest.skip("numpy is not importable")
+    return request.param

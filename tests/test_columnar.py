@@ -22,7 +22,14 @@ from repro.query import (
     execute_plan,
     naive_join_query,
 )
-from repro.query.columnar import ColumnarRelation
+from repro.query import columnar
+from repro.query.columnar import (
+    ColumnarRelation,
+    ExecutionStatistics,
+    PlanExecutor,
+    _dedupe_columns,
+    _NodeState,
+)
 from repro.hypergraph.cq import Atom, ConjunctiveQuery
 
 
@@ -61,13 +68,19 @@ def _query_and_database(draw):
     return query, database
 
 
-@given(_query_and_database())
-@settings(
-    max_examples=40,
+_DIFFERENTIAL = dict(
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    suppress_health_check=[
+        HealthCheck.too_slow,
+        HealthCheck.data_too_large,
+        # ``kernels`` patches one module attribute for the whole test; every
+        # example is meant to run under that same patch.
+        HealthCheck.function_scoped_fixture,
+    ],
 )
-def test_columnar_modes_agree_with_naive_join(case):
+
+
+def _assert_modes_agree_with_naive_join(case):
     query, database = case
     naive = naive_join_query(database, query.atoms, query.free_variables)
     width, decomposition = hypertree_width(query.hypergraph(), max_width=4)
@@ -82,16 +95,29 @@ def test_columnar_modes_agree_with_naive_join(case):
         if mode == "enumerate":
             assert result.answers.as_dicts() == naive.as_dicts()
             assert result.count == len(naive)
+            decoded = len(result.answers.tuples)
         elif mode == "count":
             assert result.count == len(naive)
+            # ``count`` is the root table's row count, never decoded: the set
+            # the enumerate run decoded has exactly that many elements (the
+            # dictionary is a bijection, joins of distinct inputs stay so).
+            assert decoded == result.count
 
 
 @given(_query_and_database())
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@settings(max_examples=40, **_DIFFERENTIAL)
+def test_columnar_modes_agree_with_naive_join(case):
+    _assert_modes_agree_with_naive_join(case)
+
+
+@given(_query_and_database())
+@settings(max_examples=40, **_DIFFERENTIAL)
+def test_columnar_modes_agree_with_naive_join_on_each_kernel_arm(kernels, case):
+    _assert_modes_agree_with_naive_join(case)
+
+
+@given(_query_and_database())
+@settings(max_examples=25, **_DIFFERENTIAL)
 def test_columnar_and_eager_evaluate_query_agree(case):
     query, database = case
     columnar = evaluate_query(query, database, executor="columnar")
@@ -103,6 +129,11 @@ def test_columnar_and_eager_evaluate_query_agree(case):
 # --------------------------------------------------------------------------- #
 # directed edge cases
 # --------------------------------------------------------------------------- #
+def _require_numpy_arm():
+    if columnar._np is None:
+        pytest.skip("numpy is not importable: there is one kernel arm")
+
+
 def _run_all_modes(query, database):
     naive = naive_join_query(database, query.atoms, query.free_variables)
     results = {}
@@ -181,10 +212,39 @@ def test_zero_ary_relation_round_trip():
     assert empty.nrows == 0 and list(empty.rows()) == []
 
 
+def test_execution_statistics_as_dict_lists_every_counter():
+    # The ledger reads these keys; a new counter must show up here (and so in
+    # ``as_dict``) rather than silently miss the reports.
+    assert list(ExecutionStatistics().as_dict()) == [
+        "indexes_built",
+        "indexes_reused",
+        "semijoins_run",
+        "semijoins_skipped",
+        "joins_run",
+        "rows_materialised",
+        "bags_built",
+        "bags_reused",
+        "early_exit",
+    ]
+
+
+def test_index_forms_count_as_one_logical_index():
+    table = ColumnarRelation.from_rows(("a", "b"), {(1, 2), (1, 3), (2, 3)})
+    forms = [table.key_masks, table.index_on]
+    if columnar._np is not None:
+        forms.append(table.sorted_index)
+        index = table.sorted_index(("a",))
+        assert index.keys.tolist() == [1, 2] and index.counts.tolist() == [2, 1]
+    stats = ExecutionStatistics()
+    for form in forms:
+        form(("a",), stats)
+    # The first counted request is the build; deriving or fetching another
+    # form of the same (table, key) index is a reuse.
+    assert stats.indexes_built == 1 and stats.indexes_reused == len(forms) - 1
+
+
 def test_index_cache_counts_reuse():
     table = ColumnarRelation.from_rows(("a", "b"), {(1, 2), (1, 3), (2, 3)})
-    from repro.query.columnar import ExecutionStatistics
-
     stats = ExecutionStatistics()
     first = table.index_on(("a",), stats)
     second = table.index_on(("a",), stats)
@@ -208,7 +268,7 @@ def test_atom_tables_are_schema_specific_but_share_columns():
     assert t_xy is store.atom_table(AtomBinding("r", "r", ("x", "y"), ("x", "y")))
 
 
-def test_executor_reuses_indexes_across_passes():
+def _assert_executor_reuses_indexes_across_passes() -> dict:
     # On a chain query the child/parent shared variables are identical in the
     # bottom-up pass, the top-down pass and the final join, so the executor
     # must reuse cached hash indexes instead of rebuilding them.
@@ -232,6 +292,20 @@ def test_executor_reuses_indexes_across_passes():
     plan = compile_plan(query, tree, "enumerate")
     result = execute_plan(plan, database)
     assert result.statistics.indexes_reused >= 1
+    return result.statistics.as_dict()
+
+
+def test_executor_reuses_indexes_across_passes():
+    _assert_executor_reuses_indexes_across_passes()
+
+
+def test_operator_counts_do_not_depend_on_the_kernel_arm(monkeypatch):
+    # The sorted key index is counted where the hash index was, so the ledger's
+    # operator counts compare across arms (and across this PR's boundary).
+    _require_numpy_arm()
+    with_numpy = _assert_executor_reuses_indexes_across_passes()
+    monkeypatch.setattr(columnar, "_np", None)
+    assert _assert_executor_reuses_indexes_across_passes() == with_numpy
 
 
 def test_key_column_cached_per_attributes():
@@ -244,8 +318,6 @@ def test_key_column_cached_per_attributes():
 
 
 def test_live_keys_cache_invalidated_by_alive_changes():
-    from repro.query.columnar import _NodeState
-
     table = ColumnarRelation.from_rows(("a", "b"), {(1, 2), (3, 4), (5, 6)})
     state = _NodeState(table)
     first = state.live_keys(("a",))
@@ -275,3 +347,166 @@ def test_store_database_mismatch_rejected():
 
     with pytest.raises(QueryError):
         execute_plan(plan, db1, ColumnStore(db2))
+
+
+# --------------------------------------------------------------------------- #
+# the two kernel arms against each other (and against a nested-loop oracle)
+# --------------------------------------------------------------------------- #
+def _on_both_arms(run):
+    """``run()`` under numpy, then with the pure-Python kernels forced."""
+    _require_numpy_arm()
+    packed = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "_np", None)
+        pure = run()
+    return packed, pure
+
+
+def _executor() -> PlanExecutor:
+    return PlanExecutor(ColumnStore(Database()))
+
+
+# Duplicate-heavy small codes, plus codes above (and, where a case draws only
+# those, disjoint from) everything the other side can hold.
+_LEFT_CODES = st.sampled_from([0, 1, 2, 3, 50, 1000])
+_RIGHT_CODES = st.sampled_from([0, 1, 2, 3, 7])
+
+
+def _distinct_rows(codes, width):
+    # 0-row and 1-row tables included; sorted so both arms see one row order.
+    return st.lists(st.tuples(*[codes] * width), max_size=14).map(
+        lambda rows: sorted(set(rows))
+    )
+
+
+_KERNEL_CASE = dict(max_examples=120, deadline=None)
+
+
+@given(
+    _distinct_rows(_LEFT_CODES, 3),
+    _distinct_rows(_RIGHT_CODES, 3),
+    # two shared attributes, one, none (the cartesian branch)
+    st.sampled_from([("b", "c", "d"), ("c", "x", "d"), ("x", "y", "d")]),
+)
+@settings(**_KERNEL_CASE)
+def test_join_kernel_arms_return_identical_columns_in_identical_order(
+    left_rows, right_rows, right_schema
+):
+    left_schema = ("a", "b", "c")
+
+    def run():
+        left = ColumnarRelation.from_rows(left_schema, left_rows)
+        right = ColumnarRelation.from_rows(right_schema, right_rows)
+        stats = ExecutionStatistics()
+        joined = _executor()._join(left, right, stats)
+        assert joined.nrows == (len(joined.columns[0]) if joined.columns else 0)
+        return joined.schema, list(joined.rows()), stats.as_dict()
+
+    packed, pure = _on_both_arms(run)
+    assert packed == pure
+    # Left-major, right rows ascending within a left row: the nested loop.
+    shared = [a for a in left_schema if a in right_schema]
+    extra = [i for i, a in enumerate(right_schema) if a not in left_schema]
+    expected = [
+        lrow + tuple(rrow[i] for i in extra)
+        for lrow in left_rows
+        for rrow in right_rows
+        if all(lrow[left_schema.index(a)] == rrow[right_schema.index(a)] for a in shared)
+    ]
+    assert packed[1] == expected
+
+
+@given(
+    _distinct_rows(_LEFT_CODES, 3),
+    _distinct_rows(_RIGHT_CODES, 3),
+    st.sampled_from([("b",), ("b", "c")]),
+    st.integers(0, 2**14 - 1),
+)
+@settings(**_KERNEL_CASE)
+def test_semijoin_kernel_arms_leave_identical_alive_masks(
+    target_rows, source_rows, on, source_dead
+):
+    def run():
+        target = _NodeState(ColumnarRelation.from_rows(("a", "b", "c"), target_rows))
+        source = _NodeState(ColumnarRelation.from_rows(("b", "c", "d"), source_rows))
+        source_dead_mask = source_dead & ((1 << len(source_rows)) - 1)
+        if source_dead_mask:
+            source.kill(source_dead_mask)
+        executor, stats = _executor(), ExecutionStatistics()
+        nonempty = executor._semijoin(target, source, on, stats)
+        # A second pass over unchanged masks reads the cached live keys.
+        assert executor._semijoin(target, source, on, stats) == nonempty
+        return nonempty, target.alive, target.live_count, set(source.live_rows())
+
+    packed, pure = _on_both_arms(run)
+    assert packed == pure
+    nonempty, alive, live_count, source_live = packed
+    live_keys = {tuple(row[("b", "c", "d").index(a)] for a in on) for row in source_live}
+    expected = [
+        tuple(row[("a", "b", "c").index(a)] for a in on) in live_keys
+        for row in target_rows
+    ]
+    assert live_count == sum(expected) and nonempty == any(expected)
+    if alive is not None:
+        assert [bool(alive >> i & 1) for i in range(len(target_rows))] == expected
+    else:
+        assert all(expected)
+
+
+@given(st.lists(st.tuples(_LEFT_CODES, _RIGHT_CODES, _LEFT_CODES), max_size=20))
+@settings(**_KERNEL_CASE)
+def test_dedupe_kernel_arms_return_the_same_row_set(rows):
+    def run():
+        columns = list(ColumnarRelation.from_rows(("a", "b", "c"), rows).columns)
+        table = _dedupe_columns(("a", "b", "c"), columns, len(rows))
+        return table.nrows, list(table.rows())
+
+    (packed_n, packed), (pure_n, pure) = _on_both_arms(run)
+    assert packed_n == pure_n == len(set(rows))
+    assert set(packed) == set(pure) == set(rows)
+    assert packed == sorted(packed)  # the packed arm sorts lexicographically
+
+
+@pytest.mark.parametrize("unpackable", ["span", "negative"])
+def test_unpackable_operators_fall_through_to_the_pure_kernels(unpackable, monkeypatch):
+    # Two ways out of the packed kernels — a key span at the limit, a negative
+    # code — must land on the pure-Python kernel of that one operator.
+    _require_numpy_arm()
+    low = -2 if unpackable == "negative" else 0
+    if unpackable == "span":
+        monkeypatch.setattr(columnar, "_PACK_LIMIT", 2**8)
+    left_rows = sorted({(i % 5 + low, i % 7 + 100, i) for i in range(60)})
+    right_rows = sorted({(i % 7 + 100, i % 3 + low, i % 4) for i in range(40)})
+
+    def run():
+        left = ColumnarRelation.from_rows(("a", "b", "c"), left_rows)
+        right = ColumnarRelation.from_rows(("b", "a", "d"), right_rows)
+        executor, stats = _executor(), ExecutionStatistics()
+        joined = executor._join(left, right, stats)
+        target, source = _NodeState(left), _NodeState(right)
+        executor._semijoin(target, source, ("a", "b"), stats)
+        distinct = _dedupe_columns(("b", "a"), [right.column("b"), right.column("a")], right.nrows)
+        packable = columnar._np is not None and right.sorted_index(("a", "b")) is not None
+        return (list(joined.rows()), target.alive, set(distinct.rows()), stats.as_dict()), packable
+
+    (packed, packable), (pure, _) = _on_both_arms(run)
+    assert not packable  # the numpy run really took the fall-through
+    assert packed == pure
+    assert packed[0] == [
+        lrow + (rrow[2],)
+        for lrow in left_rows
+        for rrow in right_rows
+        if (lrow[0], lrow[1]) == (rrow[1], rrow[0])
+    ]
+
+    # The same databases answer whole queries identically either way.
+    query = ConjunctiveQuery(
+        (Atom("r", ("x", "y", "z")), Atom("s", ("y", "x", "w"))), ("x", "w")
+    )
+    database = Database(
+        [
+            Relation("r", ["a0", "a1", "a2"], left_rows),
+            Relation("s", ["a0", "a1", "a2"], right_rows),
+        ]
+    )
+    _run_all_modes(query, database)

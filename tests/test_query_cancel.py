@@ -17,7 +17,13 @@ from repro.exceptions import ServiceError, TimeoutExceeded
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine
 from repro.query import QueryEngine, random_database_for_query
-from repro.query.columnar import ColumnStore, PlanExecutor, _Watchdog
+from repro.query.columnar import (
+    ColumnarRelation,
+    ColumnStore,
+    ExecutionStatistics,
+    PlanExecutor,
+    _Watchdog,
+)
 from repro.query.database import Database
 from repro.query.plan import AnswerMode
 from repro.service import DecompositionService
@@ -100,6 +106,29 @@ def test_enumerate_execution_cancels_within_one_check_interval():
             ColumnStore(database), cancel_event=event, check_stride=1
         ).execute(planned.plan)
     assert event.calls == trip_at + 1
+
+
+def test_cartesian_product_polls_once_per_block():
+    # Disjoint λ-cover atoms in one bag join as a cartesian product; it is
+    # built in blocks of left rows with a poll before each, so a cancelled
+    # query stops within one block instead of finishing 300 x 300 rows.
+    left = ColumnarRelation.from_rows(("a",), [(i,) for i in range(300)])
+    right = ColumnarRelation.from_rows(("b",), [(i,) for i in range(300)])
+    stride = 64  # a block is 16 * stride = 1024 output rows = 3 left rows
+    blocks = 100
+
+    probe = _TripAfter(10**9)
+    executor = PlanExecutor(ColumnStore(Database()), cancel_event=probe, check_stride=stride)
+    product = executor._join(left, right, ExecutionStatistics())
+    assert product.nrows == 300 * 300
+    assert list(product.rows())[:301] == [(0, b) for b in range(300)] + [(1, 0)]
+    assert blocks <= probe.calls <= blocks + 2
+
+    event = _TripAfter(5)
+    executor = PlanExecutor(ColumnStore(Database()), cancel_event=event, check_stride=stride)
+    with pytest.raises(TimeoutExceeded):
+        executor._join(left, right, ExecutionStatistics())
+    assert event.calls == 6  # aborted at the first positive poll
 
 
 def test_generous_deadline_does_not_change_answers():
