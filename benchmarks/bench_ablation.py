@@ -1,8 +1,9 @@
 """Ablation study: the Appendix C optimisations of log-k-decomp.
 
-DESIGN.md calls out four design choices; this benchmark measures the effect of
-disabling each on the size of the explored search space (λ-labels tried) and
-the wall-clock time for a representative positive and negative instance:
+``docs/architecture.md`` lists the ablation switches; this benchmark measures
+the effect of disabling each on the size of the explored search space
+(λ-labels tried) and the wall-clock time for a representative positive and
+negative instance:
 
 * ``negative_base_case`` — early failure when only special edges remain,
 * ``parent_overlap_pruning`` — parent labels must intersect ∪λ(c),

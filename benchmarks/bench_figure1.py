@@ -12,7 +12,7 @@ instances where the full search space is explored ... effectively linear
 scaling").  Absolute speedups are smaller than the paper's because only the
 top level is partitioned and runs last fractions of a second; the qualitative
 trend (more cores → lower average time; det-k flat and slower) is what
-EXPERIMENTS.md records.
+"Paper experiments" in ``docs/benchmarks.md`` asks to compare.
 """
 
 from __future__ import annotations

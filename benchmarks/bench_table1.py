@@ -4,7 +4,7 @@ Paper reference (Table 1): over the full HyperBench corpus, the log-k-decomp
 hybrid solves the most instances (3102 of 3648), ahead of HtdLEO (2544) and
 NewDetKDecomp (2060), with average runtimes comparable to NewDetKDecomp and
 far below HtdLEO.  The benchmark regenerates the same table structure on the
-synthetic corpus; see EXPERIMENTS.md for the shape comparison.
+synthetic corpus; see "Paper experiments" in ``docs/benchmarks.md`` on comparing shapes.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Paper reference (Table 2): WeightedCount with thresholds 200-600 solves ~395-411
 of the 465 HB_large instances with average runtimes around 90 s, clearly ahead
 of EdgeCount, NewDetKDecomp (174) and HtdLEO (277).  Thresholds here are scaled
-to the smaller corpus (see DESIGN.md / EXPERIMENTS.md).
+to the smaller corpus (see "Paper experiments" in ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ variables for a fuller run:
 * ``REPRO_BENCH_MAXWIDTH``— maximum width searched (default ``4``)
 
 Every benchmark writes its rendered table/figure to ``results/`` so the output
-survives the run (EXPERIMENTS.md quotes those files).
+survives the run (see "Paper experiments" in ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Usage (installed as ``repro-bench`` or via ``python -m repro.bench``)::
     repro-bench --list-algorithms
 
 Each command prints the corresponding table or figure data to stdout.  The
-defaults are sized for a laptop run; EXPERIMENTS.md records the output of a
-full run next to the values reported in the paper.
+defaults are sized for a laptop run; "Paper experiments" in
+``docs/benchmarks.md`` says how the output compares with the paper's.
 
 Decomposers are built through :mod:`repro.pipeline.registry` and run through
 the staged engine (simplification + caching); pass ``--no-simplify`` to

@@ -69,7 +69,7 @@ class DecomposerSpec:
 #: Default hybridisation threshold used by the harness.  The paper's best
 #: threshold (WeightedCount 400) is calibrated to HyperBench instance sizes;
 #: the synthetic corpus here is roughly an order of magnitude smaller, so the
-#: threshold is scaled down accordingly (see EXPERIMENTS.md).
+#: threshold is scaled down accordingly (see ``docs/benchmarks.md``).
 DEFAULT_HYBRID_THRESHOLD = 40.0
 
 

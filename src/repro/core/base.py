@@ -18,13 +18,16 @@ the individual algorithms share.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
+from abc import ABC
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..decomp.covers import CoverEnumerator
-from ..decomp.decomposition import HypertreeDecomposition
+from ..decomp.decomposition import Decomposition
+from ..decomp.extended import FragmentNode
 from ..exceptions import SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
+from .fragments import fragment_to_decomposition
 
 __all__ = [
     "SearchStatistics",
@@ -117,7 +120,7 @@ class DecompositionResult:
     hypergraph: Hypergraph
     width_parameter: int
     success: bool
-    decomposition: HypertreeDecomposition | None = None
+    decomposition: Decomposition | None = None
     elapsed: float = 0.0
     timed_out: bool = False
     statistics: SearchStatistics = field(default_factory=SearchStatistics)
@@ -204,8 +207,9 @@ class SearchContext:
 class Decomposer(ABC):
     """Abstract base class of all decomposition algorithms.
 
-    Subclasses implement :meth:`_run`, which either returns a
-    :class:`HypertreeDecomposition` of width at most ``k`` or ``None``.
+    Subclasses implement :meth:`search`, which returns the fragment tree of
+    an HD of width at most ``k`` or ``None``; algorithms that do not build
+    fragments override :meth:`_run` and return the decomposition itself.
 
     The public :meth:`decompose` routes through the staged
     :class:`~repro.pipeline.engine.DecompositionEngine` (width-preserving
@@ -230,9 +234,23 @@ class Decomposer(ABC):
         #: when ``None`` the process-wide default engine is used.
         self.engine = engine
 
-    @abstractmethod
-    def _run(self, context: SearchContext) -> HypertreeDecomposition | None:
+    def search(
+        self, context: SearchContext, root_partition: Iterable[int] | None = None
+    ) -> FragmentNode | None:
+        """Search the whole of ``context.host``; a complete fragment, or None.
+
+        With ``root_partition`` (edge indices) the depth-1 label loop only
+        tries labels whose smallest edge lies in the partition — one
+        worker's share of the parallel decomposer's search.
+        """
+        raise NotImplementedError
+
+    def _run(self, context: SearchContext) -> Decomposition | None:
         """Run the search and return a decomposition of width <= k, or None."""
+        fragment = self.search(context)
+        if fragment is None:
+            return None
+        return fragment_to_decomposition(context.host, fragment)
 
     def cache_key(self) -> tuple:
         """Identity of this algorithm configuration for engine cache keys.
@@ -300,7 +318,7 @@ class Decomposer(ABC):
         )
         start = time.monotonic()
         timed_out = False
-        decomposition: HypertreeDecomposition | None = None
+        decomposition: Decomposition | None = None
         try:
             decomposition = self._run(context)
         except TimeoutExceeded:

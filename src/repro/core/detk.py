@@ -19,11 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ..decomp.components import ComponentSplitter
-from ..decomp.decomposition import HypertreeDecomposition
 from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
-from ..hypergraph.bitset import from_indices, indices_of
+from ..hypergraph.bitset import from_indices
 from .base import Decomposer, SearchContext
-from .fragments import fragment_to_decomposition, special_leaf
+from .fragments import base_case, special_leaf
 
 __all__ = ["DetKSearch", "DetKDecomposer"]
 
@@ -92,8 +91,11 @@ class DetKSearch:
         context.stats.record_call(depth)
         context.check_timeout()
 
-        fragment = self._base_case(comp, conn)
-        if fragment is not _NO_BASE_CASE:
+        fragment = base_case(context.host, context.k, comp)
+        if fragment is not None or not comp.edges:
+            # Negative base case: only "old" edges could separate the
+            # remaining special edges, which normal-form HDs never do (no
+            # progress would be made).
             return fragment
 
         key = (comp.edges, comp.specials, conn, allowed)
@@ -108,27 +110,9 @@ class DetKSearch:
             self._cache[key] = result.copy() if result is not None else None
         return result
 
-    def cache_size(self) -> int:
-        """Number of memoised subproblems (used by tests and reports)."""
-        return len(self._cache)
-
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _base_case(self, comp: BitComp, conn: int) -> FragmentNode | None:
-        host, k = self.context.host, self.context.k
-        if not comp.specials and comp.edges.bit_count() <= k:
-            lam = tuple(indices_of(comp.edges))
-            chi = host.edges_to_mask(lam)
-            return FragmentNode(chi=chi, lam_edges=lam)
-        if not comp.edges and len(comp.specials) == 1:
-            return special_leaf(comp.specials[0])
-        if not comp.edges and len(comp.specials) > 1:
-            # Only "old" edges could separate the remaining special edges,
-            # which normal-form HDs never do (no progress would be made).
-            return None
-        return _NO_BASE_CASE  # type: ignore[return-value]
-
     def _expand(
         self, comp: BitComp, conn: int, depth: int, allowed: int | None
     ) -> FragmentNode | None:
@@ -174,9 +158,6 @@ class DetKSearch:
         return None
 
 
-_NO_BASE_CASE = object()
-
-
 class DetKDecomposer(Decomposer):
     """Public det-k-decomp decomposer (the ``NewDetKDecomp`` baseline)."""
 
@@ -195,14 +176,14 @@ class DetKDecomposer(Decomposer):
         self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination
 
-    def _run(self, context: SearchContext) -> HypertreeDecomposition | None:
+    def search(
+        self, context: SearchContext, root_partition: Iterable[int] | None = None
+    ) -> FragmentNode | None:
         search = DetKSearch(
             context,
             use_cache=self.use_cache,
             label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
+            root_partition=root_partition,
         )
-        fragment = search.search(full_bitcomp(context.host), conn=0)
-        if fragment is None:
-            return None
-        return fragment_to_decomposition(context.host, fragment)
+        return search.search(full_bitcomp(context.host), conn=0)

@@ -16,9 +16,10 @@ needed to turn these into full hypertree decompositions:
 from __future__ import annotations
 
 from ..decomp.decomposition import DecompositionNode, HypertreeDecomposition
-from ..decomp.extended import FragmentNode
+from ..decomp.extended import BitComp, FragmentNode
 from ..exceptions import DecompositionError
 from ..hypergraph import Hypergraph
+from ..hypergraph.bitset import indices_of
 
 __all__ = [
     "replace_special_leaf",
@@ -31,6 +32,23 @@ __all__ = [
 def special_leaf(special: int) -> FragmentNode:
     """A placeholder leaf for a special edge (λ(u) = {s}, χ(u) = s)."""
     return FragmentNode(chi=special, special=special)
+
+
+def base_case(host: Hypergraph, k: int, comp: BitComp) -> FragmentNode | None:
+    """The positive base cases every search shares (Algorithm 1, lines 12-15).
+
+    At most ``k`` edges and no special edge: one node labelled with all of
+    them.  No edge and exactly one special edge: its placeholder leaf.
+    ``None`` means neither applies; if ``comp`` then has no edges it holds
+    several special edges and nothing "new" to separate them with, which is
+    the callers' negative base case.
+    """
+    if not comp.specials and comp.edges.bit_count() <= k:
+        lam = tuple(indices_of(comp.edges))
+        return FragmentNode(chi=host.edges_to_mask(lam), lam_edges=lam)
+    if not comp.edges and len(comp.specials) == 1:
+        return special_leaf(comp.specials[0])
+    return None
 
 
 def regular_node(

@@ -7,7 +7,7 @@ sub-decompositions — but deciding ``ghw ≤ k`` is NP-hard already for k = 2,
 so GHD search pays an extra exponential factor in practice.
 
 This module provides a faithful-in-spirit substitute for BalancedGo (see
-DESIGN.md): a recursive search that
+"The paper's baselines, substituted" in ``docs/architecture.md``): a recursive search that
 
 * picks a ≤ k-edge separator whose components are all *balanced* (at most
   half the size of the current subproblem),
@@ -34,10 +34,7 @@ from ..decomp.decomposition import (
     GeneralizedHypertreeDecomposition,
 )
 from ..decomp.extended import Comp, full_comp
-from ..exceptions import SolverError, TimeoutExceeded
-from ..hypergraph import Hypergraph
-from .base import Decomposer, DecompositionResult, SearchContext
-import time
+from .base import Decomposer, SearchContext
 
 __all__ = ["BalancedGHDDecomposer"]
 
@@ -56,46 +53,11 @@ class BalancedGHDDecomposer(Decomposer):
         super().__init__(timeout=timeout, **engine_options)
         self.require_balanced = require_balanced
 
-    # The GHD solver produces GeneralizedHypertreeDecomposition objects, so it
-    # overrides decompose_raw() rather than _run() (which is typed for HDs).
-    def decompose_raw(
-        self,
-        hypergraph: Hypergraph,
-        k: int,
-        timeout: float | None = None,
-        cancel_event=None,
-    ) -> DecompositionResult:
-        if hypergraph.num_edges == 0:
-            raise SolverError("cannot decompose a hypergraph without edges")
-        context = SearchContext(
-            hypergraph,
-            k,
-            timeout=self.timeout if timeout is None else timeout,
-            cancel_event=cancel_event,
-        )
-        start = time.monotonic()
-        timed_out = False
-        decomposition = None
-        try:
-            node = self._decomp(context, full_comp(hypergraph), conn=0, depth=1)
-            if node is not None:
-                decomposition = GeneralizedHypertreeDecomposition(hypergraph, node)
-        except TimeoutExceeded:
-            timed_out = True
-        elapsed = time.monotonic() - start
-        return DecompositionResult(
-            algorithm=self.name,
-            hypergraph=hypergraph,
-            width_parameter=k,
-            success=decomposition is not None,
-            decomposition=decomposition,  # type: ignore[arg-type]
-            elapsed=elapsed,
-            timed_out=timed_out,
-            statistics=context.stats,
-        )
-
-    def _run(self, context: SearchContext):  # pragma: no cover - not used
-        raise NotImplementedError("BalancedGHDDecomposer overrides decompose_raw()")
+    def _run(self, context: SearchContext) -> GeneralizedHypertreeDecomposition | None:
+        node = self._decomp(context, full_comp(context.host), conn=0, depth=1)
+        if node is None:
+            return None
+        return GeneralizedHypertreeDecomposition(context.host, node)
 
     # ------------------------------------------------------------------ #
     # recursive search

@@ -17,16 +17,15 @@ here.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..decomp.decomposition import HypertreeDecomposition
 from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
 from ..exceptions import SolverError
 from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import indices_of
 from .base import Decomposer, SearchContext
 from .detk import DetKSearch
-from .fragments import fragment_to_decomposition
 from .logk import LogKSearch
 
 __all__ = [
@@ -134,17 +133,17 @@ class HybridDecomposer(Decomposer):
         self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination
 
-    def _run(self, context: SearchContext) -> HypertreeDecomposition | None:
-        fragment = self._search_fragment(context)
-        if fragment is None:
-            return None
-        return fragment_to_decomposition(context.host, fragment)
-
-    def _search_fragment(self, context: SearchContext) -> FragmentNode | None:
+    def search(
+        self, context: SearchContext, root_partition: Iterable[int] | None = None
+    ) -> FragmentNode | None:
+        # Whichever search runs the depth-1 label loop owns the partition:
+        # log-k-decomp's child loop, or det-k-decomp's when the metric puts
+        # the whole instance below the threshold and the root is delegated.
         detk = DetKSearch(
             context,
             label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
+            root_partition=root_partition,
         )
 
         def delegate(
@@ -163,6 +162,7 @@ class HybridDecomposer(Decomposer):
             subedge_domination=self.subedge_domination,
             leaf_delegate=delegate,
             delegate_predicate=should_delegate,
+            root_partition=root_partition,
         )
         comp = full_bitcomp(context.host)
         return search.search(comp, conn=0, allowed=context.host.all_edges_mask)

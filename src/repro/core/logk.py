@@ -41,12 +41,11 @@ from collections.abc import Callable, Iterable
 
 from ..decomp.components import ComponentSplitter
 from ..decomp.covers import label_union
-from ..hypergraph.bitset import from_indices, indices_of
+from ..hypergraph.bitset import from_indices
 from ..lru import BoundedLRU
-from ..decomp.decomposition import HypertreeDecomposition
 from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
 from .base import Decomposer, SearchContext
-from .fragments import fragment_to_decomposition, replace_special_leaf, special_leaf
+from .fragments import base_case, replace_special_leaf, special_leaf
 
 __all__ = ["LogKSearch", "LogKDecomposer"]
 
@@ -164,16 +163,13 @@ class LogKSearch:
         host, k = context.host, context.k
 
         # ----- base cases (lines 5-10) --------------------------------- #
-        if not comp.specials and comp.edges.bit_count() <= k:
-            lam = tuple(indices_of(comp.edges))
-            return FragmentNode(chi=host.edges_to_mask(lam), lam_edges=lam)
-        if not comp.edges and len(comp.specials) == 1:
-            return special_leaf(comp.specials[0])
-        if not comp.edges and len(comp.specials) > 1:
-            if self.negative_base_case:
-                return None
-            # Without the negative base case the child loop below finds no
-            # candidate label (it requires a "new" edge) and fails anyway.
+        fragment = base_case(host, k, comp)
+        if fragment is not None:
+            return fragment
+        if not comp.edges and self.negative_base_case:
+            return None
+        # Without the negative base case the child loop below finds no
+        # candidate label (it requires a "new" edge) and fails anyway.
 
         allowed_pool = allowed
 
@@ -369,20 +365,17 @@ class LogKDecomposer(Decomposer):
         self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination
 
-    def _make_search(self, context: SearchContext) -> LogKSearch:
-        return LogKSearch(
+    def search(
+        self, context: SearchContext, root_partition: Iterable[int] | None = None
+    ) -> FragmentNode | None:
+        search = LogKSearch(
             context,
             negative_base_case=self.negative_base_case,
             parent_overlap_pruning=self.parent_overlap_pruning,
             require_balanced=self.require_balanced,
             label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
+            root_partition=root_partition,
         )
-
-    def _run(self, context: SearchContext) -> HypertreeDecomposition | None:
-        search = self._make_search(context)
-        comp = full_bitcomp(context.host)
-        fragment = search.search(comp, conn=0, allowed=context.host.all_edges_mask)
-        if fragment is None:
-            return None
-        return fragment_to_decomposition(context.host, fragment)
+        host = context.host
+        return search.search(full_bitcomp(host), conn=0, allowed=host.all_edges_mask)

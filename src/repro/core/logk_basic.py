@@ -31,9 +31,14 @@ from ..decomp.components import ComponentSplitter
 from ..decomp.covers import label_union
 from ..decomp.decomposition import HypertreeDecomposition
 from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
-from ..hypergraph.bitset import from_indices, indices_of
+from ..hypergraph.bitset import from_indices
 from .base import Decomposer, SearchContext
-from .fragments import fragment_to_decomposition, replace_special_leaf, special_leaf
+from .fragments import (
+    base_case,
+    fragment_to_decomposition,
+    replace_special_leaf,
+    special_leaf,
+)
 
 __all__ = ["LogKBasicSearch", "LogKBasicDecomposer"]
 
@@ -93,11 +98,9 @@ class LogKBasicSearch:
             excluded = from_indices(excluded)
 
         # Base cases (lines 12-15).
-        if not comp.specials and comp.edges.bit_count() <= k:
-            lam = tuple(indices_of(comp.edges))
-            return FragmentNode(chi=host.edges_to_mask(lam), lam_edges=lam)
-        if not comp.edges and len(comp.specials) == 1:
-            return special_leaf(comp.specials[0])
+        fragment = base_case(host, k, comp)
+        if fragment is not None:
+            return fragment
 
         half = comp.size / 2
         splitter = ComponentSplitter(host, comp, stats=context.stats)

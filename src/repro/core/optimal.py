@@ -5,7 +5,7 @@ the optimum width directly — no width parameter, considerable memory use, and
 behaviour that differs qualitatively from the parametrised searches of
 det-k-decomp and log-k-decomp.  No SMT solver is available offline, so this
 module provides an exact optimal solver with the same external behaviour
-(see DESIGN.md for the substitution record):
+(see "The paper's baselines, substituted" in ``docs/architecture.md``):
 
 1. A *lower bound* on ``hw`` is computed as the exact generalized hypertree
    width ``ghw`` via dynamic programming over elimination orderings of the

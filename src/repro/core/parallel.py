@@ -16,11 +16,16 @@ reproduces that strategy:
   depth 1 each worker searches on its own, with a private memo (no
   communication, as in the paper), so subproblems reachable from several
   groups are solved once per worker that meets them.
-* Two backends are provided.  The ``process`` backend uses
-  :mod:`multiprocessing` and delivers real speedups (each worker is a
-  separate interpreter); the ``thread`` backend exists for API parity and to
-  measure — as documented in DESIGN.md — that CPython's GIL prevents
-  thread-level scaling for this CPU-bound search.
+* The search itself is not this module's: every worker runs the sequential
+  decomposer's own :meth:`~repro.core.base.Decomposer.search` on its
+  partition (the hybrid, or plain log-k-decomp with ``hybrid=False``).
+* Two backends are provided.  The ``process`` backend forks one supervised
+  :class:`~repro.faults.supervise.WorkerProcess` per partition and delivers
+  real speedups (each worker is a separate interpreter); the ``thread``
+  backend exists for API parity and to measure — see "Parallel search" in
+  ``docs/architecture.md`` — that CPython's GIL prevents thread-level
+  scaling for this CPU-bound search.  It is also what runs inside a daemonic
+  process (a serving-layer worker), which may not fork children of its own.
 
 The Go implementation evaluated in the paper parallelises every recursion
 level; partitioning only the top level is a simplification that preserves the
@@ -32,20 +37,19 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import queue as pyqueue
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 from .. import faults
-from ..decomp.extended import FragmentNode, full_bitcomp
+from ..decomp.extended import FragmentNode
 from ..exceptions import SolverError, TimeoutExceeded
+from ..faults.supervise import WorkerProcess, poll, write_frame
 from ..hypergraph import Hypergraph
 from .base import Decomposer, DecompositionResult, SearchContext, SearchStatistics
-from .detk import DetKSearch
 from .fragments import fragment_to_decomposition
-from .hybrid import HybridDecomposer, make_metric
-from .logk import LogKSearch
+from .hybrid import HybridDecomposer, SwitchMetric
+from .logk import LogKDecomposer
 
 __all__ = ["EitherEvent", "ParallelLogKDecomposer"]
 
@@ -71,14 +75,12 @@ class _EitherEvent:
 EitherEvent = _EitherEvent
 
 
-def _worker_search_to_queue(result_queue, slot, attempt, fault_spec, args: tuple) -> None:
+def _worker_main(result_fd, slot, attempt, fault_spec, *args) -> None:
     """Process-backend entry point: run the search, ship the outcome back.
 
-    Every worker puts exactly one slot-tagged result (``_worker_search``
-    converts any internal failure into a ``timed_out`` outcome), so the
-    coordinator tracks completion per partition instead of trusting pool
-    machinery.  ``fault_spec`` re-creates the parent's fault injector in the
-    child (injection must behave identically under fork and spawn); the
+    Every worker writes exactly one frame (``_worker_search`` converts any
+    internal failure into a ``timed_out`` outcome).  ``fault_spec``
+    re-creates the parent's fault injector in the child; the
     ``parallel.worker`` point fired here carries ``slot``/``attempt``
     context, so a chaos schedule can kill attempt 0 of a slot and let its
     respawned replacement live.
@@ -91,63 +93,30 @@ def _worker_search_to_queue(result_queue, slot, attempt, fault_spec, args: tuple
         # An injected (or otherwise escaped) error: report the partition as
         # undecided rather than dying without a word.
         outcome = (True, False, None, SearchStatistics())
-    result_queue.put((slot, outcome))
+    write_frame(result_fd, outcome)
 
 
 def _worker_search(
-    edges: dict[str, frozenset[str]],
-    hypergraph_name: str,
+    base: Decomposer,
+    hypergraph: Hypergraph,
     k: int,
     partition: list[int],
     timeout: float | None,
-    hybrid: bool,
-    metric_name: str,
-    threshold: float,
-    label_pruning: bool = True,
-    subedge_domination: bool = True,
     cancel_event: threading.Event | None = None,
 ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
-    """Worker entry point (module level so it can be pickled).
+    """One worker: ``base``'s own search, restricted to ``partition``.
 
     ``cancel_event`` is only used by the thread backend: once some worker has
     succeeded, the coordinator sets the event and the remaining workers abort
     at their next periodic deadline check instead of burning CPU to the end
     of their partitions (``Future.cancel`` cannot stop an already-running
-    worker).  Process workers are terminated through the pool instead.
+    worker).  Process workers are terminated instead.
 
     Returns ``(timed_out, success, fragment, statistics)``.
     """
-    host = Hypergraph(edges, name=hypergraph_name)
-    context = SearchContext(host, k, timeout=timeout, cancel_event=cancel_event)
-    leaf_delegate = None
-    delegate_predicate = None
-    if hybrid:
-        detk = DetKSearch(
-            context,
-            label_pruning=label_pruning,
-            subedge_domination=subedge_domination,
-            root_partition=partition,
-        )
-        metric = make_metric(metric_name)
-
-        def leaf_delegate(comp, conn, depth, allowed, _detk=detk):  # type: ignore[misc]
-            return _detk.search(comp, conn, depth, allowed=allowed)
-
-        def delegate_predicate(comp, _metric=metric, _host=host, _k=k):  # type: ignore[misc]
-            return _metric.value(_host, comp, _k) < threshold
-
-    search = LogKSearch(
-        context,
-        label_pruning=label_pruning,
-        subedge_domination=subedge_domination,
-        leaf_delegate=leaf_delegate,
-        delegate_predicate=delegate_predicate,
-        root_partition=partition,
-    )
+    context = SearchContext(hypergraph, k, timeout=timeout, cancel_event=cancel_event)
     try:
-        fragment = search.search(
-            full_bitcomp(host), conn=0, allowed=host.all_edges_mask
-        )
+        fragment = base.search(context, partition)
     except TimeoutExceeded:
         return True, False, None, context.stats
     except Exception:
@@ -169,7 +138,7 @@ class ParallelLogKDecomposer(Decomposer):
         num_workers: int = 1,
         backend: str = "process",
         hybrid: bool = True,
-        metric: str = "WeightedCount",
+        metric: SwitchMetric | str = "WeightedCount",
         threshold: float = 400.0,
         label_pruning: bool = True,
         subedge_domination: bool = True,
@@ -208,7 +177,12 @@ class ParallelLogKDecomposer(Decomposer):
             list(range(slot, num_edges, self.num_workers))
             for slot in range(min(self.num_workers, num_edges))
         ]
-        runner = self._run_processes if self.backend == "process" else self._run_threads
+        # A daemonic process (a serving-layer worker) may not have children.
+        forks = self.backend == "process" and not mp.current_process().daemon
+        runner = self._run_processes if forks else self._run_threads
+        # Built once here: forked workers inherit the table and thread
+        # workers only read it.
+        hypergraph.incidence_masks()
         effective_timeout = self.timeout if timeout is None else timeout
         timed_out, success, fragment, stats = runner(
             hypergraph, k, partitions, effective_timeout, cancel_event
@@ -228,9 +202,6 @@ class ParallelLogKDecomposer(Decomposer):
             statistics=stats,
         )
 
-    def _run(self, context: SearchContext):  # pragma: no cover - not used
-        raise NotImplementedError("ParallelLogKDecomposer overrides decompose_raw()")
-
     # ------------------------------------------------------------------ #
     # backends
     # ------------------------------------------------------------------ #
@@ -247,8 +218,6 @@ class ParallelLogKDecomposer(Decomposer):
                 subedge_domination=self.subedge_domination,
                 use_engine=False,
             )
-        from .logk import LogKDecomposer
-
         return LogKDecomposer(
             timeout=self.timeout,
             label_pruning=self.label_pruning,
@@ -256,30 +225,6 @@ class ParallelLogKDecomposer(Decomposer):
             use_engine=False,
         )
 
-    def _worker_args(
-        self,
-        hypergraph: Hypergraph,
-        k: int,
-        partition: list[int],
-        timeout: float | None,
-    ) -> tuple:
-        return (
-            hypergraph.edges_as_dict(),
-            hypergraph.name,
-            k,
-            partition,
-            timeout,
-            self.hybrid,
-            self.metric,
-            self.threshold,
-            self.label_pruning,
-            self.subedge_domination,
-        )
-
-    #: A dead worker's result may still be in flight through the queue's
-    #: feeder thread when ``is_alive`` first reports False; only after this
-    #: many consecutive empty sweeps is the slot treated as crashed.
-    _DEAD_STRIKES = 2
     #: Respawn budget per partition slot; beyond it the slot is abandoned
     #: (the run degrades to undecided instead of looping on a doomed
     #: partition).
@@ -293,99 +238,74 @@ class ParallelLogKDecomposer(Decomposer):
         timeout: float | None,
         cancel_event: threading.Event | None = None,
     ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
-        # Plain Process workers + one result queue instead of a Pool:
-        # ``Pool.terminate`` can deadlock when its task-handler thread is
-        # still blocked writing while terminate joins it (observed under
-        # CPython 3.11), and this backend's only need is "first success
-        # kills the rest", which Process.terminate does reliably.
-        #
-        # The coordinator supervises the pool: a worker that dies without
+        # One supervised worker per partition: a worker that dies without
         # reporting (OOM-killed, injected ``kill``) is respawned on the same
         # partition — the search is pure, so recomputing a partition is
         # sound — up to ``_MAX_RESPAWNS_PER_SLOT`` attempts, after which the
         # slot is abandoned and the run degrades to undecided.
-        context = mp.get_context()
-        stats = SearchStatistics()
-        timed_out = False
-        result_queue = context.Queue()
+        base = self._sequential()
         fault_spec = faults.current_spec()
 
-        def spawn(slot: int, attempt: int):
-            worker = context.Process(
-                target=_worker_search_to_queue,
-                args=(
-                    result_queue,
-                    slot,
-                    attempt,
-                    fault_spec,
-                    self._worker_args(hypergraph, k, partitions[slot], timeout),
-                ),
-                daemon=True,
-            )
-            worker.start()
-            return worker
+        def spawn(worker: WorkerProcess) -> dict:
+            slot = worker.index
+            search_args = (base, hypergraph, k, partitions[slot], timeout)
+            return {
+                "target": _worker_main,
+                "args": (worker.result_wfd, slot, worker.attempt, fault_spec, *search_args),
+            }
 
-        workers = {slot: spawn(slot, 0) for slot in range(len(partitions))}
-        attempts = dict.fromkeys(workers, 0)
-        strikes = dict.fromkeys(workers, 0)
+        # fork: the workers take ``base``, the host and their result fd along.
+        context = mp.get_context("fork")
+        workers = [WorkerProcess(context, slot, spawn) for slot in range(len(partitions))]
         pending = set(workers)
+        stats = SearchStatistics()
+        timed_out = False
         try:
+            for worker in workers:
+                worker.start()
             while pending:
                 # External cancellation (a threading.Event cannot cross the
                 # process boundary): terminate the workers in the finally
                 # block and report the run as undecided.
                 if cancel_event is not None and cancel_event.is_set():
                     return True, False, None, stats
-                try:
-                    slot, outcome = result_queue.get(timeout=0.1)
-                except pyqueue.Empty:
-                    for dead in sorted(pending):
-                        if workers[dead].is_alive():
-                            strikes[dead] = 0
-                            continue
-                        strikes[dead] += 1
-                        if strikes[dead] < self._DEAD_STRIKES:
-                            continue
-                        if attempts[dead] >= self._MAX_RESPAWNS_PER_SLOT:
-                            logger.warning(
-                                "parallel worker slot %d died %d times "
-                                "(last exit code %s); abandoning its "
-                                "partition — the run degrades to undecided",
-                                dead,
-                                attempts[dead] + 1,
-                                workers[dead].exitcode,
-                            )
-                            pending.discard(dead)
-                            timed_out = True
-                            continue
-                        attempts[dead] += 1
-                        strikes[dead] = 0
-                        stats.worker_respawns += 1
-                        logger.warning(
-                            "parallel worker slot %d died (exit code %s); "
-                            "respawning attempt %d on the same partition",
-                            dead,
-                            workers[dead].exitcode,
-                            attempts[dead],
-                        )
-                        workers[dead] = spawn(dead, attempts[dead])
+                received = poll(pending, 0.1)
+                for worker, outcome in received:
+                    pending.discard(worker)
+                    worker_timeout, success, fragment, worker_stats = outcome
+                    stats.merge(worker_stats)
+                    timed_out = timed_out or worker_timeout
+                    if success:
+                        return False, True, fragment, stats
+                if received:
                     continue
-                if slot not in pending:
-                    continue  # stale twin from a slot already resolved
-                pending.discard(slot)
-                worker_timeout, success, fragment, worker_stats = outcome
-                stats.merge(worker_stats)
-                timed_out = timed_out or worker_timeout
-                if success:
-                    return False, True, fragment, stats
+                for worker in workers:
+                    if worker not in pending or not worker.crashed():
+                        continue
+                    if worker.attempt >= self._MAX_RESPAWNS_PER_SLOT:
+                        logger.warning(
+                            "parallel worker slot %d died %d times "
+                            "(last exit code %s); abandoning its "
+                            "partition — the run degrades to undecided",
+                            worker.index,
+                            worker.attempt + 1,
+                            worker.process.exitcode,
+                        )
+                        pending.discard(worker)
+                        timed_out = True
+                        continue
+                    stats.worker_respawns += 1
+                    logger.warning(
+                        "parallel worker slot %d died (exit code %s); "
+                        "respawning attempt %d on the same partition",
+                        worker.index,
+                        worker.process.exitcode,
+                        worker.attempt + 1,
+                    )
+                    worker.respawn()
         finally:
-            for worker in workers.values():
-                if worker.is_alive():
-                    worker.terminate()
-            for worker in workers.values():
-                worker.join()
-            result_queue.close()
-            result_queue.cancel_join_thread()
+            for worker in workers:
+                worker.stop()
         return timed_out, False, None, stats
 
     def _run_threads(
@@ -406,11 +326,16 @@ class ParallelLogKDecomposer(Decomposer):
         worker_cancel = (
             cancel if cancel_event is None else _EitherEvent(cancel, cancel_event)
         )
+        base = self._sequential()
         with ThreadPoolExecutor(max_workers=len(partitions)) as executor:
             futures = {
                 executor.submit(
                     _worker_search,
-                    *self._worker_args(hypergraph, k, part, timeout),
+                    base,
+                    hypergraph,
+                    k,
+                    part,
+                    timeout,
                     cancel_event=worker_cancel,
                 )
                 for part in partitions

@@ -29,7 +29,7 @@ split against thousands of candidate separators:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import bits_of
@@ -339,13 +339,3 @@ def separate(
 def vertices_of_components(host: Hypergraph, comps: Sequence[Comp]) -> list[int]:
     """Vertex bitmasks V(C) for a list of components."""
     return [comp.vertices(host) for comp in comps]
-
-
-def component_containing(
-    host: Hypergraph, comps: Iterable[Comp], edge_index: int
-) -> Comp | None:
-    """Return the component containing the given edge index, if any."""
-    for comp in comps:
-        if edge_index in comp.edges:
-            return comp
-    return None

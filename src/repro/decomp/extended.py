@@ -22,7 +22,7 @@ HDs *of* extended subhypergraphs (Definition 3.3) are represented as trees of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from ..exceptions import DecompositionError
@@ -306,35 +306,6 @@ class FragmentNode:
         return "\n".join(lines)
 
 
-def iter_item_bits(host: Hypergraph, comp: Comp) -> Iterator[tuple[object, int]]:
-    """Yield ``(item, vertex_bits)`` for every edge index and special edge of ``comp``.
-
-    Edge items are their integer index; special items are the bitmask itself
-    (special edges are identified by their vertex set, as in the paper).
-    """
-    for index in comp.edges:
-        yield index, host.edge_bits(index)
-    for special in comp.specials:
-        yield ("sp", special), special
-
-
 def comp_vertices(host: Hypergraph, comp: Comp) -> int:
     """V(comp): the union of all (special) edge vertex sets, as a bitmask."""
     return comp.vertices(host)
-
-
-def mask_names(host: Hypergraph, mask: int) -> frozenset[str]:
-    """Convenience wrapper used in error messages and reports."""
-    return host.mask_to_vertices(mask)
-
-
-def specials_from_names(
-    host: Hypergraph, specials: Iterable[Iterable[str]]
-) -> tuple[int, ...]:
-    """Convert name-based special edges into sorted bitmasks."""
-    return tuple(sorted(host.vertices_to_mask(s) for s in specials))
-
-
-def _unused_bitset_reference() -> None:  # pragma: no cover - documentation aid
-    """The bitset helpers are re-exported here for discoverability in REPLs."""
-    _ = bitset

@@ -1,13 +1,17 @@
 """Fault injection and resilience primitives (see ``docs/architecture.md``).
 
-The package has two halves:
+The package has three parts:
 
 * :mod:`repro.faults.injector` — named fault points + a deterministic,
   seeded :class:`FaultInjector` (zero overhead while no injector is
   installed);
 * :mod:`repro.faults.resilience` — :class:`RetryPolicy` (exponential
   backoff + jitter) and :class:`CircuitBreaker`, the building blocks of the
-  supervised layers (catalog re-attach, worker respawn, poison quarantine).
+  supervised layers (catalog re-attach, worker respawn, poison quarantine);
+* :mod:`repro.faults.supervise` — :class:`~repro.faults.supervise.WorkerProcess`,
+  the one supervised child process (single-writer result pipe, two-strike
+  liveness, fresh pipe on respawn) under both the parallel decomposer and
+  the process serving backend.
 
 Import the package itself at instrumentation sites (``from repro import
 faults`` … ``faults.fire("catalog.get")``) so the disabled-path check stays

@@ -535,11 +535,6 @@ class ColumnStore:
         """The value interned under ``code``."""
         return self._values[code]
 
-    def decode_rows(self, rows) -> set[tuple]:
-        """Decode an iterable of code tuples back to value tuples."""
-        values = self._values
-        return {tuple(values[code] for code in row) for row in rows}
-
     # ------------------------------------------------------------------ #
     # base relations
     # ------------------------------------------------------------------ #

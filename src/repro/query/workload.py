@@ -396,19 +396,6 @@ class QueryEngine:
             execution_seconds=execution_seconds,
         )
 
-    def execute_batch(
-        self,
-        queries,
-        database: Database,
-        mode: AnswerMode | str = AnswerMode.ENUMERATE,
-        *,
-        executor: str = "columnar",
-    ) -> list[QueryResult]:
-        """Execute a sequence of queries against one database."""
-        return [
-            self.execute(query, database, mode, executor=executor) for query in queries
-        ]
-
 
 class QueryWorkload:
     """A batch of (query, mode) pairs served against one database.

@@ -239,18 +239,12 @@ def run_selftest(
             # the injected process-worker kills (and the respawns proving
             # them survivable) happen under real concurrent load.
             probe_factory, probe_k, _probe_expect = CHAOS_PARALLEL_PROBE
-            probe_options = {"num_workers": 2, "hybrid": False}
-            if backend == "process":
-                # Service workers are daemonic processes and cannot fork
-                # children of their own; run the parallel search on its
-                # thread backend there (the service.process kill rule
-                # already exercises process-level respawns).
-                probe_options["backend"] = "thread"
             probe_ticket = service.submit(
                 probe_factory(),
                 probe_k,
                 algorithm="log-k-decomp-parallel",
-                **probe_options,
+                num_workers=2,
+                hybrid=False,
             )
         for thread in threads:
             thread.join(timeout=120)

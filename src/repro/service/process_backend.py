@@ -30,14 +30,8 @@ warm :class:`~repro.pipeline.engine.DecompositionEngine` /
   respawned on the same slot (affinity routing is stable across respawns);
   its orphaned tasks go through the service's existing requeue /
   quarantine path, and the fresh worker gets the payloads re-shipped.
-  Results travel over a **per-slot pipe with exactly one writer** rather
-  than a shared ``mp.Queue``: a queue's writers serialise on a shared
-  write lock, and a worker killed between ``send_bytes`` and the lock
-  release (SIGTERM lands there routinely on a loaded single-core host)
-  would take that lock to the grave and silently starve every sibling's
-  results.  Single-writer pipes need no lock at all, and the parent's
-  framed non-blocking reads mean a half-written frame from a dying
-  worker can never block the collector; respawns get a fresh pipe.
+  The result pipes, the liveness rule and the respawn mechanics are
+  :mod:`repro.faults.supervise`'s (which also says why not a shared queue).
 
 Lock ordering: the backend never takes the service lock while holding its
 own lock (the service may call into the backend under *its* lock — e.g.
@@ -48,9 +42,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 import queue as pyqueue
-import select
 import threading
 import time
 import traceback
@@ -63,6 +55,7 @@ from ..catalog import CatalogStats
 from ..core import codec
 from ..core.parallel import EitherEvent
 from ..exceptions import ParseError, ServiceError
+from ..faults.supervise import WorkerProcess, poll, write_frame
 from ..pipeline.engine import DecompositionEngine
 from ..pipeline.registry import registry
 from ..query.plan import AnswerMode
@@ -78,42 +71,6 @@ _BATCH_LIMIT = 4
 _CANCEL_RING = 8
 #: Collector poll interval; also bounds crash-detection latency.
 _POLL_INTERVAL = 0.05
-#: Consecutive empty sweeps before a non-alive worker counts as crashed
-#: (its last result may still be in flight through the queue feeder).
-_DEAD_STRIKES = 2
-
-
-def _write_frame(fd: int, message) -> None:
-    """Ship one length-prefixed pickle over a result pipe (worker side).
-
-    The pipe has exactly one writer, so frames never interleave and no
-    lock is needed — which is the point: a shared write lock is exactly
-    what a SIGTERM'd sibling could hold forever.
-    """
-    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(4, "big") + data)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
-def _drain_frames(buffer: bytearray) -> list:
-    """Pop every complete frame off a slot's read buffer (parent side).
-
-    A trailing partial frame — all a dying worker can leave behind —
-    simply stays buffered until the sweep replaces the pipe, so the
-    collector never blocks on a truncated message.
-    """
-    messages = []
-    while True:
-        if len(buffer) < 4:
-            break
-        size = int.from_bytes(buffer[:4], "big")
-        if len(buffer) < 4 + size:
-            break
-        messages.append(pickle.loads(bytes(buffer[4 : 4 + size])))
-        del buffer[: 4 + size]
-    return messages
 
 
 class _Request:
@@ -281,7 +238,7 @@ def _worker_main(
             if message["type"] == "probe":
                 catalog = engine.catalog
                 ok = catalog.probe() if catalog is not None else True
-                _write_frame(
+                write_frame(
                     result_fd, ("probe", slot, message["probe_id"], ok, None, meta())
                 )
                 continue
@@ -310,7 +267,7 @@ def _worker_main(
             except BaseException as exc:
                 text = traceback.format_exc()
                 for item in items:
-                    _write_frame(
+                    write_frame(
                         result_fd,
                         (
                             "result",
@@ -336,7 +293,7 @@ def _worker_main(
                         exc, traceback.format_exc()
                     )
                 served += 1
-                _write_frame(result_fd, ("result", slot, seq, status, payload, meta()))
+                write_frame(result_fd, ("result", slot, seq, status, payload, meta()))
     finally:
         # The write-behind queue of this worker's catalog handle would be
         # dropped with the process; drain it so decided outcomes reach the
@@ -352,42 +309,23 @@ def _worker_main(
 # --------------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------------- #
-class _Slot:
-    """Parent-side state of one worker slot (stable across respawns)."""
+class _Slot(WorkerProcess):
+    """A supervised worker plus what the service hangs on its slot."""
 
-    __slots__ = (
-        "index",
-        "process",
-        "queue",
-        "ring",
-        "ring_cursor",
-        "result_rfd",
-        "result_wfd",
-        "rbuf",
-        "attempt",
-        "dispatched",
-        "completed",
-        "shipped_graphs",
-        "shipped_dbs",
-        "strikes",
-        "meta",
-    )
-
-    def __init__(self, index: int, queue, ring) -> None:
-        self.index = index
-        self.process = None
-        self.queue = queue
-        self.ring = ring
-        self.ring_cursor = 0
-        self.result_rfd, self.result_wfd = os.pipe()
-        self.rbuf = bytearray()
-        self.attempt = 0
+    def __init__(self, context, index: int, spawn) -> None:
+        super().__init__(context, index, spawn)
         self.dispatched = 0
         self.completed = 0
+        self.meta: dict | None = None
+        self.fresh_channels()
+
+    def fresh_channels(self) -> None:
+        """New request queue and cancel ring, and an empty ship ledger."""
+        self.queue = self.context.Queue()
+        self.ring = self.context.Array("q", [-1] * _CANCEL_RING)
+        self.ring_cursor = 0
         self.shipped_graphs: set[str] = set()
         self.shipped_dbs: set[str] = set()
-        self.strikes = 0
-        self.meta: dict | None = None
 
 
 class ProcessBackend:
@@ -429,12 +367,9 @@ class ProcessBackend:
         self._workers_stopped = False
         self.respawns = 0
 
-        self._slots = [
-            _Slot(i, self._ctx.Queue(), self._ctx.Array("q", [-1] * _CANCEL_RING))
-            for i in range(num_workers)
-        ]
+        self._slots = [_Slot(self._ctx, i, self._spawn) for i in range(num_workers)]
         for slot in self._slots:
-            slot.process = self._spawn(slot)
+            slot.start()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
         )
@@ -444,13 +379,10 @@ class ProcessBackend:
         self._dispatcher.start()
         self._collector.start()
 
-    def _spawn(self, slot: _Slot):
-        # Daemonic so a crashed parent never leaks workers; consequently a
-        # worker cannot itself spawn processes — submit parallel-backend
-        # decompositions with ``backend="thread"`` under this backend.
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
+    def _spawn(self, slot: _Slot) -> dict:
+        return {
+            "target": _worker_main,
+            "args": (
                 slot.index,
                 slot.attempt,
                 self._config,
@@ -460,11 +392,8 @@ class ProcessBackend:
                 self._abort_event,
                 slot.ring,
             ),
-            daemon=True,
-            name=f"repro-service-worker-{slot.index}",
-        )
-        process.start()
-        return process
+            "name": f"repro-service-worker-{slot.index}",
+        }
 
     # ------------------------------------------------------------------ #
     # request preparation (runs on the submitting thread)
@@ -653,23 +582,12 @@ class ProcessBackend:
     # collector
     # ------------------------------------------------------------------ #
     def _collect_loop(self) -> None:
-        # The per-slot read fds are mutated only by ``_sweep_dead`` (which
+        # The per-slot read fds are replaced only by ``_sweep_dead`` (which
         # runs on this thread) and closed only after this thread has been
-        # joined, so the select set needs no locking.
-        service = self._service
+        # joined, so polling them needs no locking.
         last_sweep = time.monotonic()
         while True:
-            fds = [slot.result_rfd for slot in self._slots]
-            ready, _, _ = select.select(fds, [], [], _POLL_INTERVAL)
-            ready_fds = set(ready)
-            messages = []
-            for slot in self._slots:
-                if slot.result_rfd not in ready_fds:
-                    continue
-                chunk = os.read(slot.result_rfd, 1 << 16)
-                if chunk:
-                    slot.rbuf += chunk
-                    messages.extend(_drain_frames(slot.rbuf))
+            messages = [message for _slot, message in poll(self._slots, _POLL_INTERVAL)]
             now = time.monotonic()
             if not messages or now - last_sweep > _POLL_INTERVAL:
                 last_sweep = now
@@ -700,7 +618,6 @@ class ProcessBackend:
             self._outstanding_slot.pop(ref, None)
             slot = self._slots[slot_index]
             slot.meta = meta
-            slot.strikes = 0
             if task is not None:
                 slot.completed += 1
         if task is None:
@@ -719,16 +636,11 @@ class ProcessBackend:
     def _sweep_dead(self) -> None:
         orphans = []
         stale_queues = []
-        stale_fds = []
         with self._lock:
             if self._workers_stopped:
                 return
             for slot in self._slots:
-                if slot.process.is_alive():
-                    slot.strikes = 0
-                    continue
-                slot.strikes += 1
-                if slot.strikes < _DEAD_STRIKES:
+                if not slot.crashed():
                     continue
                 exit_code = slot.process.exitcode
                 dead = [
@@ -736,15 +648,9 @@ class ProcessBackend:
                     for seq, index in self._outstanding_slot.items()
                     if index == slot.index
                 ]
-                tasks = []
                 for seq in dead:
-                    tasks.append(self._outstanding.pop(seq))
+                    orphans.append((self._outstanding.pop(seq), exit_code))
                     del self._outstanding_slot[seq]
-                # The fresh worker starts with cold caches and no shipped
-                # payloads; clearing the ship ledger makes the requeued
-                # tasks re-attach their hypergraphs/databases.
-                slot.shipped_graphs.clear()
-                slot.shipped_dbs.clear()
                 # A worker that died parked inside ``queue.get()`` (e.g. a
                 # SIGTERM, as opposed to the fault injector's controlled
                 # ``os._exit`` mid-batch) takes the queue's reader lock to
@@ -752,27 +658,17 @@ class ProcessBackend:
                 # block forever.  Same story for the cancel-ring lock.
                 # Respawned slots therefore get fresh primitives; pending
                 # messages on the old queue are exactly the orphans being
-                # requeued, so nothing is lost.
+                # requeued, so nothing is lost.  The fresh worker starts
+                # with cold caches and no shipped payloads; the emptied ship
+                # ledger makes the requeued tasks re-attach their
+                # hypergraphs/databases.
                 stale_queues.append(slot.queue)
-                slot.queue = self._ctx.Queue()
-                slot.ring = self._ctx.Array("q", [-1] * _CANCEL_RING)
-                slot.ring_cursor = 0
-                # The result pipe gets the same treatment: the dead worker
-                # may have left a half-written frame behind, which would
-                # desync the successor's frames on a reused pipe.
-                stale_fds.extend((slot.result_rfd, slot.result_wfd))
-                slot.result_rfd, slot.result_wfd = os.pipe()
-                slot.rbuf = bytearray()
-                slot.strikes = 0
-                slot.attempt += 1
+                slot.fresh_channels()
                 self.respawns += 1
-                slot.process = self._spawn(slot)
-                orphans.extend((task, exit_code) for task in tasks)
+                slot.respawn()
         for queue in stale_queues:
             queue.cancel_join_thread()
             queue.close()
-        for fd in stale_fds:
-            os.close(fd)
         for task, exit_code in orphans:
             self._service._supervise_crash(
                 task,
@@ -911,12 +807,6 @@ class ProcessBackend:
         for slot in slots:
             slot.queue.put(None)
         for slot in slots:
-            slot.process.join(timeout=5.0)
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=1.0)
-        for slot in slots:
+            slot.stop(grace=5.0)
             slot.queue.close()
             slot.queue.cancel_join_thread()
-            os.close(slot.result_rfd)
-            os.close(slot.result_wfd)

@@ -88,3 +88,27 @@ def test_acyclic_csp_uses_width_one():
     assert solution.satisfiable
     assert solution.width == 1
     assert solution.num_solutions_found == 2
+
+
+def _chain_csp() -> CSPInstance:
+    return CSPInstance(
+        constraints=(
+            ("c1", ("a", "b"), ((1, 2), (2, 3))),
+            ("c2", ("b", "c"), ((2, 5), (3, 6))),
+        ),
+        name="chain",
+    )
+
+
+@pytest.mark.parametrize("executor", ["columnar", "sql", "eager"])
+@pytest.mark.parametrize(
+    "csp",
+    [_cyclic_csp(True), _cyclic_csp(False), _chain_csp()],
+    ids=["cyclic-sat", "cyclic-unsat", "chain"],
+)
+def test_fast_paths_agree_with_solve_and_backtracking(csp, executor):
+    # The boolean/count fast paths never materialise the solutions; they
+    # must still say what the enumerating solve() and the oracle say.
+    solver = DecompositionCSPSolver(executor=executor)
+    assert solver.is_satisfiable(csp) == (backtracking_solve(csp) is not None)
+    assert solver.count_solutions(csp) == solver.solve(csp).num_solutions_found

@@ -12,6 +12,7 @@ from repro.core.logk import LogKSearch
 from repro.core.base import SearchContext
 from repro.core.detk import DetKSearch
 from repro.core.fragments import fragment_to_decomposition
+from repro.core.hybrid import EdgeCountMetric
 from repro.core.parallel import _worker_search
 from repro.decomp import validate_hd
 from repro.decomp.covers import CoverEnumerator
@@ -186,6 +187,39 @@ def test_workers_split_one_search_instead_of_repeating_it():
     )
 
 
+def test_metric_instance_and_threshold_reach_every_worker(cycle10):
+    """The workers run the hybrid the caller configured, not a default one.
+
+    ``metric`` may be a :class:`SwitchMetric` instance, as on
+    :class:`HybridDecomposer`; with EdgeCount and a threshold between the
+    instance's size and its components' the root stays with log-k-decomp and
+    only depth >= 2 is delegated, which no default setting does.
+    """
+    hard = generators.with_chords(generators.cycle(30), 4, seed=2)
+    options = dict(metric=EdgeCountMetric(), threshold=12.0)
+    hybrid = HybridDecomposer(use_engine=False, **options)
+    parallel = ParallelLogKDecomposer(
+        num_workers=2, backend="thread", use_engine=False, **options
+    )
+    found = parallel.decompose(cycle10, 2)
+    assert found.success and hybrid.decompose(cycle10, 2).success
+    validate_hd(found.decomposition)
+
+    refuted = parallel.decompose(hard, 2)
+    assert not refuted.success and not refuted.timed_out
+    assert not hybrid.decompose(hard, 2).success
+    labels = delegated = 0
+    for slot in range(2):
+        context = SearchContext(hard, 2)
+        assert hybrid.search(context, range(slot, hard.num_edges, 2)) is None
+        labels += context.stats.labels_tried
+        delegated += context.stats.subproblems_delegated
+    assert refuted.statistics.labels_tried == labels
+    assert refuted.statistics.subproblems_delegated == delegated > 2
+    default = ParallelLogKDecomposer(num_workers=2, backend="thread", use_engine=False)
+    assert default.decompose(hard, 2).statistics.labels_tried != labels
+
+
 def test_worker_statistics_are_merged(cycle10):
     result = ParallelLogKDecomposer(num_workers=2, hybrid=False).decompose(cycle10, 2)
     assert result.statistics.recursive_calls > 0
@@ -216,14 +250,11 @@ def test_cancelled_worker_aborts_quickly():
     event.set()
     start = time.monotonic()
     timed_out, success, fragment, _stats = _worker_search(
-        hard.edges_as_dict(),
-        hard.name,
+        LogKDecomposer(use_engine=False),
+        hard,
         2,
         list(range(hard.num_edges)),
         None,
-        False,
-        "WeightedCount",
-        400.0,
         cancel_event=event,
     )
     assert time.monotonic() - start < 0.5
@@ -259,14 +290,14 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
     # It still must not become an answer, but it has to leave a traceback.
     from repro.core import parallel as parallel_module
 
-    original = parallel_module.LogKSearch.search
+    original = LogKSearch.search
 
     def broken(self, comp, conn, allowed, depth=1):
         if 0 in self.root_partition:
             raise TypeError("injected worker bug")
         return original(self, comp, conn, allowed, depth)
 
-    monkeypatch.setattr(parallel_module.LogKSearch, "search", broken)
+    monkeypatch.setattr(LogKSearch, "search", broken)
     decomposer = ParallelLogKDecomposer(
         num_workers=2, backend="thread", hybrid=False, use_engine=False
     )
@@ -280,7 +311,7 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
 
     # A cancelled or timed-out worker stays quiet.
     caplog.clear()
-    monkeypatch.setattr(parallel_module.LogKSearch, "search", original)
+    monkeypatch.setattr(LogKSearch, "search", original)
     event = threading.Event()
     event.set()
     with caplog.at_level("ERROR", logger="repro.parallel"):

@@ -95,3 +95,102 @@ def test_unregister_removes_aliases():
     fresh.unregister("ex")
     assert "x" not in fresh
     assert "ex" not in fresh
+
+
+#: Catalog rows and compiled-plan cache entries are keyed by these; a
+#: refactor of a decomposer's attributes must not move them.
+_PINNED_IDENTITIES = [
+    (
+        "logk",
+        {},
+        (
+            "log-k-decomp",
+            (
+                ("label_pruning", True),
+                ("negative_base_case", True),
+                ("parent_overlap_pruning", True),
+                ("require_balanced", True),
+                ("subedge_domination", True),
+                ("timeout", None),
+            ),
+        ),
+    ),
+    ("logk-basic", {}, ("log-k-decomp-basic", (("timeout", None),))),
+    (
+        "detk",
+        {},
+        (
+            "det-k-decomp",
+            (
+                ("label_pruning", True),
+                ("subedge_domination", True),
+                ("timeout", None),
+                ("use_cache", True),
+            ),
+        ),
+    ),
+    (
+        "hybrid",
+        {},
+        (
+            "log-k-decomp-hybrid",
+            (
+                ("label_pruning", True),
+                ("metric", "WeightedCountMetric"),
+                ("negative_base_case", True),
+                ("parent_overlap_pruning", True),
+                ("subedge_domination", True),
+                ("threshold", 400.0),
+                ("timeout", None),
+            ),
+        ),
+    ),
+    (
+        "parallel",
+        {},
+        (
+            "log-k-decomp-parallel",
+            (
+                ("backend", "process"),
+                ("hybrid", True),
+                ("label_pruning", True),
+                ("metric", "WeightedCount"),
+                ("num_workers", 1),
+                ("subedge_domination", True),
+                ("threshold", 400.0),
+                ("timeout", None),
+            ),
+        ),
+    ),
+    ("ghd", {}, ("balanced-ghd", (("require_balanced", True), ("timeout", None)))),
+    (
+        "parallel",
+        {"num_workers": 2},
+        (
+            "log-k-decomp-parallel",
+            (
+                ("backend", "process"),
+                ("hybrid", True),
+                ("label_pruning", True),
+                ("metric", "WeightedCount"),
+                ("num_workers", 2),
+                ("subedge_domination", True),
+                ("threshold", 400.0),
+                ("timeout", None),
+            ),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,options,cache_key",
+    _PINNED_IDENTITIES,
+    ids=[name + "".join(f"-{k}{v}" for k, v in opts.items()) for name, opts, _ in _PINNED_IDENTITIES],
+)
+def test_cache_and_configuration_keys_are_pinned(name, options, cache_key):
+    assert registry.build(name, **options).cache_key() == cache_key
+    assert registry.configuration_key(name, **options) == (
+        name,
+        tuple(sorted(options.items())),
+    )

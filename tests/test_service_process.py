@@ -129,6 +129,19 @@ def test_process_backend_rejects_object_valued_options(service, cycle10):
         service.submit(cycle10, 2, algorithm="hybrid", metric=EdgeCountMetric())
 
 
+def test_parallel_algorithm_needs_no_backend_option(service, cycle10):
+    # Service workers are daemonic and may not fork; the parallel decomposer
+    # notices that itself instead of failing the ticket with an AssertionError
+    # until the caller passes backend="thread".
+    ticket = service.submit(cycle10, 2, algorithm="parallel", num_workers=2, hybrid=False)
+    result = ticket.result(timeout=60)
+    assert result.success
+    validate_hd(result.decomposition)
+    refuted = service.submit(cycle10, 1, algorithm="parallel", num_workers=2).result(timeout=60)
+    assert refuted.success is False and not refuted.timed_out
+    assert refuted.statistics.subproblems_delegated == 2  # one delegated root per worker
+
+
 def test_health_reports_process_backend(service, cycle10):
     service.submit(cycle10, 2).result(timeout=60)
     stats = service.stats()

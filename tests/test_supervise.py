@@ -1,0 +1,174 @@
+"""The one supervised worker process: framing, liveness, respawn, hygiene."""
+
+from __future__ import annotations
+
+import gc
+import multiprocessing as mp
+import os
+import pickle
+import time
+
+import pytest
+
+from repro import faults
+from repro.core import ParallelLogKDecomposer
+from repro.faults.supervise import DEAD_STRIKES, WorkerProcess, poll, write_frame
+
+_FORK = mp.get_context("fork")
+
+
+def _frame(message) -> bytes:
+    data = pickle.dumps(message)
+    return len(data).to_bytes(4, "big") + data
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _worker(target, *args) -> WorkerProcess:
+    """A worker whose child calls ``target(result_wfd, attempt, *args)``."""
+    return WorkerProcess(
+        _FORK,
+        0,
+        lambda worker: {"target": target, "args": (worker.result_wfd, worker.attempt, *args)},
+    )
+
+
+def _report_attempt(fd, attempt):
+    write_frame(fd, ("attempt", attempt))
+
+
+def _exit_silently(fd, attempt):
+    pass
+
+
+def _sleep(fd, attempt):
+    time.sleep(60)
+
+
+def _wait_dead(worker):
+    deadline = time.monotonic() + 10
+    while worker.process.is_alive():
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+@pytest.fixture
+def idle():
+    """A never-started worker: the tests write to its pipe themselves."""
+    worker = WorkerProcess(_FORK, 0, spawn=None)
+    yield worker
+    worker.stop()
+
+
+# --------------------------------------------------------------------------- #
+# framing
+# --------------------------------------------------------------------------- #
+def test_two_frames_in_one_read_both_decode(idle):
+    write_frame(idle.result_wfd, "first")
+    write_frame(idle.result_wfd, {"second": 2})
+    assert poll([idle], 0) == [(idle, "first"), (idle, {"second": 2})]
+    assert poll([idle], 0) == []
+
+
+def test_frame_split_across_two_reads_decodes(idle):
+    data = _frame(list(range(50)))
+    for cut in (2, 4, len(data) - 1):  # inside the length prefix, at it, in the body
+        os.write(idle.result_wfd, data[:cut])
+        assert poll([idle], 0) == []
+        os.write(idle.result_wfd, data[cut:])
+        assert poll([idle], 0) == [(idle, list(range(50)))]
+    assert not idle.rbuf
+
+
+def test_truncated_trailing_frame_stays_buffered(idle):
+    # All a dying worker can leave behind: a whole frame, then half of one.
+    half = _frame("never finished")[:9]
+    os.write(idle.result_wfd, _frame("whole") + half)
+    assert poll([idle], 0) == [(idle, "whole")]
+    assert poll([idle], 0) == []
+    assert bytes(idle.rbuf) == half
+
+
+# --------------------------------------------------------------------------- #
+# liveness and respawn
+# --------------------------------------------------------------------------- #
+def test_crashed_needs_two_dead_sweeps_and_a_frame_resets_the_count():
+    assert DEAD_STRIKES == 2
+    worker = _worker(_report_attempt)
+    try:
+        worker.start()
+        _wait_dead(worker)
+        assert not worker.crashed()  # its frame may still be in the pipe
+        assert poll([worker], 0) == [(worker, ("attempt", 0))]
+        assert not worker.crashed()  # ... and it was: count starts over
+        assert worker.crashed()
+    finally:
+        worker.stop()
+
+
+def test_live_worker_is_never_crashed():
+    worker = _worker(_sleep)
+    try:
+        worker.start()
+        assert not any(worker.crashed() for _ in range(5))
+    finally:
+        worker.stop()
+    assert not worker.process.is_alive()
+
+
+def test_respawn_starts_the_next_attempt_on_a_fresh_pipe():
+    worker = _worker(_exit_silently)
+    try:
+        worker.start()
+        _wait_dead(worker)
+        first = worker.process
+        # The dead attempt's half-written frame must not desync its successor.
+        os.write(worker.result_wfd, _frame("torn")[:7])
+        assert poll([worker], 0) == []
+        old_pipe = os.fstat(worker.result_rfd).st_ino
+        worker.spawn = lambda w: {"target": _report_attempt, "args": (w.result_wfd, w.attempt)}
+        worker.respawn()
+        assert worker.attempt == 1 and worker.process is not first
+        assert os.fstat(worker.result_rfd).st_ino != old_pipe
+        assert not worker.rbuf and worker.strikes == 0
+        assert poll([worker], 10) == [(worker, ("attempt", 1))]
+    finally:
+        worker.stop()
+
+
+# --------------------------------------------------------------------------- #
+# hygiene: no process, no descriptor left behind
+# --------------------------------------------------------------------------- #
+def test_stop_leaves_no_child_and_no_descriptor():
+    before = _open_fds()
+    workers = [_worker(_sleep), _worker(_exit_silently)]
+    for worker in workers:
+        worker.start()
+    _wait_dead(workers[1])
+    workers[1].respawn()
+    for worker in workers:
+        worker.stop()
+    assert not mp.active_children()
+    # The pipes are closed by stop(); a Process object keeps its sentinel
+    # until it is released.
+    del workers, worker
+    gc.collect()
+    assert _open_fds() == before
+
+
+@pytest.mark.parametrize("kill_every_attempt", [False, True], ids=["first-success", "budget-exhausted"])
+def test_parallel_decomposer_leaves_no_child_and_no_descriptor(cycle10, kill_every_attempt):
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
+    before = _open_fds()
+    if kill_every_attempt:
+        with faults.injected(faults.FaultRule(point="parallel.worker", kill=True)):
+            result = decomposer.decompose_raw(cycle10, 2)
+        assert result.timed_out and not result.success
+    else:
+        result = decomposer.decompose_raw(cycle10, 2)
+        assert result.success
+    assert not mp.active_children()
+    gc.collect()
+    assert _open_fds() == before
