@@ -10,11 +10,8 @@ negative instance:
 * ``require_balanced`` — the balanced-separator filter itself (also removes
   the logarithmic depth guarantee).
 
-Two search-kernel switches ride along (PR 3):
+One search-kernel switch rides along (PR 3):
 
-* ``label_pruning`` — the branch-and-bound label enumerator vs. the
-  reference ``itertools.combinations`` implementation (identical label
-  sequence, different amount of work),
 * ``subedge_domination`` — dropping pool edges whose component-restricted
   vertex sets are contained in another pool edge's (shrinks the label space).
 """
@@ -40,7 +37,6 @@ VARIANTS = {
     "no parent-overlap pruning": {"parent_overlap_pruning": False},
     "no balancedness requirement": {"require_balanced": False},
     "no subedge domination": {"subedge_domination": False},
-    "no label pruning (reference enum)": {"label_pruning": False},
 }
 
 INSTANCES = [

@@ -6,7 +6,8 @@ The fault points instrumenting the stack (``catalog.*``, ``engine.decompose``,
 free for all practical purposes.  Three measurements establish that:
 
 * **noop fire** — the per-call cost of a disabled ``faults.fire`` with
-  representative context kwargs (one module-global read plus the call frame);
+  representative context kwargs (one module-global read plus the call frame;
+  the perf ledger tracks the same number as ``faults.fire_ns``);
 * **warm workload** — a warm mixed workload (cached decompositions over a
   durable catalog + plan-cached query execution) timed as the serving hot
   path the points sit on;
@@ -14,11 +15,11 @@ free for all practical purposes.  Three measurements establish that:
   whose single rule matches no real point, so every ``fire`` is tallied but
   nothing is injected.
 
-The summary test asserts the acceptance bar analytically — fault-point
-traffic x measured per-call disabled cost must stay under 2% of the warm
-pass — which is robust to CI noise in a way a direct A/B of two sub-ms
-passes is not (there is no fire-free build to diff against anyway).  The
-pytest-benchmark pair feeds the CI smoke artifact (``BENCH_faults.json``).
+The test asserts the acceptance bar analytically — fault-point traffic x
+measured per-call disabled cost must stay under 2% of the warm pass — which
+is robust to CI noise in a way a direct A/B of two sub-ms passes is not
+(there is no fire-free build to diff against anyway).  No ledger workload
+states this bound, and ROADMAP item 1 models its span-overhead bar on it.
 """
 
 from __future__ import annotations
@@ -79,26 +80,6 @@ def _noop_fire_loop(calls=NOOP_CALLS):
     fire = faults.fire
     for index in range(calls):
         fire("bench.noop", slot=index, attempt=0)
-
-
-# --------------------------------------------------------------------------- #
-# pytest-benchmark pair (feeds BENCH_faults.json)
-# --------------------------------------------------------------------------- #
-def test_disabled_fire_noop(benchmark):
-    """Per-call cost of a disabled fault point (no injector installed)."""
-    assert faults.installed() is None
-    benchmark(_noop_fire_loop)
-
-
-def test_warm_workload_with_disabled_points(benchmark, tmp_path):
-    """The warm serving pass the fault points instrument, injection disabled."""
-    engine, query_engine = _engines(tmp_path / "bench-faults.db")
-    queries = _query_workload()
-    _warm_pass(engine, query_engine, queries)  # warm caches, plans, stores
-    try:
-        benchmark(_warm_pass, engine, query_engine, queries)
-    finally:
-        engine.catalog.close()
 
 
 # --------------------------------------------------------------------------- #

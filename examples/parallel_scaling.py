@@ -5,9 +5,8 @@ Run with ``python examples/parallel_scaling.py``.
 The example decomposes a batch of larger instances with 1, 2 and 4 worker
 processes and reports the wall-clock times.  The parallel backend partitions
 the top-level balanced-separator search space across workers exactly as the
-paper's implementation distributes it across cores (Appendix D.1).  It also
-runs the thread backend once to demonstrate why processes are used: the GIL
-prevents CPU-bound threads from scaling.
+paper's implementation distributes it across cores (Appendix D.1).  Workers
+are processes: under the GIL CPU-bound threads would not scale.
 """
 
 from __future__ import annotations
@@ -34,12 +33,10 @@ def instances():
     ]
 
 
-def run(backend: str, workers: int) -> float:
+def run(workers: int) -> float:
     total = 0.0
     for _, hypergraph, k in instances():
-        decomposer = ParallelLogKDecomposer(
-            num_workers=workers, backend=backend, hybrid=False, timeout=120
-        )
+        decomposer = ParallelLogKDecomposer(num_workers=workers, hybrid=False, timeout=120)
         start = time.perf_counter()
         decomposer.decompose(hypergraph, k)
         total += time.perf_counter() - start
@@ -54,18 +51,9 @@ def main() -> None:
 
     baseline = None
     for workers in (1, 2, 4):
-        elapsed = run("process", workers)
+        elapsed = run(workers)
         baseline = baseline or elapsed
-        print(
-            f"process backend, {workers} worker(s): {elapsed:6.2f} s "
-            f"(speedup {baseline / elapsed:4.2f}x)"
-        )
-
-    threaded = run("thread", 4)
-    print(
-        f"thread  backend, 4 worker(s): {threaded:6.2f} s "
-        f"(speedup {baseline / threaded:4.2f}x — limited by the GIL, as documented)"
-    )
+        print(f"{workers} worker process(es): {elapsed:6.2f} s (speedup {baseline / elapsed:4.2f}x)")
 
 
 if __name__ == "__main__":

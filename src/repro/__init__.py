@@ -85,7 +85,6 @@ from .pipeline import (
     simplify,
 )
 from .core import (
-    ALGORITHMS,
     BalancedGHDDecomposer,
     Decomposer,
     DecompositionResult,
@@ -165,7 +164,6 @@ __all__ = [
     "validate_hd",
     "validate_ghd",
     # algorithms
-    "ALGORITHMS",
     "Decomposer",
     "DecompositionResult",
     "LogKDecomposer",

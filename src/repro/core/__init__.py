@@ -16,7 +16,6 @@ from .logk_basic import LogKBasicDecomposer, LogKBasicSearch
 from .optimal import OptimalHDSolver, OptimalResult, exact_ghw, minimum_edge_cover_size
 from .parallel import ParallelLogKDecomposer
 from .width import (
-    ALGORITHMS,
     decompose,
     hypertree_width,
     is_width_at_most,
@@ -48,7 +47,6 @@ __all__ = [
     "exact_ghw",
     "minimum_edge_cover_size",
     "ParallelLogKDecomposer",
-    "ALGORITHMS",
     "decompose",
     "hypertree_width",
     "is_width_at_most",

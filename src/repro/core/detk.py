@@ -39,14 +39,12 @@ class DetKSearch:
         self,
         context: SearchContext,
         use_cache: bool = True,
-        label_pruning: bool = True,
         subedge_domination: bool = True,
         root_partition: Iterable[int] | None = None,
     ) -> None:
         self.context = context
         self.use_cache = use_cache
-        self.label_pruning = label_pruning
-        self.subedge_domination = subedge_domination and label_pruning
+        self.subedge_domination = subedge_domination
         # As in LogKSearch: the depth-1 label loop only tries labels whose
         # smallest edge lies in the partition (the parallel backend's share).
         self.root_partition = frozenset(root_partition) if root_partition is not None else None
@@ -124,7 +122,6 @@ class DetKSearch:
             require_from=comp.edges,
             cover=conn,
             component_vertices=comp_vertices if self.subedge_domination else None,
-            pruning=self.label_pruning,
         )
         if depth == 1 and self.root_partition is not None:
             labels = context.enumerator.labels_for_partition(
@@ -167,13 +164,11 @@ class DetKDecomposer(Decomposer):
         self,
         timeout: float | None = None,
         use_cache: bool = True,
-        label_pruning: bool = True,
         subedge_domination: bool = True,
         **engine_options,
     ) -> None:
         super().__init__(timeout=timeout, **engine_options)
         self.use_cache = use_cache
-        self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination
 
     def search(
@@ -182,7 +177,6 @@ class DetKDecomposer(Decomposer):
         search = DetKSearch(
             context,
             use_cache=self.use_cache,
-            label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
             root_partition=root_partition,
         )

@@ -121,7 +121,6 @@ class HybridDecomposer(Decomposer):
         threshold: float = 400.0,
         negative_base_case: bool = True,
         parent_overlap_pruning: bool = True,
-        label_pruning: bool = True,
         subedge_domination: bool = True,
         **engine_options,
     ) -> None:
@@ -130,7 +129,6 @@ class HybridDecomposer(Decomposer):
         self.threshold = threshold
         self.negative_base_case = negative_base_case
         self.parent_overlap_pruning = parent_overlap_pruning
-        self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination
 
     def search(
@@ -141,7 +139,6 @@ class HybridDecomposer(Decomposer):
         # the whole instance below the threshold and the root is delegated.
         detk = DetKSearch(
             context,
-            label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
             root_partition=root_partition,
         )
@@ -158,7 +155,6 @@ class HybridDecomposer(Decomposer):
             context,
             negative_base_case=self.negative_base_case,
             parent_overlap_pruning=self.parent_overlap_pruning,
-            label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
             leaf_delegate=delegate,
             delegate_predicate=should_delegate,

@@ -66,7 +66,6 @@ class LogKSearch:
         parent_overlap_pruning: bool = True,
         require_balanced: bool = True,
         use_cache: bool = True,
-        label_pruning: bool = True,
         subedge_domination: bool = True,
         leaf_delegate: LeafDelegate | None = None,
         delegate_predicate: DelegatePredicate | None = None,
@@ -77,12 +76,10 @@ class LogKSearch:
         self.parent_overlap_pruning = parent_overlap_pruning
         self.require_balanced = require_balanced
         self.use_cache = use_cache
-        # Search-kernel switches (same ablation spirit as the flags above):
-        # label_pruning selects the branch-and-bound enumerator vs. the
-        # reference implementation; subedge_domination drops pool edges whose
-        # component-restricted vertex set is contained in another pool edge's.
-        self.label_pruning = label_pruning
-        self.subedge_domination = subedge_domination and label_pruning
+        # Search-kernel switch (same ablation spirit as the flags above):
+        # subedge_domination drops pool edges whose component-restricted
+        # vertex set is contained in another pool edge's.
+        self.subedge_domination = subedge_domination
         self.leaf_delegate = leaf_delegate
         self.delegate_predicate = delegate_predicate
         self.root_partition = frozenset(root_partition) if root_partition is not None else None
@@ -237,13 +234,11 @@ class LogKSearch:
                 self.root_partition,
                 require_from=comp.edges,
                 component_vertices=domination,
-                pruning=self.label_pruning,
             )
         return enumerator.labels(
             allowed=allowed_pool,
             require_from=comp.edges,
             component_vertices=domination,
-            pruning=self.label_pruning,
         )
 
     def _try_root(
@@ -297,7 +292,6 @@ class LogKSearch:
             overlap_with=overlap,
             component_vertices=comp_vertices if self.subedge_domination else None,
             strict_domination=False,
-            pruning=self.label_pruning,
         ):
             context.stats.labels_tried += 1
             context.check_timeout()
@@ -354,7 +348,6 @@ class LogKDecomposer(Decomposer):
         negative_base_case: bool = True,
         parent_overlap_pruning: bool = True,
         require_balanced: bool = True,
-        label_pruning: bool = True,
         subedge_domination: bool = True,
         **engine_options,
     ) -> None:
@@ -362,7 +355,6 @@ class LogKDecomposer(Decomposer):
         self.negative_base_case = negative_base_case
         self.parent_overlap_pruning = parent_overlap_pruning
         self.require_balanced = require_balanced
-        self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination
 
     def search(
@@ -373,7 +365,6 @@ class LogKDecomposer(Decomposer):
             negative_base_case=self.negative_base_case,
             parent_overlap_pruning=self.parent_overlap_pruning,
             require_balanced=self.require_balanced,
-            label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
             root_partition=root_partition,
         )

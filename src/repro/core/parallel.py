@@ -19,13 +19,13 @@ reproduces that strategy:
 * The search itself is not this module's: every worker runs the sequential
   decomposer's own :meth:`~repro.core.base.Decomposer.search` on its
   partition (the hybrid, or plain log-k-decomp with ``hybrid=False``).
-* Two backends are provided.  The ``process`` backend forks one supervised
-  :class:`~repro.faults.supervise.WorkerProcess` per partition and delivers
-  real speedups (each worker is a separate interpreter); the ``thread``
-  backend exists for API parity and to measure — see "Parallel search" in
-  ``docs/architecture.md`` — that CPython's GIL prevents thread-level
-  scaling for this CPU-bound search.  It is also what runs inside a daemonic
-  process (a serving-layer worker), which may not fork children of its own.
+* The coordinator forks one supervised
+  :class:`~repro.faults.supervise.WorkerProcess` per partition (each worker
+  is a separate interpreter).  A caller that may not fork — a daemonic
+  process, i.e. a serving-layer worker — runs the sequential search instead:
+  under CPython's GIL a thread per partition only adds the partitioning's
+  duplicated work to the same one core (see "Parallel search" in
+  ``docs/architecture.md``).
 
 The Go implementation evaluated in the paper parallelises every recursion
 level; partitioning only the top level is a simplification that preserves the
@@ -39,7 +39,6 @@ import logging
 import multiprocessing as mp
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 from .. import faults
 from ..decomp.extended import FragmentNode
@@ -51,28 +50,9 @@ from .fragments import fragment_to_decomposition
 from .hybrid import HybridDecomposer, SwitchMetric
 from .logk import LogKDecomposer
 
-__all__ = ["EitherEvent", "ParallelLogKDecomposer"]
+__all__ = ["ParallelLogKDecomposer"]
 
 logger = logging.getLogger("repro.parallel")
-
-
-class _EitherEvent:
-    """Read-only OR view over two events (only ``is_set`` is consulted)."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second) -> None:
-        self.first = first
-        self.second = second
-
-    def is_set(self) -> bool:
-        return self.first.is_set() or self.second.is_set()
-
-
-#: Public alias: the serving layer's process backend composes its worker-side
-#: cancel signals (pool stop | shutdown abort | per-request cancel ring) out
-#: of the same OR view the thread backend uses here.
-EitherEvent = _EitherEvent
 
 
 def _worker_main(result_fd, slot, attempt, fault_spec, *args) -> None:
@@ -102,19 +82,13 @@ def _worker_search(
     k: int,
     partition: list[int],
     timeout: float | None,
-    cancel_event: threading.Event | None = None,
 ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
     """One worker: ``base``'s own search, restricted to ``partition``.
 
-    ``cancel_event`` is only used by the thread backend: once some worker has
-    succeeded, the coordinator sets the event and the remaining workers abort
-    at their next periodic deadline check instead of burning CPU to the end
-    of their partitions (``Future.cancel`` cannot stop an already-running
-    worker).  Process workers are terminated instead.
-
-    Returns ``(timed_out, success, fragment, statistics)``.
+    Returns ``(timed_out, success, fragment, statistics)``.  A worker whose
+    answer is no longer needed is terminated by the coordinator.
     """
-    context = SearchContext(hypergraph, k, timeout=timeout, cancel_event=cancel_event)
+    context = SearchContext(hypergraph, k, timeout=timeout)
     try:
         fragment = base.search(context, partition)
     except TimeoutExceeded:
@@ -136,25 +110,19 @@ class ParallelLogKDecomposer(Decomposer):
         self,
         timeout: float | None = None,
         num_workers: int = 1,
-        backend: str = "process",
         hybrid: bool = True,
         metric: SwitchMetric | str = "WeightedCount",
         threshold: float = 400.0,
-        label_pruning: bool = True,
         subedge_domination: bool = True,
         **engine_options,
     ) -> None:
         super().__init__(timeout=timeout, **engine_options)
         if num_workers < 1:
             raise SolverError("num_workers must be >= 1")
-        if backend not in {"process", "thread"}:
-            raise SolverError(f"unknown parallel backend {backend!r}")
         self.num_workers = num_workers
-        self.backend = backend
         self.hybrid = hybrid
         self.metric = metric
         self.threshold = threshold
-        self.label_pruning = label_pruning
         self.subedge_domination = subedge_domination
 
     # ------------------------------------------------------------------ #
@@ -167,7 +135,8 @@ class ParallelLogKDecomposer(Decomposer):
         timeout: float | None = None,
         cancel_event=None,
     ) -> DecompositionResult:
-        if self.num_workers <= 1:
+        # A daemonic process (a serving-layer worker) may not have children.
+        if self.num_workers <= 1 or mp.current_process().daemon:
             return self._sequential().decompose_raw(
                 hypergraph, k, timeout=timeout, cancel_event=cancel_event
             )
@@ -177,14 +146,10 @@ class ParallelLogKDecomposer(Decomposer):
             list(range(slot, num_edges, self.num_workers))
             for slot in range(min(self.num_workers, num_edges))
         ]
-        # A daemonic process (a serving-layer worker) may not have children.
-        forks = self.backend == "process" and not mp.current_process().daemon
-        runner = self._run_processes if forks else self._run_threads
-        # Built once here: forked workers inherit the table and thread
-        # workers only read it.
+        # Built once here: forked workers inherit the table.
         hypergraph.incidence_masks()
         effective_timeout = self.timeout if timeout is None else timeout
-        timed_out, success, fragment, stats = runner(
+        timed_out, success, fragment, stats = self._run_processes(
             hypergraph, k, partitions, effective_timeout, cancel_event
         )
         elapsed = time.monotonic() - start
@@ -203,7 +168,7 @@ class ParallelLogKDecomposer(Decomposer):
         )
 
     # ------------------------------------------------------------------ #
-    # backends
+    # the search the workers run, and their supervision
     # ------------------------------------------------------------------ #
     def _sequential(self) -> Decomposer:
         # use_engine=False: when the engine is on, it already ran the
@@ -214,13 +179,11 @@ class ParallelLogKDecomposer(Decomposer):
                 timeout=self.timeout,
                 metric=self.metric,
                 threshold=self.threshold,
-                label_pruning=self.label_pruning,
                 subedge_domination=self.subedge_domination,
                 use_engine=False,
             )
         return LogKDecomposer(
             timeout=self.timeout,
-            label_pruning=self.label_pruning,
             subedge_domination=self.subedge_domination,
             use_engine=False,
         )
@@ -306,58 +269,4 @@ class ParallelLogKDecomposer(Decomposer):
         finally:
             for worker in workers:
                 worker.stop()
-        return timed_out, False, None, stats
-
-    def _run_threads(
-        self,
-        hypergraph: Hypergraph,
-        k: int,
-        partitions: list[list[int]],
-        timeout: float | None,
-        cancel_event: threading.Event | None = None,
-    ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
-        stats = SearchStatistics()
-        timed_out = False
-        cancel = threading.Event()
-        # Workers poll one object; _EitherEvent folds the caller's external
-        # cancellation into the coordinator's own first-success signal
-        # without aliasing the two (setting the internal event on success
-        # must not look like a caller cancel to anyone else).
-        worker_cancel = (
-            cancel if cancel_event is None else _EitherEvent(cancel, cancel_event)
-        )
-        base = self._sequential()
-        with ThreadPoolExecutor(max_workers=len(partitions)) as executor:
-            futures = {
-                executor.submit(
-                    _worker_search,
-                    base,
-                    hypergraph,
-                    k,
-                    part,
-                    timeout,
-                    cancel_event=worker_cancel,
-                )
-                for part in partitions
-            }
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                if cancel_event is not None and cancel_event.is_set():
-                    for other in futures:
-                        other.cancel()
-                    return True, False, None, stats
-                for future in done:
-                    worker_timeout, success, fragment, worker_stats = future.result()
-                    stats.merge(worker_stats)
-                    timed_out = timed_out or worker_timeout
-                    if success:
-                        # Future.cancel only helps workers still queued; the
-                        # shared event makes already-running workers abort at
-                        # their next deadline check, so the executor shutdown
-                        # below does not wait for them to finish their
-                        # partitions.
-                        cancel.set()
-                        for other in futures:
-                            other.cancel()
-                        return False, True, fragment, stats
         return timed_out, False, None, stats

@@ -16,31 +16,13 @@ from ..hypergraph import Hypergraph
 from ..hypergraph.properties import is_alpha_acyclic
 from ..pipeline.registry import registry as _registry
 from .base import Decomposer, DecompositionResult
-from .detk import DetKDecomposer
-from .ghd import BalancedGHDDecomposer
-from .hybrid import HybridDecomposer
-from .logk import LogKDecomposer
-from .logk_basic import LogKBasicDecomposer
-from .parallel import ParallelLogKDecomposer
 
 __all__ = [
-    "ALGORITHMS",
     "make_decomposer",
     "decompose",
     "is_width_at_most",
     "hypertree_width",
 ]
-
-#: Backwards-compatible class table; :mod:`repro.pipeline.registry` is the
-#: authoritative catalogue and accepts these names (plus aliases).
-ALGORITHMS = {
-    "logk": LogKDecomposer,
-    "logk-basic": LogKBasicDecomposer,
-    "detk": DetKDecomposer,
-    "hybrid": HybridDecomposer,
-    "parallel": ParallelLogKDecomposer,
-    "ghd": BalancedGHDDecomposer,
-}
 
 
 def make_decomposer(algorithm: str = "hybrid", **options) -> Decomposer:

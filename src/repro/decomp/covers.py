@@ -34,9 +34,9 @@ over :func:`itertools.combinations`:
   close the uncovered gap, no descendant label can, and because suffixes only
   shrink to the right the entire remaining sibling range is cut;
 * both prunes remove only branches that contain no emitted label, so the
-  output sequence is byte-identical to the reference implementation
-  (:meth:`CoverEnumerator.labels_reference`, the pre-branch-and-bound code,
-  kept for the ablation benchmarks and the differential tests).
+  output sequence is byte-identical to the ``itertools.combinations`` filter
+  it replaced (``tests/oracles/labels.py``, which the differential tests hold
+  it against).
 
 Width-safe subedge domination
 -----------------------------
@@ -79,7 +79,6 @@ is never dominated by a non-``require_from`` edge.
 
 from __future__ import annotations
 
-from itertools import combinations
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..hypergraph import Hypergraph
@@ -155,13 +154,6 @@ class CoverEnumerator:
 
     Attributes
     ----------
-    pruning:
-        Ablation switch.  ``True`` (default) runs the branch-and-bound
-        enumerator; ``False`` routes every query through the reference
-        implementation (and disables subedge domination), reproducing the
-        pre-optimisation behaviour for the prune/no-prune benchmarks.  The
-        searches pass their own flag per call (the ``pruning`` parameter of
-        :meth:`labels`) rather than mutating this shared default.
     stats:
         Optional :class:`~repro.core.base.SearchStatistics`; when set (the
         :class:`~repro.core.base.SearchContext` wires it up) the enumerator
@@ -173,7 +165,6 @@ class CoverEnumerator:
             raise ValueError("width parameter k must be >= 1")
         self.host = host
         self.k = k
-        self.pruning = True
         self.stats = None
         self._domination_memo: BoundedLRU = BoundedLRU(DOMINATION_MEMO_SIZE)
 
@@ -189,7 +180,6 @@ class CoverEnumerator:
         max_size: int | None = None,
         component_vertices: int | None = None,
         strict_domination: bool = True,
-        pruning: bool | None = None,
     ) -> Iterator[tuple[int, ...]]:
         """Yield candidate labels as sorted tuples of edge indices.
 
@@ -214,26 +204,12 @@ class CoverEnumerator:
         component_vertices:
             If given (the component's vertex bitmask), enables width-safe
             subedge domination over the pool (see the module docstring).
-            Ignored when pruning is off.
         strict_domination:
             ``True`` applies full-containment domination; ``False`` only the
             outcome-preserving equal-restriction collapse (the parent-label
             loop of log-k-decomp requires the weaker mode, see the module
             docstring).  Irrelevant without ``component_vertices``.
-        pruning:
-            Per-call override of :attr:`pruning` (``None`` = use the
-            attribute); the searches pass their ``label_pruning`` flag here
-            so that two searches sharing one enumerator never fight over
-            ambient state.
         """
-        if not (self.pruning if pruning is None else pruning):
-            return self.labels_reference(
-                allowed=allowed,
-                require_from=require_from,
-                overlap_with=overlap_with,
-                cover=cover,
-                max_size=max_size,
-            )
         return self._branch_and_bound(
             allowed, require_from, overlap_with, cover, max_size,
             component_vertices, strict_domination, None,
@@ -256,53 +232,6 @@ class CoverEnumerator:
             component_vertices=component_vertices,
         ):
             yield label, label_union(self.host, label)
-
-    def labels_reference(
-        self,
-        allowed: Iterable[int] | int | None = None,
-        require_from: Iterable[int] | int | None = None,
-        overlap_with: int | None = None,
-        cover: int | None = None,
-        max_size: int | None = None,
-    ) -> Iterator[tuple[int, ...]]:
-        """The pre-branch-and-bound enumerator, kept verbatim.
-
-        Serves as the ground truth for the differential tests (the optimised
-        :meth:`labels` must yield the byte-identical sequence) and as the
-        "no pruning" arm of the ablation benchmarks.  Only the argument
-        normalisation is shared with the optimised path; the combinations
-        filter itself is untouched.
-        """
-        host = self.host
-        limit = self.k if max_size is None else min(max_size, self.k)
-        pool = _pool_of(host, allowed)
-        if overlap_with is not None:
-            pool = [i for i in pool if host.edge_bits(i) & overlap_with]
-        if not pool:
-            return
-        require = _require_mask_of(require_from)
-        if require is not None and not (require & from_indices(pool)):
-            return
-        pool_bits = [host.edge_bits(i) for i in pool]
-        full_union = 0
-        for bits in pool_bits:
-            full_union |= bits
-        if cover is not None and cover & ~full_union:
-            return
-        for size in range(1, limit + 1):
-            for combo_positions in combinations(range(len(pool)), size):
-                label = tuple(pool[p] for p in combo_positions)
-                if require is not None and not any(
-                    (require >> e) & 1 for e in label
-                ):
-                    continue
-                if cover is not None:
-                    union = 0
-                    for p in combo_positions:
-                        union |= pool_bits[p]
-                    if cover & ~union:
-                        continue
-                yield label
 
     # ------------------------------------------------------------------ #
     # branch-and-bound core
@@ -550,7 +479,6 @@ class CoverEnumerator:
         require_from: Iterable[int] | int | None = None,
         cover: int | None = None,
         component_vertices: int | None = None,
-        pruning: bool | None = None,
     ) -> Iterator[tuple[int, ...]]:
         """Yield only the labels whose minimum edge index lies in ``first_edges``.
 
@@ -563,14 +491,6 @@ class CoverEnumerator:
         partition the (dominated) label space.  ``cover`` is det-k-decomp's
         Conn-covering requirement, as in :meth:`labels`.
         """
-        firsts = set(first_edges)
-        if not (self.pruning if pruning is None else pruning):
-            for label in self.labels_reference(
-                allowed=allowed, require_from=require_from, cover=cover
-            ):
-                if label[0] in firsts:
-                    yield label
-            return
-        yield from self._branch_and_bound(
-            allowed, require_from, None, cover, None, component_vertices, True, firsts
+        return self._branch_and_bound(
+            allowed, require_from, None, cover, None, component_vertices, True, set(first_edges)
         )

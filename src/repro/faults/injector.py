@@ -5,8 +5,9 @@ service worker pool, the process parallel backend — are instrumented with
 *fault points*: named call sites that invoke :func:`fire`.  With no injector
 installed (the production default) a fault point is one module-global read
 and an immediate return; nothing is allocated, no lock is taken, and the
-measured per-call cost is tens of nanoseconds (``benchmarks/bench_faults.py``
-asserts the end-to-end overhead bound).
+per-call cost is tens of nanoseconds (the perf ledger's ``faults.fire_ns``
+row; ``benchmarks/bench_faults.py`` asserts that a warm pass's fault-point
+traffic times that cost stays under 2 % of the pass).
 
 An installed :class:`FaultInjector` matches each fired point against its
 :class:`FaultRule` list and can

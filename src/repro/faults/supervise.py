@@ -60,6 +60,7 @@ class WorkerProcess:
         self.index = index
         self.spawn = spawn
         self.process = None
+        self.pid: int | None = None
         self.attempt = 0
         self._open_pipe()
 
@@ -80,6 +81,11 @@ class WorkerProcess:
         # Daemonic, so a crashed parent never leaks workers.
         self.process = self.context.Process(daemon=True, **self.spawn(self))
         self.process.start()
+        self.pid = self.process.pid
+
+    def alive(self) -> bool:
+        """Whether the current attempt is running (False once stopped)."""
+        return self.process is not None and self.process.is_alive()
 
     def crashed(self) -> bool:
         """One liveness sweep; True once the worker is dead beyond doubt."""
@@ -90,19 +96,28 @@ class WorkerProcess:
         return self.strikes >= DEAD_STRIKES
 
     def respawn(self) -> None:
-        """Start the next attempt on a fresh pipe (the old one is closed)."""
+        """Start the next attempt on a fresh pipe; the dead one's pipe and
+        ``Process`` (its sentinel descriptor) are closed."""
+        self.process.close()
         self._close_pipe()
         self._open_pipe()
         self.attempt += 1
         self.start()
 
     def stop(self, grace: float = 0.0) -> None:
-        """Give the worker ``grace`` seconds to exit, terminate it, close the pipe."""
+        """Give the worker ``grace`` seconds to exit, terminate it, close the
+        pipe and the ``Process`` (its sentinel descriptor); ``pid`` stays."""
         if self.process is not None:
             self.process.join(grace)
             if self.process.is_alive():
                 self.process.terminate()
                 self.process.join(1.0)
+            if self.process.is_alive():
+                # SIGTERM blocked or not yet delivered: close() needs it reaped.
+                self.process.kill()
+                self.process.join()
+            self.process.close()
+            self.process = None
         self._close_pipe()
 
 

@@ -1,11 +1,10 @@
 """SQL pushdown execution of compiled query plans.
 
 The third executor arm: a :class:`~repro.query.plan.QueryPlan` — already an
-explicit operator program — compiles to a SQL program executed on SQLite
-(DuckDB is recognised but optional; see :data:`HAS_DUCKDB`).  The planner and
-decomposition layers stay untouched; only the operator interpretation moves
-into the database engine, which is what lets databases far larger than
-memory be answered with Yannakakis-over-SQL:
+explicit operator program — compiles to a SQL program executed on SQLite.
+The planner and decomposition layers stay untouched; only the operator
+interpretation moves into the database engine, which is what lets databases
+far larger than memory be answered with Yannakakis-over-SQL:
 
 1. every atom becomes an indexed ``CREATE TEMP TABLE`` over its base table,
    projecting onto the atom's distinct variables and enforcing
@@ -81,18 +80,7 @@ from .database import Database
 from .plan import AnswerMode, JoinOp, ProjectOp, QueryPlan
 from .relation import Relation
 
-try:  # Optional second dialect; CI images ship without it.
-    import duckdb as _duckdb  # noqa: F401
-except ImportError:  # pragma: no cover - exercised on duckdb-less installs
-    _duckdb = None
-
-#: Whether the optional DuckDB dialect is importable.  The SQLite program is
-#: valid DuckDB SQL except for minor pragma differences; generation is kept
-#: dialect-free so a DuckDB runner only needs a different connection factory.
-HAS_DUCKDB = _duckdb is not None
-
 __all__ = [
-    "HAS_DUCKDB",
     "SQLProgram",
     "SQLDatabase",
     "SQLStore",

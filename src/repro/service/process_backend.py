@@ -14,15 +14,17 @@ warm :class:`~repro.pipeline.engine.DecompositionEngine` /
   exactly-once in-flight dedup, so coalescing semantics are unchanged.
 * **Batch admission** — a dispatcher thread drains the service's priority
   queue in small batches per dispatch, amortising one IPC round trip over
-  several requests while preserving priority order (the queue itself is
-  the priority structure; the batch is whatever is ready right now).
+  several requests.  Priority order holds among what is still in that queue
+  (the batch is whatever is ready right now); the dispatcher does not wait
+  for a slot to be idle, so a request already in a slot's FIFO queue is not
+  overtaken by a more urgent one submitted later.
 * **Shipped-once payloads** — hypergraphs and databases cross the
   boundary through :mod:`repro.core.codec` exactly once per worker slot
   (tracked per slot in ``shipped_*`` sets); requests reference them by
   canonical hash / token, so a fat instance is not re-pickled per request.
 * **Cancellation side-channel** — each slot owns a small shared ring of
   request sequence numbers; the worker folds it (via
-  :class:`~repro.core.parallel.EitherEvent`) with the pool-wide stop and
+  :class:`EitherEvent`) with the pool-wide stop and
   abort events into the per-request cancel signal that the decomposition
   search and the columnar executor poll.  ``ServiceTicket.cancel()`` on a
   running request therefore aborts it promptly in this backend too.
@@ -53,7 +55,6 @@ from itertools import count
 from .. import faults
 from ..catalog import CatalogStats
 from ..core import codec
-from ..core.parallel import EitherEvent
 from ..exceptions import ParseError, ServiceError
 from ..faults.supervise import WorkerProcess, poll, write_frame
 from ..pipeline.engine import DecompositionEngine
@@ -63,8 +64,8 @@ from ..query.workload import QueryAnswer, QueryEngine
 
 __all__ = ["ProcessBackend"]
 
-#: Maximum tasks drained per dispatch; small enough that priority inversion
-#: within a batch is bounded, large enough to amortise the IPC round trip.
+#: Maximum tasks drained per dispatch: large enough to amortise the IPC
+#: round trip.
 _BATCH_LIMIT = 4
 #: Entries in the per-slot cancel ring.  Cancels are rare; the ring only
 #: needs to cover the requests concurrently visible to one worker.
@@ -106,6 +107,19 @@ class _Request:
         self.graph_payload = graph_payload
         self.db_token = db_token
         self.db_payload = db_payload
+
+
+class EitherEvent:
+    """Read-only OR view over two events (only ``is_set`` is consulted)."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second) -> None:
+        self.first = first
+        self.second = second
+
+    def is_set(self) -> bool:
+        return self.first.is_set() or self.second.is_set()
 
 
 class _RingCancel:
@@ -331,7 +345,7 @@ class _Slot(WorkerProcess):
 class ProcessBackend:
     """The process pool, its dispatcher/collector threads, and supervision."""
 
-    def __init__(self, service, num_workers: int, batch_limit: int = _BATCH_LIMIT) -> None:
+    def __init__(self, service, num_workers: int) -> None:
         for option, value in service.algorithm_options.items():
             if not isinstance(value, codec._SCALAR_TYPES):
                 raise ServiceError(
@@ -341,7 +355,6 @@ class ProcessBackend:
                 )
         self._service = service
         self.num_workers = num_workers
-        self.batch_limit = batch_limit
         catalog = getattr(service.engine, "catalog", None)
         self._config = {
             "algorithm": service.algorithm,
@@ -497,7 +510,7 @@ class ProcessBackend:
                 # the limit) rides the same IPC round trip.  The shutdown
                 # sentinel sorts behind every real priority, so draining it
                 # here means the queue was already empty of work.
-                while len(batch) < self.batch_limit:
+                while len(batch) < _BATCH_LIMIT:
                     try:
                         _p, _s, extra = service._queue.get_nowait()
                     except pyqueue.Empty:
@@ -706,7 +719,7 @@ class ProcessBackend:
     # ------------------------------------------------------------------ #
     def alive_workers(self) -> int:
         with self._lock:
-            return sum(1 for slot in self._slots if slot.process.is_alive())
+            return sum(1 for slot in self._slots if slot.alive())
 
     def snapshot(self) -> dict:
         """JSON-friendly per-slot view (feeds ``stats().health``)."""
@@ -715,8 +728,8 @@ class ProcessBackend:
                 "workers": [
                     {
                         "slot": slot.index,
-                        "pid": slot.process.pid,
-                        "alive": slot.process.is_alive(),
+                        "pid": slot.pid,
+                        "alive": slot.alive(),
                         "attempt": slot.attempt,
                         "dispatched": slot.dispatched,
                         "completed": slot.completed,
@@ -725,7 +738,6 @@ class ProcessBackend:
                     for slot in self._slots
                 ],
                 "respawns": self.respawns,
-                "batch_limit": self.batch_limit,
                 "outstanding": len(self._outstanding),
             }
 
@@ -754,7 +766,7 @@ class ProcessBackend:
         with self._lock:
             probes: dict[str, None] = {}
             for slot in self._slots:
-                if self._workers_stopped or not slot.process.is_alive():
+                if self._workers_stopped or not slot.alive():
                     continue
                 probe_id = f"probe-{next(self._seq)}"
                 self._probe_results[probe_id] = None

@@ -19,13 +19,15 @@ single-caller library into something that can sit behind traffic:
 * **Batched priority scheduling** — requests drain through a bounded worker
   pool from a priority queue; interactive answers (boolean / count queries)
   are served ahead of full enumeration, with FIFO order within a priority
-  class.
+  class.  That holds for the thread backend.  The process backend's
+  dispatcher moves queued requests into the workers' FIFO queues as fast as
+  it can, so there priorities order only what is still parent-side.
 
 Per-request timeouts ride on the engine's deadline machinery, and
-cancellation reuses the cancellation-event plumbing of
-:mod:`repro.core.parallel`: cancelling the last ticket of a task sets its
-event and the running computation — decomposition search or columnar query
-execution alike — aborts at its next periodic check.
+cancellation reuses the cancellation-event plumbing of the searches
+(:class:`~repro.core.base.SearchContext`): cancelling the last ticket of a
+task sets its event and the running computation — decomposition search or
+columnar query execution alike — aborts at its next periodic check.
 
 Two execution backends share this front end: ``backend="thread"`` (the
 default) runs tasks on in-process worker threads against one shared engine;
@@ -306,7 +308,9 @@ class DecompositionService:
         :mod:`repro.service.process_backend`).  Thread mode keeps zero IPC
         cost and shares one cache; process mode buys real multi-core
         scaling for CPU-bound traffic at the price of shipping inputs
-        across the boundary (hypergraphs/databases ship once per worker).
+        across the boundary (hypergraphs/databases ship once per worker)
+        and of priority order: a request already handed to a worker's
+        queue is not overtaken by a more urgent one submitted later.
     workers:
         Alias for ``num_workers`` (takes precedence when both are given) —
         reads naturally next to ``backend``.
@@ -518,7 +522,9 @@ class DecompositionService:
         is shared.
 
         Boolean and count queries are scheduled at interactive priority,
-        ahead of full enumeration.  Identical concurrent (query shape,
+        ahead of full enumeration still waiting in the service's queue (with
+        the process backend, not ahead of requests a worker already holds).
+        Identical concurrent (query shape,
         mode, database, timeout) requests coalesce; completed query results
         are not memoized by the service — the plan cache and the database's
         column store already make repeats cheap, and the memo would have to

@@ -5,6 +5,37 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.cli import main
+from repro.core.optimal import OptimalHDSolver
+
+#: One corpus, budget and width bound for every table test, so that they ask
+#: for the same runs (see ``tiny_corpus_run``).
+_TINY = ["--scale", "tiny", "--budget", "0.3", "--max-width", "2"]
+
+
+@pytest.fixture(scope="session")
+def tiny_corpus_run():
+    """The direct optimal solver's tiny-corpus outcomes, computed once per session.
+
+    Most of those runs wait out their time budget and they are two thirds of
+    a grid's wall time; the table tests ask for the same (instance, budget,
+    width) run up to three times between them.  Everything else — the CLI,
+    the grid, the parametrised methods, the tables — runs for real each time.
+    """
+    outcomes = {}
+    solve = OptimalHDSolver.solve
+
+    def solve_once(self, hypergraph):
+        key = (hypergraph.canonical_hash(), self.timeout, self.max_width)
+        if key not in outcomes:
+            outcomes[key] = solve(self, hypergraph)
+        return outcomes[key]
+
+    return solve_once
+
+
+@pytest.fixture
+def shared_run(tiny_corpus_run, monkeypatch):
+    monkeypatch.setattr(OptimalHDSolver, "solve", tiny_corpus_run)
 
 
 def test_depth_experiment(capsys):
@@ -15,20 +46,16 @@ def test_depth_experiment(capsys):
     assert "log-k-decomp" in out
 
 
-def test_table1_on_tiny_corpus(capsys):
-    exit_code = main(
-        ["table1", "--scale", "tiny", "--budget", "0.5", "--max-width", "3", "--quiet"]
-    )
+def test_table1_on_tiny_corpus(capsys, shared_run):
+    exit_code = main(["table1", *_TINY, "--quiet"])
     assert exit_code == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "Total" in out
 
 
-def test_table5_on_tiny_corpus(capsys):
-    exit_code = main(
-        ["table5", "--scale", "tiny", "--budget", "0.3", "--max-width", "2", "--quiet"]
-    )
+def test_table5_on_tiny_corpus(capsys, shared_run):
+    exit_code = main(["table5", *_TINY, "--quiet"])
     assert exit_code == 0
     out = capsys.readouterr().out
     assert "Table 5" in out
@@ -39,8 +66,8 @@ def test_unknown_experiment_rejected():
         main(["table99"])
 
 
-def test_progress_goes_to_stderr(capsys):
-    main(["table4", "--scale", "tiny", "--budget", "0.3", "--max-width", "2"])
+def test_progress_goes_to_stderr(capsys, shared_run):
+    main(["table4", *_TINY])
     captured = capsys.readouterr()
     assert "Table 4" in captured.out
     assert captured.err  # per-run progress lines
@@ -60,19 +87,7 @@ def test_experiment_required_without_listing():
         main(["--quiet"])
 
 
-def test_no_simplify_flag_runs_raw_search(capsys):
-    exit_code = main(
-        [
-            "table4",
-            "--scale",
-            "tiny",
-            "--budget",
-            "0.3",
-            "--max-width",
-            "2",
-            "--no-simplify",
-            "--quiet",
-        ]
-    )
+def test_no_simplify_flag_runs_raw_search(capsys, shared_run):
+    exit_code = main(["table4", *_TINY, "--no-simplify", "--quiet"])
     assert exit_code == 0
     assert "Table 4" in capsys.readouterr().out

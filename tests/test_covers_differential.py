@@ -1,8 +1,8 @@
 """Differential tests for the branch-and-bound label enumerator.
 
 The optimised :meth:`CoverEnumerator.labels` must emit the *byte-identical*
-label sequence as the retained reference implementation
-(:meth:`CoverEnumerator.labels_reference`) for every combination of
+label sequence as the reference implementation it replaced
+(``tests/oracles/labels.py``) for every combination of
 ``(allowed, require_from, overlap_with, cover, k, max_size)`` — the pruning
 may only skip branches that contain no emitted label.  A randomized corpus of
 settings over random hypergraphs checks exactly that, plus the direct
@@ -17,6 +17,8 @@ import random
 from repro.core.base import SearchStatistics
 from repro.decomp.covers import CoverEnumerator, label_union
 from repro.hypergraph import Hypergraph, generators
+
+from oracles.labels import labels_reference
 
 
 def _random_host(rng: random.Random, trial: int) -> Hypergraph:
@@ -64,7 +66,7 @@ def test_label_sequence_matches_reference_across_random_corpus():
         enumerator = CoverEnumerator(host, k)
         settings = _random_settings(rng, host, k)
         new = list(enumerator.labels(**settings))
-        old = list(enumerator.labels_reference(**settings))
+        old = list(labels_reference(enumerator, **settings))
         assert new == old, (trial, host, k, settings)
 
 
@@ -80,7 +82,7 @@ def test_partition_generation_matches_reference_filter():
         parts = enumerator.partition_first_edges(allowed, rng.randint(1, 4))
         reference = [
             label
-            for label in enumerator.labels_reference(allowed=allowed, require_from=require)
+            for label in labels_reference(enumerator, allowed=allowed, require_from=require)
         ]
         streams = [
             list(enumerator.labels_for_partition(allowed, part, require_from=require))
@@ -158,22 +160,6 @@ def test_domination_never_drops_the_progress_witness():
         )
     )
     assert (0,) in labels
-
-
-def test_pruning_off_restores_reference_behaviour():
-    host = generators.cycle(6)
-    enumerator = CoverEnumerator(host, 2)
-    enumerator.pruning = False
-    # Domination is ignored without pruning (the reference path measures the
-    # pre-optimisation behaviour), and the sequence equals the reference.
-    assert list(enumerator.labels(component_vertices=host.all_vertices_mask)) == list(
-        enumerator.labels_reference()
-    )
-    parts = enumerator.partition_first_edges(None, 2)
-    merged = sorted(
-        label for part in parts for label in enumerator.labels_for_partition(None, part)
-    )
-    assert merged == sorted(enumerator.labels_reference())
 
 
 class _CountingHost:

@@ -56,6 +56,7 @@ def test_solver_rejects_bad_configuration():
         (generators.clique(4), 2),
         (generators.clique(5), 3),
         (generators.grid(2, 3), 2),
+        (generators.grid(3, 3), 2),
     ],
 )
 def test_optimal_widths_match_known_values(hypergraph, expected):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import threading
-import time
 
 import pytest
 
@@ -24,8 +24,8 @@ from repro.hypergraph import Hypergraph, generators
 def test_rejects_bad_configuration():
     with pytest.raises(SolverError):
         ParallelLogKDecomposer(num_workers=0)
-    with pytest.raises(SolverError):
-        ParallelLogKDecomposer(backend="gpu")
+    with pytest.raises(TypeError):
+        ParallelLogKDecomposer(backend="thread")  # the option is gone
 
 
 def test_single_worker_falls_back_to_sequential(cycle10):
@@ -34,9 +34,16 @@ def test_single_worker_falls_back_to_sequential(cycle10):
     validate_hd(result.decomposition)
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
-def test_parallel_positive_instance(backend, cycle10):
-    decomposer = ParallelLogKDecomposer(num_workers=2, backend=backend, hybrid=False)
+@pytest.fixture(params=["process", "daemonic"])
+def caller(request, monkeypatch):
+    """Where ``decompose`` is called from: a process that may fork, or a
+    daemonic one (a serving-layer worker), which runs the sequential search."""
+    if request.param == "daemonic":
+        monkeypatch.setattr(mp.current_process(), "daemon", True)
+
+
+def test_parallel_positive_instance(caller, cycle10):
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
     result = decomposer.decompose(cycle10, 2)
     assert result.success
     assert result.decomposition is not None
@@ -44,9 +51,8 @@ def test_parallel_positive_instance(backend, cycle10):
     assert result.decomposition.width <= 2
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
-def test_parallel_negative_instance(backend, cycle6):
-    decomposer = ParallelLogKDecomposer(num_workers=2, backend=backend)
+def test_parallel_negative_instance(caller, cycle6):
+    decomposer = ParallelLogKDecomposer(num_workers=2, use_engine=False)
     result = decomposer.decompose(cycle6, 1)
     assert not result.success
     assert not result.timed_out
@@ -174,9 +180,7 @@ def test_workers_split_one_search_instead_of_repeating_it():
     """
     hard = generators.with_chords(generators.cycle(30), 4, seed=2)
     sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
-    parallel = ParallelLogKDecomposer(
-        num_workers=2, backend="thread", use_engine=False
-    ).decompose(hard, 2)
+    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose(hard, 2)
     assert not sequential.success and not parallel.success
     assert not sequential.timed_out and not parallel.timed_out
     assert parallel.statistics.subproblems_delegated == 2  # one root per worker
@@ -198,9 +202,7 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
     hard = generators.with_chords(generators.cycle(30), 4, seed=2)
     options = dict(metric=EdgeCountMetric(), threshold=12.0)
     hybrid = HybridDecomposer(use_engine=False, **options)
-    parallel = ParallelLogKDecomposer(
-        num_workers=2, backend="thread", use_engine=False, **options
-    )
+    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False, **options)
     found = parallel.decompose(cycle10, 2)
     assert found.success and hybrid.decompose(cycle10, 2).success
     validate_hd(found.decomposition)
@@ -216,7 +218,7 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
         delegated += context.stats.subproblems_delegated
     assert refuted.statistics.labels_tried == labels
     assert refuted.statistics.subproblems_delegated == delegated > 2
-    default = ParallelLogKDecomposer(num_workers=2, backend="thread", use_engine=False)
+    default = ParallelLogKDecomposer(num_workers=2, use_engine=False)
     assert default.decompose(hard, 2).statistics.labels_tried != labels
 
 
@@ -226,7 +228,31 @@ def test_worker_statistics_are_merged(cycle10):
 
 
 # --------------------------------------------------------------------------- #
-# cooperative cancellation (thread backend)
+# a caller that may not fork runs the sequential search
+# --------------------------------------------------------------------------- #
+def test_daemonic_caller_starts_no_thread_and_forks_no_child(monkeypatch):
+    hard = generators.with_chords(generators.cycle(30), 4, seed=2)
+    monkeypatch.setattr(mp.current_process(), "daemon", True)
+    seen = []
+
+    class Watching(SearchContext):
+        def check_timeout(self):
+            seen.append((threading.active_count(), len(mp.active_children())))
+            super().check_timeout()
+
+    monkeypatch.setattr("repro.core.base.SearchContext", Watching)
+    before = (threading.active_count(), len(mp.active_children()))
+    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(hard, 2)
+    sequential = HybridDecomposer(use_engine=False).decompose_raw(hard, 2)
+    assert seen and set(seen) == {before}  # sampled all through both searches
+    assert not parallel.success and not parallel.timed_out
+    for counter in ("labels_tried", "recursive_calls", "subproblems_delegated"):
+        assert getattr(parallel.statistics, counter) == getattr(sequential.statistics, counter)
+    assert parallel.statistics.subproblems_delegated == 1  # one root, not one per partition
+
+
+# --------------------------------------------------------------------------- #
+# cooperative cancellation and worker failures
 # --------------------------------------------------------------------------- #
 def test_search_context_honours_cancel_event(cycle10):
     event = threading.Event()
@@ -241,55 +267,9 @@ def test_search_context_honours_cancel_event(cycle10):
             context.check_timeout()
 
 
-def test_cancelled_worker_aborts_quickly():
-    # A refutation on a large chorded cycle takes far longer than 0.5 s; a
-    # pre-set cancellation event must make the worker bail out almost
-    # immediately, reporting "no answer" (timed_out) rather than a refutation.
-    hard = generators.with_chords(generators.cycle(60), 5, seed=4)
-    event = threading.Event()
-    event.set()
-    start = time.monotonic()
-    timed_out, success, fragment, _stats = _worker_search(
-        LogKDecomposer(use_engine=False),
-        hard,
-        2,
-        list(range(hard.num_edges)),
-        None,
-        cancel_event=event,
-    )
-    assert time.monotonic() - start < 0.5
-    assert timed_out and not success and fragment is None
-
-
-def test_thread_backend_sets_cancel_event_on_success(cycle10, monkeypatch):
-    # Observe the cancellation event the coordinator hands to its workers.
-    from repro.core import parallel as parallel_module
-
-    seen: list[threading.Event] = []
-    original = parallel_module._worker_search
-
-    def spy(*args, cancel_event=None, **kwargs):
-        if cancel_event is not None:
-            seen.append(cancel_event)
-        return original(*args, cancel_event=cancel_event, **kwargs)
-
-    monkeypatch.setattr(parallel_module, "_worker_search", spy)
-    # use_engine=False: the engine's result cache could otherwise answer from
-    # an earlier test without ever starting workers.
-    decomposer = ParallelLogKDecomposer(
-        num_workers=2, backend="thread", hybrid=False, use_engine=False
-    )
-    result = decomposer.decompose(cycle10, 2)
-    assert result.success
-    assert seen and all(event is seen[0] for event in seen)
-    assert seen[0].is_set()
-
-
 def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, caplog):
     # A TypeError in one worker used to be indistinguishable from a timeout.
     # It still must not become an answer, but it has to leave a traceback.
-    from repro.core import parallel as parallel_module
-
     original = LogKSearch.search
 
     def broken(self, comp, conn, allowed, depth=1):
@@ -298,25 +278,29 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
         return original(self, comp, conn, allowed, depth)
 
     monkeypatch.setattr(LogKSearch, "search", broken)
-    decomposer = ParallelLogKDecomposer(
-        num_workers=2, backend="thread", hybrid=False, use_engine=False
-    )
+    base = LogKDecomposer(use_engine=False)
     with caplog.at_level("ERROR", logger="repro.parallel"):
-        refuted = decomposer.decompose(cycle10, 1)
+        healthy = _worker_search(base, cycle10, 1, [1, 3, 5, 7, 9], None)
+        faulty = _worker_search(base, cycle10, 1, [0, 2, 4, 6, 8], None)
     # The healthy worker refuted its share; the broken share is unknown.
-    assert not refuted.success and refuted.timed_out
+    assert healthy[:3] == (False, False, None)
+    assert faulty[:3] == (True, False, None)
     failures = [r for r in caplog.records if r.name == "repro.parallel"]
     assert len(failures) == 1 and failures[0].exc_info[0] is TypeError
     assert "injected worker bug" in caplog.text
+    # The coordinator (forked workers inherit the patch) reports undecided.
+    refuted = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False).decompose(
+        cycle10, 1
+    )
+    assert not refuted.success and refuted.timed_out
 
-    # A cancelled or timed-out worker stays quiet.
+    # A timed-out worker stays quiet.
     caplog.clear()
     monkeypatch.setattr(LogKSearch, "search", original)
-    event = threading.Event()
-    event.set()
+    hard = generators.with_chords(generators.cycle(60), 5, seed=4)
     with caplog.at_level("ERROR", logger="repro.parallel"):
-        cancelled = decomposer.decompose_raw(cycle10, 1, cancel_event=event)
-    assert cancelled.timed_out and not caplog.records
+        late = _worker_search(base, hard, 2, list(range(hard.num_edges)), 0.01)
+    assert late[:3] == (True, False, None) and not caplog.records
 
 
 # --------------------------------------------------------------------------- #

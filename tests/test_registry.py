@@ -4,17 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ALGORITHMS, make_decomposer
+from repro.core import make_decomposer
 from repro.core.detk import DetKDecomposer
 from repro.core.hybrid import HybridDecomposer
 from repro.exceptions import SolverError
 from repro.pipeline import DecomposerRegistry, registry
-
-
-def test_builtins_match_legacy_table():
-    assert set(ALGORITHMS) <= set(registry.available())
-    for name, cls in ALGORITHMS.items():
-        assert isinstance(registry.build(name, use_engine=False), cls)
 
 
 def test_build_by_alias():
@@ -26,6 +20,9 @@ def test_build_forwards_options():
     decomposer = registry.build("detk", timeout=1.5, use_cache=False)
     assert decomposer.timeout == 1.5
     assert decomposer.use_cache is False
+    for name, removed in (("hybrid", "label_pruning"), ("parallel", "backend")):
+        with pytest.raises(TypeError):
+            registry.build(name, **{removed: True})
 
 
 def test_unknown_name_raises():
@@ -106,7 +103,6 @@ _PINNED_IDENTITIES = [
         (
             "log-k-decomp",
             (
-                ("label_pruning", True),
                 ("negative_base_case", True),
                 ("parent_overlap_pruning", True),
                 ("require_balanced", True),
@@ -122,7 +118,6 @@ _PINNED_IDENTITIES = [
         (
             "det-k-decomp",
             (
-                ("label_pruning", True),
                 ("subedge_domination", True),
                 ("timeout", None),
                 ("use_cache", True),
@@ -135,7 +130,6 @@ _PINNED_IDENTITIES = [
         (
             "log-k-decomp-hybrid",
             (
-                ("label_pruning", True),
                 ("metric", "WeightedCountMetric"),
                 ("negative_base_case", True),
                 ("parent_overlap_pruning", True),
@@ -151,9 +145,7 @@ _PINNED_IDENTITIES = [
         (
             "log-k-decomp-parallel",
             (
-                ("backend", "process"),
                 ("hybrid", True),
-                ("label_pruning", True),
                 ("metric", "WeightedCount"),
                 ("num_workers", 1),
                 ("subedge_domination", True),
@@ -169,9 +161,7 @@ _PINNED_IDENTITIES = [
         (
             "log-k-decomp-parallel",
             (
-                ("backend", "process"),
                 ("hybrid", True),
-                ("label_pruning", True),
                 ("metric", "WeightedCount"),
                 ("num_workers", 2),
                 ("subedge_domination", True),

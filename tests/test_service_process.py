@@ -131,15 +131,20 @@ def test_process_backend_rejects_object_valued_options(service, cycle10):
 
 def test_parallel_algorithm_needs_no_backend_option(service, cycle10):
     # Service workers are daemonic and may not fork; the parallel decomposer
-    # notices that itself instead of failing the ticket with an AssertionError
-    # until the caller passes backend="thread".
-    ticket = service.submit(cycle10, 2, algorithm="parallel", num_workers=2, hybrid=False)
-    result = ticket.result(timeout=60)
-    assert result.success
-    validate_hd(result.decomposition)
-    refuted = service.submit(cycle10, 1, algorithm="parallel", num_workers=2).result(timeout=60)
-    assert refuted.success is False and not refuted.timed_out
-    assert refuted.statistics.subproblems_delegated == 2  # one delegated root per worker
+    # notices that itself and runs the sequential search there, so the ticket
+    # resolves exactly as algorithm="hybrid" would.
+    hard = generators.with_chords(generators.cycle(20), 3, seed=2)
+    for hypergraph, k in ((cycle10, 2), (cycle10, 1), (hard, 2)):
+        parallel = service.submit(hypergraph, k, algorithm="parallel", num_workers=2)
+        hybrid = service.submit(hypergraph, k, algorithm="hybrid")
+        parallel, hybrid = parallel.result(timeout=60), hybrid.result(timeout=60)
+        assert parallel.success is hybrid.success and not parallel.timed_out
+        if parallel.success:
+            validate_hd(parallel.decomposition)
+            assert parallel.decomposition.width <= k
+        # The very same search: one delegated root, not one per partition.
+        assert parallel.statistics.labels_tried == hybrid.statistics.labels_tried
+        assert parallel.statistics.subproblems_delegated == 1
 
 
 def test_health_reports_process_backend(service, cycle10):
@@ -228,6 +233,55 @@ def test_cancel_aborts_running_worker_task(spin_algorithm, tmp_path, cycle6):
         # The worker survived the abort (no respawn) and keeps serving.
         assert svc.submit(generators.cycle(6), 2).result(timeout=60).success
         assert svc._process_backend.snapshot()["respawns"] == 0
+    finally:
+        svc.shutdown(wait=True, cancel_pending=True)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "thread",
+        pytest.param(
+            "process",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the dispatcher drains the priority queue into the slot's FIFO "
+                "mp.Queue as fast as it can, so priorities only order what is still "
+                "parent-side (ROADMAP item 2's dispatch rework)",
+            ),
+        ),
+    ],
+)
+def test_interactive_query_overtakes_queued_enumerations(
+    backend, spin_algorithm, tmp_path, cycle6
+):
+    query = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z), t(z,x).")
+    databases = [
+        random_database_for_query(query, domain_size=6, tuples_per_relation=30, seed=seed)
+        for seed in range(7)
+    ]
+    signal = tmp_path / "spinning"
+    svc = DecompositionService(backend=backend, workers=1)
+    served = []
+    complete = svc._complete
+
+    def recording(task, result, error):
+        if task.key[0] == "query":
+            served.append(task.key[2])
+        complete(task, result, error)
+
+    svc._complete = recording
+    try:
+        # One busy worker, six enumerations waiting, then an interactive query.
+        busy = svc.submit(cycle6, 2, algorithm="spin-test", signal_path=str(signal))
+        _wait_for(signal.exists, message="worker to start spinning")
+        tickets = [svc.submit_query(query, db, "enumerate") for db in databases[:6]]
+        time.sleep(0.2)  # whatever moves queued work towards the worker has moved it
+        tickets.append(svc.submit_query(query, databases[6], "boolean"))
+        busy.cancel()
+        for ticket in tickets:
+            ticket.result(timeout=60)
+        assert served == ["boolean"] + ["enumerate"] * 6
     finally:
         svc.shutdown(wait=True, cancel_pending=True)
 

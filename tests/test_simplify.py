@@ -42,6 +42,21 @@ def test_duplicate_edges_keep_smaller_name():
     assert {r.name for r in trace.removed_edges} == {"b"}
 
 
+def test_redundant_cycle_strips_back_to_the_plain_cycle():
+    # Per cycle edge a duplicate and a unary sub-edge: the redundancy real CQ
+    # workloads carry, and all of it subsumed.
+    base = generators.cycle(16)
+    edges = {}
+    for name, vertices in base.edges_as_dict().items():
+        ordered = sorted(vertices)
+        edges[name] = ordered
+        edges[f"{name}_dup"] = ordered
+        edges[f"{name}_sub"] = ordered[:1]
+    trace = simplify(Hypergraph(edges))
+    assert trace.reduced.num_edges == 16
+    assert len(trace.removed_edges) == 32
+
+
 def test_degree_one_vertices_collapse_to_one_representative():
     # p1/p2/p3 occur only in "tail": they are interchangeable and collapse
     # onto p1; the final private vertex must survive (removing it is not

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import multiprocessing as mp
 import os
 import pickle
@@ -112,10 +111,12 @@ def test_live_worker_is_never_crashed():
     worker = _worker(_sleep)
     try:
         worker.start()
+        pid = worker.pid
         assert not any(worker.crashed() for _ in range(5))
     finally:
         worker.stop()
-    assert not worker.process.is_alive()
+    assert not worker.alive() and not mp.active_children()
+    assert worker.pid == pid  # still readable: stats after shutdown report it
 
 
 def test_respawn_starts_the_next_attempt_on_a_fresh_pipe():
@@ -151,10 +152,8 @@ def test_stop_leaves_no_child_and_no_descriptor():
     for worker in workers:
         worker.stop()
     assert not mp.active_children()
-    # The pipes are closed by stop(); a Process object keeps its sentinel
-    # until it is released.
-    del workers, worker
-    gc.collect()
+    # stop() and respawn() close the pipes and the Process sentinels
+    # themselves; nothing waits for the garbage collector.
     assert _open_fds() == before
 
 
@@ -170,5 +169,4 @@ def test_parallel_decomposer_leaves_no_child_and_no_descriptor(cycle10, kill_eve
         result = decomposer.decompose_raw(cycle10, 2)
         assert result.success
     assert not mp.active_children()
-    gc.collect()
     assert _open_fds() == before

@@ -5,15 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro import decompose, hypertree_width, is_width_at_most, make_decomposer
-from repro.core import ALGORITHMS
 from repro.core.detk import DetKDecomposer
 from repro.decomp import validate_hd
 from repro.exceptions import SolverError
 from repro.hypergraph import Hypergraph, generators
+from repro.pipeline import registry
 
 
 def test_registry_contains_all_algorithms():
-    assert set(ALGORITHMS) == {"logk", "logk-basic", "detk", "hybrid", "parallel", "ghd"}
+    assert set(registry.available()) == {"logk", "logk-basic", "detk", "hybrid", "parallel", "ghd"}
 
 
 def test_make_decomposer_by_name():

@@ -44,6 +44,9 @@ def test_plan_is_cached_per_signature_and_mode(isolated_engine, triangle, triang
     assert again.plan_cached
     assert not other_mode.plan_cached  # a mode is part of the plan
     assert again.planned is first.planned
+    # ... and the warm pass takes its bags from the database's column store.
+    assert first.execution.statistics.bags_reused == 0
+    assert again.execution.statistics.bags_reused == first.execution.statistics.bags_built > 0
     naive = naive_join_query(triangle_db, triangle.atoms, triangle.free_variables)
     assert first.answers.as_dicts() == naive.as_dicts()
     assert other_mode.count == len(naive)
