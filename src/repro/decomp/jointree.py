@@ -8,7 +8,8 @@ algorithm then evaluates the acyclic instance in polynomial time.
 
 A :class:`JoinTree` is that intermediate object: a tree of bag nodes, each
 recording which hyperedges (atoms/relations) it is responsible for joining.
-The actual relational evaluation lives in :mod:`repro.query.yannakakis`.
+The actual relational evaluation lives in :mod:`repro.query` (a join tree
+compiles to a :class:`~repro.query.plan.QueryPlan`).
 """
 
 from __future__ import annotations

@@ -1,19 +1,18 @@
-"""Database application substrate: relations, joins, Yannakakis, CQ/CSP evaluation.
+"""Database application substrate: relations, joins, CQ/CSP evaluation.
 
-Three evaluation arms are provided: the eager, tuple-at-a-time reference
-pipeline (:mod:`repro.query.yannakakis` over :class:`Relation`), the
-plan-compiled columnar engine (:mod:`repro.query.plan` +
-:mod:`repro.query.columnar`), and the SQL pushdown arm
+A query is compiled once into a :class:`QueryPlan` (:mod:`repro.query.plan`)
+and run on one of two executors: the in-memory columnar engine
+(:mod:`repro.query.columnar`) or the SQL pushdown arm
 (:mod:`repro.query.sqlgen`), which compiles the same plans to SQL executed
-on SQLite so on-disk databases far larger than memory stay reachable — all
-fronted by :class:`QueryEngine` / :class:`QueryWorkload` for serving whole
-workloads with cached plans.
+on SQLite so on-disk databases far larger than memory stay reachable — both
+fronted by :class:`QueryEngine` / :class:`QueryWorkload` (and the one-call
+:func:`evaluate_query`) for serving whole workloads with cached plans.
+:func:`naive_join_query` over :class:`Relation` is the ground truth.
 """
 
 from .relation import Relation
 from .database import Database, random_database_for_query
 from .joins import atom_relation, join_all, naive_join_query
-from .yannakakis import AnnotatedNode, full_reduce, yannakakis
 from .plan import AnswerMode, QueryPlan, compile_plan
 from .columnar import (
     ColumnStore,
@@ -22,7 +21,6 @@ from .columnar import (
     PlanExecutor,
     execute_plan,
 )
-from .cq_eval import EvaluationReport, evaluate_query, materialise_bags
 from .sqlgen import (
     SQLDatabase,
     SQLProgram,
@@ -37,6 +35,7 @@ from .workload import (
     QueryResult,
     QueryWorkload,
     WorkloadReport,
+    evaluate_query,
 )
 from .csp import (
     CSPSolution,
@@ -52,9 +51,6 @@ __all__ = [
     "atom_relation",
     "join_all",
     "naive_join_query",
-    "AnnotatedNode",
-    "full_reduce",
-    "yannakakis",
     "AnswerMode",
     "QueryPlan",
     "compile_plan",
@@ -63,9 +59,6 @@ __all__ = [
     "ExecutionResult",
     "PlanExecutor",
     "execute_plan",
-    "EvaluationReport",
-    "evaluate_query",
-    "materialise_bags",
     "SQLDatabase",
     "SQLProgram",
     "SQLStore",
@@ -77,6 +70,7 @@ __all__ = [
     "QueryResult",
     "QueryWorkload",
     "WorkloadReport",
+    "evaluate_query",
     "CSPSolution",
     "DecompositionCSPSolver",
     "backtracking_solve",

@@ -1,8 +1,9 @@
 """Columnar execution of compiled query plans.
 
-This is the serving-grade counterpart to the eager, tuple-at-a-time pipeline:
-a :class:`PlanExecutor` runs a :class:`~repro.query.plan.QueryPlan` over
-dictionary-encoded, column-major relations.
+The in-memory execution arm: a :class:`PlanExecutor` runs a
+:class:`~repro.query.plan.QueryPlan` over dictionary-encoded, column-major
+relations (the tuple-at-a-time oracle it is tested against lives in
+``tests/oracles/eager.py``).
 
 Design
 ------
@@ -691,6 +692,33 @@ class ExecutionResult:
     count: int | None = None
     statistics: ExecutionStatistics = field(default_factory=ExecutionStatistics)
 
+    @classmethod
+    def of(
+        cls, plan: QueryPlan, statistics: ExecutionStatistics, count: int, rows=None
+    ) -> "ExecutionResult":
+        """The result of ``plan`` from its root row count — every executor's tail.
+
+        ``count`` is the number of rows the executor's final table holds: the
+        distinct answers, or for a ``BOOLEAN`` plan the surviving root tuples;
+        0 is the early-exit shape.  ``rows()`` decodes that table into the
+        answer tuples and is called for a non-empty ``ENUMERATE`` result only.
+        """
+        mode = plan.mode
+        if mode is AnswerMode.BOOLEAN:
+            return cls(mode, boolean=count > 0, statistics=statistics)
+        if mode is AnswerMode.COUNT:
+            return cls(mode, boolean=count > 0, count=count, statistics=statistics)
+        answers = Relation.from_trusted_rows(
+            "answer", plan.output, rows() if count else set()
+        )
+        return cls(
+            mode,
+            answers=answers,
+            boolean=len(answers) > 0,
+            count=len(answers),
+            statistics=statistics,
+        )
+
 
 class PlanExecutor:
     """Runs compiled plans over a column store.
@@ -728,45 +756,33 @@ class PlanExecutor:
         if self._watchdog is not None:
             self._watchdog.check()
 
-        states = self._materialise_bags(plan, stats)
-        if states is None:
+        states = self._bag_states(plan, stats)
+        if states is None or not self._reduce(plan, states, stats):
             stats.early_exit = True
-            return self._empty_result(plan, stats)
-
-        if not self._reduce(plan, states, stats):
-            stats.early_exit = True
-            return self._empty_result(plan, stats)
-
+            return ExecutionResult.of(plan, stats, 0)
         if plan.mode is AnswerMode.BOOLEAN:
             # Bottom-up reduction succeeded with a surviving root tuple.
-            return ExecutionResult(plan.mode, boolean=True, statistics=stats)
+            return ExecutionResult.of(plan, stats, states[0].live_count)
 
         root = self._join_stage(plan, states, stats)
+
+        def rows() -> set[tuple]:
+            if self._watchdog is not None:
+                self._watchdog.check()
+            if not root.columns:
+                return {()}
+            # Decode column-at-a-time and adopt the zipped tuples directly.
+            decode = self.store._values.__getitem__
+            return set(zip(*(map(decode, column) for column in root.columns)))
+
         # Joins of distinct inputs stay distinct and projections dedupe, so
         # the root row count *is* the answer count.
-        if plan.mode is AnswerMode.COUNT:
-            count = root.nrows
-            return ExecutionResult(plan.mode, boolean=count > 0, count=count, statistics=stats)
-        if self._watchdog is not None:
-            self._watchdog.check()
-        # Decode column-at-a-time and adopt the zipped tuples directly.
-        decode = self.store._values.__getitem__
-        rows = set(zip(*(map(decode, column) for column in root.columns))) if (
-            root.columns
-        ) else ({()} if root.nrows else set())
-        relation = Relation.from_trusted_rows("answer", plan.output, rows)
-        return ExecutionResult(
-            plan.mode,
-            answers=relation,
-            boolean=len(relation) > 0,
-            count=len(relation),
-            statistics=stats,
-        )
+        return ExecutionResult.of(plan, stats, root.nrows, rows)
 
     # ------------------------------------------------------------------ #
     # stage 1: bag materialisation
     # ------------------------------------------------------------------ #
-    def _materialise_bags(
+    def _bag_states(
         self, plan: QueryPlan, stats: ExecutionStatistics
     ) -> list[_NodeState] | None:
         states: list[_NodeState] = []
@@ -848,13 +864,10 @@ class PlanExecutor:
 
         Returns False as soon as any node loses all its tuples.
         """
-        for op in plan.bottom_up:
-            if not self._semijoin(states[op.target], states[op.source], op.on, stats):
-                return False
-        for op in plan.top_down:
-            if not self._semijoin(states[op.target], states[op.source], op.on, stats):
-                return False
-        return True
+        return all(
+            self._semijoin(states[op.target], states[op.source], op.on, stats)
+            for op in plan.bottom_up + plan.top_down
+        )
 
     def _semijoin(
         self,
@@ -1053,17 +1066,6 @@ class PlanExecutor:
             for out, column in zip(columns[len(left.columns) :], right.columns):
                 out.extend(column * rows)
         return ColumnarRelation(schema, tuple(columns), nrows=n_left * n_right)
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _empty_result(self, plan: QueryPlan, stats: ExecutionStatistics) -> ExecutionResult:
-        if plan.mode is AnswerMode.BOOLEAN:
-            return ExecutionResult(plan.mode, boolean=False, statistics=stats)
-        if plan.mode is AnswerMode.COUNT:
-            return ExecutionResult(plan.mode, boolean=False, count=0, statistics=stats)
-        empty = Relation("answer", plan.output, set())
-        return ExecutionResult(plan.mode, answers=empty, boolean=False, count=0, statistics=stats)
 
 
 def execute_plan(

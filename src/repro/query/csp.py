@@ -9,8 +9,9 @@ introduction.
 
 Two solvers are provided:
 
-* :class:`DecompositionCSPSolver` — the HD-guided solver: builds the CSP's
-  hypergraph, decomposes it, materialises bags and runs Yannakakis;
+* :class:`DecompositionCSPSolver` — the HD-guided solver: translates the CSP
+  into a conjunctive query over its constraint tables and answers it through
+  a :class:`~repro.query.workload.QueryEngine`;
 * :func:`backtracking_solve` — a plain backtracking reference solver used as
   a test oracle.
 """
@@ -21,9 +22,10 @@ from dataclasses import dataclass
 
 from ..exceptions import QueryError
 from ..hypergraph.cq import Atom, ConjunctiveQuery, CSPInstance
-from .cq_eval import EvaluationReport, evaluate_query
 from .database import Database
+from .plan import check_executor
 from .relation import Relation
+from .workload import QueryEngine, QueryResult
 
 __all__ = ["CSPSolution", "DecompositionCSPSolver", "backtracking_solve", "csp_to_query"]
 
@@ -36,35 +38,47 @@ class CSPSolution:
     assignment: dict[str, object] | None
     num_solutions_found: int
     width: int
-    report: EvaluationReport
+    report: QueryResult
 
 
 def csp_to_query(csp: CSPInstance) -> tuple[ConjunctiveQuery, Database]:
     """Translate a CSP instance into a conjunctive query plus a database.
 
-    Every constraint becomes one atom/relation pair; the query's free
-    variables are all CSP variables, so the answers are exactly the solutions.
+    Every constraint becomes one atom/relation pair holding the allowed
+    tuples that lie inside the declared domains, and every domain variable
+    no constraint mentions becomes a unary atom over its domain; the query's
+    free variables are all CSP variables, so the answers are exactly the
+    solutions.
     """
     if not csp.constraints:
         raise QueryError("CSP instance has no constraints")
+    domains = {variable: set(values) for variable, values in csp.domains.items()}
+    tables = []
+    for cname, scope, tuples in csp.constraints:
+        bounded = [(i, domains[v]) for i, v in enumerate(scope) if v in domains]
+        if bounded:
+            tuples = [row for row in tuples if all(row[i] in d for i, d in bounded)]
+        tables.append((cname, tuple(scope), tuples))
+    constrained = {v for _, scope, _ in tables for v in scope}
+    for variable in sorted(domains.keys() - constrained):
+        tables.append(("domain", (variable,), [(value,) for value in domains[variable]]))
     atoms = []
     database = Database()
-    for index, (cname, scope, tuples) in enumerate(csp.constraints):
+    for index, (cname, scope, tuples) in enumerate(tables):
         relation_name = f"{cname}_{index}"
-        atoms.append(Atom(relation_name, tuple(scope)))
+        atoms.append(Atom(relation_name, scope))
         schema = [f"a{i}" for i in range(len(scope))]
         database.add(Relation(relation_name, schema, tuples))
-    variables = tuple(sorted({v for _, scope, _ in csp.constraints for v in scope}))
-    query = ConjunctiveQuery(tuple(atoms), variables, name=csp.name or "csp")
+    query = ConjunctiveQuery(tuple(atoms), tuple(sorted(csp.variables)), name=csp.name or "csp")
     return query, database
 
 
 class DecompositionCSPSolver:
     """Solve table-constraint CSPs guided by a hypertree decomposition.
 
-    ``executor`` selects the evaluation arm of
-    :func:`~repro.query.cq_eval.evaluate_query` — the plan-compiled columnar
-    executor by default, or the eager reference pipeline.
+    The solver owns one :class:`~repro.query.workload.QueryEngine`, so CSPs of
+    the same constraint structure share one decomposition and one plan;
+    ``executor`` selects the engine's execution arm.
     """
 
     def __init__(
@@ -74,76 +88,33 @@ class DecompositionCSPSolver:
         timeout: float | None = None,
         executor: str = "columnar",
     ) -> None:
-        self.algorithm = algorithm
-        self.max_width = max_width
-        self.timeout = timeout
-        self.executor = executor
+        self.engine = QueryEngine(algorithm, max_width, timeout)
+        self.executor = check_executor(executor)
+
+    def _run(self, csp: CSPInstance, mode: str) -> QueryResult:
+        query, database = csp_to_query(csp)
+        return self.engine.execute(query, database, mode, executor=self.executor)
 
     def solve(self, csp: CSPInstance) -> CSPSolution:
         """Return satisfiability, one witness assignment and the solution count."""
-        query, database = csp_to_query(csp)
-        report = evaluate_query(
-            query,
-            database,
-            algorithm=self.algorithm,
-            max_width=self.max_width,
-            timeout=self.timeout,
-            executor=self.executor,
-        )
+        report = self._run(csp, "enumerate")
         answers = report.answers
-        assignment = None
-        if len(answers):
-            row = next(iter(answers.tuples))
-            assignment = dict(zip(answers.schema, row))
+        row = next(iter(answers.tuples), None)
         return CSPSolution(
-            satisfiable=len(answers) > 0,
-            assignment=assignment,
-            num_solutions_found=len(answers),
+            satisfiable=report.boolean,
+            assignment=None if row is None else dict(zip(answers.schema, row)),
+            num_solutions_found=report.count,
             width=report.width,
             report=report,
         )
 
     def is_satisfiable(self, csp: CSPInstance) -> bool:
-        """Decide satisfiability only — a ``boolean``-mode plan with early exit.
-
-        The eager reference arm has no boolean mode, so a solver configured
-        with ``executor="eager"`` answers through the full :meth:`solve`;
-        the columnar and SQL arms take the early-exit fast path.
-        """
-        if self.executor not in ("columnar", "sql"):
-            return self.solve(csp).satisfiable
-        query, database = csp_to_query(csp)
-        report = evaluate_query(
-            query,
-            database,
-            algorithm=self.algorithm,
-            max_width=self.max_width,
-            timeout=self.timeout,
-            executor=self.executor,
-            mode="boolean",
-        )
-        return report.boolean_answer
+        """Decide satisfiability only — a ``boolean``-mode plan with early exit."""
+        return self._run(csp, "boolean").boolean
 
     def count_solutions(self, csp: CSPInstance) -> int:
-        """Count solutions without materialising/decoding them (``count`` mode).
-
-        With ``executor="eager"`` the count comes from the enumerated
-        answers of :meth:`solve` (the reference arm has no count mode); the
-        columnar and SQL arms count without decoding.
-        """
-        if self.executor not in ("columnar", "sql"):
-            return self.solve(csp).num_solutions_found
-        query, database = csp_to_query(csp)
-        report = evaluate_query(
-            query,
-            database,
-            algorithm=self.algorithm,
-            max_width=self.max_width,
-            timeout=self.timeout,
-            executor=self.executor,
-            mode="count",
-        )
-        return int(report.count or 0)
+        """Count solutions without materialising/decoding them (``count`` mode)."""
+        return self._run(csp, "count").count
 
 
 def backtracking_solve(csp: CSPInstance) -> dict[str, object] | None:

@@ -1,8 +1,9 @@
 """Query plans: join trees compiled into explicit operator programs.
 
-The eager pipeline of :mod:`repro.query.cq_eval` interleaves *deciding* what
-to do (walking the join tree, intersecting schemas, choosing projections)
-with *doing* it (building tuple sets).  This module separates the two: a
+A tuple-at-a-time Yannakakis pipeline (the test oracle in
+``tests/oracles/eager.py``) interleaves *deciding* what to do (walking the
+join tree, intersecting schemas, choosing projections) with *doing* it
+(building tuple sets).  This module separates the two: a
 :class:`QueryPlan` is the complete, immutable operator program derived from a
 join tree —
 
@@ -38,6 +39,8 @@ from ..exceptions import QueryError
 from ..hypergraph.cq import ConjunctiveQuery
 
 __all__ = [
+    "EXECUTORS",
+    "check_executor",
     "AnswerMode",
     "AtomBinding",
     "BagOp",
@@ -47,6 +50,20 @@ __all__ = [
     "QueryPlan",
     "compile_plan",
 ]
+
+
+#: The execution arms a compiled plan runs on (:mod:`repro.query.columnar`,
+#: :mod:`repro.query.sqlgen`).
+EXECUTORS = ("columnar", "sql")
+
+
+def check_executor(executor: str) -> str:
+    """Return ``executor`` if it names an execution arm, else raise."""
+    if executor not in EXECUTORS:
+        raise QueryError(
+            f"unknown executor {executor!r}; known: {', '.join(EXECUTORS)}"
+        )
+    return executor
 
 
 class AnswerMode(str, Enum):
@@ -221,10 +238,10 @@ def compile_plan(
 ) -> QueryPlan:
     """Compile ``join_tree`` into an executable :class:`QueryPlan`.
 
-    The program mirrors the eager pipeline exactly (bag materialisation, the
-    two semijoin passes, the projecting bottom-up join of
-    :func:`repro.query.yannakakis.yannakakis`), so plan-compiled evaluation
-    is answer-for-answer identical to the reference path.  For ``BOOLEAN``
+    The program mirrors the eager oracle of ``tests/oracles/eager.py``
+    exactly (bag materialisation, the two semijoin passes, the projecting
+    bottom-up join of its ``yannakakis``), so plan-compiled evaluation is
+    answer-for-answer identical to the reference path.  For ``BOOLEAN``
     plans the top-down pass and the join schedule are omitted: after the
     bottom-up pass the root is non-empty iff the query holds.
     """
@@ -283,7 +300,7 @@ def compile_plan(
         keep = frozenset(output)
 
         def emit_joins(node_id: int) -> tuple[str, ...]:
-            """Mirror of yannakakis._joined_projection, schemas only."""
+            """Mirror of the oracle's ``_joined_projection``, schemas only."""
             current = list(node_variables[node_id])
             bag_set = set(node_variables[node_id])
             needed = keep | bag_set

@@ -1,6 +1,6 @@
 """SQL pushdown execution of compiled query plans.
 
-The third executor arm: a :class:`~repro.query.plan.QueryPlan` — already an
+The second executor arm: a :class:`~repro.query.plan.QueryPlan` — already an
 explicit operator program — compiles to a SQL program executed on SQLite.
 The planner and decomposition layers stay untouched; only the operator
 interpretation moves into the database engine, which is what lets databases
@@ -22,10 +22,10 @@ far larger than memory be answered with Yannakakis-over-SQL:
    becomes one ``CREATE TEMP TABLE ... AS SELECT DISTINCT ...`` over the
    previous step's tables (never a flat n-way join, which SQLite caps at 64
    tables and misorders long before that), so every intermediate stays
-   within Yannakakis' output-bounded guarantee; the answer then reads the
-   root's result with mode-specific tails: a plain ``SELECT`` for
-   ``enumerate``, ``EXISTS`` for ``boolean``, ``COUNT(*)`` for ``count``
-   (rows are never decoded).
+   within Yannakakis' output-bounded guarantee; only ``enumerate`` then
+   reads the root's result with a ``SELECT`` — ``boolean`` and ``count``
+   are answered from the row count the store registered for the root table
+   (no statement, rows are never decoded).
 
 Every table is a pure function of its inputs and is *named* by a hash of its
 defining ``SELECT`` — which mentions its inputs by their hashed names — so
@@ -33,7 +33,7 @@ on one :class:`SQLStore` an equal name means equal contents.  The store
 keeps ("recycles") the tables across executions, up to a row budget: a step
 whose name the store still holds is skipped, so the three answer modes of
 one query shape share atoms, bags and the bottom-up pass, and a repeated
-query runs its final ``SELECT`` only.  In-memory sources never change under
+query runs at most its final ``SELECT``.  In-memory sources never change under
 a store; an on-disk file is watched through ``PRAGMA data_version`` and a
 commit by another connection drops every recycled table.
 
@@ -44,8 +44,8 @@ trick the columnar store uses), so SQL equality is exactly Python equality
 and enumerate answers decode byte-identical to the other executors.  A
 :class:`SQLDatabase` wraps an existing SQLite *file*: the executor opens the
 file directly and rows never enter Python (except decoded answers), while
-``get()`` still lazily materialises relations so the eager/columnar arms —
-and the differential tests — accept the same handle.
+``get()`` still lazily materialises relations so the columnar arm — and
+the differential tests — accept the same handle.
 
 All equality predicates use SQLite's null-safe ``IS`` operator, so ``None``
 values join with themselves exactly as they do in the Python executors.
@@ -125,9 +125,10 @@ class SQLProgram:
     A table's name hashes its defining ``SELECT``, which mentions its inputs
     by *their* hashed names, so on one store a name determines the contents
     and a step whose name the store still holds need not run.  ``answer`` is
-    the final ``SELECT`` and ``answer_kind`` says how to interpret its single
-    result — ``"rows"`` (enumerate), ``"count"`` (a scalar count) or
-    ``"exists"`` (a 0/1 existence flag).
+    the final ``SELECT`` over the table ``root`` and ``answer_kind`` says how
+    to interpret its single result — ``"rows"`` (enumerate), ``"count"`` (a
+    scalar count) or ``"exists"`` (a 0/1 existence flag); the executor runs
+    it for ``"rows"`` only, the scalars being ``root``'s registered row count.
     """
 
     mode: AnswerMode
@@ -135,6 +136,7 @@ class SQLProgram:
     steps: tuple[tuple[str, str, str], ...]
     answer: str
     answer_kind: str
+    root: str
 
     @property
     def statements(self) -> tuple[str, ...]:
@@ -317,18 +319,20 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
     else:
         select = ", ".join(_quote(v) for v in plan.output)
         answer, answer_kind = f"SELECT {select} FROM {current[0]}", "rows"
-    return SQLProgram(plan.mode, plan.output, tuple(steps.values()), answer, answer_kind)
+    return SQLProgram(
+        plan.mode, plan.output, tuple(steps.values()), answer, answer_kind, current[0]
+    )
 
 
 # --------------------------------------------------------------------------- #
 # path-backed databases
 # --------------------------------------------------------------------------- #
 class SQLDatabase(Database):
-    """A database living in a SQLite file, usable by *all three* executors.
+    """A database living in a SQLite file, usable by *both* executors.
 
     The schema catalogue (table names and columns) is read once at
     construction; :meth:`get` materialises a relation into memory lazily, so
-    the eager and columnar arms — and the differential tests — accept the
+    the columnar arm — and the differential tests — accept the
     same handle, while the SQL executor opens :attr:`path` directly and
     never pulls base rows into Python.  The file is treated as read-only
     (only ``TEMP`` objects are ever created on its connections), and the
@@ -728,57 +732,23 @@ class SQLExecutor:
             if rows == 0 and kind != "index":
                 # Any empty table — recycled or new — empties the answer.
                 stats.early_exit = True
-                return self._empty_result(plan, stats)
-        if plan.mode is AnswerMode.BOOLEAN:
-            # Bottom-up reduction succeeded with a surviving root tuple.
-            return ExecutionResult(plan.mode, boolean=True, statistics=stats)
-        if program.answer_kind == "rows":
+                return ExecutionResult.of(plan, stats, 0)
+
+        def answer_rows() -> set[tuple]:
+            if not plan.output:
+                return {()}
             guard.watch()
-        cursor = self._exec(connection, program.answer, guard)
-        if program.answer_kind == "count":
-            count = int(cursor.fetchone()[0])
-            return ExecutionResult(plan.mode, boolean=count > 0, count=count, statistics=stats)
-        if program.answer_kind == "exists":
-            exists = bool(cursor.fetchone()[0])
-            count = 1 if exists else 0
-            rows: set[tuple] = {()} if exists else set()
-            answers = Relation.from_trusted_rows("answer", plan.output, rows)
-            return ExecutionResult(
-                plan.mode, answers=answers, boolean=exists, count=count, statistics=stats
-            )
-        fetched = cursor.fetchall()
-        guard.check()
-        stats.rows_materialised += len(fetched)
-        if self.store.interned:
-            values = self.store._values
-            rows = {tuple(values[code] for code in row) for row in fetched}
-        else:
-            rows = {tuple(row) for row in fetched}
-        answers = Relation.from_trusted_rows("answer", plan.output, rows)
-        return ExecutionResult(
-            plan.mode,
-            answers=answers,
-            boolean=len(answers) > 0,
-            count=len(answers),
-            statistics=stats,
-        )
+            fetched = self._exec(connection, program.answer, guard).fetchall()
+            guard.check()
+            stats.rows_materialised += len(fetched)
+            if self.store.interned:
+                values = self.store._values
+                return {tuple(values[code] for code in row) for row in fetched}
+            return {tuple(row) for row in fetched}
 
-    def _empty_result(self, plan: QueryPlan, stats: ExecutionStatistics) -> ExecutionResult:
-        if plan.mode is AnswerMode.BOOLEAN:
-            return ExecutionResult(plan.mode, boolean=False, statistics=stats)
-        if plan.mode is AnswerMode.COUNT:
-            return ExecutionResult(plan.mode, boolean=False, count=0, statistics=stats)
-        empty = Relation("answer", plan.output, set())
-        return ExecutionResult(plan.mode, answers=empty, boolean=False, count=0, statistics=stats)
-
-
-#: Module-level fallback stores for the convenience wrapper, one per
-#: database, dropped with the database (mirrors nothing in columnar — the
-#: columnar wrapper builds throwaway stores — but a throwaway *SQL* store
-#: would re-bulk-load the database on every call, which is the one cost the
-#: SQL arm must amortise to be usable).
-_fallback_stores: "weakref.WeakKeyDictionary[Database, SQLStore]" = weakref.WeakKeyDictionary()
-_fallback_lock = threading.Lock()
+        # Every step is registered and none is empty, so the root's row count
+        # is in the registry: the scalar answers need no statement.
+        return ExecutionResult.of(plan, stats, tables[program.root], answer_rows)
 
 
 def execute_plan_sql(
@@ -790,18 +760,13 @@ def execute_plan_sql(
 ) -> ExecutionResult:
     """Convenience wrapper: run ``plan`` over ``database`` via SQL pushdown.
 
-    Pass a persistent :class:`SQLStore` to control connection lifetime
-    explicitly; otherwise a per-database store is kept in a weak module
-    registry so repeated calls reuse the loaded tables and the open
-    connection.  ``cancel_event``/``deadline`` arm in-flight cancellation
-    (see :class:`SQLExecutor`).
+    Pass a persistent :class:`SQLStore` to amortise bulk loading and keep
+    the recycled tables across the queries of a workload;
+    ``cancel_event``/``deadline`` arm in-flight cancellation (see
+    :class:`SQLExecutor`).
     """
     if store is None:
-        with _fallback_lock:
-            store = _fallback_stores.get(database)
-            if store is None:
-                store = SQLStore(database)
-                _fallback_stores[database] = store
+        store = SQLStore(database)
     elif store.database is not database:
         raise QueryError("the SQL store belongs to a different database")
     return SQLExecutor(store, cancel_event=cancel_event, deadline=deadline).execute(plan)

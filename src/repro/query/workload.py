@@ -1,7 +1,12 @@
-"""The serving-grade query API: plan once, execute many.
+"""The query API: plan once, execute many.
 
-:class:`QueryEngine` is the front door of the plan-compiled query path.  It
-owns
+This is the end-to-end application pipeline the paper's introduction
+motivates: abstract the CQ to its hypergraph, compute a hypertree
+decomposition of width ``k``, compile its join tree into an operator program
+(:mod:`repro.query.plan`) and run that on one of the two executors — at a
+total cost polynomial for every fixed ``k``.  :class:`QueryEngine` is the one
+place a query is planned; :func:`evaluate_query` is the one-call facade over a
+shared engine.  An engine owns
 
 * a **decomposer** built through :mod:`repro.pipeline.registry`, so every
   decomposition runs through the staged
@@ -39,6 +44,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..core.width import hypertree_width
 from ..decomp.decomposition import Decomposition
@@ -49,7 +55,7 @@ from ..pipeline.engine import DecompositionEngine, default_engine
 from ..pipeline.registry import registry
 from .columnar import ColumnStore, ExecutionResult, PlanExecutor
 from .database import Database
-from .plan import AnswerMode, QueryPlan, compile_plan
+from .plan import AnswerMode, QueryPlan, check_executor, compile_plan
 from .relation import Relation
 from .sqlgen import SQLExecutor, SQLStore, compile_sql
 
@@ -60,6 +66,7 @@ __all__ = [
     "QueryEngine",
     "QueryWorkload",
     "WorkloadReport",
+    "evaluate_query",
 ]
 
 
@@ -162,9 +169,8 @@ class WorkloadReport:
 
 
 class QueryEngine:
-    """Plan-compiled, columnar query evaluation with cached plans.
+    """Plan-compiled query evaluation with cached plans.
 
-    Parameters mirror :func:`repro.query.cq_eval.evaluate_query`:
     ``algorithm`` is any registry name, ``max_width``/``timeout`` bound the
     decomposition search, ``simplify=False`` bypasses the staged engine for
     the search (the plan cache still applies).  ``engine`` pins an explicit
@@ -365,8 +371,7 @@ class QueryEngine:
         ``timeout`` — the plan cache is keyed on the engine configuration,
         so a per-request deadline must not change what gets cached.
         """
-        if executor not in ("columnar", "sql"):
-            raise QueryError(f"unknown executor {executor!r}; known: columnar, sql")
+        check_executor(executor)
         start = time.monotonic()
         planned, cached = self.plan(query, mode)
         plan_seconds = time.monotonic() - start
@@ -413,12 +418,10 @@ class QueryWorkload:
         default_mode: AnswerMode | str = AnswerMode.ENUMERATE,
         executor: str = "columnar",
     ) -> None:
-        if executor not in ("columnar", "sql"):
-            raise QueryError(f"unknown executor {executor!r}; known: columnar, sql")
         self.database = database
         self.engine = engine if engine is not None else QueryEngine()
         self.default_mode = AnswerMode.coerce(default_mode)
-        self.executor = executor
+        self.executor = check_executor(executor)
         self._items: list[tuple[ConjunctiveQuery, AnswerMode]] = []
 
     def add(
@@ -452,3 +455,33 @@ class QueryWorkload:
         report.plan_cache_hits = self.engine.plan_cache_hits - hits_before
         report.plan_cache_misses = self.engine.plan_cache_misses - misses_before
         return report
+
+
+@lru_cache(maxsize=32)
+def _shared_engine(
+    algorithm: str, max_width: int, timeout: float | None, simplify: bool
+) -> QueryEngine:
+    """The engine behind :func:`evaluate_query`, one per configuration."""
+    return QueryEngine(algorithm, max_width, timeout, simplify)
+
+
+def evaluate_query(
+    query: ConjunctiveQuery,
+    database: Database,
+    algorithm: str = "hybrid",
+    max_width: int = 10,
+    timeout: float | None = None,
+    simplify: bool = True,
+    executor: str = "columnar",
+    mode: AnswerMode | str = AnswerMode.ENUMERATE,
+) -> QueryResult:
+    """Evaluate ``query`` over ``database`` guided by a minimum-width HD.
+
+    One call of :meth:`QueryEngine.execute` on a process-wide engine built
+    from ``algorithm``/``max_width``/``timeout``/``simplify`` (see
+    :class:`QueryEngine`), so repeated shapes hit its plan cache and a
+    database keeps its column or SQL store for as long as it lives.  The
+    decomposition, join tree and plan are under :attr:`QueryResult.planned`.
+    """
+    engine = _shared_engine(algorithm, max_width, timeout, simplify)
+    return engine.execute(query, database, mode, executor=executor)

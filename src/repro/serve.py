@@ -58,6 +58,7 @@ from .hypergraph.cq import parse_conjunctive_query
 from .pipeline.engine import DecompositionEngine
 from .pipeline.registry import registry
 from .query.database import random_database_for_query
+from .query.plan import EXECUTORS
 from .service import DecompositionService
 
 __all__ = ["main", "run_selftest"]
@@ -417,7 +418,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=("columnar", "sql"),
+        choices=EXECUTORS,
         default="columnar",
         help="query execution arm: the in-memory columnar engine (default) "
         "or SQL pushdown into SQLite",

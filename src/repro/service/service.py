@@ -60,12 +60,12 @@ from itertools import count
 
 from .. import faults
 from ..core.base import DecompositionResult
-from ..exceptions import ServiceError, SolverError, TimeoutExceeded
+from ..exceptions import QueryError, ServiceError, SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..lru import ShardStats, ShardedLRU
 from ..pipeline.engine import DecompositionEngine, default_engine
 from ..pipeline.registry import PRIMITIVE_OPTION_TYPES, registry
-from ..query.plan import AnswerMode
+from ..query.plan import AnswerMode, check_executor
 from ..query.workload import QueryEngine, QueryResult, query_signature
 from .process_backend import ProcessBackend
 
@@ -543,10 +543,10 @@ class DecompositionService:
         the worker pipe.
         """
         mode = AnswerMode.coerce(mode)
-        if executor not in ("columnar", "sql"):
-            raise ServiceError(
-                f"unknown executor {executor!r}; known: columnar, sql"
-            )
+        try:
+            check_executor(executor)
+        except QueryError as error:
+            raise ServiceError(str(error)) from None
         query_engine = self._resolve_query_engine()
         if priority is None:
             priority = (

@@ -1,4 +1,11 @@
-"""Yannakakis' algorithm over join trees.
+"""The eager, tuple-at-a-time CQ evaluation pipeline: bags, then Yannakakis.
+
+This is ``repro.query.yannakakis`` and ``repro.query.cq_eval.materialise_bags``,
+the pipeline the library shipped as ``executor="eager"`` before the
+plan-compiled executors superseded it, moved here verbatim.  It shares
+nothing with the plan compiler it referees: :func:`evaluate_eager` goes from
+the decomposition's join tree straight to :class:`~repro.query.Relation`
+operators, and both executors must return its answers byte for byte.
 
 Given a join tree whose nodes carry materialised relations (one per bag),
 Yannakakis' algorithm evaluates the corresponding acyclic join in polynomial
@@ -12,21 +19,20 @@ time:
 3. a bottom-up join pass assembles the answers, projecting intermediate
    results onto the output variables plus the variables still needed higher
    up — which keeps intermediate results polynomial.
-
-Combined with bag materialisation from a width-k HD (see
-:mod:`repro.query.cq_eval`), this is the end-to-end pipeline the paper's
-introduction motivates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
-from ..exceptions import QueryError
-from .relation import Relation
-
-__all__ = ["AnnotatedNode", "full_reduce", "yannakakis", "semijoin_pass_count"]
+from repro.core.width import hypertree_width
+from repro.decomp.jointree import JoinTree, join_tree_from_decomposition
+from repro.exceptions import QueryError
+from repro.hypergraph.cq import Atom, ConjunctiveQuery
+from repro.query.database import Database
+from repro.query.joins import atom_relation, join_all
+from repro.query.relation import Relation
 
 
 @dataclass
@@ -105,3 +111,45 @@ def _joined_projection(node: AnnotatedNode, keep: frozenset[str]) -> Relation:
     # Project onto what the ancestors may still need plus the output.
     wanted = [a for a in current.schema if a in keep or a in node.relation.schema]
     return current.project(wanted)
+
+
+def materialise_bags(
+    join_tree: JoinTree,
+    database: Database,
+    edge_atoms: dict[str, Atom],
+) -> AnnotatedNode:
+    """Materialise one relation per join-tree node (the eager reference arm).
+
+    The node relation is the join of the λ-cover atoms projected onto the bag
+    variables, semijoin-filtered by every atom *assigned* to the node (atoms
+    whose variables the bag covers but which are not part of the cover).
+    """
+
+    def build(node) -> AnnotatedNode:
+        cover_atoms = [edge_atoms[name] for name in sorted(node.cover_edges)]
+        if not cover_atoms:
+            raise QueryError("decomposition node with an empty λ-label cannot be materialised")
+        cover_relations = [atom_relation(database, atom) for atom in cover_atoms]
+        joined = join_all(cover_relations, name="bag")
+        bag_variables = [v for v in joined.schema if v in node.variables]
+        bag_relation = joined.project(bag_variables, name="bag")
+        for edge_name in sorted(node.assigned_edges):
+            atom = edge_atoms[edge_name]
+            bag_relation = bag_relation.semijoin(atom_relation(database, atom))
+        return AnnotatedNode(
+            relation=bag_relation,
+            children=[build(child) for child in node.children],
+        )
+
+    return build(join_tree.root)
+
+
+def evaluate_eager(query: ConjunctiveQuery, database: Database) -> Relation:
+    """The answers of ``query`` over ``database`` by the eager pipeline."""
+    width, decomposition = hypertree_width(query.hypergraph())
+    if decomposition is None:
+        raise QueryError("no hypertree decomposition found for the query")
+    join_tree = join_tree_from_decomposition(decomposition)
+    join_tree.validate()
+    annotated = materialise_bags(join_tree, database, query.edge_atom_map())
+    return yannakakis(annotated, list(query.free_variables))

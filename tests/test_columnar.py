@@ -2,20 +2,24 @@
 
 The plan-compiled columnar evaluation (all three answer modes) must agree
 answer-for-answer with :func:`repro.query.joins.naive_join_query` — and the
-eager Yannakakis pipeline — on random conjunctive queries and databases,
-including empty relations, repeated variables and Boolean queries.
+eager Yannakakis pipeline of ``tests/oracles/eager.py`` — on random
+conjunctive queries and databases, including empty relations, repeated
+variables and Boolean queries.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles.eager import evaluate_eager
 
 from repro.core.width import hypertree_width
 from repro.decomp.jointree import join_tree_from_decomposition
+from repro.pipeline.engine import DecompositionEngine
 from repro.query import (
     ColumnStore,
     Database,
+    QueryEngine,
     Relation,
     compile_plan,
     evaluate_query,
@@ -119,11 +123,22 @@ def test_columnar_modes_agree_with_naive_join_on_each_kernel_arm(kernels, case):
 @given(_query_and_database())
 @settings(max_examples=25, **_DIFFERENTIAL)
 def test_columnar_and_eager_evaluate_query_agree(case):
+    # Three ways to one answer: the facade on its shared engine, an engine of
+    # the caller's own, and the oracle that never sees a compiled plan.
     query, database = case
-    columnar = evaluate_query(query, database, executor="columnar")
-    eager = evaluate_query(query, database, executor="eager")
-    assert columnar.answers.as_dicts() == eager.answers.as_dicts()
-    assert columnar.count == len(eager.answers)
+    eager = evaluate_eager(query, database)
+    engine = QueryEngine(engine=DecompositionEngine())
+    for mode in ("enumerate", "boolean", "count"):
+        facade = evaluate_query(query, database, mode=mode, executor="columnar")
+        direct = engine.execute(query, database, mode, executor="columnar")
+        assert (facade.answers, facade.count, facade.boolean, facade.width) == (
+            direct.answers, direct.count, direct.boolean, direct.width
+        ), mode
+        assert facade.boolean == (len(eager) > 0), mode
+        if mode == "enumerate":
+            assert facade.answers.as_dicts() == eager.as_dicts()
+        if mode != "boolean":
+            assert facade.count == len(eager), mode
 
 
 # --------------------------------------------------------------------------- #
@@ -140,7 +155,7 @@ def _run_all_modes(query, database):
     for mode in ("enumerate", "boolean", "count"):
         report = evaluate_query(query, database, mode=mode)
         results[mode] = report
-        assert report.boolean_answer == (len(naive) > 0), mode
+        assert report.boolean == (len(naive) > 0), mode
     assert results["enumerate"].answers.as_dicts() == naive.as_dicts()
     assert results["count"].count == len(naive)
     return results
@@ -182,8 +197,8 @@ def test_boolean_query_positive_and_negative():
     negative = Database(
         [Relation("r", ["a0", "a1"], [(1, 2)]), Relation("s", ["a0", "a1"], [(1, 2)])]
     )
-    assert _run_all_modes(query, positive)["boolean"].boolean_answer is True
-    assert _run_all_modes(query, negative)["boolean"].boolean_answer is False
+    assert _run_all_modes(query, positive)["boolean"].boolean is True
+    assert _run_all_modes(query, negative)["boolean"].boolean is False
 
 
 def test_boolean_mode_skips_join_work():
@@ -198,8 +213,8 @@ def test_boolean_mode_skips_join_work():
         ]
     )
     report = evaluate_query(query, database, mode="boolean")
-    assert report.boolean_answer is False
-    assert report.plan is not None and report.plan.top_down == ()
+    assert report.boolean is False and report.answers is None
+    assert report.planned.plan.top_down == ()
 
 
 # --------------------------------------------------------------------------- #

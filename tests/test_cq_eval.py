@@ -36,7 +36,7 @@ def test_hd_guided_evaluation_matches_naive_join(query_text, seed):
     naive = naive_join_query(database, query.atoms, query.free_variables)
     assert report.answers.as_dicts() == naive.as_dicts()
     assert report.width >= 1
-    assert report.join_tree.width <= report.width
+    assert report.planned.join_tree.width <= report.width
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -47,8 +47,8 @@ def test_boolean_query_agreement(seed):
     )
     report = evaluate_query(query, database)
     naive = naive_join_query(database, query.atoms, [])
-    assert report.is_boolean
-    assert report.boolean_answer == (len(naive) > 0)
+    assert report.planned.plan.is_boolean
+    assert report.boolean == (len(naive) > 0)
 
 
 def test_report_contains_decomposition_details():
@@ -56,9 +56,9 @@ def test_report_contains_decomposition_details():
     database = random_database_for_query(query, seed=3)
     report = evaluate_query(query, database)
     assert report.width == 2
-    assert report.decomposition.width <= 2
-    assert report.decomposition_seconds >= 0
-    assert report.evaluation_seconds >= 0
+    assert report.planned.decomposition.width <= 2
+    assert report.planned.decomposition_seconds >= 0
+    assert report.execution_seconds >= 0
 
 
 def test_unreachable_width_raises():

@@ -100,7 +100,7 @@ def _chain_csp() -> CSPInstance:
     )
 
 
-@pytest.mark.parametrize("executor", ["columnar", "sql", "eager"])
+@pytest.mark.parametrize("executor", ["columnar", "sql"])
 @pytest.mark.parametrize(
     "csp",
     [_cyclic_csp(True), _cyclic_csp(False), _chain_csp()],
@@ -112,3 +112,31 @@ def test_fast_paths_agree_with_solve_and_backtracking(csp, executor):
     solver = DecompositionCSPSolver(executor=executor)
     assert solver.is_satisfiable(csp) == (backtracking_solve(csp) is not None)
     assert solver.count_solutions(csp) == solver.solve(csp).num_solutions_found
+
+
+@pytest.mark.parametrize("executor", ["columnar", "sql"])
+@pytest.mark.parametrize(
+    "domains, tuples, solutions",
+    [
+        # the only allowed tuple lies outside the domains
+        ({"x": (0,), "y": (0,)}, ((1, 1),), 0),
+        # the domains cut three allowed tuples down to one
+        ({"x": (0, 1), "y": (1,)}, ((0, 0), (0, 1), (5, 1)), 1),
+        # z occurs in no scope: each of its values extends the one (x, y)
+        ({"x": (0, 1), "y": (0, 1), "z": (7, 8, 9)}, ((1, 1),), 3),
+    ],
+    ids=["outside-domain", "domain-cut", "unconstrained-variable"],
+)
+def test_declared_domains_restrict_the_solutions(domains, tuples, solutions, executor):
+    csp = CSPInstance(domains=domains, constraints=(("c", ("x", "y"), tuples),))
+    solver = DecompositionCSPSolver(executor=executor)
+    solution = solver.solve(csp)
+    assert solution.num_solutions_found == solver.count_solutions(csp) == solutions
+    assert solution.satisfiable == solver.is_satisfiable(csp) == (solutions > 0)
+    assert solution.satisfiable == (backtracking_solve(csp) is not None)
+    if solutions:
+        assert set(solution.assignment) == set(domains)
+        assert all(solution.assignment[v] in domains[v] for v in domains)
+        assert (solution.assignment["x"], solution.assignment["y"]) in tuples
+    else:
+        assert solution.assignment is None

@@ -14,12 +14,13 @@ from repro.hypergraph import generators
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine
 from repro.pipeline.registry import registry
-from repro.query import evaluate_query, random_database_for_query
+from repro.query import random_database_for_query
 from repro.service import (
     PRIORITY_BULK,
     PRIORITY_INTERACTIVE,
     DecompositionService,
 )
+from oracles.eager import evaluate_eager
 
 
 @pytest.fixture
@@ -119,10 +120,10 @@ def test_submit_query_modes_agree(service):
     enum = service.submit_query(query, database, "enumerate").result(timeout=30)
     boolean = service.submit_query(query, database, "boolean").result(timeout=30)
     count = service.submit_query(query, database, "count").result(timeout=30)
-    reference = evaluate_query(query, database, executor="eager")
-    assert enum.answers.as_dicts() == reference.answers.as_dicts()
-    assert count.count == len(reference.answers)
-    assert boolean.boolean == (len(reference.answers) > 0)
+    reference = evaluate_eager(query, database)
+    assert enum.answers.as_dicts() == reference.as_dicts()
+    assert count.count == len(reference)
+    assert boolean.boolean == (len(reference) > 0)
 
 
 def test_query_priorities_by_mode(service):

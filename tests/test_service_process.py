@@ -20,8 +20,9 @@ from repro.hypergraph import generators
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine
 from repro.pipeline.registry import registry
-from repro.query import evaluate_query, random_database_for_query
+from repro.query import random_database_for_query
 from repro.service import DecompositionService
+from oracles.eager import evaluate_eager
 
 
 @pytest.fixture
@@ -116,10 +117,10 @@ def test_process_backend_query_modes_agree(service):
     enum = service.submit_query(query, database, "enumerate").result(timeout=60)
     boolean = service.submit_query(query, database, "boolean").result(timeout=60)
     count = service.submit_query(query, database, "count").result(timeout=60)
-    reference = evaluate_query(query, database, executor="eager")
-    assert enum.answers.as_dicts() == reference.answers.as_dicts()
-    assert count.count == len(reference.answers)
-    assert boolean.boolean == (len(reference.answers) > 0)
+    reference = evaluate_eager(query, database)
+    assert enum.answers.as_dicts() == reference.as_dicts()
+    assert count.count == len(reference)
+    assert boolean.boolean == (len(reference) > 0)
 
 
 def test_process_backend_rejects_object_valued_options(service, cycle10):

