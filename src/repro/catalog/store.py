@@ -75,6 +75,8 @@ from ..core.codec import (
     decomposition_from_json,
     decomposition_to_dict,
     kind_of,
+    statistics_from_dict,
+    statistics_to_dict,
 )
 from ..decomp.decomposition import (
     Decomposition,
@@ -231,15 +233,9 @@ class _PendingWrite:
 
 
 def _statistics_payload(stats: SearchStatistics) -> str:
-    counters = asdict(replace(stats, stage_seconds={}))
-    counters.pop("stage_seconds", None)
+    counters = statistics_to_dict(stats)
+    del counters["stage_seconds"]  # one run's timings, not part of the decided outcome
     return json.dumps(counters, sort_keys=True)
-
-
-def _statistics_from_payload(text: str) -> SearchStatistics:
-    counters = json.loads(text)
-    known = {name for name in SearchStatistics.__dataclass_fields__ if name != "stage_seconds"}
-    return SearchStatistics(**{k: v for k, v in counters.items() if k in known})
 
 
 class DecompositionCatalog:
@@ -255,9 +251,6 @@ class DecompositionCatalog:
     synchronous_writes:
         Bypass the write-behind queue and insert inline — slower ``put`` but
         no :meth:`flush` needed before handing the file to another process.
-    retry_policy:
-        The :class:`~repro.faults.RetryPolicy` wrapped around every SQLite
-        operation (default: 2 retries, 10 ms base backoff with jitter).
     failure_threshold / reset_interval:
         The circuit breaker's knobs: consecutive attempt failures before the
         circuit opens, and the cooldown before a half-open re-attach probe.
@@ -273,7 +266,6 @@ class DecompositionCatalog:
         namespace: str = "default",
         *,
         synchronous_writes: bool = False,
-        retry_policy: RetryPolicy | None = None,
         failure_threshold: int = 3,
         reset_interval: float = 1.0,
     ) -> None:
@@ -282,7 +274,9 @@ class DecompositionCatalog:
         self.path = Path(path)
         self.namespace = namespace
         self.synchronous_writes = synchronous_writes
-        self._retry = retry_policy if retry_policy is not None else RetryPolicy()
+        # Wrapped around every SQLite operation: 2 retries, 10 ms base
+        # backoff with jitter.
+        self._retry = RetryPolicy()
         self._breaker = CircuitBreaker(
             failure_threshold=failure_threshold, reset_interval=reset_interval
         )
@@ -777,7 +771,7 @@ class DecompositionCatalog:
         ) = row
         try:
             hypergraph = host if host is not None else from_hif(hif_text)
-            stats = _statistics_from_payload(stats_text)
+            stats = statistics_from_dict(json.loads(stats_text))
             root: DecompositionNode | None = None
             kind: type = HypertreeDecomposition
             if success:

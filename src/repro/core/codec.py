@@ -74,6 +74,8 @@ __all__ = [
     "decompose_request_to_dict",
     "query_request_to_dict",
     "service_request_from_dict",
+    "statistics_to_dict",
+    "statistics_from_dict",
     "decomposition_answer_to_dict",
     "decomposition_answer_from_dict",
     "query_answer_to_dict",
@@ -491,7 +493,9 @@ def service_request_from_dict(payload: dict) -> dict:
 _STATISTICS_FIELDS = {f.name for f in dataclass_fields(SearchStatistics)}
 
 
-def _statistics_to_dict(statistics: SearchStatistics) -> dict:
+def statistics_to_dict(statistics: SearchStatistics) -> dict:
+    """Encode search counters and stage timings (the catalog stores the same
+    dict minus the timings)."""
     payload = {
         name: getattr(statistics, name)
         for name in _STATISTICS_FIELDS
@@ -501,7 +505,9 @@ def _statistics_to_dict(statistics: SearchStatistics) -> dict:
     return payload
 
 
-def _statistics_from_dict(payload: dict) -> SearchStatistics:
+def statistics_from_dict(payload: dict) -> SearchStatistics:
+    """Rebuild :func:`statistics_to_dict` output; unknown keys (a newer
+    writer's counters) are ignored, missing ones take their defaults."""
     known = {k: v for k, v in payload.items() if k in _STATISTICS_FIELDS}
     return SearchStatistics(**known)
 
@@ -516,7 +522,7 @@ def decomposition_answer_to_dict(result: DecompositionResult) -> dict:
         "success": result.success,
         "timed_out": result.timed_out,
         "elapsed": result.elapsed,
-        "statistics": _statistics_to_dict(result.statistics),
+        "statistics": statistics_to_dict(result.statistics),
         "decomposition": (
             decomposition_to_dict(result.decomposition)
             if result.decomposition is not None
@@ -544,7 +550,7 @@ def decomposition_answer_from_dict(
         ),
         elapsed=float(_require(payload, "elapsed", (int, float))),
         timed_out=_require(payload, "timed_out", bool),
-        statistics=_statistics_from_dict(_require(payload, "statistics", dict)),
+        statistics=statistics_from_dict(_require(payload, "statistics", dict)),
     )
 
 

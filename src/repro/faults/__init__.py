@@ -9,8 +9,8 @@ The package has three parts:
   backoff + jitter) and :class:`CircuitBreaker`, the building blocks of the
   supervised layers (catalog re-attach, worker respawn, poison quarantine);
 * :mod:`repro.faults.supervise` — :class:`~repro.faults.supervise.WorkerProcess`,
-  the one supervised child process (single-writer result pipe, two-strike
-  liveness, fresh pipe on respawn) under both the parallel decomposer and
+  the one supervised child process (single-writer pipes, two-strike
+  liveness, fresh pipes on respawn) under both the parallel decomposer and
   the process serving backend.
 
 Import the package itself at instrumentation sites (``from repro import

@@ -13,13 +13,16 @@ transport and liveness rules live here once:
   at all, and the parent's framed non-blocking reads mean a half-written
   frame from a dying worker can never block the reader.  The write end rides
   across the fork as a raw file descriptor, so callers must use the ``fork``
-  start method.
+  start method.  A worker that also *takes* requests (the serving layer's)
+  gets them the same way, over a second private pipe in the other direction:
+  the parent is its one writer, the worker blocks in :func:`read_frame`.
 * **Two strikes before a dead worker counts as crashed**: its last frame may
   still sit unread in the pipe when ``is_alive`` first reports False; only
   :data:`DEAD_STRIKES` consecutive :meth:`WorkerProcess.crashed` sweeps with
   no frame in between make it a crash.
-* **A fresh pipe on respawn**: the dead worker may have left a half-written
-  frame behind, which would desync its successor's frames on a reused pipe.
+* **Fresh pipes on respawn, in both directions**: the dead worker may have
+  left a half-written result frame or a half-read request frame behind,
+  which would desync its successor's frames on a reused pipe.
 
 What to do about a crash (respawn budget, requeueing the dead worker's
 tasks) is the caller's policy and stays with the caller.
@@ -31,19 +34,47 @@ import os
 import pickle
 import select
 
-__all__ = ["DEAD_STRIKES", "WorkerProcess", "poll", "write_frame"]
+__all__ = [
+    "DEAD_STRIKES",
+    "WorkerProcess",
+    "encode_frame",
+    "poll",
+    "read_frame",
+    "write_frame",
+]
 
 #: Consecutive frame-less sweeps before a non-alive worker counts as crashed.
 DEAD_STRIKES = 2
 
 
-def write_frame(fd: int, message) -> None:
-    """Ship one length-prefixed pickle over a result pipe (worker side)."""
+def encode_frame(message) -> bytes:
+    """One length-prefixed pickle, as :func:`poll` and :func:`read_frame` read it."""
     data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(4, "big") + data)
+    return len(data).to_bytes(4, "big") + data
+
+
+def write_frame(fd: int, message) -> None:
+    """Ship one frame over a blocking pipe end."""
+    view = memoryview(encode_frame(message))
     while view:
         written = os.write(fd, view)
         view = view[written:]
+
+
+def read_frame(fd: int):
+    """Block until one whole frame has arrived (:func:`write_frame`'s
+    counterpart); ``EOFError`` once every writer has closed the pipe."""
+
+    def exactly(size: int) -> bytearray:
+        data = bytearray()
+        while len(data) < size:
+            chunk = os.read(fd, size - len(data))
+            if not chunk:
+                raise EOFError("frame pipe closed by its writer")
+            data += chunk
+        return data
+
+    return pickle.loads(exactly(int.from_bytes(exactly(4), "big")))
 
 
 class WorkerProcess:
@@ -64,6 +95,8 @@ class WorkerProcess:
         self.attempt = 0
         self._open_pipe()
 
+    # What a worker's attempt owns and its successor must not inherit;
+    # subclasses with more per-attempt channel state extend the pair.
     def _open_pipe(self) -> None:
         self.result_rfd, self.result_wfd = os.pipe()
         self.rbuf = bytearray()

@@ -182,6 +182,8 @@ class QueryEngine:
 
     PLAN_CACHE_NAME = "query-plans"
     SQL_CACHE_NAME = "query-sql"
+    #: Capacity of each of the two auxiliary caches above.
+    PLAN_CACHE_ENTRIES = 256
 
     def __init__(
         self,
@@ -189,7 +191,6 @@ class QueryEngine:
         max_width: int = 10,
         timeout: float | None = None,
         simplify: bool = True,
-        plan_cache_entries: int = 256,
         engine: DecompositionEngine | None = None,
         **algorithm_options,
     ) -> None:
@@ -199,7 +200,6 @@ class QueryEngine:
         self.simplify = simplify
         self.engine = engine
         self.algorithm_options = algorithm_options
-        self._plan_cache_entries = plan_cache_entries
         self._configuration = registry.configuration_key(
             algorithm,
             timeout=timeout,
@@ -239,7 +239,7 @@ class QueryEngine:
 
     def _plan_cache(self):
         return self._decomposition_engine().auxiliary_cache(
-            self.PLAN_CACHE_NAME, self._plan_cache_entries
+            self.PLAN_CACHE_NAME, self.PLAN_CACHE_ENTRIES
         )
 
     def store_for(self, database: Database) -> ColumnStore:
@@ -284,7 +284,7 @@ class QueryEngine:
             store.source_fingerprint(planned.plan),
         )
         cache = self._decomposition_engine().auxiliary_cache(
-            self.SQL_CACHE_NAME, self._plan_cache_entries
+            self.SQL_CACHE_NAME, self.PLAN_CACHE_ENTRIES
         )
         program = cache.get(key)
         if program is None:

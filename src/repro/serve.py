@@ -91,11 +91,16 @@ def chaos_rules(seed: int, backend: str = "thread") -> list:
     invariants assert *recovery*, not merely degradation.
 
     The schedule is calibrated so no single task can accumulate
-    ``poison_threshold`` (3) crashes: under the process backend the
-    ``service.process`` kill adds up to one crash per task on top of the
-    dispatch-crash budget (affinity re-routes the requeued task onto the
-    respawned attempt-1 worker, which survives), so that budget drops from
-    2 to 1 there.
+    ``poison_threshold`` (3) crashes.  Both backends run the one worker
+    loop, so the ``service.worker`` dispatch crash fires in the same place
+    on both, and its whole budget can land on one task (a requeued task
+    passes the point again).  Under the process backend the
+    ``service.process`` kill adds at most one more crash to that task: its
+    key owns one slot, whose first-generation worker dies with the request
+    in hand, and the requeue lands on the respawned attempt-1 worker, which
+    the rule spares.  2 + 1 would reach the threshold, so the dispatch-crash
+    budget is 1 there (1 + 1 < 3) and 2 under the thread backend, where the
+    kill point never fires.
     """
     import sqlite3
 
@@ -138,8 +143,8 @@ def chaos_rules(seed: int, backend: str = "thread") -> list:
         faults.FaultRule(point="parallel.worker", kill=True, where={"attempt": 0}),
         # Same treatment for the serving layer's own worker processes
         # (inert under the thread backend, where the point never fires):
-        # each first-generation worker dies at its first batch, orphaning
-        # the batch onto the requeue path and forcing a slot respawn.
+        # each first-generation worker dies at its first request, sending
+        # the request down the requeue path and forcing a slot respawn.
         faults.FaultRule(point="service.process", kill=True, where={"attempt": 0}),
     ]
 

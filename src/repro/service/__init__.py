@@ -1,4 +1,4 @@
-"""The concurrent serving layer: sharded caches, dedup, batched scheduling.
+"""The concurrent serving layer: sharded caches, dedup, priority scheduling.
 
 See :mod:`repro.service.service` for the design; the short version is that
 :class:`DecompositionService` lets many threads share one decomposition

@@ -1,52 +1,58 @@
 """Process-pool execution backend for :class:`DecompositionService`.
 
 The thread backend shares one interpreter, so CPU-bound decomposition
-search and query execution serialise on the GIL.  This backend dispatches
-admitted tasks to long-lived **worker processes**, each holding its own
+search and query execution serialise on the GIL.  This backend is the thread
+backend with a remote ``run``: the service's worker thread *i* drains slot
+*i*'s priority queue exactly as a thread-backend worker drains the shared
+one, and executes each task through :meth:`ProcessBackend.run` — one
+synchronous round trip to a long-lived **worker process** holding its own
 warm :class:`~repro.pipeline.engine.DecompositionEngine` /
 :class:`~repro.query.workload.QueryEngine` / column-store state:
 
 * **Cache-affinity routing** — the admission key (canonical hash, k,
   configuration for decompositions; query signature, mode, database for
-  queries) hashes onto a fixed worker slot, so a worker's local memos and
+  queries) hashes onto a fixed worker slot (:meth:`ProcessBackend.slot_for`,
+  applied by the service at admission), so a worker's local memos and
   column stores stay hot for the keys it owns.  The shared L2 catalog
   remains the cross-process durability tier; the parent keeps the
   exactly-once in-flight dedup, so coalescing semantics are unchanged.
-* **Batch admission** — a dispatcher thread drains the service's priority
-  queue in small batches per dispatch, amortising one IPC round trip over
-  several requests.  Priority order holds among what is still in that queue
-  (the batch is whatever is ready right now); the dispatcher does not wait
-  for a slot to be idle, so a request already in a slot's FIFO queue is not
-  overtaken by a more urgent one submitted later.
+* **One duplex channel per slot** — a request pipe and a result pipe, each
+  with a single writer (:mod:`repro.faults.supervise`), carrying one
+  request frame and one reply frame per task.  A slot is handed its next
+  task only when it is idle, so the service's priorities hold here as they
+  do on the thread backend.
 * **Shipped-once payloads** — hypergraphs and databases cross the
   boundary through :mod:`repro.core.codec` exactly once per worker slot
-  (tracked per slot in ``shipped_*`` sets); requests reference them by
-  canonical hash / token, so a fat instance is not re-pickled per request.
-* **Cancellation side-channel** — each slot owns a small shared ring of
-  request sequence numbers; the worker folds it (via
-  :class:`EitherEvent`) with the pool-wide stop and
-  abort events into the per-request cancel signal that the decomposition
-  search and the columnar executor poll.  ``ServiceTicket.cancel()`` on a
-  running request therefore aborts it promptly in this backend too.
-* **Crash supervision** — a worker process that dies without reporting is
-  respawned on the same slot (affinity routing is stable across respawns);
-  its orphaned tasks go through the service's existing requeue /
-  quarantine path, and the fresh worker gets the payloads re-shipped.
-  The result pipes, the liveness rule and the respawn mechanics are
+  (tracked per slot in ``shipped_*`` sets, and encoded only then);
+  requests reference them by canonical hash / token, so a fat instance is
+  not re-pickled per request.
+* **Cancellation side-channel** — each slot owns one shared cancel *word*.
+  While it waits for the reply, the slot's thread stores the request's
+  sequence number there once the task's cancel event is set; the worker's
+  cancel view (``word == my sequence number``) is what the decomposition
+  search and the columnar executor poll.  ``ServiceTicket.cancel()`` and
+  ``shutdown(cancel_pending=True)`` on a running request therefore abort
+  it promptly in this backend too.
+* **Crash supervision** — a worker process that dies — idle, mid-request,
+  or before it has read its request — is respawned on the same slot
+  (affinity routing is stable across respawns) with fresh pipes and an
+  empty ship ledger; :meth:`ProcessBackend.run` then raises
+  :class:`WorkerDied` and the task takes the service's existing requeue /
+  quarantine path.  The liveness rule and the respawn mechanics are
   :mod:`repro.faults.supervise`'s (which also says why not a shared queue).
 
-Lock ordering: the backend never takes the service lock while holding its
-own lock (the service may call into the backend under *its* lock — e.g.
-``_cancel_ticket`` → :meth:`ProcessBackend.request_cancel`).
+Lock ordering: a slot's lock serialises the conversations on its pipes and
+is held for a whole round trip; the backend lock only guards the database
+tokens and the moments a slot's ``Process`` handle is replaced, and is
+never held while taking another lock.  The service lock is never taken here.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as pyqueue
+import select
 import threading
-import time
 import traceback
 import weakref
 import zlib
@@ -56,22 +62,23 @@ from .. import faults
 from ..catalog import CatalogStats
 from ..core import codec
 from ..exceptions import ParseError, ServiceError
-from ..faults.supervise import WorkerProcess, poll, write_frame
+from ..faults.supervise import WorkerProcess, encode_frame, poll, read_frame, write_frame
 from ..pipeline.engine import DecompositionEngine
 from ..pipeline.registry import registry
 from ..query.plan import AnswerMode
 from ..query.workload import QueryAnswer, QueryEngine
 
-__all__ = ["ProcessBackend"]
+__all__ = ["ProcessBackend", "WorkerDied"]
 
-#: Maximum tasks drained per dispatch: large enough to amortise the IPC
-#: round trip.
-_BATCH_LIMIT = 4
-#: Entries in the per-slot cancel ring.  Cancels are rare; the ring only
-#: needs to cover the requests concurrently visible to one worker.
-_CANCEL_RING = 8
-#: Collector poll interval; also bounds crash-detection latency.
-_POLL_INTERVAL = 0.05
+#: How long a slot's thread waits on its pipes (or, idle, on its queue)
+#: before it forwards a cancellation and sweeps for a dead worker; bounds
+#: cancel and crash-detection latency.
+POLL_INTERVAL = 0.05
+
+
+class WorkerDied(ServiceError):
+    """The slot's worker process died with a request outstanding (it has
+    been respawned; the request is the service's to requeue)."""
 
 
 class _Request:
@@ -79,15 +86,16 @@ class _Request:
 
     ``payload`` is the codec request dict, ``decode`` turns the worker's
     answer payload back into the caller-facing result.  ``graph_key`` /
-    ``graph_payload`` and ``db_token`` / ``db_payload`` carry the
-    ship-once-per-slot attachments.
+    ``hypergraph`` and ``db_token`` / ``db_payload`` carry the
+    ship-once-per-slot attachments; the hypergraph is encoded only when a
+    slot's ship ledger misses it.
     """
 
     __slots__ = (
         "payload",
         "decode",
         "graph_key",
-        "graph_payload",
+        "hypergraph",
         "db_token",
         "db_payload",
     )
@@ -97,61 +105,43 @@ class _Request:
         payload: dict,
         decode,
         graph_key: str | None = None,
-        graph_payload: dict | None = None,
+        hypergraph=None,
         db_token: str | None = None,
         db_payload: dict | None = None,
     ) -> None:
         self.payload = payload
         self.decode = decode
         self.graph_key = graph_key
-        self.graph_payload = graph_payload
+        self.hypergraph = hypergraph
         self.db_token = db_token
         self.db_payload = db_payload
 
 
-class EitherEvent:
-    """Read-only OR view over two events (only ``is_set`` is consulted)."""
+class _WordCancel:
+    """Worker-side ``is_set`` view over the slot's shared cancel word."""
 
-    __slots__ = ("first", "second")
+    __slots__ = ("word", "seq")
 
-    def __init__(self, first, second) -> None:
-        self.first = first
-        self.second = second
-
-    def is_set(self) -> bool:
-        return self.first.is_set() or self.second.is_set()
-
-
-class _RingCancel:
-    """Worker-side ``is_set`` view over the slot's shared cancel ring."""
-
-    __slots__ = ("ring", "seq")
-
-    def __init__(self, ring, seq: int) -> None:
-        self.ring = ring
+    def __init__(self, word, seq: int) -> None:
+        self.word = word
         self.seq = seq
 
     def is_set(self) -> bool:
-        return self.seq in self.ring[:]
+        return self.word.value == self.seq
 
 
 # --------------------------------------------------------------------------- #
 # worker process
 # --------------------------------------------------------------------------- #
 def _worker_meta(slot, attempt, served, engine):
-    cache = engine.cache
-    hits = misses = 0
-    if cache is not None:
-        for shard in cache.shard_statistics():
-            hits += shard.hits
-            misses += shard.misses
+    cache = engine.cache.statistics
     catalog = engine.catalog
     return {
         "pid": os.getpid(),
         "slot": slot,
         "attempt": attempt,
         "served": served,
-        "engine_cache": {"hits": hits, "misses": misses},
+        "engine_cache": {"hits": cache.hits, "misses": cache.misses},
         "catalog": catalog.stats().as_dict() if catalog is not None else None,
         "faults_injected": (
             faults.installed().injected_counts() if faults.installed() else {}
@@ -205,20 +195,18 @@ def _worker_main(
     slot: int,
     attempt: int,
     config: dict,
-    request_queue,
+    request_fd: int,
     result_fd: int,
-    stop_event,
-    abort_event,
-    cancel_ring,
+    cancel_word,
 ) -> None:
-    """Long-lived worker: warm engines, drain batches, ship answers back.
+    """Long-lived worker: warm engines, one reply frame per request frame.
 
     The worker owns a private engine stack (result cache, plan cache,
-    column stores) plus its own handle on the shared L2 catalog; batch
-    messages carry the parent's fault spec so chaos schedules behave
-    identically across the boundary.  Answers go back over this slot's
-    private result pipe (``result_fd`` rides across the fork), so the
-    backend requires the ``fork`` start method.
+    column stores) plus its own handle on the shared L2 catalog; every
+    request carries the parent's fault spec so chaos schedules behave
+    identically across the boundary.  Both pipe ends ride across the fork
+    as raw file descriptors, so the backend requires the ``fork`` start
+    method.
     """
     engine = DecompositionEngine(catalog=config["catalog_path"])
     query_engine = QueryEngine(
@@ -236,28 +224,17 @@ def _worker_main(
     spec = faults.current_spec()
     installed_fingerprint = repr(spec) if spec is not None else None
 
-    def meta():
-        return _worker_meta(slot, attempt, served, engine)
-
     try:
-        while True:
-            try:
-                message = request_queue.get(timeout=0.2)
-            except pyqueue.Empty:
-                if stop_event.is_set():
-                    return
-                continue
-            if message is None:
-                return
-            if message["type"] == "probe":
+        # ``None`` is the parent's stop frame (EOF never comes: siblings
+        # forked from the same parent hold copies of the write end).
+        while (message := read_frame(request_fd)) is not None:
+            if message["request"] is None:  # a catalog probe
                 catalog = engine.catalog
                 ok = catalog.probe() if catalog is not None else True
-                write_frame(
-                    result_fd, ("probe", slot, message["probe_id"], ok, None, meta())
-                )
+                write_frame(result_fd, ("ok", ok, _worker_meta(slot, attempt, served, engine)))
                 continue
 
-            spec = message.get("spec")
+            spec = message["spec"]
             fingerprint = repr(spec) if spec is not None else None
             if fingerprint != installed_fingerprint:
                 if spec is None:
@@ -266,48 +243,27 @@ def _worker_main(
                     faults.install_spec(spec)
                 installed_fingerprint = fingerprint
 
-            items = message["items"]
             try:
                 for graph_key, payload in message["graphs"].items():
-                    if graph_key not in graphs:
-                        graphs[graph_key] = codec.hypergraph_from_dict(payload)
+                    graphs[graph_key] = codec.hypergraph_from_dict(payload)
                 for token, payload in message["databases"].items():
-                    if token not in databases:
-                        databases[token] = codec.database_from_dict(payload)
-                # The chaos point of this backend: fired once per batch, so
-                # a ``kill`` rule takes the whole worker down mid-flight and
-                # exercises the respawn + re-ship + requeue path.
+                    databases[token] = codec.database_from_dict(payload)
+                # The chaos point of this backend: a ``kill`` rule takes the
+                # whole worker down with the request in hand and exercises
+                # the respawn + re-ship + requeue path.
                 faults.fire("service.process", slot=slot, attempt=attempt)
-            except BaseException as exc:
-                text = traceback.format_exc()
-                for item in items:
-                    write_frame(
-                        result_fd,
-                        (
-                            "result",
-                            slot,
-                            item["seq"],
-                            "error",
-                            codec.error_to_dict(exc, text),
-                            meta(),
-                        ),
-                    )
-                continue
-            for item in items:
-                seq = item["seq"]
-                cancel = EitherEvent(
-                    EitherEvent(stop_event, abort_event), _RingCancel(cancel_ring, seq)
+                status, payload = "ok", _run_request(
+                    message["request"],
+                    engine,
+                    query_engine,
+                    graphs,
+                    databases,
+                    _WordCancel(cancel_word, message["seq"]),
                 )
-                try:
-                    status, payload = "ok", _run_request(
-                        item["request"], engine, query_engine, graphs, databases, cancel
-                    )
-                except BaseException as exc:
-                    status, payload = "error", codec.error_to_dict(
-                        exc, traceback.format_exc()
-                    )
-                served += 1
-                write_frame(result_fd, ("result", slot, seq, status, payload, meta()))
+            except BaseException as exc:
+                status, payload = "error", codec.error_to_dict(exc, traceback.format_exc())
+            served += 1
+            write_frame(result_fd, (status, payload, _worker_meta(slot, attempt, served, engine)))
     finally:
         # The write-behind queue of this worker's catalog handle would be
         # dropped with the process; drain it so decided outcomes reach the
@@ -328,22 +284,34 @@ class _Slot(WorkerProcess):
 
     def __init__(self, context, index: int, spawn) -> None:
         super().__init__(context, index, spawn)
+        #: Serialises the conversations on this slot's pipes: one request
+        #: (or probe) round trip at a time, never across a respawn or stop.
+        self.lock = threading.Lock()
+        #: The worker aborts the request whose sequence number stands here.
+        #: A plain word, no lock: nothing a dying worker could hold on to.
+        self.cancel_word = context.RawValue("q", 0)
         self.dispatched = 0
         self.completed = 0
         self.meta: dict | None = None
-        self.fresh_channels()
 
-    def fresh_channels(self) -> None:
-        """New request queue and cancel ring, and an empty ship ledger."""
-        self.queue = self.context.Queue()
-        self.ring = self.context.Array("q", [-1] * _CANCEL_RING)
-        self.ring_cursor = 0
+    def _open_pipe(self) -> None:
+        """... and the request direction: a pipe nobody has written to, and
+        an empty ship ledger (both go with the worker they served)."""
+        super()._open_pipe()
+        self.request_rfd, self.request_wfd = os.pipe()
+        # The parent must never block in a write: see ProcessBackend._exchange.
+        os.set_blocking(self.request_wfd, False)
         self.shipped_graphs: set[str] = set()
         self.shipped_dbs: set[str] = set()
 
+    def _close_pipe(self) -> None:
+        super()._close_pipe()
+        os.close(self.request_rfd)
+        os.close(self.request_wfd)
+
 
 class ProcessBackend:
-    """The process pool, its dispatcher/collector threads, and supervision."""
+    """The worker processes, their channels, and their supervision."""
 
     def __init__(self, service, num_workers: int) -> None:
         for option, value in service.algorithm_options.items():
@@ -353,7 +321,6 @@ class ProcessBackend:
                     f"{type(value).__name__}; the process backend only accepts "
                     "str/int/float/bool/None option values"
                 )
-        self._service = service
         self.num_workers = num_workers
         catalog = getattr(service.engine, "catalog", None)
         self._config = {
@@ -362,35 +329,18 @@ class ProcessBackend:
             "options": dict(service.algorithm_options),
             "catalog_path": str(catalog.path) if catalog is not None else None,
         }
-        # Result pipes ride across the fork as raw file descriptors, so
-        # the backend is pinned to the fork start method (the repo targets
+        # The pipes ride across the fork as raw file descriptors, so the
+        # backend is pinned to the fork start method (the repo targets
         # Linux, where it is also the default).
         self._ctx = mp.get_context("fork")
-        self._stop_event = self._ctx.Event()
-        self._abort_event = self._ctx.Event()
         self._lock = threading.Lock()
         self._seq = count(1)
-        self._outstanding: dict[int, object] = {}
-        self._outstanding_slot: dict[int, int] = {}
-        self._precancelled: set = set()
-        self._probe_results: dict[str, bool | None] = {}
         self._db_tokens: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._db_counter = count(1)
-        self._stopping = threading.Event()
-        self._workers_stopped = False
-        self.respawns = 0
 
         self._slots = [_Slot(self._ctx, i, self._spawn) for i in range(num_workers)]
         for slot in self._slots:
             slot.start()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
-        )
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-service-collect", daemon=True
-        )
-        self._dispatcher.start()
-        self._collector.start()
 
     def _spawn(self, slot: _Slot) -> dict:
         return {
@@ -399,11 +349,9 @@ class ProcessBackend:
                 slot.index,
                 slot.attempt,
                 self._config,
-                slot.queue,
+                slot.request_rfd,
                 slot.result_wfd,
-                self._stop_event,
-                self._abort_event,
-                slot.ring,
+                slot.cancel_word,
             ),
             "name": f"repro-service-worker-{slot.index}",
         }
@@ -429,12 +377,7 @@ class ProcessBackend:
         def decode(answer, _hypergraph=hypergraph):
             return codec.decomposition_answer_from_dict(_hypergraph, answer)
 
-        return _Request(
-            payload,
-            decode,
-            graph_key=graph_key,
-            graph_payload=codec.hypergraph_to_dict(hypergraph),
-        )
+        return _Request(payload, decode, graph_key=graph_key, hypergraph=hypergraph)
 
     def query_request(
         self,
@@ -494,229 +437,87 @@ class ProcessBackend:
         return zlib.crc32(repr(key).encode("utf-8")) % self.num_workers
 
     # ------------------------------------------------------------------ #
-    # dispatcher
+    # execution (runs on the slot's own service worker thread)
     # ------------------------------------------------------------------ #
-    def _dispatch_loop(self) -> None:
-        service = self._service
-        stopping = False
-        while not stopping:
-            batch = []
-            _priority, _seq, task = service._queue.get()
-            if task is None:
-                stopping = True
-            else:
-                batch.append(task)
-                # Batch admission: whatever else is ready right now (up to
-                # the limit) rides the same IPC round trip.  The shutdown
-                # sentinel sorts behind every real priority, so draining it
-                # here means the queue was already empty of work.
-                while len(batch) < _BATCH_LIMIT:
-                    try:
-                        _p, _s, extra = service._queue.get_nowait()
-                    except pyqueue.Empty:
-                        break
-                    if extra is None:
-                        stopping = True
-                        break
-                    batch.append(extra)
-            if batch:
-                self._dispatch(batch)
+    def run(self, index: int, task):
+        """Execute ``task`` on slot ``index``'s worker: one round trip.
 
-    def _dispatch(self, batch) -> None:
-        service = self._service
-        per_slot: dict[int, list] = {}
-        for task in batch:
-            with service._lock:
-                if task.started or task.done.is_set():
-                    continue  # stale queue entry from a priority escalation
-                if task.cancelled:
-                    service._finalize_locked(task, None, None)
-                    continue
-                task.started = True
-                if not task.counted:
-                    task.counted = True
-                    service._computations += 1
-                    kind = task.key[0]
-                    service._computations_by_kind[kind] = (
-                        service._computations_by_kind.get(kind, 0) + 1
-                    )
-            try:
-                # Same dispatch-path fault point the thread workers fire, so
-                # chaos schedules written for one backend hit the other.
-                faults.fire("service.worker", kind=task.key[0], attempt=task.attempts)
-            except BaseException as exc:
-                service._supervise_crash(task, exc)
-                continue
-            per_slot.setdefault(self.slot_for(task.key), []).append(task)
-        if not per_slot:
-            return
-        spec = faults.current_spec()
-        with self._lock:
-            for slot_index, tasks in per_slot.items():
-                slot = self._slots[slot_index]
-                items, graphs, dbs = [], {}, {}
-                for task in tasks:
-                    seq = next(self._seq)
-                    task.proc_seq = seq
-                    request = task.request
-                    if (
-                        request.graph_key is not None
-                        and request.graph_key not in slot.shipped_graphs
-                    ):
-                        graphs[request.graph_key] = request.graph_payload
-                        slot.shipped_graphs.add(request.graph_key)
-                    if (
-                        request.db_token is not None
-                        and request.db_token not in slot.shipped_dbs
-                    ):
-                        dbs[request.db_token] = request.db_payload
-                        slot.shipped_dbs.add(request.db_token)
-                    self._outstanding[seq] = task
-                    self._outstanding_slot[seq] = slot_index
-                    slot.dispatched += 1
-                    items.append({"seq": seq, "request": request.payload})
-                    if task in self._precancelled:
-                        # cancel() ran between admission and seq assignment;
-                        # both paths hold this lock, so the ring write here
-                        # closes the race.
-                        self._precancelled.discard(task)
-                        self._write_cancel_locked(slot, seq)
-                slot.queue.put(
-                    {
-                        "type": "batch",
-                        "spec": spec,
-                        "items": items,
-                        "graphs": graphs,
-                        "databases": dbs,
-                    }
-                )
-
-    # ------------------------------------------------------------------ #
-    # collector
-    # ------------------------------------------------------------------ #
-    def _collect_loop(self) -> None:
-        # The per-slot read fds are replaced only by ``_sweep_dead`` (which
-        # runs on this thread) and closed only after this thread has been
-        # joined, so polling them needs no locking.
-        last_sweep = time.monotonic()
-        while True:
-            messages = [message for _slot, message in poll(self._slots, _POLL_INTERVAL)]
-            now = time.monotonic()
-            if not messages or now - last_sweep > _POLL_INTERVAL:
-                last_sweep = now
-                self._sweep_dead()
-                if (
-                    not messages
-                    and self._stopping.is_set()
-                    and not self._dispatcher.is_alive()
-                ):
-                    with self._lock:
-                        idle = not self._outstanding
-                    if idle:
-                        return
-            for message in messages:
-                self._handle_message(message)
-
-    def _handle_message(self, message) -> None:
-        service = self._service
-        kind, slot_index, ref, status, payload, meta = message
-        if kind == "probe":
-            with self._lock:
-                self._slots[slot_index].meta = meta
-                if ref in self._probe_results:
-                    self._probe_results[ref] = bool(status)
-            return
-        with self._lock:
-            task = self._outstanding.pop(ref, None)
-            self._outstanding_slot.pop(ref, None)
-            slot = self._slots[slot_index]
-            slot.meta = meta
-            if task is not None:
-                slot.completed += 1
-        if task is None:
-            return  # stale twin from a slot that was respawned
-        result = error = None
-        if status == "ok":
-            try:
-                result = task.request.decode(payload)
-            except Exception as exc:
-                error = ServiceError("failed to decode a worker answer payload")
-                error.__cause__ = exc
-        else:
-            error = codec.error_from_dict(payload)
-        service._complete(task, result, error)
-
-    def _sweep_dead(self) -> None:
-        orphans = []
-        stale_queues = []
-        with self._lock:
-            if self._workers_stopped:
-                return
-            for slot in self._slots:
-                if not slot.crashed():
-                    continue
-                exit_code = slot.process.exitcode
-                dead = [
-                    seq
-                    for seq, index in self._outstanding_slot.items()
-                    if index == slot.index
-                ]
-                for seq in dead:
-                    orphans.append((self._outstanding.pop(seq), exit_code))
-                    del self._outstanding_slot[seq]
-                # A worker that died parked inside ``queue.get()`` (e.g. a
-                # SIGTERM, as opposed to the fault injector's controlled
-                # ``os._exit`` mid-batch) takes the queue's reader lock to
-                # the grave — a successor reading the same queue would
-                # block forever.  Same story for the cancel-ring lock.
-                # Respawned slots therefore get fresh primitives; pending
-                # messages on the old queue are exactly the orphans being
-                # requeued, so nothing is lost.  The fresh worker starts
-                # with cold caches and no shipped payloads; the emptied ship
-                # ledger makes the requeued tasks re-attach their
-                # hypergraphs/databases.
-                stale_queues.append(slot.queue)
-                slot.fresh_channels()
-                self.respawns += 1
-                slot.respawn()
-        for queue in stale_queues:
-            queue.cancel_join_thread()
-            queue.close()
-        for task, exit_code in orphans:
-            self._service._supervise_crash(
-                task,
-                ServiceError(f"service worker process died (exit code {exit_code})"),
-            )
-
-    # ------------------------------------------------------------------ #
-    # cancellation
-    # ------------------------------------------------------------------ #
-    def _write_cancel_locked(self, slot: _Slot, seq: int) -> None:
-        ring = slot.ring
-        with ring.get_lock():
-            ring[slot.ring_cursor] = seq
-            slot.ring_cursor = (slot.ring_cursor + 1) % _CANCEL_RING
-
-    def request_cancel(self, task) -> None:
-        """Abort a dispatched task worker-side (caller holds the service lock).
-
-        Writes the task's sequence number into its slot's cancel ring; the
-        worker's per-request cancel view polls the ring, so the running
-        search/execution raises at its next periodic check.
+        The remote counterpart of ``task.run(task.cancel_event)``: returns
+        the decoded answer, raises the worker's exception (with its
+        ``remote_traceback``), or raises :class:`WorkerDied` once a dead
+        worker has been replaced.
         """
-        with self._lock:
-            seq = task.proc_seq
-            if seq is None:
-                self._precancelled.add(task)
-                return
-            slot_index = self._outstanding_slot.get(seq)
-            if slot_index is None:
-                return
-            self._write_cancel_locked(self._slots[slot_index], seq)
+        slot = self._slots[index]
+        request = task.request
+        with slot.lock:
+            message = {
+                "seq": next(self._seq),
+                "spec": faults.current_spec(),
+                "request": request.payload,
+                "graphs": {},
+                "databases": {},
+            }
+            if request.graph_key is not None and request.graph_key not in slot.shipped_graphs:
+                message["graphs"][request.graph_key] = codec.hypergraph_to_dict(
+                    request.hypergraph
+                )
+                slot.shipped_graphs.add(request.graph_key)
+            if request.db_token is not None and request.db_token not in slot.shipped_dbs:
+                message["databases"][request.db_token] = request.db_payload
+                slot.shipped_dbs.add(request.db_token)
+            slot.dispatched += 1
+            status, payload = self._exchange(slot, message, task.cancel_event)
+            slot.completed += 1
+        if status == "error":
+            raise codec.error_from_dict(payload)
+        try:
+            return request.decode(payload)
+        except Exception as exc:
+            raise ServiceError("failed to decode a worker answer payload") from exc
+
+    def _exchange(self, slot: _Slot, message: dict, cancel_event=None) -> tuple:
+        """Send one frame, wait for the one reply (caller holds ``slot.lock``).
+
+        The write is non-blocking.  A dead reader does not turn a blocking
+        ``os.write`` of a frame larger than the pipe into ``EPIPE``: every
+        worker forked after this pipe was made holds a copy of its read end,
+        so the write would wait forever on a pipe nobody drains.
+        """
+        unsent = memoryview(encode_frame(message))
+        while True:
+            if cancel_event is not None and cancel_event.is_set():
+                slot.cancel_word.value = message["seq"]
+            if unsent:
+                try:
+                    unsent = unsent[os.write(slot.request_wfd, unsent) :]
+                    continue
+                except BlockingIOError:  # pipe full: wait, but not past a dead reader
+                    select.select([], [slot.request_wfd], [], POLL_INTERVAL)
+            elif received := poll([slot], POLL_INTERVAL):
+                status, payload, slot.meta = received[0][1]
+                return status, payload
+            if slot.crashed():
+                exit_code = slot.process.exitcode
+                with self._lock:
+                    slot.respawn()
+                raise WorkerDied(f"service worker process died (exit code {exit_code})")
+
+    def sweep(self, index: int) -> None:
+        """Replace slot ``index``'s worker if it died idle (nothing to requeue)."""
+        slot = self._slots[index]
+        with slot.lock:
+            if slot.process is not None and slot.crashed():
+                with self._lock:
+                    slot.respawn()
 
     # ------------------------------------------------------------------ #
     # health / introspection
     # ------------------------------------------------------------------ #
+    @property
+    def respawns(self) -> int:
+        """Replacement workers started so far (each bumps its slot's attempt)."""
+        return sum(slot.attempt for slot in self._slots)
+
     def alive_workers(self) -> int:
         with self._lock:
             return sum(1 for slot in self._slots if slot.alive())
@@ -738,7 +539,7 @@ class ProcessBackend:
                     for slot in self._slots
                 ],
                 "respawns": self.respawns,
-                "outstanding": len(self._outstanding),
+                "outstanding": sum(1 for slot in self._slots if slot.lock.locked()),
             }
 
     def merged_catalog_stats(self, parent_stats) -> "CatalogStats":
@@ -746,79 +547,46 @@ class ProcessBackend:
         merged = CatalogStats()
         if parent_stats is not None:
             merged.merge(parent_stats)
-        with self._lock:
-            worker_stats = [
-                (slot.meta or {}).get("catalog") for slot in self._slots
-            ]
-        for stats in worker_stats:
+        for slot in self._slots:
+            stats = (slot.meta or {}).get("catalog")
             if stats:
                 merged.merge(CatalogStats(**stats))
         return merged
 
-    def broadcast_probe(self, timeout: float = 10.0) -> bool:
+    def broadcast_probe(self) -> bool:
         """Ask every live worker to probe its catalog handle.
 
         An open worker-side circuit breaker only re-attaches when probed;
         the service's ``catalog_probe()`` fans out here so operator probes
-        reach worker handles too.  Returns True iff every live worker
-        probed successfully.
+        reach worker handles too.  Each probe is a round trip of its own
+        between two of the slot's requests.  Returns True iff every live
+        worker probed successfully.
         """
-        with self._lock:
-            probes: dict[str, None] = {}
-            for slot in self._slots:
-                if self._workers_stopped or not slot.alive():
-                    continue
-                probe_id = f"probe-{next(self._seq)}"
-                self._probe_results[probe_id] = None
-                probes[probe_id] = None
-                slot.queue.put({"type": "probe", "probe_id": probe_id})
-        deadline = time.monotonic() + timeout
         ok = True
-        for probe_id in probes:
-            while True:
-                with self._lock:
-                    outcome = self._probe_results.get(probe_id)
-                if outcome is not None:
-                    ok = ok and outcome
-                    break
-                if time.monotonic() > deadline:
-                    ok = False
-                    break
-                time.sleep(0.02)
-        with self._lock:
-            for probe_id in probes:
-                self._probe_results.pop(probe_id, None)
+        for slot in self._slots:
+            with slot.lock:
+                if not slot.alive():
+                    continue
+                try:
+                    _status, probed = self._exchange(
+                        slot, {"seq": next(self._seq), "request": None}
+                    )
+                except WorkerDied:
+                    probed = False
+            ok = ok and probed
         return ok
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def abort_inflight(self) -> None:
-        """Shutdown-with-cancel: every in-flight request aborts at its next
-        periodic check (the abort event is folded into each cancel view)."""
-        self._abort_event.set()
-
-    def begin_shutdown(self) -> None:
-        """Arm the collector's exit condition; the service has already posted
-        the dispatcher's shutdown sentinel."""
-        self._stopping.set()
-
-    def join(self) -> None:
-        """Wait for drain and stop the worker processes (idempotent)."""
-        self._dispatcher.join()
-        self._collector.join()
-        self._stop_workers()
-
-    def _stop_workers(self) -> None:
-        with self._lock:
-            if self._workers_stopped:
-                return
-            self._workers_stopped = True
-            slots = list(self._slots)
-        self._stop_event.set()
-        for slot in slots:
-            slot.queue.put(None)
-        for slot in slots:
-            slot.stop(grace=5.0)
-            slot.queue.close()
-            slot.queue.cancel_join_thread()
+    def stop(self) -> None:
+        """Stop the worker processes (idempotent).  The service has joined
+        its worker threads, so every slot is idle."""
+        for slot in self._slots:
+            with slot.lock:
+                if slot.process is not None:
+                    os.write(slot.request_wfd, encode_frame(None))
+        for slot in self._slots:
+            with slot.lock, self._lock:
+                if slot.process is not None:
+                    slot.stop(grace=5.0)

@@ -16,12 +16,11 @@ single-caller library into something that can sit behind traffic:
   computation: followers attach a ticket to the in-flight task and all
   tickets are released together when it completes.  Under duplicate-heavy
   traffic the expensive search runs exactly once per distinct key.
-* **Batched priority scheduling** — requests drain through a bounded worker
-  pool from a priority queue; interactive answers (boolean / count queries)
-  are served ahead of full enumeration, with FIFO order within a priority
-  class.  That holds for the thread backend.  The process backend's
-  dispatcher moves queued requests into the workers' FIFO queues as fast as
-  it can, so there priorities order only what is still parent-side.
+* **Priority scheduling** — requests drain through a bounded worker pool
+  from a priority queue; interactive answers (boolean / count queries) are
+  served ahead of full enumeration, with FIFO order within a priority
+  class.  A worker takes the most urgent queued task each time it goes
+  idle, on either backend.
 
 Per-request timeouts ride on the engine's deadline machinery, and
 cancellation reuses the cancellation-event plumbing of the searches
@@ -29,11 +28,12 @@ cancellation reuses the cancellation-event plumbing of the searches
 task sets its event and the running computation — decomposition search or
 columnar query execution alike — aborts at its next periodic check.
 
-Two execution backends share this front end: ``backend="thread"`` (the
-default) runs tasks on in-process worker threads against one shared engine;
-``backend="process"`` dispatches them to long-lived worker processes with
-cache-affinity routing and batch admission
-(:mod:`repro.service.process_backend`), buying real multi-core scaling for
+Two execution backends share this front end and its worker loop:
+``backend="thread"`` (the default) runs a task on the worker thread itself,
+against one shared engine; with ``backend="process"`` worker thread *i*
+hands the task to long-lived worker process *i* and waits for its answer
+(cache-affinity routing picks *i* at admission; see
+:mod:`repro.service.process_backend`), buying real multi-core scaling for
 CPU-bound traffic.
 
 Example::
@@ -67,7 +67,7 @@ from ..pipeline.engine import DecompositionEngine, default_engine
 from ..pipeline.registry import PRIMITIVE_OPTION_TYPES, registry
 from ..query.plan import AnswerMode, check_executor
 from ..query.workload import QueryEngine, QueryResult, query_signature
-from .process_backend import ProcessBackend
+from .process_backend import POLL_INTERVAL, ProcessBackend, WorkerDied
 
 __all__ = [
     "PRIORITY_INTERACTIVE",
@@ -86,6 +86,11 @@ PRIORITY_NORMAL = 1
 PRIORITY_BULK = 2
 
 _SHUTDOWN_PRIORITY = 1 << 30
+
+#: Capacity of the sharded completed-result memo (the submit-time fast path).
+_RESULT_MEMO_ENTRIES = 4096
+#: Most recent request latencies kept for the p50/p95 snapshot.
+_LATENCY_WINDOW = 2048
 
 
 class _Task:
@@ -107,7 +112,6 @@ class _Task:
         "error",
         "error_tb",
         "request",
-        "proc_seq",
     )
 
     def __init__(self, key: tuple, priority: int, run, memoize: bool) -> None:
@@ -115,11 +119,8 @@ class _Task:
         self.priority = priority
         self.run = run
         self.memoize = memoize
-        #: Process-backend payloads: the prepared codec request (set at
-        #: admission) and the dispatch sequence number the worker knows the
-        #: task by (set at dispatch; the cancel ring targets it).
+        #: Process backend: the prepared codec request (set at admission).
         self.request = None
-        self.proc_seq: int | None = None
         self.tickets: list[ServiceTicket] = []
         self.done = threading.Event()
         self.cancel_event = threading.Event()
@@ -210,7 +211,7 @@ class ServiceTicket:
         alike — aborts at its next periodic cancellation check (the
         columnar executor polls the event inside its semijoin/join
         kernels, mirroring the searches).  Under the process backend the
-        signal reaches the worker through its slot's cancel ring.  The
+        signal reaches the worker through its slot's cancel word.  The
         two outcomes are distinguished in :meth:`DecompositionService.stats`:
         ``cancelled`` counts every cancelled ticket, ``cancelled_running``
         additionally counts the computations that were already executing
@@ -240,7 +241,7 @@ class ServiceStats:
     cancelled: int = 0
     #: Of the fully-cancelled computations, how many were already executing
     #: when their last ticket cancelled (aborted in flight via the
-    #: cancellation event / cancel ring, not dropped from the queue).
+    #: cancellation event, not dropped from the queue).
     cancelled_running: int = 0
     queue_depth: int = 0
     inflight: int = 0
@@ -302,15 +303,13 @@ class DecompositionService:
         Size of the worker pool draining the request queue.
     backend:
         ``"thread"`` (default) runs tasks on a pool of threads sharing the
-        engine in-process; ``"process"`` dispatches them to long-lived
-        worker processes, each with its own warm engine/query-engine/column
-        stores, routed by cache affinity (see
+        engine in-process; ``"process"`` runs them in long-lived worker
+        processes, one per pool thread, each with its own warm
+        engine/query-engine/column stores, routed by cache affinity (see
         :mod:`repro.service.process_backend`).  Thread mode keeps zero IPC
         cost and shares one cache; process mode buys real multi-core
         scaling for CPU-bound traffic at the price of shipping inputs
-        across the boundary (hypergraphs/databases ship once per worker)
-        and of priority order: a request already handed to a worker's
-        queue is not overtaken by a more urgent one submitted later.
+        across the boundary (hypergraphs/databases ship once per worker).
     workers:
         Alias for ``num_workers`` (takes precedence when both are given) —
         reads naturally next to ``backend``.
@@ -325,12 +324,6 @@ class DecompositionService:
     query_engine:
         An explicit :class:`~repro.query.workload.QueryEngine` for query
         requests; by default one is built lazily over ``engine``.
-    result_memo_entries:
-        Capacity of the service's sharded completed-result memo (the
-        submit-time fast path).
-    latency_window:
-        Number of most recent request latencies kept for the p50/p95
-        snapshot.
     poison_threshold:
         Number of worker crashes (exceptions escaping task execution — not
         ordinary failures, which finalize on first delivery) after which a
@@ -344,8 +337,6 @@ class DecompositionService:
         engine: DecompositionEngine | None = None,
         algorithm: str = "hybrid",
         query_engine: QueryEngine | None = None,
-        result_memo_entries: int = 4096,
-        latency_window: int = 2048,
         poison_threshold: int = 3,
         backend: str = "thread",
         workers: int | None = None,
@@ -370,12 +361,11 @@ class DecompositionService:
         self.algorithm_options = dict(algorithm_options)
         self.num_workers = num_workers
 
-        self._queue: pyqueue.PriorityQueue = pyqueue.PriorityQueue()
         self._seq = count()
         self._lock = threading.Lock()
         self._inflight: dict[tuple, _Task] = {}
-        self._results = ShardedLRU(result_memo_entries)
-        self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._results = ShardedLRU(_RESULT_MEMO_ENTRIES)
+        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._closed = False
 
         self._submitted = 0
@@ -400,24 +390,25 @@ class DecompositionService:
         self._query_engine = query_engine
         self._query_engine_lock = threading.Lock()
 
+        # Worker thread i drains self._queues[i].  Thread workers share one
+        # queue; a process slot owns its queue, because the admission key
+        # decides which worker process is warm for a task.
         if backend == "process":
-            # No thread pool: the backend's dispatcher thread drains the
-            # same priority queue and the collector finalizes through
-            # _complete, so dedup/memoization/supervision stay in one place.
-            self._workers: list[threading.Thread] = []
             self._process_backend: ProcessBackend | None = ProcessBackend(
                 self, num_workers
             )
+            self._queues = [pyqueue.PriorityQueue() for _ in range(num_workers)]
         else:
             self._process_backend = None
-            self._workers = [
-                threading.Thread(
-                    target=self._worker_loop, name=f"repro-service-{i}", daemon=True
-                )
-                for i in range(num_workers)
-            ]
-            for worker in self._workers:
-                worker.start()
+            self._queues = [pyqueue.PriorityQueue()] * num_workers
+        self._workers = [
+            threading.Thread(
+                target=self._worker_loop, args=(i,), name=f"repro-service-{i}", daemon=True
+            )
+            for i in range(num_workers)
+        ]
+        for worker in self._workers:
+            worker.start()
 
     # ------------------------------------------------------------------ #
     # submission
@@ -522,8 +513,7 @@ class DecompositionService:
         is shared.
 
         Boolean and count queries are scheduled at interactive priority,
-        ahead of full enumeration still waiting in the service's queue (with
-        the process backend, not ahead of requests a worker already holds).
+        ahead of full enumeration still waiting in the service's queue.
         Identical concurrent (query shape,
         mode, database, timeout) requests coalesce; completed query results
         are not memoized by the service — the plan cache and the database's
@@ -622,7 +612,7 @@ class DecompositionService:
                     # queue entry is skipped when dequeued (_execute ignores
                     # tasks that already started or finished).
                     task.priority = priority
-                    self._queue.put((priority, next(self._seq), task))
+                    self._enqueue(task)
                 return ticket
             if memoize:
                 # Probe the completed-result memo under the lock.  Workers
@@ -643,31 +633,45 @@ class DecompositionService:
             ticket = ServiceTicket(self, task, submitted_at)
             task.tickets.append(ticket)
             self._inflight[key] = task
-            self._queue.put((priority, next(self._seq), task))
+            self._enqueue(task)
             return ticket
+
+    def _enqueue(self, task: _Task) -> None:
+        """Queue ``task`` for the worker that will run it (lock held)."""
+        backend = self._process_backend
+        slot = backend.slot_for(task.key) if backend is not None else 0
+        self._queues[slot].put((task.priority, next(self._seq), task))
 
     # ------------------------------------------------------------------ #
     # worker pool
     # ------------------------------------------------------------------ #
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, slot: int) -> None:
         """Drain tasks until the shutdown sentinel arrives — supervised.
 
         :meth:`_execute` converts *task* failures into ticket outcomes, so
-        nothing should escape it; but an exception that does (the
-        ``service.worker`` fault point injects exactly that, simulating a
-        bug in the dispatch path itself) would kill the thread and silently
-        shrink the pool.  The supervisor instead hands the task to
-        :meth:`_supervise_crash` (requeue / quarantine / fail) and revives
-        the worker in place — the pool never shrinks and no ticket is left
-        hanging.
+        what escapes it is a crash of the worker, not of the task: the
+        ``service.worker`` fault point injects one (simulating a bug in the
+        dispatch path itself), and under the process backend a dead worker
+        process surfaces as one (:class:`WorkerDied`).  Either would kill
+        the thread and silently shrink the pool; the supervisor instead
+        hands the task to :meth:`_supervise_crash` (requeue / quarantine /
+        fail) and revives the worker in place — the pool never shrinks and
+        no ticket is left hanging.
         """
+        queue = self._queues[slot]
+        backend = self._process_backend
+        idle_timeout = POLL_INTERVAL if backend is not None else None
         while True:
-            _priority, _seq, task = self._queue.get()
+            try:
+                _priority, _seq, task = queue.get(timeout=idle_timeout)
+            except pyqueue.Empty:
+                backend.sweep(slot)  # a worker process that died idle
+                continue
             if task is None:
                 return
             try:
                 faults.fire("service.worker", kind=task.key[0], attempt=task.attempts)
-                self._execute(task)
+                self._execute(task, slot)
             except BaseException as exc:
                 self._supervise_crash(task, exc)
 
@@ -708,9 +712,9 @@ class DecompositionService:
                 self._finalize_locked(task, None, error)
                 return
             self._tasks_requeued += 1
-            self._queue.put((task.priority, next(self._seq), task))
+            self._enqueue(task)
 
-    def _execute(self, task: _Task) -> None:
+    def _execute(self, task: _Task, slot: int) -> None:
         with self._lock:
             if task.started or task.done.is_set():
                 return  # stale queue entry from a priority escalation
@@ -729,15 +733,19 @@ class DecompositionService:
                     self._computations_by_kind.get(kind, 0) + 1
                 )
         try:
-            result = task.run(task.cancel_event)
+            if self._process_backend is None:
+                result = task.run(task.cancel_event)
+            else:
+                result = self._process_backend.run(slot, task)
             error = None
+        except WorkerDied:
+            raise  # the worker's crash, not the task's failure: supervised
         except BaseException as exc:  # surfaced through the tickets
             result, error = None, exc
         self._complete(task, result, error)
 
     def _complete(self, task: _Task, result, error) -> None:
-        """Deliver a task outcome (thread workers and the process-backend
-        collector share this tail: memo, counter merge, finalize)."""
+        """Deliver a task outcome: memo, counter merge, finalize."""
         # Memoize BEFORE the task leaves the in-flight table: a concurrent
         # submit that misses the in-flight entry re-probes the memo under
         # the service lock, so there is no window in which a duplicate
@@ -801,12 +809,10 @@ class DecompositionService:
                 if task.started:
                     # Aborting a computation that is already executing —
                     # distinct from dropping a queued one.  The running
-                    # search/executor observes the event (thread backend)
-                    # or the cancel ring (process backend) at its next
-                    # periodic check.
+                    # search/executor observes the event (which the process
+                    # backend's waiting thread forwards to its worker) at
+                    # its next periodic check.
                     self._cancelled_running += 1
-                    if self._process_backend is not None:
-                        self._process_backend.request_cancel(task)
             return True
 
     # ------------------------------------------------------------------ #
@@ -845,7 +851,7 @@ class DecompositionService:
                 failed=self._failed,
                 cancelled=self._cancelled,
                 cancelled_running=self._cancelled_running,
-                queue_depth=self._queue.qsize(),
+                queue_depth=sum(queue.qsize() for queue in set(self._queues)),
                 inflight=len(self._inflight),
                 workers=self.num_workers,
                 search_counters=dict(self._search_counters),
@@ -932,11 +938,13 @@ class DecompositionService:
             first = not self._closed
             self._closed = True
         if first and cancel_pending:
-            while True:
+            queues = list(set(self._queues))
+            while queues:
                 try:
-                    _priority, _seq, task = self._queue.get_nowait()
+                    _priority, _seq, task = queues[-1].get_nowait()
                 except pyqueue.Empty:
-                    break
+                    queues.pop()
+                    continue
                 if task is None:
                     continue
                 with self._lock:
@@ -953,26 +961,17 @@ class DecompositionService:
             with self._lock:
                 for task in list(self._inflight.values()):
                     task.cancel_event.set()
-            if self._process_backend is not None:
-                # Dispatched requests poll the pool-wide abort event inside
-                # their worker-side cancel views; the event reaches them
-                # where the parent-side task events cannot.
-                self._process_backend.abort_inflight()
         if first:
-            if self._process_backend is not None:
-                # One sentinel: the dispatcher is the only queue consumer.
-                # It sorts behind every admissible priority, so the queue
-                # drains before the dispatcher exits.
-                self._queue.put((_SHUTDOWN_PRIORITY, next(self._seq), None))
-                self._process_backend.begin_shutdown()
-            else:
-                for _ in self._workers:
-                    self._queue.put((_SHUTDOWN_PRIORITY, next(self._seq), None))
+            # One sentinel per worker thread; it sorts behind every
+            # admissible priority, so each queue drains before its workers
+            # exit.
+            for queue in self._queues:
+                queue.put((_SHUTDOWN_PRIORITY, next(self._seq), None))
         if wait:
             for worker in self._workers:
                 worker.join()
             if self._process_backend is not None:
-                self._process_backend.join()
+                self._process_backend.stop()
 
     def __enter__(self) -> "DecompositionService":
         return self

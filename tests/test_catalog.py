@@ -83,6 +83,41 @@ def test_put_get_roundtrip_with_provenance(tmp_path):
         assert stats.hits == 1 and stats.stores == 1 and stats.validate_rejects == 0
 
 
+def test_stored_statistics_keep_their_bytes_and_old_rows_still_load(tmp_path):
+    from repro.core.base import SearchStatistics
+
+    h = generators.cycle(8)
+    stats = SearchStatistics(recursive_calls=7, labels_tried=31, worker_respawns=1)
+    stats.record_stage("decompose", 0.5)  # timings never reach the file
+    # The ``statistics`` column as every release so far has written it:
+    # all counters, sorted, no ``stage_seconds``.
+    stored = json.dumps(
+        {
+            name: getattr(stats, name)
+            for name in SearchStatistics.__dataclass_fields__
+            if name != "stage_seconds"
+        },
+        sort_keys=True,
+    )
+    path = tmp_path / "cat.db"
+    with DecompositionCatalog(path, synchronous_writes=True) as catalog:
+        catalog.put(
+            h, 1, ("cfg",), algorithm="test", success=False, decomposition=None, stats=stats
+        )
+    with sqlite3.connect(path) as connection:
+        assert connection.execute("SELECT statistics FROM entries").fetchall() == [(stored,)]
+        # A row from before ``worker_respawns`` existed, and one from a later
+        # release with a counter this one does not know.
+        older = json.loads(stored)
+        del older["worker_respawns"]
+        older["counter_of_a_later_release"] = 5
+        connection.execute("UPDATE entries SET statistics = ?", (json.dumps(older),))
+    with DecompositionCatalog(path) as catalog:
+        record = catalog.get(h, 1, ("cfg",))
+    assert record is not None and record.success is False
+    assert record.stats == SearchStatistics(recursive_calls=7, labels_tried=31)
+
+
 def test_negative_entries_roundtrip(tmp_path):
     h = generators.cycle(8)
     with DecompositionCatalog(tmp_path / "cat.db", synchronous_writes=True) as catalog:

@@ -8,19 +8,28 @@ filesystem (``tmp_path`` marker files), never through in-memory events.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import os
+import signal
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro import faults
+from repro.core import codec
 from repro.core.base import Decomposer, SearchContext
 from repro.decomp import validate_hd
 from repro.exceptions import ServiceError
+from repro.faults.supervise import encode_frame
 from repro.hypergraph import generators
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine
 from repro.pipeline.registry import registry
 from repro.query import random_database_for_query
+from repro.query.workload import QueryEngine, query_signature
 from repro.service import DecompositionService
 from oracles.eager import evaluate_eager
 
@@ -45,7 +54,7 @@ class _SpinDecomposer(Decomposer):
         Path(self.signal_path).touch()
         while True:
             time.sleep(0.005)
-            context.force_timeout_check()  # raises once the ring is written
+            context.force_timeout_check()  # raises once the cancel word is written
 
 
 class _ExplodingDecomposer(Decomposer):
@@ -223,6 +232,8 @@ def test_cancel_aborts_running_worker_task(spin_algorithm, tmp_path, cycle6):
         )
         _wait_for(signal.exists, message="worker to start spinning")
         assert ticket.cancel() is True
+        # The worker reports the abort (not merely: the ticket is detached).
+        _wait_for(ticket.done, timeout=1.0, message="the running task to abort")
         with pytest.raises(ServiceError):
             ticket.result(timeout=30)
         _wait_for(
@@ -238,21 +249,7 @@ def test_cancel_aborts_running_worker_task(spin_algorithm, tmp_path, cycle6):
         svc.shutdown(wait=True, cancel_pending=True)
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [
-        "thread",
-        pytest.param(
-            "process",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the dispatcher drains the priority queue into the slot's FIFO "
-                "mp.Queue as fast as it can, so priorities only order what is still "
-                "parent-side (ROADMAP item 2's dispatch rework)",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_interactive_query_overtakes_queued_enumerations(
     backend, spin_algorithm, tmp_path, cycle6
 ):
@@ -300,6 +297,222 @@ def test_worker_error_reaches_caller_with_remote_traceback(
         assert svc.stats().failed == 1
     finally:
         svc.shutdown(wait=True, cancel_pending=True)
+
+
+def test_shutdown_with_cancel_aborts_a_spinning_task_on_every_slot(
+    spin_algorithm, tmp_path, cycle6
+):
+    svc = DecompositionService(backend="process", workers=2)
+    backend = svc._process_backend
+    try:
+        signals = {}
+        for n in range(16):  # distinct keys until each slot holds one spinner
+            path = tmp_path / f"spinning-{n}"
+            ticket = svc.submit(cycle6, 2, algorithm="spin-test", signal_path=str(path))
+            signals.setdefault(backend.slot_for(ticket.key), path)
+            if len(signals) == 2:
+                break
+        assert len(signals) == 2
+        for path in signals.values():
+            _wait_for(path.exists, message="both workers to start spinning")
+        assert backend.snapshot()["outstanding"] == 2
+    finally:
+        started = time.monotonic()
+        svc.shutdown(wait=True, cancel_pending=True)
+        elapsed = time.monotonic() - started
+    assert elapsed < 5.0
+    assert backend.snapshot()["respawns"] == 0  # aborted, not terminated
+    assert not any(worker.is_alive() for worker in svc._workers)
+
+
+# --------------------------------------------------------------------------- #
+# one worker loop: threads, priorities, supervision, hygiene
+# --------------------------------------------------------------------------- #
+def test_process_backend_adds_one_thread_per_worker_and_nothing_else(cycle10):
+    before = set(threading.enumerate())
+    svc = DecompositionService(backend="process", workers=2)
+    try:
+        assert svc.submit(cycle10, 2).result(timeout=60).success
+        added = [thread.name for thread in set(threading.enumerate()) - before]
+        assert sorted(added) == ["repro-service-0", "repro-service-1"]
+    finally:
+        svc.shutdown(wait=True)
+    assert set(threading.enumerate()) <= before
+
+
+def _encode_counter(monkeypatch):
+    calls = []
+    encode = codec.hypergraph_to_dict
+
+    def counting(hypergraph):
+        calls.append(hypergraph)
+        return encode(hypergraph)
+
+    monkeypatch.setattr(codec, "hypergraph_to_dict", counting)
+    return calls
+
+
+def test_hypergraph_is_encoded_once_per_worker_generation(monkeypatch, cycle10):
+    encoded = _encode_counter(monkeypatch)
+    svc = DecompositionService(backend="process", workers=1)
+    backend = svc._process_backend
+    try:
+        for k in (1, 2, 3):  # a width search: one H, three keys
+            svc.submit(cycle10, k).result(timeout=60)
+        assert len(encoded) == 1
+        backend._slots[0].process.terminate()
+        _wait_for(lambda: backend.snapshot()["respawns"] == 1, message="worker respawn")
+        assert svc.submit(cycle10, 4).result(timeout=60).success
+        assert svc.submit(cycle10, 5).result(timeout=60).success
+        assert len(encoded) == 2  # re-shipped to the fresh worker, once
+    finally:
+        svc.shutdown(wait=True)
+
+
+def test_worker_killed_mid_request_is_retried_and_counted_once(monkeypatch, cycle10):
+    encoded = _encode_counter(monkeypatch)
+    svc = DecompositionService(backend="process", workers=2)
+    backend = svc._process_backend
+    try:
+        # ``attempt=0``: the replacement forks with a fresh ``times`` budget
+        # of its own, so the budget alone would kill every generation.
+        rule = faults.FaultRule(
+            point="service.process", kill=True, times=1, where={"attempt": 0}
+        )
+        with faults.injected(rule):
+            ticket = svc.submit(cycle10, 2)
+            result = ticket.result(timeout=60)
+        assert result.success
+        validate_hd(result.decomposition)
+        stats = svc.stats()
+        assert stats.computations_by_kind["decompose"] == 1  # once across the retry
+        assert stats.failed == 0
+        health = stats.health
+        assert health["worker_crashes"] == health["worker_respawns"] == 1
+        assert health["tasks_requeued"] == 1 and health["quarantined"] == 0
+        assert health["process_worker_respawns"] == 1
+        assert health["process_backend"]["respawns"] == 1
+        slot = backend._slots[backend.slot_for(ticket.key)]
+        assert slot.attempt == 1 and slot.alive()
+        # The dead worker and its replacement each got the hypergraph shipped.
+        assert len(encoded) == 2
+        assert cycle10.canonical_hash() in slot.shipped_graphs
+    finally:
+        svc.shutdown(wait=True)
+
+
+_FAT_QUERY = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z), t(z,x).")
+
+
+def _fat_query_routed_to(service, target):
+    """A never-shipped database whose request frame exceeds the 64 KiB pipe
+    and whose ``count`` query the service routes to slot ``target``."""
+    backend = service._process_backend
+    configuration = service._resolve_query_engine().configuration
+    rejected = []  # kept alive while searching: the admission key holds id(database)
+    while True:
+        database = random_database_for_query(
+            _FAT_QUERY, domain_size=3000, tuples_per_relation=4000, seed=target
+        )
+        rejected.append(database)
+        key = ("query", query_signature(_FAT_QUERY), "count", configuration)
+        key += (id(database), None, "columnar")
+        if backend.slot_for(key) == target:
+            break
+    _token, payload = backend._database_payload(database)  # encoded before any kill
+    assert len(encode_frame(payload)) > 1 << 16
+    return database, key, QueryEngine().execute(_FAT_QUERY, database, "count").count
+
+
+def test_dead_worker_found_while_writing_a_frame_larger_than_the_pipe(service):
+    # Both workers were forked after both request pipes existed, so each
+    # holds a copy of its sibling's read end: killing a reader gives its
+    # writer no EPIPE, only a pipe that stays full.
+    backend = service._process_backend
+    for target in (1, 0):
+        database, key, expected = _fat_query_routed_to(service, target)
+        respawns = backend.snapshot()["respawns"]
+        os.kill(backend._slots[target].pid, signal.SIGKILL)
+        ticket = service.submit_query(_FAT_QUERY, database, "count")
+        assert ticket.key == key
+        assert ticket.result(timeout=10).count == expected
+        assert backend.snapshot()["respawns"] == respawns + 1
+        assert service.stats().health["tasks_requeued"] >= 1
+    assert service.stats().failed == 0
+
+
+def test_counters_conserve_under_concurrent_submit_cancel_probe_and_stats():
+    # More client threads and workers than cores, a short switch interval:
+    # slot queues, slot locks and the cancel words under contention.
+    svc = DecompositionService(backend="process", workers=4)
+    outcomes, cancels = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+
+        def client(n):
+            for i in range(25):
+                ticket = svc.submit(generators.cycle(4 + (7 * n + i) % 12), 2)
+                if i % 5 == 0:
+                    cancels.append(ticket.cancel())  # False: already served
+                else:
+                    outcomes.append(ticket.result(timeout=60).success)
+                if i % 10 == 0:
+                    assert svc.catalog_probe()  # a probe round trip between requests
+                    svc.stats()
+
+        clients = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in clients)
+    finally:
+        sys.setswitchinterval(interval)
+        svc.shutdown(wait=True)
+    stats = svc.stats()
+    assert len(outcomes) == 8 * 20 and all(outcomes)
+    assert stats.submitted == 8 * 25 == stats.completed + stats.failed + stats.cancelled
+    assert stats.failed == 0 and stats.cancelled == sum(cancels)
+    assert stats.inflight == 0 and stats.queue_depth == 0
+    assert stats.health["process_backend"]["respawns"] == 0
+
+
+def _resources():
+    return (
+        len(os.listdir("/proc/self/fd")),
+        threading.active_count(),
+        len(mp.active_children()),
+    )
+
+
+def test_process_backend_service_leaves_no_descriptor_thread_or_child(cycle10):
+    # multiprocessing's shared-memory heap (the cancel words) keeps its arena
+    # once allocated: let a first service allocate it before measuring.
+    DecompositionService(backend="process", workers=2).shutdown(wait=True)
+    before = _resources()
+    svc = DecompositionService(backend="process", workers=2)
+    backend = svc._process_backend
+    try:
+        assert svc.submit(cycle10, 2).result(timeout=60).success
+        # A respawn in each way a slot's thread can find one: at write time
+        # with more than a pipe's worth pending, and idle.
+        database, _key, expected = _fat_query_routed_to(svc, 0)
+        backend._slots[0].process.kill()
+        assert svc.submit_query(_FAT_QUERY, database, "count").result(timeout=10).count == expected
+        backend._slots[1].process.kill()
+        _wait_for(
+            lambda: backend.snapshot()["respawns"] == 2
+            and all(w["alive"] for w in backend.snapshot()["workers"]),
+            message="worker respawns",
+        )
+        for n in range(4, 12):
+            assert svc.submit(generators.cycle(n), 2).result(timeout=60).success
+        assert all(count > 0 for count in _dispatched(svc))
+    finally:
+        svc.shutdown(wait=True)
+    # No gc.collect(): respawn and stop close what they opened themselves.
+    assert _resources() == before
 
 
 # --------------------------------------------------------------------------- #

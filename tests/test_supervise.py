@@ -5,13 +5,21 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import threading
 import time
 
 import pytest
 
 from repro import faults
 from repro.core import ParallelLogKDecomposer
-from repro.faults.supervise import DEAD_STRIKES, WorkerProcess, poll, write_frame
+from repro.faults.supervise import (
+    DEAD_STRIKES,
+    WorkerProcess,
+    encode_frame,
+    poll,
+    read_frame,
+    write_frame,
+)
 
 _FORK = mp.get_context("fork")
 
@@ -88,6 +96,42 @@ def test_truncated_trailing_frame_stays_buffered(idle):
     assert poll([idle], 0) == [(idle, "whole")]
     assert poll([idle], 0) == []
     assert bytes(idle.rbuf) == half
+
+
+@pytest.mark.parametrize("message", [b"x", os.urandom(200 * 1024)], ids=["1-byte", "200KiB"])
+def test_read_frame_blocks_until_the_whole_frame_arrived(message):
+    # The request direction: a blocking exact read against a writer that
+    # delivers the frame in 7-byte slices (more than a pipe holds, for the
+    # large one, so reader and writer must make progress together).
+    rfd, wfd = os.pipe()
+    data = encode_frame(message)
+
+    def dribble():
+        for start in range(0, len(data), 7):
+            os.write(wfd, data[start : start + 7])
+
+    writer = threading.Thread(target=dribble)
+    writer.start()
+    try:
+        assert read_frame(rfd) == message
+        write_frame(wfd, ("then", "whole"))
+        assert read_frame(rfd) == ("then", "whole")
+    finally:
+        writer.join(10)
+        os.close(wfd)
+    assert not writer.is_alive()
+    with pytest.raises(EOFError):
+        read_frame(rfd)
+    os.close(rfd)
+
+
+def test_read_frame_raises_eof_inside_a_torn_frame():
+    rfd, wfd = os.pipe()
+    os.write(wfd, _frame("never finished")[:9])
+    os.close(wfd)
+    with pytest.raises(EOFError):
+        read_frame(rfd)
+    os.close(rfd)
 
 
 # --------------------------------------------------------------------------- #
