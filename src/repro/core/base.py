@@ -174,8 +174,8 @@ class SearchContext:
         self.enumerator.stats = self.stats
         self.deadline = None if timeout is None else time.monotonic() + timeout
         #: Optional :class:`threading.Event` checked alongside the deadline;
-        #: lets a coordinator (the parallel thread backend) abort workers that
-        #: are no longer needed after another worker already succeeded.
+        #: lets the caller (the serving layer cancelling a ticket, the engine
+        #: relaying it) abort a search whose answer is no longer needed.
         self.cancel_event = cancel_event
         self._timeout_stride = 64
         self._calls = 0

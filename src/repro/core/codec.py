@@ -1,4 +1,4 @@
-"""Stable JSON serialisation of decompositions and join trees.
+"""Stable JSON serialisation of decompositions and service payloads.
 
 The durable catalog (:mod:`repro.catalog`) persists certificates across
 processes, so the library needs a serialisation of its tree objects that is
@@ -43,7 +43,6 @@ from ..decomp.decomposition import (
     GeneralizedHypertreeDecomposition,
     HypertreeDecomposition,
 )
-from ..decomp.jointree import JoinTree, JoinTreeNode
 from ..exceptions import ParseError, ServiceError
 from ..hypergraph import Hypergraph
 from ..hypergraph.cq import Atom, ConjunctiveQuery
@@ -51,7 +50,6 @@ from .base import DecompositionResult, SearchStatistics
 
 __all__ = [
     "DECOMPOSITION_FORMAT",
-    "JOIN_TREE_FORMAT",
     "HYPERGRAPH_FORMAT",
     "DATABASE_FORMAT",
     "REQUEST_FORMAT",
@@ -63,10 +61,6 @@ __all__ = [
     "decomposition_from_dict",
     "decomposition_to_json",
     "decomposition_from_json",
-    "join_tree_to_dict",
-    "join_tree_from_dict",
-    "join_tree_to_json",
-    "join_tree_from_json",
     "hypergraph_to_dict",
     "hypergraph_from_dict",
     "database_to_dict",
@@ -85,7 +79,6 @@ __all__ = [
 ]
 
 DECOMPOSITION_FORMAT = "repro-decomposition/1"
-JOIN_TREE_FORMAT = "repro-join-tree/1"
 HYPERGRAPH_FORMAT = "repro-hypergraph/1"
 DATABASE_FORMAT = "repro-database/1"
 REQUEST_FORMAT = "repro-service-request/1"
@@ -196,54 +189,6 @@ def decomposition_to_json(decomposition: Decomposition) -> str:
 def decomposition_from_json(hypergraph: Hypergraph, text: str) -> Decomposition:
     """Decode :func:`decomposition_to_json` output over the given host."""
     return decomposition_from_dict(hypergraph, _load_json(text))
-
-
-# --------------------------------------------------------------------------- #
-# join trees
-# --------------------------------------------------------------------------- #
-def _join_node_to_dict(node: JoinTreeNode) -> dict:
-    return {
-        "variables": sorted(node.variables),
-        "cover_edges": sorted(node.cover_edges),
-        "assigned_edges": sorted(node.assigned_edges),
-        "children": [_join_node_to_dict(child) for child in node.children],
-    }
-
-
-def _join_node_from_dict(payload: dict) -> JoinTreeNode:
-    return JoinTreeNode(
-        variables=frozenset(_string_list(payload, "variables")),
-        cover_edges=frozenset(_string_list(payload, "cover_edges")),
-        assigned_edges=frozenset(_string_list(payload, "assigned_edges")),
-        children=[
-            _join_node_from_dict(child) for child in _require(payload, "children", list)
-        ],
-    )
-
-
-def join_tree_to_dict(join_tree: JoinTree) -> dict:
-    """Encode a join tree (variables, cover edges, atom assignment) as JSON data."""
-    return {
-        "format": JOIN_TREE_FORMAT,
-        "root": _join_node_to_dict(join_tree.root),
-    }
-
-
-def join_tree_from_dict(hypergraph: Hypergraph, payload: dict) -> JoinTree:
-    """Rebuild a join tree over ``hypergraph``; run ``validate()`` to trust it."""
-    if _require(payload, "format", str) != JOIN_TREE_FORMAT:
-        raise ParseError(f"unsupported join-tree payload format {payload['format']!r}")
-    return JoinTree(hypergraph, _join_node_from_dict(_require(payload, "root", dict)))
-
-
-def join_tree_to_json(join_tree: JoinTree) -> str:
-    """:func:`join_tree_to_dict` rendered as canonical (sorted-key) JSON."""
-    return json.dumps(join_tree_to_dict(join_tree), sort_keys=True)
-
-
-def join_tree_from_json(hypergraph: Hypergraph, text: str) -> JoinTree:
-    """Decode :func:`join_tree_to_json` output over the given host."""
-    return join_tree_from_dict(hypergraph, _load_json(text))
 
 
 def _load_json(text: str):

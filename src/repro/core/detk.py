@@ -9,9 +9,10 @@ on small instances but — as the paper argues — hard to parallelise, because
 the cache would have to be shared across threads.
 
 The implementation works on extended subhypergraphs (edge sets plus special
-edges), which is exactly the extension the paper's hybrid strategy requires:
-log-k-decomp hands its small subproblems, including their special edges, to
-this engine (Section 5.2 and Appendix D.2).
+edges, as :class:`~repro.decomp.extended.BitComp` records), which is exactly
+the extension the paper's hybrid strategy requires: log-k-decomp hands its
+small subproblems, including their special edges, to this engine in the
+representation both run on (Section 5.2 and Appendix D.2).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ..decomp.components import ComponentSplitter
-from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
-from ..hypergraph.bitset import from_indices
+from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
 from .base import Decomposer, SearchContext
 from .fragments import base_case, special_leaf
 
@@ -54,37 +54,22 @@ class DetKSearch:
         ] = {}
 
     # ------------------------------------------------------------------ #
-    # public entry points
+    # public entry point (and the recursion itself)
     # ------------------------------------------------------------------ #
     def search(
-        self,
-        comp: Comp | BitComp,
-        conn: int,
-        depth: int = 1,
-        allowed: Iterable[int] | int | None = None,
+        self, comp: BitComp, conn: int, depth: int = 1, allowed: int | None = None
     ) -> FragmentNode | None:
         """Return an HD fragment of width <= k for ⟨comp, conn⟩, or ``None``.
 
-        ``comp`` may be the public :class:`Comp` or the packed
-        :class:`BitComp`; ``allowed`` restricts the λ-label pool to the given
-        edge indices — an iterable or an edge-index bitmask (``None`` = all
-        host edges).  When the search runs as the leaf engine of the hybrid
-        decomposer it *must* receive log-k-decomp's allowed set of the
-        current subproblem: the fragment produced here can end up above a
-        stitched separator node, and a λ-label using an edge of the component
-        below the separator would put vertices of that component into ∪λ(u)
-        without them being in χ(u) — breaking HD condition 4 on the stitched
-        tree even though the fragment is locally consistent.
+        ``allowed`` restricts the λ-label pool to an edge-index bitmask
+        (``None`` = all host edges).  When the search runs as the leaf engine
+        of the hybrid decomposer it *must* receive log-k-decomp's allowed set
+        of the current subproblem: the fragment produced here can end up
+        above a stitched separator node, and a λ-label using an edge of the
+        component below the separator would put vertices of that component
+        into ∪λ(u) without them being in χ(u) — breaking HD condition 4 on
+        the stitched tree even though the fragment is locally consistent.
         """
-        if isinstance(comp, Comp):
-            comp = BitComp.from_comp(comp)
-        if allowed is not None and not isinstance(allowed, int):
-            allowed = from_indices(allowed)
-        return self._search(comp, conn, depth, allowed)
-
-    def _search(
-        self, comp: BitComp, conn: int, depth: int, allowed: int | None
-    ) -> FragmentNode | None:
         context = self.context
         context.stats.record_call(depth)
         context.check_timeout()
@@ -141,7 +126,7 @@ class DetKSearch:
             children: list[FragmentNode] = []
             failed = False
             for sub, sub_vertices in splitter.split_with_vertices(chi):
-                child = self._search(sub, sub_vertices & chi, depth + 1, allowed)
+                child = self.search(sub, sub_vertices & chi, depth + 1, allowed)
                 if child is None:
                     failed = True
                     break

@@ -33,7 +33,8 @@ from ..decomp.decomposition import (
     DecompositionNode,
     GeneralizedHypertreeDecomposition,
 )
-from ..decomp.extended import Comp, full_comp
+from ..decomp.extended import BitComp, full_bitcomp
+from ..hypergraph.bitset import indices_of
 from .base import Decomposer, SearchContext
 
 __all__ = ["BalancedGHDDecomposer"]
@@ -54,7 +55,7 @@ class BalancedGHDDecomposer(Decomposer):
         self.require_balanced = require_balanced
 
     def _run(self, context: SearchContext) -> GeneralizedHypertreeDecomposition | None:
-        node = self._decomp(context, full_comp(context.host), conn=0, depth=1)
+        node = self._decomp(context, full_bitcomp(context.host), conn=0, depth=1)
         if node is None:
             return None
         return GeneralizedHypertreeDecomposition(context.host, node)
@@ -63,14 +64,14 @@ class BalancedGHDDecomposer(Decomposer):
     # recursive search
     # ------------------------------------------------------------------ #
     def _decomp(
-        self, context: SearchContext, comp: Comp, conn: int, depth: int
+        self, context: SearchContext, comp: BitComp, conn: int, depth: int
     ) -> DecompositionNode | None:
         context.stats.record_call(depth)
         context.check_timeout()
         host, k = context.host, context.k
 
-        if len(comp.edges) <= k:
-            lam = tuple(sorted(comp.edges))
+        if comp.edges.bit_count() <= k:
+            lam = tuple(indices_of(comp.edges))
             bag = host.edges_to_mask(lam) | conn
             cover = self._cover_for(context, bag, lam)
             if cover is None:
@@ -98,7 +99,7 @@ class BalancedGHDDecomposer(Decomposer):
             lam_union = label_union(host, lam)
             if not lam_union & comp_vertices:
                 continue
-            parts = splitter.split(lam_union)
+            parts = splitter.split_bits(lam_union)
             if balanced_here and any(part.size > half for part in parts):
                 continue
             if not balanced_here and any(part.size >= comp.size for part in parts):

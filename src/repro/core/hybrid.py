@@ -12,7 +12,8 @@ paper:
 log-k-decomp keeps control while ``m(H') >= threshold`` and delegates to
 det-k-decomp below the threshold.  The paper's best configuration is
 WeightedCount with thresholds around 400 (Table 2), which is the default
-here.
+here.  Both searches run on :class:`~repro.decomp.extended.BitComp` records
+and edge-index bitmasks, so a delegated subproblem changes hands as is.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
+from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
 from ..exceptions import SolverError
 from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import indices_of
@@ -37,22 +38,13 @@ __all__ = [
 ]
 
 
-def _edge_indices(comp: Comp | BitComp) -> list[int] | frozenset[int]:
-    """Edge indices of a component in either representation."""
-    return indices_of(comp.edges) if isinstance(comp.edges, int) else comp.edges
-
-
 @dataclass(frozen=True)
 class SwitchMetric:
-    """Base class of hybridisation metrics; subclasses implement ``value``.
-
-    Metrics accept both the public :class:`Comp` and the packed
-    :class:`BitComp` — the search hands them the packed form.
-    """
+    """Base class of hybridisation metrics; subclasses implement ``value``."""
 
     name: str = "abstract"
 
-    def value(self, host: Hypergraph, comp: Comp | BitComp, k: int) -> float:
+    def value(self, host: Hypergraph, comp: BitComp, k: int) -> float:
         """Complexity estimate of the subproblem ``comp``."""
         raise NotImplementedError
 
@@ -63,9 +55,8 @@ class EdgeCountMetric(SwitchMetric):
 
     name: str = "EdgeCount"
 
-    def value(self, host: Hypergraph, comp: Comp | BitComp, k: int) -> float:
-        edges = comp.edges
-        return float(edges.bit_count() if isinstance(edges, int) else len(edges))
+    def value(self, host: Hypergraph, comp: BitComp, k: int) -> float:
+        return float(comp.edges.bit_count())
 
 
 @dataclass(frozen=True)
@@ -79,10 +70,10 @@ class WeightedCountMetric(SwitchMetric):
 
     name: str = "WeightedCount"
 
-    def value(self, host: Hypergraph, comp: Comp | BitComp, k: int) -> float:
+    def value(self, host: Hypergraph, comp: BitComp, k: int) -> float:
         if not comp.edges:
             return 0.0
-        indices = _edge_indices(comp)
+        indices = indices_of(comp.edges)
         total_size = sum(host.edge_bits(i).bit_count() for i in indices)
         count = len(indices)
         average = total_size / count

@@ -33,6 +33,9 @@ through a deprecation cycle and has been removed.
 
 A ``leaf_delegate`` hook allows the hybrid decomposer to hand sufficiently
 small subproblems to det-k-decomp (Appendix D.2).
+
+Components are :class:`~repro.decomp.extended.BitComp` records and edge pools
+edge-index bitmasks from the entry point down.
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ from collections.abc import Callable, Iterable
 
 from ..decomp.components import ComponentSplitter
 from ..decomp.covers import label_union
-from ..hypergraph.bitset import from_indices
 from ..lru import BoundedLRU
-from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
+from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
 from .base import Decomposer, SearchContext
 from .fragments import base_case, replace_special_leaf, special_leaf
 
@@ -111,30 +113,16 @@ class LogKSearch:
         return splitter
 
     # ------------------------------------------------------------------ #
-    # public entry point
+    # public entry point (and the recursion itself)
     # ------------------------------------------------------------------ #
     def search(
-        self,
-        comp: Comp | BitComp,
-        conn: int,
-        allowed: Iterable[int] | int,
-        depth: int = 1,
+        self, comp: BitComp, conn: int, allowed: int, depth: int = 1
     ) -> FragmentNode | None:
         """Decomp(H', Conn, A): an HD fragment of width <= k, or ``None``.
 
-        ``comp`` may be the public :class:`Comp` or the packed
-        :class:`BitComp`; ``allowed`` an iterable of edge indices or an
-        edge-index bitmask.  The recursion runs entirely on the packed forms.
+        ``conn`` is a vertex bitmask, ``allowed`` the edge-index bitmask of
+        the edges λ-labels may use.
         """
-        if isinstance(comp, Comp):
-            comp = BitComp.from_comp(comp)
-        if not isinstance(allowed, int):
-            allowed = from_indices(allowed)
-        return self._search(comp, conn, allowed, depth)
-
-    def _search(
-        self, comp: BitComp, conn: int, allowed: int, depth: int
-    ) -> FragmentNode | None:
         context = self.context
         context.stats.record_call(depth)
         context.check_timeout()
@@ -255,7 +243,7 @@ class LogKSearch:
         chi_c = lam_c_union & comp_vertices
         children: list[FragmentNode] = []
         for sub, sub_vertices in comps_c:
-            child = self._search(sub, sub_vertices & chi_c, allowed_pool, depth + 1)
+            child = self.search(sub, sub_vertices & chi_c, allowed_pool, depth + 1)
             if child is None:
                 return None
             children.append(child)
@@ -312,7 +300,7 @@ class LogKSearch:
             children: list[FragmentNode] = []
             failed = False
             for sub, sub_vertices in sub_components:
-                child = self._search(sub, sub_vertices & chi_c, allowed_pool, depth + 1)
+                child = self.search(sub, sub_vertices & chi_c, allowed_pool, depth + 1)
                 if child is None:
                     failed = True
                     break
@@ -322,7 +310,7 @@ class LogKSearch:
 
             comp_up = comp.difference(comp_down).with_special(chi_c)
             allowed_up = allowed_pool & ~comp_down.edges
-            up = self._search(comp_up, conn, allowed_up, depth + 1)
+            up = self.search(comp_up, conn, allowed_up, depth + 1)
             if up is None:
                 continue
 

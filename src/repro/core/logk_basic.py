@@ -16,22 +16,19 @@ the ablation study uses it as the "no optimisations" reference point.
 One restriction is shared with the optimised variant because it is
 correctness-relevant rather than an optimisation: the λ-labels of the
 fragment *above* a separator must not use edges of the component below it
-(the ``excluded`` set threaded through ``decomp``).  Such a label would put
-vertices of the component below into ∪λ(u) without them being in χ(u),
-violating HD condition 4 on the stitched tree; excluding the edges never
-loses completeness because fragments extracted from a valid HD satisfy
-condition 4 and therefore never need them.
+(the ``excluded`` edge-index bitmask threaded through ``decomp``).  Such a
+label would put vertices of the component below into ∪λ(u) without them
+being in χ(u), violating HD condition 4 on the stitched tree; excluding the
+edges never loses completeness because fragments extracted from a valid HD
+satisfy condition 4 and therefore never need them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from ..decomp.components import ComponentSplitter
 from ..decomp.covers import label_union
 from ..decomp.decomposition import HypertreeDecomposition
-from ..decomp.extended import BitComp, Comp, FragmentNode, full_bitcomp
-from ..hypergraph.bitset import from_indices
+from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
 from .base import Decomposer, SearchContext
 from .fragments import (
     base_case,
@@ -82,20 +79,12 @@ class LogKBasicSearch:
     # function Decomp (lines 11-40)
     # ------------------------------------------------------------------ #
     def decomp(
-        self,
-        comp: Comp | BitComp,
-        conn: int,
-        depth: int,
-        excluded: Iterable[int] | int = 0,
+        self, comp: BitComp, conn: int, depth: int, excluded: int = 0
     ) -> FragmentNode | None:
         context = self.context
         context.stats.record_call(depth)
         context.check_timeout()
         host, k = context.host, context.k
-        if isinstance(comp, Comp):
-            comp = BitComp.from_comp(comp)
-        if not isinstance(excluded, int):
-            excluded = from_indices(excluded)
 
         # Base cases (lines 12-15).
         fragment = base_case(host, k, comp)

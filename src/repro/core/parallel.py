@@ -55,6 +55,18 @@ __all__ = ["ParallelLogKDecomposer"]
 logger = logging.getLogger("repro.parallel")
 
 
+def partition_edges(num_edges: int, num_workers: int) -> list[list[int]]:
+    """The partition rule: edge indices dealt round-robin, no empty group.
+
+    Worker ``i`` owns the labels whose *smallest* edge index is in group
+    ``i``; a host with fewer edges than workers gets fewer workers.
+    """
+    return [
+        list(range(slot, num_edges, num_workers))
+        for slot in range(min(num_workers, num_edges))
+    ]
+
+
 def _worker_main(result_fd, slot, attempt, fault_spec, *args) -> None:
     """Process-backend entry point: run the search, ship the outcome back.
 
@@ -141,11 +153,7 @@ class ParallelLogKDecomposer(Decomposer):
                 hypergraph, k, timeout=timeout, cancel_event=cancel_event
             )
         start = time.monotonic()
-        num_edges = hypergraph.num_edges
-        partitions = [
-            list(range(slot, num_edges, self.num_workers))
-            for slot in range(min(self.num_workers, num_edges))
-        ]
+        partitions = partition_edges(hypergraph.num_edges, self.num_workers)
         # Built once here: forked workers inherit the table.
         hypergraph.incidence_masks()
         effective_timeout = self.timeout if timeout is None else timeout

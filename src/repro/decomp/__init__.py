@@ -7,7 +7,7 @@ from .decomposition import (
     GeneralizedHypertreeDecomposition,
     HypertreeDecomposition,
 )
-from .extended import Comp, ExtendedSubhypergraph, FragmentNode, full_comp
+from .extended import BitComp, ExtendedSubhypergraph, FragmentNode, full_bitcomp
 from .components import components, covered_items, separate
 from .covers import CoverEnumerator, label_union
 from .separators import (
@@ -32,10 +32,10 @@ __all__ = [
     "DecompositionNode",
     "GeneralizedHypertreeDecomposition",
     "HypertreeDecomposition",
-    "Comp",
+    "BitComp",
     "ExtendedSubhypergraph",
     "FragmentNode",
-    "full_comp",
+    "full_bitcomp",
     "components",
     "covered_items",
     "separate",

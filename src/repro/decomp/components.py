@@ -23,25 +23,23 @@ split against thousands of candidate separators:
   as a *growing* group exceeds the limit;
 * the groups reach the searches as :class:`~repro.decomp.extended.BitComp`
   records paired with their vertex sets, which the fill collects anyway (no
-  frozenset is built and no V(C) recomputed on the hot path);
-  :meth:`ComponentSplitter.split` remains the public :class:`Comp`-based view.
+  frozenset is built and no V(C) recomputed on the hot path).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import bits_of
 from ..lru import BoundedLRU
-from .extended import BitComp, Comp
+from .extended import BitComp
 
 __all__ = [
     "ComponentSplitter",
     "components",
     "separate",
     "covered_items",
-    "vertices_of_components",
 ]
 
 #: Default bound on the number of memoised effective separators per splitter.
@@ -56,16 +54,14 @@ class ComponentSplitter:
     The separator searches of log-k-decomp and det-k-decomp compute the
     [U]-components of the *same* extended subhypergraph for thousands of
     candidate separators U.  This helper works on the packed representation
-    (edge-index bitmask + special vertex masks, accepting either a
-    :class:`Comp` or a :class:`BitComp`) and offers:
+    (edge-index bitmask + special vertex masks) and offers:
 
     * :meth:`largest_size` / :meth:`has_oversized` — the size of the largest
       component, or only whether one exceeds a limit (the balancedness
       filter), without allocating component objects;
     * :meth:`oversized` — that one component alone, with its vertex set;
     * :meth:`split_with_vertices` / :meth:`split_bits` — the components as
-      :class:`BitComp` records (the searches' representation);
-    * :meth:`split` — the components as public :class:`Comp` values.
+      :class:`BitComp` records, with or without their vertex sets.
 
     All are memoised (LRU, keyed by the effective separator) unless
     ``memoize=False``; ``stats`` may be a
@@ -91,14 +87,12 @@ class ComponentSplitter:
     def __init__(
         self,
         host: Hypergraph,
-        comp: Comp | BitComp,
+        comp: BitComp,
         memoize: bool = True,
         stats=None,
         memo_size: int = DEFAULT_MEMO_SIZE,
     ) -> None:
         self.host = host
-        if isinstance(comp, Comp):
-            comp = BitComp.from_comp(comp)
         self.comp = comp
         self.stats = stats
         self._edges_mask = comp.edges
@@ -302,40 +296,30 @@ class ComponentSplitter:
         return result
 
     def split_bits(self, separator: int) -> list[BitComp]:
-        """The [separator]-components of the wrapped component, packed."""
+        """The [separator]-components of the wrapped component."""
         return [part for part, _ in self.split_with_vertices(separator)]
 
-    def split(self, separator: int) -> list[Comp]:
-        """The [separator]-components as public :class:`Comp` values."""
-        return [part.to_comp() for part in self.split_bits(separator)]
 
-
-def components(host: Hypergraph, comp: Comp, separator: int) -> list[Comp]:
+def components(host: Hypergraph, comp: BitComp, separator: int) -> list[BitComp]:
     """Return the [separator]-components of ``comp`` (Definition 3.2).
 
     ``separator`` is a vertex bitmask U.  The result is a list of
-    :class:`Comp` values whose edge sets and special-edge tuples partition the
-    items of ``comp`` that are *not* fully covered by U.
+    :class:`BitComp` values whose edge sets and special-edge tuples partition
+    the items of ``comp`` that are *not* fully covered by U.
     """
-    return ComponentSplitter(host, comp, memoize=False).split(separator)
+    return ComponentSplitter(host, comp, memoize=False).split_bits(separator)
 
 
-def covered_items(host: Hypergraph, comp: Comp, separator: int) -> Comp:
+def covered_items(host: Hypergraph, comp: BitComp, separator: int) -> BitComp:
     """The edges and special edges of ``comp`` fully contained in ``separator``."""
-    edges = frozenset(
-        index for index in comp.edges if host.edge_bits(index) & ~separator == 0
+    return BitComp.of(
+        (index for index in bits_of(comp.edges) if host.edge_bits(index) & ~separator == 0),
+        (s for s in comp.specials if s & ~separator == 0),
     )
-    specials = tuple(s for s in comp.specials if s & ~separator == 0)
-    return Comp(edges, specials)
 
 
 def separate(
-    host: Hypergraph, comp: Comp, separator: int
-) -> tuple[list[Comp], Comp]:
+    host: Hypergraph, comp: BitComp, separator: int
+) -> tuple[list[BitComp], BitComp]:
     """Return ``(components, covered)`` for ``comp`` w.r.t. ``separator``."""
     return components(host, comp, separator), covered_items(host, comp, separator)
-
-
-def vertices_of_components(host: Hypergraph, comps: Sequence[Comp]) -> list[int]:
-    """Vertex bitmasks V(C) for a list of components."""
-    return [comp.vertices(host) for comp in comps]

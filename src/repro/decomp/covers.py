@@ -12,6 +12,9 @@ paper:
   considered,
 * *conn covering* — for det-k-decomp, the label must cover the Conn interface.
 
+Edge pools (``allowed``, ``require_from``) are edge-index bitmasks, the form
+the searches' components carry them in; labels come out as index tuples.
+
 Enumeration-order contract
 --------------------------
 The enumeration yields labels in a deterministic order: smaller labels first,
@@ -82,44 +85,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..hypergraph import Hypergraph
-from ..hypergraph.bitset import bits_of, from_indices, indices_of
+from ..hypergraph.bitset import bits_of, indices_of
 from ..lru import BoundedLRU
 
 __all__ = ["CoverEnumerator", "label_union", "count_labels"]
 
 #: Bound on the number of memoised dominated pools per enumerator.
 DOMINATION_MEMO_SIZE = 2048
-
-
-def _pool_mask_of(host: Hypergraph, allowed: Iterable[int] | int | None) -> int:
-    """Normalise an allowed-edge argument into an edge-index bitmask.
-
-    The searches pass packed edge-index bitmasks; iterables (the public,
-    set-based convention) and ``None`` (= all edges) keep working.
-    """
-    if allowed is None:
-        return host.all_edges_mask
-    if isinstance(allowed, int):
-        return allowed
-    return from_indices(allowed)
-
-
-def _pool_of(host: Hypergraph, allowed: Iterable[int] | int | None) -> list[int]:
-    """The allowed-edge argument as a sorted index list."""
-    return indices_of(_pool_mask_of(host, allowed))
-
-
-def _require_mask_of(require_from: Iterable[int] | int | None) -> int | None:
-    """Normalise a progress-rule argument into an edge-index bitmask (or None).
-
-    An empty mask and an empty set both mean "no progress constraint",
-    matching the historical falsiness check on frozensets.
-    """
-    if isinstance(require_from, int):
-        return require_from or None
-    if not require_from:
-        return None
-    return from_indices(require_from)
 
 
 def label_union(host: Hypergraph, label: Sequence[int]) -> int:
@@ -173,8 +145,8 @@ class CoverEnumerator:
     # ------------------------------------------------------------------ #
     def labels(
         self,
-        allowed: Iterable[int] | int | None = None,
-        require_from: Iterable[int] | int | None = None,
+        allowed: int | None = None,
+        require_from: int | None = None,
         overlap_with: int | None = None,
         cover: int | None = None,
         max_size: int | None = None,
@@ -186,13 +158,12 @@ class CoverEnumerator:
         Parameters
         ----------
         allowed:
-            Edge indices that may appear in the label (defaults to all
-            edges).  Accepts an iterable of indices or a packed edge-index
-            bitmask — the searches pass the bitmask form.
+            The edges that may appear in the label, as an edge-index bitmask
+            (``None`` = every edge of the host).
         require_from:
-            If given, at least one edge of the label must come from this set
-            (the "progress" rule of the normal form).  Iterable of indices
-            or a packed edge-index bitmask.
+            If given and non-zero (an edge-index bitmask), at least one edge
+            of the label must come from it (the "progress" rule of the
+            normal form); ``None`` and ``0`` both mean no such constraint.
         overlap_with:
             If given (a vertex bitmask), every edge of the label must share a
             vertex with it (the parent-label pruning of Appendix C).
@@ -214,24 +185,6 @@ class CoverEnumerator:
             allowed, require_from, overlap_with, cover, max_size,
             component_vertices, strict_domination, None,
         )
-
-    def labels_with_union(
-        self,
-        allowed: Iterable[int] | int | None = None,
-        require_from: Iterable[int] | int | None = None,
-        overlap_with: int | None = None,
-        cover: int | None = None,
-        component_vertices: int | None = None,
-    ) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Like :meth:`labels` but also yields ∪λ as a bitmask."""
-        for label in self.labels(
-            allowed=allowed,
-            require_from=require_from,
-            overlap_with=overlap_with,
-            cover=cover,
-            component_vertices=component_vertices,
-        ):
-            yield label, label_union(self.host, label)
 
     # ------------------------------------------------------------------ #
     # branch-and-bound core
@@ -324,8 +277,8 @@ class CoverEnumerator:
 
     def _branch_and_bound(
         self,
-        allowed: Iterable[int] | int | None,
-        require_from: Iterable[int] | int | None,
+        allowed: int | None,
+        require_from: int | None,
         overlap_with: int | None,
         cover: int | None,
         max_size: int | None,
@@ -335,7 +288,7 @@ class CoverEnumerator:
     ) -> Iterator[tuple[int, ...]]:
         host = self.host
         limit = self.k if max_size is None else min(max_size, self.k)
-        pool_mask = _pool_mask_of(host, allowed)
+        pool_mask = host.all_edges_mask if allowed is None else allowed
         if overlap_with is not None:
             # Edges sharing a vertex with it: the union of its incidence rows.
             incidence = host.incidence_masks()
@@ -345,7 +298,7 @@ class CoverEnumerator:
             pool_mask &= touching
         if not pool_mask:
             return
-        require = _require_mask_of(require_from)
+        require = require_from or None
         if component_vertices is not None:
             pool = self._dominated_pool(
                 pool_mask, require, component_vertices, strict_domination
@@ -457,26 +410,11 @@ class CoverEnumerator:
     # ------------------------------------------------------------------ #
     # partitioning (used by the parallel backend)
     # ------------------------------------------------------------------ #
-    def partition_first_edges(
-        self, allowed: Iterable[int] | int | None, num_parts: int
-    ) -> list[list[int]]:
-        """Partition the candidate pool round-robin into ``num_parts`` groups.
-
-        The parallel backend assigns each group to a worker; a worker only
-        explores labels whose *smallest* edge index belongs to its group,
-        which partitions the label space without duplication.
-        """
-        pool = _pool_of(self.host, allowed)
-        parts: list[list[int]] = [[] for _ in range(max(1, num_parts))]
-        for position, edge in enumerate(pool):
-            parts[position % max(1, num_parts)].append(edge)
-        return parts
-
     def labels_for_partition(
         self,
-        allowed: Iterable[int] | int | None,
+        allowed: int | None,
         first_edges: Iterable[int],
-        require_from: Iterable[int] | int | None = None,
+        require_from: int | None = None,
         cover: int | None = None,
         component_vertices: int | None = None,
     ) -> Iterator[tuple[int, ...]]:

@@ -9,8 +9,8 @@ subhypergraphs* ⟨E', Sp, Conn⟩ of a host hypergraph H (Definition 3.1):
 * ``Conn`` — a set of vertices that the root bag of the fragment must contain
   (the interface to the fragment "above").
 
-Internally the algorithms carry the pair ``(E', Sp)`` as a :class:`Comp`
-(matching the ``Comp`` type of Algorithm 1/2 in the paper) and pass ``Conn``
+The algorithms carry the pair ``(E', Sp)`` as a :class:`BitComp` (the ``Comp``
+record of Algorithm 1/2 in the paper, packed into ints) and pass ``Conn``
 separately as a vertex bitmask.  :class:`ExtendedSubhypergraph` is the
 user-facing, name-based view used by the validators and the tests.
 
@@ -22,7 +22,7 @@ HDs *of* extended subhypergraphs (Definition 3.3) are represented as trees of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from ..exceptions import DecompositionError
@@ -31,82 +31,31 @@ from ..hypergraph import bitset
 
 __all__ = [
     "BitComp",
-    "Comp",
     "ExtendedSubhypergraph",
     "FragmentNode",
     "full_bitcomp",
-    "full_comp",
 ]
 
 
-@dataclass(frozen=True)
-class Comp:
-    """The ``Comp`` record of Algorithm 1/2: an edge set plus special edges.
-
-    ``edges`` holds indices into the host hypergraph, ``specials`` holds the
-    special edges as vertex bitmasks.  The tuple of specials is kept sorted so
-    that equal components hash equally (the det-k cache relies on this).
-    """
-
-    edges: frozenset[int]
-    specials: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.specials))
-        if ordered != self.specials:
-            object.__setattr__(self, "specials", ordered)
-
-    @property
-    def size(self) -> int:
-        """|E'| + |Sp| — the size measure used by the balancedness checks."""
-        return len(self.edges) + len(self.specials)
-
-    @property
-    def is_empty(self) -> bool:
-        """True iff the component has neither edges nor special edges."""
-        return not self.edges and not self.specials
-
-    def with_special(self, special: int) -> "Comp":
-        """Return a copy with one additional special edge."""
-        return Comp(self.edges, self.specials + (special,))
-
-    def difference(self, other: "Comp") -> "Comp":
-        """Pointwise difference (line 35/38 of the algorithms)."""
-        remaining_specials = list(self.specials)
-        for special in other.specials:
-            if special in remaining_specials:
-                remaining_specials.remove(special)
-        return Comp(self.edges - other.edges, tuple(remaining_specials))
-
-    def vertices(self, host: Hypergraph) -> int:
-        """V(H') as a bitmask: union of all edges and special edges."""
-        mask = 0
-        for index in self.edges:
-            mask |= host.edge_bits(index)
-        for special in self.specials:
-            mask |= special
-        return mask
-
-
-def full_comp(host: Hypergraph) -> Comp:
-    """The component representing the whole host hypergraph: ⟨E(H), ∅⟩."""
-    return Comp(frozenset(range(host.num_edges)), ())
-
-
 class BitComp(NamedTuple):
-    """Packed-int twin of :class:`Comp` used by the search inner loops.
+    """The ``Comp`` record of Algorithm 1/2: an edge set plus special edges.
 
     ``edges`` is a bitmask over *edge indices* of the host hypergraph (bit
     ``i`` set iff edge ``i`` belongs to the component); ``specials`` holds the
-    special edges as sorted vertex bitmasks, exactly as in :class:`Comp`.
-    Being a named tuple, a ``BitComp`` hashes as a flat ``(int, tuple)`` pair,
-    so the subproblem memo keys of the searches are integer comparisons
-    instead of frozenset hashing.  :class:`Comp` remains the public,
-    set-based view; the two convert losslessly at the API boundary.
+    special edges as vertex bitmasks, kept sorted so that equal components
+    hash equally (the subproblem memos rely on this).  Being a named tuple, a
+    ``BitComp`` hashes as a flat ``(int, tuple)`` pair.  The positional
+    constructor trusts its caller (the splitter hands over sorted tuples);
+    :meth:`of` is the constructor for people.
     """
 
     edges: int
     specials: tuple[int, ...] = ()
+
+    @classmethod
+    def of(cls, edge_indices: Iterable[int], specials: Iterable[int] = ()) -> "BitComp":
+        """Build a component from edge indices and (unsorted) special edges."""
+        return cls(bitset.from_indices(edge_indices), tuple(sorted(specials)))
 
     @property
     def size(self) -> int:
@@ -143,18 +92,9 @@ class BitComp(NamedTuple):
             mask |= special
         return mask
 
-    def to_comp(self) -> Comp:
-        """Convert to the public set-based :class:`Comp`."""
-        return Comp(frozenset(bitset.bits_of(self.edges)), self.specials)
-
-    @classmethod
-    def from_comp(cls, comp: Comp) -> "BitComp":
-        """Convert a public :class:`Comp` to the packed representation."""
-        return cls(bitset.from_indices(comp.edges), comp.specials)
-
 
 def full_bitcomp(host: Hypergraph) -> BitComp:
-    """The :class:`BitComp` representing the whole host hypergraph."""
+    """The component representing the whole host hypergraph: ⟨E(H), ∅⟩."""
     return BitComp(host.all_edges_mask, ())
 
 
@@ -163,7 +103,7 @@ class ExtendedSubhypergraph:
     """Name-based view of an extended subhypergraph ⟨E', Sp, Conn⟩.
 
     Used by validators, tests and documentation examples; the decomposers work
-    on the bitmask-based :class:`Comp` directly.
+    on the bitmask-based :class:`BitComp` directly.
     """
 
     host: Hypergraph
@@ -206,11 +146,11 @@ class ExtendedSubhypergraph:
         """|E'| + |Sp|."""
         return len(self.edges) + len(self.specials)
 
-    def to_comp(self) -> Comp:
-        """Convert to the bitmask-based :class:`Comp` representation."""
-        return Comp(
-            frozenset(self.host.edge_index(e) for e in self.edges),
-            tuple(self.host.vertices_to_mask(s) for s in self.specials),
+    def to_comp(self) -> BitComp:
+        """Convert to the bitmask-based :class:`BitComp` representation."""
+        return BitComp.of(
+            (self.host.edge_index(e) for e in self.edges),
+            (self.host.vertices_to_mask(s) for s in self.specials),
         )
 
     def conn_mask(self) -> int:
@@ -219,12 +159,12 @@ class ExtendedSubhypergraph:
 
     @classmethod
     def from_comp(
-        cls, host: Hypergraph, comp: Comp, conn: int = 0
+        cls, host: Hypergraph, comp: BitComp, conn: int = 0
     ) -> "ExtendedSubhypergraph":
-        """Build the name-based view from a :class:`Comp` plus a Conn bitmask."""
+        """Build the name-based view from a :class:`BitComp` plus a Conn bitmask."""
         return cls(
             host,
-            frozenset(host.edge_name(i) for i in comp.edges),
+            frozenset(host.edge_name(i) for i in bitset.bits_of(comp.edges)),
             frozenset(host.mask_to_vertices(s) for s in comp.specials),
             host.mask_to_vertices(conn),
         )
@@ -305,7 +245,3 @@ class FragmentNode:
             lines.append(child.describe(host, indent + 2))
         return "\n".join(lines)
 
-
-def comp_vertices(host: Hypergraph, comp: Comp) -> int:
-    """V(comp): the union of all (special) edge vertex sets, as a bitmask."""
-    return comp.vertices(host)

@@ -16,8 +16,9 @@ This module provides:
 from __future__ import annotations
 
 from ..hypergraph import Hypergraph
+from ..hypergraph.bitset import bits_of
 from .components import ComponentSplitter
-from .extended import BitComp, Comp, FragmentNode
+from .extended import BitComp, FragmentNode
 
 __all__ = [
     "cov",
@@ -30,10 +31,10 @@ __all__ = [
 ]
 
 
-def _covered_at(host: Hypergraph, comp: Comp, node: FragmentNode) -> set[object]:
+def _covered_at(host: Hypergraph, comp: BitComp, node: FragmentNode) -> set[object]:
     """Items of ``comp`` (edge indices / special bitmask markers) covered by χ(node)."""
     covered: set[object] = set()
-    for index in comp.edges:
+    for index in bits_of(comp.edges):
         if host.edge_bits(index) & ~node.chi == 0:
             covered.add(index)
     for special in comp.specials:
@@ -48,7 +49,7 @@ def _covered_at(host: Hypergraph, comp: Comp, node: FragmentNode) -> set[object]
 
 
 def cov(
-    host: Hypergraph, comp: Comp, fragment: FragmentNode
+    host: Hypergraph, comp: BitComp, fragment: FragmentNode
 ) -> dict[int, set[object]]:
     """cov(u) for every node ``u`` of the fragment, keyed by ``id(u)``.
 
@@ -70,7 +71,7 @@ def cov(
 
 def cov_subtree(
     host: Hypergraph,
-    comp: Comp,
+    comp: BitComp,
     fragment: FragmentNode,
     node: FragmentNode,
     table: dict[int, set[object]] | None = None,
@@ -90,7 +91,7 @@ def cov_subtree(
 
 
 def _cov_mask_sizes(
-    host: Hypergraph, comp: Comp, fragment: FragmentNode
+    host: Hypergraph, comp: BitComp, fragment: FragmentNode
 ) -> dict[int, int]:
     """|cov(u)| per node, computed on packed masks instead of object sets.
 
@@ -99,9 +100,8 @@ def _cov_mask_sizes(
     (duplicated specials collapse to one position, matching the set
     semantics of :func:`cov` where equal ``("sp", s)`` markers coincide).
     """
-    packed = BitComp.from_comp(comp) if isinstance(comp, Comp) else comp
     # dict.fromkeys dedupes while keeping order: equal specials are one item.
-    specials = tuple(dict.fromkeys(packed.specials))
+    specials = tuple(dict.fromkeys(comp.specials))
     edge_bits = host.edge_bits
     counts: dict[int, int] = {}
     # Pre-order with the inherited "already covered above" masks.
@@ -110,7 +110,7 @@ def _cov_mask_sizes(
         node, seen_edges, seen_specials = stack.pop()
         chi = node.chi
         here_edges = 0
-        rest = packed.edges & ~seen_edges
+        rest = comp.edges & ~seen_edges
         while rest:
             low = rest & -rest
             rest ^= low
@@ -136,7 +136,7 @@ def _cov_mask_sizes(
 
 def subtree_cov_sizes(
     host: Hypergraph,
-    comp: Comp,
+    comp: BitComp,
     fragment: FragmentNode,
     table: dict[int, set[object]] | None = None,
 ) -> dict[int, int]:
@@ -178,7 +178,7 @@ def subtree_cov_sizes(
 
 def is_balanced_separator_node(
     host: Hypergraph,
-    comp: Comp,
+    comp: BitComp,
     fragment: FragmentNode,
     node: FragmentNode,
     sizes: dict[int, int] | None = None,
@@ -199,7 +199,7 @@ def is_balanced_separator_node(
 
 
 def find_balanced_separator(
-    host: Hypergraph, comp: Comp, fragment: FragmentNode
+    host: Hypergraph, comp: BitComp, fragment: FragmentNode
 ) -> FragmentNode:
     """The constructive proof of Lemma 3.10: walk down towards the oversized child.
 
@@ -225,12 +225,12 @@ def find_balanced_separator(
         current = oversized
 
 
-def largest_component_size(host: Hypergraph, comp: Comp, separator: int) -> int:
+def largest_component_size(host: Hypergraph, comp: BitComp, separator: int) -> int:
     """The size of the largest [separator]-component of ``comp`` (0 if none)."""
     return ComponentSplitter(host, comp, memoize=False).largest_size(separator)
 
 
-def is_balanced_label(host: Hypergraph, comp: Comp, separator: int) -> bool:
+def is_balanced_label(host: Hypergraph, comp: BitComp, separator: int) -> bool:
     """True iff no [separator]-component of ``comp`` exceeds half of |comp|.
 
     This is the algorithmic balancedness test used by the ChildLoop of

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from ..exceptions import ValidationError
 from ..hypergraph import Hypergraph
+from ..hypergraph.bitset import bits_of
 from .decomposition import Decomposition, DecompositionNode
-from .extended import Comp, FragmentNode
+from .extended import BitComp, FragmentNode
 
 __all__ = [
     "validate_ghd",
@@ -154,7 +155,7 @@ def _check_special_condition(decomposition: Decomposition) -> None:
 # --------------------------------------------------------------------------- #
 def validate_extended_hd(
     host: Hypergraph,
-    comp: Comp,
+    comp: BitComp,
     conn: int,
     fragment: FragmentNode,
     k: int | None = None,
@@ -185,7 +186,7 @@ def validate_extended_hd(
                 )
 
     # Condition (2): every edge and special edge is covered.
-    for index in comp.edges:
+    for index in bits_of(comp.edges):
         bits = host.edge_bits(index)
         if not any(not n.is_special_leaf and bits & ~n.chi == 0 for n in nodes):
             raise ValidationError(
@@ -220,7 +221,7 @@ def validate_extended_hd(
 
 
 def _check_fragment_connectedness(
-    host: Hypergraph, comp: Comp, fragment: FragmentNode
+    host: Hypergraph, comp: BitComp, fragment: FragmentNode
 ) -> None:
     relevant = comp.vertices(host)
     bits = relevant

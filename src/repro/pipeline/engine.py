@@ -264,9 +264,9 @@ class DecompositionEngine:
 
         ``cancel_event`` (a :class:`threading.Event`) is threaded into the
         per-component searches: setting it makes the run abort at the next
-        periodic deadline check and report ``timed_out`` — the same
-        machinery the parallel backend uses to stop superfluous workers.
-        Cancelled runs are never cached.
+        periodic deadline check and report ``timed_out`` — how the serving
+        layer stops the search behind a cancelled ticket.  Cancelled runs
+        are never cached.
         """
         # An error injected here propagates like any engine bug would:
         # through the decomposer into the caller (or the service worker's

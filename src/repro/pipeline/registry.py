@@ -271,7 +271,7 @@ def _register_builtins() -> None:
         class_name="ParallelLogKDecomposer",
         aliases=("log-k-decomp-parallel",),
         description="log-k-decomp with the top-level separator search "
-        "partitioned across worker processes or threads.",
+        "partitioned across worker processes.",
     )
     registry.register(
         "ghd",

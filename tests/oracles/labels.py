@@ -3,23 +3,23 @@
 This is ``CoverEnumerator.labels_reference``, the enumerator the library
 shipped before the branch-and-bound search, moved here verbatim (``self``
 became ``enumerator``).  The optimised ``CoverEnumerator.labels`` must yield
-the byte-identical sequence.  Only the argument normalisation is shared with
-the optimised path; the combinations filter itself is untouched.
+the byte-identical sequence.  Pools are edge-index bitmasks, as everywhere;
+nothing is shared with the optimised path.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import combinations
 
-from repro.decomp.covers import CoverEnumerator, _pool_of, _require_mask_of
-from repro.hypergraph.bitset import from_indices
+from repro.decomp.covers import CoverEnumerator
+from repro.hypergraph.bitset import from_indices, indices_of
 
 
 def labels_reference(
     enumerator: CoverEnumerator,
-    allowed: Iterable[int] | int | None = None,
-    require_from: Iterable[int] | int | None = None,
+    allowed: int | None = None,
+    require_from: int | None = None,
     overlap_with: int | None = None,
     cover: int | None = None,
     max_size: int | None = None,
@@ -27,12 +27,12 @@ def labels_reference(
     """Every label ``enumerator.labels`` may yield, in the contract's order."""
     host = enumerator.host
     limit = enumerator.k if max_size is None else min(max_size, enumerator.k)
-    pool = _pool_of(host, allowed)
+    pool = indices_of(host.all_edges_mask if allowed is None else allowed)
     if overlap_with is not None:
         pool = [i for i in pool if host.edge_bits(i) & overlap_with]
     if not pool:
         return
-    require = _require_mask_of(require_from)
+    require = require_from or None
     if require is not None and not (require & from_indices(pool)):
         return
     pool_bits = [host.edge_bits(i) for i in pool]

@@ -1,4 +1,4 @@
-"""Unit tests for the stable JSON codec of decompositions and join trees."""
+"""Unit tests for the stable JSON codec of decompositions."""
 
 from __future__ import annotations
 
@@ -14,14 +14,11 @@ from repro.core.codec import (
     decomposition_from_json,
     decomposition_to_dict,
     decomposition_to_json,
-    join_tree_from_json,
-    join_tree_to_json,
     kind_of,
 )
 from repro.decomp import (
     GeneralizedHypertreeDecomposition,
     HypertreeDecomposition,
-    join_tree_from_decomposition,
     validate_hd,
 )
 from repro.exceptions import DecompositionError, ParseError
@@ -103,17 +100,3 @@ def test_payload_cannot_smuggle_foreign_structure(triangle):
     tampered["root"]["cover"] = ["no-such-edge"]
     with pytest.raises(DecompositionError):
         decomposition_from_dict(triangle, tampered)
-
-
-def test_join_tree_roundtrip(triangle):
-    _, hd = hypertree_width(triangle)
-    join_tree = join_tree_from_decomposition(hd)
-    restored = join_tree_from_json(triangle, join_tree_to_json(join_tree))
-    assert join_tree_to_json(restored) == join_tree_to_json(join_tree)
-    restored.validate()
-
-
-def test_join_tree_rejects_decomposition_payload(triangle):
-    _, hd = hypertree_width(triangle)
-    with pytest.raises(ParseError):
-        join_tree_from_json(triangle, decomposition_to_json(hd))

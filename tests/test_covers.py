@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from repro.core.parallel import partition_edges
 from repro.decomp.covers import CoverEnumerator, count_labels, label_union
 from repro.hypergraph import Hypergraph, generators
 
@@ -40,20 +41,26 @@ def test_labels_are_sorted_and_deterministic(host):
 
 def test_allowed_restriction(host):
     enumerator = CoverEnumerator(host, 2)
-    labels = list(enumerator.labels(allowed=[1, 3]))
+    labels = list(enumerator.labels(allowed=0b01010))
     assert set(labels) == {(1,), (3,), (1, 3)}
 
 
 def test_require_from_restriction(host):
     enumerator = CoverEnumerator(host, 2)
-    labels = list(enumerator.labels(require_from=frozenset({4})))
+    labels = list(enumerator.labels(require_from=1 << 4))
     assert all(4 in label for label in labels) is False or labels  # non-empty
     assert all(any(e == 4 for e in label) for label in labels)
 
 
 def test_require_from_disjoint_pool_yields_nothing(host):
     enumerator = CoverEnumerator(host, 2)
-    assert list(enumerator.labels(allowed=[0, 1], require_from=frozenset({4}))) == []
+    assert list(enumerator.labels(allowed=0b00011, require_from=1 << 4)) == []
+
+
+def test_zero_require_from_means_no_progress_constraint(host):
+    enumerator = CoverEnumerator(host, 2)
+    assert list(enumerator.labels(require_from=0)) == list(enumerator.labels())
+    assert list(enumerator.labels(allowed=0)) == []  # an empty pool is not "all edges"
 
 
 def test_overlap_with_restriction(host):
@@ -88,16 +95,11 @@ def test_max_size_override(host):
     assert all(len(label) == 1 for label in labels)
 
 
-def test_labels_with_union(host):
-    enumerator = CoverEnumerator(host, 1)
-    for label, union in enumerator.labels_with_union():
-        assert union == label_union(host, label)
-
-
 def test_partition_covers_pool(host):
     enumerator = CoverEnumerator(host, 2)
-    parts = enumerator.partition_first_edges(None, 3)
+    parts = partition_edges(host.num_edges, 3)
     assert sorted(e for part in parts for e in part) == list(range(5))
+    assert partition_edges(3, 5) == [[0], [1], [2]]  # never an empty share
     # Union of per-partition label streams equals the unpartitioned stream.
     union: set[tuple[int, ...]] = set()
     for part in parts:
@@ -107,7 +109,7 @@ def test_partition_covers_pool(host):
 
 def test_partition_single_worker(host):
     enumerator = CoverEnumerator(host, 2)
-    parts = enumerator.partition_first_edges(None, 1)
+    parts = partition_edges(host.num_edges, 1)
     assert len(parts) == 1
     assert set(enumerator.labels_for_partition(None, parts[0])) == set(enumerator.labels())
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 import random
 
 from repro.core.base import SearchStatistics
+from repro.core.parallel import partition_edges
 from repro.decomp.covers import CoverEnumerator, label_union
 from repro.hypergraph import Hypergraph, generators
+from repro.hypergraph.bitset import from_indices
 
 from oracles.labels import labels_reference
 
@@ -34,10 +36,16 @@ def _random_host(rng: random.Random, trial: int) -> Hypergraph:
     )
 
 
+def _random_pool(rng: random.Random, m: int, at_least: int) -> int:
+    """An edge-index bitmask of ``at_least``..m of the m edges."""
+    return from_indices(rng.sample(range(m), rng.randint(at_least, m)))
+
+
 def _random_settings(rng: random.Random, host: Hypergraph, k: int) -> dict:
     m = host.num_edges
-    allowed = None if rng.random() < 0.4 else sorted(rng.sample(range(m), rng.randint(1, m)))
-    require = None if rng.random() < 0.5 else frozenset(rng.sample(range(m), rng.randint(0, m)))
+    allowed = None if rng.random() < 0.4 else _random_pool(rng, m, 1)
+    # An empty draw is the mask 0: "no progress constraint", like None.
+    require = None if rng.random() < 0.5 else _random_pool(rng, m, 0)
     overlap = None
     if rng.random() < 0.5:
         overlap = 0
@@ -77,9 +85,11 @@ def test_partition_generation_matches_reference_filter():
         k = rng.randint(1, 3)
         enumerator = CoverEnumerator(host, k)
         m = host.num_edges
-        allowed = None if rng.random() < 0.5 else sorted(rng.sample(range(m), rng.randint(1, m)))
-        require = None if rng.random() < 0.5 else frozenset(rng.sample(range(m), rng.randint(1, m)))
-        parts = enumerator.partition_first_edges(allowed, rng.randint(1, 4))
+        allowed = None if rng.random() < 0.5 else _random_pool(rng, m, 1)
+        require = None if rng.random() < 0.5 else _random_pool(rng, m, 1)
+        # The coordinator's rule: it deals out every edge index, whatever
+        # pool the depth-1 loop is then restricted to.
+        parts = partition_edges(m, rng.randint(1, 4))
         reference = [
             label
             for label in labels_reference(enumerator, allowed=allowed, require_from=require)
@@ -108,11 +118,9 @@ def test_domination_only_removes_replaceable_labels():
         k = rng.randint(1, 3)
         enumerator = CoverEnumerator(host, k)
         m = host.num_edges
-        comp_edges = frozenset(rng.sample(range(m), rng.randint(2, m)))
-        comp_vertices = 0
-        for edge in comp_edges:
-            comp_vertices |= host.edge_bits(edge)
-        require = comp_edges if rng.random() < 0.7 else None
+        comp_edges = rng.sample(range(m), rng.randint(2, m))
+        comp_vertices = label_union(host, comp_edges)
+        require = from_indices(comp_edges) if rng.random() < 0.7 else None
         full = list(enumerator.labels(require_from=require))
         dominated = list(
             enumerator.labels(require_from=require, component_vertices=comp_vertices)
@@ -155,7 +163,7 @@ def test_domination_never_drops_the_progress_witness():
     enumerator = CoverEnumerator(host, 1)
     labels = list(
         enumerator.labels(
-            require_from=frozenset({0}),
+            require_from=0b1,
             component_vertices=host.all_vertices_mask,
         )
     )

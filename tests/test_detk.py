@@ -6,7 +6,7 @@ from repro.core import DetKDecomposer
 from repro.core.base import SearchContext
 from repro.core.detk import DetKSearch
 from repro.decomp import validate_hd
-from repro.decomp.extended import Comp
+from repro.decomp.extended import BitComp
 from repro.decomp.validation import validate_extended_hd
 from repro.hypergraph import Hypergraph, generators
 
@@ -66,7 +66,7 @@ def test_search_on_extended_subhypergraph_with_specials():
     # subhypergraph (Definition 3.3).
     host = generators.cycle(8)
     special = host.vertices_to_mask(["x1", "x5"])
-    comp = Comp(frozenset(range(1, 5)), (special,))
+    comp = BitComp.of(range(1, 5), (special,))
     conn = host.vertices_to_mask(["x1", "x2"])
     context = SearchContext(host, 2)
     fragment = DetKSearch(context).search(comp, conn)
@@ -80,7 +80,7 @@ def test_search_refuses_impossible_specials():
         host.vertices_to_mask(["x1", "x3"]),
         host.vertices_to_mask(["x4", "x6"]),
     )
-    comp = Comp(frozenset(), specials)
+    comp = BitComp.of((), specials)
     context = SearchContext(host, 2)
     assert DetKSearch(context).search(comp, conn=0) is None
 

@@ -1,10 +1,10 @@
-"""Unit tests for extended subhypergraphs, Comp records and fragment nodes."""
+"""Unit tests for extended subhypergraphs, BitComp records and fragment nodes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.decomp.extended import Comp, ExtendedSubhypergraph, FragmentNode, full_comp
+from repro.decomp.extended import BitComp, ExtendedSubhypergraph, FragmentNode, full_bitcomp
 from repro.exceptions import DecompositionError
 from repro.hypergraph import Hypergraph
 
@@ -18,20 +18,24 @@ def host() -> Hypergraph:
 
 
 def test_full_comp(host):
-    comp = full_comp(host)
-    assert comp.edges == frozenset(range(4))
+    comp = full_bitcomp(host)
+    assert comp.edges == 0b1111 == host.all_edges_mask
     assert comp.specials == ()
     assert comp.size == 4
     assert not comp.is_empty
 
 
 def test_comp_specials_are_sorted():
-    comp = Comp(frozenset({0}), (5, 3, 9))
-    assert comp.specials == (3, 5, 9)
+    comp = BitComp.of({0}, (5, 3, 9))
+    assert comp == BitComp(0b1, (3, 5, 9))
+    assert BitComp.of([2, 0]) == BitComp(0b101)  # any iterable, no specials
+    # The positional form trusts its caller (the splitter's sorted tuples).
+    assert BitComp(0b1, (5, 3, 9)).specials == (5, 3, 9)
+    assert BitComp.of({0}, (3,)).with_special(1).specials == (1, 3)
 
 
 def test_comp_with_special(host):
-    comp = full_comp(host)
+    comp = full_bitcomp(host)
     extended = comp.with_special(0b11)
     assert extended.specials == (0b11,)
     assert extended.size == 5
@@ -40,28 +44,28 @@ def test_comp_with_special(host):
 
 
 def test_comp_difference(host):
-    comp = Comp(frozenset({0, 1, 2}), (0b1, 0b10))
-    other = Comp(frozenset({1}), (0b1,))
+    comp = BitComp.of({0, 1, 2}, (0b1, 0b10))
+    other = BitComp.of({1}, (0b1,))
     diff = comp.difference(other)
-    assert diff.edges == frozenset({0, 2})
+    assert diff.edges == 0b101
     assert diff.specials == (0b10,)
 
 
 def test_comp_difference_with_duplicate_specials():
-    comp = Comp(frozenset(), (0b1, 0b1))
-    diff = comp.difference(Comp(frozenset(), (0b1,)))
+    comp = BitComp.of((), (0b1, 0b1))
+    diff = comp.difference(BitComp.of((), (0b1,)))
     assert diff.specials == (0b1,)
 
 
 def test_comp_vertices(host):
-    comp = Comp(frozenset({0, 1}), (host.vertices_to_mask(["w"]),))
+    comp = BitComp.of({0, 1}, (host.vertices_to_mask(["w"]),))
     names = host.mask_to_vertices(comp.vertices(host))
     assert names == {"x", "y", "z", "w"}
 
 
 def test_comp_hashable(host):
-    a = Comp(frozenset({0, 1}), (3,))
-    b = Comp(frozenset({1, 0}), (3,))
+    a = BitComp.of([0, 1], (3,))
+    b = BitComp.of([1, 0], (3,))
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
@@ -78,12 +82,15 @@ def test_extended_subhypergraph_roundtrip(host):
     ext = ExtendedSubhypergraph(
         host,
         frozenset({"a", "b"}),
-        frozenset({frozenset({"w", "x"})}),
+        frozenset({frozenset({"w", "x"}), frozenset({"y"}), frozenset({"z", "w"})}),
         frozenset({"y"}),
     )
     comp = ext.to_comp()
-    assert comp.edges == {host.edge_index("a"), host.edge_index("b")}
-    assert len(comp.specials) == 1
+    assert comp == BitComp.of(
+        {host.edge_index("a"), host.edge_index("b")},
+        (host.vertices_to_mask(s) for s in ext.specials),
+    )
+    assert comp.specials == tuple(sorted(comp.specials)) and len(comp.specials) == 3
     back = ExtendedSubhypergraph.from_comp(host, comp, ext.conn_mask())
     assert back.edges == ext.edges
     assert back.specials == ext.specials

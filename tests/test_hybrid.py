@@ -7,7 +7,7 @@ import pytest
 from repro.core import HybridDecomposer, LogKDecomposer
 from repro.core.hybrid import EdgeCountMetric, WeightedCountMetric, make_metric
 from repro.decomp import validate_hd
-from repro.decomp.extended import full_comp
+from repro.decomp.extended import full_bitcomp
 from repro.exceptions import SolverError
 from repro.hypergraph import Hypergraph, generators
 
@@ -24,14 +24,14 @@ def test_metric_factory():
 def test_edge_count_metric_value():
     h = generators.cycle(8)
     metric = EdgeCountMetric()
-    assert metric.value(h, full_comp(h), 3) == 8.0
+    assert metric.value(h, full_bitcomp(h), 3) == 8.0
 
 
 def test_weighted_count_metric_value():
     h = generators.cycle(8)  # 8 binary edges: average size 2
     metric = WeightedCountMetric()
-    assert metric.value(h, full_comp(h), 3) == pytest.approx(8 * 3 / 2)
-    empty = full_comp(h).difference(full_comp(h))
+    assert metric.value(h, full_bitcomp(h), 3) == pytest.approx(8 * 3 / 2)
+    empty = full_bitcomp(h).difference(full_bitcomp(h))
     assert metric.value(h, empty, 3) == 0.0
 
 

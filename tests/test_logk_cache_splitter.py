@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import LogKDecomposer
 from repro.decomp import validate_hd
 from repro.decomp.components import ComponentSplitter, components
-from repro.decomp.extended import Comp, full_comp
+from repro.decomp.extended import BitComp, full_bitcomp
 from repro.hypergraph import Hypergraph, generators
 
 
@@ -16,12 +16,12 @@ from repro.hypergraph import Hypergraph, generators
 # --------------------------------------------------------------------------- #
 def test_splitter_matches_module_function():
     host = generators.with_chords(generators.cycle(12), 3, seed=4)
-    comp = full_comp(host)
+    comp = full_bitcomp(host)
     splitter = ComponentSplitter(host, comp)
     for index in range(host.num_edges):
         separator = host.edge_bits(index) | host.edge_bits((index + 5) % host.num_edges)
         expected = components(host, comp, separator)
-        assert splitter.split(separator) == expected
+        assert splitter.split_bits(separator) == expected
         expected_largest = max((c.size for c in expected), default=0)
         assert splitter.largest_size(separator) == expected_largest
 
@@ -29,20 +29,20 @@ def test_splitter_matches_module_function():
 def test_splitter_with_specials():
     host = generators.cycle(8)
     special = host.vertices_to_mask(["x1", "x4"])
-    comp = Comp(frozenset({1, 2, 5, 6}), (special,))
+    comp = BitComp.of({1, 2, 5, 6}, (special,))
     splitter = ComponentSplitter(host, comp)
     separator = host.vertices_to_mask(["x4"])
-    parts = splitter.split(separator)
+    parts = splitter.split_bits(separator)
     assert sum(part.size for part in parts) == comp.size
     assert splitter.largest_size(separator) == max(part.size for part in parts)
 
 
 def test_splitter_everything_covered():
     host = generators.cycle(4)
-    comp = full_comp(host)
+    comp = full_bitcomp(host)
     splitter = ComponentSplitter(host, comp)
     assert splitter.largest_size(host.all_vertices_mask) == 0
-    assert splitter.split(host.all_vertices_mask) == []
+    assert splitter.split_bits(host.all_vertices_mask) == []
 
 
 _vertices = st.sampled_from([f"v{i}" for i in range(7)])
@@ -58,8 +58,8 @@ def test_splitter_largest_size_matches_split(hypergraph, vertex_ids):
     for vid in vertex_ids:
         if vid < hypergraph.num_vertices:
             separator |= 1 << vid
-    splitter = ComponentSplitter(hypergraph, full_comp(hypergraph))
-    parts = splitter.split(separator)
+    splitter = ComponentSplitter(hypergraph, full_bitcomp(hypergraph))
+    parts = splitter.split_bits(separator)
     assert splitter.largest_size(separator) == max((p.size for p in parts), default=0)
 
 
@@ -84,7 +84,7 @@ def test_cache_does_not_change_answers():
 
         context = SearchContext(hypergraph, k)
         uncached_fragment = LogKSearch(context, use_cache=False).search(
-            full_comp(hypergraph), conn=0, allowed=frozenset(range(hypergraph.num_edges))
+            full_bitcomp(hypergraph), conn=0, allowed=hypergraph.all_edges_mask
         )
         assert cached.success == (uncached_fragment is not None)
         if cached.success:

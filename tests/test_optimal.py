@@ -105,3 +105,23 @@ def test_large_instance_falls_back_without_dp():
     assert outcome.solved
     assert outcome.width == 2
     assert outcome.lower_bound == 2  # non-acyclic lower bound without the DP
+
+
+@pytest.mark.parametrize("timeout", [5.0, None], ids=["budget", "unbounded"])
+def test_solver_leaves_the_default_engine_cache_alone(timeout):
+    # The stand-in's time is a search time: it neither reads the process-wide
+    # result cache (with timeout=None a second solve would be a hit) nor
+    # litters it (a finite budget is a float in the key, so each width tried
+    # would store an entry nothing can hit).
+    from repro.pipeline.engine import DecompositionEngine, default_engine, set_default_engine
+
+    previous = default_engine()
+    try:
+        set_default_engine(DecompositionEngine())
+        cache = default_engine().cache
+        before = (cache.statistics, len(cache))
+        solver = OptimalHDSolver(timeout=timeout)
+        assert [solver.solve(generators.cycle(8)).width for _ in range(2)] == [2, 2]
+        assert (cache.statistics, len(cache)) == before
+    finally:
+        set_default_engine(previous)

@@ -13,10 +13,9 @@ from repro.core.base import SearchContext
 from repro.core.detk import DetKSearch
 from repro.core.fragments import fragment_to_decomposition
 from repro.core.hybrid import EdgeCountMetric
-from repro.core.parallel import _worker_search
+from repro.core.parallel import _worker_search, partition_edges
 from repro.decomp import validate_hd
-from repro.decomp.covers import CoverEnumerator
-from repro.decomp.extended import full_bitcomp, full_comp
+from repro.decomp.extended import full_bitcomp
 from repro.exceptions import SolverError, TimeoutExceeded
 from repro.hypergraph import Hypergraph, generators
 
@@ -88,16 +87,12 @@ def test_partitioned_search_is_complete_unionwise(cycle10):
     one partition succeeds and for a negative one all partitions fail.
     """
     k_positive, k_negative = 2, 1
-    enumerator = CoverEnumerator(cycle10, k_positive)
-    partitions = enumerator.partition_first_edges(None, 3)
+    partitions = partition_edges(cycle10.num_edges, 3)
 
     def run(partition, k):
         context = SearchContext(cycle10, k)
         search = LogKSearch(context, root_partition=partition)
-        fragment = search.search(
-            full_comp(cycle10), conn=0, allowed=frozenset(range(cycle10.num_edges))
-        )
-        return fragment
+        return search.search(full_bitcomp(cycle10), conn=0, allowed=cycle10.all_edges_mask)
 
     positives = [run(p, k_positive) for p in partitions]
     assert any(fragment is not None for fragment in positives)
@@ -113,8 +108,8 @@ def _detk_root_labels(host, k, partition, domination):
     """The labels det-k-decomp's depth-1 loop tries when every child fails."""
     context = SearchContext(host, k)
     search = DetKSearch(context, subedge_domination=domination, root_partition=partition)
-    recurse = search._search
-    search._search = lambda comp, conn, depth, allowed: (
+    recurse = search.search
+    search.search = lambda comp, conn, depth=1, allowed=None: (
         recurse(comp, conn, depth, allowed) if depth == 1 else None
     )
     tried = []
@@ -161,8 +156,8 @@ def test_detk_root_partition_streams_are_disjoint_and_complete(host, k, dominati
     assert sequential and len(set(sequential)) == len(sequential)
     for workers in (2, 3):
         streams = [
-            _detk_root_labels(host, k, range(slot, host.num_edges, workers), domination)
-            for slot in range(workers)
+            _detk_root_labels(host, k, partition, domination)
+            for partition in partition_edges(host.num_edges, workers)
         ]
         for slot, stream in enumerate(streams):
             # Disjoint by construction of the expected value, and each a
@@ -211,9 +206,9 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
     assert not refuted.success and not refuted.timed_out
     assert not hybrid.decompose(hard, 2).success
     labels = delegated = 0
-    for slot in range(2):
+    for partition in partition_edges(hard.num_edges, 2):
         context = SearchContext(hard, 2)
-        assert hybrid.search(context, range(slot, hard.num_edges, 2)) is None
+        assert hybrid.search(context, partition) is None
         labels += context.stats.labels_tried
         delegated += context.stats.subproblems_delegated
     assert refuted.statistics.labels_tried == labels

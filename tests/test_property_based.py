@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import DetKDecomposer, LogKDecomposer
 from repro.decomp import validate_hd
 from repro.decomp.components import components, covered_items
-from repro.decomp.extended import full_comp
+from repro.decomp.extended import full_bitcomp
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.properties import is_alpha_acyclic
 from repro.pipeline import DecompositionEngine, ResultCache, lift_decomposition, simplify
@@ -38,10 +38,10 @@ def test_components_partition_the_uncovered_edges(hypergraph, vertex_ids):
     for vid in vertex_ids:
         if vid < hypergraph.num_vertices:
             separator |= 1 << vid
-    comp = full_comp(hypergraph)
+    comp = full_bitcomp(hypergraph)
     parts = components(hypergraph, comp, separator)
     covered = covered_items(hypergraph, comp, separator)
-    seen: set[int] = set(covered.edges)
+    seen = covered.edges
     for part in parts:
         assert not (seen & part.edges), "components must be disjoint"
         seen |= part.edges

@@ -17,7 +17,7 @@ from repro.core import DetKDecomposer, HybridDecomposer, LogKDecomposer
 from repro.core.base import SearchStatistics
 from repro.decomp.components import ComponentSplitter
 from repro.decomp.covers import CoverEnumerator, label_union
-from repro.decomp.extended import Comp, full_comp
+from repro.decomp.extended import BitComp, full_bitcomp
 from repro.hypergraph import Hypergraph, generators
 from repro.hypergraph.bitset import indices_of
 
@@ -56,7 +56,7 @@ def test_dominated_pool_matches_oracle_on_search_components():
     # set, all edges allowed, V(comp) as the restriction.
     host = generators.with_chords(generators.cycle(24), 5, seed=2)
     enumerator = CoverEnumerator(host, 2)
-    splitter = ComponentSplitter(host, full_comp(host))
+    splitter = ComponentSplitter(host, full_bitcomp(host))
     everything = list(range(host.num_edges))
     for first in range(host.num_edges):
         separator = host.edge_bits(first) | host.edge_bits((first + 9) % host.num_edges)
@@ -79,7 +79,7 @@ CHORDED_CORPUS = [
 
 @pytest.mark.parametrize("host,k", CHORDED_CORPUS, ids=["cc12", "cc16", "cc10k3"])
 def test_balance_predicate_agrees_with_largest_size_on_every_label(host, k):
-    comp = full_comp(host)
+    comp = full_bitcomp(host)
     half = comp.size / 2
     deciding = ComponentSplitter(host, comp)
     measuring = ComponentSplitter(host, comp, memoize=False)
@@ -95,10 +95,10 @@ def test_balance_predicate_agrees_with_largest_size_on_every_label(host, k):
 
 def _special_comps():
     host = generators.with_chords(generators.cycle(14), 3, seed=1)
-    yield host, full_comp(host)
+    yield host, full_bitcomp(host)
     specials = (host.vertices_to_mask(["x1", "x6"]), host.vertices_to_mask(["x9", "x12"]))
-    yield host, Comp(frozenset(range(2, 11)), specials)
-    yield host, Comp(frozenset(), specials)
+    yield host, BitComp.of(range(2, 11), specials)
+    yield host, BitComp.of((), specials)
 
 
 @pytest.mark.parametrize("host,comp", list(_special_comps()), ids=["full", "specials", "specials-only"])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core import LogKDecomposer, decompose
 from repro.decomp.components import components
-from repro.decomp.extended import Comp, FragmentNode, full_comp
+from repro.decomp.extended import BitComp, FragmentNode, full_bitcomp
 from repro.decomp.separators import (
     cov,
     cov_subtree,
@@ -40,7 +40,7 @@ def _fragment_for(hypergraph, k=2) -> FragmentNode:
 def test_cov_covers_every_edge_exactly_once():
     h = generators.cycle(8)
     fragment = _fragment_for(h)
-    comp = full_comp(h)
+    comp = full_bitcomp(h)
     table = cov(h, comp, fragment)
     seen: set[object] = set()
     for items in table.values():
@@ -52,7 +52,7 @@ def test_cov_covers_every_edge_exactly_once():
 def test_cov_respects_ancestors():
     h = generators.cycle(6)
     fragment = _fragment_for(h)
-    comp = full_comp(h)
+    comp = full_bitcomp(h)
     table = cov(h, comp, fragment)
     # The root covers its own bag's edges; they may not reappear deeper down.
     root_items = table[id(fragment)]
@@ -65,7 +65,7 @@ def test_cov_respects_ancestors():
 def test_find_balanced_separator_satisfies_definition():
     for h in [generators.cycle(10), generators.grid(2, 4), generators.triangle_cascade(4)]:
         fragment = _fragment_for(h)
-        comp = full_comp(h)
+        comp = full_bitcomp(h)
         separator = find_balanced_separator(h, comp, fragment)
         assert is_balanced_separator_node(h, comp, fragment, separator)
 
@@ -75,7 +75,7 @@ def test_balanced_separator_always_exists_lemma_3_10():
     for length in range(3, 14):
         h = generators.cycle(length)
         fragment = _fragment_for(h)
-        comp = full_comp(h)
+        comp = full_bitcomp(h)
         separator = find_balanced_separator(h, comp, fragment)
         assert separator is not None
         assert is_balanced_separator_node(h, comp, fragment, separator)
@@ -86,7 +86,7 @@ def test_root_not_always_balanced():
     # long cycles: the root's single child subtree covers almost everything.
     h = generators.cycle(12)
     fragment = _fragment_for(h)
-    comp = full_comp(h)
+    comp = full_bitcomp(h)
     if not is_balanced_separator_node(h, comp, fragment, fragment):
         separator = find_balanced_separator(h, comp, fragment)
         assert separator is not fragment
@@ -94,7 +94,7 @@ def test_root_not_always_balanced():
 
 def test_is_balanced_label():
     h = generators.cycle(8)
-    comp = full_comp(h)
+    comp = full_bitcomp(h)
     # A single edge cannot balance an 8-cycle (the rest stays connected).
     assert not is_balanced_label(h, comp, h.edge_bits(0))
     # Two opposite edges split it into two halves of 3 <= 4.
@@ -105,7 +105,7 @@ def test_is_balanced_label():
 
 def test_largest_component_size_empty():
     h = generators.cycle(4)
-    comp = Comp(frozenset(), ())
+    comp = BitComp.of(())
     assert largest_component_size(h, comp, 0) == 0
 
 
@@ -126,7 +126,7 @@ def test_logk_decomposition_contains_balanced_separator_nodes():
         )
 
     fragment = convert(result.decomposition.root)
-    comp = full_comp(h)
+    comp = full_bitcomp(h)
     separator = find_balanced_separator(h, comp, fragment)
     assert is_balanced_separator_node(h, comp, fragment, separator)
 
@@ -136,7 +136,7 @@ def test_subtree_cov_sizes_match_set_computation():
     # cov(T_u) at every node of the fragment.
     for h in [generators.cycle(9), generators.grid(2, 4), generators.triangle_cascade(4)]:
         fragment = _fragment_for(h)
-        comp = full_comp(h)
+        comp = full_bitcomp(h)
         table = cov(h, comp, fragment)
         sizes = subtree_cov_sizes(h, comp, fragment, table=table)
         for node in fragment.nodes():
@@ -148,7 +148,7 @@ def test_subtree_cov_sizes_match_set_computation():
 def test_is_balanced_separator_accepts_shared_sizes_table():
     h = generators.cycle(10)
     fragment = _fragment_for(h)
-    comp = full_comp(h)
+    comp = full_bitcomp(h)
     sizes = subtree_cov_sizes(h, comp, fragment)
     for node in fragment.nodes():
         assert is_balanced_separator_node(h, comp, fragment, node, sizes=sizes) == (
@@ -158,7 +158,7 @@ def test_is_balanced_separator_accepts_shared_sizes_table():
 
 def test_balance_check_matches_components():
     h = generators.grid(2, 3)
-    comp = full_comp(h)
+    comp = full_bitcomp(h)
     for index in range(h.num_edges):
         separator = h.edge_bits(index)
         expected = largest_component_size(h, comp, separator) <= comp.size / 2

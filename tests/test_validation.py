@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.decomp.decomposition import DecompositionNode, HypertreeDecomposition
-from repro.decomp.extended import Comp, FragmentNode, full_comp
+from repro.decomp.extended import BitComp, FragmentNode, full_bitcomp
 from repro.decomp.validation import (
     check_width,
     is_valid_ghd,
@@ -100,7 +100,7 @@ def test_ghd_width_can_be_below_hw_only_with_subedges(triangle_host):
 def test_validate_extended_hd_accepts_special_leaf():
     host = generators.cycle(4)
     special = host.vertices_to_mask(["x1", "x3"])
-    comp = Comp(frozenset(), (special,))
+    comp = BitComp.of((), (special,))
     fragment = FragmentNode(chi=special, special=special)
     validate_extended_hd(host, comp, conn=0, fragment=fragment, k=2)
 
@@ -108,7 +108,7 @@ def test_validate_extended_hd_accepts_special_leaf():
 def test_validate_extended_hd_detects_missing_special():
     host = generators.cycle(4)
     special = host.vertices_to_mask(["x1", "x3"])
-    comp = Comp(frozenset({0}), (special,))
+    comp = BitComp.of({0}, (special,))
     fragment = FragmentNode(chi=host.edge_bits(0), lam_edges=(0,))
     with pytest.raises(ValidationError, match="condition 2b"):
         validate_extended_hd(host, comp, conn=0, fragment=fragment)
@@ -116,7 +116,7 @@ def test_validate_extended_hd_detects_missing_special():
 
 def test_validate_extended_hd_detects_uncovered_edge():
     host = generators.cycle(4)
-    comp = full_comp(host)
+    comp = full_bitcomp(host)
     fragment = FragmentNode(chi=host.edge_bits(0), lam_edges=(0,))
     with pytest.raises(ValidationError, match="condition 2a"):
         validate_extended_hd(host, comp, conn=0, fragment=fragment)
@@ -124,7 +124,7 @@ def test_validate_extended_hd_detects_uncovered_edge():
 
 def test_validate_extended_hd_detects_conn_violation():
     host = generators.cycle(4)
-    comp = Comp(frozenset({0}), ())
+    comp = BitComp.of({0})
     fragment = FragmentNode(chi=host.edge_bits(0), lam_edges=(0,))
     conn = host.vertices_to_mask(["x3"])
     with pytest.raises(ValidationError, match="condition 6"):
@@ -133,7 +133,7 @@ def test_validate_extended_hd_detects_conn_violation():
 
 def test_validate_extended_hd_detects_chi_not_covered():
     host = generators.cycle(4)
-    comp = Comp(frozenset({0}), ())
+    comp = BitComp.of({0})
     bad_chi = host.edge_bits(0) | host.vertices_to_mask(["x3"])
     fragment = FragmentNode(chi=bad_chi, lam_edges=(0,))
     with pytest.raises(ValidationError, match="condition 1a"):
@@ -143,7 +143,7 @@ def test_validate_extended_hd_detects_chi_not_covered():
 def test_validate_extended_hd_detects_special_leaf_with_children():
     host = generators.cycle(4)
     special = host.vertices_to_mask(["x1", "x2"])
-    comp = Comp(frozenset({2}), (special,))
+    comp = BitComp.of({2}, (special,))
     leaf = FragmentNode(chi=special, special=special)
     # Edge 0 of the 4-cycle has exactly the special's vertices {x1, x2}, so the
     # appended child keeps connectedness intact and only condition 5 trips.
@@ -155,7 +155,7 @@ def test_validate_extended_hd_detects_special_leaf_with_children():
 
 def test_validate_extended_hd_width_check():
     host = generators.cycle(4)
-    comp = Comp(frozenset({0, 1}), ())
+    comp = BitComp.of({0, 1})
     fragment = FragmentNode(
         chi=host.edge_bits(0) | host.edge_bits(1), lam_edges=(0, 1)
     )
@@ -179,4 +179,4 @@ def test_validate_whole_hypergraph_as_extended(cycle6):
         )
 
     fragment = convert(result.decomposition.root)
-    validate_extended_hd(cycle6, full_comp(cycle6), conn=0, fragment=fragment, k=2)
+    validate_extended_hd(cycle6, full_bitcomp(cycle6), conn=0, fragment=fragment, k=2)
