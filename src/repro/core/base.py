@@ -61,8 +61,10 @@ class SearchStatistics:
     splitter_memo_hits: int = 0
     splitter_memo_misses: int = 0
     #: Bitset-kernel counters (PR 7): lazy vertex→edge incidence mask-table
-    #: builds triggered by a splitter, and hits on the packed-key memos
-    #: (dominated candidate pools, per-component splitter reuse).
+    #: builds triggered by a splitter (the edge→edge adjacency table is
+    #: derived from it in the same constructor and not counted separately),
+    #: and hits on the packed-key memos (dominated candidate pools,
+    #: per-component splitter reuse).
     mask_table_builds: int = 0
     bitset_memo_hits: int = 0
     #: Resilience counter (PR 8): replacement processes spawned by the

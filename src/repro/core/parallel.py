@@ -154,8 +154,9 @@ class ParallelLogKDecomposer(Decomposer):
             )
         start = time.monotonic()
         partitions = partition_edges(hypergraph.num_edges, self.num_workers)
-        # Built once here: forked workers inherit the table.
-        hypergraph.incidence_masks()
+        # Built once here (the incidence table on the way): forked workers
+        # and their respawns inherit both tables.
+        hypergraph.adjacency_masks()
         effective_timeout = self.timeout if timeout is None else timeout
         timed_out, success, fragment, stats = self._run_processes(
             hypergraph, k, partitions, effective_timeout, cancel_event

@@ -8,11 +8,15 @@ are fully contained in U belong to no component (they are "covered" by U).
 The splitter is built for the search hot path, where the *same* component is
 split against thousands of candidate separators:
 
-* the fill is pure bit-twiddling over the host's vertex → edge-index
-  incidence-mask table (:meth:`~repro.hypergraph.Hypergraph.incidence_masks`,
-  built once per hypergraph): the unvisited edge set, each discovered group
-  and the vertex frontier are all packed ints, so expanding a frontier vertex
-  is a single ``&`` instead of a walk over adjacency lists;
+* the fill is pure bit-twiddling over two tables the host builds once
+  (:meth:`~repro.hypergraph.Hypergraph.adjacency_masks`, edge → edges sharing
+  a vertex, and :meth:`~repro.hypergraph.Hypergraph.incidence_masks`, vertex
+  → edges): the unvisited edge set, each discovered group and the edge
+  frontier are packed ints.  An edge the separator does not touch shares
+  only vertices outside U with its neighbours, so expanding it is a single
+  ``adjacency[e] & unvisited``; only an edge that touches U ORs the
+  incidence rows of its vertices outside U (those the group has not met
+  yet), and specials join through the rows of theirs;
 * results are memoised under the *effective* separator
   ``separator & V(comp)`` — λ-labels with equal restriction to the component
   (extremely common in the parent-label loop) share one split;
@@ -29,6 +33,7 @@ split against thousands of candidate separators:
 from __future__ import annotations
 
 from collections.abc import Iterator
+from math import inf
 
 from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import bits_of
@@ -66,7 +71,7 @@ class ComponentSplitter:
     All are memoised (LRU, keyed by the effective separator) unless
     ``memoize=False``; ``stats`` may be a
     :class:`~repro.core.base.SearchStatistics` recording memo hits/misses and
-    incidence mask-table builds.
+    mask-table builds.
     """
 
     __slots__ = (
@@ -77,7 +82,9 @@ class ComponentSplitter:
         "_special_bits",
         "_all_specials_mask",
         "_comp_vertices",
+        "_edge_masks",
         "_incidence",
+        "_adjacency",
         "_memoize",
         "_split_memo",
         "_largest_memo",
@@ -100,7 +107,9 @@ class ComponentSplitter:
         self._all_specials_mask = (1 << len(comp.specials)) - 1
         if stats is not None and not host.has_incidence_masks:
             stats.mask_table_builds += 1
+        self._edge_masks = host.edge_masks
         self._incidence = host.incidence_masks()
+        self._adjacency = host.adjacency_masks()
         self._comp_vertices = comp.vertices(host)
         self._memoize = memoize
         self._split_memo: BoundedLRU = BoundedLRU(memo_size)
@@ -113,10 +122,10 @@ class ComponentSplitter:
         return self._comp_vertices
 
     # ------------------------------------------------------------------ #
-    # flood fill over the incidence-mask table
+    # flood fill over the edge-adjacency table
     # ------------------------------------------------------------------ #
     def _flood(
-        self, effective: int, abort_above: float | None = None
+        self, effective: int, abort_above: float = inf
     ) -> Iterator[tuple[int, int, int, int]]:
         """Yield the [effective]-components, one ``(edge_mask, special_mask,
         vertices, remaining)`` tuple per group, as the fill finishes them.
@@ -125,72 +134,100 @@ class ComponentSplitter:
         positions of this component's specials tuple, ``vertices`` is V(group)
         — separator vertices its items touch included — and ``remaining``
         counts the items not yet visited, so a consumer that only looks for a
-        large component can stop once nothing left can matter.  With
+        large component can stop once nothing left can matter.  With a finite
         ``abort_above`` a group is yielded *incomplete* the moment it holds
         more than that many items, and the fill ends there: enough to decide
         balancedness, useless as a component.
         """
-        host_edge_bits = self.host.edge_bits
+        edge_masks = self._edge_masks
         incidence = self._incidence
+        adjacency = self._adjacency
+        edges_at = self._edges_at
         specials = self._special_bits
+        outside = ~effective
         unvisited = self._edges_mask
         unvisited_sp = self._all_specials_mask
         while unvisited or unvisited_sp:
             # Start a new group at the lowest unvisited item (edges first,
             # matching the deterministic item order of the set-based fill).
+            # ``frontier`` holds the member edges not expanded yet; the
+            # member edges are the ones ``unvisited`` lost since ``before``.
+            before = unvisited
             if unvisited:
-                start_bit = unvisited & -unvisited
-                unvisited ^= start_bit
-                vertices = host_edge_bits(start_bit.bit_length() - 1)
-                member_edges, member_sp = start_bit, 0
+                frontier = unvisited & -unvisited
+                unvisited ^= frontier
+                if edge_masks[frontier.bit_length() - 1] & outside == 0:
+                    continue  # fully covered by the separator: in no component
+                member_sp = vertices = 0
             else:
-                start_bit = unvisited_sp & -unvisited_sp
-                unvisited_sp ^= start_bit
-                vertices = specials[start_bit.bit_length() - 1]
-                member_edges, member_sp = 0, start_bit
-            frontier = vertices & ~effective
-            if frontier == 0:
-                continue  # fully covered by the separator: in no component
+                member_sp = unvisited_sp & -unvisited_sp
+                unvisited_sp ^= member_sp
+                vertices = specials[member_sp.bit_length() - 1]
+                if vertices & outside == 0:
+                    continue
+                frontier = edges_at(vertices & outside) & unvisited
+                unvisited ^= frontier
+            # The group exceeds ``abort_above`` once fewer than ``floor``
+            # edges are left unvisited.
+            floor = before.bit_count() + member_sp.bit_count() - abort_above
             while True:
                 while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    new_edges = incidence[low.bit_length() - 1] & unvisited
+                    edge = frontier.bit_length() - 1
+                    frontier ^= 1 << edge
+                    bits = edge_masks[edge]
+                    if bits & effective:
+                        # Only the vertices outside the separator connect,
+                        # and the edges at a live vertex of ``vertices``
+                        # have all been taken already.
+                        live = bits & outside & ~vertices
+                        new_edges = 0
+                        while live:
+                            low = live & -live
+                            live ^= low
+                            new_edges |= incidence[low.bit_length() - 1]
+                        new_edges &= unvisited
+                    else:
+                        # Every shared vertex lies outside the separator.
+                        new_edges = adjacency[edge] & unvisited
+                    vertices |= bits
                     if new_edges:
-                        unvisited &= ~new_edges
-                        member_edges |= new_edges
-                        rest = new_edges
-                        while rest:
-                            edge_bit = rest & -rest
-                            rest ^= edge_bit
-                            bits = host_edge_bits(edge_bit.bit_length() - 1)
-                            frontier |= bits & ~vertices & ~effective
-                            vertices |= bits
-                        if abort_above is not None and (
-                            member_edges.bit_count() + member_sp.bit_count() > abort_above
-                        ):
-                            yield member_edges, member_sp, vertices, 0
+                        unvisited ^= new_edges
+                        frontier |= new_edges
+                        if unvisited.bit_count() < floor:
+                            yield before ^ unvisited, member_sp, vertices, 0
                             return
-                # Specials sharing a live vertex with the group join it (and
-                # may extend the frontier); loop until no special is absorbed.
-                if not unvisited_sp:
-                    break
-                live = vertices & ~effective
+                # Specials sharing a live vertex with the group join it and
+                # bring the edges at their new live vertices; a special may
+                # connect an earlier one, so loop until a pass absorbs none.
+                absorbed = False
                 rest = unvisited_sp
                 while rest:
                     sp_bit = rest & -rest
                     rest ^= sp_bit
                     sp_vertices = specials[sp_bit.bit_length() - 1]
-                    if sp_vertices & live:
+                    if sp_vertices & vertices & outside:
+                        absorbed = True
                         unvisited_sp ^= sp_bit
                         member_sp |= sp_bit
-                        frontier |= sp_vertices & ~vertices & ~effective
+                        floor += 1
+                        new_edges = edges_at(sp_vertices & ~vertices & outside) & unvisited
+                        unvisited ^= new_edges
+                        frontier |= new_edges
                         vertices |= sp_vertices
-                        live = vertices & ~effective
-                if not frontier:
+                if not absorbed:
                     break
             remaining = unvisited.bit_count() + unvisited_sp.bit_count()
-            yield member_edges, member_sp, vertices, remaining
+            yield before ^ unvisited, member_sp, vertices, remaining
+
+    def _edges_at(self, vertices: int) -> int:
+        """The host edges containing some vertex of ``vertices``."""
+        incidence = self._incidence
+        edges = 0
+        while vertices:
+            low = vertices & -vertices
+            vertices ^= low
+            edges |= incidence[low.bit_length() - 1]
+        return edges
 
     def _bitcomp(self, edge_mask: int, special_mask: int) -> BitComp:
         specials = self._special_bits
@@ -250,9 +287,7 @@ class ComponentSplitter:
         cached = self._lookup(self._oversized_memo, key)
         if cached is None or (whole and cached is True):
             cached = False
-            for edges, sp, vertices, remaining in self._flood(
-                effective, None if whole else limit
-            ):
+            for edges, sp, vertices, remaining in self._flood(effective, inf if whole else limit):
                 if edges.bit_count() + sp.bit_count() > limit:
                     cached = (self._bitcomp(edges, sp), vertices) if whole else True
                     break
@@ -312,8 +347,9 @@ def components(host: Hypergraph, comp: BitComp, separator: int) -> list[BitComp]
 
 def covered_items(host: Hypergraph, comp: BitComp, separator: int) -> BitComp:
     """The edges and special edges of ``comp`` fully contained in ``separator``."""
+    edge_masks = host.edge_masks
     return BitComp.of(
-        (index for index in bits_of(comp.edges) if host.edge_bits(index) & ~separator == 0),
+        (index for index in bits_of(comp.edges) if edge_masks[index] & ~separator == 0),
         (s for s in comp.specials if s & ~separator == 0),
     )
 

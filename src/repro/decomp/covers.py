@@ -28,18 +28,26 @@ be a sound "no" answer.
 The enumerator is a recursive branch-and-bound search rather than a filter
 over :func:`itertools.combinations`:
 
-* the running ∪λ bitmask is carried incrementally down the search tree, so no
-  per-label union or ``set(label)`` is ever recomputed;
+* the running ∪λ bitmask of the prefix is carried incrementally down the
+  search tree, so the enumerator itself never recomputes a union or builds a
+  ``set(label)`` per label (labels come out as bare index tuples; a search
+  that needs ∪λ calls :func:`label_union` on the ones it tries);
 * the *progress* rule is enforced structurally — a branch is abandoned as soon
   as no ``require_from`` edge remains in the candidate suffix;
 * a ``cover`` requirement prunes whole branches through precomputed
   suffix-union masks: if even the union of every remaining pool edge cannot
   close the uncovered gap, no descendant label can, and because suffixes only
   shrink to the right the entire remaining sibling range is cut;
-* both prunes remove only branches that contain no emitted label, so the
-  output sequence is byte-identical to the ``itertools.combinations`` filter
-  it replaced (``tests/oracles/labels.py``, which the differential tests hold
-  it against).
+* the last position *closes the gap*: while cover vertices are still open the
+  last edge must contain all of them, so its candidates are one AND-chain —
+  the surviving pool as an edge-index mask ∩ the indices from the current
+  position on ∩ ``require_from`` (when no progress edge is chosen yet) ∩ the
+  incidence rows of the gap's vertices — emitted in ascending index, instead
+  of a test of every remaining pool edge;
+* the prunes and the gap-closing chain skip only labels the filter rejects,
+  so the output sequence is byte-identical to the ``itertools.combinations``
+  filter it replaced (``tests/oracles/labels.py``, which the differential
+  tests hold it against).
 
 Width-safe subedge domination
 -----------------------------
@@ -85,7 +93,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..hypergraph import Hypergraph
-from ..hypergraph.bitset import bits_of, indices_of
+from ..hypergraph.bitset import bits_of, from_indices, indices_of
 from ..lru import BoundedLRU
 
 __all__ = ["CoverEnumerator", "label_union", "count_labels"]
@@ -96,10 +104,21 @@ DOMINATION_MEMO_SIZE = 2048
 
 def label_union(host: Hypergraph, label: Sequence[int]) -> int:
     """∪λ as a vertex bitmask for a label given as edge indices."""
+    edge_masks = host.edge_masks
     mask = 0
     for index in label:
-        mask |= host.edge_bits(index)
+        mask |= edge_masks[index]
     return mask
+
+
+def _edges_containing(incidence: Sequence[int], vertices: int, candidates: int) -> int:
+    """The edges of ``candidates`` (an edge-index bitmask) that contain every
+    vertex of ``vertices``: one AND-chain over the incidence rows."""
+    while vertices and candidates:
+        low = vertices & -vertices
+        vertices ^= low
+        candidates &= incidence[low.bit_length() - 1]
+    return candidates
 
 
 def count_labels(num_allowed: int, k: int) -> int:
@@ -211,7 +230,7 @@ class CoverEnumerator:
         key: the searches re-enumerate labels for the same component against
         many Conn/overlap variations.
         """
-        host = self.host
+        edge_masks = self.host.edge_masks
         memo_key = (pool_mask, require, component_vertices, strict)
         cached = self._domination_memo.get(memo_key)
         if cached is not None:
@@ -230,7 +249,7 @@ class CoverEnumerator:
             # enumeration, i.e. once per child label on the hottest loop.
             chosen: dict[int, int] = {}
             for e in pool:
-                mask = host.edge_bits(e) & component_vertices
+                mask = edge_masks[e] & component_vertices
                 head = chosen.get(mask)
                 if head is None or (
                     progress_mask >> e & 1 and not progress_mask >> head & 1
@@ -245,26 +264,22 @@ class CoverEnumerator:
             # dominates (on equal restrictions it wins the tie-break or is
             # the progress witness); a larger one does unless it is e's
             # equal-restriction, equal-status twin, which e outranks.
-            incidence = host.incidence_masks()
+            incidence = self.host.incidence_masks()
             survivors = []
             for e in pool:
-                restricted = host.edge_bits(e) & component_vertices
+                restricted = edge_masks[e] & component_vertices
                 is_progress = progress_mask >> e & 1
                 candidates = pool_mask ^ (1 << e)
                 if is_progress:
                     candidates &= progress_mask
-                rest = restricted
-                while rest and candidates:
-                    low = rest & -rest
-                    rest ^= low
-                    candidates &= incidence[low.bit_length() - 1]
+                candidates = _edges_containing(incidence, restricted, candidates)
                 dominated = candidates & ((1 << e) - 1) != 0
                 while candidates and not dominated:
                     low = candidates & -candidates
                     candidates ^= low
                     f = low.bit_length() - 1
                     dominated = (
-                        host.edge_bits(f) & component_vertices != restricted
+                        edge_masks[f] & component_vertices != restricted
                         or progress_mask >> f & 1 != is_progress
                     )
                 if not dominated:
@@ -284,7 +299,7 @@ class CoverEnumerator:
         max_size: int | None,
         component_vertices: int | None,
         strict_domination: bool,
-        first_edges: frozenset[int] | set[int] | None,
+        first_edges: int | None,
     ) -> Iterator[tuple[int, ...]]:
         host = self.host
         limit = self.k if max_size is None else min(max_size, self.k)
@@ -305,7 +320,8 @@ class CoverEnumerator:
             )
         else:
             pool = indices_of(pool_mask)
-        bits = [host.edge_bits(i) for i in pool]
+        edge_masks = host.edge_masks
+        bits = [edge_masks[i] for i in pool]
         n = len(pool)
         stats = self.stats
 
@@ -331,22 +347,32 @@ class CoverEnumerator:
                 suffix[pos] = acc
             if cover & ~suffix[0]:
                 return
+            # What the gap-closing last position draws from: the surviving
+            # pool as an edge-index mask, and the vertex → edges table.
+            survivors = from_indices(pool)
+            incidence = host.incidence_masks()
 
         first_ok: list[bool] | None = None
         if first_edges is not None:
-            first_ok = [e in first_edges for e in pool]
+            first_ok = [first_edges >> e & 1 != 0 for e in pool]
 
         for size in range(1, limit + 1):
             if size > n:
                 break
             if size == 1:
                 # Flat fast path: no recursion state to maintain.
+                if cover:
+                    # The one edge must contain all of ``cover``.
+                    closing = survivors if require is None else survivors & require
+                    if first_edges is not None:
+                        closing &= first_edges
+                    for e in bits_of(_edges_containing(incidence, cover, closing)):
+                        yield (e,)
+                    continue
                 for pos in range(n):
                     if first_ok is not None and not first_ok[pos]:
                         continue
                     if is_req is not None and not is_req[pos]:
-                        continue
-                    if cover is not None and cover & ~bits[pos]:
                         continue
                     yield (pool[pos],)
                 continue
@@ -367,6 +393,20 @@ class CoverEnumerator:
                 limit_pos = max_start + d
                 prefix_union = unions[d]
                 prefix_got = got[d]
+                gap = cover & ~prefix_union if cover is not None and d == leaf else 0
+                if gap:
+                    # Gap-closing last position: the last edge must contain
+                    # every cover vertex the prefix left open, so the
+                    # candidates are one AND-chain over the incidence rows —
+                    # the remaining pool edges (a progress edge, if none is
+                    # chosen yet) containing the whole gap, in index order.
+                    closing = survivors & -(1 << pool[pos])
+                    if not prefix_got:
+                        closing &= require
+                    for e in bits_of(_edges_containing(incidence, gap, closing)):
+                        chosen[d] = e
+                        yield tuple(chosen)
+                    pos = limit_pos + 1
                 while pos <= limit_pos:
                     if not prefix_got and pos > last_req:
                         # No progress edge remains in the suffix: every label
@@ -385,9 +425,8 @@ class CoverEnumerator:
                         pos += 1
                         continue
                     if d == leaf:
-                        if (prefix_got or is_req[pos]) and (
-                            cover is None or not (cover & ~(prefix_union | bits[pos]))
-                        ):
+                        # No cover gap is open here: any edge closes the label.
+                        if prefix_got or is_req[pos]:
                             chosen[d] = pool[pos]
                             yield tuple(chosen)
                         pos += 1
@@ -430,5 +469,6 @@ class CoverEnumerator:
         Conn-covering requirement, as in :meth:`labels`.
         """
         return self._branch_and_bound(
-            allowed, require_from, None, cover, None, component_vertices, True, set(first_edges)
+            allowed, require_from, None, cover, None, component_vertices, True,
+            from_indices(first_edges),
         )

@@ -62,11 +62,6 @@ class BitComp(NamedTuple):
         """|E'| + |Sp| — the size measure used by the balancedness checks."""
         return self.edges.bit_count() + len(self.specials)
 
-    @property
-    def is_empty(self) -> bool:
-        """True iff the component has neither edges nor special edges."""
-        return not self.edges and not self.specials
-
     def with_special(self, special: int) -> "BitComp":
         """Return a copy with one additional special edge (kept sorted)."""
         return BitComp(self.edges, tuple(sorted(self.specials + (special,))))
@@ -83,11 +78,11 @@ class BitComp(NamedTuple):
         """V(H') as a vertex bitmask: union of all edges and special edges."""
         mask = 0
         rest = self.edges
-        edge_bits = host.edge_bits
+        edge_masks = host.edge_masks
         while rest:
             low = rest & -rest
             rest ^= low
-            mask |= edge_bits(low.bit_length() - 1)
+            mask |= edge_masks[low.bit_length() - 1]
         for special in self.specials:
             mask |= special
         return mask

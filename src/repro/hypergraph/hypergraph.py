@@ -53,6 +53,7 @@ class Hypergraph:
         "_vertex_index",
         "_all_vertices_mask",
         "_incidence_masks",
+        "_adjacency_masks",
         "_canonical_hash",
     )
 
@@ -87,12 +88,13 @@ class Hypergraph:
                     self._vertex_index[vertex] = len(self._vertex_names)
                     self._vertex_names.append(vertex)
 
-        self._edge_bits: list[int] = [
+        self._edge_bits: tuple[int, ...] = tuple(
             bitset.from_indices(self._vertex_index[v] for v in edge)
             for edge in self._edge_sets
-        ]
+        )
         self._all_vertices_mask = bitset.from_indices(range(len(self._vertex_names)))
         self._incidence_masks: tuple[int, ...] | None = None
+        self._adjacency_masks: tuple[int, ...] | None = None
         self._canonical_hash: str | None = None
 
     # ------------------------------------------------------------------ #
@@ -152,6 +154,15 @@ class Hypergraph:
         """Return the vertex bitmask of the edge with the given index."""
         return self._edge_bits[index]
 
+    @property
+    def edge_masks(self) -> tuple[int, ...]:
+        """The vertex bitmasks of all edges, in index order.
+
+        The table :meth:`edge_bits` reads: hot loops fetch it once and index
+        it instead of paying a method call per edge.
+        """
+        return self._edge_bits
+
     def edges_as_dict(self) -> dict[str, frozenset[Vertex]]:
         """Return a name → vertex-set mapping of all edges."""
         return dict(zip(self._edge_names, self._edge_sets))
@@ -198,10 +209,9 @@ class Hypergraph:
         """The vertex → edge-index incidence table, as bitmasks.
 
         Entry ``v`` is the bitmask over *edge indices* of the edges containing
-        the vertex with id ``v`` — the transpose of :meth:`edge_bits`.  The
-        component splitter's flood fill is bit-twiddling over this table:
-        expanding a frontier vertex is one ``&`` against the unvisited edge
-        set instead of a scan over per-edge adjacency lists.  Built once per
+        the vertex with id ``v`` — the transpose of :attr:`edge_masks`.  The
+        edges containing every vertex of a set are one AND-chain over its
+        rows, the edges touching a set one OR-chain.  Built once per
         hypergraph on first use and cached (the instance is immutable).
         """
         if self._incidence_masks is None:
@@ -212,6 +222,28 @@ class Hypergraph:
                     table[vertex_id] |= edge_bit
             self._incidence_masks = tuple(table)
         return self._incidence_masks
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """The edge → edge-index adjacency table, as bitmasks.
+
+        Entry ``e`` is the bitmask over *edge indices* of the edges sharing a
+        vertex with edge ``e`` (``e`` itself included): the OR of the
+        :meth:`incidence_masks` rows of its vertices.  The component
+        splitter's flood fill expands an edge that no separator vertex
+        touches with one ``&`` of its row against the unvisited edge set.
+        One int per edge, built on first use (building the incidence table
+        on the way) and cached.
+        """
+        if self._adjacency_masks is None:
+            incidence = self.incidence_masks()
+            table = []
+            for bits in self._edge_bits:
+                row = 0
+                for vertex_id in bitset.bits_of(bits):
+                    row |= incidence[vertex_id]
+                table.append(row)
+            self._adjacency_masks = tuple(table)
+        return self._adjacency_masks
 
     def subhypergraph(self, edge_indices: Iterable[int], name: str = "") -> "Hypergraph":
         """Return the subhypergraph induced by the given edge indices."""

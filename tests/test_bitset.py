@@ -133,3 +133,16 @@ def test_all_edges_mask_covers_every_edge(edge_sets):
     for mask in host.incidence_masks():
         union |= mask
     assert union == host.all_edges_mask
+
+
+@given(_edges_strategy)
+def test_adjacency_masks_match_frozenset_semantics(edge_sets):
+    # Edge f is in row e  ⟺  e and f share a vertex (so e is in its own row).
+    host = Hypergraph(edge_sets)
+    table = host.adjacency_masks()
+    assert host.has_incidence_masks  # built on the way
+    assert host.edge_masks == tuple(host.edge_bits(i) for i in range(host.num_edges))
+    for e in range(host.num_edges):
+        assert set(bitset.indices_of(table[e])) == {
+            f for f in range(host.num_edges) if host.edge_vertices(e) & host.edge_vertices(f)
+        }

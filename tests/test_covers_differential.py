@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.core.base import SearchStatistics
 from repro.core.parallel import partition_edges
 from repro.decomp.covers import CoverEnumerator, label_union
 from repro.hypergraph import Hypergraph, generators
-from repro.hypergraph.bitset import from_indices
+from repro.hypergraph.bitset import from_indices, indices_of
 
+from oracles.domination import dominated_pool_pairwise
 from oracles.labels import labels_reference
 
 
@@ -107,6 +110,89 @@ def test_partition_generation_matches_reference_filter():
         assert merged == sorted(reference)
 
 
+def _covers(rng: random.Random, host: Hypergraph, pool: list[int], require: int | None):
+    """Cover requirements around the gap-closing last position."""
+    yield None
+    yield 0  # a requirement that is already met: no gap is ever open
+    yield label_union(host, rng.sample(pool, min(len(pool), rng.randint(1, 2))))
+    yield label_union(host, rng.sample(range(host.num_edges), rng.randint(1, 3)))
+    # No pool edge — no label — can close it: a vertex the host does not have.
+    yield host.edge_bits(pool[0]) | 1 << host.num_vertices
+    old = [e for e in pool if not (require or 0) >> e & 1]
+    if require and old:
+        # Closed by one non-progress edge: alone, or behind non-progress
+        # edges only, it must not be emitted.
+        yield host.edge_bits(rng.choice(old))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cover_progress_domination_partition_grid_matches_reference(k):
+    # cover × require_from × component_vertices (both domination modes) ×
+    # labels_for_partition: the exact sequence of the combinations filter
+    # over the pool the pairwise domination oracle leaves.
+    rng = random.Random(2100 + k)
+    for trial in range(36):
+        host = _random_host(rng, trial)
+        m = host.num_edges
+        enumerator = CoverEnumerator(host, k)
+        allowed = None if rng.random() < 0.4 else _random_pool(rng, m, 1)
+        pool = indices_of(host.all_edges_mask if allowed is None else allowed)
+        require = rng.choice([None, 0, _random_pool(rng, m, 1), from_indices(pool[::2])])
+        comp_vertices = label_union(host, rng.sample(range(m), rng.randint(1, m)))
+        parts = partition_edges(m, rng.randint(1, 3))
+        for cover in _covers(rng, host, pool, require):
+            for domination in (None, True, False):
+                survivors = pool
+                if domination is not None:
+                    survivors, _ = dominated_pool_pairwise(
+                        host, pool, require or None, comp_vertices, domination
+                    )
+                reference = list(
+                    labels_reference(
+                        enumerator,
+                        allowed=from_indices(survivors),
+                        require_from=require,
+                        cover=cover,
+                    )
+                )
+                vertices = None if domination is None else comp_vertices
+                case = (trial, host, allowed, require, cover, domination)
+                assert reference == list(
+                    enumerator.labels(
+                        allowed=allowed,
+                        require_from=require,
+                        cover=cover,
+                        component_vertices=vertices,
+                        strict_domination=domination is not False,
+                    )
+                ), case
+                if domination is False:
+                    continue  # the partitioned enumeration dominates strictly
+                for part in parts:
+                    assert [label for label in reference if label[0] in part] == list(
+                        enumerator.labels_for_partition(
+                            allowed,
+                            part,
+                            require_from=require,
+                            cover=cover,
+                            component_vertices=vertices,
+                        )
+                    ), (case, part)
+
+
+def test_gap_closing_edge_must_be_a_progress_edge_when_none_is_chosen():
+    # cover = {c, d} is closed by "old" alone — a non-progress edge.  Behind
+    # "far" (non-progress too) it would finish a label of old edges only.
+    host = Hypergraph(
+        {"far": ["a", "b"], "old": ["c", "d"], "new1": ["d", "e"], "new2": ["c", "d", "f"]}
+    )
+    settings = dict(require_from=0b1100, cover=host.vertices_to_mask(["c", "d"]))
+    enumerator = CoverEnumerator(host, 2)
+    labels = list(enumerator.labels(**settings))
+    assert labels == [(3,), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert labels == list(labels_reference(enumerator, **settings))
+
+
 def test_domination_only_removes_replaceable_labels():
     # Width-safety invariant: for every label the full enumeration emits but
     # the dominated enumeration skips, there must be an emitted label of at
@@ -171,7 +257,8 @@ def test_domination_never_drops_the_progress_witness():
 
 
 class _CountingHost:
-    """Hypergraph proxy counting ``edge_bits`` calls (hot-path regression guard)."""
+    """Hypergraph proxy counting ``edge_bits`` calls and fetches of the
+    ``edge_masks`` table (hot-path regression guard)."""
 
     def __init__(self, host: Hypergraph) -> None:
         self._host = host
@@ -183,6 +270,11 @@ class _CountingHost:
     def edge_bits(self, index: int) -> int:
         self.edge_bits_calls += 1
         return self._host.edge_bits(index)
+
+    @property
+    def edge_masks(self) -> tuple[int, ...]:
+        self.edge_bits_calls += 1
+        return self._host.edge_masks
 
 
 def test_no_constraint_path_does_no_per_label_recomputation():

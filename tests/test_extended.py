@@ -22,7 +22,6 @@ def test_full_comp(host):
     assert comp.edges == 0b1111 == host.all_edges_mask
     assert comp.specials == ()
     assert comp.size == 4
-    assert not comp.is_empty
 
 
 def test_comp_specials_are_sorted():

@@ -3,6 +3,7 @@
 * subedge domination over the incidence table == the pairwise oracle;
 * the early-exit balance predicate == ``largest_size(sep) > half``, and the
   splitter's single-component / with-vertices views == the full split;
+* the edge-adjacency flood fill == Definition 3.2's pairwise union-find;
 * sequential ``logk`` / ``hybrid`` / ``detk`` report the counters of the
   commit before the kernels changed (same labels, same calls, same skips).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.components import components_by_definition
 from oracles.domination import dominated_pool_pairwise
 
 from repro.core import DetKDecomposer, HybridDecomposer, LogKDecomposer
@@ -124,6 +126,56 @@ def test_single_component_and_vertex_views_agree_with_full_split(host, comp):
             for _ in range(2):
                 assert splitter.has_oversized(separator, limit) == (down is not None)
                 assert splitter.oversized(separator, limit) == expected
+
+
+# --------------------------------------------------------------------------- #
+# the flood fill vs Definition 3.2's pairwise union-find
+# --------------------------------------------------------------------------- #
+_vertex_mask = st.integers(min_value=0, max_value=(1 << 7) - 1)
+_separator = st.one_of(
+    _vertex_mask,  # touches edges partially, or not at all
+    st.lists(st.integers(min_value=0, max_value=9), max_size=3),  # covers whole edges
+    st.just(-1),  # covers everything
+)
+
+
+@given(
+    _hypergraphs,
+    _mask,
+    st.lists(_vertex_mask.filter(bool), max_size=3),
+    _separator,
+)
+@settings(max_examples=400, deadline=None)
+def test_flood_fill_matches_definition(host, edge_bits, specials, separator):
+    if isinstance(separator, list):
+        # The union of a few edges, the lowest of the component among them.
+        comp_edges = indices_of(edge_bits & host.all_edges_mask) or [0]
+        separator = label_union(
+            host, [comp_edges[0]] + [e for e in separator if e < host.num_edges]
+        )
+    separator &= host.all_vertices_mask
+    specials = [s & host.all_vertices_mask for s in specials]
+    comp = BitComp.of(indices_of(edge_bits & host.all_edges_mask), filter(None, specials))
+    expected = components_by_definition(host, comp, separator)
+
+    fresh = ComponentSplitter(host, comp, memoize=False)
+    memoised = ComponentSplitter(host, comp)
+    # Same groups, same order, same V(group), same remaining.
+    assert list(fresh._flood(separator & fresh.comp_vertices)) == expected
+    pairs = tuple(
+        (BitComp(edges, tuple(comp.specials[i] for i in indices_of(sp))), vertices)
+        for edges, sp, vertices, _ in expected
+    )
+    sizes = [part.size for part, _ in pairs]
+    for _ in range(2):  # the second round is served from the memos
+        for splitter in (fresh, memoised):
+            assert splitter.split_with_vertices(separator) == pairs
+            assert splitter.split_bits(separator) == [part for part, _ in pairs]
+            assert splitter.largest_size(separator) == max(sizes, default=0)
+            for limit in (comp.size / 2 - 1, comp.size / 2, comp.size / 2 + 0.5, comp.size / 2 + 1):
+                first = next((pair for pair in pairs if pair[0].size > limit), None)
+                assert splitter.has_oversized(separator, limit) == (first is not None)
+                assert splitter.oversized(separator, limit) == first
 
 
 # --------------------------------------------------------------------------- #
