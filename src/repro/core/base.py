@@ -28,6 +28,7 @@ from ..decomp.extended import FragmentNode
 from ..exceptions import SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from .fragments import fragment_to_decomposition
+from .refuted import RefutedTable
 
 __all__ = [
     "SearchStatistics",
@@ -70,6 +71,10 @@ class SearchStatistics:
     #: Resilience counter (PR 8): replacement processes spawned by the
     #: parallel backend's supervisor after a worker died mid-search.
     worker_respawns: int = 0
+    #: Parallel-search counter (PR 22): private-memo misses answered by the
+    #: workers' shared :class:`~repro.core.refuted.RefutedTable` (counted in
+    #: ``cache_hits`` too; ``cache_misses`` stays "expansions performed").
+    refutations_shared: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
     def record_call(self, depth: int) -> None:
@@ -97,6 +102,7 @@ class SearchStatistics:
         self.mask_table_builds += other.mask_table_builds
         self.bitset_memo_hits += other.bitset_memo_hits
         self.worker_respawns += other.worker_respawns
+        self.refutations_shared += other.refutations_shared
         for stage, seconds in other.stage_seconds.items():
             self.record_stage(stage, seconds)
 
@@ -155,6 +161,7 @@ class SearchContext:
         "enumerator",
         "deadline",
         "cancel_event",
+        "refuted",
         "_timeout_stride",
         "_calls",
     )
@@ -166,6 +173,7 @@ class SearchContext:
         timeout: float | None = None,
         stats: SearchStatistics | None = None,
         cancel_event=None,
+        refuted: RefutedTable | None = None,
     ) -> None:
         if k < 1:
             raise SolverError(f"width parameter k must be >= 1, got {k}")
@@ -179,6 +187,10 @@ class SearchContext:
         #: lets the caller (the serving layer cancelling a ticket, the engine
         #: relaying it) abort a search whose answer is no longer needed.
         self.cancel_event = cancel_event
+        #: The parallel workers' shared table of refuted subproblems; the
+        #: searches probe it after a private-memo miss.  ``None`` everywhere
+        #: else (sequential and daemonic callers).
+        self.refuted = refuted
         self._timeout_stride = 64
         self._calls = 0
 

@@ -57,7 +57,12 @@ class DetKSearch:
     # public entry point (and the recursion itself)
     # ------------------------------------------------------------------ #
     def search(
-        self, comp: BitComp, conn: int, depth: int = 1, allowed: int | None = None
+        self,
+        comp: BitComp,
+        conn: int,
+        allowed: int | None = None,
+        depth: int = 1,
+        vertices: int | None = None,
     ) -> FragmentNode | None:
         """Return an HD fragment of width <= k for ⟨comp, conn⟩, or ``None``.
 
@@ -69,9 +74,12 @@ class DetKSearch:
         component below the separator would put vertices of that component
         into ∪λ(u) without them being in χ(u) — breaking HD condition 4 on
         the stitched tree even though the fragment is locally consistent.
+        ``vertices`` is V(comp) when the caller has it at hand (the split
+        that produced ``comp`` does).
         """
         context = self.context
-        context.stats.record_call(depth)
+        stats = context.stats
+        stats.record_call(depth)
         context.check_timeout()
 
         fragment = base_case(context.host, context.k, comp)
@@ -82,26 +90,45 @@ class DetKSearch:
             return fragment
 
         key = (comp.edges, comp.specials, conn, allowed)
-        if self.use_cache and key in self._cache:
-            context.stats.cache_hits += 1
-            cached = self._cache[key]
-            return cached.copy() if cached is not None else None
-        context.stats.cache_misses += 1
+        shared = None
+        if self.use_cache:
+            if key in self._cache:
+                stats.cache_hits += 1
+                cached = self._cache[key]
+                return cached.copy() if cached is not None else None
+            # The workers' shared refutations.  Not at depth 1: that call is
+            # restricted to the worker's partition, so its ``None`` is no
+            # fact about the subproblem.
+            if depth > 1:
+                shared = context.refuted
+            if shared is not None and key in shared:
+                stats.cache_hits += 1
+                stats.refutations_shared += 1
+                self._cache[key] = None
+                return None
+        stats.cache_misses += 1
 
-        result = self._expand(comp, conn, depth, allowed)
+        result = self._expand(comp, conn, allowed, depth, vertices)
         if self.use_cache:
             self._cache[key] = result.copy() if result is not None else None
+            if result is None and shared is not None:
+                shared.add(key)
         return result
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
     def _expand(
-        self, comp: BitComp, conn: int, depth: int, allowed: int | None
+        self,
+        comp: BitComp,
+        conn: int,
+        allowed: int | None,
+        depth: int,
+        vertices: int | None = None,
     ) -> FragmentNode | None:
         context = self.context
         host = context.host
-        splitter = ComponentSplitter(host, comp, stats=context.stats)
+        splitter = ComponentSplitter(host, comp, stats=context.stats, vertices=vertices)
         comp_vertices = splitter.comp_vertices
         constraints = dict(
             require_from=comp.edges,
@@ -126,7 +153,7 @@ class DetKSearch:
             children: list[FragmentNode] = []
             failed = False
             for sub, sub_vertices in splitter.split_with_vertices(chi):
-                child = self.search(sub, sub_vertices & chi, depth + 1, allowed)
+                child = self.search(sub, sub_vertices & chi, allowed, depth + 1, sub_vertices)
                 if child is None:
                     failed = True
                     break

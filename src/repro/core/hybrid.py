@@ -134,11 +134,6 @@ class HybridDecomposer(Decomposer):
             root_partition=root_partition,
         )
 
-        def delegate(
-            comp: BitComp, conn: int, depth: int, allowed: int
-        ) -> FragmentNode | None:
-            return detk.search(comp, conn, depth, allowed=allowed)
-
         def should_delegate(comp: BitComp) -> bool:
             return self.metric.value(context.host, comp, context.k) < self.threshold
 
@@ -147,7 +142,7 @@ class HybridDecomposer(Decomposer):
             negative_base_case=self.negative_base_case,
             parent_overlap_pruning=self.parent_overlap_pruning,
             subedge_domination=self.subedge_domination,
-            leaf_delegate=delegate,
+            leaf_delegate=detk.search,
             delegate_predicate=should_delegate,
             root_partition=root_partition,
         )

@@ -52,8 +52,9 @@ from .fragments import base_case, replace_special_leaf, special_leaf
 __all__ = ["LogKSearch", "LogKDecomposer"]
 
 
-#: The delegate receives the packed subproblem: a :class:`BitComp`, the Conn
-#: vertex bitmask, the recursion depth and the allowed-edge *index* bitmask.
+#: The delegate receives the packed subproblem in :meth:`LogKSearch.search`'s
+#: own argument order: a :class:`BitComp`, the Conn vertex bitmask, the
+#: allowed-edge *index* bitmask and the recursion depth.
 LeafDelegate = Callable[[BitComp, int, int, int], FragmentNode | None]
 DelegatePredicate = Callable[[BitComp], bool]
 
@@ -127,18 +128,31 @@ class LogKSearch:
         context.stats.record_call(depth)
         context.check_timeout()
 
-        cache_key = None
+        cache_key = shared = None
         if self.use_cache:
+            stats = context.stats
             cache_key = (comp.edges, comp.specials, conn, allowed)
             if cache_key in self._cache:
-                context.stats.cache_hits += 1
+                stats.cache_hits += 1
                 cached = self._cache[cache_key]
                 return cached.copy() if cached is not None else None
-            context.stats.cache_misses += 1
+            # The workers' shared refutations.  Not at depth 1: that call is
+            # restricted to the worker's partition, so its ``None`` is no
+            # fact about the subproblem.
+            if depth > 1:
+                shared = context.refuted
+            if shared is not None and cache_key in shared:
+                stats.cache_hits += 1
+                stats.refutations_shared += 1
+                self._cache[cache_key] = None
+                return None
+            stats.cache_misses += 1
 
         result = self._search_uncached(comp, conn, allowed, depth)
         if cache_key is not None:
             self._cache[cache_key] = result.copy() if result is not None else None
+            if result is None and shared is not None:
+                shared.add(cache_key)
         return result
 
     def _search_uncached(
@@ -169,7 +183,7 @@ class LogKSearch:
             and self.delegate_predicate(comp)
         ):
             context.stats.subproblems_delegated += 1
-            return self.leaf_delegate(comp, conn, depth, allowed_pool)
+            return self.leaf_delegate(comp, conn, allowed_pool, depth)
         half = comp.size / 2
         # Pooled splitter: the same comp recurs across search calls under
         # different (conn, allowed) keys and keeps its incidence index and

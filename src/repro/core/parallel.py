@@ -2,8 +2,8 @@
 
 The paper parallelises log-k-decomp by partitioning the search space of
 balanced separators uniformly over the available cores; because subproblems
-are independent, no communication between workers is needed.  This module
-reproduces that strategy:
+are independent, the workers need no coordination.  This module reproduces
+that strategy:
 
 * The edges are partitioned round-robin into ``num_workers`` groups and
   worker ``i`` enumerates, at recursion depth 1, only the labels whose
@@ -13,9 +13,12 @@ reproduces that strategy:
   the root itself is delegated — det-k-decomp's.  The groups' label streams
   are disjoint and their union is the full stream, so "all workers fail" is
   a sound "no" answer and "any worker succeeds" is a sound "yes".  Below
-  depth 1 each worker searches on its own, with a private memo (no
-  communication, as in the paper), so subproblems reachable from several
-  groups are solved once per worker that meets them.
+  depth 1 each worker searches on its own, with a private memo for what it
+  finds — and one :class:`~repro.core.refuted.RefutedTable`, created before
+  the first fork, for what any worker refutes: a subproblem reachable from
+  several groups is refuted once, by whoever meets it first, and a respawned
+  worker resumes from what its predecessor wrote.  The table needs no lock
+  and no pipe; positives still travel only as the one fragment out.
 * The search itself is not this module's: every worker runs the sequential
   decomposer's own :meth:`~repro.core.base.Decomposer.search` on its
   partition (the hybrid, or plain log-k-decomp with ``hybrid=False``).
@@ -29,8 +32,8 @@ reproduces that strategy:
 
 The Go implementation evaluated in the paper parallelises every recursion
 level; partitioning only the top level is a simplification that preserves the
-strategy's character (independent partitions, no shared state) while keeping
-the Python implementation portable.
+strategy's character (independent partitions, nothing to lock or ship between
+them) while keeping the Python implementation portable.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .base import Decomposer, DecompositionResult, SearchContext, SearchStatisti
 from .fragments import fragment_to_decomposition
 from .hybrid import HybridDecomposer, SwitchMetric
 from .logk import LogKDecomposer
+from .refuted import RefutedTable
 
 __all__ = ["ParallelLogKDecomposer"]
 
@@ -94,13 +98,16 @@ def _worker_search(
     k: int,
     partition: list[int],
     timeout: float | None,
+    refuted: RefutedTable | None = None,
 ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
     """One worker: ``base``'s own search, restricted to ``partition``.
 
     Returns ``(timed_out, success, fragment, statistics)``.  A worker whose
-    answer is no longer needed is terminated by the coordinator.
+    answer is no longer needed is terminated by the coordinator.  ``refuted``
+    is the run's shared table; without one the partition is searched on its
+    own.
     """
-    context = SearchContext(hypergraph, k, timeout=timeout)
+    context = SearchContext(hypergraph, k, timeout=timeout, refuted=refuted)
     try:
         fragment = base.search(context, partition)
     except TimeoutExceeded:
@@ -214,13 +221,19 @@ class ParallelLogKDecomposer(Decomposer):
         # reporting (OOM-killed, injected ``kill``) is respawned on the same
         # partition — the search is pure, so recomputing a partition is
         # sound — up to ``_MAX_RESPAWNS_PER_SLOT`` attempts, after which the
-        # slot is abandoned and the run degrades to undecided.
+        # slot is abandoned and the run degrades to undecided.  One absolute
+        # deadline for every attempt (the monotonic clock is shared across
+        # the fork): a respawn gets what is left of the caller's budget.
         base = self._sequential()
         fault_spec = faults.current_spec()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        # Shared by every worker and respawn from here on (fork inherits it).
+        refuted = RefutedTable()
 
         def spawn(worker: WorkerProcess) -> dict:
             slot = worker.index
-            search_args = (base, hypergraph, k, partitions[slot], timeout)
+            budget = None if deadline is None else max(0.0, deadline - time.monotonic())
+            search_args = (base, hypergraph, k, partitions[slot], budget, refuted)
             return {
                 "target": _worker_main,
                 "args": (worker.result_wfd, slot, worker.attempt, fault_spec, *search_args),
@@ -278,4 +291,5 @@ class ParallelLogKDecomposer(Decomposer):
         finally:
             for worker in workers:
                 worker.stop()
+            refuted.close()
         return timed_out, False, None, stats

@@ -71,7 +71,8 @@ class ComponentSplitter:
     All are memoised (LRU, keyed by the effective separator) unless
     ``memoize=False``; ``stats`` may be a
     :class:`~repro.core.base.SearchStatistics` recording memo hits/misses and
-    mask-table builds.
+    mask-table builds.  ``vertices`` is V(comp) when the caller already holds
+    it (the split that produced ``comp`` does); otherwise it is derived.
     """
 
     __slots__ = (
@@ -98,6 +99,7 @@ class ComponentSplitter:
         memoize: bool = True,
         stats=None,
         memo_size: int = DEFAULT_MEMO_SIZE,
+        vertices: int | None = None,
     ) -> None:
         self.host = host
         self.comp = comp
@@ -110,7 +112,7 @@ class ComponentSplitter:
         self._edge_masks = host.edge_masks
         self._incidence = host.incidence_masks()
         self._adjacency = host.adjacency_masks()
-        self._comp_vertices = comp.vertices(host)
+        self._comp_vertices = comp.vertices(host) if vertices is None else vertices
         self._memoize = memoize
         self._split_memo: BoundedLRU = BoundedLRU(memo_size)
         self._largest_memo: BoundedLRU = BoundedLRU(memo_size)

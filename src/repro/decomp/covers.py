@@ -158,6 +158,9 @@ class CoverEnumerator:
         self.k = k
         self.stats = None
         self._domination_memo: BoundedLRU = BoundedLRU(DOMINATION_MEMO_SIZE)
+        #: Edge-index mask of the host edges contained in another host edge
+        #: (an equal twin counts); built on the first strict domination call.
+        self._contained: int | None = None
 
     # ------------------------------------------------------------------ #
     # enumeration
@@ -264,10 +267,20 @@ class CoverEnumerator:
             # dominates (on equal restrictions it wins the tie-break or is
             # the progress witness); a larger one does unless it is e's
             # equal-restriction, equal-status twin, which e outranks.
+            # An edge wholly inside V that no other host edge contains has
+            # no dominator — a pool edge containing its restriction would
+            # contain the edge — and skips the chain.
             incidence = self.host.incidence_masks()
+            contained = self._contained
+            if contained is None:
+                contained = self._contained = self._contained_edges(incidence)
             survivors = []
             for e in pool:
-                restricted = edge_masks[e] & component_vertices
+                bits = edge_masks[e]
+                restricted = bits & component_vertices
+                if restricted == bits and not contained >> e & 1:
+                    survivors.append(e)
+                    continue
                 is_progress = progress_mask >> e & 1
                 candidates = pool_mask ^ (1 << e)
                 if is_progress:
@@ -289,6 +302,15 @@ class CoverEnumerator:
             self.stats.enum_domination_skips += skipped
         self._domination_memo.put(memo_key, (survivors, skipped))
         return survivors
+
+    def _contained_edges(self, incidence: Sequence[int]) -> int:
+        """The host edges some *other* host edge contains, as an index mask."""
+        everything = self.host.all_edges_mask
+        contained = 0
+        for e, bits in enumerate(self.host.edge_masks):
+            if _edges_containing(incidence, bits, everything ^ (1 << e)):
+                contained |= 1 << e
+        return contained
 
     def _branch_and_bound(
         self,

@@ -60,7 +60,7 @@ from typing import NamedTuple
 from ..exceptions import QueryError, TimeoutExceeded
 from ..lru import ShardedLRU
 from .database import Database
-from .plan import AnswerMode, AtomBinding, JoinOp, ProjectOp, QueryPlan
+from .plan import AnswerMode, AtomBinding, JoinOp, QueryPlan
 from .relation import Relation
 
 try:  # Optional fast path; CI images ship without numpy.

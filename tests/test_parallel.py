@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import threading
 
@@ -9,7 +10,7 @@ import pytest
 
 from repro.core import HybridDecomposer, LogKDecomposer, ParallelLogKDecomposer
 from repro.core.logk import LogKSearch
-from repro.core.base import SearchContext
+from repro.core.base import SearchContext, SearchStatistics
 from repro.core.detk import DetKSearch
 from repro.core.fragments import fragment_to_decomposition
 from repro.core.hybrid import EdgeCountMetric
@@ -109,8 +110,8 @@ def _detk_root_labels(host, k, partition, domination):
     context = SearchContext(host, k)
     search = DetKSearch(context, subedge_domination=domination, root_partition=partition)
     recurse = search.search
-    search.search = lambda comp, conn, depth=1, allowed=None: (
-        recurse(comp, conn, depth, allowed) if depth == 1 else None
+    search.search = lambda comp, conn, allowed=None, depth=1, vertices=None: (
+        recurse(comp, conn, allowed, depth) if depth == 1 else None
     )
     tried = []
     enumerator = context.enumerator
@@ -167,23 +168,27 @@ def test_detk_root_partition_streams_are_disjoint_and_complete(host, k, dominati
 
 
 def test_workers_split_one_search_instead_of_repeating_it():
-    """Count-based no-duplication guard (counts repeat exactly).
+    """Work-efficiency guard: partitioning divides the work, it does not multiply it.
 
-    Before the det-k root honoured the partition both workers ran the whole
-    search: merged ``labels_tried`` was exactly 2.0x the sequential count.
-    Private per-worker memos still re-solve shared subproblems, hence > 1.0x.
+    Merged uncached expansions (``cache_misses``) at 2 and 4 workers stay
+    within 1.3x the sequential hybrid's: a subproblem below the partitioned
+    root is refuted once, by whichever worker meets it first, and the others
+    read that from the shared :class:`~repro.core.refuted.RefutedTable`
+    (private memos alone: 1.72x / 2.58x here; which worker gets there first
+    is a matter of timing, hence a bound and not a count).  The partitions'
+    label streams are disjoint and complete, so together the workers try at
+    least the sequential search's labels.
     """
     hard = generators.with_chords(generators.cycle(30), 4, seed=2)
     sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
-    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose(hard, 2)
-    assert not sequential.success and not parallel.success
-    assert not sequential.timed_out and not parallel.timed_out
-    assert parallel.statistics.subproblems_delegated == 2  # one root per worker
-    assert (
-        sequential.statistics.labels_tried
-        <= parallel.statistics.labels_tried
-        <= 1.6 * sequential.statistics.labels_tried
-    )
+    assert not sequential.success and not sequential.timed_out
+    for workers in (2, 4):
+        parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(hard, 2)
+        assert not parallel.success and not parallel.timed_out
+        assert parallel.statistics.subproblems_delegated == workers  # one root per worker
+        assert parallel.statistics.refutations_shared > 0
+        assert parallel.statistics.cache_misses <= 1.3 * sequential.statistics.cache_misses
+        assert sequential.statistics.labels_tried <= parallel.statistics.labels_tried
 
 
 def test_metric_instance_and_threshold_reach_every_worker(cycle10):
@@ -204,17 +209,29 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
 
     refuted = parallel.decompose(hard, 2)
     assert not refuted.success and not refuted.timed_out
-    assert not hybrid.decompose(hard, 2).success
+    sequential = hybrid.decompose(hard, 2)
+    assert not sequential.success
     labels = delegated = 0
     for partition in partition_edges(hard.num_edges, 2):
-        context = SearchContext(hard, 2)
+        context = SearchContext(hard, 2)  # no table: a partition on its own
         assert hybrid.search(context, partition) is None
         labels += context.stats.labels_tried
         delegated += context.stats.subproblems_delegated
-    assert refuted.statistics.labels_tried == labels
-    assert refuted.statistics.subproblems_delegated == delegated > 2
+    # What the workers share is timing-dependent; the bounds are not.
+    assert sequential.statistics.labels_tried <= refuted.statistics.labels_tried <= labels
+    assert 2 < refuted.statistics.subproblems_delegated <= delegated
     default = ParallelLogKDecomposer(num_workers=2, use_engine=False)
-    assert default.decompose(hard, 2).statistics.labels_tried != labels
+    assert default.decompose(hard, 2).statistics.subproblems_delegated == 2
+
+
+def test_merge_covers_every_counter():
+    """A counter ``merge`` forgets is silent everywhere else."""
+    counters = [f.name for f in dataclasses.fields(SearchStatistics) if f.type in ("int", int)]
+    assert "refutations_shared" in counters and "max_recursion_depth" in counters
+    for name in counters:
+        total = SearchStatistics()
+        total.merge(SearchStatistics(**{name: 3}))
+        assert getattr(total, name) == 3, name
 
 
 def test_worker_statistics_are_merged(cycle10):
@@ -315,6 +332,33 @@ def test_killed_process_worker_is_respawned_and_run_succeeds(cycle10):
     assert not result.timed_out
     validate_hd(result.decomposition)
     assert result.statistics.worker_respawns == 2
+
+
+def test_a_respawn_gets_what_is_left_of_the_budget(cycle10, monkeypatch):
+    from repro import faults
+    from repro.faults.supervise import WorkerProcess
+
+    # One absolute deadline per run: an attempt's budget is what remains of
+    # the caller's, not the whole of it again.
+    budgets = {}
+    start = WorkerProcess.start
+
+    def recording(worker):
+        # _worker_main's arguments end in (..., partition, timeout, refuted).
+        budgets[worker.index, worker.attempt] = worker.spawn(worker)["args"][-2]
+        start(worker)
+
+    monkeypatch.setattr(WorkerProcess, "start", recording)
+    rule = faults.FaultRule(point="parallel.worker", kill=True, where={"attempt": 0})
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
+    with faults.injected(rule):
+        result = decomposer.decompose_raw(cycle10, 2, timeout=30.0)
+    assert result.success and result.statistics.worker_respawns == 2
+    for slot in (0, 1):
+        assert 0 < budgets[slot, 1] < budgets[slot, 0] <= 30.0
+    # No budget, no deadline.
+    decomposer.decompose_raw(cycle10, 2)
+    assert budgets[0, 0] is None
 
 
 def test_respawn_budget_exhausted_degrades_to_undecided(cycle10):
