@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 
-from ..core.base import Decomposer
+from ..core.base import Decomposer, SearchStatistics
 from ..core.optimal import OptimalHDSolver
 from ..pipeline.engine import DecompositionEngine
 from ..pipeline.registry import registry
@@ -187,15 +187,12 @@ def run_parametrised(
     total_runtime = 0.0
     timed_out = False
     optimal_width: int | None = None
-    max_depth = 0
-    counters: dict[str, int] = {}
+    searched = SearchStatistics()
     for k in range(1, max_width + 1):
         decomposer = factory(time_budget)
         result = decomposer.decompose(instance.hypergraph, k)
         total_runtime += result.elapsed
-        max_depth = max(max_depth, result.statistics.max_recursion_depth)
-        for key, value in result.statistics.search_counters().items():
-            counters[key] = counters.get(key, 0) + value
+        searched.merge(result.statistics)
         if result.timed_out:
             timed_out = True
             break
@@ -216,8 +213,8 @@ def run_parametrised(
         runtime=total_runtime,
         timed_out=timed_out,
         decisions=decisions,
-        max_recursion_depth=max_depth,
-        search_counters=counters,
+        max_recursion_depth=searched.max_recursion_depth,
+        search_counters=searched.search_counters(),
     )
 
 

@@ -64,7 +64,7 @@ import queue
 import sqlite3
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -75,9 +75,8 @@ from ..core.codec import (
     decomposition_from_json,
     decomposition_to_dict,
     kind_of,
-    statistics_from_dict,
-    statistics_to_dict,
 )
+from ..counters import Counters
 from ..decomp.decomposition import (
     Decomposition,
     DecompositionNode,
@@ -139,8 +138,14 @@ def configuration_text(configuration: tuple) -> str:
     return json.dumps(_stable(configuration), sort_keys=True)
 
 
+def _worst_circuit_state(one: str, other: str) -> str:
+    """Merged handles report the worst of their states: closed < half_open < open."""
+    severity = (CircuitBreaker.CLOSED, CircuitBreaker.HALF_OPEN, CircuitBreaker.OPEN)
+    return max(one, other, key=severity.index)
+
+
 @dataclass
-class CatalogStats:
+class CatalogStats(Counters):
     """Traffic and resilience counters of one catalog handle (not persisted).
 
     ``memory_fallback`` is True *while* the circuit is open and the handle
@@ -164,31 +169,10 @@ class CatalogStats:
     circuit_opens: int = 0
     circuit_probes: int = 0
     circuit_reattaches: int = 0
-    circuit_state: str = "closed"
+    circuit_state: str = field(
+        default=CircuitBreaker.CLOSED, metadata={"merge": _worst_circuit_state}
+    )
     memory_fallback: bool = False
-
-    def as_dict(self) -> dict:
-        """JSON-friendly rendering (feeds the service stats snapshot)."""
-        return dict(asdict(self))
-
-    def merge(self, other: "CatalogStats") -> None:
-        """Accumulate ``other`` into this snapshot."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.duplicate_stores += other.duplicate_stores
-        self.validate_rejects += other.validate_rejects
-        self.errors += other.errors
-        self.retries += other.retries
-        self.lost_writes += other.lost_writes
-        self.writer_respawns += other.writer_respawns
-        self.reattach_replays += other.reattach_replays
-        self.circuit_opens += other.circuit_opens
-        self.circuit_probes += other.circuit_probes
-        self.circuit_reattaches += other.circuit_reattaches
-        if other.circuit_state != "closed":
-            self.circuit_state = other.circuit_state
-        self.memory_fallback = self.memory_fallback or other.memory_fallback
 
 
 @dataclass
@@ -233,7 +217,7 @@ class _PendingWrite:
 
 
 def _statistics_payload(stats: SearchStatistics) -> str:
-    counters = statistics_to_dict(stats)
+    counters = stats.as_dict()
     del counters["stage_seconds"]  # one run's timings, not part of the decided outcome
     return json.dumps(counters, sort_keys=True)
 
@@ -771,7 +755,7 @@ class DecompositionCatalog:
         ) = row
         try:
             hypergraph = host if host is not None else from_hif(hif_text)
-            stats = statistics_from_dict(json.loads(stats_text))
+            stats = SearchStatistics.from_dict(json.loads(stats_text))
             root: DecompositionNode | None = None
             kind: type = HypertreeDecomposition
             if success:

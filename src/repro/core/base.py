@@ -22,6 +22,7 @@ from abc import ABC
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from ..counters import Counters
 from ..decomp.covers import CoverEnumerator
 from ..decomp.decomposition import Decomposition
 from ..decomp.extended import FragmentNode
@@ -39,7 +40,7 @@ __all__ = [
 
 
 @dataclass
-class SearchStatistics:
+class SearchStatistics(Counters):
     """Counters collected during a decomposition search.
 
     ``stage_seconds`` is populated by the staged
@@ -49,30 +50,30 @@ class SearchStatistics:
     """
 
     recursive_calls: int = 0
-    max_recursion_depth: int = 0
+    max_recursion_depth: int = field(default=0, metadata={"merge": max})
     labels_tried: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     subproblems_delegated: int = 0
-    #: Search-kernel counters (PR 3): subtrees cut by the branch-and-bound
-    #: label enumerator, pool edges dropped by subedge domination, and
+    #: Search-kernel counters: subtrees cut by the branch-and-bound label
+    #: enumerator, pool edges dropped by subedge domination, and
     #: component-splitter memo traffic.  The ablation benches report these.
     enum_branches_pruned: int = 0
     enum_domination_skips: int = 0
     splitter_memo_hits: int = 0
     splitter_memo_misses: int = 0
-    #: Bitset-kernel counters (PR 7): lazy vertex→edge incidence mask-table
-    #: builds triggered by a splitter (the edge→edge adjacency table is
-    #: derived from it in the same constructor and not counted separately),
-    #: and hits on the packed-key memos (dominated candidate pools,
-    #: per-component splitter reuse).
+    #: Bitset-kernel counters: lazy vertex→edge incidence mask-table builds
+    #: triggered by a splitter (the edge→edge adjacency table is derived from
+    #: it in the same constructor and not counted separately), and hits on
+    #: the packed-key memos (dominated candidate pools, per-component
+    #: splitter reuse).
     mask_table_builds: int = 0
     bitset_memo_hits: int = 0
-    #: Resilience counter (PR 8): replacement processes spawned by the
-    #: parallel backend's supervisor after a worker died mid-search.
+    #: Resilience counter: replacement processes spawned by the parallel
+    #: backend's supervisor after a worker died mid-search.
     worker_respawns: int = 0
-    #: Parallel-search counter (PR 22): private-memo misses answered by the
-    #: workers' shared :class:`~repro.core.refuted.RefutedTable` (counted in
+    #: Parallel-search counter: private-memo misses answered by the workers'
+    #: shared :class:`~repro.core.refuted.RefutedTable` (counted in
     #: ``cache_hits`` too; ``cache_misses`` stays "expansions performed").
     refutations_shared: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -86,25 +87,6 @@ class SearchStatistics:
     def record_stage(self, stage: str, seconds: float) -> None:
         """Accumulate wall-clock time spent in a named pipeline stage."""
         self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
-    def merge(self, other: "SearchStatistics") -> None:
-        """Accumulate the counters of ``other`` into this object."""
-        self.recursive_calls += other.recursive_calls
-        self.max_recursion_depth = max(self.max_recursion_depth, other.max_recursion_depth)
-        self.labels_tried += other.labels_tried
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.subproblems_delegated += other.subproblems_delegated
-        self.enum_branches_pruned += other.enum_branches_pruned
-        self.enum_domination_skips += other.enum_domination_skips
-        self.splitter_memo_hits += other.splitter_memo_hits
-        self.splitter_memo_misses += other.splitter_memo_misses
-        self.mask_table_builds += other.mask_table_builds
-        self.bitset_memo_hits += other.bitset_memo_hits
-        self.worker_respawns += other.worker_respawns
-        self.refutations_shared += other.refutations_shared
-        for stage, seconds in other.stage_seconds.items():
-            self.record_stage(stage, seconds)
 
     def search_counters(self) -> dict[str, int]:
         """The kernel counters as a dict (used by the benches and reports)."""

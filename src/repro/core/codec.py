@@ -35,7 +35,6 @@ from __future__ import annotations
 import builtins
 import importlib
 import json
-from dataclasses import fields as dataclass_fields
 
 from ..decomp.decomposition import (
     Decomposition,
@@ -68,8 +67,6 @@ __all__ = [
     "decompose_request_to_dict",
     "query_request_to_dict",
     "service_request_from_dict",
-    "statistics_to_dict",
-    "statistics_from_dict",
     "decomposition_answer_to_dict",
     "decomposition_answer_from_dict",
     "query_answer_to_dict",
@@ -435,28 +432,6 @@ def service_request_from_dict(payload: dict) -> dict:
     raise ParseError(f"unknown service request kind {kind!r}")
 
 
-_STATISTICS_FIELDS = {f.name for f in dataclass_fields(SearchStatistics)}
-
-
-def statistics_to_dict(statistics: SearchStatistics) -> dict:
-    """Encode search counters and stage timings (the catalog stores the same
-    dict minus the timings)."""
-    payload = {
-        name: getattr(statistics, name)
-        for name in _STATISTICS_FIELDS
-        if name != "stage_seconds"
-    }
-    payload["stage_seconds"] = dict(statistics.stage_seconds)
-    return payload
-
-
-def statistics_from_dict(payload: dict) -> SearchStatistics:
-    """Rebuild :func:`statistics_to_dict` output; unknown keys (a newer
-    writer's counters) are ignored, missing ones take their defaults."""
-    known = {k: v for k, v in payload.items() if k in _STATISTICS_FIELDS}
-    return SearchStatistics(**known)
-
-
 def decomposition_answer_to_dict(result: DecompositionResult) -> dict:
     """Encode a decomposition outcome, host-free (tree payload only)."""
     return {
@@ -467,7 +442,7 @@ def decomposition_answer_to_dict(result: DecompositionResult) -> dict:
         "success": result.success,
         "timed_out": result.timed_out,
         "elapsed": result.elapsed,
-        "statistics": statistics_to_dict(result.statistics),
+        "statistics": result.statistics.as_dict(),
         "decomposition": (
             decomposition_to_dict(result.decomposition)
             if result.decomposition is not None
@@ -495,7 +470,7 @@ def decomposition_answer_from_dict(
         ),
         elapsed=float(_require(payload, "elapsed", (int, float))),
         timed_out=_require(payload, "timed_out", bool),
-        statistics=statistics_from_dict(_require(payload, "statistics", dict)),
+        statistics=SearchStatistics.from_dict(_require(payload, "statistics", dict)),
     )
 
 

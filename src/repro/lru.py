@@ -33,6 +33,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from .counters import Counters
+
 __all__ = ["BoundedLRU", "ShardStats", "ShardedLRU"]
 
 
@@ -80,13 +82,12 @@ class BoundedLRU:
 
 
 @dataclass
-class ShardStats:
+class ShardStats(Counters):
     """Traffic counters of one shard (or an aggregate over shards).
 
-    Field order matches the historical ``CacheStatistics`` of the engine
-    result cache (now an alias of this class), so positional construction
-    keeps its old meaning.  Instances returned by :meth:`ShardedLRU.stats`
-    are point-in-time snapshots, not live views.
+    The field order is relied on: positional construction is used.
+    Instances returned by :meth:`ShardedLRU.stats` are point-in-time
+    snapshots, not live views.
     """
 
     hits: int = 0
@@ -99,12 +100,6 @@ class ShardStats:
         """Hits as a fraction of lookups (0.0 when nothing was looked up)."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
-
-    def merge(self, other: "ShardStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.evictions += other.evictions
 
 
 class ShardedLRU:
@@ -198,6 +193,7 @@ class ShardedLRU:
     def stats(self) -> ShardStats:
         """Aggregate counters over all shards."""
         total = ShardStats()
-        for shard in self.shard_stats():
-            total.merge(shard)
+        for index in range(self.num_shards):
+            with self._locks[index]:
+                total.merge(self._stats[index])
         return total

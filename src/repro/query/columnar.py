@@ -53,10 +53,11 @@ import threading
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
 
+from ..counters import Counters
 from ..exceptions import QueryError, TimeoutExceeded
 from ..lru import ShardedLRU
 from .database import Database
@@ -458,7 +459,7 @@ class ColumnarRelation:
 
 
 @dataclass
-class ExecutionStatistics:
+class ExecutionStatistics(Counters):
     """Counters of one plan execution (index reuse is the headline number)."""
 
     indexes_built: int = 0
@@ -470,10 +471,6 @@ class ExecutionStatistics:
     bags_built: int = 0
     bags_reused: int = 0
     early_exit: bool = False
-
-    def as_dict(self) -> dict[str, int | bool]:
-        """Plain-dict view used by reports and the benchmarks."""
-        return asdict(self)
 
 
 class ColumnStore:

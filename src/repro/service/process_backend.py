@@ -550,7 +550,7 @@ class ProcessBackend:
         for slot in self._slots:
             stats = (slot.meta or {}).get("catalog")
             if stats:
-                merged.merge(CatalogStats(**stats))
+                merged.merge(CatalogStats.from_dict(stats))
         return merged
 
     def broadcast_probe(self) -> bool:

@@ -55,11 +55,11 @@ import queue as pyqueue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 
 from .. import faults
-from ..core.base import DecompositionResult
+from ..core.base import DecompositionResult, SearchStatistics
 from ..exceptions import QueryError, ServiceError, SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..lru import ShardStats, ShardedLRU
@@ -229,7 +229,8 @@ def _percentile(samples: list[float], fraction: float) -> float:
 
 @dataclass
 class ServiceStats:
-    """A point-in-time snapshot of the service's serving behaviour."""
+    """A point-in-time snapshot of the service's serving behaviour: a copy of
+    the service's one live record with the point-in-time fields filled in."""
 
     submitted: int = 0
     completed: int = 0
@@ -368,24 +369,17 @@ class DecompositionService:
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._closed = False
 
-        self._submitted = 0
-        self._completed = 0
-        self._computations = 0
-        self._computations_by_kind: dict[str, int] = {}
-        self._coalesced = 0
-        self._fast_path_hits = 0
-        self._failed = 0
-        self._cancelled = 0
-        self._cancelled_running = 0
+        #: The live request counters (guarded by ``_lock``).
+        self._counters = ServiceStats(workers=num_workers)
         self._worker_crashes = 0
         self._worker_respawns = 0
         self._tasks_requeued = 0
         self._quarantined = 0
-        #: Aggregated search-kernel counters of every decomposition computed
-        #: by this service (see SearchStatistics.search_counters): cache and
-        #: memo-served requests do not add to them, so the snapshot reflects
-        #: the actual kernel work done, not the request volume.
-        self._search_counters: dict[str, int] = {}
+        #: The merged statistics of every decomposition computed by this
+        #: service: cache and memo-served requests do not add to them, so the
+        #: snapshot reflects the actual kernel work done, not the request
+        #: volume.
+        self._searched = SearchStatistics()
 
         self._query_engine = query_engine
         self._query_engine_lock = threading.Lock()
@@ -600,12 +594,12 @@ class DecompositionService:
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shut down")
-            self._submitted += 1
+            self._counters.submitted += 1
             task = self._inflight.get(key)
             if task is not None and not task.cancelled:
                 ticket = ServiceTicket(self, task, submitted_at)
                 task.tickets.append(ticket)
-                self._coalesced += 1
+                self._counters.coalesced += 1
                 if priority < task.priority and not task.started:
                     # A more urgent caller joined a queued task: escalate by
                     # re-enqueueing at the stronger priority.  The stale
@@ -621,8 +615,8 @@ class DecompositionService:
                 # there is no window in which a decided key gets recomputed.
                 cached = self._results.get(key)
                 if cached is not None:
-                    self._fast_path_hits += 1
-                    self._completed += 1
+                    self._counters.fast_path_hits += 1
+                    self._counters.completed += 1
                     self._latencies.append(time.monotonic() - submitted_at)
                     done_task = _Task(key, priority, run=None, memoize=False)
                     done_task.result = cached
@@ -727,11 +721,9 @@ class DecompositionService:
                 # counting it once keeps the exactly-once accounting
                 # (computations <= distinct keys) honest under chaos.
                 task.counted = True
-                self._computations += 1
-                kind = task.key[0]
-                self._computations_by_kind[kind] = (
-                    self._computations_by_kind.get(kind, 0) + 1
-                )
+                self._counters.computations += 1
+                by_kind = self._counters.computations_by_kind
+                by_kind[task.key[0]] = by_kind.get(task.key[0], 0) + 1
         try:
             if self._process_backend is None:
                 result = task.run(task.cancel_event)
@@ -760,10 +752,9 @@ class DecompositionService:
             self._results.put(task.key, result)
         with self._lock:
             statistics = getattr(result, "statistics", None)
-            if statistics is not None and hasattr(statistics, "search_counters"):
-                counters = self._search_counters
-                for counter, value in statistics.search_counters().items():
-                    counters[counter] = counters.get(counter, 0) + value
+            if isinstance(statistics, SearchStatistics):
+                self._searched.merge(statistics)
+                self._counters.search_counters = self._searched.search_counters()
             self._finalize_locked(task, result, error)
 
     def _finalize_locked(self, task: _Task, result, error) -> None:
@@ -783,13 +774,13 @@ class DecompositionService:
         # submitted == completed + failed + cancelled holds; individually
         # cancelled tickets were already counted by _cancel_ticket.
         if task.cancelled:
-            self._cancelled += len(task.tickets)
+            self._counters.cancelled += len(task.tickets)
         elif error is not None:
-            self._failed += len(task.tickets)
+            self._counters.failed += len(task.tickets)
             for ticket in task.tickets:
                 self._latencies.append(now - ticket.submitted_at)
         else:
-            self._completed += len(task.tickets)
+            self._counters.completed += len(task.tickets)
             for ticket in task.tickets:
                 self._latencies.append(now - ticket.submitted_at)
         task.done.set()
@@ -802,7 +793,7 @@ class DecompositionService:
             ticket.cancelled = True
             if ticket in task.tickets:
                 task.tickets.remove(ticket)
-                self._cancelled += 1
+                self._counters.cancelled += 1
             if not task.tickets:
                 task.cancelled = True
                 task.cancel_event.set()
@@ -812,7 +803,7 @@ class DecompositionService:
                     # search/executor observes the event (which the process
                     # backend's waiting thread forwards to its worker) at
                     # its next periodic check.
-                    self._cancelled_running += 1
+                    self._counters.cancelled_running += 1
             return True
 
     # ------------------------------------------------------------------ #
@@ -841,20 +832,14 @@ class DecompositionService:
                 workers_alive = backend.alive_workers()
             else:
                 workers_alive = sum(1 for worker in self._workers if worker.is_alive())
-            stats = ServiceStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                computations=self._computations,
-                computations_by_kind=dict(self._computations_by_kind),
-                coalesced=self._coalesced,
-                fast_path_hits=self._fast_path_hits,
-                failed=self._failed,
-                cancelled=self._cancelled,
-                cancelled_running=self._cancelled_running,
+            stats = replace(
+                self._counters,
+                computations_by_kind=dict(self._counters.computations_by_kind),
                 queue_depth=sum(queue.qsize() for queue in set(self._queues)),
                 inflight=len(self._inflight),
-                workers=self.num_workers,
-                search_counters=dict(self._search_counters),
+                search_counters=dict(self._counters.search_counters),
+                engine_cache=ShardStats(),
+                engine_cache_shards=[],
                 health={
                     "backend": self.backend,
                     "workers_alive": workers_alive,
@@ -867,9 +852,7 @@ class DecompositionService:
                     # parallel backend's respawns aggregated over this
                     # service's computations (SearchStatistics.worker_respawns)
                     # plus, under the process backend, its own slot respawns.
-                    "process_worker_respawns": self._search_counters.get(
-                        "worker_respawns", 0
-                    )
+                    "process_worker_respawns": self._searched.worker_respawns
                     + (backend.respawns if backend is not None else 0),
                     "catalog_circuit": None,
                 },

@@ -331,6 +331,31 @@ def test_garbage_certificate_text_is_rejected(tmp_path):
     warm.catalog.close()
 
 
+@pytest.mark.parametrize(
+    "tampered", ['{"labels_tried": "many"}', "[3]"], ids=["string-counter", "not-a-dict"]
+)
+def test_statistics_of_the_wrong_type_are_rejected_not_a_late_type_error(tmp_path, tampered):
+    path = str(tmp_path / "cat.db")
+    cold = DecompositionEngine(catalog=path)
+    LogKDecomposer(engine=cold).decompose(generators.cycle(6), 2)
+    cold.catalog.close()
+
+    connection = sqlite3.connect(path)
+    connection.execute("UPDATE entries SET statistics = ?", (tampered,))
+    connection.commit()
+
+    warm = DecompositionEngine(catalog=path)
+    result = LogKDecomposer(engine=warm).decompose(generators.cycle(6), 2)
+    assert result.success and result.statistics.labels_tried > 0
+    warm.catalog.flush()
+    stats = warm.catalog.stats()
+    assert (stats.validate_rejects, stats.hits, stats.stores) == (1, 0, 1)
+    warm.catalog.close()
+    (rewritten,) = connection.execute("SELECT statistics FROM entries").fetchone()
+    connection.close()
+    assert json.loads(rewritten)["labels_tried"] == result.statistics.labels_tried
+
+
 # --------------------------------------------------------------------------- #
 # cross-process sharing
 # --------------------------------------------------------------------------- #

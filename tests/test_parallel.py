@@ -225,7 +225,8 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
 
 
 def test_merge_covers_every_counter():
-    """A counter ``merge`` forgets is silent everywhere else."""
+    """Holds by construction: ``merge`` walks the field declarations
+    (``repro.counters``), so there is no counter it can forget."""
     counters = [f.name for f in dataclasses.fields(SearchStatistics) if f.type in ("int", int)]
     assert "refutations_shared" in counters and "max_recursion_depth" in counters
     for name in counters:
