@@ -13,16 +13,23 @@ far larger than memory be answered with Yannakakis-over-SQL:
    probed columns keep the correlated ``EXISTS`` probes at seek cost;
 2. every :class:`~repro.query.plan.BagOp` materialises as
    ``CREATE TEMP TABLE bag_<h> AS SELECT DISTINCT ...`` joining the λ-cover
-   tables, with one ``EXISTS`` per assigned atom;
+   tables, with one ``EXISTS`` per assigned atom that is not itself a cover
+   atom (a cover row is its own witness, so that probe could never fail);
 3. every semijoin of the bottom-up/top-down passes derives a new table,
    ``CREATE TEMP TABLE red_<h> AS SELECT T.* FROM <target> AS T WHERE EXISTS
    (... <source> ...)`` — the full reduction, never destroying its inputs;
 4. the plan's bottom-up join schedule compiles step by step — each
-   :class:`~repro.query.plan.JoinOp` / :class:`~repro.query.plan.ProjectOp`
-   becomes one ``CREATE TEMP TABLE ... AS SELECT DISTINCT ...`` over the
-   previous step's tables (never a flat n-way join, which SQLite caps at 64
-   tables and misorders long before that), so every intermediate stays
-   within Yannakakis' output-bounded guarantee; only ``enumerate`` then
+   :class:`~repro.query.plan.JoinOp` becomes one ``CREATE TEMP TABLE
+   join_<h> AS SELECT DISTINCT ...`` over the previous step's tables (never
+   a flat n-way join, which SQLite caps at 64 tables and misorders long
+   before that), so every intermediate stays within Yannakakis'
+   output-bounded guarantee.  A node's result has exactly one consumer —
+   its parent's join, or at the root the answer — and the last join into a
+   node selects exactly the columns that consumer reads: the parent reads
+   such a table as it is (no ``SELECT DISTINCT`` subquery), the root's
+   final :class:`~repro.query.plan.ProjectOp` folds into its last join,
+   and a ``proj_<h>`` table is left only for a root without children;
+   only ``enumerate`` then
    reads the root's result with a ``SELECT`` — ``boolean`` and ``count``
    are answered from the row count the store registered for the root table
    (no statement, rows are never decoded).
@@ -221,6 +228,8 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
                 f"bag variables {missing} are not covered by the node's λ-label"
             )
         for atom_index in bag.assigned:
+            if atom_index in bag.cover:
+                continue  # the cover row is its own witness: the probe cannot fail
             binding = plan.atoms[atom_index]
             shared = [v for v in binding.variables if v in canonical]
             index(atoms[atom_index], tuple(shared))
@@ -267,28 +276,34 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
     # tables, and catastrophically ordered well before that on wide plans),
     # while the schedule keeps every intermediate bounded by Yannakakis'
     # guarantee — each step retains only output variables plus the parent
-    # bag's own.
+    # bag's own.  A node's result has one consumer, its parent's join (which
+    # reads ``retain``) or at the root the answer (which reads the output):
+    # the last join into a node selects exactly that, so the parent reads
+    # the table as it is and a trailing ProjectOp has nothing left to drop.
+    reads = {op.source: op.retain for op in plan.join_schedule if isinstance(op, JoinOp)}
+    reads[0] = plan.output
+    last = {op.target: i for i, op in enumerate(plan.join_schedule) if isinstance(op, JoinOp)}
     schemas = list(plan.node_variables)
-    for op in plan.join_schedule:
+    for i, op in enumerate(plan.join_schedule):
         if isinstance(op, JoinOp):
             left, left_schema, right = current[op.target], schemas[op.target], current[op.source]
             shared = tuple(v for v in left_schema if v in op.retain)
             extras = tuple(v for v in op.retain if v not in left_schema)
+            schema = reads[op.target] if last[op.target] == i else left_schema + extras
+            select = ", ".join(
+                f"{'L' if v in left_schema else 'R'}.{_quote(v)} AS {_quote(v)}" for v in schema
+            ) or '1 AS "__unit__"'
             if extras:
-                select = ", ".join(
-                    [f"L.{_quote(v)} AS {_quote(v)}" for v in left_schema]
-                    + [f"R.{_quote(v)} AS {_quote(v)}" for v in extras]
-                )
-                retained = ", ".join(_quote(v) for v in op.retain)
-                select = (
-                    f"SELECT DISTINCT {select} FROM {left} AS L, "
-                    f"(SELECT DISTINCT {retained} FROM {right}) AS R"
-                )
+                if set(schemas[op.source]) == set(op.retain):
+                    source = f"{right} AS R"
+                else:
+                    retained = ", ".join(_quote(v) for v in op.retain)
+                    source = f"(SELECT DISTINCT {retained} FROM {right}) AS R"
+                select = f"SELECT DISTINCT {select} FROM {left} AS L, {source}"
                 if shared:
                     select += " WHERE " + " AND ".join(
                         f"L.{_quote(v)} IS R.{_quote(v)}" for v in shared
                     )
-                schemas[op.target] = left_schema + extras
             else:
                 # The child contributes no new columns — a pure semijoin.
                 inner = f"SELECT 1 FROM {right} AS R"
@@ -296,12 +311,11 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
                     inner += " WHERE " + " AND ".join(
                         f"R.{_quote(v)} IS L.{_quote(v)}" for v in shared
                     )
-                select = ", ".join(
-                    f"L.{_quote(v)} AS {_quote(v)}" for v in left_schema
-                ) or '1 AS "__unit__"'
                 select = f"SELECT DISTINCT {select} FROM {left} AS L WHERE EXISTS ({inner})"
-            current[op.target] = table("join", select)
+            current[op.target], schemas[op.target] = table("join", select), schema
         elif isinstance(op, ProjectOp):
+            if set(schemas[op.node]) <= set(op.attributes):
+                continue  # folded into the node's last join (or nothing to drop)
             select = ", ".join(_quote(v) for v in op.attributes) or '1 AS "__unit__"'
             current[op.node] = table("proj", f"SELECT DISTINCT {select} FROM {current[op.node]}")
             schemas[op.node] = op.attributes
@@ -488,7 +502,9 @@ class SQLStore:
 
         ``isolation_level=None`` puts the connection in autocommit mode:
         every statement is its own atomic transaction, which is what makes
-        per-statement retry safe — a failed statement changed nothing.
+        per-statement retry safe — a failed statement changed nothing.  The
+        one explicit transaction is a base relation's bulk load
+        (:meth:`ensure_loaded`).
         """
         with self.lock:
             if self._connection is None:
@@ -551,7 +567,11 @@ class SQLStore:
 
     def ensure_loaded(self, plan: QueryPlan, executor: "SQLExecutor") -> None:
         """Bulk-load (once) every base relation an in-memory plan touches; for
-        an on-disk source, drop what was recycled from a since-changed file."""
+        an on-disk source, drop what was recycled from a since-changed file.
+
+        Each relation loads in one transaction, so a load cut short (an
+        interrupt, a failed statement) rolls back whole: no half-filled base
+        table is left behind to make the next attempt's ``CREATE`` fail."""
         connection = self.connection()
         if self.path is not None:
             version = executor._exec(connection, "PRAGMA data_version").fetchone()[0]
@@ -559,6 +579,7 @@ class SQLStore:
                 self._data_version = version
                 self.trim()
             return
+        encode = self.encode
         for binding in plan.atoms:
             name = binding.relation
             if name in self._loaded:
@@ -567,14 +588,20 @@ class SQLStore:
             arity = len(base.schema)
             if arity == 0:
                 raise QueryError("the sql executor does not support 0-ary relations")
+            table = _quote(f"base_{name}")
             columns = ", ".join(f"c{i} INTEGER" for i in range(arity))
-            executor._exec(connection, f'CREATE TABLE {_quote(f"base_{name}")} ({columns})')
-            encode = self.encode
-            rows = [tuple(encode(value) for value in row) for row in base.tuples]
-            placeholders = ", ".join("?" for _ in range(arity))
-            connection.executemany(
-                f'INSERT INTO {_quote(f"base_{name}")} VALUES ({placeholders})', rows
-            )
+            rows = [tuple(map(encode, row)) for row in base.tuples]
+            connection.execute("BEGIN")
+            try:
+                executor._exec(connection, f"CREATE TABLE {table} ({columns})")
+                connection.executemany(
+                    f"INSERT INTO {table} VALUES ({', '.join('?' * arity)})", rows
+                )
+                connection.execute("COMMIT")
+            except BaseException:
+                if connection.in_transaction:  # an interrupt rolls back by itself
+                    connection.execute("ROLLBACK")
+                raise
             self._loaded.add(name)
 
 

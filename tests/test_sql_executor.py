@@ -37,6 +37,7 @@ from repro.query import (
     naive_join_query,
     random_database_for_query,
 )
+from repro.query.plan import JoinOp
 from repro.query.sqlgen import SQLExecutor, _digest
 from repro.query.workload import _shared_engine
 
@@ -51,8 +52,8 @@ _MODES = ("enumerate", "boolean", "count")
 
 
 @st.composite
-def _query_and_database(draw, values=st.integers(0, 3)):
-    num_atoms = draw(st.integers(1, 4))
+def _query_and_database(draw, values=st.integers(0, 3), min_atoms=1, max_atoms=4):
+    num_atoms = draw(st.integers(min_atoms, max_atoms))
     atoms = []
     for index in range(num_atoms):
         arity = draw(st.integers(1, 3))
@@ -130,6 +131,20 @@ def test_three_way_differential_in_memory(case):
 )
 def test_three_way_differential_mixed_types(case):
     # Strings and None flow through interning and the null-safe IS joins.
+    _assert_three_way(*case)
+
+
+@given(_query_and_database(min_atoms=5, max_atoms=6))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_three_way_differential_deep_trees(case):
+    # Five or six atoms: about half the plans have a node with two or more
+    # children and a third a three-level tree (1-4 atoms: about a tenth and
+    # a twentieth), where the SQL arm's "the last join into a node
+    # projects" rule bites.
     _assert_three_way(*case)
 
 
@@ -425,6 +440,9 @@ def test_compile_sql_program_shape():
     assert program.statements == tuple(sql for _, _, sql in program.steps) + (program.answer,)
     assert not re.search(r"\b(DELETE|DROP)\b", program.describe())
     assert program.answer_kind == "count" and "COUNT(*)" in program.answer
+    # The root has a child, so its last join writes the answer's columns.
+    assert planned.plan.children[0] and "proj" not in kinds
+    _assert_pushed_down(planned.plan, program)
     # Names depend on the definition alone: recompiling yields the same
     # program, and the other modes of the shape share its tables.
     assert compile_sql(planned.plan, store.catalog_for(planned.plan)) == program
@@ -436,3 +454,151 @@ def test_compile_sql_program_shape():
     assert result.count == engine.execute(query, database, "count", executor="sql").count
     # ... and so does the store-less wrapper, on a throwaway store.
     assert execute_plan_sql(planned.plan, database).count == result.count
+
+
+# --------------------------------------------------------------------------- #
+# the compiler's shape: what each step writes and what it probes
+# --------------------------------------------------------------------------- #
+def _compiled(text, mode, database=None):
+    query = parse_conjunctive_query(text)
+    planned, _ = QueryEngine(engine=DecompositionEngine()).plan(query, mode)
+    if database is None:
+        database = random_database_for_query(query, seed=1)
+    return planned.plan, compile_sql(planned.plan, SQLStore(database).catalog_for(planned.plan))
+
+
+def _joins(plan, program):
+    """The plan's JoinOps paired with the join steps compiled from them."""
+    ops = [op for op in plan.join_schedule if isinstance(op, JoinOp)]
+    steps = [(name, sql) for kind, name, sql in program.steps if kind == "join"]
+    assert len(steps) == len(ops)
+    return [(op, name, sql) for op, (name, sql) in zip(ops, steps)]
+
+
+def _written(sql):
+    """The columns a ``CREATE ... AS SELECT DISTINCT`` step writes."""
+    head = sql.split(" AS SELECT DISTINCT ", 1)[1].split(" FROM ", 1)[0]
+    return tuple(re.findall(r'AS "([^"]+)"', head))
+
+
+def _assert_pushed_down(plan, program):
+    """The invariants of the projection push-down and the bag probes."""
+    joins = _joins(plan, program)
+    reads = {op.source: op.retain for op, _, _ in joins}
+    reads[0] = plan.output
+    last = {op.target: index for index, (op, _, _) in enumerate(joins)}
+    for index, (op, _, sql) in enumerate(joins):
+        if last[op.target] == index:  # writes exactly what its consumer reads
+            assert set(_written(sql)) == set(reads[op.target] or ("__unit__",))
+        else:  # more children to join: the node keeps its bag variables
+            assert set(plan.node_variables[op.target]) <= set(_written(sql))
+        # A child's last join already wrote ``retain``: read as it is.
+        assert not re.search(r"\(SELECT DISTINCT [^()]* FROM join_", sql)
+    bags = [sql for kind, _, sql in program.steps if kind == "bag"]
+    for bag, sql in zip(plan.bags, bags):
+        assert sql.count("EXISTS") == sum(i not in bag.cover for i in bag.assigned)
+    for kind, name, sql in program.steps:
+        if kind == "index" and name.startswith("atom_"):
+            on = name.split("_ix")[0]  # only a bag's probe reads an atom index
+            assert any(f"EXISTS (SELECT 1 FROM {on} AS e" in sql for sql in bags)
+
+
+#: The five CQ shapes of the perf ledger (copied: tier-1 does not import
+#: ``benchmarks/``) with the per-kind step counts of their boolean and
+#: count programs; enumerate compiles to the count program's steps.
+_LEDGER_SHAPES = {
+    "chain3": (
+        "ans(a,d) :- r1(a,b), r2(b,c), r3(c,d).",
+        {"atom": 3, "bag": 3, "index": 2, "red": 2},
+        {"atom": 3, "bag": 3, "index": 4, "red": 4, "join": 2},
+    ),
+    "triangle": (
+        "ans(a,b,c) :- r1(a,b), r2(b,c), r3(c,a).",
+        {"atom": 3, "bag": 2, "index": 1, "red": 1},
+        {"atom": 3, "bag": 2, "index": 2, "red": 2, "join": 1},
+    ),
+    "star3": (
+        "ans(x,a,b) :- r1(x,a), r2(x,b), r3(x,c).",
+        {"atom": 3, "bag": 3, "index": 2, "red": 2},
+        {"atom": 3, "bag": 3, "index": 3, "red": 4, "join": 2},
+    ),
+    "cycle4tail": (
+        "ans(a,c,e) :- r1(a,b), r2(b,c), r3(c,d), r4(d,a), r5(d,e).",
+        {"atom": 5, "bag": 4, "index": 3, "red": 3},
+        {"atom": 5, "bag": 4, "index": 6, "red": 6, "join": 3},
+    ),
+    "bowtie": (
+        "ans(a,b,d) :- r1(a,b), r2(b,c), r3(c,a), r4(c,d), r5(d,e), r6(e,c).",
+        {"atom": 6, "bag": 4, "index": 4, "red": 3},
+        {"atom": 6, "bag": 4, "index": 7, "red": 6, "join": 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_LEDGER_SHAPES))
+def test_ledger_shapes_compile_to_pinned_step_counts(shape):
+    # A compiler change that adds (or saves) a statement shows here.
+    text, boolean_kinds, count_kinds = _LEDGER_SHAPES[shape]
+    programs = {mode: _compiled(text, mode) for mode in _MODES}
+    for mode, expected in (("boolean", boolean_kinds), ("count", count_kinds)):
+        plan, program = programs[mode]
+        kinds = [kind for kind, _, _ in program.steps]
+        assert {kind: kinds.count(kind) for kind in set(kinds)} == expected, mode
+        _assert_pushed_down(plan, program)
+    # count and enumerate share everything but the final SELECT.
+    assert programs["enumerate"][1].steps == programs["count"][1].steps
+
+
+def test_node_with_two_children_projects_on_its_last_join_only():
+    plan, program = _compiled(_LEDGER_SHAPES["star3"][0], "count")
+    assert len(plan.children[0]) == 2
+    first, last = [sql for op, _, sql in _joins(plan, program) if op.target == 0]
+    assert set(_written(first)) == set(plan.node_variables[0]) | {"b"}
+    assert _written(last) == plan.output == ("x", "a", "b")
+    query = parse_conjunctive_query(_LEDGER_SHAPES["star3"][0])
+    _assert_three_way(query, random_database_for_query(query, domain_size=4, seed=7), _MODES)
+
+
+def test_output_variable_living_only_in_a_leaf():
+    text = _LEDGER_SHAPES["chain3"][0]
+    plan, program = _compiled(text, "enumerate")
+    leaves = [node for node in range(plan.num_nodes) if not plan.children[node]]
+    assert "d" not in plan.node_variables[0]
+    assert any("d" in plan.node_variables[node] for node in leaves)
+    (_, child, _), (_, root, sql) = _joins(plan, program)
+    # The root's last join writes the answer; it reads the child's join
+    # table as it is, not through a SELECT DISTINCT subquery.
+    assert program.root == root and _written(sql) == ("a", "d")
+    assert f"{child} AS R" in sql and "(SELECT DISTINCT" not in sql
+    assert "proj" not in [kind for kind, _, _ in program.steps]
+    query = parse_conjunctive_query(text)
+    _assert_three_way(query, random_database_for_query(query, domain_size=4, seed=5), _MODES)
+
+
+@pytest.mark.parametrize("s_rows, rows", [([(2, 3)], 1), ([(4, 5)], 0)], ids=["holds", "fails"])
+def test_boolean_shaped_count_folds_into_a_unit_row(s_rows, rows):
+    # No output variables under count / enumerate: the root's last join is
+    # the 0-ary projection, one ``__unit__`` row or none.
+    database = Database(
+        [Relation("r", ["a0", "a1"], [(1, 2)]), Relation("s", ["a0", "a1"], s_rows)]
+    )
+    for mode in ("count", "enumerate"):
+        plan, program = _compiled("r(x,y), s(y,z).", mode, database)
+        (_, root, sql), = _joins(plan, program)
+        assert program.root == root and _written(sql) == ("__unit__",)
+        store = SQLStore(database)
+        result = SQLExecutor(store).execute(plan, program)
+        assert result.boolean is bool(rows) and store._tables.get(root, 0) == rows
+
+
+def test_cover_atom_is_never_probed_against_itself():
+    # A lone atom covers and is assigned to its bag: no EXISTS, no index.
+    plan, program = _compiled("ans(x, y) :- r(x, y).", "count")
+    assert plan.bags[0].assigned == plan.bags[0].cover
+    assert [kind for kind, _, _ in program.steps] == ["atom", "bag"]
+    # In the bowtie one bag probes r3, which it does not cover, and only r3.
+    plan, program = _compiled(_LEDGER_SHAPES["bowtie"][0], "count")
+    atom_indexes = [name for kind, name, _ in program.steps if kind == "index" and name.startswith("atom_")]
+    probed = [b for b in plan.bags if any(i not in b.cover for i in b.assigned)]
+    assert len(probed) == len(atom_indexes) == 1
+    assert [plan.atoms[i].relation for i in probed[0].assigned if i not in probed[0].cover] == ["r3"]

@@ -185,6 +185,31 @@ def test_interrupt_mid_create_leaves_no_orphan():
     _assert_registry_matches_connection(store)
 
 
+def test_interrupted_bulk_load_leaves_no_half_filled_base_table():
+    # SQLite's progress handler aborts the first base relation's INSERTs
+    # part-way.  The relation loads in one transaction, so nothing of it
+    # stays behind: once the handler is gone the next execution loads it
+    # afresh (it used to fail for good on `table "base_r" already exists`).
+    rows = {(i, i % 7) for i in range(500)}
+    database = Database([Relation(name, ["a0", "a1"], rows) for name in "rs"])
+    query = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z).")
+    engine = _engine()
+    expected = engine.execute(query, database, "count", executor="columnar").count
+    store = engine.sql_store_for(database)
+    connection = store.connection()
+    connection.set_progress_handler(lambda: 1, 500)
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="interrupted"):
+            engine.execute(query, database, "count", executor="sql")
+    finally:
+        connection.set_progress_handler(None, 0)
+    assert not store._loaded and not connection.in_transaction
+    tables = connection.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+    assert tables.fetchall() == []
+    assert engine.execute(query, database, "count", executor="sql").count == expected
+    _assert_registry_matches_connection(store)
+
+
 # --------------------------------------------------------------------------- #
 # (d) an on-disk file changed by another connection invalidates everything
 # --------------------------------------------------------------------------- #
