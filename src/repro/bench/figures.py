@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from ..hypergraph import generators
 from .corpus import Instance
 from .runner import (
-    DEFAULT_HYBRID_THRESHOLD,
     ExperimentData,
     RunRecord,
     bench_decomposer,
@@ -120,7 +119,6 @@ def build_figure1(
                     timeout=timeout,
                     num_workers=_cores,
                     hybrid=_hybrid,
-                    threshold=DEFAULT_HYBRID_THRESHOLD,
                     simplify=simplify,
                 )
 
@@ -198,7 +196,6 @@ def _build_figure1_fixed_width(
                     timeout=time_budget,
                     num_workers=cores,
                     hybrid=use_hybrid,
-                    threshold=DEFAULT_HYBRID_THRESHOLD,
                     simplify=simplify,
                 )
                 result = decomposer.decompose(instance.hypergraph, width)

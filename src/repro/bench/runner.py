@@ -66,18 +66,7 @@ class DecomposerSpec:
     parametrised: bool = True
 
 
-#: Default hybridisation threshold used by the harness.  The paper's best
-#: threshold (WeightedCount 400) is calibrated to HyperBench instance sizes;
-#: the synthetic corpus here is roughly an order of magnitude smaller, so the
-#: threshold is scaled down accordingly (see ``docs/benchmarks.md``).
-DEFAULT_HYBRID_THRESHOLD = 40.0
-
-
-def default_method_specs(
-    num_workers: int = 1,
-    hybrid_threshold: float = DEFAULT_HYBRID_THRESHOLD,
-    simplify: bool = True,
-) -> list[DecomposerSpec]:
+def default_method_specs(num_workers: int = 1, simplify: bool = True) -> list[DecomposerSpec]:
     """The three methods compared in Table 1 of the paper.
 
     All decomposers are built through the algorithm registry; ``simplify=False``
@@ -92,7 +81,7 @@ def default_method_specs(
         DecomposerSpec("HtdLEO", _optimal_factory, parametrised=False),
         DecomposerSpec(
             "log-k-decomp Hybrid",
-            lambda t: _hybrid_factory(t, num_workers, hybrid_threshold, simplify),
+            lambda t: _hybrid_factory(t, num_workers, simplify),
         ),
     ]
 
@@ -101,21 +90,12 @@ def _optimal_factory(timeout: float | None) -> Decomposer:  # pragma: no cover -
     raise RuntimeError("the optimal solver is run through run_optimal_solver")
 
 
-def _hybrid_factory(
-    timeout: float | None, num_workers: int, threshold: float, simplify: bool = True
-) -> Decomposer:
+def _hybrid_factory(timeout: float | None, num_workers: int, simplify: bool = True) -> Decomposer:
     if num_workers > 1:
         return bench_decomposer(
-            "parallel",
-            timeout=timeout,
-            num_workers=num_workers,
-            hybrid=True,
-            threshold=threshold,
-            simplify=simplify,
+            "parallel", timeout=timeout, num_workers=num_workers, hybrid=True, simplify=simplify
         )
-    return bench_decomposer(
-        "hybrid", timeout=timeout, threshold=threshold, simplify=simplify
-    )
+    return bench_decomposer("hybrid", timeout=timeout, simplify=simplify)
 
 
 @dataclass

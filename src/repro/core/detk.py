@@ -27,6 +27,10 @@ from .fragments import base_case, special_leaf
 __all__ = ["DetKSearch", "DetKDecomposer"]
 
 
+class _LabelBudgetSpent(Exception):
+    """A :class:`DetKSearch` tried more labels than its ``label_limit``."""
+
+
 class DetKSearch:
     """The recursive det-k-decomp search over extended subhypergraphs.
 
@@ -48,6 +52,10 @@ class DetKSearch:
         # As in LogKSearch: the depth-1 label loop only tries labels whose
         # smallest edge lies in the partition (the parallel backend's share).
         self.root_partition = frozenset(root_partition) if root_partition is not None else None
+        # The hybrid's label budget: once ``stats.labels_tried`` passes it the
+        # search unwinds with _LabelBudgetSpent.  Memo writes follow the
+        # recursive calls, so an unwound expansion leaves nothing behind.
+        self.label_limit: int | None = None
         self._cache: dict[
             tuple[int, tuple[int, ...], int, int | None],
             FragmentNode | None,
@@ -143,6 +151,8 @@ class DetKSearch:
             labels = context.enumerator.labels(allowed=allowed, **constraints)
         for lam in labels:
             context.stats.labels_tried += 1
+            if self.label_limit is not None and context.stats.labels_tried > self.label_limit:
+                raise _LabelBudgetSpent
             context.check_timeout()
             lam_union = host.edges_to_mask(lam)
             chi = lam_union & comp_vertices

@@ -14,6 +14,15 @@ det-k-decomp below the threshold.  The paper's best configuration is
 WeightedCount with thresholds around 400 (Table 2), which is the default
 here.  Both searches run on :class:`~repro.decomp.extended.BitComp` records
 and edge-index bitmasks, so a delegated subproblem changes hands as is.
+
+An instance whose *root* is below the threshold (with the default, every
+graph with |E|·k < 800) is not simply handed to det-k-decomp: det-k
+finds fast but refutes slowly, log-k's balance filter (Theorem 4.1) the
+other way round.  Det-k runs first, within a budget of
+``_DETK_LABELS_PER_EDGE`` labels per edge; if it decides inside the budget
+that is the answer.  Otherwise log-k-decomp takes the root — the depth-1
+child loop and the parallel backend's partition of it — and det-k, with its
+memo from the first phase, every subproblem below the threshold under it.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from ..exceptions import SolverError
 from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import indices_of
 from .base import Decomposer, SearchContext
-from .detk import DetKSearch
+from .detk import DetKSearch, _LabelBudgetSpent
 from .logk import LogKSearch
 
 __all__ = [
@@ -36,6 +45,9 @@ __all__ = [
     "HybridDecomposer",
     "make_metric",
 ]
+
+#: Phase 1's label budget per host edge (see :meth:`HybridDecomposer.search`).
+_DETK_LABELS_PER_EDGE = 2
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,9 @@ def make_metric(name: str) -> SwitchMetric:
 class HybridDecomposer(Decomposer):
     """log-k-decomp that hands small subproblems to det-k-decomp.
 
+    A root below the threshold is det-k's first, within a label budget, and
+    log-k's if the budget is spent (see the module docstring).
+
     Parameters
     ----------
     metric:
@@ -125,9 +140,9 @@ class HybridDecomposer(Decomposer):
     def search(
         self, context: SearchContext, root_partition: Iterable[int] | None = None
     ) -> FragmentNode | None:
-        # Whichever search runs the depth-1 label loop owns the partition:
-        # log-k-decomp's child loop, or det-k-decomp's when the metric puts
-        # the whole instance below the threshold and the root is delegated.
+        # Whichever search runs the depth-1 label loop owns the partition.
+        host = context.host
+        root = full_bitcomp(host)
         detk = DetKSearch(
             context,
             subedge_domination=self.subedge_domination,
@@ -135,7 +150,28 @@ class HybridDecomposer(Decomposer):
         )
 
         def should_delegate(comp: BitComp) -> bool:
-            return self.metric.value(context.host, comp, context.k) < self.threshold
+            return self.metric.value(host, comp, context.k) < self.threshold
+
+        predicate = should_delegate
+        if should_delegate(root):
+            # Phase 1: det-k from the root, within a label budget.  A "no" on
+            # a partition covers only that share of det-k's root loop, while
+            # other workers may refute log-k's; so a partition keeps only a
+            # find and otherwise goes on to phase 2 as if the budget were spent.
+            context.stats.subproblems_delegated += 1
+            detk.label_limit = context.stats.labels_tried + _DETK_LABELS_PER_EDGE * host.num_edges
+            try:
+                fragment = detk.search(root, conn=0, allowed=host.all_edges_mask)
+                if fragment is not None or root_partition is None:
+                    return fragment
+            except _LabelBudgetSpent:
+                pass
+            # Phase 2: log-k makes the first balanced split; det-k, with the
+            # memo of phase 1, takes the subproblems below it.
+            detk.label_limit = None
+
+            def predicate(comp: BitComp) -> bool:
+                return comp is not root and should_delegate(comp)
 
         search = LogKSearch(
             context,
@@ -143,8 +179,7 @@ class HybridDecomposer(Decomposer):
             parent_overlap_pruning=self.parent_overlap_pruning,
             subedge_domination=self.subedge_domination,
             leaf_delegate=detk.search,
-            delegate_predicate=should_delegate,
+            delegate_predicate=predicate,
             root_partition=root_partition,
         )
-        comp = full_bitcomp(context.host)
-        return search.search(comp, conn=0, allowed=context.host.all_edges_mask)
+        return search.search(root, conn=0, allowed=host.all_edges_mask)

@@ -8,11 +8,12 @@ that strategy:
 * The edges are partitioned round-robin into ``num_workers`` groups and
   worker ``i`` enumerates, at recursion depth 1, only the labels whose
   smallest edge index falls in group ``i``.  *Whichever search runs the
-  depth-1 label loop owns the partition*: log-k-decomp's child loop, or —
-  when the hybrid metric puts the whole instance below the threshold and
-  the root itself is delegated — det-k-decomp's.  The groups' label streams
-  are disjoint and their union is the full stream, so "all workers fail" is
-  a sound "no" answer and "any worker succeeds" is a sound "yes".  Below
+  depth-1 label loop owns the partition*: log-k-decomp's child loop, and —
+  when the hybrid metric puts the whole instance below the threshold —
+  first det-k-decomp's, whose answer a worker keeps only if it is a find.
+  The groups' label streams are disjoint and their union is the full
+  stream, so "all workers fail" is a sound "no" answer and "any worker
+  succeeds" is a sound "yes".  Below
   depth 1 each worker searches on its own, with a private memo for what it
   finds — and one :class:`~repro.core.refuted.RefutedTable`, created before
   the first fork, for what any worker refutes: a subproblem reachable from

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import HybridDecomposer, LogKDecomposer
+from repro.bench.corpus import generate_corpus
+from repro.core import DetKDecomposer, HybridDecomposer, LogKDecomposer
+from repro.core import hybrid as hybrid_module
+from repro.core.codec import decomposition_to_json
 from repro.core.hybrid import EdgeCountMetric, WeightedCountMetric, make_metric
+from repro.core.logk import LogKSearch
 from repro.decomp import validate_hd
 from repro.decomp.extended import full_bitcomp
 from repro.exceptions import SolverError
@@ -120,3 +125,105 @@ def test_detk_delegation_respects_allowed_edges(use_engine):
     assert result.success
     validate_hd(result.decomposition)
     assert result.decomposition.width <= 2
+
+
+# --------------------------------------------------------------------------- #
+# below the threshold at the root: det-k within a label budget, then log-k
+# makes the first balanced split
+# --------------------------------------------------------------------------- #
+def _budget(hypergraph):
+    return hybrid_module._DETK_LABELS_PER_EDGE * hypergraph.num_edges
+
+
+@pytest.fixture
+def child_loop_depths(monkeypatch):
+    """The depths at which log-k-decomp runs its child loop, in call order."""
+    depths = []
+    child_labels = LogKSearch._child_labels
+
+    def spy(self, comp, allowed_pool, comp_vertices, depth):
+        depths.append(depth)
+        return child_labels(self, comp, allowed_pool, comp_vertices, depth)
+
+    monkeypatch.setattr(LogKSearch, "_child_labels", spy)
+    return depths
+
+
+@pytest.mark.parametrize(
+    "hypergraph,k",
+    [(generators.cycle(12), 2), (generators.grid(3, 3), 2), (generators.cycle(9), 1)],
+    ids=["cycle12-find", "grid33-find", "cycle9-refute"],
+)
+def test_inside_the_budget_det_k_decides_alone(hypergraph, k, child_loop_depths):
+    hybrid = HybridDecomposer(use_engine=False).decompose(hypergraph, k)
+    detk = DetKDecomposer(use_engine=False).decompose(hypergraph, k)
+    assert hybrid.success is detk.success and not hybrid.timed_out
+    assert hybrid.statistics.labels_tried == detk.statistics.labels_tried <= _budget(hypergraph)
+    assert hybrid.statistics.subproblems_delegated == 1  # the root
+    assert child_loop_depths == []  # log-k never ran
+    if hybrid.success:
+        assert decomposition_to_json(hybrid.decomposition) == decomposition_to_json(
+            detk.decomposition
+        )
+
+
+def test_a_spent_budget_hands_the_root_to_log_k_and_refutes(child_loop_depths):
+    clique = generators.clique(5)
+    assert DetKDecomposer(use_engine=False).decompose(clique, 2).statistics.labels_tried > (
+        _budget(clique)
+    )
+    result = HybridDecomposer(use_engine=False).decompose(clique, 2)
+    assert not result.success and not result.timed_out
+    # Phase 2's predicate keeps the root with log-k: its child loop runs at
+    # depth 1, and det-k takes only the subproblems below it.
+    assert child_loop_depths[0] == 1 and child_loop_depths.count(1) == 1
+    assert result.statistics.subproblems_delegated > 1
+
+
+@pytest.mark.parametrize(
+    "hypergraph,k",
+    [(generators.grid(3, 5), 2), (generators.with_chords(generators.cycle(20), 3, seed=5), 2)],
+    ids=["grid35", "cc20"],
+)
+def test_a_spent_budget_still_finds(hypergraph, k, monkeypatch, child_loop_depths):
+    monkeypatch.setattr(hybrid_module, "_DETK_LABELS_PER_EDGE", 0)
+    result = HybridDecomposer(use_engine=False).decompose(hypergraph, k)
+    assert result.success
+    validate_hd(result.decomposition)
+    assert result.decomposition.width <= k
+    assert child_loop_depths[0] == 1
+
+
+def _decide_alike(hypergraph, k):
+    answers = {}
+    for decomposer in (HybridDecomposer, DetKDecomposer, LogKDecomposer):
+        result = decomposer(use_engine=False, timeout=60).decompose(hypergraph, k)
+        assert not result.timed_out
+        if result.success:
+            validate_hd(result.decomposition)
+            assert result.decomposition.width <= k
+        answers[decomposer.name] = result.success
+    assert len(set(answers.values())) == 1, (hypergraph.name, k, answers)
+
+
+#: The tiny corpus up to 20 edges; log-k alone needs seconds beyond that.
+_TINY = [i.hypergraph for i in generate_corpus("tiny", 0) if i.hypergraph.num_edges <= 20]
+
+
+@pytest.mark.parametrize("per_edge", [None, 0], ids=["default-budget", "spent-budget"])
+def test_hybrid_detk_and_logk_decide_alike_on_the_tiny_corpus(per_edge, monkeypatch):
+    if per_edge is not None:
+        monkeypatch.setattr(hybrid_module, "_DETK_LABELS_PER_EDGE", per_edge)
+    for hypergraph in _TINY:
+        for k in range(1, 5):
+            _decide_alike(hypergraph, k)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from([None, 0, 1]))
+def test_hybrid_detk_and_logk_decide_alike_on_random_csps(seed, k, per_edge):
+    hypergraph = generators.random_csp(7, 7, arity=3, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if per_edge is not None:
+            patch.setattr(hybrid_module, "_DETK_LABELS_PER_EDGE", per_edge)
+        _decide_alike(hypergraph, k)

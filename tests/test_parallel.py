@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import multiprocessing as mp
 import threading
 
@@ -11,7 +12,8 @@ import pytest
 from repro.core import HybridDecomposer, LogKDecomposer, ParallelLogKDecomposer
 from repro.core.logk import LogKSearch
 from repro.core.base import SearchContext, SearchStatistics
-from repro.core.detk import DetKSearch
+from repro.core import hybrid as hybrid_module
+from repro.core.detk import DetKSearch, _LabelBudgetSpent
 from repro.core.fragments import fragment_to_decomposition
 from repro.core.hybrid import EdgeCountMetric
 from repro.core.parallel import _worker_search, partition_edges
@@ -167,28 +169,141 @@ def test_detk_root_partition_streams_are_disjoint_and_complete(host, k, dominati
         assert sum(len(stream) for stream in streams) == len(sequential)
 
 
-def test_workers_split_one_search_instead_of_repeating_it():
+def test_workers_split_one_search_instead_of_repeating_it(monkeypatch):
     """Work-efficiency guard: partitioning divides the work, it does not multiply it.
 
     Merged uncached expansions (``cache_misses``) at 2 and 4 workers stay
     within 1.3x the sequential hybrid's: a subproblem below the partitioned
     root is refuted once, by whichever worker meets it first, and the others
     read that from the shared :class:`~repro.core.refuted.RefutedTable`
-    (private memos alone: 1.72x / 2.58x here; which worker gets there first
-    is a matter of timing, hence a bound and not a count).  The partitions'
-    label streams are disjoint and complete, so together the workers try at
-    least the sequential search's labels.
+    (which worker gets there first is a matter of timing, hence a bound and
+    not a count).  The partitions' label streams are disjoint and complete,
+    so together the workers try at least the sequential search's labels.
+    The hybrid's phase-1 label budget is per worker — on this 34-edge host
+    worth as much as the log-k search itself — so the guard is measured with
+    a zero budget, and the budget's own cost is bounded separately: at most
+    one budget per worker on top.
     """
     hard = generators.with_chords(generators.cycle(30), 4, seed=2)
+    budget = hybrid_module._DETK_LABELS_PER_EDGE * hard.num_edges
     sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
     assert not sequential.success and not sequential.timed_out
     for workers in (2, 4):
         parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(hard, 2)
         assert not parallel.success and not parallel.timed_out
-        assert parallel.statistics.subproblems_delegated == workers  # one root per worker
+        assert sequential.statistics.labels_tried <= parallel.statistics.labels_tried
+        assert parallel.statistics.labels_tried <= (
+            sequential.statistics.labels_tried + workers * (budget + 1)
+        )
+    monkeypatch.setattr(hybrid_module, "_DETK_LABELS_PER_EDGE", 0)  # forks inherit it
+    sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
+    for workers in (2, 4):
+        parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(hard, 2)
+        assert not parallel.success and not parallel.timed_out
         assert parallel.statistics.refutations_shared > 0
         assert parallel.statistics.cache_misses <= 1.3 * sequential.statistics.cache_misses
         assert sequential.statistics.labels_tried <= parallel.statistics.labels_tried
+
+
+def _hybrid_share(host, k, partition, monkeypatch):
+    """The default hybrid on one share of the root.
+
+    Returns det-k's depth-1 outcome (``"found"``, ``"refuted"`` or
+    ``"spent"``), the label streams of every depth-1 log-k child loop, and
+    the fragment.
+    """
+    outcome, streams = [], []
+    detk_search, child_labels = DetKSearch.search, LogKSearch._child_labels
+
+    def detk_spy(self, comp, conn, allowed=None, depth=1, vertices=None):
+        if depth > 1:
+            return detk_search(self, comp, conn, allowed, depth, vertices)
+        try:
+            fragment = detk_search(self, comp, conn, allowed, depth, vertices)
+        except _LabelBudgetSpent:
+            outcome.append("spent")
+            raise
+        outcome.append("refuted" if fragment is None else "found")
+        return fragment
+
+    def logk_spy(self, comp, allowed_pool, comp_vertices, depth):
+        labels = child_labels(self, comp, allowed_pool, comp_vertices, depth)
+        if depth > 1:
+            return labels
+        stream = []
+        streams.append(stream)
+
+        def recorded():
+            for label in labels:
+                stream.append(label)
+                yield label
+
+        return recorded()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DetKSearch, "search", detk_spy)
+        patch.setattr(LogKSearch, "_child_labels", logk_spy)
+        fragment = HybridDecomposer(use_engine=False).search(SearchContext(host, k), partition)
+    return outcome, streams, fragment
+
+
+#: clique(5) with a singleton subedge after each edge (hw 3).  At two workers
+#: the odd share is all subedges, which domination drops, so det-k refutes
+#: that share inside the label budget while the even share spends it.
+_DOMINATED_ODD = Hypergraph(
+    {
+        name: scope
+        for i, (u, v) in enumerate(itertools.combinations("abcde", 2))
+        for name, scope in ((f"r{i}", u + v), (f"s{i}", u))
+    }
+)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "host",
+    [generators.clique(5), _DOMINATED_ODD, generators.with_chords(generators.cycle(30), 4, seed=2)],
+    ids=["clique5", "dominated-odd", "cc30"],
+)
+def test_a_spent_budget_splits_log_ks_root_loop(host, workers, monkeypatch):
+    """Phase 2's root streams are disjoint and complete, and "all fail" is a "no".
+
+    Every share's "no" comes from log-k-decomp's balanced child loop —
+    also a share det-k refuted inside the budget — so the workers' "no"s
+    together cover that one loop.
+    """
+    outcome, (sequential,), fragment = _hybrid_share(host, 2, None, monkeypatch)
+    assert outcome == ["spent"] and fragment is None and sequential
+    shares = [
+        _hybrid_share(host, 2, partition, monkeypatch)
+        for partition in partition_edges(host.num_edges, workers)
+    ]
+    for slot, (outcome, streams, fragment) in enumerate(shares):
+        assert outcome in (["spent"], ["refuted"]) and fragment is None
+        assert streams == [[label for label in sequential if label[0] % workers == slot]]
+    assert sum(len(streams[0]) for _, streams, _ in shares) == len(sequential)
+    parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(host, 2)
+    assert not parallel.success and not parallel.timed_out
+
+
+def test_a_share_refuted_inside_the_budget_goes_on_to_log_k(monkeypatch):
+    """A phase-1 "no" on a share is not kept.
+
+    One worker's det-k share is refuted inside the budget, the other's
+    spends it; the first still runs log-k's child loop on its share, or the
+    two "no"s would come from two different loops and cover neither.
+    """
+    shares = [
+        _hybrid_share(_DOMINATED_ODD, 2, partition, monkeypatch)
+        for partition in partition_edges(_DOMINATED_ODD.num_edges, 2)
+    ]
+    assert [outcome for outcome, _, _ in shares] == [["spent"], ["refuted"]]
+    assert all(len(streams) == 1 and fragment is None for _, streams, fragment in shares)
+    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False)
+    assert not parallel.decompose(_DOMINATED_ODD, 2).success
+    found = parallel.decompose(_DOMINATED_ODD, 3)
+    assert found.success
+    validate_hd(found.decomposition)
 
 
 def test_metric_instance_and_threshold_reach_every_worker(cycle10):
@@ -220,8 +335,11 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
     # What the workers share is timing-dependent; the bounds are not.
     assert sequential.statistics.labels_tried <= refuted.statistics.labels_tried <= labels
     assert 2 < refuted.statistics.subproblems_delegated <= delegated
-    default = ParallelLogKDecomposer(num_workers=2, use_engine=False)
-    assert default.decompose(hard, 2).statistics.subproblems_delegated == 2
+    # The default hybrid is another search (det-k's budgeted root, then
+    # log-k's first balanced split): an order of magnitude fewer labels here.
+    default = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose(hard, 2)
+    assert not default.success
+    assert default.statistics.labels_tried < sequential.statistics.labels_tried / 10
 
 
 def test_merge_covers_every_counter():
@@ -259,9 +377,9 @@ def test_daemonic_caller_starts_no_thread_and_forks_no_child(monkeypatch):
     sequential = HybridDecomposer(use_engine=False).decompose_raw(hard, 2)
     assert seen and set(seen) == {before}  # sampled all through both searches
     assert not parallel.success and not parallel.timed_out
+    # One sequential search, not one per partition.
     for counter in ("labels_tried", "recursive_calls", "subproblems_delegated"):
         assert getattr(parallel.statistics, counter) == getattr(sequential.statistics, counter)
-    assert parallel.statistics.subproblems_delegated == 1  # one root, not one per partition
 
 
 # --------------------------------------------------------------------------- #

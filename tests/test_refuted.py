@@ -153,12 +153,16 @@ def test_a_second_run_on_the_same_table_resumes(table):
     first = _worker_search(base, _HARD, 2, partition, None, table)
     again = _worker_search(base, _HARD, 2, partition, None, table)
     assert first[:3] == again[:3] == (False, False, None)
-    assert first[3].refutations_shared == 0 and first[3].cache_misses > 100
-    assert again[3].refutations_shared > 0
-    assert again[3].cache_misses < first[3].cache_misses / 10
-    # Without a table the second run repeats the first.
+    # The first run reads back only what its own det-k phase wrote, the
+    # second the first's refutations too.  What is left to expand has a
+    # fragment (no table holds those) or sits at depth 1.
+    assert first[3].cache_misses > 40
+    assert again[3].refutations_shared > first[3].refutations_shared
+    assert again[3].cache_misses < first[3].cache_misses
+    # Without a table nothing is read back.
     alone = _worker_search(base, _HARD, 2, partition, None)
-    assert alone[3].cache_misses == first[3].cache_misses
+    assert alone[3].refutations_shared == 0
+    assert alone[3].cache_misses >= first[3].cache_misses
 
 
 def test_no_table_outside_the_forked_arm(monkeypatch):

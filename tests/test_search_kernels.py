@@ -213,7 +213,7 @@ _PINNED = {
     ("grid2x4", 2, "logk"): (True, 112, 6, 18),
     ("grid2x4", 2, "detk"): (True, 4, 5, 7),
     ("clique5", 2, "logk"): (False, 5405, 16, 0),
-    ("clique5", 2, "hybrid"): (False, 295, 297, 0),
+    ("clique5", 2, "hybrid"): (False, 76, 42, 0),  # det-k's label budget spent
     ("clique5", 2, "detk"): (False, 295, 296, 0),
     ("clique5", 3, "logk"): (True, 4161, 2, 0),
     ("cycle10", 1, "logk"): (False, 10, 1, 0),

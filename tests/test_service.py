@@ -326,7 +326,7 @@ def test_service_level_timeout_option_is_accepted():
     )
     try:
         assert svc.default_timeout == 0.05
-        hard = svc.submit(generators.clique(7), 3)  # inherits the default
+        hard = svc.submit(generators.clique(11), 5)  # inherits the default
         assert hard.result(timeout=30).timed_out
         easy = svc.submit(generators.cycle(6), 2, timeout=30.0)  # override
         assert easy.result(timeout=30).success
@@ -337,11 +337,11 @@ def test_service_level_timeout_option_is_accepted():
 
 
 def test_per_request_timeout_times_out_and_is_not_memoized(service):
-    hard = generators.clique(7)
-    result = service.submit(hard, 3, timeout=0.05).result(timeout=30)
+    hard = generators.clique(11)
+    result = service.submit(hard, 5, timeout=0.05).result(timeout=30)
     assert result.timed_out
     # Timeouts are never memoized: resubmitting computes again.
-    again = service.submit(hard, 3, timeout=0.05).result(timeout=30)
+    again = service.submit(hard, 5, timeout=0.05).result(timeout=30)
     assert again.timed_out
     assert service.stats().computations_by_kind["decompose"] == 2
     assert service.stats().fast_path_hits == 0
