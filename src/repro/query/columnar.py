@@ -10,7 +10,9 @@ Design
 * **Dictionary encoding** — a :class:`ColumnStore` owns one process-wide
   value dictionary per database: every attribute value is interned to a
   small integer code, so all joins, semijoins and deduplication work on
-  integers (and code equality is value equality across relations).
+  integers (and code equality is value equality across relations).  Base
+  relations are interned a column at a time (:func:`intern_column`) and
+  checked for repeated variables on codes; being sets, they need no dedupe.
 * **Column-major storage** — a :class:`ColumnarRelation` stores one code
   list per attribute.  Operators slice out exactly the key columns they
   need; no full-width tuples are rebuilt per operator.
@@ -49,6 +51,7 @@ evaluation cheap: repeated queries touch only per-query bag state.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from array import array
@@ -131,6 +134,27 @@ class _Watchdog:
             raise TimeoutExceeded("query execution cancelled")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise TimeoutExceeded("query execution exceeded its time budget")
+
+
+def intern_column(codes: dict, values: list, lock, column: Sequence) -> list[int]:
+    """The codes of ``column``'s values, interning the ones ``codes`` lacks.
+
+    ``codes`` (value → code) and ``values`` (code → value) are one value
+    dictionary; ``lock`` guards its growth.  The fast path maps the whole
+    column through ``codes`` without the lock.  On a miss the lock is taken
+    once, each distinct new value is appended to ``values`` *before* its
+    code is published in ``codes`` (a thread that observes a code can decode
+    it), and the column is mapped again.
+    """
+    out = list(map(codes.get, column))
+    if None in out:
+        with lock:
+            for value in dict.fromkeys(column):
+                if value not in codes:
+                    values.append(value)
+                    codes[value] = len(values) - 1
+        out = list(map(codes.get, column))
+    return out
 
 
 def _mask_to_selectors(mask: int, nrows: int) -> bytes:
@@ -483,11 +507,12 @@ class ColumnStore:
     across a workload; the executor creates a throwaway store otherwise.
 
     The store may be shared by concurrent executions (the serving layer runs
-    many queries against one database at once): the value dictionary is
-    guarded by a lock on the interning slow path — without it two racing
-    :meth:`encode` calls could hand out *different* codes for one value,
-    breaking the code-equality-is-value-equality invariant — and the bag
-    cache is a lock-striped :class:`~repro.lru.ShardedLRU`.  Atom tables may
+    many queries against one database at once): the value dictionary grows
+    only under a lock, taken once per column that holds new values (see
+    :func:`intern_column`) — without it two threads interning overlapping
+    columns could hand out *different* codes for one value, breaking the
+    code-equality-is-value-equality invariant — and the bag cache is a
+    lock-striped :class:`~repro.lru.ShardedLRU`.  Atom tables may
     rarely be built twice under a race; both builds are equivalent and the
     last one wins, so that duplication costs time, never answers.
     """
@@ -496,14 +521,14 @@ class ColumnStore:
         self.database = database
         self._codes: dict[object, int] = {}
         self._values: list[object] = []
-        self._encode_lock = threading.Lock()
+        self._intern_lock = threading.Lock()
         #: (relation, repeat pattern) → encoded columns; shared across atoms
         #: that bind the same relation with the same repeat structure.
         self._atom_columns: dict[tuple, tuple[Sequence[int], ...]] = {}
         #: (relation, repeat pattern, variables) → the schema-bound table.
         self._atom_tables: dict[tuple, ColumnarRelation] = {}
         #: Materialised bag tables, keyed by the bag's structural signature
-        #: (cover/assigned atom identities + bag variables).  Bags depend
+        #: (cover/filter atom identities + bag variables).  Bags depend
         #: only on that signature and the database content, so across a
         #: workload of repeated query shapes the bag join work — and the
         #: key indexes living on the cached tables — is paid once.
@@ -512,23 +537,6 @@ class ColumnStore:
     # ------------------------------------------------------------------ #
     # encoding
     # ------------------------------------------------------------------ #
-    def encode(self, value: object) -> int:
-        """Intern ``value`` and return its integer code (thread-safe).
-
-        The fast path is a plain dict probe; the interning slow path is
-        locked and re-checks, and appends the value *before* publishing the
-        code so any thread that observes a code can decode it.
-        """
-        code = self._codes.get(value)
-        if code is None:
-            with self._encode_lock:
-                code = self._codes.get(value)
-                if code is None:
-                    code = len(self._values)
-                    self._values.append(value)
-                    self._codes[value] = code
-        return code
-
     def decode(self, code: int) -> object:
         """The value interned under ``code``."""
         return self._values[code]
@@ -558,22 +566,26 @@ class ColumnStore:
                     f"atom {binding.edge} has arity {len(binding.arguments)} but "
                     f"relation {binding.relation!r} has arity {len(base.schema)}"
                 )
-            positions = [binding.arguments.index(v) for v in binding.variables]
-            encode = self.encode
-            rows: set[tuple[int, ...]] = set()
+            raw = list(zip(*base.tuples)) or [()] * len(binding.arguments)
+            first = {v: binding.arguments.index(v) for v in binding.variables}
+            codes = {
+                v: intern_column(self._codes, self._values, self._intern_lock, raw[p])
+                for v, p in first.items()
+            }
             if binding.has_repeats:
+                # A later occurrence is only looked up: a value the dictionary
+                # lacks equals no interned first occurrence.
                 checks = [
-                    (i, binding.arguments.index(v))
+                    map(operator.eq, map(self._codes.get, raw[i]), codes[v])
                     for i, v in enumerate(binding.arguments)
-                    if binding.arguments.index(v) != i
+                    if first[v] != i
                 ]
-                for row in base.tuples:
-                    if all(row[i] == row[first] for i, first in checks):
-                        rows.add(tuple(encode(row[p]) for p in positions))
-            else:
-                for row in base.tuples:
-                    rows.add(tuple(encode(row[p]) for p in positions))
-            columns = ColumnarRelation.from_rows(binding.variables, rows).columns
+                keep = bytes(map(all, zip(*checks)))
+                codes = {v: compress(column, keep) for v, column in codes.items()}
+            # ``base.tuples`` is a set and the checked rows agree on every
+            # repeat, so the projection onto the distinct variables keeps
+            # the rows distinct: no dedupe.
+            columns = tuple(array(_CODE_TYPECODE, column) for column in codes.values())
             self._atom_columns[columns_key] = columns
         table = ColumnarRelation(binding.variables, columns)
         self._atom_tables[table_key] = table
@@ -628,6 +640,15 @@ class _NodeState:
         if self.alive is None:
             return None
         return _mask_to_selectors(self.alive, self.table.nrows)
+
+    def live_table(self) -> ColumnarRelation:
+        """The alive rows as a table (the table itself while all are alive),
+        compacted column-at-a-time; the mask keeps the rows distinct."""
+        if self.alive is None:
+            return self.table
+        selectors = self.selectors()
+        columns = tuple(_compress_column(column, selectors) for column in self.table.columns)
+        return ColumnarRelation(self.table.schema, columns, nrows=self.live_count)
 
     def live_rows(self):
         """Iterate the alive rows as code tuples."""
@@ -789,7 +810,7 @@ class PlanExecutor:
             key = (
                 tuple(ColumnStore.atom_key(plan.atoms[i]) for i in bag.cover),
                 bag.variables,
-                tuple(ColumnStore.atom_key(plan.atoms[i]) for i in bag.assigned),
+                tuple(ColumnStore.atom_key(plan.atoms[i]) for i in bag.filters),
             )
             table, cached = self.store.bag_table(
                 key, lambda: self._build_bag(plan, bag, stats)
@@ -828,28 +849,14 @@ class PlanExecutor:
                 rows = set() if current.nrows == 0 else {()}
                 current = ColumnarRelation.from_rows(bag.variables, rows)
         stats.rows_materialised += current.nrows
-        # Filter by the atoms assigned to the node (semijoin on shared vars).
-        for atom_index in bag.assigned:
-            if self._watchdog is not None:
-                self._watchdog.check()
-            binding = plan.atoms[atom_index]
-            atom = self.store.atom_table(binding)
+        # Semijoin with the filter atoms; their index requests are not counted.
+        state = _NodeState(current)
+        for atom_index in bag.filters:
+            atom = self.store.atom_table(plan.atoms[atom_index])
             shared = tuple(a for a in bag.variables if a in atom._position)
-            if not shared:
-                if atom.nrows == 0:
-                    return ColumnarRelation.from_rows(bag.variables, ())
-                continue
-            keys = set(atom.key_column(shared))
-            bag_keys = current.key_column(shared)
-            keep = bytes(key in keys for key in bag_keys)
-            survivors = sum(keep)
-            if survivors == current.nrows:
-                continue
-            columns = tuple(
-                _compress_column(column, keep) for column in current.columns
-            )
-            current = ColumnarRelation(bag.variables, columns, nrows=survivors)
-        return current
+            if not atom.nrows or not self._semijoin(state, _NodeState(atom), shared):
+                return ColumnarRelation.from_rows(bag.variables, ())
+        return state.live_table()
 
     # ------------------------------------------------------------------ #
     # stage 2: the semijoin passes (full reduction)
@@ -861,24 +868,27 @@ class PlanExecutor:
 
         Returns False as soon as any node loses all its tuples.
         """
-        return all(
-            self._semijoin(states[op.target], states[op.source], op.on, stats)
-            for op in plan.bottom_up + plan.top_down
-        )
+        for op in plan.bottom_up + plan.top_down:
+            if not op.on:
+                stats.semijoins_skipped += 1
+            else:
+                stats.semijoins_run += 1
+            if not self._semijoin(states[op.target], states[op.source], op.on, stats):
+                return False
+        return True
 
     def _semijoin(
         self,
         target: _NodeState,
         source: _NodeState,
         on: tuple[str, ...],
-        stats: ExecutionStatistics,
+        stats: ExecutionStatistics | None = None,
     ) -> bool:
+        """Keep ``target``'s rows that join a live ``source`` row on ``on``;
+        False iff none is left.  ``source`` must hold a live row (an empty
+        node aborts the passes), so without shared variables nothing dies."""
         if not on:
-            # No shared variables: the source is non-empty (empty nodes abort
-            # the passes), so the semijoin keeps everything.
-            stats.semijoins_skipped += 1
             return True
-        stats.semijoins_run += 1
         watchdog = self._watchdog
         if watchdog is not None:
             watchdog.check()
@@ -923,20 +933,8 @@ class PlanExecutor:
 
         def node_result(node_id: int) -> ColumnarRelation:
             table = results.get(node_id)
-            if table is not None:
-                return table
-            state = states[node_id]
-            if state.alive is None:
-                table = state.table
-            else:
-                # Compact column-at-a-time; the mask keeps rows distinct.
-                selectors = state.selectors()
-                columns = tuple(
-                    _compress_column(column, selectors)
-                    for column in state.table.columns
-                )
-                table = ColumnarRelation(state.table.schema, columns, nrows=state.live_count)
-            results[node_id] = table
+            if table is None:
+                table = results[node_id] = states[node_id].live_table()
             return table
 
         for op in plan.join_schedule:

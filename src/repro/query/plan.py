@@ -9,7 +9,8 @@ join tree —
 
 1. :class:`BagOp` steps materialise one relation per decomposition node by
    joining the ≤ k atoms of the node's λ-cover, projecting onto the bag and
-   semijoin-filtering with the atoms assigned to the node,
+   semijoin-filtering with the atoms assigned to the node that are not
+   cover atoms (a cover atom cannot reject a row of its own join),
 2. :class:`SemijoinOp` steps run Yannakakis' bottom-up and top-down semijoin
    passes (the full reduction),
 3. :class:`JoinOp`/:class:`ProjectOp` steps assemble the answers bottom-up,
@@ -122,12 +123,16 @@ class BagOp:
 
     Join the atoms in ``cover`` (indices into :attr:`QueryPlan.atoms`),
     project onto ``variables`` (the bag χ), then semijoin with each atom in
-    ``assigned``.
+    ``filters``.  ``assigned`` lists the atoms the join tree assigns to the
+    node (every atom sits in exactly one bag's ``assigned``); ``filters`` is
+    its subsequence of non-cover atoms — the only filters that can reject a
+    row, since every row of the cover join is its own witness in a cover atom.
     """
 
     node: int
     cover: tuple[int, ...]
     assigned: tuple[int, ...]
+    filters: tuple[int, ...]
     variables: tuple[str, ...]
 
 
@@ -197,9 +202,8 @@ class QueryPlan:
         for bag in self.bags:
             cover = ", ".join(self.atoms[i].edge for i in bag.cover)
             line = f"  bag[{bag.node}] = π_{{{', '.join(bag.variables)}}}({cover})"
-            if bag.assigned:
-                assigned = ", ".join(self.atoms[i].edge for i in bag.assigned)
-                line += f" ⋉ {assigned}"
+            if bag.filters:
+                line += f" ⋉ {', '.join(self.atoms[i].edge for i in bag.filters)}"
             lines.append(line)
         for op in self.bottom_up:
             lines.append(f"  bag[{op.target}] ⋉= bag[{op.source}] on ({', '.join(op.on)})")
@@ -263,9 +267,8 @@ def compile_plan(
                 "decomposition node with an empty λ-label cannot be materialised"
             )
         assigned = tuple(atom_index[name] for name in sorted(node.assigned_edges))
-        bags.append(
-            BagOp(node=node_id, cover=cover, assigned=assigned, variables=node_variables[node_id])
-        )
+        filters = tuple(i for i in assigned if i not in cover)
+        bags.append(BagOp(node_id, cover, assigned, filters, node_variables[node_id]))
 
     def shared(a: int, b: int) -> tuple[str, ...]:
         other = set(node_variables[b])

@@ -13,8 +13,9 @@ far larger than memory be answered with Yannakakis-over-SQL:
    probed columns keep the correlated ``EXISTS`` probes at seek cost;
 2. every :class:`~repro.query.plan.BagOp` materialises as
    ``CREATE TEMP TABLE bag_<h> AS SELECT DISTINCT ...`` joining the λ-cover
-   tables, with one ``EXISTS`` per assigned atom that is not itself a cover
-   atom (a cover row is its own witness, so that probe could never fail);
+   tables, with one ``EXISTS`` per atom in the bag's ``filters`` (the
+   assigned atoms that are not cover atoms: a cover row is its own witness,
+   so no other probe could fail);
 3. every semijoin of the bottom-up/top-down passes derives a new table,
    ``CREATE TEMP TABLE red_<h> AS SELECT T.* FROM <target> AS T WHERE EXISTS
    (... <source> ...)`` — the full reduction, never destroying its inputs;
@@ -82,7 +83,7 @@ from dataclasses import dataclass
 from .. import faults
 from ..exceptions import QueryError, TimeoutExceeded
 from ..faults.resilience import RetryPolicy
-from .columnar import ExecutionResult, ExecutionStatistics
+from .columnar import ExecutionResult, ExecutionStatistics, intern_column
 from .database import Database
 from .plan import AnswerMode, JoinOp, ProjectOp, QueryPlan
 from .relation import Relation
@@ -227,9 +228,7 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
             raise QueryError(
                 f"bag variables {missing} are not covered by the node's λ-label"
             )
-        for atom_index in bag.assigned:
-            if atom_index in bag.cover:
-                continue  # the cover row is its own witness: the probe cannot fail
+        for atom_index in bag.filters:
             binding = plan.atoms[atom_index]
             shared = [v for v in binding.variables if v in canonical]
             index(atoms[atom_index], tuple(shared))
@@ -486,14 +485,6 @@ class SQLStore:
         """True iff the source is an in-memory database loaded via interning."""
         return self.path is None
 
-    def encode(self, value: object) -> int:
-        code = self._codes.get(value)
-        if code is None:
-            code = len(self._values)
-            self._values.append(value)
-            self._codes[value] = code
-        return code
-
     def decode(self, code: int) -> object:
         return self._values[code]
 
@@ -579,7 +570,6 @@ class SQLStore:
                 self._data_version = version
                 self.trim()
             return
-        encode = self.encode
         for binding in plan.atoms:
             name = binding.relation
             if name in self._loaded:
@@ -590,7 +580,11 @@ class SQLStore:
                 raise QueryError("the sql executor does not support 0-ary relations")
             table = _quote(f"base_{name}")
             columns = ", ".join(f"c{i} INTEGER" for i in range(arity))
-            rows = [tuple(map(encode, row)) for row in base.tuples]
+            codes = [
+                intern_column(self._codes, self._values, self.lock, column)
+                for column in zip(*base.tuples)
+            ]
+            rows = list(zip(*codes))
             connection.execute("BEGIN")
             try:
                 executor._exec(connection, f"CREATE TABLE {table} ({columns})")

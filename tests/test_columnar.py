@@ -9,12 +9,16 @@ variables and Boolean queries.
 
 from __future__ import annotations
 
+import sys
+import threading
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles.eager import evaluate_eager
 
 from repro.core.width import hypertree_width
-from repro.decomp.jointree import join_tree_from_decomposition
+from repro.decomp.jointree import JoinTree, JoinTreeNode, join_tree_from_decomposition
 from repro.pipeline.engine import DecompositionEngine
 from repro.query import (
     ColumnStore,
@@ -25,6 +29,7 @@ from repro.query import (
     evaluate_query,
     execute_plan,
     naive_join_query,
+    random_database_for_query,
 )
 from repro.query import columnar
 from repro.query.columnar import (
@@ -34,7 +39,8 @@ from repro.query.columnar import (
     _dedupe_columns,
     _NodeState,
 )
-from repro.hypergraph.cq import Atom, ConjunctiveQuery
+from repro.hypergraph.cq import Atom, ConjunctiveQuery, parse_conjunctive_query
+from repro.query.plan import AtomBinding
 
 
 # --------------------------------------------------------------------------- #
@@ -349,6 +355,160 @@ def test_live_keys_cache_invalidated_by_alive_changes():
     # Killing rows that are already dead must not invalidate the cache.
     state.kill(dead)
     assert state.live_keys(("a",)) is second
+
+
+def _atom_rows(relation, binding):
+    """The row-at-a-time definition of an atom's table: the rows that agree
+    on every repeated variable, projected onto the distinct variables."""
+    arguments = binding.arguments
+    return {
+        tuple(row[arguments.index(v)] for v in binding.variables)
+        for row in relation.tuples
+        if all(row[i] == row[arguments.index(a)] for i, a in enumerate(arguments))
+    }
+
+
+def _decoded(store, table):
+    return list(zip(*(map(store.decode, column) for column in table.columns)))
+
+
+def test_atom_table_matches_the_row_at_a_time_definition(kernels):
+    database = Database(
+        [
+            Relation(
+                "r",
+                ["a0", "a1", "a2"],
+                [(1, 1, "x"), (1, 2, "x"), ("s", "s", None), (None, None, None),
+                 (None, 1, 2), (2, 2, 2), ("s", "t", "s")],
+            ),
+            Relation("e", ["a0", "a1"], []),
+        ]
+    )
+    store = ColumnStore(database)
+    bindings = [
+        AtomBinding("r", "r", ("x", "x", "y"), ("x", "y")),
+        AtomBinding("r#1", "r", ("x", "y", "z"), ("x", "y", "z")),
+        AtomBinding("r#2", "r", ("u", "u", "u"), ("u",)),
+        AtomBinding("r#3", "r", ("p", "q", "p"), ("p", "q")),
+        AtomBinding("r#4", "r", ("u", "v", "w"), ("u", "v", "w")),
+        AtomBinding("e", "e", ("x", "x"), ("x",)),
+        AtomBinding("e#1", "e", ("x", "y"), ("x", "y")),
+    ]
+    for binding in bindings:
+        table = store.atom_table(binding)
+        rows = _decoded(store, table)
+        assert table.schema == binding.variables
+        assert len(rows) == table.nrows == len(set(rows))  # distinct, no dedupe
+        assert set(rows) == _atom_rows(database.get(binding.relation), binding)
+    # r(x,y,z) and r(u,v,w) share one repeat pattern, hence one set of columns.
+    assert store.atom_table(bindings[4]).columns is store.atom_table(bindings[1]).columns
+    assert store.atom_table(bindings[4]).schema == ("u", "v", "w")
+    # One code per value, and every code decodes to its value.
+    assert len(store._values) == len(store._codes)
+    assert all(store._codes[value] == code for code, value in enumerate(store._values))
+
+
+@dataclass(frozen=True)
+class _Value:
+    """A value whose hash and equality run Python code, so a thread can be
+    switched out between probing the dictionary and growing it."""
+
+    n: int
+
+
+def test_concurrent_interning_mints_one_code_per_value():
+    # Eight threads intern overlapping fresh columns into one store at once.
+    relations = [
+        Relation(
+            f"r{t}",
+            ["a0", "a1"],
+            [(_Value((7 * t + i) % 450), (13 * t + i) % 250) for i in range(600)],
+        )
+        for t in range(8)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            store = ColumnStore(Database(relations))
+            barrier = threading.Barrier(len(relations))
+            tables = {}
+
+            def intern(relation):
+                barrier.wait(timeout=30)
+                binding = AtomBinding(relation.name, relation.name, ("x", "y"), ("x", "y"))
+                tables[relation.name] = store.atom_table(binding)
+
+            threads = [threading.Thread(target=intern, args=(r,)) for r in relations]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            for relation in relations:
+                assert set(_decoded(store, tables[relation.name])) == relation.tuples
+            distinct = {value for relation in relations for row in relation.tuples for value in row}
+            assert len(store._values) == len(store._codes) == len(distinct)
+            assert all(store._codes[value] == code for code, value in enumerate(store._values))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_bags_differing_only_in_an_assigned_cover_atom_share_one_table():
+    # Both trees give the root bag cover (r, s) over (x, y, z) and no filter;
+    # in the second, s is assigned to a child instead.  The bag cache keys on
+    # what runs (cover, variables, filters), so the second plan reuses it.
+    query = parse_conjunctive_query("ans(x, z) :- r(x, y), s(y, z).")
+    everything = frozenset({"x", "y", "z"})
+    alone = JoinTree(
+        query.hypergraph(),
+        JoinTreeNode(everything, frozenset({"r", "s"}), frozenset({"r", "s"})),
+    )
+    split = JoinTree(
+        query.hypergraph(),
+        JoinTreeNode(
+            everything,
+            frozenset({"r", "s"}),
+            frozenset({"r"}),
+            [JoinTreeNode(frozenset({"y", "z"}), frozenset({"s"}), frozenset({"s"}))],
+        ),
+    )
+    first, second = (compile_plan(query, tree, "enumerate") for tree in (alone, split))
+    assert first.bags[0].assigned != second.bags[0].assigned
+    assert first.bags[0].filters == second.bags[0].filters == ()
+    database = random_database_for_query(query, domain_size=4, tuples_per_relation=10, seed=2)
+    store = ColumnStore(database)
+    one = execute_plan(first, database, store)
+    two = execute_plan(second, database, store)
+    assert (one.statistics.bags_built, one.statistics.bags_reused) == (1, 0)
+    assert (two.statistics.bags_built, two.statistics.bags_reused) == (1, 1)
+    assert one.answers == two.answers
+
+
+def test_bowtie_filter_leaves_the_same_rows_on_both_arms(kernels):
+    # The ledger's bowtie assigns r3 to a bag that does not cover it: the one
+    # filter that can reject a row.  Its bag is the cover join, projected,
+    # minus the rows with no r3 partner — on either kernel arm.
+    query = parse_conjunctive_query(
+        "ans(a,b,d) :- r1(a,b), r2(b,c), r3(c,a), r4(c,d), r5(d,e), r6(e,c)."
+    )
+    planned, _ = QueryEngine(engine=DecompositionEngine()).plan(query, "enumerate")
+    plan = planned.plan
+    (bag,) = [bag for bag in plan.bags if bag.filters]
+    assert [plan.atoms[i].relation for i in bag.filters] == ["r3"]
+    database = random_database_for_query(query, domain_size=4, tuples_per_relation=12, seed=5)
+    store = ColumnStore(database)
+    table = PlanExecutor(store)._build_bag(plan, bag, ExecutionStatistics())
+    atoms = query.edge_atom_map()
+    cover = [atoms[plan.atoms[i].edge] for i in bag.cover]
+    unfiltered = naive_join_query(database, cover, bag.variables)
+    expected = naive_join_query(
+        database, cover + [atoms[plan.atoms[i].edge] for i in bag.filters], bag.variables
+    )
+    assert len(expected) < len(unfiltered)  # the filter rejects rows here
+    rows = _decoded(store, table)
+    assert table.schema == bag.variables
+    assert len(rows) == table.nrows and set(rows) == expected.tuples
 
 
 def test_store_database_mismatch_rejected():

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.corpus import generate_corpus
 from repro.core.width import hypertree_width
 from repro.decomp.jointree import JoinTree, JoinTreeNode, join_tree_from_decomposition
 from repro.exceptions import QueryError
-from repro.hypergraph.cq import parse_conjunctive_query
+from repro.hypergraph.cq import Atom, ConjunctiveQuery, parse_conjunctive_query
 from repro.query.plan import AnswerMode, JoinOp, ProjectOp, compile_plan
 
 
@@ -103,6 +104,42 @@ def test_describe_lists_the_program(triangle):
     tree = _join_tree(triangle)
     text = compile_plan(triangle, tree, "enumerate").describe()
     assert "bag[0]" in text and "⋉=" in text and "mode=enumerate" in text
+
+
+def _tiny_corpus_queries():
+    """The tiny corpus up to 20 edges, read as queries (one atom per edge)."""
+    for instance in generate_corpus("tiny"):
+        if instance.num_edges <= 20:
+            atoms = tuple(
+                Atom(name, tuple(sorted(vertices)))
+                for name, vertices in sorted(instance.hypergraph.edges_as_dict().items())
+            )
+            yield ConjunctiveQuery(atoms, (), name=instance.name)
+
+
+def test_bag_filters_are_the_assigned_atoms_outside_the_cover():
+    filtered = 0
+    for query in _tiny_corpus_queries():
+        plan = compile_plan(query, _join_tree(query), "enumerate")
+        for bag in plan.bags:
+            assert bag.filters == tuple(i for i in bag.assigned if i not in bag.cover)
+            filtered += len(bag.filters)
+        # ``assigned`` keeps its meaning: every atom sits in exactly one bag.
+        assigned = [i for bag in plan.bags for i in bag.assigned]
+        assert sorted(assigned) == list(range(len(plan.atoms)))
+    assert filtered  # some bag of the corpus does filter
+
+
+def test_describe_shows_the_filters_not_the_assigned_atoms():
+    query = parse_conjunctive_query(
+        "ans(a,b,d) :- r1(a,b), r2(b,c), r3(c,a), r4(c,d), r5(d,e), r6(e,c)."
+    )
+    plan = compile_plan(query, _join_tree(query), "enumerate")
+    lines = [line for line in plan.describe().splitlines() if " = π_" in line]
+    assert len(lines) == len(plan.bags)
+    for bag, line in zip(plan.bags, lines):
+        filters = ", ".join(plan.atoms[i].edge for i in bag.filters)
+        assert line.endswith(f") ⋉ {filters}" if filters else ")")
 
 
 def test_numbered_is_preorder_and_consistent(triangle):
