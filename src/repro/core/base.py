@@ -235,9 +235,10 @@ class Decomposer(ABC):
     ) -> FragmentNode | None:
         """Search the whole of ``context.host``; a complete fragment, or None.
 
-        With ``root_partition`` (edge indices) the depth-1 label loop only
-        tries labels whose smallest edge lies in the partition — one
-        worker's share of the parallel decomposer's search.
+        With ``root_partition`` (edge indices) log-k-decomp's depth-1 child
+        loop only tries labels whose smallest edge lies in the partition —
+        one worker's share of the parallel decomposer's search.  Nothing
+        else is partitioned: not the hybrid's budgeted det-k root.
         """
         raise NotImplementedError
 

@@ -17,8 +17,6 @@ representation both run on (Section 5.2 and Appendix D.2).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from ..decomp.components import ComponentSplitter
 from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
 from .base import Decomposer, SearchContext
@@ -44,14 +42,10 @@ class DetKSearch:
         context: SearchContext,
         use_cache: bool = True,
         subedge_domination: bool = True,
-        root_partition: Iterable[int] | None = None,
     ) -> None:
         self.context = context
         self.use_cache = use_cache
         self.subedge_domination = subedge_domination
-        # As in LogKSearch: the depth-1 label loop only tries labels whose
-        # smallest edge lies in the partition (the parallel backend's share).
-        self.root_partition = frozenset(root_partition) if root_partition is not None else None
         # The hybrid's label budget: once ``stats.labels_tried`` passes it the
         # search unwinds with _LabelBudgetSpent.  Memo writes follow the
         # recursive calls, so an unwound expansion leaves nothing behind.
@@ -98,17 +92,14 @@ class DetKSearch:
             return fragment
 
         key = (comp.edges, comp.specials, conn, allowed)
-        shared = None
         if self.use_cache:
             if key in self._cache:
                 stats.cache_hits += 1
                 cached = self._cache[key]
                 return cached.copy() if cached is not None else None
-            # The workers' shared refutations.  Not at depth 1: that call is
-            # restricted to the worker's partition, so its ``None`` is no
-            # fact about the subproblem.
-            if depth > 1:
-                shared = context.refuted
+            # The parallel workers' shared refutations.  det-k never runs a
+            # partitioned loop, so every ``None`` it computes is a fact.
+            shared = context.refuted
             if shared is not None and key in shared:
                 stats.cache_hits += 1
                 stats.refutations_shared += 1
@@ -143,13 +134,7 @@ class DetKSearch:
             cover=conn,
             component_vertices=comp_vertices if self.subedge_domination else None,
         )
-        if depth == 1 and self.root_partition is not None:
-            labels = context.enumerator.labels_for_partition(
-                allowed, self.root_partition, **constraints
-            )
-        else:
-            labels = context.enumerator.labels(allowed=allowed, **constraints)
-        for lam in labels:
+        for lam in context.enumerator.labels(allowed=allowed, **constraints):
             context.stats.labels_tried += 1
             if self.label_limit is not None and context.stats.labels_tried > self.label_limit:
                 raise _LabelBudgetSpent
@@ -193,13 +178,8 @@ class DetKDecomposer(Decomposer):
         self.use_cache = use_cache
         self.subedge_domination = subedge_domination
 
-    def search(
-        self, context: SearchContext, root_partition: Iterable[int] | None = None
-    ) -> FragmentNode | None:
+    def search(self, context: SearchContext) -> FragmentNode | None:
         search = DetKSearch(
-            context,
-            use_cache=self.use_cache,
-            subedge_domination=self.subedge_domination,
-            root_partition=root_partition,
+            context, use_cache=self.use_cache, subedge_domination=self.subedge_domination
         )
         return search.search(full_bitcomp(context.host), conn=0)

@@ -21,8 +21,9 @@ finds fast but refutes slowly, log-k's balance filter (Theorem 4.1) the
 other way round.  Det-k runs first, within a budget of
 ``_DETK_LABELS_PER_EDGE`` labels per edge; if it decides inside the budget
 that is the answer.  Otherwise log-k-decomp takes the root — the depth-1
-child loop and the parallel backend's partition of it — and det-k, with its
-memo from the first phase, every subproblem below the threshold under it.
+child loop, which alone the parallel backend partitions — and det-k, with
+its memo from the first phase, every subproblem below the threshold under
+it.  Each phase is a method of its own (``detk_phase``, ``logk_phase``).
 """
 
 from __future__ import annotations
@@ -140,38 +141,38 @@ class HybridDecomposer(Decomposer):
     def search(
         self, context: SearchContext, root_partition: Iterable[int] | None = None
     ) -> FragmentNode | None:
-        # Whichever search runs the depth-1 label loop owns the partition.
-        host = context.host
-        root = full_bitcomp(host)
-        detk = DetKSearch(
-            context,
-            subedge_domination=self.subedge_domination,
-            root_partition=root_partition,
-        )
+        """Phase 1, then phase 2 (on ``root_partition``) if it did not decide."""
+        detk, decided, fragment = self.detk_phase(context)
+        if decided:
+            return fragment
+        return self.logk_phase(detk, context, root_partition)
 
-        def should_delegate(comp: BitComp) -> bool:
-            return self.metric.value(host, comp, context.k) < self.threshold
+    def detk_phase(self, context: SearchContext) -> tuple[DetKSearch, bool, FragmentNode | None]:
+        """Phase 1, det-k from the root within a label budget: ``(search,
+        decided, fragment)``.  A root at or above the threshold tries no label."""
+        host, root = context.host, full_bitcomp(context.host)
+        detk = DetKSearch(context, subedge_domination=self.subedge_domination)
+        if self.metric.value(host, root, context.k) >= self.threshold:
+            return detk, False, None
+        context.stats.subproblems_delegated += 1
+        detk.label_limit = context.stats.labels_tried + _DETK_LABELS_PER_EDGE * host.num_edges
+        try:
+            return detk, True, detk.search(root, conn=0, allowed=host.all_edges_mask)
+        except _LabelBudgetSpent:
+            return detk, False, None
 
-        predicate = should_delegate
-        if should_delegate(root):
-            # Phase 1: det-k from the root, within a label budget.  A "no" on
-            # a partition covers only that share of det-k's root loop, while
-            # other workers may refute log-k's; so a partition keeps only a
-            # find and otherwise goes on to phase 2 as if the budget were spent.
-            context.stats.subproblems_delegated += 1
-            detk.label_limit = context.stats.labels_tried + _DETK_LABELS_PER_EDGE * host.num_edges
-            try:
-                fragment = detk.search(root, conn=0, allowed=host.all_edges_mask)
-                if fragment is not None or root_partition is None:
-                    return fragment
-            except _LabelBudgetSpent:
-                pass
-            # Phase 2: log-k makes the first balanced split; det-k, with the
-            # memo of phase 1, takes the subproblems below it.
-            detk.label_limit = None
+    def logk_phase(
+        self, detk: DetKSearch, context: SearchContext, root_partition: Iterable[int] | None = None
+    ) -> FragmentNode | None:
+        """Phase 2: log-k's root loop (``root_partition``'s share of it) makes the
+        first balanced split; ``detk``, phase 1's search rebound to ``context``
+        (a worker's own), takes every subproblem below the threshold but the root."""
+        host, root = context.host, full_bitcomp(context.host)
+        detk.context = context
+        detk.label_limit = None
 
-            def predicate(comp: BitComp) -> bool:
-                return comp is not root and should_delegate(comp)
+        def delegate(comp: BitComp) -> bool:
+            return comp is not root and self.metric.value(host, comp, context.k) < self.threshold
 
         search = LogKSearch(
             context,
@@ -179,7 +180,7 @@ class HybridDecomposer(Decomposer):
             parent_overlap_pruning=self.parent_overlap_pruning,
             subedge_domination=self.subedge_domination,
             leaf_delegate=detk.search,
-            delegate_predicate=predicate,
+            delegate_predicate=delegate,
             root_partition=root_partition,
         )
         return search.search(root, conn=0, allowed=host.all_edges_mask)

@@ -6,14 +6,13 @@ are independent, the workers need no coordination.  This module reproduces
 that strategy:
 
 * The edges are partitioned round-robin into ``num_workers`` groups and
-  worker ``i`` enumerates, at recursion depth 1, only the labels whose
-  smallest edge index falls in group ``i``.  *Whichever search runs the
-  depth-1 label loop owns the partition*: log-k-decomp's child loop, and —
-  when the hybrid metric puts the whole instance below the threshold —
-  first det-k-decomp's, whose answer a worker keeps only if it is a find.
-  The groups' label streams are disjoint and their union is the full
-  stream, so "all workers fail" is a sound "no" answer and "any worker
-  succeeds" is a sound "yes".  Below
+  worker ``i`` enumerates, in log-k-decomp's depth-1 child loop, only the
+  labels whose smallest edge index falls in group ``i``.  The groups' label
+  streams are disjoint and their union is the full stream, so "all workers
+  fail" is a sound "no" answer and "any worker succeeds" is a sound "yes".
+  The hybrid's budgeted det-k root (phase 1) is never partitioned: the
+  coordinator runs it before any fork and keeps its answer if it decides;
+  otherwise the workers inherit its memo and run only phase 2.  Below
   depth 1 each worker searches on its own, with a private memo for what it
   finds — and one :class:`~repro.core.refuted.RefutedTable`, created before
   the first fork, for what any worker refutes: a subproblem reachable from
@@ -21,8 +20,8 @@ that strategy:
   worker resumes from what its predecessor wrote.  The table needs no lock
   and no pipe; positives still travel only as the one fragment out.
 * The search itself is not this module's: every worker runs the sequential
-  decomposer's own :meth:`~repro.core.base.Decomposer.search` on its
-  partition (the hybrid, or plain log-k-decomp with ``hybrid=False``).
+  decomposer's own on its partition (the hybrid's ``logk_phase``, or plain
+  log-k-decomp's ``search`` with ``hybrid=False``).
 * The coordinator forks one supervised
   :class:`~repro.faults.supervise.WorkerProcess` per partition (each worker
   is a separate interpreter).  A caller that may not fork — a daemonic
@@ -41,8 +40,9 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import threading
 import time
+from collections.abc import Callable
+from functools import partial
 
 from .. import faults
 from ..decomp.extended import FragmentNode
@@ -93,15 +93,18 @@ def _worker_main(result_fd, slot, attempt, fault_spec, *args) -> None:
     write_frame(result_fd, outcome)
 
 
+WorkerSearch = Callable[[SearchContext, list[int]], FragmentNode | None]
+
+
 def _worker_search(
-    base: Decomposer,
+    search: WorkerSearch,
     hypergraph: Hypergraph,
     k: int,
     partition: list[int],
     timeout: float | None,
     refuted: RefutedTable | None = None,
 ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
-    """One worker: ``base``'s own search, restricted to ``partition``.
+    """One worker: ``search`` on a fresh context, restricted to ``partition``.
 
     Returns ``(timed_out, success, fragment, statistics)``.  A worker whose
     answer is no longer needed is terminated by the coordinator.  ``refuted``
@@ -110,7 +113,7 @@ def _worker_search(
     """
     context = SearchContext(hypergraph, k, timeout=timeout, refuted=refuted)
     try:
-        fragment = base.search(context, partition)
+        fragment = search(context, partition)
     except TimeoutExceeded:
         return True, False, None, context.stats
     except Exception:
@@ -165,23 +168,35 @@ class ParallelLogKDecomposer(Decomposer):
         # Built once here (the incidence table on the way): forked workers
         # and their respawns inherit both tables.
         hypergraph.adjacency_masks()
-        effective_timeout = self.timeout if timeout is None else timeout
-        timed_out, success, fragment, stats = self._run_processes(
-            hypergraph, k, partitions, effective_timeout, cancel_event
-        )
+        # The coordinator's context: the run's one deadline, phase 1's counters.
+        budget = self.timeout if timeout is None else timeout
+        context = SearchContext(hypergraph, k, timeout=budget, cancel_event=cancel_event)
+        base = self._sequential()
+        search: WorkerSearch = base.search
+        timed_out, decided, fragment = False, False, None
+        try:
+            context.force_timeout_check()
+            if self.hybrid:
+                # Phase 1 here, once and unpartitioned: its "no" is the
+                # sequential hybrid's.  The workers run phase 2 only, each on
+                # its forked copy of phase 1's det-k memo.
+                detk, decided, fragment = base.detk_phase(context)
+                search = partial(base.logk_phase, detk)
+        except TimeoutExceeded:
+            timed_out = decided = True
+        if not decided:
+            timed_out, fragment = self._run_processes(hypergraph, k, partitions, context, search)
         elapsed = time.monotonic() - start
-        decomposition = None
-        if success and fragment is not None:
-            decomposition = fragment_to_decomposition(hypergraph, fragment)
+        decomposition = None if fragment is None else fragment_to_decomposition(hypergraph, fragment)
         return DecompositionResult(
             algorithm=self.name,
             hypergraph=hypergraph,
             width_parameter=k,
-            success=success,
+            success=fragment is not None,
             decomposition=decomposition,
             elapsed=elapsed,
-            timed_out=timed_out and not success,
-            statistics=stats,
+            timed_out=timed_out and fragment is None,
+            statistics=context.stats,
         )
 
     # ------------------------------------------------------------------ #
@@ -215,9 +230,10 @@ class ParallelLogKDecomposer(Decomposer):
         hypergraph: Hypergraph,
         k: int,
         partitions: list[list[int]],
-        timeout: float | None,
-        cancel_event: threading.Event | None = None,
-    ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
+        context: SearchContext,
+        search: WorkerSearch,
+    ) -> tuple[bool, FragmentNode | None]:
+        """``(timed_out, fragment)``; the workers' counters go to ``context.stats``."""
         # One supervised worker per partition: a worker that dies without
         # reporting (OOM-killed, injected ``kill``) is respawned on the same
         # partition — the search is pure, so recomputing a partition is
@@ -225,26 +241,24 @@ class ParallelLogKDecomposer(Decomposer):
         # slot is abandoned and the run degrades to undecided.  One absolute
         # deadline for every attempt (the monotonic clock is shared across
         # the fork): a respawn gets what is left of the caller's budget.
-        base = self._sequential()
         fault_spec = faults.current_spec()
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline, cancel_event, stats = context.deadline, context.cancel_event, context.stats
         # Shared by every worker and respawn from here on (fork inherits it).
         refuted = RefutedTable()
 
         def spawn(worker: WorkerProcess) -> dict:
             slot = worker.index
             budget = None if deadline is None else max(0.0, deadline - time.monotonic())
-            search_args = (base, hypergraph, k, partitions[slot], budget, refuted)
+            search_args = (search, hypergraph, k, partitions[slot], budget, refuted)
             return {
                 "target": _worker_main,
                 "args": (worker.result_wfd, slot, worker.attempt, fault_spec, *search_args),
             }
 
-        # fork: the workers take ``base``, the host and their result fd along.
-        context = mp.get_context("fork")
-        workers = [WorkerProcess(context, slot, spawn) for slot in range(len(partitions))]
+        # fork: the workers take ``search``, the host and their result fd along.
+        fork = mp.get_context("fork")
+        workers = [WorkerProcess(fork, slot, spawn) for slot in range(len(partitions))]
         pending = set(workers)
-        stats = SearchStatistics()
         timed_out = False
         try:
             for worker in workers:
@@ -254,7 +268,7 @@ class ParallelLogKDecomposer(Decomposer):
                 # process boundary): terminate the workers in the finally
                 # block and report the run as undecided.
                 if cancel_event is not None and cancel_event.is_set():
-                    return True, False, None, stats
+                    return True, None
                 received = poll(pending, 0.1)
                 for worker, outcome in received:
                     pending.discard(worker)
@@ -262,7 +276,7 @@ class ParallelLogKDecomposer(Decomposer):
                     stats.merge(worker_stats)
                     timed_out = timed_out or worker_timeout
                     if success:
-                        return False, True, fragment, stats
+                        return False, fragment
                 if received:
                     continue
                 for worker in workers:
@@ -293,4 +307,4 @@ class ParallelLogKDecomposer(Decomposer):
             for worker in workers:
                 worker.stop()
             refuted.close()
-        return timed_out, False, None, stats
+        return timed_out, None

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.corpus import generate_corpus
 from repro.core import DetKDecomposer, HybridDecomposer, LogKDecomposer
 from repro.core import hybrid as hybrid_module
+from repro.core.base import SearchContext
 from repro.core.codec import decomposition_to_json
 from repro.core.hybrid import EdgeCountMetric, WeightedCountMetric, make_metric
 from repro.core.logk import LogKSearch
@@ -192,6 +193,45 @@ def test_a_spent_budget_still_finds(hypergraph, k, monkeypatch, child_loop_depth
     validate_hd(result.decomposition)
     assert result.decomposition.width <= k
     assert child_loop_depths[0] == 1
+
+
+def test_a_root_above_the_threshold_is_no_phase_one_question():
+    hypergraph = generators.with_chords(generators.cycle(30), 4, seed=2)
+    context = SearchContext(hypergraph, 2)
+    detk, decided, fragment = HybridDecomposer(threshold=0).detk_phase(context)
+    assert (decided, fragment) == (False, None) and detk.context is context
+    assert context.stats.labels_tried == context.stats.subproblems_delegated == 0
+
+
+_SEARCH_COUNTERS = (
+    "recursive_calls", "max_recursion_depth", "labels_tried",
+    "cache_hits", "cache_misses", "subproblems_delegated",
+)
+
+
+@pytest.mark.parametrize("k", [2, 3], ids=["spent-refute", "decided-find"])
+def test_the_two_phases_are_the_search(k):
+    """Phase 2 may run on another context (a parallel worker's): it takes
+    phase 1's det-k along, memo and all, and the two contexts' search
+    counters add up to the sequential search's.  (The enumerator's kernel
+    memos are per context, so ``bitset_memo_hits`` may not.)"""
+    def host():  # a fresh one each: hosts cache their mask tables
+        return generators.with_chords(generators.cycle(30), 4, seed=2)
+
+    hybrid = HybridDecomposer(use_engine=False)
+    whole = SearchContext(host(), k)
+    expected = hybrid.search(whole)
+    hypergraph = host()
+    first, second = SearchContext(hypergraph, k), SearchContext(hypergraph, k)
+    detk, decided, fragment = hybrid.detk_phase(first)
+    assert decided is (k == 3)
+    if not decided:
+        fragment = hybrid.logk_phase(detk, second)
+        assert detk.context is second
+    assert (fragment is None) is (expected is None)
+    first.stats.merge(second.stats)
+    for counter in _SEARCH_COUNTERS:
+        assert getattr(first.stats, counter) == getattr(whole.stats, counter), counter
 
 
 def _decide_alike(hypergraph, k):

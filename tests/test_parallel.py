@@ -5,21 +5,25 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import multiprocessing as mp
+import os
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import HybridDecomposer, LogKDecomposer, ParallelLogKDecomposer
 from repro.core.logk import LogKSearch
 from repro.core.base import SearchContext, SearchStatistics
-from repro.core import hybrid as hybrid_module
 from repro.core.detk import DetKSearch, _LabelBudgetSpent
 from repro.core.fragments import fragment_to_decomposition
 from repro.core.hybrid import EdgeCountMetric
+from repro.core import parallel as parallel_module
 from repro.core.parallel import _worker_search, partition_edges
 from repro.decomp import validate_hd
 from repro.decomp.extended import full_bitcomp
 from repro.exceptions import SolverError, TimeoutExceeded
+from repro.faults.supervise import WorkerProcess
 from repro.hypergraph import Hypergraph, generators
 
 
@@ -107,96 +111,22 @@ def test_partitioned_search_is_complete_unionwise(cycle10):
     assert all(fragment is None for fragment in negatives)
 
 
-def _detk_root_labels(host, k, partition, domination):
-    """The labels det-k-decomp's depth-1 loop tries when every child fails."""
-    context = SearchContext(host, k)
-    search = DetKSearch(context, subedge_domination=domination, root_partition=partition)
-    recurse = search.search
-    search.search = lambda comp, conn, allowed=None, depth=1, vertices=None: (
-        recurse(comp, conn, allowed, depth) if depth == 1 else None
-    )
-    tried = []
-    enumerator = context.enumerator
-    for method in ("labels", "labels_for_partition"):
-
-        def spy(*args, _inner=getattr(enumerator, method), **kwargs):
-            for label in _inner(*args, **kwargs):
-                tried.append(label)
-                yield label
-
-        setattr(enumerator, method, spy)
-    assert search.search(full_bitcomp(host), conn=0, allowed=host.all_edges_mask) is None
-    return tried
-
-
-#: Subedges inside a hyperedge: domination drops pool edges, so some members
-#: of a partition never start a label.
-_SUBEDGES = Hypergraph(
-    {"big": "abc", "ab": "ab", "bc": "bc", "cd": "cd", "de": "de", "ea": "ea", "ce": "ce"}
-)
-
-
-@pytest.mark.parametrize("domination", [True, False], ids=["dominated", "plain"])
-@pytest.mark.parametrize(
-    "host,k",
-    [
-        (generators.cycle(10), 2),
-        (generators.with_chords(generators.cycle(14), 3, seed=1), 2),
-        (generators.grid(3, 3), 2),
-        (_SUBEDGES, 1),
-    ],
-    ids=["cycle10", "cc14", "grid3x3", "subedges"],
-)
-def test_detk_root_partition_streams_are_disjoint_and_complete(host, k, domination):
-    """The det-k root honours the partition exactly as the log-k root does.
-
-    Under root delegation (every ledger instance is below the hybrid
-    threshold) det-k-decomp runs the depth-1 label loop; its per-partition
-    streams must be pairwise disjoint and their union the sequential stream,
-    or "all workers fail" is not a sound "no".
-    """
-    sequential = _detk_root_labels(host, k, None, domination)
-    assert sequential and len(set(sequential)) == len(sequential)
-    for workers in (2, 3):
-        streams = [
-            _detk_root_labels(host, k, partition, domination)
-            for partition in partition_edges(host.num_edges, workers)
-        ]
-        for slot, stream in enumerate(streams):
-            # Disjoint by construction of the expected value, and each a
-            # subsequence of the one agreed order.
-            assert stream == [label for label in sequential if label[0] % workers == slot]
-        assert sum(len(stream) for stream in streams) == len(sequential)
-
-
-def test_workers_split_one_search_instead_of_repeating_it(monkeypatch):
+def test_workers_split_one_search_instead_of_repeating_it():
     """Work-efficiency guard: partitioning divides the work, it does not multiply it.
 
     Merged uncached expansions (``cache_misses``) at 2 and 4 workers stay
-    within 1.3x the sequential hybrid's: a subproblem below the partitioned
-    root is refuted once, by whichever worker meets it first, and the others
-    read that from the shared :class:`~repro.core.refuted.RefutedTable`
-    (which worker gets there first is a matter of timing, hence a bound and
-    not a count).  The partitions' label streams are disjoint and complete,
-    so together the workers try at least the sequential search's labels.
-    The hybrid's phase-1 label budget is per worker — on this 34-edge host
-    worth as much as the log-k search itself — so the guard is measured with
-    a zero budget, and the budget's own cost is bounded separately: at most
-    one budget per worker on top.
+    within 1.3x the sequential hybrid's, at the default label budget.  The
+    hybrid's budgeted det-k root runs once, in the coordinator, and every
+    worker inherits its memo.  Below the partitioned root a subproblem is
+    refuted once, by whichever worker meets it first, and the others read
+    that from the shared :class:`~repro.core.refuted.RefutedTable` (which
+    worker gets there first is a matter of timing, hence a bound and not a
+    count).  The partitions' label streams are disjoint and complete, so
+    together the workers try at least the sequential search's labels.
     """
     hard = generators.with_chords(generators.cycle(30), 4, seed=2)
-    budget = hybrid_module._DETK_LABELS_PER_EDGE * hard.num_edges
     sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
     assert not sequential.success and not sequential.timed_out
-    for workers in (2, 4):
-        parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(hard, 2)
-        assert not parallel.success and not parallel.timed_out
-        assert sequential.statistics.labels_tried <= parallel.statistics.labels_tried
-        assert parallel.statistics.labels_tried <= (
-            sequential.statistics.labels_tried + workers * (budget + 1)
-        )
-    monkeypatch.setattr(hybrid_module, "_DETK_LABELS_PER_EDGE", 0)  # forks inherit it
-    sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
     for workers in (2, 4):
         parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(hard, 2)
         assert not parallel.success and not parallel.timed_out
@@ -248,8 +178,8 @@ def _hybrid_share(host, k, partition, monkeypatch):
 
 
 #: clique(5) with a singleton subedge after each edge (hw 3).  At two workers
-#: the odd share is all subedges, which domination drops, so det-k refutes
-#: that share inside the label budget while the even share spends it.
+#: the odd share is all subedges, which domination drops: that worker's
+#: share of log-k's root loop is empty, and its "no" comes at once.
 _DOMINATED_ODD = Hypergraph(
     {
         name: scope
@@ -268,9 +198,10 @@ _DOMINATED_ODD = Hypergraph(
 def test_a_spent_budget_splits_log_ks_root_loop(host, workers, monkeypatch):
     """Phase 2's root streams are disjoint and complete, and "all fail" is a "no".
 
-    Every share's "no" comes from log-k-decomp's balanced child loop —
-    also a share det-k refuted inside the budget — so the workers' "no"s
-    together cover that one loop.
+    Phase 1 never sees the partition: on every share det-k's root spends
+    the budget as the sequential one does.  Every share's "no" then comes
+    from log-k-decomp's balanced child loop, so the workers' "no"s together
+    cover that one loop.
     """
     outcome, (sequential,), fragment = _hybrid_share(host, 2, None, monkeypatch)
     assert outcome == ["spent"] and fragment is None and sequential
@@ -279,29 +210,13 @@ def test_a_spent_budget_splits_log_ks_root_loop(host, workers, monkeypatch):
         for partition in partition_edges(host.num_edges, workers)
     ]
     for slot, (outcome, streams, fragment) in enumerate(shares):
-        assert outcome in (["spent"], ["refuted"]) and fragment is None
+        assert outcome == ["spent"] and fragment is None
         assert streams == [[label for label in sequential if label[0] % workers == slot]]
     assert sum(len(streams[0]) for _, streams, _ in shares) == len(sequential)
-    parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(host, 2)
-    assert not parallel.success and not parallel.timed_out
-
-
-def test_a_share_refuted_inside_the_budget_goes_on_to_log_k(monkeypatch):
-    """A phase-1 "no" on a share is not kept.
-
-    One worker's det-k share is refuted inside the budget, the other's
-    spends it; the first still runs log-k's child loop on its share, or the
-    two "no"s would come from two different loops and cover neither.
-    """
-    shares = [
-        _hybrid_share(_DOMINATED_ODD, 2, partition, monkeypatch)
-        for partition in partition_edges(_DOMINATED_ODD.num_edges, 2)
-    ]
-    assert [outcome for outcome, _, _ in shares] == [["spent"], ["refuted"]]
-    assert all(len(streams) == 1 and fragment is None for _, streams, fragment in shares)
-    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False)
-    assert not parallel.decompose(_DOMINATED_ODD, 2).success
-    found = parallel.decompose(_DOMINATED_ODD, 3)
+    parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False)
+    refuted = parallel.decompose(host, 2)
+    assert not refuted.success and not refuted.timed_out
+    found = parallel.decompose(host, 3)  # every host here has hw 3
     assert found.success
     validate_hd(found.decomposition)
 
@@ -340,6 +255,142 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
     default = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose(hard, 2)
     assert not default.success
     assert default.statistics.labels_tried < sequential.statistics.labels_tried / 10
+
+
+# --------------------------------------------------------------------------- #
+# the hybrid's phase 1 runs once, in the coordinator, before any fork
+# --------------------------------------------------------------------------- #
+#: At k=2 the hybrid's det-k root spends its label budget on both; the first
+#: then refutes, the second finds.
+_SPENT_REFUTE = generators.with_chords(generators.cycle(30), 4, seed=2)
+_SPENT_FIND = generators.with_chords(generators.hypercycle(40, 4), 4, seed=1)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """What the coordinator forks: started workers and made refutation tables."""
+    made = {"workers": [], "tables": []}
+    start, table = WorkerProcess.start, parallel_module.RefutedTable
+
+    def recording_start(worker):
+        made["workers"].append((worker.index, worker.attempt))
+        start(worker)
+
+    def recording_table():
+        made["tables"].append(table())
+        return made["tables"][-1]
+
+    monkeypatch.setattr(WorkerProcess, "start", recording_start)
+    monkeypatch.setattr(parallel_module, "RefutedTable", recording_table)
+    return made
+
+
+@pytest.mark.parametrize(
+    "host,k,success",
+    [(generators.with_chords(generators.cycle(14), 3, seed=1), 2, True),
+     (generators.with_chords(generators.cycle(14), 3, seed=1), 1, False)],
+    ids=["cc14-find", "cc14-refute"],
+)
+def test_a_phase_one_answer_forks_nothing(host, k, success, forks):
+    """det-k decides inside the budget: the coordinator's answer, no worker.
+
+    The phase is unpartitioned, so its "no" is the sequential hybrid's and
+    so are its counters.
+    """
+    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(host, k)
+    sequential = HybridDecomposer(use_engine=False).decompose_raw(host, k)
+    assert parallel.success is sequential.success is success and not parallel.timed_out
+    assert forks == {"workers": [], "tables": []}
+    for counter in ("labels_tried", "recursive_calls", "subproblems_delegated"):
+        assert getattr(parallel.statistics, counter) == getattr(sequential.statistics, counter)
+    if success:
+        validate_hd(parallel.decomposition)
+
+
+def test_a_spent_budget_forks_for_phase_two_only(tmp_path, monkeypatch, forks):
+    """det-k's depth-1 loop runs once, in the coordinator; the workers run
+    log-k's root loop, each in its own process.  Forked spies cannot append
+    to the parent's lists, so both write their pid to a file."""
+    detk_log, logk_log = tmp_path / "detk", tmp_path / "logk"
+    detk_search, child_labels = DetKSearch.search, LogKSearch._child_labels
+
+    def detk_spy(self, comp, conn, allowed=None, depth=1, vertices=None):
+        if depth == 1:
+            with open(detk_log, "a") as log:
+                log.write(f"{os.getpid()}\n")
+        return detk_search(self, comp, conn, allowed, depth, vertices)
+
+    def logk_spy(self, comp, allowed_pool, comp_vertices, depth):
+        if depth == 1:
+            with open(logk_log, "a") as log:
+                log.write(f"{os.getpid()}\n")
+        return child_labels(self, comp, allowed_pool, comp_vertices, depth)
+
+    monkeypatch.setattr(DetKSearch, "search", detk_spy)
+    monkeypatch.setattr(LogKSearch, "_child_labels", logk_spy)
+    result = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(
+        _SPENT_REFUTE, 2
+    )
+    assert not result.success and not result.timed_out
+    assert forks["workers"] == [(0, 0), (1, 0)] and len(forks["tables"]) == 1
+    assert detk_log.read_text().split() == [str(os.getpid())]
+    workers = logk_log.read_text().split()
+    assert len(workers) == 2 and str(os.getpid()) not in workers
+
+
+def test_killed_hybrid_workers_are_respawned_and_run_succeeds(forks):
+    """Respawns fork from the coordinator too: they inherit phase 1's memo."""
+    from repro import faults
+
+    sequential = HybridDecomposer(use_engine=False).decompose_raw(_SPENT_FIND, 2)
+    assert sequential.success
+    rule = faults.FaultRule(point="parallel.worker", kill=True, where={"attempt": 0})
+    with faults.injected(rule):
+        result = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(
+            _SPENT_FIND, 2
+        )
+    assert result.success and not result.timed_out
+    validate_hd(result.decomposition)
+    assert result.decomposition.width <= 2
+    assert result.statistics.worker_respawns == 2
+    assert sorted(forks["workers"]) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_cancel_and_deadline_in_phase_one_fork_nothing(monkeypatch, forks):
+    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False)
+    cancelled = threading.Event()
+    cancelled.set()
+    result = parallel.decompose_raw(generators.cycle(6), 1, cancel_event=cancelled)
+    assert result.timed_out and not result.success
+
+    # The deadline passes during det-k's root loop, before the budget is spent.
+    expand = DetKSearch._expand
+
+    def slow(self, comp, conn, allowed, depth, vertices=None):
+        if depth == 1:
+            time.sleep(0.1)
+        return expand(self, comp, conn, allowed, depth, vertices)
+
+    monkeypatch.setattr(DetKSearch, "_expand", slow)
+    result = parallel.decompose_raw(_SPENT_REFUTE, 2, timeout=0.05)
+    assert result.timed_out and not result.success
+    assert 0 < result.statistics.labels_tried <= 2 * _SPENT_REFUTE.num_edges
+    assert forks == {"workers": [], "tables": []}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from([2, 3]))
+def test_parallel_and_sequential_hybrid_decide_alike(seed, k, workers):
+    hypergraph = generators.random_csp(8, 8, arity=3, seed=seed)
+    sequential = HybridDecomposer(use_engine=False).decompose_raw(hypergraph, k)
+    result = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose_raw(
+        hypergraph, k
+    )
+    assert not result.timed_out
+    assert result.success == sequential.success
+    if result.success:
+        validate_hd(result.decomposition)
+        assert result.decomposition.width <= k
 
 
 def test_merge_covers_every_counter():
@@ -411,8 +462,8 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
     monkeypatch.setattr(LogKSearch, "search", broken)
     base = LogKDecomposer(use_engine=False)
     with caplog.at_level("ERROR", logger="repro.parallel"):
-        healthy = _worker_search(base, cycle10, 1, [1, 3, 5, 7, 9], None)
-        faulty = _worker_search(base, cycle10, 1, [0, 2, 4, 6, 8], None)
+        healthy = _worker_search(base.search, cycle10, 1, [1, 3, 5, 7, 9], None)
+        faulty = _worker_search(base.search, cycle10, 1, [0, 2, 4, 6, 8], None)
     # The healthy worker refuted its share; the broken share is unknown.
     assert healthy[:3] == (False, False, None)
     assert faulty[:3] == (True, False, None)
@@ -430,7 +481,7 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
     monkeypatch.setattr(LogKSearch, "search", original)
     hard = generators.with_chords(generators.cycle(60), 5, seed=4)
     with caplog.at_level("ERROR", logger="repro.parallel"):
-        late = _worker_search(base, hard, 2, list(range(hard.num_edges)), 0.01)
+        late = _worker_search(base.search, hard, 2, list(range(hard.num_edges)), 0.01)
     assert late[:3] == (True, False, None) and not caplog.records
 
 

@@ -150,8 +150,8 @@ def test_a_second_run_on_the_same_table_resumes(table):
     """What a respawned worker inherits: its dead predecessor's refutations."""
     base = HybridDecomposer(use_engine=False)
     partition = partition_edges(_HARD.num_edges, 2)[0]
-    first = _worker_search(base, _HARD, 2, partition, None, table)
-    again = _worker_search(base, _HARD, 2, partition, None, table)
+    first = _worker_search(base.search, _HARD, 2, partition, None, table)
+    again = _worker_search(base.search, _HARD, 2, partition, None, table)
     assert first[:3] == again[:3] == (False, False, None)
     # The first run reads back only what its own det-k phase wrote, the
     # second the first's refutations too.  What is left to expand has a
@@ -160,7 +160,7 @@ def test_a_second_run_on_the_same_table_resumes(table):
     assert again[3].refutations_shared > first[3].refutations_shared
     assert again[3].cache_misses < first[3].cache_misses
     # Without a table nothing is read back.
-    alone = _worker_search(base, _HARD, 2, partition, None)
+    alone = _worker_search(base.search, _HARD, 2, partition, None)
     assert alone[3].refutations_shared == 0
     assert alone[3].cache_misses >= first[3].cache_misses
 
