@@ -246,7 +246,7 @@ def run_experiment(
     relative to ``time_budget`` (the paper similarly grants HtdLEO a larger
     memory budget because SMT solving is more resource-hungry).
     ``simplify=False`` runs the parametrised methods without the staged
-    engine (raw search), matching the pre-pipeline measurement setup.
+    engine (raw search).
     """
     specs = (
         list(methods)

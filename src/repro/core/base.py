@@ -23,6 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..counters import Counters
+from ..deadline import Deadline
 from ..decomp.covers import CoverEnumerator
 from ..decomp.decomposition import Decomposition
 from ..decomp.extended import FragmentNode
@@ -37,6 +38,9 @@ __all__ = [
     "SearchContext",
     "Decomposer",
 ]
+
+#: Search calls between two deadline polls in :meth:`SearchContext.check_timeout`.
+_TIMEOUT_STRIDE = 64
 
 
 @dataclass
@@ -136,25 +140,14 @@ class DecompositionResult:
 class SearchContext:
     """Per-run state shared by the recursive search implementations."""
 
-    __slots__ = (
-        "host",
-        "k",
-        "stats",
-        "enumerator",
-        "deadline",
-        "cancel_event",
-        "refuted",
-        "_timeout_stride",
-        "_calls",
-    )
+    __slots__ = ("host", "k", "stats", "enumerator", "deadline", "refuted", "_calls")
 
     def __init__(
         self,
         host: Hypergraph,
         k: int,
-        timeout: float | None = None,
+        deadline: Deadline | None = None,
         stats: SearchStatistics | None = None,
-        cancel_event=None,
         refuted: RefutedTable | None = None,
     ) -> None:
         if k < 1:
@@ -164,40 +157,33 @@ class SearchContext:
         self.stats = stats if stats is not None else SearchStatistics()
         self.enumerator = CoverEnumerator(host, k)
         self.enumerator.stats = self.stats
-        self.deadline = None if timeout is None else time.monotonic() + timeout
-        #: Optional :class:`threading.Event` checked alongside the deadline;
-        #: lets the caller (the serving layer cancelling a ticket, the engine
-        #: relaying it) abort a search whose answer is no longer needed.
-        self.cancel_event = cancel_event
+        #: The run's :class:`~repro.deadline.Deadline` (budget and/or the
+        #: serving layer's cancel event); ``None`` for an unbounded run.
+        self.deadline = deadline
         #: The parallel workers' shared table of refuted subproblems; the
         #: searches probe it after a private-memo miss.  ``None`` everywhere
         #: else (sequential and daemonic callers).
         self.refuted = refuted
-        self._timeout_stride = 64
         self._calls = 0
 
     def check_timeout(self) -> None:
         """Raise :class:`TimeoutExceeded` if the deadline passed or the run was cancelled.
 
-        The check is throttled: the wall clock is only consulted every few
-        calls, which keeps its overhead negligible on the hot path.
+        The check is throttled: the deadline is only polled every
+        ``_TIMEOUT_STRIDE`` calls, which keeps its overhead negligible on the
+        hot path.
         """
-        if self.deadline is None and self.cancel_event is None:
+        if self.deadline is None:
             return
         self._calls += 1
-        if self._calls % self._timeout_stride:
+        if self._calls % _TIMEOUT_STRIDE:
             return
-        if self.cancel_event is not None and self.cancel_event.is_set():
-            raise TimeoutExceeded("decomposition run cancelled")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutExceeded("decomposition time budget exhausted")
+        self.deadline.check("decomposition")
 
     def force_timeout_check(self) -> None:
         """Unthrottled deadline/cancellation check (used at recursion entry points)."""
-        if self.cancel_event is not None and self.cancel_event.is_set():
-            raise TimeoutExceeded("decomposition run cancelled")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutExceeded("decomposition time budget exhausted")
+        if self.deadline is not None:
+            self.deadline.check("decomposition")
 
 
 class Decomposer(ABC):
@@ -288,31 +274,22 @@ class Decomposer(ABC):
         return default_engine().decompose(self, hypergraph, k)
 
     def decompose_raw(
-        self,
-        hypergraph: Hypergraph,
-        k: int,
-        timeout: float | None = None,
-        cancel_event=None,
+        self, hypergraph: Hypergraph, k: int, deadline: Deadline | None = None
     ) -> DecompositionResult:
         """Run the search directly, without simplification, caching or lifting.
 
-        This is the pre-pipeline behaviour; the engine calls it once per
-        connected component of the simplified instance, passing the *remaining*
-        time budget via ``timeout`` so one ``decompose`` call never exceeds
-        the configured budget overall (``None`` means use ``self.timeout``).
-        ``cancel_event`` (a :class:`threading.Event`) aborts the search at
-        the next periodic deadline check once set; the outcome is reported
-        as ``timed_out`` — this is how the serving layer implements
-        per-request cancellation.
+        The engine calls it once per connected component of the simplified
+        instance, passing the call's one ``deadline`` (its budget and the
+        serving layer's cancel event) so one ``decompose`` call never exceeds
+        the configured budget overall.  ``None`` means a fresh deadline from
+        ``self.timeout``.  A run stopped by the deadline is reported as
+        ``timed_out``.
         """
         if hypergraph.num_edges == 0:
             raise SolverError("cannot decompose a hypergraph without edges")
-        context = SearchContext(
-            hypergraph,
-            k,
-            timeout=self.timeout if timeout is None else timeout,
-            cancel_event=cancel_event,
-        )
+        if deadline is None:
+            deadline = Deadline.arm(self.timeout)
+        context = SearchContext(hypergraph, k, deadline)
         start = time.monotonic()
         timed_out = False
         decomposition: Decomposition | None = None

@@ -27,9 +27,7 @@ of the component below the stitch point puts vertices of that component into
 ∪λ(u) without them being in χ(u), which violates HD condition 4 (the special
 condition) on the stitched tree.  The restriction is therefore always
 applied (it also never loses completeness: fragments extracted from a valid
-HD never need the excluded edges, by the very same condition 4).  The
-historical ``restrict_allowed_edges`` flag that once disabled it went
-through a deprecation cycle and has been removed.
+HD never need the excluded edges, by the very same condition 4).
 
 A ``leaf_delegate`` hook allows the hybrid decomposer to hand sufficiently
 small subproblems to det-k-decomp (Appendix D.2).

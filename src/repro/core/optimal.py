@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..deadline import Deadline
 from ..decomp.decomposition import HypertreeDecomposition
 from ..exceptions import SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
@@ -40,6 +41,9 @@ __all__ = ["OptimalHDSolver", "OptimalResult", "exact_ghw", "minimum_edge_cover_
 
 #: Above this vertex count the subset DP for the ghw lower bound is skipped.
 DEFAULT_DP_VERTEX_LIMIT = 18
+
+#: Subsets the ghw DP expands between two deadline polls.
+_DP_POLL_STRIDE = 16
 
 
 @dataclass
@@ -92,11 +96,17 @@ def minimum_edge_cover_size(hypergraph: Hypergraph, vertices: int, limit: int | 
     return best
 
 
-def exact_ghw(hypergraph: Hypergraph, vertex_limit: int = DEFAULT_DP_VERTEX_LIMIT) -> int | None:
+def exact_ghw(
+    hypergraph: Hypergraph,
+    vertex_limit: int = DEFAULT_DP_VERTEX_LIMIT,
+    deadline: Deadline | None = None,
+) -> int | None:
     """Exact generalized hypertree width via the elimination-ordering subset DP.
 
     Returns ``None`` when the hypergraph has more vertices than
-    ``vertex_limit`` (the DP over 2^n subsets would be too expensive).
+    ``vertex_limit`` (the DP over 2^n subsets would be too expensive).  The
+    DP polls ``deadline`` every ``_DP_POLL_STRIDE`` subsets and raises
+    :class:`~repro.exceptions.TimeoutExceeded` once it fires.
     """
     n = hypergraph.num_vertices
     if n == 0:
@@ -116,6 +126,7 @@ def exact_ghw(hypergraph: Hypergraph, vertex_limit: int = DEFAULT_DP_VERTEX_LIMI
             adjacency[v] |= bits & ~low
 
     full = (1 << n) - 1
+    subsets = 0
 
     @lru_cache(maxsize=None)
     def reachable_closure(eliminated: int, vertex: int) -> int:
@@ -143,8 +154,13 @@ def exact_ghw(hypergraph: Hypergraph, vertex_limit: int = DEFAULT_DP_VERTEX_LIMI
     @lru_cache(maxsize=None)
     def best_width(eliminated: int) -> int:
         """Minimum over orderings of the remaining vertices of the max bag cover."""
+        nonlocal subsets
         if eliminated == full:
             return 0
+        if deadline is not None:
+            subsets += 1
+            if not subsets % _DP_POLL_STRIDE:
+                deadline.check("optimal solver")
         best = hypergraph.num_edges + 1
         remaining = full & ~eliminated
         while remaining:
@@ -192,7 +208,7 @@ class OptimalHDSolver:
         if hypergraph.num_edges == 0:
             raise SolverError("cannot decompose a hypergraph without edges")
         start = time.monotonic()
-        deadline = None if self.timeout is None else start + self.timeout
+        deadline = Deadline.arm(self.timeout)
         stats = SearchStatistics()
         # A private cache-less engine, as the harness gives the other Table 1
         # methods: the reported time is a search time, and the budget-keyed
@@ -205,14 +221,15 @@ class OptimalHDSolver:
         try:
             if not is_alpha_acyclic(hypergraph):
                 lower_bound = 2
-                ghw = exact_ghw(hypergraph, self.dp_vertex_limit)
+                ghw = exact_ghw(hypergraph, self.dp_vertex_limit, deadline)
                 if ghw is not None:
                     lower_bound = max(lower_bound, ghw)
-            self._check_deadline(deadline)
+            if deadline is not None:
+                deadline.check("optimal solver")
 
             width = lower_bound
             while width <= self.max_width:
-                remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+                remaining = None if deadline is None else deadline.remaining()
                 decomposer = DetKDecomposer(timeout=remaining, engine=engine)
                 result = decomposer.decompose(hypergraph, width)
                 stats.merge(result.statistics)
@@ -248,11 +265,6 @@ class OptimalHDSolver:
             timed_out=False,
             statistics=stats,
         )
-
-    @staticmethod
-    def _check_deadline(deadline: float | None) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutExceeded("optimal solver time budget exhausted")
 
     def __repr__(self) -> str:
         return f"<OptimalHDSolver timeout={self.timeout} max_width={self.max_width}>"

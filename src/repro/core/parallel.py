@@ -45,6 +45,7 @@ from collections.abc import Callable
 from functools import partial
 
 from .. import faults
+from ..deadline import Deadline
 from ..decomp.extended import FragmentNode
 from ..exceptions import SolverError, TimeoutExceeded
 from ..faults.supervise import WorkerProcess, poll, write_frame
@@ -101,17 +102,17 @@ def _worker_search(
     hypergraph: Hypergraph,
     k: int,
     partition: list[int],
-    timeout: float | None,
+    deadline: Deadline | None,
     refuted: RefutedTable | None = None,
 ) -> tuple[bool, bool, FragmentNode | None, SearchStatistics]:
     """One worker: ``search`` on a fresh context, restricted to ``partition``.
 
-    Returns ``(timed_out, success, fragment, statistics)``.  A worker whose
-    answer is no longer needed is terminated by the coordinator.  ``refuted``
-    is the run's shared table; without one the partition is searched on its
-    own.
+    Returns ``(timed_out, success, fragment, statistics)``.  ``deadline`` is
+    the coordinator's own (its instant is absolute); a worker whose answer is
+    no longer needed is terminated by the coordinator.  ``refuted`` is the
+    run's shared table; without one the partition is searched on its own.
     """
-    context = SearchContext(hypergraph, k, timeout=timeout, refuted=refuted)
+    context = SearchContext(hypergraph, k, deadline, refuted=refuted)
     try:
         fragment = search(context, partition)
     except TimeoutExceeded:
@@ -152,25 +153,20 @@ class ParallelLogKDecomposer(Decomposer):
     # Decomposer interface
     # ------------------------------------------------------------------ #
     def decompose_raw(
-        self,
-        hypergraph: Hypergraph,
-        k: int,
-        timeout: float | None = None,
-        cancel_event=None,
+        self, hypergraph: Hypergraph, k: int, deadline: Deadline | None = None
     ) -> DecompositionResult:
+        if deadline is None:
+            deadline = Deadline.arm(self.timeout)
         # A daemonic process (a serving-layer worker) may not have children.
         if self.num_workers <= 1 or mp.current_process().daemon:
-            return self._sequential().decompose_raw(
-                hypergraph, k, timeout=timeout, cancel_event=cancel_event
-            )
+            return self._sequential().decompose_raw(hypergraph, k, deadline)
         start = time.monotonic()
         partitions = partition_edges(hypergraph.num_edges, self.num_workers)
         # Built once here (the incidence table on the way): forked workers
         # and their respawns inherit both tables.
         hypergraph.adjacency_masks()
         # The coordinator's context: the run's one deadline, phase 1's counters.
-        budget = self.timeout if timeout is None else timeout
-        context = SearchContext(hypergraph, k, timeout=budget, cancel_event=cancel_event)
+        context = SearchContext(hypergraph, k, deadline)
         base = self._sequential()
         search: WorkerSearch = base.search
         timed_out, decided, fragment = False, False, None
@@ -242,14 +238,13 @@ class ParallelLogKDecomposer(Decomposer):
         # deadline for every attempt (the monotonic clock is shared across
         # the fork): a respawn gets what is left of the caller's budget.
         fault_spec = faults.current_spec()
-        deadline, cancel_event, stats = context.deadline, context.cancel_event, context.stats
+        deadline, stats = context.deadline, context.stats
         # Shared by every worker and respawn from here on (fork inherits it).
         refuted = RefutedTable()
 
         def spawn(worker: WorkerProcess) -> dict:
             slot = worker.index
-            budget = None if deadline is None else max(0.0, deadline - time.monotonic())
-            search_args = (search, hypergraph, k, partitions[slot], budget, refuted)
+            search_args = (search, hypergraph, k, partitions[slot], deadline, refuted)
             return {
                 "target": _worker_main,
                 "args": (worker.result_wfd, slot, worker.attempt, fault_spec, *search_args),
@@ -266,8 +261,9 @@ class ParallelLogKDecomposer(Decomposer):
             while pending:
                 # External cancellation (a threading.Event cannot cross the
                 # process boundary): terminate the workers in the finally
-                # block and report the run as undecided.
-                if cancel_event is not None and cancel_event.is_set():
+                # block and report the run as undecided.  The budget the
+                # workers poll themselves, and report.
+                if deadline is not None and deadline.reason() == "cancelled":
                     return True, None
                 received = poll(pending, 0.1)
                 for worker, outcome in received:

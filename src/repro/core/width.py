@@ -2,7 +2,8 @@
 
 * :func:`decompose` — find an HD of width at most ``k`` with a chosen algorithm,
 * :func:`hypertree_width` — compute the exact hypertree width by iterative
-  deepening over ``k`` (with a fast acyclicity shortcut for width 1),
+  deepening over ``k`` (with a fast acyclicity shortcut for width 1);
+  :func:`smallest_width` does the same but raises on a timeout,
 * :func:`is_width_at_most` — the decision problem for a single ``k``,
 * :func:`make_decomposer` — thin wrapper over the declarative
   :mod:`repro.pipeline.registry` used by the benchmark harness and the CLI.
@@ -11,7 +12,7 @@
 from __future__ import annotations
 
 from ..decomp.decomposition import HypertreeDecomposition
-from ..exceptions import SolverError
+from ..exceptions import SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..hypergraph.properties import is_alpha_acyclic
 from ..pipeline.registry import registry as _registry
@@ -22,6 +23,7 @@ __all__ = [
     "decompose",
     "is_width_at_most",
     "hypertree_width",
+    "smallest_width",
 ]
 
 
@@ -47,6 +49,34 @@ def is_width_at_most(
     return result.success
 
 
+def smallest_width(
+    hypergraph: Hypergraph,
+    algorithm: str = "hybrid",
+    max_width: int = 10,
+    timeout: float | None = None,
+    **options,
+) -> tuple[int, HypertreeDecomposition] | tuple[None, None]:
+    """Exact hypertree width by iterative deepening; a timeout raises.
+
+    Returns ``(width, decomposition)`` for the smallest width at which an HD
+    exists, or ``(None, None)`` if no HD of width at most ``max_width``
+    exists.  Raises :class:`~repro.exceptions.TimeoutExceeded` when a run
+    (each ``k`` gets ``timeout`` seconds) ran out of time before the width
+    was decided.  Acyclic hypergraphs short-circuit to width 1 via the GYO
+    reduction, matching how practical tools treat the trivial case.
+    """
+    if hypergraph.num_edges == 0:
+        raise SolverError("cannot decompose a hypergraph without edges")
+    widths = [1] if is_alpha_acyclic(hypergraph) else range(2, max_width + 1)
+    for k in widths:
+        result = decompose(hypergraph, k, algorithm=algorithm, timeout=timeout, **options)
+        if result.timed_out:
+            raise TimeoutExceeded(f"width search time budget exhausted at k = {k}")
+        if result.success and result.decomposition is not None:
+            return k, result.decomposition
+    return None, None
+
+
 def hypertree_width(
     hypergraph: Hypergraph,
     algorithm: str = "hybrid",
@@ -57,23 +87,12 @@ def hypertree_width(
     """Exact hypertree width by iterative deepening.
 
     Returns ``(width, decomposition)`` for the smallest width at which an HD
-    exists, or ``(None, None)`` if none is found up to ``max_width`` within
-    the time budget.  Acyclic hypergraphs short-circuit to width 1 via the
-    GYO reduction, matching how practical tools treat the trivial case.
+    exists, or ``(None, None)`` if none is found up to ``max_width`` — both
+    when no such HD exists and when a run timed out.  :func:`smallest_width`
+    tells the two apart: it raises
+    :class:`~repro.exceptions.TimeoutExceeded` on a timeout.
     """
-    if hypergraph.num_edges == 0:
-        raise SolverError("cannot decompose a hypergraph without edges")
-    start_width = 1
-    if is_alpha_acyclic(hypergraph):
-        result = decompose(hypergraph, 1, algorithm=algorithm, timeout=timeout, **options)
-        if result.success and result.decomposition is not None:
-            return 1, result.decomposition
+    try:
+        return smallest_width(hypergraph, algorithm, max_width, timeout, **options)
+    except TimeoutExceeded:
         return None, None
-    start_width = 2
-    for k in range(start_width, max_width + 1):
-        result = decompose(hypergraph, k, algorithm=algorithm, timeout=timeout, **options)
-        if result.timed_out:
-            return None, None
-        if result.success and result.decomposition is not None:
-            return k, result.decomposition
-    return None, None

@@ -55,7 +55,6 @@ Example (doctest-verified):
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -63,6 +62,7 @@ from dataclasses import dataclass, replace
 from .. import faults
 from ..catalog import DecompositionCatalog
 from ..core.base import Decomposer, DecompositionResult, SearchStatistics
+from ..deadline import Deadline
 from ..decomp.decomposition import (
     Decomposition,
     DecompositionNode,
@@ -81,24 +81,6 @@ __all__ = [
     "default_engine",
     "set_default_engine",
 ]
-
-
-#: Per-class memo of the decompose_raw signature probe: whether the override
-#: accepts the cancel_event keyword is a static property of the class, and
-#: inspect.signature is too slow for the serving hot path.
-_accepts_cancel_event_memo: dict[type, bool] = {}
-
-
-def _accepts_cancel_event(decomposer_type: type) -> bool:
-    accepted = _accepts_cancel_event_memo.get(decomposer_type)
-    if accepted is None:
-        parameters = inspect.signature(decomposer_type.decompose_raw).parameters
-        accepted = "cancel_event" in parameters or any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
-        _accepts_cancel_event_memo[decomposer_type] = accepted
-    return accepted
 
 
 def _copy_node(node: DecompositionNode) -> DecompositionNode:
@@ -262,11 +244,12 @@ class DecompositionEngine:
     ) -> DecompositionResult:
         """Run the full pipeline; the result is hosted on ``hypergraph``.
 
-        ``cancel_event`` (a :class:`threading.Event`) is threaded into the
-        per-component searches: setting it makes the run abort at the next
-        periodic deadline check and report ``timed_out`` — how the serving
-        layer stops the search behind a cancelled ticket.  Cancelled runs
-        are never cached.
+        ``cancel_event`` (a :class:`threading.Event`) joins the decomposer's
+        ``timeout`` in the one :class:`~repro.deadline.Deadline` that the
+        per-component searches poll, built when the decompose stage starts:
+        setting it makes the run abort at the next periodic check and report
+        ``timed_out`` — how the serving layer stops the search behind a
+        cancelled ticket.  Cancelled runs are never cached.
         """
         # An error injected here propagates like any engine bug would:
         # through the decomposer into the caller (or the service worker's
@@ -404,35 +387,14 @@ class DecompositionEngine:
             hosts = [reduced.subhypergraph(group, name=reduced.name) for group in groups]
 
         # One deadline for the whole call: each component gets the budget that
-        # remains, not a full timeout of its own.
-        deadline = (
-            time.monotonic() + decomposer.timeout
-            if decomposer.timeout is not None
-            else None
-        )
-        # decompose_raw is an established override point that predates the
-        # cancel_event parameter; only pass the keyword to overrides that
-        # accept it.  Legacy subclasses still get coarse cancellation from
-        # the per-component check above.
-        pass_cancel = cancel_event is not None and _accepts_cancel_event(
-            type(decomposer)
-        )
+        # remains, not a full timeout of its own, and sees the cancel event.
+        deadline = Deadline.arm(decomposer.timeout, cancel_event)
         roots: list[DecompositionNode] = []
         kind: type = HypertreeDecomposition
         for host in hosts:
-            if cancel_event is not None and cancel_event.is_set():
+            if deadline is not None and deadline.reason() is not None:
                 return False, True, None, kind
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False, True, None, kind
-            if pass_cancel:
-                result = decomposer.decompose_raw(
-                    host, k, timeout=remaining, cancel_event=cancel_event
-                )
-            else:
-                result = decomposer.decompose_raw(host, k, timeout=remaining)
+            result = decomposer.decompose_raw(host, k, deadline)
             stats.merge(result.statistics)
             if result.timed_out:
                 return False, True, None, kind

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import operator
 import threading
-import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -61,7 +60,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from ..counters import Counters
-from ..exceptions import QueryError, TimeoutExceeded
+from ..deadline import Deadline
+from ..exceptions import QueryError
 from ..lru import ShardedLRU
 from .database import Database
 from .plan import AnswerMode, AtomBinding, JoinOp, QueryPlan
@@ -96,44 +96,13 @@ _BYTE_SELECTORS = tuple(
 #: the chunk-local ints so the build stays near-linear in the row count.
 _MASK_CHUNK = 4096
 
-#: Rows processed between two cancellation/deadline polls in the hot join
-#: and semijoin loops — the same periodic-check idea the decomposition
-#: searches use (SearchContext), sized so the poll overhead stays invisible
-#: while an abort still lands within a few thousand rows of work.
+#: Rows processed between two deadline polls in the hot join and semijoin
+#: loops — the same periodic-check idea the decomposition searches use
+#: (SearchContext), sized so the poll overhead stays invisible while an
+#: abort still lands within a few thousand rows of work.  A vectorised block
+#: (the packed join, the cartesian product) counts as ``16 * _CHECK_STRIDE``
+#: rows.
 _CHECK_STRIDE = 4096
-
-
-class _Watchdog:
-    """Periodic cancellation/deadline checks for a running plan execution.
-
-    Mirrors the decomposition searches' deadline machinery: hot loops call
-    :meth:`tick` (throttled to every ``stride`` rows), stage boundaries call
-    :meth:`check` (always polls).  A set cancel event or an expired deadline
-    raises :class:`~repro.exceptions.TimeoutExceeded`, which the serving
-    layer maps onto the ticket like any other per-request timeout.
-    """
-
-    __slots__ = ("cancel_event", "deadline", "stride", "_ticks")
-
-    def __init__(self, cancel_event=None, deadline: float | None = None,
-                 stride: int = _CHECK_STRIDE) -> None:
-        self.cancel_event = cancel_event
-        self.deadline = deadline
-        self.stride = stride
-        self._ticks = 0
-
-    def tick(self) -> None:
-        self._ticks += 1
-        if self._ticks % self.stride:
-            return
-        self.check()
-
-    def check(self) -> None:
-        event = self.cancel_event
-        if event is not None and event.is_set():
-            raise TimeoutExceeded("query execution cancelled")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutExceeded("query execution exceeded its time budget")
 
 
 def intern_column(codes: dict, values: list, lock, column: Sequence) -> list[int]:
@@ -741,29 +710,31 @@ class ExecutionResult:
 class PlanExecutor:
     """Runs compiled plans over a column store.
 
-    ``cancel_event`` (any object with ``is_set()``) and ``deadline`` (a
-    ``time.monotonic`` instant) arm in-flight cancellation: the executor
-    polls at stage boundaries and every ``check_stride`` rows inside the
-    join/semijoin kernels (every ``16 * check_stride`` rows — one vectorised
-    block — in the packed join and the cartesian product), raising
+    ``deadline`` (a :class:`~repro.deadline.Deadline`) arms in-flight
+    cancellation: the executor polls it at stage boundaries and every
+    ``_CHECK_STRIDE`` rows inside the join/semijoin kernels (every
+    ``16 * _CHECK_STRIDE`` rows — one vectorised block — in the packed join
+    and the cartesian product), raising
     :class:`~repro.exceptions.TimeoutExceeded` promptly instead of running
-    the plan to completion.  Unarmed executions (both ``None``, the default)
-    pay a single ``is None`` test per kernel row.
+    the plan to completion.  Unarmed executions (``None``, the default) pay
+    a single ``is None`` test per kernel row.
     """
 
-    def __init__(
-        self,
-        store: ColumnStore,
-        cancel_event=None,
-        deadline: float | None = None,
-        check_stride: int = _CHECK_STRIDE,
-    ) -> None:
+    def __init__(self, store: ColumnStore, deadline: Deadline | None = None) -> None:
         self.store = store
-        self._watchdog = (
-            None
-            if cancel_event is None and deadline is None
-            else _Watchdog(cancel_event, deadline, stride=check_stride)
-        )
+        self._deadline = deadline
+        self._ticks = 0
+
+    def _check(self) -> None:
+        """Poll the deadline now (stage boundaries, vectorised blocks)."""
+        if self._deadline is not None:
+            self._deadline.check("query execution")
+
+    def _tick(self) -> None:
+        """One kernel row of an armed execution: poll every ``_CHECK_STRIDE``."""
+        self._ticks += 1
+        if not self._ticks % _CHECK_STRIDE:
+            self._check()
 
     # ------------------------------------------------------------------ #
     # public entry point
@@ -771,8 +742,7 @@ class PlanExecutor:
     def execute(self, plan: QueryPlan) -> ExecutionResult:
         """Execute ``plan`` against the store's database."""
         stats = ExecutionStatistics()
-        if self._watchdog is not None:
-            self._watchdog.check()
+        self._check()
 
         states = self._bag_states(plan, stats)
         if states is None or not self._reduce(plan, states, stats):
@@ -785,8 +755,7 @@ class PlanExecutor:
         root = self._join_stage(plan, states, stats)
 
         def rows() -> set[tuple]:
-            if self._watchdog is not None:
-                self._watchdog.check()
+            self._check()
             if not root.columns:
                 return {()}
             # Decode column-at-a-time and adopt the zipped tuples directly.
@@ -805,8 +774,7 @@ class PlanExecutor:
     ) -> list[_NodeState] | None:
         states: list[_NodeState] = []
         for bag in plan.bags:
-            if self._watchdog is not None:
-                self._watchdog.check()
+            self._check()
             key = (
                 tuple(ColumnStore.atom_key(plan.atoms[i]) for i in bag.cover),
                 bag.variables,
@@ -889,9 +857,7 @@ class PlanExecutor:
         node aborts the passes), so without shared variables nothing dies."""
         if not on:
             return True
-        watchdog = self._watchdog
-        if watchdog is not None:
-            watchdog.check()
+        self._check()
         # Packed kernel when both sides pack (the source's index is not counted,
         # like its key set): mark the key groups the source no longer holds,
         # scatter them to rows and clear them as the same int bitmask.
@@ -912,9 +878,10 @@ class PlanExecutor:
         # OR the row masks of the dead key groups, then clear them all at
         # once — the per-row work collapses into wide integer ops.
         dead = 0
+        deadline = self._deadline
         for key, mask in key_masks.items():
-            if watchdog is not None:
-                watchdog.tick()
+            if deadline is not None:
+                self._tick()
             if key not in source_keys:
                 dead |= mask
         if dead:
@@ -972,15 +939,14 @@ class PlanExecutor:
         kernel arms: left-major, right row ids ascending per left row.
         """
         stats.joins_run += 1
-        watchdog = self._watchdog
-        if watchdog is not None:
-            watchdog.check()
+        self._check()
+        deadline = self._deadline
         shared = tuple(a for a in left.schema if a in right._position)
         right_extra = tuple(a for a in right.schema if a not in left._position)
         schema = left.schema + right_extra
 
         # A vectorised block does the work of this many ticked rows.
-        block = 16 * (watchdog.stride if watchdog is not None else _CHECK_STRIDE)
+        block = 16 * _CHECK_STRIDE
 
         if not shared:
             return self._product(left, right, schema, block)
@@ -999,8 +965,7 @@ class PlanExecutor:
             matches = _np.where(index.keys[groups] == keys, index.counts[groups], 0)
             left_blocks, right_blocks = [], []
             for start in range(0, left.nrows, block):
-                if watchdog is not None:
-                    watchdog.check()
+                self._check()
                 counts = matches[start : start + block]
                 ends = _np.cumsum(counts)
                 left_blocks.append(
@@ -1027,8 +992,8 @@ class PlanExecutor:
         right_ids: list[int] = []
         extend = right_ids.extend
         for left_id, key in enumerate(left.key_column(shared)):
-            if watchdog is not None:
-                watchdog.tick()
+            if deadline is not None:
+                self._tick()
             bucket = index.get(key)
             if bucket is not None:
                 extend(bucket)
@@ -1052,8 +1017,7 @@ class PlanExecutor:
         step = max(1, block // max(1, n_right))
         columns = [array(_CODE_TYPECODE) for _ in schema]
         for start in range(0, n_left if n_right else 0, step):
-            if self._watchdog is not None:
-                self._watchdog.check()
+            self._check()
             rows = min(step, n_left - start)
             for out, column in zip(columns, left.columns):
                 for value in column[start : start + rows]:
@@ -1067,18 +1031,16 @@ def execute_plan(
     plan: QueryPlan,
     database: Database,
     store: ColumnStore | None = None,
-    cancel_event=None,
-    deadline: float | None = None,
+    deadline: Deadline | None = None,
 ) -> ExecutionResult:
     """Convenience wrapper: run ``plan`` over ``database``.
 
     Pass a persistent :class:`ColumnStore` to amortise dictionary encoding
-    and base-relation indexes across the queries of a workload;
-    ``cancel_event``/``deadline`` arm in-flight cancellation (see
-    :class:`PlanExecutor`).
+    and base-relation indexes across the queries of a workload; ``deadline``
+    arms in-flight cancellation (see :class:`PlanExecutor`).
     """
     if store is None:
         store = ColumnStore(database)
     elif store.database is not database:
         raise QueryError("the column store belongs to a different database")
-    return PlanExecutor(store, cancel_event=cancel_event, deadline=deadline).execute(plan)
+    return PlanExecutor(store, deadline).execute(plan)

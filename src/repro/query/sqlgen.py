@@ -58,16 +58,17 @@ the differential tests — accept the same handle.
 All equality predicates use SQLite's null-safe ``IS`` operator, so ``None``
 values join with themselves exactly as they do in the Python executors.
 
-Cancellation mirrors the columnar ``_Watchdog``: an armed execution that
-has a statement to run (not a recycled one) starts a small watcher thread
-that calls :meth:`sqlite3.Connection.interrupt` when
-the cancel event sets or the deadline passes, and the interrupted statement
-surfaces as :class:`~repro.exceptions.TimeoutExceeded` with the same
-messages — the serving layer's ``cancelled_running`` accounting works
-unchanged.  Transient SQLite errors at the ``sqlgen.connect`` /
-``sqlgen.exec`` fault points are retried per statement under a
-:class:`~repro.faults.RetryPolicy` (each statement is atomic, so a retry can
-never double-apply); interrupts are never retried.
+Cancellation polls the same :class:`~repro.deadline.Deadline` as the
+columnar executor: an armed execution that has a statement to run (not a
+recycled one) starts a small watcher thread that calls
+:meth:`sqlite3.Connection.interrupt` when the deadline fires (cancel event
+set or instant passed), and the interrupted statement surfaces as
+:class:`~repro.exceptions.TimeoutExceeded` with the same messages — the
+serving layer's ``cancelled_running`` accounting works unchanged.
+Transient SQLite errors at the ``sqlgen.connect`` / ``sqlgen.exec`` fault
+points are retried per statement under a :class:`~repro.faults.RetryPolicy`
+(each statement is atomic, so a retry can never double-apply); interrupts
+are never retried.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ from __future__ import annotations
 import hashlib
 import sqlite3
 import threading
-import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from .. import faults
+from ..deadline import Deadline
 from ..exceptions import QueryError, TimeoutExceeded
 from ..faults.resilience import RetryPolicy
 from .columnar import ExecutionResult, ExecutionStatistics, intern_column
@@ -600,42 +601,33 @@ class SQLStore:
 
 
 class _InterruptGuard:
-    """Armed cancellation for one SQL execution (the ``_Watchdog`` twin).
+    """The SQL arm's actuator for one execution's :class:`~repro.deadline.Deadline`.
 
     Once :meth:`watch` is called on an armed guard, a watcher thread polls
-    the cancel event and deadline and calls
-    :meth:`sqlite3.Connection.interrupt` the moment either fires; the
-    aborted statement's :class:`sqlite3.OperationalError` is translated to
-    :class:`~repro.exceptions.TimeoutExceeded` by the executor.  ``check()``
-    at step boundaries catches a signal that lands *between* statements.
-    Unarmed guards (no event, no deadline) and executions that recycle every
-    step (a thread costs more than they do) start no thread.
+    the deadline and calls :meth:`sqlite3.Connection.interrupt` the moment
+    it fires; the aborted statement's :class:`sqlite3.OperationalError` is
+    translated to :class:`~repro.exceptions.TimeoutExceeded` by the
+    executor.  ``check()`` at step boundaries catches a signal that lands
+    *between* statements.  Unarmed guards (no deadline) and executions that
+    recycle every step (a thread costs more than they do) start no thread.
     """
 
-    __slots__ = ("connection", "cancel_event", "deadline", "fired", "reason", "_stop", "_thread")
+    __slots__ = ("connection", "deadline", "fired", "reason", "_stop", "_thread")
 
-    def __init__(self, connection, cancel_event=None, deadline: float | None = None) -> None:
+    def __init__(self, connection, deadline: Deadline | None = None) -> None:
         self.connection = connection
-        self.cancel_event = cancel_event
         self.deadline = deadline
         self.fired = False
         self.reason = ""
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def _trigger(self, reason: str) -> None:
-        self.reason = reason
-        self.fired = True
-
     def _poll(self) -> bool:
-        event = self.cancel_event
-        if event is not None and event.is_set():
-            self._trigger("query execution cancelled")
-            return True
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self._trigger("query execution exceeded its time budget")
-            return True
-        return False
+        reason = None if self.deadline is None else self.deadline.reason()
+        if reason is not None:
+            self.reason = f"query execution {reason}"
+            self.fired = True
+        return self.fired
 
     def _watch(self) -> None:
         while not self._stop.wait(_INTERRUPT_POLL):
@@ -653,7 +645,7 @@ class _InterruptGuard:
 
     def watch(self) -> None:
         """Start the watcher (once, if armed): a statement that can run long follows."""
-        if self._thread is None and (self.cancel_event is not None or self.deadline is not None):
+        if self._thread is None and self.deadline is not None:
             self._thread = threading.Thread(
                 target=self._watch, name="repro-sqlgen-watchdog", daemon=True
             )
@@ -662,10 +654,14 @@ class _InterruptGuard:
     def __enter__(self) -> "_InterruptGuard":
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
+    def stop(self) -> None:
+        """Stop the watcher; no interrupt lands after this returns."""
         self._stop.set()
         if self._thread is not None:
             self._thread.join()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.stop()
 
 
 class SQLExecutor:
@@ -673,11 +669,8 @@ class SQLExecutor:
     :class:`~repro.query.columnar.PlanExecutor`, same result shape, same
     cancellation semantics."""
 
-    def __init__(
-        self, store: SQLStore, cancel_event=None, deadline: float | None = None
-    ) -> None:
+    def __init__(self, store: SQLStore, deadline: Deadline | None = None) -> None:
         self.store = store
-        self.cancel_event = cancel_event
         self.deadline = deadline
 
     # ------------------------------------------------------------------ #
@@ -710,7 +703,7 @@ class SQLExecutor:
             store.ensure_loaded(plan, self)
             if program is None:
                 program = compile_sql(plan, store.catalog_for(plan))
-            guard = _InterruptGuard(connection, self.cancel_event, self.deadline)
+            guard = _InterruptGuard(connection, self.deadline)
             try:
                 with guard:
                     try:
@@ -746,6 +739,7 @@ class SQLExecutor:
                         count = self._exec(connection, f"SELECT COUNT(*) FROM {name}", guard)
                         rows = count.fetchone()[0]
                     except BaseException:
+                        guard.stop()  # an interrupt must not land on the cleanup
                         connection.execute(f"DROP TABLE {name}")  # exists ⇔ registered
                         raise
                 tables[name] = rows
@@ -776,18 +770,16 @@ def execute_plan_sql(
     plan: QueryPlan,
     database: Database,
     store: SQLStore | None = None,
-    cancel_event=None,
-    deadline: float | None = None,
+    deadline: Deadline | None = None,
 ) -> ExecutionResult:
     """Convenience wrapper: run ``plan`` over ``database`` via SQL pushdown.
 
     Pass a persistent :class:`SQLStore` to amortise bulk loading and keep
-    the recycled tables across the queries of a workload;
-    ``cancel_event``/``deadline`` arm in-flight cancellation (see
-    :class:`SQLExecutor`).
+    the recycled tables across the queries of a workload; ``deadline`` arms
+    in-flight cancellation (see :class:`SQLExecutor`).
     """
     if store is None:
         store = SQLStore(database)
     elif store.database is not database:
         raise QueryError("the SQL store belongs to a different database")
-    return SQLExecutor(store, cancel_event=cancel_event, deadline=deadline).execute(plan)
+    return SQLExecutor(store, deadline).execute(plan)

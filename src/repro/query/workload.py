@@ -46,7 +46,8 @@ import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ..core.width import hypertree_width
+from ..core.width import smallest_width
+from ..deadline import Deadline
 from ..decomp.decomposition import Decomposition
 from ..decomp.jointree import JoinTree, join_tree_from_decomposition
 from ..exceptions import QueryError
@@ -311,7 +312,8 @@ class QueryEngine:
             self.plan_cache_misses += 1
 
         start = time.monotonic()
-        width, decomposition = hypertree_width(
+        # A timeout raises TimeoutExceeded; (None, None) means "wider".
+        width, decomposition = smallest_width(
             query.hypergraph(),
             algorithm=self.algorithm,
             max_width=self.max_width,
@@ -362,11 +364,11 @@ class QueryEngine:
         down into SQLite (see :mod:`repro.query.sqlgen`), reusing the plan
         cache and caching the generated SQL program alongside it.
 
-        ``cancel_event`` (any object with ``is_set()``) and ``timeout``
-        (seconds) arm in-flight cancellation of the *execution* stage: the
-        columnar executor polls periodically and raises
-        :class:`~repro.exceptions.TimeoutExceeded` promptly, and the SQL
-        executor interrupts the in-flight statement with the same
+        ``cancel_event`` (anything with an ``is_set`` method) and ``timeout``
+        (seconds) arm one :class:`~repro.deadline.Deadline` for the
+        *execution* stage: the columnar executor polls it periodically and
+        raises :class:`~repro.exceptions.TimeoutExceeded` promptly, and the
+        SQL executor interrupts the in-flight statement with the same
         semantics.  Planning is bounded separately by the engine-level
         ``timeout`` — the plan cache is keyed on the engine configuration,
         so a per-request deadline must not change what gets cached.
@@ -379,18 +381,12 @@ class QueryEngine:
         if executor == "sql":
             sql_store = self.sql_store_for(database)
             program = self.sql_program(query, planned, sql_store)
-            start = time.monotonic()
-            deadline = None if timeout is None else start + timeout
-            execution = SQLExecutor(
-                sql_store, cancel_event=cancel_event, deadline=deadline
-            ).execute(planned.plan, program)
+            arm, store, args = SQLExecutor, sql_store, (planned.plan, program)
         else:
-            store = self.store_for(database)
-            start = time.monotonic()
-            deadline = None if timeout is None else start + timeout
-            execution = PlanExecutor(
-                store, cancel_event=cancel_event, deadline=deadline
-            ).execute(planned.plan)
+            arm, store, args = PlanExecutor, self.store_for(database), (planned.plan,)
+        # The execution budget starts after planning.
+        start = time.monotonic()
+        execution = arm(store, Deadline.arm(timeout, cancel_event)).execute(*args)
         execution_seconds = time.monotonic() - start
         return QueryResult(
             query=query,

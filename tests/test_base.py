@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import DetKDecomposer, LogKDecomposer
 from repro.core.base import SearchContext, SearchStatistics
+from repro.deadline import Deadline
 from repro.exceptions import SolverError, TimeoutExceeded
 from repro.hypergraph import Hypergraph, generators
 
@@ -35,13 +36,13 @@ def test_search_context_rejects_bad_k(cycle6):
 
 
 def test_search_context_timeout(cycle6):
-    context = SearchContext(cycle6, 2, timeout=0.0)
+    context = SearchContext(cycle6, 2, Deadline.arm(0.0))
     with pytest.raises(TimeoutExceeded):
         context.force_timeout_check()
 
 
 def test_search_context_no_timeout(cycle6):
-    context = SearchContext(cycle6, 2, timeout=None)
+    context = SearchContext(cycle6, 2, deadline=None)
     for _ in range(500):
         context.check_timeout()
     context.force_timeout_check()

@@ -11,7 +11,7 @@ from repro.bench.corpus import (
     hb_large,
     size_group,
 )
-from repro.exceptions import QueryError, SolverError
+from repro.exceptions import SolverError, TimeoutExceeded
 from repro.hypergraph.cq import Atom, ConjunctiveQuery
 from repro.query import QueryEngine, random_database_for_query
 
@@ -136,13 +136,14 @@ def test_corpus_sql_answer_modes_agree(instance, corpus_sql_engine, corpus_refus
     engine = corpus_refusing_engine if instance.name in _REFUSED else corpus_sql_engine
     try:
         enum = engine.execute(query, database, "enumerate", executor="sql")
-    except QueryError as error:
-        # A few dense synthetic instances exceed the width/time budget.  The
-        # refusal happens in the decomposition layer, *before* the executor
-        # choice, so the arms must still agree — on the refusal itself.
-        assert "no hypertree decomposition" in str(error)
+    except TimeoutExceeded as error:
+        # A few dense synthetic instances exceed the width search's time
+        # budget.  The refusal happens in the decomposition layer, *before*
+        # the executor choice, so the arms must still agree — on the
+        # refusal itself.
+        assert "time budget" in str(error)
         _REFUSED.add(instance.name)
-        with pytest.raises(QueryError, match="no hypertree decomposition"):
+        with pytest.raises(TimeoutExceeded, match="time budget"):
             corpus_refusing_engine.execute(query, database, "boolean", executor="columnar")
         return
     boolean = corpus_sql_engine.execute(query, database, "boolean", executor="sql")
@@ -167,8 +168,8 @@ def test_corpus_columnar_answer_modes_agree_on_each_kernel_arm(
     )
     try:
         enum = corpus_sql_engine.execute(query, database, "enumerate")
-    except QueryError as error:
-        assert "no hypertree decomposition" in str(error)
+    except TimeoutExceeded as error:
+        assert "time budget" in str(error)
         _REFUSED.add(instance.name)
         return
     boolean = corpus_sql_engine.execute(query, database, "boolean")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core import DetKDecomposer, OptimalHDSolver
@@ -125,3 +127,13 @@ def test_solver_leaves_the_default_engine_cache_alone(timeout):
         assert (cache.statistics, len(cache)) == before
     finally:
         set_default_engine(previous)
+
+
+def test_a_budget_bounds_the_ghw_lower_bound():
+    # The subset DP polls the solver's deadline: unbounded, the 16-vertex DP
+    # alone runs for many seconds.
+    host = generators.with_chords(generators.cycle(16), 3, seed=1)
+    start = time.monotonic()
+    result = OptimalHDSolver(timeout=0.05).solve(host)
+    assert result.timed_out and result.width is None
+    assert time.monotonic() - start < 1.0

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import HybridDecomposer, LogKDecomposer, ParallelLogKDecomposer
 from repro.core.logk import LogKSearch
 from repro.core.base import SearchContext, SearchStatistics
+from repro.deadline import Deadline
 from repro.core.detk import DetKSearch, _LabelBudgetSpent
 from repro.core.fragments import fragment_to_decomposition
 from repro.core.hybrid import EdgeCountMetric
@@ -360,7 +361,7 @@ def test_cancel_and_deadline_in_phase_one_fork_nothing(monkeypatch, forks):
     parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False)
     cancelled = threading.Event()
     cancelled.set()
-    result = parallel.decompose_raw(generators.cycle(6), 1, cancel_event=cancelled)
+    result = parallel.decompose_raw(generators.cycle(6), 1, Deadline(cancel_event=cancelled))
     assert result.timed_out and not result.success
 
     # The deadline passes during det-k's root loop, before the budget is spent.
@@ -372,7 +373,7 @@ def test_cancel_and_deadline_in_phase_one_fork_nothing(monkeypatch, forks):
         return expand(self, comp, conn, allowed, depth, vertices)
 
     monkeypatch.setattr(DetKSearch, "_expand", slow)
-    result = parallel.decompose_raw(_SPENT_REFUTE, 2, timeout=0.05)
+    result = parallel.decompose_raw(_SPENT_REFUTE, 2, Deadline.arm(0.05))
     assert result.timed_out and not result.success
     assert 0 < result.statistics.labels_tried <= 2 * _SPENT_REFUTE.num_edges
     assert forks == {"workers": [], "tables": []}
@@ -438,7 +439,7 @@ def test_daemonic_caller_starts_no_thread_and_forks_no_child(monkeypatch):
 # --------------------------------------------------------------------------- #
 def test_search_context_honours_cancel_event(cycle10):
     event = threading.Event()
-    context = SearchContext(cycle10, 2, cancel_event=event)
+    context = SearchContext(cycle10, 2, Deadline(cancel_event=event))
     for _ in range(200):
         context.check_timeout()  # not set: never raises
     event.set()
@@ -481,7 +482,9 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
     monkeypatch.setattr(LogKSearch, "search", original)
     hard = generators.with_chords(generators.cycle(60), 5, seed=4)
     with caplog.at_level("ERROR", logger="repro.parallel"):
-        late = _worker_search(base.search, hard, 2, list(range(hard.num_edges)), 0.01)
+        late = _worker_search(
+            base.search, hard, 2, list(range(hard.num_edges)), Deadline.arm(0.01)
+        )
     assert late[:3] == (True, False, None) and not caplog.records
 
 
@@ -514,15 +517,16 @@ def test_a_respawn_gets_what_is_left_of_the_budget(cycle10, monkeypatch):
     start = WorkerProcess.start
 
     def recording(worker):
-        # _worker_main's arguments end in (..., partition, timeout, refuted).
-        budgets[worker.index, worker.attempt] = worker.spawn(worker)["args"][-2]
+        # _worker_main's arguments end in (..., partition, deadline, refuted).
+        deadline = worker.spawn(worker)["args"][-2]
+        budgets[worker.index, worker.attempt] = deadline and deadline.remaining()
         start(worker)
 
     monkeypatch.setattr(WorkerProcess, "start", recording)
     rule = faults.FaultRule(point="parallel.worker", kill=True, where={"attempt": 0})
     decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
     with faults.injected(rule):
-        result = decomposer.decompose_raw(cycle10, 2, timeout=30.0)
+        result = decomposer.decompose_raw(cycle10, 2, Deadline.arm(30.0))
     assert result.success and result.statistics.worker_respawns == 2
     for slot in (0, 1):
         assert 0 < budgets[slot, 1] < budgets[slot, 0] <= 30.0

@@ -1,9 +1,10 @@
 """In-flight cancellation of running query executions.
 
-Pins the watchdog contract of the columnar executor — a set cancel event or
-an expired deadline aborts the execution at the *next* periodic check, not
-at some later stage boundary — and exercises the serving layer's
-``cancelled_running`` accounting for queries aborted mid-execution.
+Pins the watchdog contract of the columnar executor — polling its
+:class:`~repro.deadline.Deadline` every ``_CHECK_STRIDE`` kernel rows, a set
+cancel event or an expired deadline aborts the execution at the *next*
+periodic check, not at some later stage boundary — and exercises the serving
+layer's ``cancelled_running`` accounting for queries aborted mid-execution.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ import time
 
 import pytest
 
+from repro.deadline import Deadline
 from repro.exceptions import ServiceError, TimeoutExceeded
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine
 from repro.query import QueryEngine, random_database_for_query
+from repro.query import columnar
 from repro.query.columnar import (
     ColumnarRelation,
     ColumnStore,
     ExecutionStatistics,
     PlanExecutor,
-    _Watchdog,
 )
 from repro.query.database import Database
 from repro.query.plan import AnswerMode
@@ -53,38 +55,45 @@ def _engine_and_database():
 # --------------------------------------------------------------------------- #
 # watchdog unit behaviour
 # --------------------------------------------------------------------------- #
-def test_watchdog_raises_on_first_poll_after_cancel():
+def _armed(event=None, at=None) -> PlanExecutor:
+    return PlanExecutor(ColumnStore(Database()), Deadline(at, event))
+
+
+def test_watchdog_raises_on_first_poll_after_cancel(monkeypatch):
+    monkeypatch.setattr(columnar, "_CHECK_STRIDE", 1)
     event = _TripAfter(3)
-    watchdog = _Watchdog(cancel_event=event, stride=1)
+    executor = _armed(event)
     for _ in range(3):
-        watchdog.tick()  # polls 1..3 see an unset event
+        executor._tick()  # polls 1..3 see an unset event
     with pytest.raises(TimeoutExceeded):
-        watchdog.tick()
+        executor._tick()
     assert event.calls == 4  # aborted at exactly the first positive poll
 
 
-def test_watchdog_stride_bounds_poll_frequency():
+def test_watchdog_stride_bounds_poll_frequency(monkeypatch):
+    monkeypatch.setattr(columnar, "_CHECK_STRIDE", 4)
     event = _TripAfter(0)  # set from the start
-    watchdog = _Watchdog(cancel_event=event, stride=4)
-    watchdog.tick()
-    watchdog.tick()
-    watchdog.tick()  # three ticks under stride 4: no poll yet
+    executor = _armed(event)
+    executor._tick()
+    executor._tick()
+    executor._tick()  # three ticks under stride 4: no poll yet
     assert event.calls == 0
     with pytest.raises(TimeoutExceeded):
-        watchdog.tick()
+        executor._tick()
     assert event.calls == 1
 
 
 def test_watchdog_expired_deadline_raises():
-    watchdog = _Watchdog(deadline=time.monotonic() - 1.0, stride=1)
+    executor = _armed(at=time.monotonic() - 1.0)
     with pytest.raises(TimeoutExceeded):
-        watchdog.check()
+        executor._check()
 
 
 # --------------------------------------------------------------------------- #
 # executor-level cancellation (pinned: abort within one check interval)
 # --------------------------------------------------------------------------- #
-def test_enumerate_execution_cancels_within_one_check_interval():
+def test_enumerate_execution_cancels_within_one_check_interval(monkeypatch):
+    monkeypatch.setattr(columnar, "_CHECK_STRIDE", 1)
     engine, database = _engine_and_database()
     planned, _ = engine.plan(QUERY, AnswerMode.ENUMERATE)
 
@@ -92,9 +101,7 @@ def test_enumerate_execution_cancels_within_one_check_interval():
     # Fresh stores keep the two runs identical — a warm store would reuse
     # cached bag tables and perform fewer checks.
     probe = _TripAfter(10**9)
-    PlanExecutor(
-        ColumnStore(database), cancel_event=probe, check_stride=1
-    ).execute(planned.plan)
+    PlanExecutor(ColumnStore(database), Deadline(cancel_event=probe)).execute(planned.plan)
     assert probe.calls > 1
 
     # Cancel mid-run: the executor must abort at the first poll that sees
@@ -102,30 +109,28 @@ def test_enumerate_execution_cancels_within_one_check_interval():
     trip_at = probe.calls // 2
     event = _TripAfter(trip_at)
     with pytest.raises(TimeoutExceeded):
-        PlanExecutor(
-            ColumnStore(database), cancel_event=event, check_stride=1
-        ).execute(planned.plan)
+        PlanExecutor(ColumnStore(database), Deadline(cancel_event=event)).execute(planned.plan)
     assert event.calls == trip_at + 1
 
 
-def test_cartesian_product_polls_once_per_block():
+def test_cartesian_product_polls_once_per_block(monkeypatch):
     # Disjoint λ-cover atoms in one bag join as a cartesian product; it is
     # built in blocks of left rows with a poll before each, so a cancelled
     # query stops within one block instead of finishing 300 x 300 rows.
     left = ColumnarRelation.from_rows(("a",), [(i,) for i in range(300)])
     right = ColumnarRelation.from_rows(("b",), [(i,) for i in range(300)])
-    stride = 64  # a block is 16 * stride = 1024 output rows = 3 left rows
-    blocks = 100
+    monkeypatch.setattr(columnar, "_CHECK_STRIDE", 64)  # a block is 16 * 64 = 1024
+    blocks = 100  # output rows = 3 left rows
 
     probe = _TripAfter(10**9)
-    executor = PlanExecutor(ColumnStore(Database()), cancel_event=probe, check_stride=stride)
+    executor = _armed(probe)
     product = executor._join(left, right, ExecutionStatistics())
     assert product.nrows == 300 * 300
     assert list(product.rows())[:301] == [(0, b) for b in range(300)] + [(1, 0)]
     assert blocks <= probe.calls <= blocks + 2
 
     event = _TripAfter(5)
-    executor = PlanExecutor(ColumnStore(Database()), cancel_event=event, check_stride=stride)
+    executor = _armed(event)
     with pytest.raises(TimeoutExceeded):
         executor._join(left, right, ExecutionStatistics())
     assert event.calls == 6  # aborted at the first positive poll

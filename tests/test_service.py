@@ -435,42 +435,6 @@ def test_shutdown_wait_after_nonwaiting_shutdown_joins_workers(
     assert ticket.result(timeout=30).success
 
 
-def test_engine_accepts_legacy_decompose_raw_override(cycle6):
-    # decompose_raw is an established override point; subclasses with the
-    # pre-cancellation three-parameter signature must keep working through
-    # the engine (the keyword is only passed when a cancel event exists).
-    from repro.core.base import DecompositionResult
-    from repro.core.detk import DetKDecomposer
-
-    class LegacyDecomposer(DetKDecomposer):
-        name = "legacy-signature"
-
-        def decompose_raw(self, hypergraph, k, timeout=None) -> DecompositionResult:
-            return super().decompose_raw(hypergraph, k, timeout=timeout)
-
-    engine = DecompositionEngine(cache=False)
-    result = engine.decompose(LegacyDecomposer(), cycle6, 2)
-    assert result.success
-    validate_hd(result.decomposition)
-
-    # The same override must also survive the serving path, which always
-    # supplies a cancellation event (the engine detects the legacy
-    # signature and withholds the keyword).
-    registry.register("legacy-signature", factory=LegacyDecomposer)
-    try:
-        svc = DecompositionService(
-            num_workers=1, engine=DecompositionEngine(), algorithm="legacy-signature"
-        )
-        try:
-            served = svc.submit(cycle6, 2).result(timeout=30)
-            assert served.success
-            validate_hd(served.decomposition)
-        finally:
-            svc.shutdown(wait=True, cancel_pending=True)
-    finally:
-        registry.unregister("legacy-signature")
-
-
 def test_stats_exposes_search_counters():
     # The stats snapshot aggregates the kernel counters of every computed
     # decomposition; cached/coalesced requests add nothing.  A fresh

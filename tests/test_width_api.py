@@ -6,8 +6,9 @@ import pytest
 
 from repro import decompose, hypertree_width, is_width_at_most, make_decomposer
 from repro.core.detk import DetKDecomposer
+from repro.core.width import smallest_width
 from repro.decomp import validate_hd
-from repro.exceptions import SolverError
+from repro.exceptions import SolverError, TimeoutExceeded
 from repro.hypergraph import Hypergraph, generators
 from repro.pipeline import registry
 
@@ -82,3 +83,10 @@ def test_top_level_exports():
     assert callable(repro.decompose)
     assert callable(repro.hypertree_width)
     assert repro.Hypergraph is Hypergraph
+
+
+def test_smallest_width_raises_on_timeout():
+    with pytest.raises(TimeoutExceeded, match="time budget"):
+        smallest_width(generators.clique(7), timeout=0.0)
+    assert smallest_width(generators.clique(6), max_width=2) == (None, None)
+    assert smallest_width(generators.cycle(6))[0] == 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, TimeoutExceeded
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine, default_engine, set_default_engine
 from repro.pipeline.registry import configuration_key
@@ -143,3 +143,24 @@ def test_default_engine_reset_drops_plan_cache(triangle, triangle_db):
         assert len(default_engine().auxiliary_cache(QueryEngine.PLAN_CACHE_NAME)) == 0
     finally:
         set_default_engine(previous)
+
+
+#: The 9-clique as a query: one binary atom per pair of variables, hw = 5.
+CLIQUE9 = parse_conjunctive_query(
+    "ans() :- "
+    + ", ".join(f"e{i}_{j}(x{i},x{j})" for i in range(9) for j in range(i + 1, 9))
+    + "."
+)
+
+
+def test_a_planning_timeout_is_reported_as_a_timeout():
+    engine = QueryEngine(timeout=0.001, engine=DecompositionEngine(cache=None))
+    with pytest.raises(TimeoutExceeded, match="time budget"):
+        engine.plan(CLIQUE9)
+
+
+def test_a_query_wider_than_max_width_is_refused():
+    engine = QueryEngine(max_width=3, engine=DecompositionEngine(cache=None))
+    with pytest.raises(QueryError, match="no hypertree decomposition of width <= 3"):
+        engine.plan(CLIQUE9)
+    assert QueryEngine(engine=DecompositionEngine(cache=None)).plan(CLIQUE9)[0].width == 5
