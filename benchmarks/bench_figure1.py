@@ -47,7 +47,6 @@ def test_figure1(benchmark):
             instances,
             core_counts=(1, 2, 4),
             time_budget=20.0,
-            include_detk_reference=True,
             hybrid=True,
             fixed_width=2,
         )

@@ -22,7 +22,6 @@ def test_table2(benchmark, large_corpus):
             edge_thresholds=(10.0, 20.0, 40.0),
             time_budget=BUDGET,
             max_width=3,
-            include_baselines=True,
         )
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)

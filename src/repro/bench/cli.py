@@ -104,6 +104,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.experiment is None:
         parser.error("an experiment is required (or use --list-algorithms)")
+    if args.max_width < 1:
+        parser.error("--max-width must be >= 1")
+    if min(args.cores) < 1:
+        parser.error("--cores must be >= 1")
+    if not args.budget > 0:
+        parser.error("--budget must be > 0")
     simplify = not args.no_simplify
     instances = generate_corpus(scale=args.scale, seed=args.seed)
     progress = None if args.quiet else (lambda line: print(line, file=sys.stderr))

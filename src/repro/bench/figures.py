@@ -8,7 +8,10 @@ tables.
 * **Figure 1** — parallel scaling: for 1..n cores, the average time to find
   and verify the optimal width over the HB_large analogue, plus timeout
   counts, for log-k-decomp, its hybrid and the single-core det-k-decomp
-  reference.
+  reference.  Two protocols — the width sweep from 1 and the single fixed
+  width — run through one body and one record builder
+  (:func:`~repro.bench.runner.sweep_record`); they differ only in which
+  runs count.
 * **Figure 3** — solved/unsolved scatter per algorithm over #edges ×
   #vertices.
 * **Recursion depth** (Theorem 4.1 claim) — maximum recursion depth of
@@ -23,13 +26,7 @@ from collections.abc import Sequence
 
 from ..hypergraph import generators
 from .corpus import Instance
-from .runner import (
-    ExperimentData,
-    RunRecord,
-    bench_decomposer,
-    run_parametrised,
-)
-from .stats import runtime_stats
+from .runner import ExperimentData, RunRecord, bench_decomposer, sweep_record
 
 __all__ = [
     "ScalingSeries",
@@ -76,168 +73,70 @@ def build_figure1(
     core_counts: Sequence[int] = (1, 2, 3, 4),
     time_budget: float = 2.0,
     max_width: int = 6,
-    include_detk_reference: bool = True,
     hybrid: bool = True,
     fixed_width: int | None = None,
     simplify: bool = True,
 ) -> list[ScalingSeries]:
     """Measure parallel scaling of log-k-decomp (Figure 1).
 
-    Average runtimes are taken only over instances that do not time out for
-    any core count (the paper's convention, which prevents a shrinking
-    timeout set from skewing the averages).
-
-    Two protocols are supported.  With ``fixed_width=None`` (default) every
+    Two protocols share one body.  With ``fixed_width=None`` (default) every
     instance's optimal width is found and verified by iterative deepening, as
-    in the paper.  With ``fixed_width=k`` every instance is decided at that
-    single width; using ``k = hw - 1`` (a refutation workload) isolates the
-    separator search whose space the parallel backend partitions, which is the
-    regime where scaling is measurable at this reproduction's small instance
-    sizes.
-    """
-    if fixed_width is not None:
-        return _build_figure1_fixed_width(
-            instances,
-            core_counts,
-            time_budget,
-            fixed_width,
-            include_detk_reference,
-            hybrid,
-            simplify,
-        )
-    methods: list[tuple[str, bool]] = [("log-k", False)]
-    if hybrid:
-        methods.append(("log-k (Hybrid)", True))
+    in the paper, and a run counts when it *solved* its instance.  With
+    ``fixed_width=k`` every instance is decided at that single width (the
+    sweep over ``(k,)``) and a run counts when it did not time out; using
+    ``k = hw - 1`` (a refutation workload) isolates the separator search
+    whose space the parallel backend partitions, which is the regime where
+    scaling is measurable at this reproduction's small instance sizes.
 
-    per_method_records: dict[str, dict[int, list[RunRecord]]] = {}
+    Average runtimes are taken only over instances whose runs count for
+    every core count (the paper's convention, which prevents a shrinking
+    timeout set from skewing the averages); the single-core det-k-decomp
+    reference averages its counted runs.  A line with no counted run
+    averages 0.0.
+    """
+    widths = range(1, max_width + 1) if fixed_width is None else (fixed_width,)
+
+    def counts(record: RunRecord) -> bool:
+        return record.solved if fixed_width is None else not record.timed_out
+
+    def sweep(label: str, factory) -> list[RunRecord]:
+        return [
+            sweep_record(instance, label, factory, time_budget, widths)
+            for instance in instances
+        ]
+
+    def average(records: list[RunRecord]) -> float:
+        return sum(r.runtime for r in records) / len(records) if records else 0.0
+
+    methods = [("log-k", False)] + ([("log-k (Hybrid)", True)] if hybrid else [])
+    series: list[ScalingSeries] = []
     for label, use_hybrid in methods:
-        per_cores: dict[int, list[RunRecord]] = {}
-        for cores in core_counts:
-            def factory(timeout: float | None, _cores=cores, _hybrid=use_hybrid):
-                return bench_decomposer(
+        per_cores = {
+            cores: sweep(
+                label,
+                lambda t, _cores=cores, _hybrid=use_hybrid: bench_decomposer(
                     "parallel",
-                    timeout=timeout,
+                    timeout=t,
                     num_workers=_cores,
                     hybrid=_hybrid,
                     simplify=simplify,
-                )
-
-            per_cores[cores] = [
-                run_parametrised(instance, label, factory, time_budget, max_width)
-                for instance in instances
-            ]
-        per_method_records[label] = per_cores
-
-    series: list[ScalingSeries] = []
-    for label, per_cores in per_method_records.items():
-        # Instances that never time out for this method.
-        always_solved = set(instance.name for instance in instances)
-        timeouts = 0
-        for records in per_cores.values():
-            for record in records:
-                if not record.solved:
-                    always_solved.discard(record.instance_name)
-                    timeouts += 1
-        line = ScalingSeries(method=label, timeouts=timeouts)
-        for cores in core_counts:
-            usable = [
-                record
-                for record in per_cores[cores]
-                if record.instance_name in always_solved
-            ]
-            stats = runtime_stats(usable)
-            line.add(cores, stats.avg)
-        series.append(line)
-
-    if include_detk_reference:
-        detk_records = [
-            run_parametrised(
-                instance,
-                "NewDetKDecomp",
-                lambda t: bench_decomposer("detk", timeout=t, simplify=simplify),
-                time_budget,
-                max_width,
+                ),
             )
-            for instance in instances
-        ]
-        stats = runtime_stats([r for r in detk_records if r.solved])
-        reference = ScalingSeries(
-            method="NewDetKDecomp (1 core)",
-            timeouts=sum(1 for r in detk_records if not r.solved),
-        )
-        for cores in core_counts:
-            reference.add(cores, stats.avg)
-        series.append(reference)
-    return series
-
-
-def _build_figure1_fixed_width(
-    instances: Sequence[Instance],
-    core_counts: Sequence[int],
-    time_budget: float,
-    width: int,
-    include_detk_reference: bool,
-    hybrid: bool,
-    simplify: bool = True,
-) -> list[ScalingSeries]:
-    """Fixed-width variant of Figure 1 (see :func:`build_figure1`)."""
-    methods: list[tuple[str, bool]] = [("log-k", False)]
-    if hybrid:
-        methods.append(("log-k (Hybrid)", True))
-
-    series: list[ScalingSeries] = []
-    for label, use_hybrid in methods:
-        per_cores: dict[int, dict[str, tuple[bool, float]]] = {}
-        for cores in core_counts:
-            runs: dict[str, tuple[bool, float]] = {}
-            for instance in instances:
-                decomposer = bench_decomposer(
-                    "parallel",
-                    timeout=time_budget,
-                    num_workers=cores,
-                    hybrid=use_hybrid,
-                    simplify=simplify,
-                )
-                result = decomposer.decompose(instance.hypergraph, width)
-                runs[instance.name] = (not result.timed_out, result.elapsed)
-            per_cores[cores] = runs
-        decided_everywhere = {
-            instance.name
-            for instance in instances
-            if all(per_cores[cores][instance.name][0] for cores in core_counts)
+            for cores in core_counts
         }
-        line = ScalingSeries(
-            method=label,
-            timeouts=sum(
-                1
-                for cores in core_counts
-                for instance in instances
-                if not per_cores[cores][instance.name][0]
-            ),
-        )
+        missed = [r for records in per_cores.values() for r in records if not counts(r)]
+        usable = {instance.name for instance in instances} - {r.instance_name for r in missed}
+        line = ScalingSeries(method=label, timeouts=len(missed))
         for cores in core_counts:
-            usable = [
-                per_cores[cores][name][1] for name in decided_everywhere
-            ]
-            line.add(cores, sum(usable) / len(usable) if usable else 0.0)
+            line.add(cores, average([r for r in per_cores[cores] if r.instance_name in usable]))
         series.append(line)
 
-    if include_detk_reference:
-        times = []
-        timeouts = 0
-        for instance in instances:
-            result = bench_decomposer(
-                "detk", timeout=time_budget, simplify=simplify
-            ).decompose(instance.hypergraph, width)
-            if result.timed_out:
-                timeouts += 1
-            else:
-                times.append(result.elapsed)
-        average = sum(times) / len(times) if times else time_budget
-        reference = ScalingSeries(method="NewDetKDecomp (1 core)", timeouts=timeouts)
-        for cores in core_counts:
-            reference.add(cores, average)
-        series.append(reference)
+    detk = sweep("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t, simplify=simplify))
+    counted = [r for r in detk if counts(r)]
+    reference = ScalingSeries("NewDetKDecomp (1 core)", timeouts=len(detk) - len(counted))
+    for cores in core_counts:
+        reference.add(cores, average(counted))
+    series.append(reference)
     return series
 
 

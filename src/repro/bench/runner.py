@@ -5,7 +5,10 @@ The harness mirrors the paper's experimental protocol (Section 5.1):
 * the parametrised algorithms (det-k-decomp, log-k-decomp and its hybrid) are
   run for increasing width ``k`` with a per-run time budget; an instance
   counts as *solved* when an HD of some width ``k`` was found **and** all
-  smaller widths were refuted within the budget (i.e. the optimum is proven);
+  smaller widths were refuted within the budget (i.e. the optimum is proven).
+  The loop is :func:`~repro.core.width.width_sweep`; :func:`sweep_record`
+  turns its runs into a :class:`RunRecord` (decisions, summed runtime,
+  merged statistics, optimal width);
 * the HtdLEO-style optimal solver takes no width parameter and either returns
   the optimum within its budget or times out;
 * running times are reported only over solved instances (timeouts excluded),
@@ -24,6 +27,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from ..core.base import Decomposer, SearchStatistics
 from ..core.optimal import OptimalHDSolver
+from ..core.width import width_sweep
 from ..pipeline.engine import DecompositionEngine
 from ..pipeline.registry import registry
 from .corpus import Instance
@@ -35,6 +39,7 @@ __all__ = [
     "bench_decomposer",
     "default_method_specs",
     "run_parametrised",
+    "sweep_record",
     "run_optimal_solver",
     "run_experiment",
 ]
@@ -163,24 +168,30 @@ def run_parametrised(
     ``time_budget`` is the budget for each (instance, k) run, matching the
     per-run timeout of the paper's setup.
     """
-    decisions: dict[int, bool] = {}
-    total_runtime = 0.0
-    timed_out = False
-    optimal_width: int | None = None
+    return sweep_record(instance, method, factory, time_budget, range(1, max_width + 1))
+
+
+def sweep_record(
+    instance: Instance,
+    method: str,
+    factory: DecomposerFactory,
+    time_budget: float,
+    widths: Iterable[int],
+) -> RunRecord:
+    """The record of one :func:`~repro.core.width.width_sweep` over ``widths``.
+
+    Each width is decided by a fresh ``factory(time_budget)``.  ``solved``
+    and ``optimal_width`` mean "proven optimal" only when ``widths`` starts
+    at 1 (:func:`run_parametrised`); Figure 1's fixed-width protocol sweeps
+    the single width ``(k,)`` and reads ``timed_out`` instead.
+    """
+    runs = width_sweep(
+        lambda k: factory(time_budget).decompose(instance.hypergraph, k), widths
+    )
     searched = SearchStatistics()
-    for k in range(1, max_width + 1):
-        decomposer = factory(time_budget)
-        result = decomposer.decompose(instance.hypergraph, k)
-        total_runtime += result.elapsed
-        searched.merge(result.statistics)
-        if result.timed_out:
-            timed_out = True
-            break
-        decisions[k] = result.success
-        if result.success:
-            optimal_width = k
-            break
-    solved = optimal_width is not None
+    for run in runs:
+        searched.merge(run.statistics)
+    found = runs[-1] if runs and runs[-1].success else None
     return RunRecord(
         instance_name=instance.name,
         origin=instance.origin,
@@ -188,11 +199,11 @@ def run_parametrised(
         num_edges=instance.num_edges,
         num_vertices=instance.num_vertices,
         method=method,
-        solved=solved,
-        optimal_width=optimal_width,
-        runtime=total_runtime,
-        timed_out=timed_out,
-        decisions=decisions,
+        solved=found is not None,
+        optimal_width=found.width_parameter if found else None,
+        runtime=sum(run.elapsed for run in runs),
+        timed_out=bool(runs) and runs[-1].timed_out,
+        decisions={run.width_parameter: run.success for run in runs if not run.timed_out},
         max_recursion_depth=searched.max_recursion_depth,
         search_counters=searched.search_counters(),
     )
@@ -207,10 +218,7 @@ def run_optimal_solver(
     """Resolve an instance with the HtdLEO-style direct optimal solver."""
     solver = OptimalHDSolver(timeout=time_budget, max_width=max_width)
     outcome = solver.solve(instance.hypergraph)
-    decisions: dict[int, bool] = {}
-    if outcome.width is not None:
-        for k in range(1, max_width + 1):
-            decisions[k] = k >= outcome.width
+    width = outcome.width
     return RunRecord(
         instance_name=instance.name,
         origin=instance.origin,
@@ -218,11 +226,11 @@ def run_optimal_solver(
         num_edges=instance.num_edges,
         num_vertices=instance.num_vertices,
         method=method,
-        solved=outcome.width is not None,
-        optimal_width=outcome.width,
+        solved=width is not None,
+        optimal_width=width,
         runtime=outcome.elapsed,
         timed_out=outcome.timed_out,
-        decisions=decisions,
+        decisions={k: k >= width for k in range(1, max_width + 1)} if width else {},
         max_recursion_depth=outcome.statistics.max_recursion_depth,
     )
 

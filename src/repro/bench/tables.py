@@ -95,7 +95,6 @@ def build_table2(
     edge_thresholds: Sequence[float] = (10.0, 20.0, 40.0),
     time_budget: float = 2.0,
     max_width: int = 6,
-    include_baselines: bool = True,
     simplify: bool = True,
 ) -> Table:
     """The hybridisation-metric study (Table 2) on the HB_large analogue.
@@ -103,12 +102,17 @@ def build_table2(
     The default thresholds are the paper's thresholds (200/400/600 for
     WeightedCount, 20/40/80 for EdgeCount) scaled down by roughly the same
     factor as the corpus' instance sizes; pass the paper's values explicitly
-    to run the original grid.
+    to run the original grid.  The det-k and optimal baselines close the
+    table.
     """
     table = Table(
         "Table 2: hybrid metrics on HB_large",
         ["Method", "Threshold", "Solved", "Av. runtime (sec.)"],
     )
+
+    def add_row(label: str, threshold: str, records: list[RunRecord]) -> None:
+        stats = runtime_stats(records)
+        table.add_row([label, threshold, stats.solved, f"{stats.avg:.2f}"])
 
     def run_method(label: str, factory) -> list[RunRecord]:
         return [
@@ -116,50 +120,28 @@ def build_table2(
             for instance in instances
         ]
 
-    for threshold in weighted_thresholds:
-        label = "WeightedCount"
-        records = run_method(
-            label,
-            lambda t, thr=threshold: bench_decomposer(
-                "hybrid",
-                timeout=t,
-                metric="WeightedCount",
-                threshold=thr,
-                simplify=simplify,
-            ),
-        )
-        stats = runtime_stats(records)
-        table.add_row([label, f"{threshold:g}", stats.solved, f"{stats.avg:.2f}"])
+    for metric, thresholds in (
+        ("WeightedCount", weighted_thresholds),
+        ("EdgeCount", edge_thresholds),
+    ):
+        for threshold in thresholds:
+            records = run_method(
+                metric,
+                lambda t, metric=metric, threshold=threshold: bench_decomposer(
+                    "hybrid", timeout=t, metric=metric, threshold=threshold, simplify=simplify
+                ),
+            )
+            add_row(metric, f"{threshold:g}", records)
 
-    for threshold in edge_thresholds:
-        label = "EdgeCount"
-        records = run_method(
-            label,
-            lambda t, thr=threshold: bench_decomposer(
-                "hybrid",
-                timeout=t,
-                metric="EdgeCount",
-                threshold=thr,
-                simplify=simplify,
-            ),
-        )
-        stats = runtime_stats(records)
-        table.add_row([label, f"{threshold:g}", stats.solved, f"{stats.avg:.2f}"])
-
-    if include_baselines:
-        detk_records = run_method(
-            "NewDetKDecomp",
-            lambda t: bench_decomposer("detk", timeout=t, simplify=simplify),
-        )
-        stats = runtime_stats(detk_records)
-        table.add_row(["NewDetKDecomp", "-", stats.solved, f"{stats.avg:.2f}"])
-
-        optimal_records = [
-            run_optimal_solver(instance, "HtdLEO", time_budget * 2, max_width)
-            for instance in instances
-        ]
-        stats = runtime_stats(optimal_records)
-        table.add_row(["HtdLEO", "-", stats.solved, f"{stats.avg:.2f}"])
+    records = run_method(
+        "NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t, simplify=simplify)
+    )
+    add_row("NewDetKDecomp", "-", records)
+    records = [
+        run_optimal_solver(instance, "HtdLEO", time_budget * 2, max_width)
+        for instance in instances
+    ]
+    add_row("HtdLEO", "-", records)
     return table
 
 

@@ -13,8 +13,9 @@ module provides an exact optimal solver with the same external behaviour
    vertices — mirroring the memory-hungry character of the SMT approach).
    Each ordering bag is covered exactly by a branch-and-bound set cover.
 2. Starting at that lower bound, HD existence is checked for increasing ``k``
-   with det-k-decomp; the first success is the optimum ``hw`` (since
-   ``ghw ≤ hw`` always holds).
+   with det-k-decomp (:func:`~repro.core.width.width_sweep`, every run
+   bounded by what is left of the one deadline); the first success is the
+   optimum ``hw`` (since ``ghw ≤ hw`` always holds).
 
 For hypergraphs with too many vertices for the subset DP, the solver falls
 back to a cheaper lower bound (the cover number of the largest edge
@@ -34,8 +35,9 @@ from ..decomp.decomposition import HypertreeDecomposition
 from ..exceptions import SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..hypergraph.properties import is_alpha_acyclic
-from .base import SearchStatistics
+from .base import DecompositionResult, SearchStatistics
 from .detk import DetKDecomposer
+from .width import width_sweep
 
 __all__ = ["OptimalHDSolver", "OptimalResult", "exact_ghw", "minimum_edge_cover_size"]
 
@@ -209,7 +211,6 @@ class OptimalHDSolver:
             raise SolverError("cannot decompose a hypergraph without edges")
         start = time.monotonic()
         deadline = Deadline.arm(self.timeout)
-        stats = SearchStatistics()
         # A private cache-less engine, as the harness gives the other Table 1
         # methods: the reported time is a search time, and the budget-keyed
         # entries never land in the process-wide cache.
@@ -217,7 +218,13 @@ class OptimalHDSolver:
 
         engine = DecompositionEngine(cache=None)
 
+        def decide(width: int) -> DecompositionResult:
+            remaining = None if deadline is None else deadline.remaining()
+            return DetKDecomposer(timeout=remaining, engine=engine).decompose(hypergraph, width)
+
         lower_bound = 1
+        runs: list[DecompositionResult] = []
+        timed_out = False
         try:
             if not is_alpha_acyclic(hypergraph):
                 lower_bound = 2
@@ -226,43 +233,21 @@ class OptimalHDSolver:
                     lower_bound = max(lower_bound, ghw)
             if deadline is not None:
                 deadline.check("optimal solver")
-
-            width = lower_bound
-            while width <= self.max_width:
-                remaining = None if deadline is None else deadline.remaining()
-                decomposer = DetKDecomposer(timeout=remaining, engine=engine)
-                result = decomposer.decompose(hypergraph, width)
-                stats.merge(result.statistics)
-                if result.timed_out:
-                    raise TimeoutExceeded("optimal solver time budget exhausted")
-                if result.success:
-                    return OptimalResult(
-                        hypergraph=hypergraph,
-                        width=width,
-                        decomposition=result.decomposition,
-                        lower_bound=lower_bound,
-                        elapsed=time.monotonic() - start,
-                        timed_out=False,
-                        statistics=stats,
-                    )
-                width += 1
+            runs = width_sweep(decide, range(lower_bound, self.max_width + 1))
+            timed_out = bool(runs) and runs[-1].timed_out
         except TimeoutExceeded:
-            return OptimalResult(
-                hypergraph=hypergraph,
-                width=None,
-                decomposition=None,
-                lower_bound=lower_bound,
-                elapsed=time.monotonic() - start,
-                timed_out=True,
-                statistics=stats,
-            )
+            timed_out = True
+        stats = SearchStatistics()
+        for run in runs:
+            stats.merge(run.statistics)
+        found = runs[-1] if runs and runs[-1].success else None
         return OptimalResult(
             hypergraph=hypergraph,
-            width=None,
-            decomposition=None,
+            width=found.width_parameter if found else None,
+            decomposition=found.decomposition if found else None,
             lower_bound=lower_bound,
             elapsed=time.monotonic() - start,
-            timed_out=False,
+            timed_out=timed_out,
             statistics=stats,
         )
 

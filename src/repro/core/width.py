@@ -5,11 +5,17 @@
   deepening over ``k`` (with a fast acyclicity shortcut for width 1);
   :func:`smallest_width` does the same but raises on a timeout,
 * :func:`is_width_at_most` — the decision problem for a single ``k``,
+* :func:`width_sweep` — the one iterative-deepening loop: decide ``hw <= k``
+  for ascending ``k`` and stop at the first HD or the first timeout.  The
+  width API, the query planner, the optimal solver and the paper harness are
+  its callers; each keeps only its own budget rule inside ``decide``,
 * :func:`make_decomposer` — thin wrapper over the declarative
   :mod:`repro.pipeline.registry` used by the benchmark harness and the CLI.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Iterable
 
 from ..decomp.decomposition import HypertreeDecomposition
 from ..exceptions import SolverError, TimeoutExceeded
@@ -24,6 +30,7 @@ __all__ = [
     "is_width_at_most",
     "hypertree_width",
     "smallest_width",
+    "width_sweep",
 ]
 
 
@@ -49,6 +56,23 @@ def is_width_at_most(
     return result.success
 
 
+def width_sweep(
+    decide: Callable[[int], DecompositionResult], widths: Iterable[int]
+) -> list[DecompositionResult]:
+    """Run ``decide(k)`` for each ``k`` of ``widths`` in order; return the runs made.
+
+    The sweep stops after the first run that found an HD or timed out, so
+    the last run is the answer: a success at the smallest width not refuted,
+    a timeout, or (every run refuted) no HD up to the last width.
+    """
+    runs: list[DecompositionResult] = []
+    for k in widths:
+        runs.append(decide(k))
+        if runs[-1].success or runs[-1].timed_out:
+            break
+    return runs
+
+
 def smallest_width(
     hypergraph: Hypergraph,
     algorithm: str = "hybrid",
@@ -67,13 +91,16 @@ def smallest_width(
     """
     if hypergraph.num_edges == 0:
         raise SolverError("cannot decompose a hypergraph without edges")
+    decomposer = make_decomposer(algorithm, timeout=timeout, **options)
     widths = [1] if is_alpha_acyclic(hypergraph) else range(2, max_width + 1)
-    for k in widths:
-        result = decompose(hypergraph, k, algorithm=algorithm, timeout=timeout, **options)
-        if result.timed_out:
-            raise TimeoutExceeded(f"width search time budget exhausted at k = {k}")
-        if result.success and result.decomposition is not None:
-            return k, result.decomposition
+    runs = width_sweep(lambda k: decomposer.decompose(hypergraph, k), widths)
+    last = runs[-1] if runs else None
+    if last is not None and last.timed_out:
+        raise TimeoutExceeded(
+            f"width search time budget exhausted at k = {last.width_parameter}"
+        )
+    if last is not None and last.success:
+        return last.width_parameter, last.decomposition
     return None, None
 
 

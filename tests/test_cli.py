@@ -91,3 +91,20 @@ def test_no_simplify_flag_runs_raw_search(capsys, shared_run):
     exit_code = main(["table4", *_TINY, "--no-simplify", "--quiet"])
     assert exit_code == 0
     assert "Table 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--scale", "tiny", "--max-width", "0"],
+        ["figure1", "--cores", "0"],
+        ["figure1", "--cores", "1", "0"],
+        ["table4", "--budget", "-1"],
+        ["table4", "--budget", "0"],
+    ],
+)
+def test_bad_values_rejected_before_any_run(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--quiet"])
+    assert exit_info.value.code == 2
+    assert "must be" in capsys.readouterr().err

@@ -82,7 +82,6 @@ def test_build_table2_small():
         edge_thresholds=(4.0,),
         time_budget=3.0,
         max_width=3,
-        include_baselines=True,
     )
     methods = [row[0] for row in table.rows]
     assert methods == ["WeightedCount", "EdgeCount", "NewDetKDecomp", "HtdLEO"]
@@ -111,7 +110,8 @@ def test_build_figure3(experiment_data):
     assert "Figure 3" in text
 
 
-def test_build_figure1_small():
+@pytest.mark.parametrize("fixed_width", [None, 2])
+def test_build_figure1_small(fixed_width):
     instances = [
         Instance("cycle8", "Synthetic", generators.cycle(8), "cycle"),
         Instance("triangles3", "Application", generators.triangle_cascade(3), "triangles"),
@@ -121,8 +121,8 @@ def test_build_figure1_small():
         core_counts=(1, 2),
         time_budget=3.0,
         max_width=3,
-        include_detk_reference=True,
         hybrid=False,
+        fixed_width=fixed_width,
     )
     methods = [line.method for line in series]
     assert "log-k" in methods
