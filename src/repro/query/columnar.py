@@ -8,11 +8,12 @@ relations (the tuple-at-a-time oracle it is tested against lives in
 Design
 ------
 * **Dictionary encoding** — a :class:`ColumnStore` owns one process-wide
-  value dictionary per database: every attribute value is interned to a
-  small integer code, so all joins, semijoins and deduplication work on
-  integers (and code equality is value equality across relations).  Base
-  relations are interned a column at a time (:func:`intern_column`) and
-  checked for repeated variables on codes; being sets, they need no dedupe.
+  value dictionary per database (the SQL arm's store shares it): every
+  attribute value is interned to a small integer code, so all joins,
+  semijoins and deduplication work on integers (and code equality is value
+  equality across relations).  Base relations are interned a column at a
+  time (:meth:`ColumnStore.intern`) and checked for repeated variables on
+  codes; being sets, they need no dedupe.
 * **Column-major storage** — a :class:`ColumnarRelation` stores one code
   list per attribute.  Operators slice out exactly the key columns they
   need; no full-width tuples are rebuilt per operator.
@@ -103,27 +104,6 @@ _MASK_CHUNK = 4096
 #: (the packed join, the cartesian product) counts as ``16 * _CHECK_STRIDE``
 #: rows.
 _CHECK_STRIDE = 4096
-
-
-def intern_column(codes: dict, values: list, lock, column: Sequence) -> list[int]:
-    """The codes of ``column``'s values, interning the ones ``codes`` lacks.
-
-    ``codes`` (value → code) and ``values`` (code → value) are one value
-    dictionary; ``lock`` guards its growth.  The fast path maps the whole
-    column through ``codes`` without the lock.  On a miss the lock is taken
-    once, each distinct new value is appended to ``values`` *before* its
-    code is published in ``codes`` (a thread that observes a code can decode
-    it), and the column is mapped again.
-    """
-    out = list(map(codes.get, column))
-    if None in out:
-        with lock:
-            for value in dict.fromkeys(column):
-                if value not in codes:
-                    values.append(value)
-                    codes[value] = len(values) - 1
-        out = list(map(codes.get, column))
-    return out
 
 
 def _mask_to_selectors(mask: int, nrows: int) -> bytes:
@@ -478,7 +458,7 @@ class ColumnStore:
     The store may be shared by concurrent executions (the serving layer runs
     many queries against one database at once): the value dictionary grows
     only under a lock, taken once per column that holds new values (see
-    :func:`intern_column`) — without it two threads interning overlapping
+    :meth:`intern`) — without it two threads interning overlapping
     columns could hand out *different* codes for one value, breaking the
     code-equality-is-value-equality invariant — and the bag cache is a
     lock-striped :class:`~repro.lru.ShardedLRU`.  Atom tables may
@@ -506,6 +486,21 @@ class ColumnStore:
     # ------------------------------------------------------------------ #
     # encoding
     # ------------------------------------------------------------------ #
+    def intern(self, column: Sequence) -> list[int]:
+        """The codes of ``column``'s values, interning the new ones: a lock-free
+        ``map`` first; on a miss the lock is taken once, and each new value is
+        appended to ``_values`` before its code is published in ``_codes``."""
+        codes = self._codes
+        out = list(map(codes.get, column))
+        if None in out:
+            with self._intern_lock:
+                for value in dict.fromkeys(column):
+                    if value not in codes:
+                        self._values.append(value)
+                        codes[value] = len(self._values) - 1
+            out = list(map(codes.get, column))
+        return out
+
     def decode(self, code: int) -> object:
         """The value interned under ``code``."""
         return self._values[code]
@@ -520,13 +515,12 @@ class ColumnStore:
         atom's distinct variables and rows violating repeated-variable
         equality are dropped.  Cached per (relation, argument pattern).
         """
-        pattern = tuple(binding.arguments.index(a) for a in binding.arguments)
-        table_key = (binding.relation, pattern, binding.variables)
+        table_key = self.atom_key(binding)
         table = self._atom_tables.get(table_key)
         if table is not None:
             return table
 
-        columns_key = (binding.relation, pattern)
+        columns_key = table_key[:2]  # (relation, repeat pattern)
         columns = self._atom_columns.get(columns_key)
         if columns is None:
             base = self.database.get(binding.relation)
@@ -537,10 +531,7 @@ class ColumnStore:
                 )
             raw = list(zip(*base.tuples)) or [()] * len(binding.arguments)
             first = {v: binding.arguments.index(v) for v in binding.variables}
-            codes = {
-                v: intern_column(self._codes, self._values, self._intern_lock, raw[p])
-                for v, p in first.items()
-            }
+            codes = {v: self.intern(raw[p]) for v, p in first.items()}
             if binding.has_repeats:
                 # A later occurrence is only looked up: a value the dictionary
                 # lacks equals no interned first occurrence.
@@ -756,11 +747,11 @@ class PlanExecutor:
 
         def rows() -> set[tuple]:
             self._check()
-            if not root.columns:
+            if not plan.output:
                 return {()}
-            # Decode column-at-a-time and adopt the zipped tuples directly.
+            # Decode column-at-a-time in output order; adopt the zipped tuples.
             decode = self.store._values.__getitem__
-            return set(zip(*(map(decode, column) for column in root.columns)))
+            return set(zip(*(map(decode, root.column(v)) for v in plan.output)))
 
         # Joins of distinct inputs stay distinct and projections dedupe, so
         # the root row count *is* the answer count.
@@ -906,11 +897,11 @@ class PlanExecutor:
 
         for op in plan.join_schedule:
             if isinstance(op, JoinOp):
-                parent = node_result(op.target)
-                child = node_result(op.source)
-                child = self._project(child, op.retain)
-                results[op.target] = self._join(parent, child, stats)
-            else:  # ProjectOp
+                # Only a leaf is projected here: a last join wrote ``retain``.
+                child = self._project(node_result(op.source), op.retain)
+                joined = self._join(node_result(op.target), child, stats)
+                results[op.target] = self._project(joined, op.schema)
+            else:  # ProjectOp: a root without children
                 results[op.node] = self._project(node_result(op.node), op.attributes)
 
         return node_result(0)

@@ -13,8 +13,8 @@ join tree —
    cover atoms (a cover atom cannot reject a row of its own join),
 2. :class:`SemijoinOp` steps run Yannakakis' bottom-up and top-down semijoin
    passes (the full reduction),
-3. :class:`JoinOp`/:class:`ProjectOp` steps assemble the answers bottom-up,
-   keeping only output variables plus the variables still needed higher up.
+3. :class:`JoinOp` steps assemble the answers bottom-up, each naming the
+   columns it writes: only output variables plus those still needed higher up.
 
 Because every schema intersection, projection list and semijoin key is
 resolved at compile time, the program can be cached and re-run against any
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..decomp.jointree import JoinTree
-from ..exceptions import QueryError
+from ..exceptions import DecompositionError, QueryError
 from ..hypergraph.cq import ConjunctiveQuery
 
 __all__ = [
@@ -148,16 +148,19 @@ class SemijoinOp:
 @dataclass(frozen=True)
 class JoinOp:
     """Join child ``source``'s intermediate result (projected onto ``retain``)
-    into parent ``target``'s intermediate result."""
+    into parent ``target``'s, writing ``schema``: the node's columns plus the
+    child's new ones, or for the last join into a node exactly what its
+    consumer reads (the parent's ``retain`` for it, at the root the output)."""
 
     target: int
     source: int
     retain: tuple[str, ...]
+    schema: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class ProjectOp:
-    """Project node ``node``'s intermediate result onto ``attributes``."""
+    """Project root ``node``, which has no children, onto ``attributes``."""
 
     node: int
     attributes: tuple[str, ...]
@@ -182,7 +185,6 @@ class QueryPlan:
     top_down: tuple[SemijoinOp, ...]
     join_schedule: tuple[JoinOp | ProjectOp, ...]
     node_variables: tuple[tuple[str, ...], ...]
-    result_variables: tuple[tuple[str, ...], ...]
     width: int
     children: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
@@ -212,7 +214,8 @@ class QueryPlan:
         for op in self.join_schedule:
             if isinstance(op, JoinOp):
                 lines.append(
-                    f"  res[{op.target}] ⋈= π_{{{', '.join(op.retain)}}}(res[{op.source}])"
+                    f"  res[{op.target}] = π_{{{', '.join(op.schema)}}}(res[{op.target}] ⋈ "
+                    f"π_{{{', '.join(op.retain)}}}(res[{op.source}]))"
                 )
             else:
                 lines.append(f"  res[{op.node}] = π_{{{', '.join(op.attributes)}}}(res[{op.node}])")
@@ -247,9 +250,15 @@ def compile_plan(
     bottom-up join of its ``yannakakis``), so plan-compiled evaluation is
     answer-for-answer identical to the reference path.  For ``BOOLEAN``
     plans the top-down pass and the join schedule are omitted: after the
-    bottom-up pass the root is non-empty iff the query holds.
+    bottom-up pass the root is non-empty iff the query holds.  A tree that
+    fails :meth:`~repro.decomp.jointree.JoinTree.validate` or binds a bag
+    variable its λ-label does not cover raises :class:`QueryError`.
     """
     mode = AnswerMode.coerce(mode)
+    try:
+        join_tree.validate()
+    except DecompositionError as error:
+        raise QueryError(f"invalid join tree: {error}") from None
     atoms, atom_index = _atom_bindings(query)
     output = tuple(dict.fromkeys(query.free_variables))
 
@@ -265,6 +274,12 @@ def compile_plan(
         if not cover:
             raise QueryError(
                 "decomposition node with an empty λ-label cannot be materialised"
+            )
+        covered = {v for i in cover for v in atoms[i].variables}
+        missing = [v for v in node_variables[node_id] if v not in covered]
+        if missing:
+            raise QueryError(
+                f"bag variables {missing} are not covered by the node's λ-label"
             )
         assigned = tuple(atom_index[name] for name in sorted(node.assigned_edges))
         filters = tuple(i for i in assigned if i not in cover)
@@ -287,7 +302,6 @@ def compile_plan(
 
     top_down: list[SemijoinOp] = []
     join_schedule: list[JoinOp | ProjectOp] = []
-    result_variables: list[tuple[str, ...]] = [()] * len(nodes)
 
     if mode is not AnswerMode.BOOLEAN:
 
@@ -302,28 +316,28 @@ def compile_plan(
 
         keep = frozenset(output)
 
-        def emit_joins(node_id: int) -> tuple[str, ...]:
-            """Mirror of the oracle's ``_joined_projection``, schemas only."""
+        def emit_joins(node_id: int, needed: frozenset[str] | None) -> tuple[str, ...]:
+            """Emit the joins into ``node_id``; return what its consumer reads:
+            its columns in ``needed`` (the parent's), or the output at the root.
+            The oracle's ``_joined_projection``, schemas only."""
             current = list(node_variables[node_id])
-            bag_set = set(node_variables[node_id])
-            needed = keep | bag_set
-            for child_id in children[node_id]:
-                child_schema = emit_joins(child_id)
-                retain = tuple(a for a in child_schema if a in needed)
-                join_schedule.append(JoinOp(target=node_id, source=child_id, retain=retain))
-                for attribute in retain:
-                    if attribute not in bag_set and attribute not in current:
-                        current.append(attribute)
-            wanted = tuple(a for a in current if a in keep or a in bag_set)
-            if wanted != tuple(current):
-                join_schedule.append(ProjectOp(node=node_id, attributes=wanted))
-            result_variables[node_id] = wanted
-            return wanted
+            own = keep.union(current)
 
-        root_schema = emit_joins(0)
-        if root_schema != output:
-            # Final projection onto the output variables (for a Boolean-shaped
-            # query under ENUMERATE/COUNT this is the 0-ary projection).
+            def reads() -> tuple[str, ...]:
+                return output if needed is None else tuple(a for a in current if a in needed)
+
+            for child_id in children[node_id]:
+                retain = emit_joins(child_id, own)
+                current += [a for a in retain if a not in current]
+                schema = reads() if child_id == children[node_id][-1] else tuple(current)
+                join_schedule.append(JoinOp(node_id, child_id, retain, schema))
+            return reads()
+
+        emit_joins(0, None)
+        if not children[0] and set(output) != set(node_variables[0]):
+            # A root without children projects onto the output variables when
+            # that drops a column (the 0-ary projection for a Boolean-shaped
+            # query); executors read the output columns by name.
             join_schedule.append(ProjectOp(node=0, attributes=output))
 
     return QueryPlan(
@@ -336,7 +350,6 @@ def compile_plan(
         top_down=tuple(top_down),
         join_schedule=tuple(join_schedule),
         node_variables=node_variables,
-        result_variables=tuple(result_variables),
         width=join_tree.width,
         children=tuple(tuple(c) for c in children),
     )

@@ -24,13 +24,12 @@ far larger than memory be answered with Yannakakis-over-SQL:
    join_<h> AS SELECT DISTINCT ...`` over the previous step's tables (never
    a flat n-way join, which SQLite caps at 64 tables and misorders long
    before that), so every intermediate stays within Yannakakis'
-   output-bounded guarantee.  A node's result has exactly one consumer —
-   its parent's join, or at the root the answer — and the last join into a
-   node selects exactly the columns that consumer reads: the parent reads
-   such a table as it is (no ``SELECT DISTINCT`` subquery), the root's
-   final :class:`~repro.query.plan.ProjectOp` folds into its last join,
-   and a ``proj_<h>`` table is left only for a root without children;
-   only ``enumerate`` then
+   output-bounded guarantee.  Each step selects the columns the plan says
+   the join writes (``JoinOp.schema``): a node's last join writes what its
+   consumer reads, so a parent reads a child that has children as it is
+   (no ``SELECT DISTINCT`` subquery), and the plan's one
+   :class:`~repro.query.plan.ProjectOp` — a root without children —
+   becomes a ``proj_<h>`` table; only ``enumerate`` then
    reads the root's result with a ``SELECT`` — ``boolean`` and ``count``
    are answered from the row count the store registered for the root table
    (no statement, rows are never decoded).
@@ -47,8 +46,9 @@ commit by another connection drops every recycled table.
 
 Two data sources are supported.  An in-memory
 :class:`~repro.query.database.Database` is bulk-loaded once per
-:class:`SQLStore` with every value interned to an integer code (the same
-trick the columnar store uses), so SQL equality is exactly Python equality
+:class:`SQLStore` with every value interned to an integer code through the
+database's :class:`~repro.query.columnar.ColumnStore` (one value dictionary
+for both executors), so SQL equality is exactly Python equality
 and enumerate answers decode byte-identical to the other executors.  A
 :class:`SQLDatabase` wraps an existing SQLite *file*: the executor opens the
 file directly and rows never enter Python (except decoded answers), while
@@ -84,9 +84,9 @@ from .. import faults
 from ..deadline import Deadline
 from ..exceptions import QueryError, TimeoutExceeded
 from ..faults.resilience import RetryPolicy
-from .columnar import ExecutionResult, ExecutionStatistics, intern_column
+from .columnar import ColumnStore, ExecutionResult, ExecutionStatistics
 from .database import Database
-from .plan import AnswerMode, JoinOp, ProjectOp, QueryPlan
+from .plan import AnswerMode, JoinOp, QueryPlan
 from .relation import Relation
 
 __all__ = [
@@ -224,11 +224,6 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
                     predicates.append(
                         f"{alias}.{_quote(variable)} IS {first}.{_quote(variable)}"
                     )
-        missing = [v for v in bag.variables if v not in canonical]
-        if missing:
-            raise QueryError(
-                f"bag variables {missing} are not covered by the node's λ-label"
-            )
         for atom_index in bag.filters:
             binding = plan.atoms[atom_index]
             shared = [v for v in binding.variables if v in canonical]
@@ -275,23 +270,18 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
     # flat join hands SQLite's planner an n-way join (hard-capped at 64
     # tables, and catastrophically ordered well before that on wide plans),
     # while the schedule keeps every intermediate bounded by Yannakakis'
-    # guarantee — each step retains only output variables plus the parent
-    # bag's own.  A node's result has one consumer, its parent's join (which
-    # reads ``retain``) or at the root the answer (which reads the output):
-    # the last join into a node selects exactly that, so the parent reads
-    # the table as it is and a trailing ProjectOp has nothing left to drop.
-    reads = {op.source: op.retain for op in plan.join_schedule if isinstance(op, JoinOp)}
-    reads[0] = plan.output
-    last = {op.target: i for i, op in enumerate(plan.join_schedule) if isinstance(op, JoinOp)}
+    # guarantee.  Each step writes the plan's ``schema``: a node's last join
+    # writes what its consumer reads, so a parent reads a child with
+    # children as it is; only a leaf holding more than ``retain`` is read
+    # through a SELECT DISTINCT.
     schemas = list(plan.node_variables)
-    for i, op in enumerate(plan.join_schedule):
+    for op in plan.join_schedule:
         if isinstance(op, JoinOp):
             left, left_schema, right = current[op.target], schemas[op.target], current[op.source]
             shared = tuple(v for v in left_schema if v in op.retain)
             extras = tuple(v for v in op.retain if v not in left_schema)
-            schema = reads[op.target] if last[op.target] == i else left_schema + extras
             select = ", ".join(
-                f"{'L' if v in left_schema else 'R'}.{_quote(v)} AS {_quote(v)}" for v in schema
+                f"{'L' if v in left_schema else 'R'}.{_quote(v)} AS {_quote(v)}" for v in op.schema
             ) or '1 AS "__unit__"'
             if extras:
                 if set(schemas[op.source]) == set(op.retain):
@@ -312,15 +302,10 @@ def compile_sql(plan: QueryPlan, catalog: dict[str, tuple[str, tuple[str, ...]]]
                         f"R.{_quote(v)} IS L.{_quote(v)}" for v in shared
                     )
                 select = f"SELECT DISTINCT {select} FROM {left} AS L WHERE EXISTS ({inner})"
-            current[op.target], schemas[op.target] = table("join", select), schema
-        elif isinstance(op, ProjectOp):
-            if set(schemas[op.node]) <= set(op.attributes):
-                continue  # folded into the node's last join (or nothing to drop)
+            current[op.target], schemas[op.target] = table("join", select), op.schema
+        else:  # ProjectOp: a root without children
             select = ", ".join(_quote(v) for v in op.attributes) or '1 AS "__unit__"'
             current[op.node] = table("proj", f"SELECT DISTINCT {select} FROM {current[op.node]}")
-            schemas[op.node] = op.attributes
-        else:  # pragma: no cover - the schedule has exactly two op kinds
-            raise QueryError(f"unknown join-schedule op {op!r}")
 
     # -- the final SELECT over the root's result ---------------------------- #
     # A BOOLEAN plan stops after the bottom-up pass: a surviving root tuple
@@ -455,26 +440,31 @@ class SQLStore:
     """Persistent SQL-execution state of one database (the warm-cache unit).
 
     Holds the long-lived connection (an in-memory SQLite holding the
-    interned base tables, or the opened :class:`SQLDatabase` file), the
-    value-interning dictionary for in-memory sources and the registry of
-    recycled temp tables (see the module docstring): name → row count in
-    least-recently-used order, trimmed to :data:`_ROW_BUDGET` rows after each
-    execution, emptied when an on-disk source changes.  Executions serialise
+    interned base tables, or the opened :class:`SQLDatabase` file) and the
+    registry of recycled temp tables (see the module docstring): name → row
+    count in least-recently-used order, trimmed to :data:`_ROW_BUDGET` rows
+    after each execution, emptied when an on-disk source changes.  Executions serialise
     on :attr:`lock` — SQLite connections are single-statement engines — so
     one store serves concurrent callers safely; keep one store per database
     to amortise bulk loading across a workload, exactly like
     :class:`~repro.query.columnar.ColumnStore`.
+
+    Values intern into ``columns``, the database's
+    :class:`~repro.query.columnar.ColumnStore` (a new one by default).
     """
 
-    def __init__(self, database: Database, retry: RetryPolicy | None = None) -> None:
+    def __init__(self, database: Database, columns: ColumnStore | None = None) -> None:
+        if columns is None:
+            columns = ColumnStore(database)
+        elif columns.database is not database:
+            raise QueryError("the column store belongs to a different database")
         self.database = database
+        self.columns = columns
         self.path = database.path if isinstance(database, SQLDatabase) else None
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.retry = RetryPolicy()
         self.lock = threading.RLock()
         self._connection: sqlite3.Connection | None = None
         self._loaded: set[str] = set()
-        self._codes: dict[object, int] = {}
-        self._values: list[object] = []
         #: Recycled temp objects, least recently used first: table → rows;
         #: an index is named ``<table>_ix<h>`` and counts no rows.
         self._tables: "OrderedDict[str, int]" = OrderedDict()
@@ -485,9 +475,6 @@ class SQLStore:
     def interned(self) -> bool:
         """True iff the source is an in-memory database loaded via interning."""
         return self.path is None
-
-    def decode(self, code: int) -> object:
-        return self._values[code]
 
     def connection(self) -> sqlite3.Connection:
         """The store's connection, opened (with retry) on first use.
@@ -581,11 +568,7 @@ class SQLStore:
                 raise QueryError("the sql executor does not support 0-ary relations")
             table = _quote(f"base_{name}")
             columns = ", ".join(f"c{i} INTEGER" for i in range(arity))
-            codes = [
-                intern_column(self._codes, self._values, self.lock, column)
-                for column in zip(*base.tuples)
-            ]
-            rows = list(zip(*codes))
+            rows = list(zip(*map(self.columns.intern, zip(*base.tuples))))
             connection.execute("BEGIN")
             try:
                 executor._exec(connection, f"CREATE TABLE {table} ({columns})")
@@ -757,8 +740,8 @@ class SQLExecutor:
             guard.check()
             stats.rows_materialised += len(fetched)
             if self.store.interned:
-                values = self.store._values
-                return {tuple(values[code] for code in row) for row in fetched}
+                decode = self.store.columns._values.__getitem__
+                return {tuple(map(decode, row)) for row in fetched}
             return {tuple(row) for row in fetched}
 
         # Every step is registered and none is empty, so the root's row count

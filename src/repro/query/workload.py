@@ -261,12 +261,14 @@ class QueryEngine:
         """The persistent SQL store of ``database`` (created on demand).
 
         Same uniqueness argument as :meth:`store_for`: one store per
-        database keeps one connection, one set of loaded base tables and
-        one interning dictionary."""
+        database keeps one connection and one set of loaded base tables.
+        Values intern through :meth:`store_for`'s column store, so both arms
+        share one dictionary."""
+        columns = self.store_for(database)  # before the lock: it is not re-entrant
         with self._stores_lock:
             store = self._sql_stores.get(database)
             if store is None:
-                store = SQLStore(database)
+                store = SQLStore(database, columns)
                 self._sql_stores[database] = store
             return store
 
@@ -330,7 +332,6 @@ class QueryEngine:
             )
         start = time.monotonic()
         join_tree = join_tree_from_decomposition(decomposition)
-        join_tree.validate()
         plan = compile_plan(query, join_tree, mode)
         compile_seconds = time.monotonic() - start
         planned = PlannedQuery(

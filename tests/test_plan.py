@@ -9,6 +9,7 @@ from repro.core.width import hypertree_width
 from repro.decomp.jointree import JoinTree, JoinTreeNode, join_tree_from_decomposition
 from repro.exceptions import QueryError
 from repro.hypergraph.cq import Atom, ConjunctiveQuery, parse_conjunctive_query
+from repro.query import Database, Relation, execute_plan, execute_plan_sql
 from repro.query.plan import AnswerMode, JoinOp, ProjectOp, compile_plan
 
 
@@ -62,11 +63,24 @@ def test_join_schedule_retains_only_needed_variables(triangle):
         if isinstance(op, JoinOp):
             allowed = keep | set(plan.node_variables[op.target])
             assert set(op.retain) <= allowed
-    # The schedule ends by projecting the root onto the output variables.
-    final = plan.join_schedule[-1]
-    if isinstance(final, ProjectOp):
-        assert final.node == 0
-        assert final.attributes == plan.output
+    for plan in _schedule_plans():
+        joins = [op for op in plan.join_schedule if isinstance(op, JoinOp)]
+        reads = {op.source: op.retain for op in joins}
+        reads[0] = plan.output
+        for node in range(plan.num_nodes):
+            into = [op for op in joins if op.target == node]
+            written = list(plan.node_variables[node])
+            for op in into[:-1]:  # earlier joins: the node plus what they retain
+                written += [v for v in op.retain if v not in written]
+                assert op.schema == tuple(written)
+            if into:  # the last join writes what the node's consumer reads
+                assert into[-1].schema == reads[node]
+        projects = [op for op in plan.join_schedule if isinstance(op, ProjectOp)]
+        if plan.children[0]:
+            assert projects == []
+        else:  # only a root without children projects, and only to drop columns
+            dropped = set(plan.output) != set(plan.node_variables[0])
+            assert projects == ([ProjectOp(0, plan.output)] if dropped else [])
 
 
 def test_atom_bindings_distinguish_repeated_relations():
@@ -104,6 +118,33 @@ def test_describe_lists_the_program(triangle):
     tree = _join_tree(triangle)
     text = compile_plan(triangle, tree, "enumerate").describe()
     assert "bag[0]" in text and "⋉=" in text and "mode=enumerate" in text
+    # A join line shows what the join writes and what it reads of the child.
+    chain3 = parse_conjunctive_query(_LEDGER_QUERIES[0])
+    lines = compile_plan(chain3, _join_tree(chain3), "enumerate").describe().splitlines()
+    assert [line for line in lines if line.startswith("  res[")] == [
+        "  res[1] = π_{b, d}(res[1] ⋈ π_{c, d}(res[2]))",
+        "  res[0] = π_{a, d}(res[0] ⋈ π_{b, d}(res[1]))",
+    ]
+
+
+@pytest.mark.parametrize("executor", [execute_plan, execute_plan_sql], ids=["columnar", "sql"])
+@pytest.mark.parametrize(
+    "root",
+    [
+        # Drops s: the tree answers r alone, (1,2) and (3,4), not [(1,2)].
+        JoinTreeNode(frozenset({"x", "y"}), frozenset({"r"}), frozenset({"r"})),
+        # Binds z, which its λ-label {r} does not cover.
+        JoinTreeNode(frozenset({"x", "y", "z"}), frozenset({"r"}), frozenset({"r", "s"})),
+    ],
+    ids=["atom-dropped", "bag-not-covered"],
+)
+def test_hand_built_join_tree_is_checked(executor, root):
+    query = parse_conjunctive_query("ans(x,y) :- r(x,y), s(y,z).")
+    database = Database(
+        [Relation("r", ["a0", "a1"], [(1, 2), (3, 4)]), Relation("s", ["a0", "a1"], [(2, 9)])]
+    )
+    with pytest.raises(QueryError):
+        executor(compile_plan(query, JoinTree(query.hypergraph(), root)), database)
 
 
 def _tiny_corpus_queries():
@@ -115,6 +156,23 @@ def _tiny_corpus_queries():
                 for name, vertices in sorted(instance.hypergraph.edges_as_dict().items())
             )
             yield ConjunctiveQuery(atoms, (), name=instance.name)
+
+
+#: The perf ledger's five query shapes (also pinned in test_sql_executor.py).
+_LEDGER_QUERIES = (
+    "ans(a,d) :- r1(a,b), r2(b,c), r3(c,d).",
+    "ans(a,b,c) :- r1(a,b), r2(b,c), r3(c,a).",
+    "ans(x,a,b) :- r1(x,a), r2(x,b), r3(x,c).",
+    "ans(a,c,e) :- r1(a,b), r2(b,c), r3(c,d), r4(d,a), r5(d,e).",
+    "ans(a,b,d) :- r1(a,b), r2(b,c), r3(c,a), r4(c,d), r5(d,e), r6(e,c).",
+)
+
+
+def _schedule_plans():
+    """Enumerate plans of the tiny corpus and of the ledger shapes."""
+    queries = list(_tiny_corpus_queries()) + [parse_conjunctive_query(t) for t in _LEDGER_QUERIES]
+    for query in queries:
+        yield compile_plan(query, _join_tree(query), "enumerate")
 
 
 def test_bag_filters_are_the_assigned_atoms_outside_the_cover():
@@ -135,7 +193,8 @@ def test_describe_shows_the_filters_not_the_assigned_atoms():
         "ans(a,b,d) :- r1(a,b), r2(b,c), r3(c,a), r4(c,d), r5(d,e), r6(e,c)."
     )
     plan = compile_plan(query, _join_tree(query), "enumerate")
-    lines = [line for line in plan.describe().splitlines() if " = π_" in line]
+    lines = [line for line in plan.describe().splitlines() if line.startswith("  bag[")]
+    lines = [line for line in lines if " = π_" in line]
     assert len(lines) == len(plan.bags)
     for bag, line in zip(plan.bags, lines):
         filters = ", ".join(plan.atoms[i].edge for i in bag.filters)
