@@ -75,6 +75,8 @@ from ..core.codec import (
     decomposition_from_json,
     decomposition_to_dict,
     kind_of,
+    statistics_from_json,
+    statistics_to_json,
 )
 from ..counters import Counters
 from ..decomp.decomposition import (
@@ -214,12 +216,6 @@ class _PendingWrite:
     hypergraph: Hypergraph
     stats: SearchStatistics
     wall_seconds: float
-
-
-def _statistics_payload(stats: SearchStatistics) -> str:
-    counters = stats.as_dict()
-    del counters["stage_seconds"]  # one run's timings, not part of the decided outcome
-    return json.dumps(counters, sort_keys=True)
 
 
 class DecompositionCatalog:
@@ -755,7 +751,7 @@ class DecompositionCatalog:
         ) = row
         try:
             hypergraph = host if host is not None else from_hif(hif_text)
-            stats = SearchStatistics.from_dict(json.loads(stats_text))
+            stats = statistics_from_json(stats_text)
             root: DecompositionNode | None = None
             kind: type = HypertreeDecomposition
             if success:
@@ -857,7 +853,7 @@ class DecompositionCatalog:
             kind_name,
             certificate,
             json.dumps(to_hif(pending.hypergraph), sort_keys=True),
-            _statistics_payload(pending.stats),
+            statistics_to_json(pending.stats),
             pending.wall_seconds,
             datetime.now(timezone.utc).isoformat(timespec="seconds"),
             __version__,

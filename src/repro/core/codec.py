@@ -1,23 +1,26 @@
-"""Stable JSON serialisation of decompositions and service payloads.
+"""Stable JSON frames for decompositions and service payloads.
 
-The durable catalog (:mod:`repro.catalog`) persists certificates across
-processes, so the library needs a serialisation of its tree objects that is
+Every payload is a **frame**: a frozen dataclass whose typed fields are its
+wire schema, tagged with a ``FORMAT`` and, where two frames share one, a
+``KIND``.  :meth:`Frame.to_dict` writes a frame and :func:`decode` reads one
+back, both derived once per field annotation: one validating reader serves
+the durable catalog (:mod:`repro.catalog`) and both directions of the
+process backend's wire.  The ``*_to_dict`` / ``*_from_dict`` functions
+convert between frames and library objects.
 
-* **stable** — the same decomposition always encodes to the same JSON text
-  (collections are emitted in sorted order), so encoded certificates can be
-  compared, hashed and deduplicated byte-wise;
-* **host-free** — a :class:`~repro.decomp.decomposition.Decomposition` is a
-  tree *over* a hypergraph; only the tree (bags, covers, kind) is encoded.
-  Decoding takes the host hypergraph explicitly and re-resolves every edge
-  and vertex name against it, so a payload can never smuggle in structure
-  the host does not have;
-* **versioned** — payloads carry a ``format`` tag checked on decode, so a
-  future schema change fails loudly instead of mis-decoding old rows.
-
-Decoding is deliberately paranoid: malformed payloads raise
-:class:`~repro.exceptions.ParseError`, and loaded certificates are expected
-to be re-validated by the caller (the catalog runs ``validate_hd`` on every
-loaded decomposition before trusting it — see :mod:`repro.catalog`).
+* **Validating** — a missing or mistyped field, a wrong tag, a non-scalar
+  value or nesting deeper than the interpreter follows raises
+  :class:`~repro.exceptions.ParseError`; building the library object adds
+  its constructor's errors (e.g. :class:`~repro.exceptions.DecompositionError`
+  for an edge or vertex the host does not have).
+* **Host-free** — only a decomposition's tree (bags, covers, kind) is
+  encoded; decoding takes the host explicitly and re-resolves every name
+  against it, so a payload cannot smuggle in structure the host lacks.
+* **Byte-stable** — the catalog's two texts, the certificate
+  (:func:`decomposition_to_json`) and the statistics column
+  (:func:`statistics_to_json`), are sorted-key JSON of sorted collections:
+  a catalog file outlives the code that wrote it.  The ``format`` tag makes
+  a schema change fail loudly instead of mis-decoding old rows.
 
 Round-trip example::
 
@@ -30,12 +33,16 @@ Round-trip example::
     True
 """
 
-from __future__ import annotations
-
 import builtins
 import importlib
 import json
+from dataclasses import MISSING, dataclass, fields
+from functools import cache, partial
+from itertools import chain
+from types import NoneType, UnionType
+from typing import ClassVar, get_args, get_origin
 
+from ..counters import Counters
 from ..decomp.decomposition import (
     Decomposition,
     DecompositionNode,
@@ -48,32 +55,18 @@ from ..hypergraph.cq import Atom, ConjunctiveQuery
 from .base import DecompositionResult, SearchStatistics
 
 __all__ = [
-    "DECOMPOSITION_FORMAT",
-    "HYPERGRAPH_FORMAT",
-    "DATABASE_FORMAT",
-    "REQUEST_FORMAT",
-    "ANSWER_FORMAT",
-    "ERROR_FORMAT",
-    "kind_of",
-    "class_for_kind",
-    "decomposition_to_dict",
-    "decomposition_from_dict",
-    "decomposition_to_json",
-    "decomposition_from_json",
-    "hypergraph_to_dict",
-    "hypergraph_from_dict",
-    "database_to_dict",
-    "database_from_dict",
-    "decompose_request_to_dict",
-    "query_request_to_dict",
-    "service_request_from_dict",
-    "decomposition_answer_to_dict",
-    "decomposition_answer_from_dict",
-    "query_answer_to_dict",
-    "query_answer_from_dict",
-    "error_to_dict",
-    "error_from_dict",
-]
+    "DECOMPOSITION_FORMAT", "HYPERGRAPH_FORMAT", "DATABASE_FORMAT", "REQUEST_FORMAT",
+    "ANSWER_FORMAT", "ERROR_FORMAT", "Frame", "NodeFrame", "TreeFrame", "HypergraphFrame",
+    "AnswerRowsFrame", "RelationFrame", "DatabaseFrame", "DecomposeRequestFrame",
+    "QueryRequestFrame", "DecompositionAnswerFrame", "QueryAnswerFrame", "ErrorFrame",
+    "decode", "kind_of", "class_for_kind", "decomposition_to_dict", "decomposition_from_dict",
+    "decomposition_to_json", "decomposition_from_json", "statistics_to_json",
+    "statistics_from_json", "hypergraph_to_dict", "hypergraph_from_dict", "database_to_dict",
+    "database_from_dict", "decompose_request_to_dict", "query_request_to_dict",
+    "service_request_from_dict", "decomposition_answer_to_dict",
+    "decomposition_answer_from_dict", "query_answer_to_dict", "query_answer_from_dict",
+    "error_to_dict", "error_from_dict",
+]  # fmt: skip
 
 DECOMPOSITION_FORMAT = "repro-decomposition/1"
 HYPERGRAPH_FORMAT = "repro-hypergraph/1"
@@ -82,9 +75,8 @@ REQUEST_FORMAT = "repro-service-request/1"
 ANSWER_FORMAT = "repro-service-answer/1"
 ERROR_FORMAT = "repro-service-error/1"
 
-#: ``kind`` string (as stored in payloads) → decomposition class.  The plain
-#: base class is included so a payload can be explicit about *not* claiming
-#: any conditions.
+#: Payload ``kind`` → decomposition class; the plain base class lets a
+#: payload be explicit about *not* claiming any conditions.
 _KIND_CLASSES: dict[str, type[Decomposition]] = {
     HypertreeDecomposition.kind: HypertreeDecomposition,
     GeneralizedHypertreeDecomposition.kind: GeneralizedHypertreeDecomposition,
@@ -109,73 +101,244 @@ def class_for_kind(kind: str) -> type[Decomposition]:
         raise ParseError(f"unknown decomposition kind {kind!r}; known: {known}") from None
 
 
-def _require(payload: object, key: str, expected: type):
-    if not isinstance(payload, dict):
-        raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
+# --------------------------------------------------------------------------- #
+# field annotations → readers and writers
+# --------------------------------------------------------------------------- #
+#: A JSON scalar: all a shipped row or option value may hold.
+Scalar = str | int | float | bool | None
+#: A table's rows: equal-width tuples of scalars (a sorted list of lists on the wire).
+Rows = set[tuple[Scalar, ...]]
+_SCALARS = (str, int, float, bool, NoneType)
+
+
+def _fail(expected: str, value: object) -> ParseError:
+    return ParseError(f"expected {expected}, got {type(value).__name__}")
+
+
+def _check_scalars(values, where: str) -> None:
+    """``isinstance(value, _SCALARS)`` for every value, at C speed."""
+    bad = sorted(kind.__name__ for kind in set(map(type, values)) if not issubclass(kind, _SCALARS))
+    if bad:
+        raise ParseError(f"{where} may hold JSON scalars only, not {', '.join(bad)}")
+
+
+def _scalar(*kinds: type) -> tuple:
+    """A leaf of exactly ``kinds`` (``true`` is no int; an int may be a float)."""
+
+    def read(value):  # reached only for a value of another type
+        raise _fail(kinds[-1].__name__, value)
+
+    return kinds, read, None
+
+
+def _read_named(value) -> list[tuple[str, list[str]]]:
+    pairs = type(value) is list and set(map(type, value)) <= {list} and set(map(len, value)) <= {2}
+    names, lists = zip(*value) if pairs and value else ((), ())
+    if not (pairs and set(map(type, names)) <= {str} and set(map(type, lists)) <= {list}
+            and set(map(type, chain.from_iterable(lists))) <= {str}):  # fmt: skip
+        raise _fail("a list of [name, strings] pairs", value)
+    return list(zip(names, lists))
+
+
+def _scalar_dict(value) -> dict:
+    if type(value) is not dict or not set(map(type, value)) <= {str}:
+        raise _fail("an object with string keys", value)
+    _check_scalars(value.values(), "an object")
+    return dict(value)
+
+
+def _read_rows(value) -> set:
+    if type(value) is not list or not set(map(type, value)) <= {list}:
+        raise _fail("a list of rows", value)
     try:
-        value = payload[key]
-    except KeyError:
-        raise ParseError(f"payload is missing the {key!r} field") from None
-    if not isinstance(value, expected):
-        raise ParseError(
-            f"payload field {key!r} must be {expected.__name__}, "
-            f"got {type(value).__name__}"
-        )
-    return value
+        return set(map(tuple, value))
+    except TypeError:  # lists and objects, JSON's only unhashable values
+        raise ParseError("a row holds a value that is not a JSON scalar") from None
 
 
-def _string_list(payload: dict, key: str) -> list[str]:
-    values = _require(payload, key, list)
-    if not all(isinstance(value, str) for value in values):
-        raise ParseError(f"payload field {key!r} must contain only strings")
-    return values
+def _write_rows(rows) -> list:
+    _check_scalars(chain.from_iterable(rows), "a row")
+    encoded = list(map(list, rows))
+    encoded.sort(key=repr)
+    return encoded
 
 
-# --------------------------------------------------------------------------- #
-# decomposition trees
-# --------------------------------------------------------------------------- #
-def _node_to_dict(node: DecompositionNode) -> dict:
-    return {
-        "bag": sorted(node.bag),
-        "cover": sorted(node.cover),
-        "children": [_node_to_dict(child) for child in node.children],
-    }
+#: ``(kinds, read, write)`` of the leaf annotations (see :func:`_codec`).
+_LEAVES = {
+    str: _scalar(str),
+    int: _scalar(int),
+    bool: _scalar(bool),
+    float: _scalar(int, float),
+    list[tuple[str, list[str]]]: ((), _read_named, lambda value: list(map(list, value))),
+    dict[str, Scalar]: ((), _scalar_dict, _scalar_dict),
+    Rows: ((), _read_rows, _write_rows),
+}
 
 
-def _node_from_dict(payload: dict) -> DecompositionNode:
-    return DecompositionNode(
-        bag=frozenset(_string_list(payload, "bag")),
-        cover=frozenset(_string_list(payload, "cover")),
-        children=[_node_from_dict(child) for child in _require(payload, "children", list)],
+@cache
+def _codec(hint) -> tuple:
+    """``(kinds, read, write)`` of one field annotation: a wire value of a type
+    in ``kinds`` is the field value, ``read`` turns any other into one or
+    raises ``ParseError``, ``write`` (None: identity) makes the wire value."""
+    if isinstance(hint, str):  # a frame's reference to itself
+        return _codec(globals()[hint])
+    if hint in _LEAVES:
+        return _LEAVES[hint]
+    args = get_args(hint)
+    if isinstance(hint, UnionType):  # ``X | None``
+        kinds, read, write = _codec(args[0])
+        return (*kinds, NoneType), read, write and (lambda v: None if v is None else write(v))
+    if get_origin(hint) is list:
+        kinds, read, write = _codec(args[0])
+        item = read if not kinds else (lambda value: value if type(value) in kinds else read(value))
+        same = frozenset(kinds)  # items of these types are their own field values
+
+        def read_items(value):
+            if type(value) is not list:
+                raise _fail("a list", value)
+            return value if same and set(map(type, value)) <= same else list(map(item, value))
+
+        return (), read_items, write and (lambda value: list(map(write, value)))
+    if issubclass(hint, Frame):
+        return (), partial(_read_frame, hint), hint.to_dict
+    if issubclass(hint, Counters):
+        return (), hint.from_dict, hint.as_dict
+    raise TypeError(f"no codec for the field type {hint!r}")
+
+
+@cache
+def _plan(cls) -> tuple:
+    """A frame class's tags, ``(field, kinds, read, default)`` per field,
+    ``(field, write)`` per field with a distinct wire value, and ``__post_init__``."""
+    tags = {"format": cls.FORMAT, "kind": cls.KIND}
+    codecs = [(spec, *_codec(spec.type)) for spec in fields(cls)]
+    return (
+        {tag: value for tag, value in tags.items() if value is not None},
+        tuple((spec.name, kinds, read, spec.default) for spec, kinds, read, _ in codecs),
+        tuple((spec.name, write) for spec, _, _, write in codecs if write is not None),
+        getattr(cls, "__post_init__", None),
     )
 
 
-def decomposition_to_dict(decomposition: Decomposition) -> dict:
-    """Encode the tree of a decomposition (bags, covers, kind) as plain JSON data.
+def _read_frame(cls, payload):
+    if type(payload) is not dict:
+        raise _fail(f"a {cls.__name__} object", payload)
+    _, reads, _, check = _plan(cls)
+    values = {}
+    for name, kinds, read, default in reads:
+        if (value := payload.get(name, default)) is MISSING:
+            raise ParseError(f"{cls.__name__} payload is missing the {name!r} field")
+        if type(value) in kinds:
+            values[name] = value
+            continue
+        try:
+            values[name] = read(value)
+        except ParseError as exc:
+            raise ParseError(f"{cls.__name__}.{name}: {exc}") from None
+    frame = _new(cls, values)
+    if check is not None:
+        check(frame)
+    return frame
 
-    The host hypergraph is *not* part of the payload; pass it back to
-    :func:`decomposition_from_dict` when decoding.
-    """
-    return {
-        "format": DECOMPOSITION_FORMAT,
-        "kind": decomposition.kind,
-        "root": _node_to_dict(decomposition.root),
-    }
+
+def _new(cls, values: dict):
+    """A frame of ``values`` (every field, in order, of its declared type),
+    without the frozen ``__init__``'s per-field ``object.__setattr__``."""
+    frame = cls.__new__(cls)
+    object.__setattr__(frame, "__dict__", values)
+    return frame
+
+
+class Frame:
+    """A payload: a frozen dataclass whose field annotations are its schema
+    (``FORMAT`` is None for a frame that only travels inside another)."""
+
+    FORMAT: ClassVar[str | None] = None
+    KIND: ClassVar[str | None] = None
+
+    def to_dict(self) -> dict:
+        """The frame as plain JSON data: tags first, then fields in order."""
+        tags, _, writes, _ = _plan(type(self))
+        payload = {**tags, **vars(self)}
+        for name, write in writes:
+            payload[name] = write(payload[name])
+        return payload
+
+
+def decode(payload: object, *expected: type[Frame]) -> Frame:
+    """Read ``payload`` as whichever ``expected`` frame its tags name, or
+    raise :class:`~repro.exceptions.ParseError`."""
+    if type(payload) is not dict:
+        raise _fail("a JSON object", payload)
+    tags = payload.get("format"), payload.get("kind")
+    for cls in expected:
+        if cls.FORMAT == tags[0] and cls.KIND in (None, tags[1]):
+            try:
+                return _read_frame(cls, payload)
+            except RecursionError:
+                raise ParseError(f"{cls.__name__} payload nests too deeply") from None
+    names = " or ".join(cls.__name__ for cls in expected)
+    raise ParseError(f"expected a {names} payload, got format {tags[0]!r} kind {tags[1]!r}")
+
+
+# No ``__eq__`` / ``__repr__``: frames are never compared, and each costs import time.
+_frame = dataclass(frozen=True, kw_only=True, eq=False, repr=False)
+
+
+# --------------------------------------------------------------------------- #
+# decomposition trees and the catalog's texts
+# --------------------------------------------------------------------------- #
+@_frame
+class NodeFrame(Frame):
+    """One tree node: sorted bag χ(u), sorted cover λ(u), children."""
+
+    bag: list[str]
+    cover: list[str]
+    children: list["NodeFrame"]
+
+    @classmethod
+    def of(cls, node: DecompositionNode) -> "NodeFrame":
+        children = list(map(cls.of, node.children))
+        values = {"bag": sorted(node.bag), "cover": sorted(node.cover), "children": children}
+        return _new(cls, values)
+
+    def build(self) -> DecompositionNode:
+        children = list(map(NodeFrame.build, self.children))
+        return DecompositionNode(frozenset(self.bag), frozenset(self.cover), children)
+
+
+@_frame
+class TreeFrame(Frame):
+    """A decomposition's tree; ``kind`` names its class (see :func:`kind_of`)."""
+
+    FORMAT = DECOMPOSITION_FORMAT
+    kind: str
+    root: NodeFrame
+
+    @classmethod
+    def of(cls, decomposition: Decomposition) -> "TreeFrame":
+        return cls(kind=decomposition.kind, root=NodeFrame.of(decomposition.root))
+
+    def build(self, hypergraph: Hypergraph) -> Decomposition:
+        return class_for_kind(self.kind)(hypergraph, self.root.build())
+
+
+def decomposition_to_dict(decomposition: Decomposition) -> dict:
+    """Encode a decomposition's tree (bags, covers, kind) as plain JSON data;
+    the host is not part of it (pass it to :func:`decomposition_from_dict`)."""
+    return TreeFrame.of(decomposition).to_dict()
 
 
 def decomposition_from_dict(hypergraph: Hypergraph, payload: dict) -> Decomposition:
     """Rebuild a decomposition over ``hypergraph`` from an encoded payload.
 
     Raises :class:`~repro.exceptions.ParseError` for malformed payloads and
-    :class:`~repro.exceptions.DecompositionError` when the tree references
-    edges or vertices the host does not have (the class constructor checks).
-    The semantic HD/GHD conditions are *not* checked here — run the
-    :mod:`repro.decomp.validation` oracle on the result before trusting it.
+    :class:`~repro.exceptions.DecompositionError` for an edge or vertex the
+    host does not have.  The HD/GHD conditions are *not* checked — run the
+    :mod:`repro.decomp.validation` oracle before trusting the result (the
+    catalog does).
     """
-    if _require(payload, "format", str) != DECOMPOSITION_FORMAT:
-        raise ParseError(f"unsupported decomposition payload format {payload['format']!r}")
-    cls = class_for_kind(_require(payload, "kind", str))
-    return cls(hypergraph, _node_from_dict(_require(payload, "root", dict)))
+    return decode(payload, TreeFrame).build(hypergraph)
 
 
 def decomposition_to_json(decomposition: Decomposition) -> str:
@@ -188,417 +351,294 @@ def decomposition_from_json(hypergraph: Hypergraph, text: str) -> Decomposition:
     return decomposition_from_dict(hypergraph, _load_json(text))
 
 
+def statistics_to_json(statistics: SearchStatistics) -> str:
+    """The catalog's statistics column: all counters but one run's timings."""
+    counters = statistics.as_dict()
+    del counters["stage_seconds"]
+    return json.dumps(counters, sort_keys=True)
+
+
+def statistics_from_json(text: str) -> SearchStatistics:
+    """Decode :func:`statistics_to_json` output (unknown counters are ignored)."""
+    return SearchStatistics.from_dict(_load_json(text))
+
+
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"payload is not valid JSON: {exc}") from exc
 
 
 # --------------------------------------------------------------------------- #
-# process-boundary payloads (the serving layer's process backend)
+# process-boundary payloads: hypergraphs and databases (shipped once per
+# worker slot), requests (per task), answers and errors (per result).  They
+# are QueryPlan-free — plans are compiled worker-side from the shipped query,
+# so the wire format never depends on executor internals.
 # --------------------------------------------------------------------------- #
-# Everything the process-backed DecompositionService ships between the
-# parent and its worker processes is encoded here: hypergraphs and
-# databases (shipped once per worker slot), requests (per task), answers
-# and errors (per result).  The payloads are deliberately QueryPlan-free —
-# plans are compiled worker-side from the shipped query, so the wire format
-# never depends on executor internals.
+@_frame
+class HypergraphFrame(Frame):
+    """A hypergraph: its name and ``[edge name, sorted vertices]`` pairs, in
+    edge order — the search kernels iterate edges by index, so a reordered
+    rebuild could walk the search space differently and break replay."""
 
-#: JSON value types allowed inside shipped databases and answer relations.
-#: ``bool`` is a subclass of ``int`` and rides along.
-_SCALAR_TYPES = (str, int, float, bool, type(None))
-
-
-def _require_scalar(value: object, where: str) -> object:
-    if not isinstance(value, _SCALAR_TYPES):
-        raise ParseError(
-            f"{where} holds a non-JSON-scalar value of type "
-            f"{type(value).__name__}: only str/int/float/bool/None values "
-            "can cross the process boundary"
-        )
-    return value
-
-
-def _check_format(payload: dict, expected: str, what: str) -> None:
-    if _require(payload, "format", str) != expected:
-        raise ParseError(f"unsupported {what} payload format {payload['format']!r}")
+    FORMAT = HYPERGRAPH_FORMAT
+    name: str
+    edges: list[tuple[str, list[str]]]
 
 
 def hypergraph_to_dict(hypergraph: Hypergraph) -> dict:
-    """Encode a hypergraph (name + ordered edge list) as plain JSON data.
-
-    Edge order is preserved — the search kernels iterate edges by index, so
-    a reconstruction that reordered them could walk the search space in a
-    different order and break byte-identical replay.  Vertices within an
-    edge are sets and are emitted sorted.
-    """
-    return {
-        "format": HYPERGRAPH_FORMAT,
-        "name": hypergraph.name,
-        "edges": [
-            [name, sorted(vertices)]
-            for name, vertices in hypergraph.edges_as_dict().items()
-        ],
-    }
+    """Encode a hypergraph (name + ordered edge list) as plain JSON data."""
+    edges = [(name, sorted(vertices)) for name, vertices in hypergraph.edges_as_dict().items()]
+    return HypergraphFrame(name=hypergraph.name, edges=edges).to_dict()
 
 
 def hypergraph_from_dict(payload: dict) -> Hypergraph:
     """Rebuild a hypergraph from :func:`hypergraph_to_dict` output."""
-    _check_format(payload, HYPERGRAPH_FORMAT, "hypergraph")
-    edges: dict[str, list[str]] = {}
-    for entry in _require(payload, "edges", list):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ParseError("hypergraph payload edges must be [name, vertices] pairs")
-        name, vertices = entry
-        if not isinstance(name, str):
-            raise ParseError("hypergraph payload edge names must be strings")
-        if not (isinstance(vertices, list) and all(isinstance(v, str) for v in vertices)):
-            raise ParseError("hypergraph payload vertices must be lists of strings")
-        if name in edges:
-            raise ParseError(f"hypergraph payload repeats edge {name!r}")
-        edges[name] = vertices
-    return Hypergraph(edges, name=_require(payload, "name", str))
+    frame = decode(payload, HypergraphFrame)
+    edges = dict(frame.edges)
+    if len(edges) != len(frame.edges):
+        raise ParseError("hypergraph payload repeats an edge name")
+    return Hypergraph(edges, name=frame.name)
+
+
+@_frame
+class AnswerRowsFrame(Frame):
+    """A table: a schema and rows of as many JSON scalars."""
+
+    schema: list[str]
+    rows: Rows
+
+    def __post_init__(self) -> None:
+        if not set(map(len, self.rows)) <= {len(self.schema)}:
+            raise ParseError(f"a row does not match the {len(self.schema)}-attribute schema")
+
+
+@_frame
+class RelationFrame(AnswerRowsFrame):
+    """A named table of a shipped database."""
+
+    name: str
+
+
+@_frame
+class DatabaseFrame(Frame):
+    """A database: its relations or, path-backed, the file alone."""
+
+    FORMAT = DATABASE_FORMAT
+    path: str | None = None
+    relations: list[RelationFrame] | None = None
 
 
 def database_to_dict(database) -> dict:
     """Encode a :class:`~repro.query.database.Database` as plain JSON data.
 
-    Only JSON-scalar tuple values are supported (:class:`ParseError`
-    otherwise) — object-valued tuples have no stable wire identity.  Rows
-    are emitted in a deterministic order so equal databases encode to equal
-    payloads.
-
-    A path-backed database (one exposing a string ``path`` attribute, i.e.
-    :class:`~repro.query.sqlgen.SQLDatabase`) ships as the *path* alone: the
-    receiver reopens the file, so arbitrarily large databases never cross
-    the wire row by row.
+    Only JSON-scalar values are supported (:class:`ParseError` otherwise);
+    rows are sorted, so equal databases encode to equal payloads.  A
+    path-backed database (a string ``path`` attribute, i.e.
+    :class:`~repro.query.sqlgen.SQLDatabase`) ships as the *path* alone and
+    the receiver reopens the file: its rows never cross the wire.
     """
     path = getattr(database, "path", None)
     if isinstance(path, str):
-        return {"format": DATABASE_FORMAT, "path": path}
-    relations = []
-    for name in database.relation_names():
-        relation = database.get(name)
-        rows = []
-        for row in relation.tuples:
-            rows.append(
-                [_require_scalar(value, f"relation {name!r}") for value in row]
-            )
-        rows.sort(key=repr)
-        relations.append(
-            {"name": name, "schema": list(relation.schema), "rows": rows}
-        )
-    return {"format": DATABASE_FORMAT, "relations": relations}
+        return DatabaseFrame(path=path).to_dict()
+    relations = [
+        RelationFrame(name=r.name, schema=list(r.schema), rows=r.tuples)
+        for r in map(database.get, database.relation_names())
+    ]
+    return DatabaseFrame(relations=relations).to_dict()
+
+
+@cache
+def _query():
+    """The ``repro.query`` package, imported on first use: it imports this module."""
+    from .. import query
+
+    return query
 
 
 def database_from_dict(payload: dict):
     """Rebuild a database from :func:`database_to_dict` output."""
-    from ..query.database import Database  # deferred: repro.query's package
-    from ..query.relation import Relation  # import chain leads back here
-
-    _check_format(payload, DATABASE_FORMAT, "database")
-    if "path" in payload:
-        from ..query.sqlgen import SQLDatabase  # deferred, same chain
-
-        return SQLDatabase(_require(payload, "path", str))
-    database = Database()
-    for entry in _require(payload, "relations", list):
-        name = _require(entry, "name", str)
-        schema = tuple(_string_list(entry, "schema"))
-        rows: set[tuple] = set()
-        for row in _require(entry, "rows", list):
-            if not isinstance(row, list) or len(row) != len(schema):
-                raise ParseError(
-                    f"relation {name!r}: row does not match the "
-                    f"{len(schema)}-attribute schema"
-                )
-            rows.add(tuple(_require_scalar(value, f"relation {name!r}") for value in row))
-        database.add(Relation.from_trusted_rows(name, schema, rows))
+    frame, query = decode(payload, DatabaseFrame), _query()
+    if frame.path is not None:
+        return query.SQLDatabase(frame.path)
+    database = query.Database()
+    for table in frame.relations or ():
+        database.add(query.Relation.from_trusted_rows(table.name, table.schema, table.rows))
     return database
 
 
-def decompose_request_to_dict(
-    *,
-    canonical_hash: str,
-    k: int,
-    algorithm: str,
-    timeout: float | None,
-    options: dict,
-) -> dict:
-    """Encode a decomposition request.
+@_frame
+class DecomposeRequestFrame(Frame):
+    """A decomposition request.  The hypergraph travels by reference (its
+    canonical hash): the parent ships the structure once per worker slot,
+    not with every request that hits it."""
 
-    The hypergraph travels by reference (its canonical hash): the parent
-    ships the full structure once per worker slot, so a fat instance is not
-    re-serialised for every request that hits it.  Options must be
-    JSON-scalar — object-valued options never reach the process backend
-    (the service rejects them at submit time).
-    """
-    for option, value in options.items():
-        if not isinstance(value, _SCALAR_TYPES):
-            raise ParseError(
-                f"option {option!r} holds a non-primitive value of type "
-                f"{type(value).__name__} and cannot cross the process boundary"
-            )
-    return {
-        "format": REQUEST_FORMAT,
-        "kind": "decompose",
-        "hypergraph": canonical_hash,
-        "k": k,
-        "algorithm": algorithm,
-        "timeout": timeout,
-        "options": dict(options),
-    }
+    FORMAT, KIND = REQUEST_FORMAT, "decompose"
+    hypergraph: str
+    k: int
+    algorithm: str
+    timeout: float | None = None
+    options: dict[str, Scalar]
 
 
-def query_request_to_dict(
-    *,
-    query: ConjunctiveQuery,
-    mode: str,
-    database: str,
-    timeout: float | None,
-    executor: str = "columnar",
-) -> dict:
-    """Encode a query request; ``database`` is the parent's shipping token
-    for the (separately shipped) database payload."""
-    return {
-        "format": REQUEST_FORMAT,
-        "kind": "query",
-        "atoms": [[atom.relation, list(atom.arguments)] for atom in query.atoms],
-        "free_variables": list(query.free_variables),
-        "query_name": query.name,
-        "mode": mode,
-        "database": database,
-        "timeout": timeout,
-        "executor": executor,
-    }
+@_frame
+class QueryRequestFrame(Frame):
+    """A query request; ``database`` is the parent's shipping token of the
+    separately shipped database (``executor`` is absent from older senders)."""
+
+    FORMAT, KIND = REQUEST_FORMAT, "query"
+    atoms: list[tuple[str, list[str]]]
+    free_variables: list[str]
+    query_name: str
+    mode: str
+    database: str
+    timeout: float | None = None
+    executor: str = "columnar"
+
+    @property
+    def query(self) -> ConjunctiveQuery:
+        """The rebuilt query (its constructor raises ``QueryError``)."""
+        atoms = tuple(Atom(relation, tuple(arguments)) for relation, arguments in self.atoms)
+        return ConjunctiveQuery(atoms, tuple(self.free_variables), self.query_name)
 
 
-def service_request_from_dict(payload: dict) -> dict:
-    """Decode a service request payload into plain fields.
+def decompose_request_to_dict(*, canonical_hash: str, **fields) -> dict:
+    """Encode a :class:`DecomposeRequestFrame` (keywords ``k``, ``algorithm``,
+    ``timeout``, ``options``); a non-scalar option raises :class:`ParseError`."""
+    return DecomposeRequestFrame(hypergraph=canonical_hash, **fields).to_dict()
 
-    Returns a dict with ``kind`` either ``"decompose"`` (fields
-    ``hypergraph`` — the canonical hash reference —, ``k``, ``algorithm``,
-    ``timeout``, ``options``) or ``"query"`` (fields ``query`` — a rebuilt
-    :class:`~repro.hypergraph.cq.ConjunctiveQuery` —, ``mode``,
-    ``database`` — the shipping token —, ``timeout``, ``executor`` —
-    defaulting to ``"columnar"`` for payloads from older senders).
-    """
-    _check_format(payload, REQUEST_FORMAT, "service request")
-    kind = _require(payload, "kind", str)
-    timeout = payload.get("timeout")
-    if timeout is not None and not isinstance(timeout, (int, float)):
-        raise ParseError("request timeout must be a number or null")
-    if kind == "decompose":
-        options = _require(payload, "options", dict)
-        for option, value in options.items():
-            _require_scalar(value, f"option {option!r}")
-        return {
-            "kind": kind,
-            "hypergraph": _require(payload, "hypergraph", str),
-            "k": _require(payload, "k", int),
-            "algorithm": _require(payload, "algorithm", str),
-            "timeout": timeout,
-            "options": options,
-        }
-    if kind == "query":
-        atoms = []
-        for entry in _require(payload, "atoms", list):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ParseError("query payload atoms must be [relation, arguments] pairs")
-            relation, arguments = entry
-            if not isinstance(relation, str) or not (
-                isinstance(arguments, list)
-                and all(isinstance(a, str) for a in arguments)
-            ):
-                raise ParseError("query payload atoms must name string variables")
-            atoms.append(Atom(relation, tuple(arguments)))
-        query = ConjunctiveQuery(
-            atoms=tuple(atoms),
-            free_variables=tuple(_string_list(payload, "free_variables")),
-            name=_require(payload, "query_name", str),
-        )
-        executor = payload.get("executor", "columnar")
-        if not isinstance(executor, str):
-            raise ParseError("query payload executor must be a string")
-        return {
-            "kind": kind,
-            "query": query,
-            "mode": _require(payload, "mode", str),
-            "database": _require(payload, "database", str),
-            "timeout": timeout,
-            "executor": executor,
-        }
-    raise ParseError(f"unknown service request kind {kind!r}")
+
+def query_request_to_dict(*, query: ConjunctiveQuery, **fields) -> dict:
+    """Encode a :class:`QueryRequestFrame` (keywords ``mode``, ``database``,
+    ``timeout`` and optionally ``executor``)."""
+    atoms = [(atom.relation, list(atom.arguments)) for atom in query.atoms]
+    return QueryRequestFrame(
+        atoms=atoms, free_variables=list(query.free_variables), query_name=query.name, **fields
+    ).to_dict()
+
+
+def service_request_from_dict(payload: dict) -> DecomposeRequestFrame | QueryRequestFrame:
+    """Decode a service request payload into its frame."""
+    return decode(payload, DecomposeRequestFrame, QueryRequestFrame)
+
+
+@_frame
+class DecompositionAnswerFrame(Frame):
+    """A decomposition outcome, host-free (tree payload only)."""
+
+    FORMAT, KIND = ANSWER_FORMAT, "decompose"
+    algorithm: str
+    k: int
+    success: bool
+    timed_out: bool
+    elapsed: float
+    statistics: SearchStatistics
+    decomposition: TreeFrame | None = None
 
 
 def decomposition_answer_to_dict(result: DecompositionResult) -> dict:
-    """Encode a decomposition outcome, host-free (tree payload only)."""
-    return {
-        "format": ANSWER_FORMAT,
-        "kind": "decompose",
-        "algorithm": result.algorithm,
-        "k": result.width_parameter,
-        "success": result.success,
-        "timed_out": result.timed_out,
-        "elapsed": result.elapsed,
-        "statistics": result.statistics.as_dict(),
-        "decomposition": (
-            decomposition_to_dict(result.decomposition)
-            if result.decomposition is not None
-            else None
-        ),
-    }
+    """Encode a :class:`DecompositionAnswerFrame`."""
+    tree = result.decomposition
+    return DecompositionAnswerFrame(
+        algorithm=result.algorithm, k=result.width_parameter, success=result.success,
+        timed_out=result.timed_out, elapsed=result.elapsed, statistics=result.statistics,
+        decomposition=None if tree is None else TreeFrame.of(tree),
+    ).to_dict()  # fmt: skip
 
 
-def decomposition_answer_from_dict(
-    hypergraph: Hypergraph, payload: dict
-) -> DecompositionResult:
+def decomposition_answer_from_dict(hypergraph: Hypergraph, payload: dict) -> DecompositionResult:
     """Rebuild a :class:`~repro.core.base.DecompositionResult` over the
     request's hypergraph from :func:`decomposition_answer_to_dict` output."""
-    _check_format(payload, ANSWER_FORMAT, "service answer")
-    if _require(payload, "kind", str) != "decompose":
-        raise ParseError("expected a decomposition answer payload")
-    tree = payload.get("decomposition")
+    frame = decode(payload, DecompositionAnswerFrame)
+    tree = frame.decomposition
     return DecompositionResult(
-        algorithm=_require(payload, "algorithm", str),
-        hypergraph=hypergraph,
-        width_parameter=_require(payload, "k", int),
-        success=_require(payload, "success", bool),
-        decomposition=(
-            decomposition_from_dict(hypergraph, tree) if tree is not None else None
-        ),
-        elapsed=float(_require(payload, "elapsed", (int, float))),
-        timed_out=_require(payload, "timed_out", bool),
-        statistics=SearchStatistics.from_dict(_require(payload, "statistics", dict)),
-    )
+        algorithm=frame.algorithm, hypergraph=hypergraph, width_parameter=frame.k,
+        success=frame.success, elapsed=frame.elapsed, timed_out=frame.timed_out,
+        decomposition=None if tree is None else tree.build(hypergraph),
+        statistics=frame.statistics,
+    )  # fmt: skip
 
 
-def query_answer_to_dict(
-    *,
-    mode: str,
-    answers,
-    boolean: bool,
-    count: int | None,
-    width: int,
-    plan_cached: bool,
-    plan_seconds: float,
-    execution_seconds: float,
-    statistics: dict,
-) -> dict:
-    """Encode a query outcome; ``answers`` is a
-    :class:`~repro.query.relation.Relation` or ``None`` (non-enumerate
-    modes)."""
-    encoded_answers = None
+@_frame
+class QueryAnswerFrame(Frame):
+    """A query outcome, field for field a
+    :class:`~repro.query.workload.QueryAnswer`; ``answers`` only when
+    enumerating."""
+
+    FORMAT, KIND = ANSWER_FORMAT, "query"
+    mode: str
+    boolean: bool
+    count: int | None = None
+    answers: AnswerRowsFrame | None = None
+    width: int
+    plan_cached: bool
+    plan_seconds: float
+    execution_seconds: float
+    statistics: dict[str, Scalar]
+
+
+def query_answer_to_dict(*, answers, boolean: bool, **fields) -> dict:
+    """Encode a :class:`QueryAnswerFrame`; ``answers`` is a
+    :class:`~repro.query.relation.Relation` or ``None``."""
     if answers is not None:
-        rows = [
-            [_require_scalar(value, "answer relation") for value in row]
-            for row in answers.tuples
-        ]
-        rows.sort(key=repr)
-        encoded_answers = {"schema": list(answers.schema), "rows": rows}
-    return {
-        "format": ANSWER_FORMAT,
-        "kind": "query",
-        "mode": mode,
-        "boolean": bool(boolean),
-        "count": count,
-        "answers": encoded_answers,
-        "width": width,
-        "plan_cached": plan_cached,
-        "plan_seconds": plan_seconds,
-        "execution_seconds": execution_seconds,
-        "statistics": dict(statistics),
-    }
+        answers = AnswerRowsFrame(schema=list(answers.schema), rows=answers.tuples)
+    return QueryAnswerFrame(answers=answers, boolean=bool(boolean), **fields).to_dict()
 
 
-def query_answer_from_dict(payload: dict) -> dict:
-    """Decode :func:`query_answer_to_dict` output into plain fields.
+def query_answer_from_dict(payload: dict):
+    """Decode :func:`query_answer_to_dict` output into a
+    :class:`~repro.query.workload.QueryAnswer` (an unknown ``mode`` raises
+    :class:`~repro.exceptions.QueryError`)."""
+    frame, query = decode(payload, QueryAnswerFrame), _query()
+    rows, mode = frame.answers, query.AnswerMode.coerce(frame.mode)
+    answers = rows and query.Relation.from_trusted_rows("answer", rows.schema, rows.rows)
+    return query.workload.QueryAnswer(**{**vars(frame), "mode": mode, "answers": answers})
 
-    ``answers`` comes back as a rebuilt
-    :class:`~repro.query.relation.Relation` (or ``None``); ``mode`` stays a
-    string — the caller coerces it to an
-    :class:`~repro.query.plan.AnswerMode`.
-    """
-    from ..query.relation import Relation  # deferred (import cycle, see above)
 
-    _check_format(payload, ANSWER_FORMAT, "service answer")
-    if _require(payload, "kind", str) != "query":
-        raise ParseError("expected a query answer payload")
-    count = payload.get("count")
-    if count is not None and not isinstance(count, int):
-        raise ParseError("query answer count must be an integer or null")
-    answers = None
-    encoded = payload.get("answers")
-    if encoded is not None:
-        schema = tuple(_string_list(encoded, "schema"))
-        rows: set[tuple] = set()
-        for row in _require(encoded, "rows", list):
-            if not isinstance(row, list) or len(row) != len(schema):
-                raise ParseError("query answer rows must match the answer schema")
-            rows.add(tuple(row))
-        answers = Relation.from_trusted_rows("answer", schema, rows)
-    return {
-        "mode": _require(payload, "mode", str),
-        "boolean": _require(payload, "boolean", bool),
-        "count": count,
-        "answers": answers,
-        "width": _require(payload, "width", int),
-        "plan_cached": _require(payload, "plan_cached", bool),
-        "plan_seconds": float(_require(payload, "plan_seconds", (int, float))),
-        "execution_seconds": float(
-            _require(payload, "execution_seconds", (int, float))
-        ),
-        "statistics": _require(payload, "statistics", dict),
-    }
+@_frame
+class ErrorFrame(Frame):
+    """A worker-side exception: type, module, message, formatted traceback."""
+
+    FORMAT = ERROR_FORMAT
+    type: str
+    module: str
+    message: str
+    traceback: str
 
 
 def error_to_dict(error: BaseException, traceback_text: str | None = None) -> dict:
-    """Encode a worker-side exception (type, message, formatted traceback)."""
-    return {
-        "format": ERROR_FORMAT,
-        "type": type(error).__name__,
-        "module": type(error).__module__,
-        "message": str(error),
-        "traceback": traceback_text or "",
-    }
+    """Encode an :class:`ErrorFrame`."""
+    kind, traceback = type(error), traceback_text or ""
+    return ErrorFrame(
+        type=kind.__name__, module=kind.__module__, message=str(error), traceback=traceback
+    ).to_dict()
 
 
 def error_from_dict(payload: dict) -> BaseException:
     """Rebuild an exception from :func:`error_to_dict` output.
 
-    Only exception classes from this library and the standard ``builtins``
-    module are reconstructed (a payload must not be able to instantiate
-    arbitrary classes); anything else — including classes that reject a
-    single-message constructor — degrades to a
-    :class:`~repro.exceptions.ServiceError` carrying the original type
-    name.  The worker's formatted traceback is attached as a
-    ``remote_traceback`` attribute either way.
+    Only classes of this library and of ``builtins`` are instantiated (a
+    payload must not name arbitrary classes); anything else, or a class that
+    rejects a single message, degrades to a
+    :class:`~repro.exceptions.ServiceError` naming the original type.  The
+    worker's traceback is attached as ``remote_traceback`` either way.
     """
-    _check_format(payload, ERROR_FORMAT, "service error")
-    type_name = _require(payload, "type", str)
-    module_name = _require(payload, "module", str)
-    message = _require(payload, "message", str)
-    error: BaseException | None = None
-    if module_name == "builtins":
-        candidate = getattr(builtins, type_name, None)
-        if isinstance(candidate, type) and issubclass(candidate, BaseException):
-            try:
-                error = candidate(message)
-            except Exception:
-                error = None
-    elif module_name == "repro.exceptions" or module_name.startswith("repro."):
+    frame = decode(payload, ErrorFrame)
+    candidate = error = None
+    if frame.module == "builtins":
+        candidate = getattr(builtins, frame.type, None)
+    elif frame.module.startswith("repro."):
         try:
-            module = importlib.import_module(module_name)
+            candidate = getattr(importlib.import_module(frame.module), frame.type, None)
         except ImportError:
-            module = None
-        candidate = getattr(module, type_name, None) if module else None
-        if isinstance(candidate, type) and issubclass(candidate, BaseException):
-            try:
-                error = candidate(message)
-            except Exception:
-                error = None
+            pass
+    if isinstance(candidate, type) and issubclass(candidate, BaseException):
+        try:
+            error = candidate(frame.message)
+        except Exception:
+            pass
     if error is None:
-        error = ServiceError(f"worker failed with {module_name}.{type_name}: {message}")
-    error.remote_traceback = _require(payload, "traceback", str)  # type: ignore[attr-defined]
+        error = ServiceError(f"worker failed with {frame.module}.{frame.type}: {frame.message}")
+    error.remote_traceback = frame.traceback  # type: ignore[attr-defined]
     return error

@@ -56,6 +56,9 @@ import threading
 import traceback
 import weakref
 import zlib
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import partial
 from itertools import count
 
 from .. import faults
@@ -66,7 +69,7 @@ from ..faults.supervise import WorkerProcess, encode_frame, poll, read_frame, wr
 from ..pipeline.engine import DecompositionEngine
 from ..pipeline.registry import registry
 from ..query.plan import AnswerMode
-from ..query.workload import QueryAnswer, QueryEngine
+from ..query.workload import QueryEngine
 
 __all__ = ["ProcessBackend", "WorkerDied"]
 
@@ -81,40 +84,23 @@ class WorkerDied(ServiceError):
     been respawned; the request is the service's to requeue)."""
 
 
+@dataclass(slots=True)
 class _Request:
     """A prepared process-boundary request (parent side).
 
-    ``payload`` is the codec request dict, ``decode`` turns the worker's
-    answer payload back into the caller-facing result.  ``graph_key`` /
-    ``hypergraph`` and ``db_token`` / ``db_payload`` carry the
+    ``payload`` is the codec request dict, ``decode`` the codec function
+    turning the worker's answer payload into the caller-facing result.
+    ``graph_key`` / ``hypergraph`` and ``db_token`` / ``db_payload`` carry the
     ship-once-per-slot attachments; the hypergraph is encoded only when a
     slot's ship ledger misses it.
     """
 
-    __slots__ = (
-        "payload",
-        "decode",
-        "graph_key",
-        "hypergraph",
-        "db_token",
-        "db_payload",
-    )
-
-    def __init__(
-        self,
-        payload: dict,
-        decode,
-        graph_key: str | None = None,
-        hypergraph=None,
-        db_token: str | None = None,
-        db_payload: dict | None = None,
-    ) -> None:
-        self.payload = payload
-        self.decode = decode
-        self.graph_key = graph_key
-        self.hypergraph = hypergraph
-        self.db_token = db_token
-        self.db_payload = db_payload
+    payload: dict
+    decode: Callable
+    graph_key: str | None = None
+    hypergraph: object = None
+    db_token: str | None = None
+    db_payload: dict | None = None
 
 
 class _WordCancel:
@@ -151,32 +137,26 @@ def _worker_meta(slot, attempt, served, engine):
 
 def _run_request(request: dict, engine, query_engine, graphs, databases, cancel):
     decoded = codec.service_request_from_dict(request)
-    if decoded["kind"] == "decompose":
-        graph = graphs.get(decoded["hypergraph"])
+    if decoded.KIND == "decompose":
+        graph = graphs.get(decoded.hypergraph)
         if graph is None:
             raise ServiceError(
-                f"hypergraph {decoded['hypergraph']!r} was never shipped to this worker"
+                f"hypergraph {decoded.hypergraph!r} was never shipped to this worker"
             )
-        decomposer = registry.build(
-            decoded["algorithm"], timeout=decoded["timeout"], **decoded["options"]
-        )
-        result = engine.decompose(
-            decomposer, graph, decoded["k"], cancel_event=cancel
-        )
+        decomposer = registry.build(decoded.algorithm, timeout=decoded.timeout, **decoded.options)
+        result = engine.decompose(decomposer, graph, decoded.k, cancel_event=cancel)
         return codec.decomposition_answer_to_dict(result)
-    database = databases.get(decoded["database"])
+    database = databases.get(decoded.database)
     if database is None:
-        raise ServiceError(
-            f"database {decoded['database']!r} was never shipped to this worker"
-        )
-    mode = AnswerMode.coerce(decoded["mode"])
+        raise ServiceError(f"database {decoded.database!r} was never shipped to this worker")
+    mode = AnswerMode.coerce(decoded.mode)
     result = query_engine.execute(
-        decoded["query"],
+        decoded.query,
         database,
         mode,
-        executor=decoded["executor"],
+        executor=decoded.executor,
         cancel_event=cancel,
-        timeout=decoded["timeout"],
+        timeout=decoded.timeout,
     )
     return codec.query_answer_to_dict(
         mode=mode.value,
@@ -314,13 +294,6 @@ class ProcessBackend:
     """The worker processes, their channels, and their supervision."""
 
     def __init__(self, service, num_workers: int) -> None:
-        for option, value in service.algorithm_options.items():
-            if not isinstance(value, codec._SCALAR_TYPES):
-                raise ServiceError(
-                    f"service option {option!r} holds a non-scalar value of type "
-                    f"{type(value).__name__}; the process backend only accepts "
-                    "str/int/float/bool/None option values"
-                )
         self.num_workers = num_workers
         catalog = getattr(service.engine, "catalog", None)
         self._config = {
@@ -373,10 +346,7 @@ class ProcessBackend:
             )
         except ParseError as exc:
             raise ServiceError(str(exc)) from exc
-
-        def decode(answer, _hypergraph=hypergraph):
-            return codec.decomposition_answer_from_dict(_hypergraph, answer)
-
+        decode = partial(codec.decomposition_answer_from_dict, hypergraph)
         return _Request(payload, decode, graph_key=graph_key, hypergraph=hypergraph)
 
     def query_request(
@@ -395,23 +365,8 @@ class ProcessBackend:
             timeout=timeout,
             executor=executor,
         )
-
-        def decode(answer):
-            fields = codec.query_answer_from_dict(answer)
-            return QueryAnswer(
-                mode=AnswerMode.coerce(fields["mode"]),
-                answers=fields["answers"],
-                boolean=fields["boolean"],
-                count=fields["count"],
-                width=fields["width"],
-                plan_cached=fields["plan_cached"],
-                plan_seconds=fields["plan_seconds"],
-                execution_seconds=fields["execution_seconds"],
-                statistics=fields["statistics"],
-            )
-
         return _Request(
-            payload, decode, db_token=token, db_payload=db_payload
+            payload, codec.query_answer_from_dict, db_token=token, db_payload=db_payload
         )
 
     def _database_payload(self, database) -> tuple[str, dict]:

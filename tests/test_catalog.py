@@ -331,6 +331,35 @@ def test_garbage_certificate_text_is_rejected(tmp_path):
     warm.catalog.close()
 
 
+@pytest.mark.parametrize("depth", [450, 2000])
+def test_deeply_nested_certificate_is_a_miss_not_a_crash(tmp_path, depth):
+    path = str(tmp_path / "cat.db")
+    cold = DecompositionEngine(catalog=path)
+    LogKDecomposer(engine=cold).decompose(generators.cycle(6), 2)
+    cold.catalog.close()
+
+    node = '{"bag": [], "cover": [], "children": [%s]}'
+    text = node % ""
+    for _ in range(depth - 1):
+        text = node % text
+    connection = sqlite3.connect(path)
+    connection.execute(
+        "UPDATE entries SET certificate = ?",
+        ('{"format": "repro-decomposition/1", "kind": "hd", "root": %s}' % text,),
+    )
+    connection.commit()
+    connection.close()
+
+    warm = DecompositionEngine(catalog=path)
+    result = LogKDecomposer(engine=warm).decompose(generators.cycle(6), 2)
+    assert result.success
+    validate_hd(result.decomposition)
+    warm.catalog.flush()
+    stats = warm.catalog.stats()
+    assert (stats.validate_rejects, stats.hits, stats.stores) == (1, 0, 1)
+    warm.catalog.close()
+
+
 @pytest.mark.parametrize(
     "tampered", ['{"labels_tried": "many"}', "[3]"], ids=["string-counter", "not-a-dict"]
 )

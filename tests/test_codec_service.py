@@ -98,12 +98,12 @@ def test_decompose_request_round_trip(cycle6):
     )
     json.dumps(payload)
     decoded = codec.service_request_from_dict(payload)
-    assert decoded["kind"] == "decompose"
-    assert decoded["hypergraph"] == cycle6.canonical_hash()
-    assert decoded["k"] == 2
-    assert decoded["algorithm"] == "detk"
-    assert decoded["timeout"] == 5.0
-    assert decoded["options"] == {"hybrid": False, "seed": 7}
+    assert decoded.KIND == "decompose"
+    assert decoded.hypergraph == cycle6.canonical_hash()
+    assert decoded.k == 2
+    assert decoded.algorithm == "detk"
+    assert decoded.timeout == 5.0
+    assert decoded.options == {"hybrid": False, "seed": 7}
 
 
 def test_decompose_request_rejects_object_options(cycle6):
@@ -123,11 +123,11 @@ def test_query_request_round_trip():
     )
     json.dumps(payload)
     decoded = codec.service_request_from_dict(payload)
-    assert decoded["kind"] == "query"
-    assert decoded["query"] == QUERY  # atoms, free variables, and name
-    assert decoded["mode"] == "enumerate"
-    assert decoded["database"] == "db-1"
-    assert decoded["timeout"] is None
+    assert decoded.KIND == "query"
+    assert decoded.query == QUERY  # atoms, free variables, and name
+    assert decoded.mode == "enumerate"
+    assert decoded.database == "db-1"
+    assert decoded.timeout is None
 
 
 def test_unknown_request_kind_rejected(cycle6):
@@ -192,15 +192,15 @@ def test_query_answer_round_trip(mode):
     )
     json.dumps(payload)
     decoded = codec.query_answer_from_dict(payload)
-    assert decoded["mode"] == mode
-    assert decoded["boolean"] == result.boolean
-    assert decoded["count"] == result.count
-    assert decoded["width"] == result.width
-    assert decoded["statistics"] == result.execution.statistics.as_dict()
+    assert decoded.mode == AnswerMode(mode)
+    assert decoded.boolean == result.boolean
+    assert decoded.count == result.count
+    assert decoded.width == result.width
+    assert decoded.statistics == result.execution.statistics.as_dict()
     if mode == "enumerate":
-        assert decoded["answers"].as_dicts() == result.answers.as_dicts()
+        assert decoded.answers.as_dicts() == result.answers.as_dicts()
     else:
-        assert decoded["answers"] is None
+        assert decoded.answers is None
 
 
 # --------------------------------------------------------------------------- #

@@ -413,7 +413,8 @@ def test_codec_ships_sql_database_as_path(tmp_path):
     database = random_database_for_query(query, seed=9)
     handle = dump_database(database, tmp_path / "facts.sqlite")
     payload = codec.database_to_dict(handle)
-    assert payload == {"format": codec.DATABASE_FORMAT, "path": handle.path}
+    frame = codec.decode(payload, codec.DatabaseFrame)
+    assert (frame.path, frame.relations) == (handle.path, None)
     rebuilt = codec.database_from_dict(payload)
     assert isinstance(rebuilt, SQLDatabase)
     assert rebuilt.get("r").as_dicts() == database.get("r").as_dicts()
@@ -425,10 +426,10 @@ def test_query_request_round_trips_executor():
         query=query, mode="count", database="db-1", timeout=None, executor="sql"
     )
     decoded = codec.service_request_from_dict(payload)
-    assert decoded["executor"] == "sql"
+    assert decoded.executor == "sql"
     # Payloads from older senders default to the columnar arm.
     del payload["executor"]
-    assert codec.service_request_from_dict(payload)["executor"] == "columnar"
+    assert codec.service_request_from_dict(payload).executor == "columnar"
 
 
 def test_compile_sql_program_shape():
