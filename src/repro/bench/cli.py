@@ -17,9 +17,9 @@ Each command prints the corresponding table or figure data to stdout.  The
 defaults are sized for a laptop run; "Paper experiments" in
 ``docs/benchmarks.md`` says how the output compares with the paper's.
 
-Decomposers are built through :mod:`repro.pipeline.registry` and run through
-the staged engine (simplification + caching); pass ``--no-simplify`` to
-measure raw-search behaviour instead.
+Decomposers are built through :mod:`repro.pipeline.registry` by
+:func:`~repro.bench.runner.bench_decomposer` and run through the staged
+engine.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the registered decomposition algorithms and exit",
     )
-    parser.add_argument(
-        "--no-simplify",
-        action="store_true",
-        help="bypass the staged engine (no simplification/caching) to measure raw search",
-    )
     return parser
 
 
@@ -110,7 +105,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--cores must be >= 1")
     if not args.budget > 0:
         parser.error("--budget must be > 0")
-    simplify = not args.no_simplify
     instances = generate_corpus(scale=args.scale, seed=args.seed)
     progress = None if args.quiet else (lambda line: print(line, file=sys.stderr))
 
@@ -122,7 +116,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             instances,
             time_budget=args.budget,
             max_width=args.max_width,
-            simplify=simplify,
             progress=progress,
         )
 
@@ -134,12 +127,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif experiment == "table2":
             outputs.append(
                 render_table(
-                    build_table2(
-                        large,
-                        time_budget=args.budget,
-                        max_width=args.max_width,
-                        simplify=simplify,
-                    )
+                    build_table2(large, time_budget=args.budget, max_width=args.max_width)
                 )
             )
         elif experiment == "table3":
@@ -158,15 +146,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 core_counts=args.cores,
                 time_budget=max(args.budget * 10, 10.0),
                 fixed_width=2,
-                simplify=simplify,
             )
             outputs.append(render_scaling_series(series))
         elif experiment == "figure3":
             outputs.append(render_scatter(build_figure3(data)))
         elif experiment == "depth":
-            outputs.append(
-                render_depth_series(build_recursion_depth_series(simplify=simplify))
-            )
+            outputs.append(render_depth_series(build_recursion_depth_series()))
 
     print("\n\n".join(outputs))
     return 0

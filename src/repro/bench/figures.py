@@ -75,7 +75,6 @@ def build_figure1(
     max_width: int = 6,
     hybrid: bool = True,
     fixed_width: int | None = None,
-    simplify: bool = True,
 ) -> list[ScalingSeries]:
     """Measure parallel scaling of log-k-decomp (Figure 1).
 
@@ -115,11 +114,7 @@ def build_figure1(
             cores: sweep(
                 label,
                 lambda t, _cores=cores, _hybrid=use_hybrid: bench_decomposer(
-                    "parallel",
-                    timeout=t,
-                    num_workers=_cores,
-                    hybrid=_hybrid,
-                    simplify=simplify,
+                    "parallel", timeout=t, num_workers=_cores, hybrid=_hybrid
                 ),
             )
             for cores in core_counts
@@ -131,7 +126,7 @@ def build_figure1(
             line.add(cores, average([r for r in per_cores[cores] if r.instance_name in usable]))
         series.append(line)
 
-    detk = sweep("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t, simplify=simplify))
+    detk = sweep("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t))
     counted = [r for r in detk if counts(r)]
     reference = ScalingSeries("NewDetKDecomp (1 core)", timeouts=len(detk) - len(counted))
     for cores in core_counts:
@@ -161,7 +156,6 @@ def build_recursion_depth_series(
     sizes: Sequence[int] = (8, 16, 32, 64),
     k: int = 2,
     family: str = "cycle",
-    simplify: bool = True,
 ) -> dict[str, list[tuple[int, int]]]:
     """Recursion depth of log-k-decomp vs det-k-decomp on a growing family.
 
@@ -172,8 +166,8 @@ def build_recursion_depth_series(
     hypergraphs = generators.family(family, list(sizes))
     result: dict[str, list[tuple[int, int]]] = {"log-k-decomp": [], "det-k-decomp": []}
     for hypergraph in hypergraphs:
-        logk = bench_decomposer("logk", simplify=simplify).decompose(hypergraph, k)
-        detk = bench_decomposer("detk", simplify=simplify).decompose(hypergraph, k)
+        logk = bench_decomposer("logk").decompose(hypergraph, k)
+        detk = bench_decomposer("detk").decompose(hypergraph, k)
         result["log-k-decomp"].append(
             (hypergraph.num_edges, logk.statistics.max_recursion_depth)
         )

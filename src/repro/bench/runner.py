@@ -45,18 +45,15 @@ __all__ = [
 ]
 
 
-def bench_decomposer(name: str, *, simplify: bool = True, **options) -> Decomposer:
+def bench_decomposer(name: str, **options) -> Decomposer:
     """Build a decomposer for harness *measurements*.
 
-    With ``simplify=True`` the decomposer runs the staged engine, but with a
-    private cache-less engine: preprocessing is part of the measurement while
-    result caching is disabled, so identically-configured runs in later
-    tables of the same process measure real search work instead of hitting
-    the process-wide default cache.  ``simplify=False`` bypasses the engine
-    entirely (raw search).
+    The decomposer runs the staged engine, but a private cache-less one:
+    preprocessing is part of the measurement while result caching is
+    disabled, so identically-configured runs in later tables of the same
+    process measure real search work instead of hitting the process-wide
+    default cache.
     """
-    if not simplify:
-        return registry.build(name, use_engine=False, **options)
     return registry.build(name, engine=DecompositionEngine(cache=None), **options)
 
 DecomposerFactory = Callable[[float | None], Decomposer]
@@ -71,23 +68,16 @@ class DecomposerSpec:
     parametrised: bool = True
 
 
-def default_method_specs(num_workers: int = 1, simplify: bool = True) -> list[DecomposerSpec]:
+def default_method_specs(num_workers: int = 1) -> list[DecomposerSpec]:
     """The three methods compared in Table 1 of the paper.
 
-    All decomposers are built through the algorithm registry; ``simplify=False``
-    disables the staged engine (``use_engine=False``) so the harness measures
-    raw-search behaviour, as the paper's figures do.
+    All decomposers are built through the algorithm registry by
+    :func:`bench_decomposer`.
     """
     return [
-        DecomposerSpec(
-            "NewDetKDecomp",
-            lambda t: bench_decomposer("detk", timeout=t, simplify=simplify),
-        ),
+        DecomposerSpec("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t)),
         DecomposerSpec("HtdLEO", _optimal_factory, parametrised=False),
-        DecomposerSpec(
-            "log-k-decomp Hybrid",
-            lambda t: _hybrid_factory(t, num_workers, simplify),
-        ),
+        DecomposerSpec("log-k-decomp Hybrid", lambda t: _hybrid_factory(t, num_workers)),
     ]
 
 
@@ -95,12 +85,10 @@ def _optimal_factory(timeout: float | None) -> Decomposer:  # pragma: no cover -
     raise RuntimeError("the optimal solver is run through run_optimal_solver")
 
 
-def _hybrid_factory(timeout: float | None, num_workers: int, simplify: bool = True) -> Decomposer:
+def _hybrid_factory(timeout: float | None, num_workers: int) -> Decomposer:
     if num_workers > 1:
-        return bench_decomposer(
-            "parallel", timeout=timeout, num_workers=num_workers, hybrid=True, simplify=simplify
-        )
-    return bench_decomposer("hybrid", timeout=timeout, simplify=simplify)
+        return bench_decomposer("parallel", timeout=timeout, num_workers=num_workers, hybrid=True)
+    return bench_decomposer("hybrid", timeout=timeout)
 
 
 @dataclass
@@ -245,7 +233,6 @@ def run_experiment(
     optimal_budget_factor: float = 2.0,
     max_width: int = 6,
     num_workers: int = 1,
-    simplify: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> ExperimentData:
     """Run every method on every instance and collect the records.
@@ -253,14 +240,8 @@ def run_experiment(
     ``optimal_budget_factor`` scales the budget of the direct optimal solver
     relative to ``time_budget`` (the paper similarly grants HtdLEO a larger
     memory budget because SMT solving is more resource-hungry).
-    ``simplify=False`` runs the parametrised methods without the staged
-    engine (raw search).
     """
-    specs = (
-        list(methods)
-        if methods is not None
-        else default_method_specs(num_workers, simplify=simplify)
-    )
+    specs = list(methods) if methods is not None else default_method_specs(num_workers)
     data = ExperimentData(instances=list(instances))
     for instance in instances:
         for spec in specs:

@@ -95,7 +95,6 @@ def build_table2(
     edge_thresholds: Sequence[float] = (10.0, 20.0, 40.0),
     time_budget: float = 2.0,
     max_width: int = 6,
-    simplify: bool = True,
 ) -> Table:
     """The hybridisation-metric study (Table 2) on the HB_large analogue.
 
@@ -128,14 +127,12 @@ def build_table2(
             records = run_method(
                 metric,
                 lambda t, metric=metric, threshold=threshold: bench_decomposer(
-                    "hybrid", timeout=t, metric=metric, threshold=threshold, simplify=simplify
+                    "hybrid", timeout=t, metric=metric, threshold=threshold
                 ),
             )
             add_row(metric, f"{threshold:g}", records)
 
-    records = run_method(
-        "NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t, simplify=simplify)
-    )
+    records = run_method("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t))
     add_row("NewDetKDecomp", "-", records)
     records = [
         run_optimal_solver(instance, "HtdLEO", time_budget * 2, max_width)

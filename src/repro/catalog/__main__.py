@@ -11,7 +11,8 @@ Usage::
 single entry, the stored instance in HIF JSON, and (for positive entries)
 the decomposition tree; ``evict`` deletes matching rows; ``vacuum``
 reclaims their space.  All commands address one namespace (default
-``default``) except ``list --all-namespaces``.
+``default``) except ``list --all-namespaces``.  A path with no file behind
+it exits 1 and creates nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from ..decomp.decomposition import Decomposition
 from ..exceptions import ReproError
@@ -147,6 +149,9 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if not Path(args.path).is_file():
+        print(f"error: no catalog file at {args.path!r}", file=sys.stderr)
+        return 1
     try:
         with DecompositionCatalog(args.path, namespace=args.namespace) as catalog:
             if catalog.stats().memory_fallback:

@@ -195,23 +195,15 @@ class Decomposer(ABC):
 
     The public :meth:`decompose` routes through the staged
     :class:`~repro.pipeline.engine.DecompositionEngine` (width-preserving
-    simplification, result cache, per-component search, lifting) by default;
-    :meth:`decompose_raw` runs the search directly on the given hypergraph.
-    Constructing a decomposer with ``use_engine=False`` makes
-    :meth:`decompose` equivalent to :meth:`decompose_raw` — the escape hatch
-    the differential tests use to compare the two paths.
+    simplification, result cache, per-component search, lifting);
+    :meth:`decompose_raw` is the one way to run the search directly on the
+    given hypergraph.
     """
 
     name = "abstract"
 
-    def __init__(
-        self,
-        timeout: float | None = None,
-        use_engine: bool = True,
-        engine=None,
-    ) -> None:
+    def __init__(self, timeout: float | None = None, engine=None) -> None:
         self.timeout = timeout
-        self.use_engine = use_engine
         #: Optional explicit :class:`~repro.pipeline.engine.DecompositionEngine`;
         #: when ``None`` the process-wide default engine is used.
         self.engine = engine
@@ -247,7 +239,7 @@ class Decomposer(ABC):
         """
         options: list[tuple[str, object]] = []
         for attr, value in sorted(vars(self).items()):
-            if attr in {"use_engine", "engine"}:
+            if attr == "engine":
                 continue  # engine plumbing, not algorithm configuration
             if isinstance(value, (str, int, float, bool, frozenset, tuple, type(None))):
                 options.append((attr, value))
@@ -265,8 +257,6 @@ class Decomposer(ABC):
         """
         if hypergraph.num_edges == 0:
             raise SolverError("cannot decompose a hypergraph without edges")
-        if not self.use_engine:
-            return self.decompose_raw(hypergraph, k)
         if self.engine is not None:
             return self.engine.decompose(self, hypergraph, k)
         from ..pipeline.engine import default_engine  # deferred: avoids an import cycle

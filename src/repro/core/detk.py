@@ -172,9 +172,9 @@ class DetKDecomposer(Decomposer):
         timeout: float | None = None,
         use_cache: bool = True,
         subedge_domination: bool = True,
-        **engine_options,
+        engine=None,
     ) -> None:
-        super().__init__(timeout=timeout, **engine_options)
+        super().__init__(timeout=timeout, engine=engine)
         self.use_cache = use_cache
         self.subedge_domination = subedge_domination
 

@@ -49,9 +49,9 @@ class BalancedGHDDecomposer(Decomposer):
         self,
         timeout: float | None = None,
         require_balanced: bool = True,
-        **engine_options,
+        engine=None,
     ) -> None:
-        super().__init__(timeout=timeout, **engine_options)
+        super().__init__(timeout=timeout, engine=engine)
         self.require_balanced = require_balanced
 
     def _run(self, context: SearchContext) -> GeneralizedHypertreeDecomposition | None:

@@ -129,9 +129,9 @@ class HybridDecomposer(Decomposer):
         negative_base_case: bool = True,
         parent_overlap_pruning: bool = True,
         subedge_domination: bool = True,
-        **engine_options,
+        engine=None,
     ) -> None:
-        super().__init__(timeout=timeout, **engine_options)
+        super().__init__(timeout=timeout, engine=engine)
         self.metric = make_metric(metric) if isinstance(metric, str) else metric
         self.threshold = threshold
         self.negative_base_case = negative_base_case

@@ -349,9 +349,9 @@ class LogKDecomposer(Decomposer):
         parent_overlap_pruning: bool = True,
         require_balanced: bool = True,
         subedge_domination: bool = True,
-        **engine_options,
+        engine=None,
     ) -> None:
-        super().__init__(timeout=timeout, **engine_options)
+        super().__init__(timeout=timeout, engine=engine)
         self.negative_base_case = negative_base_case
         self.parent_overlap_pruning = parent_overlap_pruning
         self.require_balanced = require_balanced

@@ -138,9 +138,9 @@ class ParallelLogKDecomposer(Decomposer):
         metric: SwitchMetric | str = "WeightedCount",
         threshold: float = 400.0,
         subedge_domination: bool = True,
-        **engine_options,
+        engine=None,
     ) -> None:
-        super().__init__(timeout=timeout, **engine_options)
+        super().__init__(timeout=timeout, engine=engine)
         if num_workers < 1:
             raise SolverError("num_workers must be >= 1")
         self.num_workers = num_workers
@@ -199,22 +199,14 @@ class ParallelLogKDecomposer(Decomposer):
     # the search the workers run, and their supervision
     # ------------------------------------------------------------------ #
     def _sequential(self) -> Decomposer:
-        # use_engine=False: when the engine is on, it already ran the
-        # preprocessing before calling decompose_raw; running it again in the
-        # fallback would double the simplification work.
         if self.hybrid:
             return HybridDecomposer(
                 timeout=self.timeout,
                 metric=self.metric,
                 threshold=self.threshold,
                 subedge_domination=self.subedge_domination,
-                use_engine=False,
             )
-        return LogKDecomposer(
-            timeout=self.timeout,
-            subedge_domination=self.subedge_domination,
-            use_engine=False,
-        )
+        return LogKDecomposer(timeout=self.timeout, subedge_domination=self.subedge_domination)
 
     #: Respawn budget per partition slot; beyond it the slot is abandoned
     #: (the run degrades to undecided instead of looping on a doomed

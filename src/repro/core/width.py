@@ -84,13 +84,16 @@ def smallest_width(
 
     Returns ``(width, decomposition)`` for the smallest width at which an HD
     exists, or ``(None, None)`` if no HD of width at most ``max_width``
-    exists.  Raises :class:`~repro.exceptions.TimeoutExceeded` when a run
+    exists; ``max_width < 1`` raises :class:`~repro.exceptions.SolverError`.
+    Raises :class:`~repro.exceptions.TimeoutExceeded` when a run
     (each ``k`` gets ``timeout`` seconds) ran out of time before the width
     was decided.  Acyclic hypergraphs short-circuit to width 1 via the GYO
     reduction, matching how practical tools treat the trivial case.
     """
     if hypergraph.num_edges == 0:
         raise SolverError("cannot decompose a hypergraph without edges")
+    if max_width < 1:
+        raise SolverError("max_width must be >= 1")
     decomposer = make_decomposer(algorithm, timeout=timeout, **options)
     widths = [1] if is_alpha_acyclic(hypergraph) else range(2, max_width + 1)
     runs = width_sweep(lambda k: decomposer.decompose(hypergraph, k), widths)

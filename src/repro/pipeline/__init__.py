@@ -10,8 +10,8 @@ validated hypertree decomposition":
 * :mod:`repro.pipeline.engine` — the :class:`DecompositionEngine` running
   simplify → cache → per-component decompose → lift → validate.
 
-``Decomposer.decompose`` delegates here by default; construct algorithms
-with ``use_engine=False`` for the raw-search escape hatch.
+``Decomposer.decompose`` always delegates here; ``Decomposer.decompose_raw``
+runs the raw search.
 """
 
 from .engine import (

@@ -1,9 +1,9 @@
 """The staged decomposition engine: simplify → cache → decompose → lift.
 
 Every :meth:`repro.core.base.Decomposer.decompose` call routes through a
-:class:`DecompositionEngine` (unless the decomposer was built with
-``use_engine=False``).  A run proceeds in stages, each timed into
-``SearchStatistics.stage_seconds``:
+:class:`DecompositionEngine`; :meth:`~repro.core.base.Decomposer.decompose_raw`
+is the raw search the engine runs per component.  A run proceeds in stages,
+each timed into ``SearchStatistics.stage_seconds``:
 
 1. **simplify** — apply the width-preserving reductions of
    :mod:`repro.pipeline.simplify` (subsumed edges, interchangeable
@@ -72,7 +72,7 @@ from ..decomp.validation import validate_ghd, validate_hd
 from ..hypergraph import Hypergraph
 from ..hypergraph.properties import connected_components
 from ..lru import ShardedLRU, ShardStats
-from .simplify import SimplificationTrace, lift_decomposition, simplify
+from .simplify import lift_decomposition, simplify
 
 __all__ = [
     "CacheStatistics",
@@ -170,10 +170,6 @@ class DecompositionEngine:
 
     Parameters
     ----------
-    simplify:
-        Apply the width-preserving reductions (default on).
-    split_components:
-        Decompose vertex-connected components independently (default on).
     cache:
         A :class:`ResultCache`, ``True`` for a private default-sized cache,
         or ``False``/``None`` to disable caching.
@@ -193,14 +189,10 @@ class DecompositionEngine:
     def __init__(
         self,
         *,
-        simplify: bool = True,
-        split_components: bool = True,
         cache: ResultCache | bool | None = True,
         catalog: "DecompositionCatalog | str | None" = None,
         validate: bool = False,
     ) -> None:
-        self.simplify_enabled = simplify
-        self.split_components = split_components
         if cache is True:
             cache = ResultCache()
         elif cache is False:
@@ -261,10 +253,7 @@ class DecompositionEngine:
 
         # Stage 1: simplification.
         t0 = time.monotonic()
-        if self.simplify_enabled:
-            trace = simplify(hypergraph)
-        else:
-            trace = SimplificationTrace(original=hypergraph, reduced=hypergraph)
+        trace = simplify(hypergraph)
         reduced = trace.reduced
         stats.record_stage("simplify", time.monotonic() - t0)
 
@@ -339,13 +328,10 @@ class DecompositionEngine:
         decomposition: Decomposition | None = None
         if success and combined_root is not None:
             t0 = time.monotonic()
-            on_reduced = kind(reduced, combined_root)
+            # When nothing reduced, ``reduced`` is ``hypergraph`` itself.
+            decomposition = kind(reduced, combined_root)
             if trace.reduced_anything:
-                decomposition = lift_decomposition(trace, on_reduced)
-            elif hypergraph is reduced:
-                decomposition = on_reduced
-            else:
-                decomposition = kind(hypergraph, combined_root)
+                decomposition = lift_decomposition(trace, decomposition)
             stats.record_stage("lift", time.monotonic() - t0)
 
         # Stage 5: optional validation against the independent oracle.
@@ -377,10 +363,7 @@ class DecompositionEngine:
         cancel_event: threading.Event | None = None,
     ) -> tuple[bool, bool, DecompositionNode | None, type]:
         """Decompose each connected component and graft the HDs together."""
-        if self.split_components:
-            groups = connected_components(reduced)
-        else:
-            groups = [list(range(reduced.num_edges))]
+        groups = connected_components(reduced)
         if len(groups) <= 1:
             hosts = [reduced]
         else:

@@ -1,9 +1,8 @@
 """Declarative registry of decomposition algorithms.
 
 Every entry point of the library (the :func:`repro.decompose` facade, the
-benchmark harness, the CLI, the query layer) used to build algorithms from
-hard-coded class tables; this registry replaces those with a single
-declarative catalogue:
+benchmark harness, the CLI, the query layer) builds algorithms from this
+single declarative catalogue:
 
     from repro.pipeline import registry
 

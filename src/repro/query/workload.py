@@ -50,7 +50,7 @@ from ..core.width import smallest_width
 from ..deadline import Deadline
 from ..decomp.decomposition import Decomposition
 from ..decomp.jointree import JoinTree, join_tree_from_decomposition
-from ..exceptions import QueryError
+from ..exceptions import QueryError, SolverError
 from ..hypergraph.cq import ConjunctiveQuery
 from ..pipeline.engine import DecompositionEngine, default_engine
 from ..pipeline.registry import registry
@@ -172,9 +172,8 @@ class WorkloadReport:
 class QueryEngine:
     """Plan-compiled query evaluation with cached plans.
 
-    ``algorithm`` is any registry name, ``max_width``/``timeout`` bound the
-    decomposition search, ``simplify=False`` bypasses the staged engine for
-    the search (the plan cache still applies).  ``engine`` pins an explicit
+    ``algorithm`` is any registry name, ``max_width`` (at least 1) and
+    ``timeout`` bound the decomposition search.  ``engine`` pins an explicit
     :class:`~repro.pipeline.engine.DecompositionEngine`; by default the
     process-wide engine is used, so plans and decompositions are shared with
     every other caller and reset together via
@@ -191,21 +190,18 @@ class QueryEngine:
         algorithm: str = "hybrid",
         max_width: int = 10,
         timeout: float | None = None,
-        simplify: bool = True,
         engine: DecompositionEngine | None = None,
         **algorithm_options,
     ) -> None:
+        if max_width < 1:
+            raise SolverError("max_width must be >= 1")
         self.algorithm = algorithm
         self.max_width = max_width
         self.timeout = timeout
-        self.simplify = simplify
         self.engine = engine
         self.algorithm_options = algorithm_options
         self._configuration = registry.configuration_key(
-            algorithm,
-            timeout=timeout,
-            use_engine=simplify,
-            **algorithm_options,
+            algorithm, timeout=timeout, **algorithm_options
         )
         #: Per-database column stores, dropped when the database is collected.
         self._stores: "weakref.WeakKeyDictionary[Database, ColumnStore]" = (
@@ -320,7 +316,6 @@ class QueryEngine:
             algorithm=self.algorithm,
             max_width=self.max_width,
             timeout=self.timeout,
-            use_engine=self.simplify,
             engine=self.engine,
             **self.algorithm_options,
         )
@@ -455,11 +450,9 @@ class QueryWorkload:
 
 
 @lru_cache(maxsize=32)
-def _shared_engine(
-    algorithm: str, max_width: int, timeout: float | None, simplify: bool
-) -> QueryEngine:
+def _shared_engine(algorithm: str, max_width: int, timeout: float | None) -> QueryEngine:
     """The engine behind :func:`evaluate_query`, one per configuration."""
-    return QueryEngine(algorithm, max_width, timeout, simplify)
+    return QueryEngine(algorithm, max_width, timeout)
 
 
 def evaluate_query(
@@ -468,17 +461,16 @@ def evaluate_query(
     algorithm: str = "hybrid",
     max_width: int = 10,
     timeout: float | None = None,
-    simplify: bool = True,
     executor: str = "columnar",
     mode: AnswerMode | str = AnswerMode.ENUMERATE,
 ) -> QueryResult:
     """Evaluate ``query`` over ``database`` guided by a minimum-width HD.
 
     One call of :meth:`QueryEngine.execute` on a process-wide engine built
-    from ``algorithm``/``max_width``/``timeout``/``simplify`` (see
+    from ``algorithm``/``max_width``/``timeout`` (see
     :class:`QueryEngine`), so repeated shapes hit its plan cache and a
     database keeps its column or SQL store for as long as it lives.  The
     decomposition, join tree and plan are under :attr:`QueryResult.planned`.
     """
-    engine = _shared_engine(algorithm, max_width, timeout, simplify)
+    engine = _shared_engine(algorithm, max_width, timeout)
     return engine.execute(query, database, mode, executor=executor)

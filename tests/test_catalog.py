@@ -476,6 +476,19 @@ def test_catalog_cli(tmp_path, capsys):
     assert "0 entries" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv", [["list"], ["show", "abc"], ["evict", "--k", "1"], ["vacuum"]], ids=lambda a: a[0]
+)
+def test_catalog_cli_missing_file_exits_1_and_creates_nothing(tmp_path, capsys, argv):
+    from repro.catalog.__main__ import main
+
+    path = tmp_path / "no-such.db"
+    command, *rest = argv
+    assert main([command, str(path), *rest]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_serialized_configuration_key_is_stable():
     # cache_key() tuples may contain frozensets whose iteration order is
     # nondeterministic; the catalog's rendering must not depend on it.

@@ -87,10 +87,13 @@ def test_experiment_required_without_listing():
         main(["--quiet"])
 
 
-def test_no_simplify_flag_runs_raw_search(capsys, shared_run):
-    exit_code = main(["table4", *_TINY, "--no-simplify", "--quiet"])
-    assert exit_code == 0
-    assert "Table 4" in capsys.readouterr().out
+def test_no_simplify_flag_is_gone(capsys):
+    # The raw search is Decomposer.decompose_raw; the harness always runs
+    # the staged engine, so the flag that bypassed it is an argparse error.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table1", "--no-simplify", "--quiet"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-simplify" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

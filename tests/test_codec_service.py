@@ -147,7 +147,7 @@ def test_unknown_request_kind_rejected(cycle6):
 # answers
 # --------------------------------------------------------------------------- #
 def test_decomposition_answer_round_trip(cycle6):
-    result = DetKDecomposer(use_engine=False).decompose_raw(cycle6, 2)
+    result = DetKDecomposer().decompose_raw(cycle6, 2)
     assert result.success
     payload = codec.decomposition_answer_to_dict(result)
     json.dumps(payload)
@@ -165,7 +165,7 @@ def test_decomposition_answer_round_trip(cycle6):
 
 
 def test_failed_decomposition_answer_round_trip(cycle6):
-    result = DetKDecomposer(use_engine=False).decompose_raw(cycle6, 1)
+    result = DetKDecomposer().decompose_raw(cycle6, 1)
     assert not result.success
     rebuilt = codec.decomposition_answer_from_dict(
         cycle6, codec.decomposition_answer_to_dict(result)

@@ -278,7 +278,7 @@ def test_from_dict_takes_an_int_where_a_float_is_declared():
 
 
 def test_an_answer_frame_with_malformed_statistics_is_a_parse_error(cycle6):
-    result = make_decomposer("detk", use_engine=False).decompose_raw(cycle6, 2)
+    result = make_decomposer("detk").decompose_raw(cycle6, 2)
     frame = decomposition_answer_to_dict(result)
     assert decomposition_answer_from_dict(cycle6, frame).statistics == result.statistics
     frame["statistics"]["recursive_calls"] = None

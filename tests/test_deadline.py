@@ -96,7 +96,7 @@ def test_cancellation_wins_and_names_itself():
 @FIRED
 @pytest.mark.parametrize("algorithm", registry.available())
 def test_every_sequential_search_stops(algorithm, fired):
-    decomposer = registry.build(algorithm, use_engine=False)
+    decomposer = registry.build(algorithm)
     with _Timer():
         result = decomposer.decompose_raw(HARD, 2, fired())
     assert result.timed_out and not result.success
@@ -104,7 +104,7 @@ def test_every_sequential_search_stops(algorithm, fired):
 
 @FIRED
 def test_parallel_phase_one_stops(fired):
-    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False)
+    parallel = ParallelLogKDecomposer(num_workers=2)
     with _Timer():
         result = parallel.decompose_raw(HARD, 2, fired())
     assert result.timed_out and not result.success
@@ -113,9 +113,9 @@ def test_parallel_phase_one_stops(fired):
 @FIRED
 def test_forked_workers_stop(fired):
     # Past the coordinator's own checks: the workers get the fired deadline.
-    parallel = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
+    parallel = ParallelLogKDecomposer(num_workers=2, hybrid=False)
     context = SearchContext(HARD, 2, fired())
-    search = LogKDecomposer(use_engine=False).search
+    search = LogKDecomposer().search
     with _Timer():
         timed_out, fragment = parallel._run_processes(
             HARD, 2, partition_edges(HARD.num_edges, 2), context, search

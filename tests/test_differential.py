@@ -90,8 +90,8 @@ def test_subedge_domination_preserves_answers(seed):
             DetKDecomposer,
             lambda **kw: HybridDecomposer(metric="EdgeCount", threshold=4, **kw),
         ):
-            on = factory(subedge_domination=True, use_engine=False).decompose(hypergraph, k)
-            off = factory(subedge_domination=False, use_engine=False).decompose(hypergraph, k)
+            on = factory(subedge_domination=True).decompose_raw(hypergraph, k)
+            off = factory(subedge_domination=False).decompose_raw(hypergraph, k)
             assert on.success == off.success, (seed, k, factory)
             if on.success:
                 validate_hd(on.decomposition)
@@ -115,16 +115,16 @@ def test_monotonicity_in_k():
 # delegation ignoring the allowed-edge set) and log-k-basic (no allowed-edge
 # exclusion at all) used to emit condition-4-violating trees; see ROADMAP.md.
 CERTIFICATE_CONFIGS = {
-    "logk": lambda: LogKDecomposer(use_engine=False),
-    "logk-nobalance": lambda: LogKDecomposer(use_engine=False, require_balanced=False),
-    "logk-basic": lambda: LogKBasicDecomposer(use_engine=False),
-    "detk": lambda: DetKDecomposer(use_engine=False),
-    "detk-nocache": lambda: DetKDecomposer(use_engine=False, use_cache=False),
+    "logk": lambda: LogKDecomposer(),
+    "logk-nobalance": lambda: LogKDecomposer(require_balanced=False),
+    "logk-basic": lambda: LogKBasicDecomposer(),
+    "detk": lambda: DetKDecomposer(),
+    "detk-nocache": lambda: DetKDecomposer(use_cache=False),
     "hybrid-edgecount": lambda: HybridDecomposer(
-        metric="EdgeCount", threshold=4, use_engine=False
+        metric="EdgeCount", threshold=4
     ),
     "hybrid-weighted": lambda: HybridDecomposer(
-        metric="WeightedCount", threshold=8, use_engine=False
+        metric="WeightedCount", threshold=8
     ),
 }
 
@@ -135,7 +135,7 @@ def test_all_configurations_emit_valid_certificates(seed):
     for k in (2, 3):
         answers = {}
         for name, factory in CERTIFICATE_CONFIGS.items():
-            result = factory().decompose(hypergraph, k)
+            result = factory().decompose_raw(hypergraph, k)
             answers[name] = result.success
             if result.success:
                 validate_hd(result.decomposition)

@@ -61,7 +61,7 @@ def test_stage_timings_are_recorded(engine, messy):
 
 
 def test_engine_off_runs_raw(messy):
-    result = LogKDecomposer(use_engine=False).decompose(messy, 2)
+    result = LogKDecomposer().decompose_raw(messy, 2)
     assert result.success
     assert result.statistics.stage_seconds == {}
     validate_hd(result.decomposition)
@@ -163,13 +163,6 @@ def test_component_splitting_produces_one_tree(engine, messy):
     assert covered == messy.vertices
 
 
-def test_split_components_can_be_disabled(messy):
-    engine = DecompositionEngine(split_components=False, cache=None)
-    result = LogKDecomposer(engine=engine).decompose(messy, 2)
-    assert result.success
-    validate_hd(result.decomposition)
-
-
 def test_validation_stage(engine, messy):
     engine.validate = True
     result = LogKDecomposer(engine=engine).decompose(messy, 2)
@@ -177,11 +170,24 @@ def test_validation_stage(engine, messy):
     assert "validate" in result.statistics.stage_seconds
 
 
-def test_simplify_can_be_disabled(messy):
-    engine = DecompositionEngine(simplify=False, cache=None)
-    result = LogKDecomposer(engine=engine).decompose(messy, 2)
-    assert result.success
-    validate_hd(result.decomposition)
+def test_raw_search_switches_are_gone():
+    # decompose_raw is the one way to run the raw search; the switches that
+    # used to bypass the engine's stages are rejected outright.
+    from repro.hypergraph.cq import parse_conjunctive_query
+    from repro.query import evaluate_query, random_database_for_query
+
+    with pytest.raises(TypeError, match="use_engine"):
+        LogKDecomposer(use_engine=False)
+    with pytest.raises(TypeError, match="use_engine"):
+        make_decomposer("parallel", use_engine=False)
+    with pytest.raises(TypeError, match="simplify"):
+        DecompositionEngine(simplify=False)
+    with pytest.raises(TypeError, match="split_components"):
+        DecompositionEngine(split_components=False)
+    query = parse_conjunctive_query("ans(x) :- r(x, y), s(y, x).")
+    database = random_database_for_query(query, domain_size=3, tuples_per_relation=4, seed=0)
+    with pytest.raises(TypeError, match="simplify"):
+        evaluate_query(query, database, simplify=False)
 
 
 def test_ghd_results_keep_their_kind(engine, messy):
@@ -219,7 +225,7 @@ def test_differential_engine_on_vs_off_over_corpus(algorithm):
         optimum_on = optimum_off = None
         for k in (1, 2, 3):
             on = make_decomposer(algorithm, engine=engine).decompose(h, k)
-            off = make_decomposer(algorithm, use_engine=False).decompose(h, k)
+            off = make_decomposer(algorithm).decompose_raw(h, k)
             assert on.success == off.success, (instance.name, algorithm, k)
             assert not on.timed_out and not off.timed_out
             if on.success:

@@ -117,12 +117,12 @@ CONDITION4_REGRESSION_EDGES = {
 }
 
 
-@pytest.mark.parametrize("use_engine", [False, True])
-def test_detk_delegation_respects_allowed_edges(use_engine):
+@pytest.mark.parametrize("through_engine", [False, True])
+def test_detk_delegation_respects_allowed_edges(through_engine):
     h = Hypergraph(CONDITION4_REGRESSION_EDGES)
-    result = HybridDecomposer(
-        metric="EdgeCount", threshold=4, use_engine=use_engine
-    ).decompose(h, 2)
+    decomposer = HybridDecomposer(metric="EdgeCount", threshold=4)
+    run = decomposer.decompose if through_engine else decomposer.decompose_raw
+    result = run(h, 2)
     assert result.success
     validate_hd(result.decomposition)
     assert result.decomposition.width <= 2
@@ -156,8 +156,8 @@ def child_loop_depths(monkeypatch):
     ids=["cycle12-find", "grid33-find", "cycle9-refute"],
 )
 def test_inside_the_budget_det_k_decides_alone(hypergraph, k, child_loop_depths):
-    hybrid = HybridDecomposer(use_engine=False).decompose(hypergraph, k)
-    detk = DetKDecomposer(use_engine=False).decompose(hypergraph, k)
+    hybrid = HybridDecomposer().decompose_raw(hypergraph, k)
+    detk = DetKDecomposer().decompose_raw(hypergraph, k)
     assert hybrid.success is detk.success and not hybrid.timed_out
     assert hybrid.statistics.labels_tried == detk.statistics.labels_tried <= _budget(hypergraph)
     assert hybrid.statistics.subproblems_delegated == 1  # the root
@@ -170,10 +170,10 @@ def test_inside_the_budget_det_k_decides_alone(hypergraph, k, child_loop_depths)
 
 def test_a_spent_budget_hands_the_root_to_log_k_and_refutes(child_loop_depths):
     clique = generators.clique(5)
-    assert DetKDecomposer(use_engine=False).decompose(clique, 2).statistics.labels_tried > (
+    assert DetKDecomposer().decompose_raw(clique, 2).statistics.labels_tried > (
         _budget(clique)
     )
-    result = HybridDecomposer(use_engine=False).decompose(clique, 2)
+    result = HybridDecomposer().decompose_raw(clique, 2)
     assert not result.success and not result.timed_out
     # Phase 2's predicate keeps the root with log-k: its child loop runs at
     # depth 1, and det-k takes only the subproblems below it.
@@ -188,7 +188,7 @@ def test_a_spent_budget_hands_the_root_to_log_k_and_refutes(child_loop_depths):
 )
 def test_a_spent_budget_still_finds(hypergraph, k, monkeypatch, child_loop_depths):
     monkeypatch.setattr(hybrid_module, "_DETK_LABELS_PER_EDGE", 0)
-    result = HybridDecomposer(use_engine=False).decompose(hypergraph, k)
+    result = HybridDecomposer().decompose_raw(hypergraph, k)
     assert result.success
     validate_hd(result.decomposition)
     assert result.decomposition.width <= k
@@ -218,7 +218,7 @@ def test_the_two_phases_are_the_search(k):
     def host():  # a fresh one each: hosts cache their mask tables
         return generators.with_chords(generators.cycle(30), 4, seed=2)
 
-    hybrid = HybridDecomposer(use_engine=False)
+    hybrid = HybridDecomposer()
     whole = SearchContext(host(), k)
     expected = hybrid.search(whole)
     hypergraph = host()
@@ -237,7 +237,7 @@ def test_the_two_phases_are_the_search(k):
 def _decide_alike(hypergraph, k):
     answers = {}
     for decomposer in (HybridDecomposer, DetKDecomposer, LogKDecomposer):
-        result = decomposer(use_engine=False, timeout=60).decompose(hypergraph, k)
+        result = decomposer(timeout=60).decompose_raw(hypergraph, k)
         assert not result.timed_out
         if result.success:
             validate_hd(result.decomposition)

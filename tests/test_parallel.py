@@ -50,8 +50,8 @@ def caller(request, monkeypatch):
 
 
 def test_parallel_positive_instance(caller, cycle10):
-    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
-    result = decomposer.decompose(cycle10, 2)
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False)
+    result = decomposer.decompose_raw(cycle10, 2)
     assert result.success
     assert result.decomposition is not None
     validate_hd(result.decomposition)
@@ -59,8 +59,8 @@ def test_parallel_positive_instance(caller, cycle10):
 
 
 def test_parallel_negative_instance(caller, cycle6):
-    decomposer = ParallelLogKDecomposer(num_workers=2, use_engine=False)
-    result = decomposer.decompose(cycle6, 1)
+    decomposer = ParallelLogKDecomposer(num_workers=2)
+    result = decomposer.decompose_raw(cycle6, 1)
     assert not result.success
     assert not result.timed_out
 
@@ -126,10 +126,10 @@ def test_workers_split_one_search_instead_of_repeating_it():
     together the workers try at least the sequential search's labels.
     """
     hard = generators.with_chords(generators.cycle(30), 4, seed=2)
-    sequential = HybridDecomposer(use_engine=False).decompose(hard, 2)
+    sequential = HybridDecomposer().decompose_raw(hard, 2)
     assert not sequential.success and not sequential.timed_out
     for workers in (2, 4):
-        parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose(hard, 2)
+        parallel = ParallelLogKDecomposer(num_workers=workers).decompose_raw(hard, 2)
         assert not parallel.success and not parallel.timed_out
         assert parallel.statistics.refutations_shared > 0
         assert parallel.statistics.cache_misses <= 1.3 * sequential.statistics.cache_misses
@@ -174,7 +174,7 @@ def _hybrid_share(host, k, partition, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(DetKSearch, "search", detk_spy)
         patch.setattr(LogKSearch, "_child_labels", logk_spy)
-        fragment = HybridDecomposer(use_engine=False).search(SearchContext(host, k), partition)
+        fragment = HybridDecomposer().search(SearchContext(host, k), partition)
     return outcome, streams, fragment
 
 
@@ -214,10 +214,10 @@ def test_a_spent_budget_splits_log_ks_root_loop(host, workers, monkeypatch):
         assert outcome == ["spent"] and fragment is None
         assert streams == [[label for label in sequential if label[0] % workers == slot]]
     assert sum(len(streams[0]) for _, streams, _ in shares) == len(sequential)
-    parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False)
-    refuted = parallel.decompose(host, 2)
+    parallel = ParallelLogKDecomposer(num_workers=workers)
+    refuted = parallel.decompose_raw(host, 2)
     assert not refuted.success and not refuted.timed_out
-    found = parallel.decompose(host, 3)  # every host here has hw 3
+    found = parallel.decompose_raw(host, 3)  # every host here has hw 3
     assert found.success
     validate_hd(found.decomposition)
 
@@ -232,15 +232,15 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
     """
     hard = generators.with_chords(generators.cycle(30), 4, seed=2)
     options = dict(metric=EdgeCountMetric(), threshold=12.0)
-    hybrid = HybridDecomposer(use_engine=False, **options)
-    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False, **options)
-    found = parallel.decompose(cycle10, 2)
-    assert found.success and hybrid.decompose(cycle10, 2).success
+    hybrid = HybridDecomposer(**options)
+    parallel = ParallelLogKDecomposer(num_workers=2, **options)
+    found = parallel.decompose_raw(cycle10, 2)
+    assert found.success and hybrid.decompose_raw(cycle10, 2).success
     validate_hd(found.decomposition)
 
-    refuted = parallel.decompose(hard, 2)
+    refuted = parallel.decompose_raw(hard, 2)
     assert not refuted.success and not refuted.timed_out
-    sequential = hybrid.decompose(hard, 2)
+    sequential = hybrid.decompose_raw(hard, 2)
     assert not sequential.success
     labels = delegated = 0
     for partition in partition_edges(hard.num_edges, 2):
@@ -253,7 +253,7 @@ def test_metric_instance_and_threshold_reach_every_worker(cycle10):
     assert 2 < refuted.statistics.subproblems_delegated <= delegated
     # The default hybrid is another search (det-k's budgeted root, then
     # log-k's first balanced split): an order of magnitude fewer labels here.
-    default = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose(hard, 2)
+    default = ParallelLogKDecomposer(num_workers=2).decompose_raw(hard, 2)
     assert not default.success
     assert default.statistics.labels_tried < sequential.statistics.labels_tried / 10
 
@@ -298,8 +298,8 @@ def test_a_phase_one_answer_forks_nothing(host, k, success, forks):
     The phase is unpartitioned, so its "no" is the sequential hybrid's and
     so are its counters.
     """
-    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(host, k)
-    sequential = HybridDecomposer(use_engine=False).decompose_raw(host, k)
+    parallel = ParallelLogKDecomposer(num_workers=2).decompose_raw(host, k)
+    sequential = HybridDecomposer().decompose_raw(host, k)
     assert parallel.success is sequential.success is success and not parallel.timed_out
     assert forks == {"workers": [], "tables": []}
     for counter in ("labels_tried", "recursive_calls", "subproblems_delegated"):
@@ -329,7 +329,7 @@ def test_a_spent_budget_forks_for_phase_two_only(tmp_path, monkeypatch, forks):
 
     monkeypatch.setattr(DetKSearch, "search", detk_spy)
     monkeypatch.setattr(LogKSearch, "_child_labels", logk_spy)
-    result = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(
+    result = ParallelLogKDecomposer(num_workers=2).decompose_raw(
         _SPENT_REFUTE, 2
     )
     assert not result.success and not result.timed_out
@@ -343,11 +343,11 @@ def test_killed_hybrid_workers_are_respawned_and_run_succeeds(forks):
     """Respawns fork from the coordinator too: they inherit phase 1's memo."""
     from repro import faults
 
-    sequential = HybridDecomposer(use_engine=False).decompose_raw(_SPENT_FIND, 2)
+    sequential = HybridDecomposer().decompose_raw(_SPENT_FIND, 2)
     assert sequential.success
     rule = faults.FaultRule(point="parallel.worker", kill=True, where={"attempt": 0})
     with faults.injected(rule):
-        result = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(
+        result = ParallelLogKDecomposer(num_workers=2).decompose_raw(
             _SPENT_FIND, 2
         )
     assert result.success and not result.timed_out
@@ -358,7 +358,7 @@ def test_killed_hybrid_workers_are_respawned_and_run_succeeds(forks):
 
 
 def test_cancel_and_deadline_in_phase_one_fork_nothing(monkeypatch, forks):
-    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False)
+    parallel = ParallelLogKDecomposer(num_workers=2)
     cancelled = threading.Event()
     cancelled.set()
     result = parallel.decompose_raw(generators.cycle(6), 1, Deadline(cancel_event=cancelled))
@@ -383,8 +383,8 @@ def test_cancel_and_deadline_in_phase_one_fork_nothing(monkeypatch, forks):
 @given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from([2, 3]))
 def test_parallel_and_sequential_hybrid_decide_alike(seed, k, workers):
     hypergraph = generators.random_csp(8, 8, arity=3, seed=seed)
-    sequential = HybridDecomposer(use_engine=False).decompose_raw(hypergraph, k)
-    result = ParallelLogKDecomposer(num_workers=workers, use_engine=False).decompose_raw(
+    sequential = HybridDecomposer().decompose_raw(hypergraph, k)
+    result = ParallelLogKDecomposer(num_workers=workers).decompose_raw(
         hypergraph, k
     )
     assert not result.timed_out
@@ -425,8 +425,8 @@ def test_daemonic_caller_starts_no_thread_and_forks_no_child(monkeypatch):
 
     monkeypatch.setattr("repro.core.base.SearchContext", Watching)
     before = (threading.active_count(), len(mp.active_children()))
-    parallel = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose_raw(hard, 2)
-    sequential = HybridDecomposer(use_engine=False).decompose_raw(hard, 2)
+    parallel = ParallelLogKDecomposer(num_workers=2).decompose_raw(hard, 2)
+    sequential = HybridDecomposer().decompose_raw(hard, 2)
     assert seen and set(seen) == {before}  # sampled all through both searches
     assert not parallel.success and not parallel.timed_out
     # One sequential search, not one per partition.
@@ -461,7 +461,7 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
         return original(self, comp, conn, allowed, depth)
 
     monkeypatch.setattr(LogKSearch, "search", broken)
-    base = LogKDecomposer(use_engine=False)
+    base = LogKDecomposer()
     with caplog.at_level("ERROR", logger="repro.parallel"):
         healthy = _worker_search(base.search, cycle10, 1, [1, 3, 5, 7, 9], None)
         faulty = _worker_search(base.search, cycle10, 1, [0, 2, 4, 6, 8], None)
@@ -472,7 +472,7 @@ def test_worker_bug_is_logged_and_degrades_to_undecided(cycle10, monkeypatch, ca
     assert len(failures) == 1 and failures[0].exc_info[0] is TypeError
     assert "injected worker bug" in caplog.text
     # The coordinator (forked workers inherit the patch) reports undecided.
-    refuted = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False).decompose(
+    refuted = ParallelLogKDecomposer(num_workers=2, hybrid=False).decompose_raw(
         cycle10, 1
     )
     assert not refuted.success and refuted.timed_out
@@ -498,7 +498,7 @@ def test_killed_process_worker_is_respawned_and_run_succeeds(cycle10):
     # must detect the silent deaths, respawn each partition once, and the
     # replacements (attempt 1 no longer matches the rule) decide the run.
     rule = faults.FaultRule(point="parallel.worker", kill=True, where={"attempt": 0})
-    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False)
     with faults.injected(rule):
         result = decomposer.decompose_raw(cycle10, 2)
     assert result.success
@@ -524,7 +524,7 @@ def test_a_respawn_gets_what_is_left_of_the_budget(cycle10, monkeypatch):
 
     monkeypatch.setattr(WorkerProcess, "start", recording)
     rule = faults.FaultRule(point="parallel.worker", kill=True, where={"attempt": 0})
-    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False)
     with faults.injected(rule):
         result = decomposer.decompose_raw(cycle10, 2, Deadline.arm(30.0))
     assert result.success and result.statistics.worker_respawns == 2
@@ -542,7 +542,7 @@ def test_respawn_budget_exhausted_degrades_to_undecided(cycle10):
     # Every attempt dies: after the per-slot budget the partitions are
     # abandoned and the run reports undecided (timed out), not a wrong "no".
     rule = faults.FaultRule(point="parallel.worker", kill=True)
-    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False)
     with faults.injected(rule):
         result = decomposer.decompose_raw(cycle10, 2)
     assert not result.success

@@ -101,8 +101,8 @@ def test_success_is_monotone_in_k(hypergraph):
 def test_simplify_decompose_lift_yields_valid_hd_on_original(hypergraph):
     trace = simplify(hypergraph)
     for k in (1, 2):
-        reduced_result = LogKDecomposer(use_engine=False).decompose(trace.reduced, k)
-        raw_result = LogKDecomposer(use_engine=False).decompose(hypergraph, k)
+        reduced_result = LogKDecomposer().decompose_raw(trace.reduced, k)
+        raw_result = LogKDecomposer().decompose_raw(hypergraph, k)
         # Simplification is width-preserving: same yes/no answer at every k.
         assert reduced_result.success == raw_result.success
         if reduced_result.success:
@@ -118,7 +118,7 @@ def test_engine_agrees_with_raw_search(hypergraph):
     engine = DecompositionEngine(cache=ResultCache())
     for k in (1, 2):
         on = LogKDecomposer(engine=engine).decompose(hypergraph, k)
-        off = LogKDecomposer(use_engine=False).decompose(hypergraph, k)
+        off = LogKDecomposer().decompose_raw(hypergraph, k)
         assert on.success == off.success
         if on.success:
             validate_hd(on.decomposition)

@@ -148,7 +148,7 @@ _HARD = generators.with_chords(generators.cycle(30), 4, seed=2)  # hw 3
 
 def test_a_second_run_on_the_same_table_resumes(table):
     """What a respawned worker inherits: its dead predecessor's refutations."""
-    base = HybridDecomposer(use_engine=False)
+    base = HybridDecomposer()
     partition = partition_edges(_HARD.num_edges, 2)[0]
     first = _worker_search(base.search, _HARD, 2, partition, None, table)
     again = _worker_search(base.search, _HARD, 2, partition, None, table)
@@ -169,8 +169,8 @@ def test_no_table_outside_the_forked_arm(monkeypatch):
     made = []
     monkeypatch.setattr("repro.core.parallel.RefutedTable", lambda: made.append(1))
     monkeypatch.setattr(mp.current_process(), "daemon", True)
-    daemonic = ParallelLogKDecomposer(num_workers=2, use_engine=False).decompose(_HARD, 2)
-    sequential = HybridDecomposer(use_engine=False).decompose(_HARD, 2)
+    daemonic = ParallelLogKDecomposer(num_workers=2).decompose_raw(_HARD, 2)
+    sequential = HybridDecomposer().decompose_raw(_HARD, 2)
     assert not made
     assert daemonic.statistics.refutations_shared == sequential.statistics.refutations_shared == 0
     assert daemonic.statistics.cache_misses == sequential.statistics.cache_misses
@@ -192,12 +192,12 @@ def _corpus():
 def test_a_four_slot_table_never_changes_an_answer(monkeypatch, workers, options):
     """Eviction on nearly every write: entries get lost, answers do not."""
     monkeypatch.setattr("repro.core.parallel.RefutedTable", lambda: RefutedTable(slots=4))
-    sequential = HybridDecomposer(use_engine=False, **options)
-    parallel = ParallelLogKDecomposer(num_workers=workers, use_engine=False, **options)
+    sequential = HybridDecomposer(**options)
+    parallel = ParallelLogKDecomposer(num_workers=workers, **options)
     for hypergraph, widths in _corpus():
         for k in widths:
-            expected = sequential.decompose(hypergraph, k)
-            result = parallel.decompose(hypergraph, k)
+            expected = sequential.decompose_raw(hypergraph, k)
+            result = parallel.decompose_raw(hypergraph, k)
             assert not result.timed_out
             assert result.success == expected.success, (hypergraph.name, k)
             if result.success:

@@ -15,6 +15,7 @@ from repro.bench.runner import (
 from repro.bench.stats import counter_totals, group_records, runtime_stats, solved_count
 from repro.core import DetKDecomposer, HybridDecomposer
 from repro.hypergraph import generators
+from repro.pipeline.engine import DecompositionEngine
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +42,15 @@ def test_run_parametrised_resolves_optimum(small_instances):
 
 def test_run_parametrised_accumulates_search_counters(small_instances):
     # The kernel counters are summed over every (instance, k) run of the
-    # record (use_engine=False: a result-cache hit would replay stored stats).
+    # record (a private cache-less engine: a result-cache hit would replay
+    # stored stats).
     # A fresh hypergraph (not the shared fixture) so the incidence-mask table
     # has not been built yet and mask_table_builds must move.
     instance = Instance("cycle6-fresh", "Synthetic", generators.cycle(6), "cycle")
     record = run_parametrised(
         instance,
         "detk",
-        lambda t: DetKDecomposer(timeout=t, use_engine=False),
+        lambda t: DetKDecomposer(timeout=t, engine=DecompositionEngine(cache=None)),
         5.0,
         max_width=4,
     )
@@ -75,7 +77,7 @@ def test_counter_totals_sums_over_records(small_instances):
         run_parametrised(
             instance,
             "detk",
-            lambda t: DetKDecomposer(timeout=t, use_engine=False),
+            lambda t: DetKDecomposer(timeout=t, engine=DecompositionEngine(cache=None)),
             5.0,
             max_width=4,
         )

@@ -191,11 +191,11 @@ _INSTANCES = {
     "cascade4": lambda: generators.triangle_cascade(4),
 }
 _ALGORITHMS = {
-    "logk": lambda: LogKDecomposer(use_engine=False),
+    "logk": lambda: LogKDecomposer(),
     # threshold 12: log-k-decomp keeps the larger instances, det-k-decomp
     # gets their subproblems — both halves of the hybrid run.
-    "hybrid": lambda: HybridDecomposer(use_engine=False, threshold=12),
-    "detk": lambda: DetKDecomposer(use_engine=False),
+    "hybrid": lambda: HybridDecomposer(threshold=12),
+    "detk": lambda: DetKDecomposer(),
 }
 #: (instance, k, algorithm) -> (success, labels_tried, recursive_calls,
 #: enum_domination_skips), recorded at the commit before the domination pass,
@@ -230,7 +230,7 @@ _PINNED = {
 
 @pytest.mark.parametrize("instance,k,algorithm", sorted(_PINNED))
 def test_sequential_searches_explore_the_same_tree(instance, k, algorithm):
-    result = _ALGORITHMS[algorithm]().decompose(_INSTANCES[instance](), k)
+    result = _ALGORITHMS[algorithm]().decompose_raw(_INSTANCES[instance](), k)
     stats = result.statistics
     assert (
         result.success,

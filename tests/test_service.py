@@ -47,7 +47,7 @@ class _BlockingDecomposer(Decomposer):
         self.log.append(self.tag)
         from repro.core.detk import DetKDecomposer
 
-        return DetKDecomposer(use_engine=False).decompose_raw(
+        return DetKDecomposer().decompose_raw(
             context.host, context.k
         ).decomposition
 

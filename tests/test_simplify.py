@@ -138,7 +138,7 @@ def test_lift_produces_valid_hd_on_original(decomposer_cls):
     )
     trace = simplify(h)
     assert trace.reduced_anything
-    result = decomposer_cls(use_engine=False).decompose(trace.reduced, 2)
+    result = decomposer_cls().decompose_raw(trace.reduced, 2)
     assert result.success
     lifted = lift_decomposition(trace, result.decomposition)
     assert lifted.hypergraph is h
@@ -162,7 +162,7 @@ def test_lift_restores_transitively_collapsed_vertices():
         ],
         rounds=2,
     )
-    result = LogKDecomposer(use_engine=False).decompose(reduced, 1)
+    result = LogKDecomposer().decompose_raw(reduced, 1)
     assert result.success
     lifted = lift_decomposition(trace, result.decomposition)
     validate_hd(lifted)
@@ -190,7 +190,7 @@ def test_collapse_and_subsumption_interact_in_one_pass():
     assert trace.collapsed_vertices == [
         CollapsedVertices(representative="p1", removed=("p2", "q"))
     ]
-    result = LogKDecomposer(use_engine=False).decompose(trace.reduced, 1)
+    result = LogKDecomposer().decompose_raw(trace.reduced, 1)
     assert result.success
     lifted = lift_decomposition(trace, result.decomposition)
     validate_hd(lifted)
@@ -210,6 +210,6 @@ def test_width_decision_is_preserved_by_simplification():
     for h in cases:
         trace = simplify(h)
         for k in (1, 2, 3):
-            raw = LogKDecomposer(use_engine=False).decompose(h, k).success
-            red = LogKDecomposer(use_engine=False).decompose(trace.reduced, k).success
+            raw = LogKDecomposer().decompose_raw(h, k).success
+            red = LogKDecomposer().decompose_raw(trace.reduced, k).success
             assert raw == red, (h.edges_as_dict(), k)

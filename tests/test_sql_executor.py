@@ -274,7 +274,7 @@ def test_evaluate_query_keeps_its_plan_and_the_database_its_store():
         assert again.execution.statistics.bags_built == 0
         assert again.answers == first.answers
     log = []
-    connection = _shared_engine("hybrid", 10, None, True).sql_store_for(database).connection()
+    connection = _shared_engine("hybrid", 10, None).sql_store_for(database).connection()
     connection.set_trace_callback(log.append)
     try:
         evaluate_query(query, database, executor="sql")

@@ -203,7 +203,7 @@ def test_stop_leaves_no_child_and_no_descriptor():
 
 @pytest.mark.parametrize("kill_every_attempt", [False, True], ids=["first-success", "budget-exhausted"])
 def test_parallel_decomposer_leaves_no_child_and_no_descriptor(cycle10, kill_every_attempt):
-    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False, use_engine=False)
+    decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False)
     before = _open_fds()
     if kill_every_attempt:
         with faults.injected(faults.FaultRule(point="parallel.worker", kill=True)):

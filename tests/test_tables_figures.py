@@ -141,11 +141,12 @@ def test_scaling_series_speedup():
 
 
 def test_recursion_depth_series():
-    series = build_recursion_depth_series(sizes=(8, 16), k=2, family="cycle")
+    # Theorem 4.1 on the default series: log-k-decomp's depth grows by one
+    # per doubling of the cycle, det-k-decomp's linearly (n/2 + 1).
+    series = build_recursion_depth_series()
     assert set(series) == {"log-k-decomp", "det-k-decomp"}
-    logk = dict(series["log-k-decomp"])
-    detk = dict(series["det-k-decomp"])
-    assert logk[16] < detk[16]
+    assert series["log-k-decomp"] == [(8, 4), (16, 5), (32, 6), (64, 7)]
+    assert series["det-k-decomp"] == [(8, 5), (16, 9), (32, 17), (64, 33)]
     text = render_depth_series(series)
     assert "Recursion depth" in text
 

@@ -11,6 +11,7 @@ from repro.decomp import validate_hd
 from repro.exceptions import SolverError, TimeoutExceeded
 from repro.hypergraph import Hypergraph, generators
 from repro.pipeline import registry
+from repro.query import QueryEngine
 
 
 def test_registry_contains_all_algorithms():
@@ -90,3 +91,16 @@ def test_smallest_width_raises_on_timeout():
         smallest_width(generators.clique(7), timeout=0.0)
     assert smallest_width(generators.clique(6), max_width=2) == (None, None)
     assert smallest_width(generators.cycle(6))[0] == 2
+
+
+@pytest.mark.parametrize("max_width", [0, -5])
+def test_width_bound_below_one_is_rejected(max_width):
+    # The acyclic shortcut answers width 1 without a search, so it must not
+    # run under a bound it would exceed; every route raises the same error.
+    for hypergraph in (generators.path(4), generators.cycle(6)):
+        with pytest.raises(SolverError, match="max_width"):
+            smallest_width(hypergraph, max_width=max_width)
+        with pytest.raises(SolverError, match="max_width"):
+            hypertree_width(hypergraph, max_width=max_width)
+    with pytest.raises(SolverError, match="max_width"):
+        QueryEngine(max_width=max_width)
