@@ -25,6 +25,15 @@ split against thousands of candidate separators:
   once the unvisited rest cannot beat the largest group so far,
   :meth:`ComponentSplitter.has_oversized` (the balancedness filter) as soon
   as a *growing* group exceeds the limit;
+* a fill that finds a group of more than ``limit`` items leaves a *witness*
+  ``(interior, size)``: the group's vertices outside the separator and its
+  item count.  A decide-only memo miss whose separator is disjoint from a
+  witness's interior, with ``size > limit``, is answered True without a
+  fill.  Sound because every item of the group holds a vertex of
+  ``interior`` and every link the fill followed is one, so such a separator
+  covers no item and cuts no link: the group lies whole in one component of
+  more than ``limit`` items.  Witnesses never answer "balanced" nor
+  :meth:`ComponentSplitter.oversized` (which must return the component);
 * the groups reach the searches as :class:`~repro.decomp.extended.BitComp`
   records paired with their vertex sets, which the fill collects anyway (no
   frozenset is built and no V(C) recomputed on the hot path).
@@ -51,6 +60,10 @@ __all__ = [
 #: Splitters are per-subproblem objects, so this mostly guards pathological
 #: subproblems with very large candidate pools.
 DEFAULT_MEMO_SIZE = 4096
+
+#: Bound on the most-recently-used list of oversized-group witnesses a
+#: memoising splitter keeps for :meth:`ComponentSplitter.has_oversized`.
+WITNESS_LIST_SIZE = 32
 
 
 class ComponentSplitter:
@@ -90,6 +103,7 @@ class ComponentSplitter:
         "_split_memo",
         "_largest_memo",
         "_oversized_memo",
+        "_witnesses",
     )
 
     def __init__(
@@ -117,6 +131,9 @@ class ComponentSplitter:
         self._split_memo: BoundedLRU = BoundedLRU(memo_size)
         self._largest_memo: BoundedLRU = BoundedLRU(memo_size)
         self._oversized_memo: BoundedLRU = BoundedLRU(memo_size)
+        # (interior, size) of oversized groups found by fills, most recent
+        # first; see the module docstring.
+        self._witnesses: list[tuple[int, int]] = []
 
     @property
     def comp_vertices(self) -> int:
@@ -289,15 +306,41 @@ class ComponentSplitter:
         cached = self._lookup(self._oversized_memo, key)
         if cached is None or (whole and cached is True):
             cached = False
-            for edges, sp, vertices, remaining in self._flood(effective, inf if whole else limit):
-                if edges.bit_count() + sp.bit_count() > limit:
-                    cached = (self._bitcomp(edges, sp), vertices) if whole else True
-                    break
-                if remaining <= limit:
-                    break  # nothing left can exceed the limit
+            if not whole and self._witnessed(effective, limit):
+                cached = True
+            else:
+                for edges, sp, vertices, remaining in self._flood(
+                    effective, inf if whole else limit
+                ):
+                    size = edges.bit_count() + sp.bit_count()
+                    if size > limit:
+                        cached = (self._bitcomp(edges, sp), vertices) if whole else True
+                        if self._memoize:
+                            self._witness(vertices & ~effective, size)
+                        break
+                    if remaining <= limit:
+                        break  # nothing left can exceed the limit
             if self._memoize:
                 self._oversized_memo.put(key, cached)
         return cached
+
+    def _witnessed(self, effective: int, limit: float) -> bool:
+        """Whether a witness proves a group of more than ``limit`` items
+        survives ``effective``; the witness that does moves to the front."""
+        witnesses = self._witnesses
+        for position, (interior, size) in enumerate(witnesses):
+            if size > limit and not effective & interior:
+                if position:
+                    witnesses.insert(0, witnesses.pop(position))
+                return True
+        return False
+
+    def _witness(self, interior: int, size: int) -> None:
+        """Record an oversized group at the front of the witness list."""
+        witnesses = self._witnesses
+        witnesses.insert(0, (interior, size))
+        if len(witnesses) > WITNESS_LIST_SIZE:
+            witnesses.pop()
 
     def has_oversized(self, separator: int, limit: float) -> bool:
         """True iff some [separator]-component has more than ``limit`` items.

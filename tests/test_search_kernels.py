@@ -4,6 +4,8 @@
 * the early-exit balance predicate == ``largest_size(sep) > half``, and the
   splitter's single-component / with-vertices views == the full split;
 * the edge-adjacency flood fill == Definition 3.2's pairwise union-find;
+* a long-lived splitter answering from its oversized-group witnesses ==
+  the same union-find, over any sequence of separators and limits;
 * sequential ``logk`` / ``hybrid`` / ``detk`` report the counters of the
   commit before the kernels changed (same labels, same calls, same skips).
 """
@@ -17,7 +19,7 @@ from oracles.domination import dominated_pool_pairwise
 
 from repro.core import DetKDecomposer, HybridDecomposer, LogKDecomposer
 from repro.core.base import SearchStatistics
-from repro.decomp.components import ComponentSplitter
+from repro.decomp.components import WITNESS_LIST_SIZE, ComponentSplitter
 from repro.decomp.covers import CoverEnumerator, label_union
 from repro.decomp.extended import BitComp, full_bitcomp
 from repro.hypergraph import Hypergraph, generators
@@ -176,6 +178,105 @@ def test_flood_fill_matches_definition(host, edge_bits, specials, separator):
                 first = next((pair for pair in pairs if pair[0].size > limit), None)
                 assert splitter.has_oversized(separator, limit) == (first is not None)
                 assert splitter.oversized(separator, limit) == first
+
+
+# --------------------------------------------------------------------------- #
+# oversized-group witnesses: a long-lived splitter vs the union-find
+# --------------------------------------------------------------------------- #
+@given(
+    _hypergraphs,
+    _mask,
+    st.lists(_vertex_mask.filter(bool), max_size=3),
+    st.lists(
+        st.tuples(_vertex_mask, st.integers(min_value=0, max_value=13), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_witnessed_verdicts_match_definition(host, edge_bits, specials, queries):
+    specials = [s & host.all_vertices_mask for s in specials]
+    comp = BitComp.of(indices_of(edge_bits & host.all_edges_mask), filter(None, specials))
+    # One splitter for the whole sequence, so later queries meet the
+    # witnesses earlier fills left.
+    splitter = ComponentSplitter(host, comp)
+    for separator, halves, whole in queries:
+        separator &= host.all_vertices_mask
+        limit = halves / 2
+        first = next(
+            (
+                (BitComp(edges, tuple(comp.specials[i] for i in indices_of(sp))), vertices)
+                for edges, sp, vertices, _ in components_by_definition(host, comp, separator)
+                if edges.bit_count() + sp.bit_count() > limit
+            ),
+            None,
+        )
+        if whole:
+            assert splitter.oversized(separator, limit) == first
+        else:
+            assert splitter.has_oversized(separator, limit) == (first is not None)
+        assert len(splitter._witnesses) <= WITNESS_LIST_SIZE
+
+
+def test_witness_decides_only_separators_disjoint_from_its_interior(monkeypatch):
+    host = generators.cycle(12)  # R_i = {x_i, x_{i+1}}
+    comp = full_bitcomp(host)
+    splitter = ComponentSplitter(host, comp)
+    fills = []  # one entry per fill
+    flood = ComponentSplitter._flood
+    monkeypatch.setattr(
+        ComponentSplitter, "_flood", lambda self, *args: fills.append(1) or flood(self, *args)
+    )
+    cut = host.vertices_to_mask
+
+    # Uneven: {R2, R3} and the ten other edges; the fill records the large group.
+    assert splitter.has_oversized(cut(["x2", "x4"]), 6)
+    assert len(fills) == 1
+    [(interior, size)] = splitter._witnesses
+    assert size > 6 and interior & cut(["x2", "x3", "x4"]) == 0
+
+    # Even: two groups of six.  The separator meets the witness's interior,
+    # so a fill decides — and says balanced.
+    assert interior & cut(["x1", "x7"])
+    assert not splitter.has_oversized(cut(["x1", "x7"]), 6)
+    assert len(fills) == 2
+    assert len(splitter._witnesses) == 1  # a balanced verdict leaves none
+
+    # Disjoint from the interior: the witness decides, no fill.
+    assert splitter.has_oversized(cut(["x3"]), 6)
+    assert len(fills) == 2
+    # ... but only for a limit below its size, and never for oversized().
+    assert splitter.has_oversized(cut(["x3"]), size - 0.5) is True
+    assert len(fills) == 2
+    assert not splitter.has_oversized(cut(["x3"]), 12)
+    assert len(fills) == 3
+    down = splitter.oversized(cut(["x3"]), 6)
+    assert len(fills) == 4
+    assert down == (comp, host.all_vertices_mask)
+
+
+def test_unmemoised_splitter_keeps_no_witness():
+    host = generators.cycle(12)
+    splitter = ComponentSplitter(host, full_bitcomp(host), memoize=False)
+    for vertex in range(1, 13):
+        assert splitter.has_oversized(host.vertices_to_mask([f"x{vertex}"]), 6)
+        assert splitter.oversized(host.vertices_to_mask([f"x{vertex}"]), 6) is not None
+    assert splitter._witnesses == []
+
+
+def test_witness_list_is_bounded():
+    # oversized() always fills, and every single-vertex cut of a cycle leaves
+    # one oversized group, so each cut records a witness.
+    length = WITNESS_LIST_SIZE + 8
+    host = generators.cycle(length)
+    splitter = ComponentSplitter(host, full_bitcomp(host))
+    for vertex in range(1, length + 1):
+        assert splitter.oversized(host.vertices_to_mask([f"x{vertex}"]), length / 2)
+        assert len(splitter._witnesses) == min(vertex, WITNESS_LIST_SIZE)
+    # Most recent first: the group of the last cut, every vertex but x_length.
+    assert splitter._witnesses[0] == (
+        host.all_vertices_mask & ~host.vertices_to_mask([f"x{length}"]), length
+    )
 
 
 # --------------------------------------------------------------------------- #
