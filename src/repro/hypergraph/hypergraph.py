@@ -73,6 +73,9 @@ class Hypergraph:
         self._edge_index: dict[str, int] = {}
         self._vertex_names: list[Vertex] = []
         self._vertex_index: dict[Vertex, int] = {}
+        vertex_index = self._vertex_index
+        vertex_names = self._vertex_names
+        edge_bits: list[int] = []
 
         for edge_name, vertices in named:
             vertex_set = frozenset(vertices)
@@ -83,16 +86,19 @@ class Hypergraph:
             self._edge_index[edge_name] = len(self._edge_names)
             self._edge_names.append(edge_name)
             self._edge_sets.append(vertex_set)
+            # Intern new vertices (ids by first appearance, sorted within the
+            # edge) and build the edge's bitmask in the same pass.
+            bits = 0
             for vertex in sorted(vertex_set):
-                if vertex not in self._vertex_index:
-                    self._vertex_index[vertex] = len(self._vertex_names)
-                    self._vertex_names.append(vertex)
+                vertex_id = vertex_index.get(vertex)
+                if vertex_id is None:
+                    vertex_id = vertex_index[vertex] = len(vertex_names)
+                    vertex_names.append(vertex)
+                bits |= 1 << vertex_id
+            edge_bits.append(bits)
 
-        self._edge_bits: tuple[int, ...] = tuple(
-            bitset.from_indices(self._vertex_index[v] for v in edge)
-            for edge in self._edge_sets
-        )
-        self._all_vertices_mask = bitset.from_indices(range(len(self._vertex_names)))
+        self._edge_bits: tuple[int, ...] = tuple(edge_bits)
+        self._all_vertices_mask = (1 << len(self._vertex_names)) - 1
         self._incidence_masks: tuple[int, ...] | None = None
         self._adjacency_masks: tuple[int, ...] | None = None
         self._canonical_hash: str | None = None

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _ATOM_RE = re.compile(r"\s*([A-Za-z0-9_\-.:]+)\s*\(([^()]*)\)\s*")
+_STRUCTURE_RE = re.compile(r"\([^()]*\)|[(),]")
 
 
 def parse_hypergraph(text: str, name: str = "") -> Hypergraph:
@@ -185,13 +186,11 @@ def _strip_comments(text: str) -> str:
 
 
 def _parse_hyperbench(text: str, name: str) -> Hypergraph:
-    edges: dict[str, list[str]] = {}
-    position = 0
     body = text.strip()
     if body.endswith("."):
         body = body[:-1]
-    statements = _split_top_level(body)
-    for statement in statements:
+    atoms: list[tuple[str, list[str]]] = []
+    for statement in _split_top_level(body):
         statement = statement.strip()
         if not statement:
             continue
@@ -202,36 +201,49 @@ def _parse_hyperbench(text: str, name: str) -> Hypergraph:
         vertices = [v.strip() for v in vertex_part.split(",") if v.strip()]
         if not vertices:
             raise ParseError(f"edge {edge_name!r} has no vertices")
-        base = edge_name
-        while edge_name in edges:
-            position += 1
-            edge_name = f"{base}_{position}"
-        edges[edge_name] = vertices
-    if not edges:
+        atoms.append((edge_name, vertices))
+    if not atoms:
         raise ParseError("no edges found in hypergraph description")
+    # A repeated edge name is renamed ``<name>_<n>``, skipping every name the
+    # input states itself, so a later explicit edge keeps its own name.
+    stated = {edge_name for edge_name, _ in atoms}
+    edges: dict[str, list[str]] = {}
+    position = 0
+    for edge_name, vertices in atoms:
+        if edge_name in edges:
+            base = edge_name
+            while edge_name in edges or edge_name in stated:
+                position += 1
+                edge_name = f"{base}_{position}"
+        edges[edge_name] = vertices
     return Hypergraph(edges, name=name)
 
 
 def _split_top_level(body: str) -> list[str]:
-    """Split on commas that are not inside parentheses."""
+    """Split on commas that are not inside parentheses.
+
+    Only the structural characters ``(``, ``)`` and ``,`` are visited, and a
+    parenthesised group with no parentheses inside is one token; the text
+    between two top-level commas is sliced out whole.
+    """
     parts: list[str] = []
     depth = 0
-    current: list[str] = []
-    for char in body:
-        if char == "(":
+    start = 0
+    for match in _STRUCTURE_RE.finditer(body):
+        token = match.group()
+        if token == ",":
+            if depth == 0:
+                parts.append(body[start:match.start()])
+                start = match.end()
+        elif token == "(":
             depth += 1
-        elif char == ")":
+        elif token == ")":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced parentheses in hypergraph description")
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
     if depth != 0:
         raise ParseError("unbalanced parentheses in hypergraph description")
-    parts.append("".join(current))
+    parts.append(body[start:])
     return parts
 
 

@@ -59,9 +59,18 @@ Reduction 2 — vertex collapse (degree-one / interchangeable vertices)
     preserved in both directions and a ``k``-refutation on the reduced
     instance is a valid refutation for the original.
 
-The reductions cascade — collapsing vertices can make edges equal, removing
-edges can make memberships equal — so :func:`simplify` iterates both to a
-fixpoint and records each step in a :class:`SimplificationTrace`.
+*Cost.*  Each reduction is one pass over the incidences per round.  Both
+build a table from each vertex to the bitmask of the positions of the edges
+holding it.  Reduction 1 reads the surviving edges that contain ``e`` as one
+AND-chain over the rows of ``e``'s vertices, and takes as witness the first
+of them, in position order, that is a proper superset or a duplicate with a
+smaller name — the edge an all-pairs scan in position order would find.
+Reduction 2 keys the membership classes by those rows.  No pair of edges is
+compared; the work is O(Σ|e|) big-integer operations per round.
+
+The reductions cascade — removing edges can make memberships equal — so
+:func:`simplify` iterates both to a fixpoint and records each step in a
+:class:`SimplificationTrace`.
 :func:`lift_decomposition` replays the trace in reverse to re-host a
 decomposition of the reduced instance on the original hypergraph.
 
@@ -140,44 +149,61 @@ class SimplificationTrace:
         )
 
 
+def _incidence(edges: dict[str, frozenset[str]]) -> dict[str, int]:
+    """Vertex -> bitmask of the positions (in ``edges``) of the edges holding it."""
+    table: dict[str, int] = {}
+    for position, vertices in enumerate(edges.values()):
+        bit = 1 << position
+        for vertex in vertices:
+            table[vertex] = table.get(vertex, 0) | bit
+    return table
+
+
 def _remove_subsumed(
     edges: dict[str, frozenset[str]], steps: list
 ) -> tuple[dict[str, frozenset[str]], bool]:
     """Drop every edge contained in another surviving edge."""
+    names = list(edges)
+    sizes = [len(edges[name]) for name in names]
+    incidence = _incidence(edges)
     # Deterministic scan order: smaller edges first (they can only be the
     # subsumed side); ties broken by name so duplicates keep the smaller name.
-    order = sorted(edges, key=lambda n: (len(edges[n]), n))
-    surviving = dict(edges)
-    changed = False
-    for name in order:
-        vertices = surviving.get(name)
-        if vertices is None:
-            continue
-        for other, other_vertices in surviving.items():
-            if other == name:
-                continue
-            # Proper subsets always go; exact duplicates keep the smaller name.
-            if vertices < other_vertices or (
-                vertices == other_vertices and name > other
-            ):
-                del surviving[name]
-                steps.append(RemovedEdge(name=name, witness=other))
-                changed = True
+    order = sorted(range(len(names)), key=lambda p: (sizes[p], names[p]))
+    everything = surviving = (1 << len(names)) - 1
+    for position in order:
+        name, size, bit = names[position], sizes[position], 1 << position
+        # The surviving edges containing this one: an AND-chain of its rows.
+        candidates = surviving ^ bit
+        for vertex in edges[name]:
+            candidates &= incidence[vertex]
+            if not candidates:
                 break
-    return surviving, changed
+        # The first in position order that is a proper superset, or an exact
+        # duplicate with a smaller name, is the witness.
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            other = low.bit_length() - 1
+            if sizes[other] > size or names[other] < name:
+                surviving ^= bit
+                steps.append(RemovedEdge(name=name, witness=names[other]))
+                break
+    if surviving == everything:
+        return edges, False
+    return {
+        name: edges[name]
+        for position, name in enumerate(names)
+        if surviving >> position & 1
+    }, True
 
 
 def _collapse_vertices(
     edges: dict[str, frozenset[str]], steps: list
 ) -> tuple[dict[str, frozenset[str]], bool]:
     """Collapse every class of identical-membership vertices onto one vertex."""
-    membership: dict[str, frozenset[str]] = {}
-    for name, vertices in edges.items():
-        for vertex in vertices:
-            membership[vertex] = membership.get(vertex, frozenset()) | {name}
-    classes: dict[frozenset[str], list[str]] = {}
-    for vertex, edge_set in membership.items():
-        classes.setdefault(edge_set, []).append(vertex)
+    classes: dict[int, list[str]] = {}
+    for vertex, edge_mask in _incidence(edges).items():
+        classes.setdefault(edge_mask, []).append(vertex)
 
     to_remove: set[str] = set()
     for group in classes.values():

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ParseError
-from repro.hypergraph import from_hif, parse_hypergraph, read_hypergraph, to_hif, write_hypergraph
+from repro.hypergraph import Hypergraph, from_hif, parse_hypergraph, read_hypergraph, to_hif, write_hypergraph
 from repro.hypergraph.io import to_hyperbench_format, to_pace_format
 
 
@@ -82,6 +83,62 @@ def test_duplicate_edge_names_get_disambiguated():
     h = parse_hypergraph("r(x,y),\nr(y,z).")
     assert h.num_edges == 2
     assert len(set(h.edge_names)) == 2
+
+
+def test_generated_edge_name_skips_names_the_input_states():
+    # The duplicate "a" must not be renamed to "a_1": the input names a
+    # later edge "a_1" itself, and that edge keeps its name.
+    h = parse_hypergraph("a(x,y), a(y,z), a_1(z,w).")
+    assert h.edge_names == ("a", "a_2", "a_1")
+    assert h.edge_vertices(h.edge_index("a_1")) == {"z", "w"}
+    assert h.edge_vertices(h.edge_index("a_2")) == {"y", "z"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a(b,c)),d(", "unbalanced parentheses in hypergraph description"),
+        ("x(y", "unbalanced parentheses in hypergraph description"),
+        ("a(b,(c)),d", "cannot parse edge statement 'a(b,(c))'"),
+        ("a(b)c(d)", "cannot parse edge statement 'a(b)c(d)'"),
+        ("a()", "edge 'a' has no vertices"),
+        # A malformed statement before an unbalanced one: the balance check
+        # runs over the whole text first.
+        ("garbage, a(b", "unbalanced parentheses in hypergraph description"),
+    ],
+)
+def test_malformed_hyperbench_error_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_hypergraph(text)
+    assert str(info.value) == message
+
+
+def test_empty_statements_between_commas_are_skipped():
+    h = parse_hypergraph(",,a(b),")
+    assert h.edge_names == ("a",)
+    assert h.edge_vertices(0) == {"b"}
+
+
+_names = st.text("abcdefxyz0123456789_-.:", min_size=1, max_size=4)
+
+
+@given(
+    st.lists(
+        st.tuples(_names, st.frozensets(_names, min_size=1, max_size=4)),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda edge: edge[0],
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_hyperbench_text_roundtrips(edges):
+    h = Hypergraph(dict(edges))
+    parsed = parse_hypergraph(to_hyperbench_format(h))
+    assert parsed.edge_names == h.edge_names
+    assert parsed.vertex_names == h.vertex_names
+    assert [parsed.edge_vertices(i) for i in range(parsed.num_edges)] == [
+        h.edge_vertices(i) for i in range(h.num_edges)
+    ]
 
 
 def test_hyperbench_roundtrip(simple_hypergraph):

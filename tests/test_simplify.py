@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles.simplify import simplify as simplify_by_definition
 
 from repro.core import DetKDecomposer, LogKDecomposer
 from repro.decomp import validate_hd
@@ -80,8 +82,9 @@ def test_identical_membership_vertices_collapse_across_edges():
 
 
 def test_reductions_cascade_to_fixpoint():
-    # Collapsing {b1, b2} makes "small" equal to a subset of "large", which
-    # only the next round can remove.
+    # Removing "small" (a subset of "large") leaves b1/b2 and a/c with one
+    # membership each, so the same round collapses them; the next round
+    # finds nothing more.
     h = Hypergraph(
         {
             "large": ["a", "b1", "b2", "c"],
@@ -213,3 +216,44 @@ def test_width_decision_is_preserved_by_simplification():
             raw = LogKDecomposer().decompose_raw(h, k).success
             red = LogKDecomposer().decompose_raw(trace.reduced, k).success
             assert raw == red, (h.edges_as_dict(), k)
+
+
+@st.composite
+def _redundant_hypergraphs(draw):
+    """Hypergraphs rich in what the reductions remove: duplicate edges,
+    nested subsets and supersets with private vertices (identical
+    memberships), under shuffled names so position order and name order
+    disagree.  Removing a subset can leave two vertices with one membership,
+    so a round's collapse cascades from its removals."""
+    pool = [f"v{i}" for i in range(draw(st.integers(2, 8)))]
+    edges = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(pool), min_size=1, max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    for _ in range(draw(st.integers(0, 8))):
+        source = draw(st.sampled_from(edges))
+        kind = draw(st.sampled_from(["duplicate", "subset", "private"]))
+        if kind == "duplicate":
+            edges.append(source)
+        elif kind == "subset":
+            edges.append(draw(st.frozensets(st.sampled_from(sorted(source)), min_size=1)))
+        else:
+            count = draw(st.integers(1, 3))
+            edges.append(source | {f"p{len(edges)}_{j}" for j in range(count)})
+    names = draw(st.permutations([f"e{i}" for i in range(len(edges))]))
+    return Hypergraph({name: sorted(vs) for name, vs in zip(names, edges)})
+
+
+@given(_redundant_hypergraphs(), st.sampled_from([None, 0, 1, 2]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_simplify_matches_the_all_pairs_reference(hypergraph, max_rounds):
+    got = simplify(hypergraph, max_rounds=max_rounds)
+    want = simplify_by_definition(hypergraph, max_rounds=max_rounds)
+    assert list(got.reduced.edges_as_dict().items()) == list(
+        want.reduced.edges_as_dict().items()
+    )
+    assert got.steps == want.steps  # witnesses and collapse classes included
+    assert got.rounds == want.rounds
