@@ -12,14 +12,14 @@ Every algorithm in :mod:`repro.core` is exposed as a :class:`Decomposer` whose
 
 The :class:`SearchContext` bundles the per-run state (host hypergraph, width,
 deadline, statistics, cover enumerator) that the recursive search classes of
-the individual algorithms share.
+the individual algorithms share; :class:`SearchMemo` is det-k's and log-k's memo.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from ..counters import Counters
@@ -36,6 +36,7 @@ __all__ = [
     "SearchStatistics",
     "DecompositionResult",
     "SearchContext",
+    "SearchMemo",
     "Decomposer",
 ]
 
@@ -76,8 +77,8 @@ class SearchStatistics(Counters):
     #: Resilience counter: replacement processes spawned by the parallel
     #: backend's supervisor after a worker died mid-search.
     worker_respawns: int = 0
-    #: Parallel-search counter: private-memo misses answered by the workers'
-    #: shared :class:`~repro.core.refuted.RefutedTable` (counted in
+    #: Parallel-search counter: :class:`SearchMemo` misses answered by the
+    #: workers' shared :class:`~repro.core.refuted.RefutedTable` (counted in
     #: ``cache_hits`` too; ``cache_misses`` stays "expansions performed").
     refutations_shared: int = 0
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -160,6 +161,7 @@ class SearchContext:
         #: The run's :class:`~repro.deadline.Deadline` (budget and/or the
         #: serving layer's cancel event); ``None`` for an unbounded run.
         self.deadline = deadline
+        self.enumerator.deadline = deadline
         #: The parallel workers' shared table of refuted subproblems; the
         #: searches probe it after a private-memo miss.  ``None`` everywhere
         #: else (sequential and daemonic callers).
@@ -184,6 +186,53 @@ class SearchContext:
         """Unthrottled deadline/cancellation check (used at recursion entry points)."""
         if self.deadline is not None:
             self.deadline.check("decomposition")
+
+
+class SearchMemo:
+    """The subproblem memo of det-k-decomp and log-k-decomp: key → fragment or None.
+
+    Keys are ``(comp.edges, comp.specials, conn, allowed)``.  Fragments are
+    persistent, so the memo stores and hands out shared nodes.  It belongs
+    to the search object, not the context: the hybrid rebinds its det-k
+    search to each forked worker's context, and the worker keeps the memo.
+    """
+
+    __slots__ = ("enabled", "table")
+
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = enabled  # False: every call expands (the ablation)
+        self.table: dict[tuple, FragmentNode | None] = {}
+
+    def solve(
+        self, context: SearchContext, key: tuple, depth: int, expand: Callable[[], FragmentNode | None]
+    ) -> FragmentNode | None:
+        """``key``'s memoised answer, else ``expand()``'s, stored once it returns.
+
+        An expansion unwound by an exception leaves nothing behind, and
+        ``cache_misses`` counts expansions, memo on or off.  A miss probes
+        the workers' shared refutations and a ``None`` is published there,
+        but not at depth 1, which a worker restricts to its partition.
+        """
+        stats = context.stats
+        if not self.enabled:
+            stats.cache_misses += 1
+            return expand()
+        table = self.table
+        if key in table:
+            stats.cache_hits += 1
+            return table[key]
+        shared = context.refuted if depth > 1 else None
+        if shared is not None and key in shared:
+            stats.cache_hits += 1
+            stats.refutations_shared += 1
+            table[key] = None
+            return None
+        stats.cache_misses += 1
+        result = expand()
+        table[key] = result
+        if result is None and shared is not None:
+            shared.add(key)
+        return result
 
 
 class Decomposer(ABC):

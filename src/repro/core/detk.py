@@ -4,9 +4,9 @@ det-k-decomp constructs a hypertree decomposition strictly top-down: for the
 current component it guesses a λ-label of at most ``k`` edges that covers the
 interface to the parent bag, derives the (minimal, normal-form) bag χ, splits
 the remainder into [χ]-components and recurses.  Failed and successful
-subproblems are memoised, which is the feature that makes the algorithm fast
-on small instances but — as the paper argues — hard to parallelise, because
-the cache would have to be shared across threads.
+subproblems are memoised (:class:`~repro.core.base.SearchMemo`), which makes
+the algorithm fast on small instances but — as the paper argues — hard to
+parallelise, because the cache would have to be shared across threads.
 
 The implementation works on extended subhypergraphs (edge sets plus special
 edges, as :class:`~repro.decomp.extended.BitComp` records), which is exactly
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..decomp.components import ComponentSplitter
 from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
-from .base import Decomposer, SearchContext
+from .base import Decomposer, SearchContext, SearchMemo
 from .fragments import base_case, special_leaf
 
 __all__ = ["DetKSearch", "DetKDecomposer"]
@@ -32,9 +32,9 @@ class _LabelBudgetSpent(Exception):
 class DetKSearch:
     """The recursive det-k-decomp search over extended subhypergraphs.
 
-    The search is stateful only through its memoisation cache and the shared
-    :class:`~repro.core.base.SearchContext`; it can therefore also be used as
-    the "leaf engine" of the hybrid decomposer.
+    The search is stateful only through its :class:`SearchMemo` and the
+    shared :class:`~repro.core.base.SearchContext`; it can therefore also be
+    used as the "leaf engine" of the hybrid decomposer.
     """
 
     def __init__(
@@ -44,16 +44,11 @@ class DetKSearch:
         subedge_domination: bool = True,
     ) -> None:
         self.context = context
-        self.use_cache = use_cache
         self.subedge_domination = subedge_domination
         # The hybrid's label budget: once ``stats.labels_tried`` passes it the
-        # search unwinds with _LabelBudgetSpent.  Memo writes follow the
-        # recursive calls, so an unwound expansion leaves nothing behind.
+        # search unwinds with _LabelBudgetSpent, which the memo never stores.
         self.label_limit: int | None = None
-        self._cache: dict[
-            tuple[int, tuple[int, ...], int, int | None],
-            FragmentNode | None,
-        ] = {}
+        self.memo = SearchMemo(enabled=use_cache)
 
     # ------------------------------------------------------------------ #
     # public entry point (and the recursion itself)
@@ -80,8 +75,7 @@ class DetKSearch:
         that produced ``comp`` does).
         """
         context = self.context
-        stats = context.stats
-        stats.record_call(depth)
+        context.stats.record_call(depth)
         context.check_timeout()
 
         fragment = base_case(context.host, context.k, comp)
@@ -92,27 +86,9 @@ class DetKSearch:
             return fragment
 
         key = (comp.edges, comp.specials, conn, allowed)
-        if self.use_cache:
-            if key in self._cache:
-                stats.cache_hits += 1
-                cached = self._cache[key]
-                return cached.copy() if cached is not None else None
-            # The parallel workers' shared refutations.  det-k never runs a
-            # partitioned loop, so every ``None`` it computes is a fact.
-            shared = context.refuted
-            if shared is not None and key in shared:
-                stats.cache_hits += 1
-                stats.refutations_shared += 1
-                self._cache[key] = None
-                return None
-        stats.cache_misses += 1
-
-        result = self._expand(comp, conn, allowed, depth, vertices)
-        if self.use_cache:
-            self._cache[key] = result.copy() if result is not None else None
-            if result is None and shared is not None:
-                shared.add(key)
-        return result
+        return self.memo.solve(
+            context, key, depth, lambda: self._expand(comp, conn, allowed, depth, vertices)
+        )
 
     # ------------------------------------------------------------------ #
     # internals

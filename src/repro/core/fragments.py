@@ -11,6 +11,11 @@ needed to turn these into full hypertree decompositions:
 * :func:`fragment_to_decomposition` — conversion of a *complete* fragment
   (one without special leaves) into a user-facing
   :class:`~repro.decomp.decomposition.HypertreeDecomposition`.
+
+Fragments are persistent: no node is changed once built, and stitching
+rebuilds only the path to the replaced leaf.  The searches' memos hand the
+same nodes to every caller, so a fragment may be a DAG; the conversion
+unfolds it into a tree.
 """
 
 from __future__ import annotations
@@ -66,28 +71,29 @@ def regular_node(
 
 def replace_special_leaf(
     fragment: FragmentNode, special: int, replacement: FragmentNode
-) -> bool:
-    """Replace one special leaf carrying ``special`` by ``replacement`` in place.
+) -> FragmentNode | None:
+    """A new root: ``fragment`` with one special leaf ``special`` replaced.
 
-    Returns True if a leaf was replaced.  If the root itself is the matching
-    leaf the root node is overwritten with the replacement's content (the
-    caller keeps its reference to the same object).
+    Only the path from the root to the leaf is rebuilt; ``fragment`` is left
+    unchanged.  ``None`` if there is no such leaf.  The leaf is the first a
+    depth-first scan meets that checks all children of a node before
+    descending into the last one.
     """
-    if fragment.is_special_leaf and fragment.special == special:
-        fragment.chi = replacement.chi
-        fragment.lam_edges = replacement.lam_edges
-        fragment.special = replacement.special
-        fragment.children = replacement.children
-        return True
-    stack = [fragment]
+    if fragment.special == special:
+        return replacement
+    stack: list[tuple[FragmentNode, tuple | None]] = [(fragment, None)]
     while stack:
-        node = stack.pop()
+        node, trail = stack.pop()
         for index, child in enumerate(node.children):
-            if child.is_special_leaf and child.special == special:
-                node.children[index] = replacement
-                return True
-            stack.append(child)
-    return False
+            if child.special == special:
+                while True:  # rebuild the path, leaf to root
+                    children = node.children[:index] + [replacement] + node.children[index + 1 :]
+                    replacement = FragmentNode(node.chi, node.lam_edges, children=children)
+                    if trail is None:
+                        return replacement
+                    node, index, trail = trail
+            stack.append((child, (node, index, trail)))
+    return None
 
 
 def fragment_to_decomposition(

@@ -32,6 +32,10 @@ HD never need the excluded edges, by the very same condition 4).
 A ``leaf_delegate`` hook allows the hybrid decomposer to hand sufficiently
 small subproblems to det-k-decomp (Appendix D.2).
 
+Every call goes through a :class:`~repro.core.base.SearchMemo`, as in
+det-k-decomp; stitching copies only the path it changes, so memoised
+fragments are shared, never copied.
+
 Components are :class:`~repro.decomp.extended.BitComp` records and edge pools
 edge-index bitmasks from the entry point down.
 """
@@ -44,7 +48,7 @@ from ..decomp.components import ComponentSplitter
 from ..decomp.covers import label_union
 from ..lru import BoundedLRU
 from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
-from .base import Decomposer, SearchContext
+from .base import Decomposer, SearchContext, SearchMemo
 from .fragments import base_case, replace_special_leaf, special_leaf
 
 __all__ = ["LogKSearch", "LogKDecomposer"]
@@ -76,7 +80,6 @@ class LogKSearch:
         self.negative_base_case = negative_base_case
         self.parent_overlap_pruning = parent_overlap_pruning
         self.require_balanced = require_balanced
-        self.use_cache = use_cache
         # Search-kernel switch (same ablation spirit as the flags above):
         # subedge_domination drops pool edges whose component-restricted
         # vertex set is contained in another pool edge's.
@@ -84,18 +87,9 @@ class LogKSearch:
         self.leaf_delegate = leaf_delegate
         self.delegate_predicate = delegate_predicate
         self.root_partition = frozenset(root_partition) if root_partition is not None else None
-        # Subproblem cache: the same extended subhypergraph is reached through
-        # many different (λ(p), λ(c)) pairs during the search; memoising the
-        # outcome (keyed by the component, Conn and the allowed-edge set)
-        # avoids re-solving it.  This mirrors the caching of the reference
-        # implementation's subedge/component handling and never changes
-        # answers, only the amount of work.  All key parts are packed ints
-        # (edge bitmask, specials tuple, conn mask, allowed mask), so hashing
-        # a key is flat integer hashing rather than frozenset hashing.
-        self._cache: dict[
-            tuple[int, tuple[int, ...], int, int],
-            FragmentNode | None,
-        ] = {}
+        # The same extended subhypergraph is reached through many (λ(p), λ(c))
+        # pairs; the memo answers every visit after the first.
+        self.memo = SearchMemo(enabled=use_cache)
         # Memoised splitters for the inner comp_down splits of the parent
         # loop: the same oversized component reappears for many λ(p), and its
         # splitter then serves the [χ(c)]-splits of every paired child label.
@@ -125,33 +119,10 @@ class LogKSearch:
         context = self.context
         context.stats.record_call(depth)
         context.check_timeout()
-
-        cache_key = shared = None
-        if self.use_cache:
-            stats = context.stats
-            cache_key = (comp.edges, comp.specials, conn, allowed)
-            if cache_key in self._cache:
-                stats.cache_hits += 1
-                cached = self._cache[cache_key]
-                return cached.copy() if cached is not None else None
-            # The workers' shared refutations.  Not at depth 1: that call is
-            # restricted to the worker's partition, so its ``None`` is no
-            # fact about the subproblem.
-            if depth > 1:
-                shared = context.refuted
-            if shared is not None and cache_key in shared:
-                stats.cache_hits += 1
-                stats.refutations_shared += 1
-                self._cache[cache_key] = None
-                return None
-            stats.cache_misses += 1
-
-        result = self._search_uncached(comp, conn, allowed, depth)
-        if cache_key is not None:
-            self._cache[cache_key] = result.copy() if result is not None else None
-            if result is None and shared is not None:
-                shared.add(cache_key)
-        return result
+        key = (comp.edges, comp.specials, conn, allowed)
+        return self.memo.solve(
+            context, key, depth, lambda: self._search_uncached(comp, conn, allowed, depth)
+        )
 
     def _search_uncached(
         self, comp: BitComp, conn: int, allowed: int, depth: int
@@ -273,14 +244,12 @@ class LogKSearch:
         comp_vertices: int,
         allowed_pool: int,
         depth: int,
-        splitter: ComponentSplitter | None = None,
+        splitter: ComponentSplitter,
     ) -> FragmentNode | None:
         """Lines 22-43: find a parent label λ(p) compatible with the child c."""
         context = self.context
         host = context.host
         half = comp.size / 2
-        if splitter is None:
-            splitter = self._splitter_for(comp)
         overlap = lam_c_union if self.parent_overlap_pruning else None
         # strict_domination=False: the oversized-component existence test a
         # few lines below is not monotone in the parent label's restriction,
@@ -330,10 +299,11 @@ class LogKSearch:
                 if special & ~chi_c == 0:
                     children.append(special_leaf(special))
             node_c = FragmentNode(chi=chi_c, lam_edges=lam_c, children=children)
-            if not replace_special_leaf(up, chi_c, node_c):
+            stitched = replace_special_leaf(up, chi_c, node_c)
+            if stitched is None:
                 # The fragment above must contain the placeholder for χ(c).
                 continue
-            return up
+            return stitched
         return None
 
 

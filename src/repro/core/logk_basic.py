@@ -144,9 +144,10 @@ class LogKBasicSearch:
                     if special & ~chi_c == 0:
                         children.append(special_leaf(special))
                 node_c = FragmentNode(chi=chi_c, lam_edges=lam_c, children=children)
-                if not replace_special_leaf(up, chi_c, node_c):
+                stitched = replace_special_leaf(up, chi_c, node_c)
+                if stitched is None:
                     continue
-                return up
+                return stitched
         return None
 
 

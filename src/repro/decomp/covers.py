@@ -101,6 +101,9 @@ __all__ = ["CoverEnumerator", "label_union", "count_labels"]
 #: Bound on the number of memoised dominated pools per enumerator.
 DOMINATION_MEMO_SIZE = 2048
 
+#: Backtracks of one enumeration between two deadline polls.
+_DEADLINE_STRIDE = 4096
+
 
 def label_union(host: Hypergraph, label: Sequence[int]) -> int:
     """∪λ as a vertex bitmask for a label given as edge indices."""
@@ -149,6 +152,10 @@ class CoverEnumerator:
         Optional :class:`~repro.core.base.SearchStatistics`; when set (the
         :class:`~repro.core.base.SearchContext` wires it up) the enumerator
         records ``enum_branches_pruned`` and ``enum_domination_skips``.
+    deadline:
+        Optional :class:`~repro.deadline.Deadline`, wired up the same way and
+        polled every ``_DEADLINE_STRIDE`` backtracks: one enumeration can
+        walk millions of prefixes without yielding a label.
     """
 
     def __init__(self, host: Hypergraph, k: int) -> None:
@@ -157,6 +164,7 @@ class CoverEnumerator:
         self.host = host
         self.k = k
         self.stats = None
+        self.deadline = None
         self._domination_memo: BoundedLRU = BoundedLRU(DOMINATION_MEMO_SIZE)
         #: Edge-index mask of the host edges contained in another host edge
         #: (an equal twin counts); built on the first strict domination call.
@@ -346,6 +354,8 @@ class CoverEnumerator:
         bits = [edge_masks[i] for i in pool]
         n = len(pool)
         stats = self.stats
+        deadline = self.deadline
+        countdown = _DEADLINE_STRIDE
 
         if require is not None:
             is_req = [(require >> e) & 1 != 0 for e in pool]
@@ -467,6 +477,10 @@ class CoverEnumerator:
                     break
                 d -= 1
                 pos = idx[d] + 1
+                countdown -= 1  # every walked prefix passes here once
+                if not countdown and deadline is not None:
+                    countdown = _DEADLINE_STRIDE
+                    deadline.check("decomposition")
 
     # ------------------------------------------------------------------ #
     # partitioning (used by the parallel backend)

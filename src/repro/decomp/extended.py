@@ -172,6 +172,7 @@ class FragmentNode:
     Either a *regular* node with ``lam_edges`` ⊆ E(H) and χ ⊆ ∪λ, or a
     *special leaf* with ``special`` set to the special edge s, λ(u) = {s} and
     χ(u) = s.  χ is stored as a vertex bitmask of the host hypergraph.
+    Nodes are never changed once built, so fragments may share them.
     """
 
     chi: int
@@ -212,15 +213,6 @@ class FragmentNode:
     def max_width(self) -> int:
         """The width of the fragment: the maximum |λ| over all nodes."""
         return max(node.width for node in self.nodes())
-
-    def copy(self) -> "FragmentNode":
-        """Deep copy of the fragment (stitching mutates trees in place)."""
-        return FragmentNode(
-            chi=self.chi,
-            lam_edges=self.lam_edges,
-            special=self.special,
-            children=[child.copy() for child in self.children],
-        )
 
     def lambda_union(self, host: Hypergraph) -> int:
         """∪λ(u) as a vertex bitmask."""

@@ -68,9 +68,11 @@ smaller name — the edge an all-pairs scan in position order would find.
 Reduction 2 keys the membership classes by those rows.  No pair of edges is
 compared; the work is O(Σ|e|) big-integer operations per round.
 
-The reductions cascade — removing edges can make memberships equal — so
-:func:`simplify` iterates both to a fixpoint and records each step in a
-:class:`SimplificationTrace`.
+Removing edges can make memberships equal, so the collapse runs after the
+removal.  One pass of the two reaches the fixpoint: a collapse creates no
+subsumption (a removed partner lies in exactly its representative's edges),
+so a second pass would find nothing.  :func:`simplify` records each step in
+a :class:`SimplificationTrace`.
 :func:`lift_decomposition` replays the trace in reverse to re-host a
 decomposition of the reduced instance on the original hypergraph.
 
@@ -161,7 +163,7 @@ def _incidence(edges: dict[str, frozenset[str]]) -> dict[str, int]:
 
 def _remove_subsumed(
     edges: dict[str, frozenset[str]], steps: list
-) -> tuple[dict[str, frozenset[str]], bool]:
+) -> dict[str, frozenset[str]]:
     """Drop every edge contained in another surviving edge."""
     names = list(edges)
     sizes = [len(edges[name]) for name in names]
@@ -189,17 +191,17 @@ def _remove_subsumed(
                 steps.append(RemovedEdge(name=name, witness=names[other]))
                 break
     if surviving == everything:
-        return edges, False
+        return edges
     return {
         name: edges[name]
         for position, name in enumerate(names)
         if surviving >> position & 1
-    }, True
+    }
 
 
 def _collapse_vertices(
     edges: dict[str, frozenset[str]], steps: list
-) -> tuple[dict[str, frozenset[str]], bool]:
+) -> dict[str, frozenset[str]]:
     """Collapse every class of identical-membership vertices onto one vertex."""
     classes: dict[int, list[str]] = {}
     for vertex, edge_mask in _incidence(edges).items():
@@ -214,16 +216,15 @@ def _collapse_vertices(
         steps.append(CollapsedVertices(representative=representative, removed=partners))
         to_remove.update(partners)
     if not to_remove:
-        return edges, False
-    reduced = {
+        return edges
+    return {
         name: frozenset(v for v in vertices if v not in to_remove)
         for name, vertices in edges.items()
     }
-    return reduced, True
 
 
-def simplify(hypergraph: Hypergraph, max_rounds: int | None = None) -> SimplificationTrace:
-    """Apply the width-preserving reductions to a fixpoint.
+def simplify(hypergraph: Hypergraph) -> SimplificationTrace:
+    """Apply the width-preserving reductions (one pass reaches the fixpoint).
 
     Returns a :class:`SimplificationTrace` whose ``reduced`` hypergraph has
     the same hypertree width as ``hypergraph`` and whose ``steps`` allow
@@ -231,17 +232,8 @@ def simplify(hypergraph: Hypergraph, max_rounds: int | None = None) -> Simplific
     the original.  When nothing reduces, ``reduced`` *is* the input object
     (no copy is made).
     """
-    edges = {
-        name: vertices for name, vertices in hypergraph.edges_as_dict().items()
-    }
     steps: list[RemovedEdge | CollapsedVertices] = []
-    rounds = 0
-    while max_rounds is None or rounds < max_rounds:
-        edges, removed = _remove_subsumed(edges, steps)
-        edges, collapsed = _collapse_vertices(edges, steps)
-        if not (removed or collapsed):
-            break
-        rounds += 1
+    edges = _collapse_vertices(_remove_subsumed(hypergraph.edges_as_dict(), steps), steps)
     if not steps:
         return SimplificationTrace(original=hypergraph, reduced=hypergraph, rounds=0)
     # Preserve the original edge order for the survivors (stable, and keeps
@@ -250,9 +242,7 @@ def simplify(hypergraph: Hypergraph, max_rounds: int | None = None) -> Simplific
         name: edges[name] for name in hypergraph.edge_names if name in edges
     }
     reduced = Hypergraph(ordered, name=hypergraph.name)
-    return SimplificationTrace(
-        original=hypergraph, reduced=reduced, steps=steps, rounds=rounds
-    )
+    return SimplificationTrace(original=hypergraph, reduced=reduced, steps=steps, rounds=1)
 
 
 def _rebuild(node: DecompositionNode, expand) -> DecompositionNode:

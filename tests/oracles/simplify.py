@@ -3,8 +3,9 @@
 Reduction 1 tests every surviving edge against every other one; reduction 2
 collects each vertex's membership as a frozenset of edge names.  The shipping
 :mod:`repro.pipeline.simplify` answers both from position bitmasks;
-:func:`simplify` here replays the same fixpoint loop on these reference
-reductions, so a test can compare the two traces step for step.
+:func:`simplify` here iterates these reference reductions to a fixpoint,
+round by round, so a test can compare the shipping single pass against it
+step for step.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ def _collapse_vertices(
     return reduced, True
 
 
-def simplify(hypergraph: Hypergraph, max_rounds: int | None = None) -> SimplificationTrace:
-    """:func:`repro.pipeline.simplify` replayed on the reference reductions."""
+def simplify(hypergraph: Hypergraph) -> SimplificationTrace:
+    """The reference reductions iterated to a fixpoint, round by round."""
     edges = hypergraph.edges_as_dict()
     steps: list[RemovedEdge | CollapsedVertices] = []
     rounds = 0
-    while max_rounds is None or rounds < max_rounds:
+    while True:
         edges, removed = _remove_subsumed(edges, steps)
         edges, collapsed = _collapse_vertices(edges, steps)
         if not (removed or collapsed):

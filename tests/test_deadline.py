@@ -136,6 +136,30 @@ def test_a_multi_component_engine_run_stops(algorithm):
         assert result.timed_out and not result.success
 
 
+#: The corpus's syn-csp-l-0.  At k = 6 one det-k label enumeration walks
+#: millions of prefixes without yielding a label (~25 s when nothing stops
+#: it), so only the cover enumerator's own deadline poll ends it in time.
+SYN_CSP = generators.random_csp(45, 60, arity=3, seed=80)
+
+
+@pytest.mark.parametrize("algorithm", ["detk", "hybrid"])
+def test_the_cover_enumerator_polls_a_live_budget(algorithm):
+    budget = 2.0
+    engine = DecompositionEngine(cache=None)
+    start = time.monotonic()
+    result = engine.decompose(registry.build(algorithm, timeout=budget), SYN_CSP, 6)
+    assert time.monotonic() - start < budget + PROMPT
+    assert result.timed_out and not result.success
+
+
+@pytest.mark.parametrize("algorithm", ["detk", "hybrid"])
+def test_the_cover_enumerator_polls_a_fired_cancel(algorithm):
+    # Raw: the engine would see the fired event before the search starts.
+    with _Timer():
+        result = registry.build(algorithm).decompose_raw(SYN_CSP, 6, _cancelled())
+    assert result.timed_out and not result.success
+
+
 def test_the_optimal_solver_stops_inside_its_lower_bound():
     # 16 vertices: the ghw subset DP alone runs for many seconds.
     host = generators.with_chords(generators.cycle(16), 3, seed=1)

@@ -98,8 +98,8 @@ def test_timeouts_are_reported():
 
 
 def test_cached_fragments_are_copied():
-    # Cache hits must not alias fragment objects between different positions
-    # in the final decomposition (the tree would become a DAG otherwise).
+    # Cache hits share fragment nodes, so the fragment may be a DAG; the
+    # converted decomposition must still be a tree of distinct nodes.
     host = generators.triangle_cascade(4)
     result = DetKDecomposer().decompose(host, 2)
     assert result.success

@@ -129,15 +129,6 @@ def test_fragment_node_invalid_combinations(host):
         FragmentNode(chi=3, special=1)
 
 
-def test_fragment_copy_is_deep(host):
-    leaf = FragmentNode(chi=1, special=1)
-    node = FragmentNode(chi=host.edge_bits(0), lam_edges=(0,), children=[leaf])
-    clone = node.copy()
-    clone.children[0].chi = 2
-    clone.children[0].special = 2
-    assert leaf.chi == 1
-
-
 def test_fragment_describe_mentions_edges(host):
     node = FragmentNode(chi=host.edge_bits(0), lam_edges=(0,))
     text = node.describe(host)

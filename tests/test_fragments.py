@@ -31,29 +31,36 @@ def test_regular_node_requires_chi_covered():
         regular_node(host, (0,), host.edge_bits(0) | host.edge_bits(2))
 
 
+def _shape(node: FragmentNode) -> tuple:
+    return (node.chi, node.lam_edges, node.special, tuple(_shape(c) for c in node.children))
+
+
 def test_replace_special_leaf_in_tree():
     host = generators.cycle(4)
     special = host.vertices_to_mask(["x1", "x3"])
-    root = regular_node(host, (0,), host.edge_bits(0), [special_leaf(special)])
+    sibling = regular_node(host, (2,), host.edge_bits(2))
+    root = regular_node(host, (0,), host.edge_bits(0), [special_leaf(special), sibling])
+    before = _shape(root)
     replacement = regular_node(host, (1,), host.edge_bits(1))
-    assert replace_special_leaf(root, special, replacement)
-    assert root.children[0] is replacement
+    stitched = replace_special_leaf(root, special, replacement)
+    assert stitched is not root
+    assert stitched.children[0] is replacement
+    assert stitched.children[1] is sibling  # off the path: shared, not copied
+    assert _shape(root) == before
 
 
 def test_replace_special_leaf_at_root():
     special = 0b11
     root = special_leaf(special)
     replacement = FragmentNode(chi=0b1, lam_edges=(0,))
-    assert replace_special_leaf(root, special, replacement)
-    # The root object is reused but now carries the replacement's content.
-    assert not root.is_special_leaf
-    assert root.lam_edges == (0,)
+    assert replace_special_leaf(root, special, replacement) is replacement
+    assert root.is_special_leaf and root.chi == special
 
 
 def test_replace_special_leaf_missing_returns_false():
     host = generators.cycle(4)
     root = regular_node(host, (0,), host.edge_bits(0))
-    assert not replace_special_leaf(root, 0b1000, regular_node(host, (1,), host.edge_bits(1)))
+    assert replace_special_leaf(root, 0b1000, regular_node(host, (1,), host.edge_bits(1))) is None
 
 
 def test_replace_only_one_of_two_equal_leaves():
@@ -63,10 +70,27 @@ def test_replace_only_one_of_two_equal_leaves():
         lam_edges=(0,),
         children=[special_leaf(special), special_leaf(special)],
     )
+    before = _shape(root)
     replacement = FragmentNode(chi=0b10, lam_edges=(1,))
-    assert replace_special_leaf(root, special, replacement)
-    remaining = [c for c in root.children if c.is_special_leaf]
-    assert len(remaining) == 1
+    stitched = replace_special_leaf(root, special, replacement)
+    assert stitched.children == [replacement, root.children[1]]
+    assert _shape(root) == before
+
+
+def test_replace_special_leaf_rebuilds_only_the_path():
+    # The leaf found is the one the depth-first scan meets first: every child
+    # of a node is checked before the scan descends into its last child.
+    special = 0b1000
+    deep = FragmentNode(chi=0b100, lam_edges=(2,), children=[special_leaf(special)])
+    shallow = FragmentNode(chi=0b10, lam_edges=(1,), children=[special_leaf(special)])
+    root = FragmentNode(chi=0b1, lam_edges=(0,), children=[deep, shallow])
+    before = _shape(root)
+    replacement = FragmentNode(chi=0b10000, lam_edges=(3,))
+    stitched = replace_special_leaf(root, special, replacement)
+    assert stitched.children[0] is deep
+    assert stitched.children[1] is not shallow
+    assert stitched.children[1].children == [replacement]
+    assert _shape(root) == before
 
 
 def test_computed_fragments_convert_to_valid_decompositions():
