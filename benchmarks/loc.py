@@ -1,7 +1,8 @@
 """Line counts of ``src/``: raw, and code-only (no docstring, comment or blank).
 
 Every simplicity PR reports both; ``python3 benchmarks/loc.py [root]`` prints
-``raw / code-only``.
+``raw / code-only`` and, on a second line, ``settings: N`` — the settable
+values of the public surface, counted by :func:`settings`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}  # fmt: skip
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def count(source: str) -> tuple[int, int]:
@@ -32,7 +34,49 @@ def count(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code - docstrings)
 
 
+def _public(name: str) -> bool:
+    return not name.startswith("_") or name == "__init__"
+
+
+def _defaults(function: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    args = function.args
+    return len(args.defaults) + sum(default is not None for default in args.kw_defaults)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def settings(source: str) -> int:
+    """Settable values of one module's public surface.
+
+    Every parameter with a default of a function or method whose name has
+    no leading underscore (``__init__`` counts), defined at module level or
+    directly in a module-level class whose name has none either; plus every
+    annotated field with a default of such a class decorated ``@dataclass``.
+    """
+    total = 0
+    for node in ast.parse(source).body:
+        if isinstance(node, _FUNCTIONS) and _public(node.name):
+            total += _defaults(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            dataclass = _is_dataclass(node)
+            for member in node.body:
+                if isinstance(member, _FUNCTIONS) and _public(member.name):
+                    total += _defaults(member)
+                elif dataclass and isinstance(member, ast.AnnAssign) and member.value is not None:
+                    total += 1
+    return total
+
+
 if __name__ == "__main__":
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent / "src")
-    totals = [count(path.read_text()) for path in sorted(root.rglob("*.py"))]
+    sources = [path.read_text() for path in sorted(root.rglob("*.py"))]
+    totals = [count(source) for source in sources]
     print(f"{sum(raw for raw, _ in totals)} / {sum(code for _, code in totals)}")
+    print(f"settings: {sum(settings(source) for source in sources)}")

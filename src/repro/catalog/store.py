@@ -231,9 +231,9 @@ class DecompositionCatalog:
     synchronous_writes:
         Bypass the write-behind queue and insert inline — slower ``put`` but
         no :meth:`flush` needed before handing the file to another process.
-    failure_threshold / reset_interval:
-        The circuit breaker's knobs: consecutive attempt failures before the
-        circuit opens, and the cooldown before a half-open re-attach probe.
+    reset_interval:
+        The circuit breaker's cooldown before a half-open re-attach probe;
+        it opens after the breaker's default of 3 consecutive failures.
 
     The handle is thread-safe: one connection guarded by a lock (SQLite WAL
     handles cross-process concurrency).  Use as a context manager or call
@@ -246,7 +246,6 @@ class DecompositionCatalog:
         namespace: str = "default",
         *,
         synchronous_writes: bool = False,
-        failure_threshold: int = 3,
         reset_interval: float = 1.0,
     ) -> None:
         if not namespace or any(ch.isspace() for ch in namespace):
@@ -257,9 +256,7 @@ class DecompositionCatalog:
         # Wrapped around every SQLite operation: 2 retries, 10 ms base
         # backoff with jitter.
         self._retry = RetryPolicy()
-        self._breaker = CircuitBreaker(
-            failure_threshold=failure_threshold, reset_interval=reset_interval
-        )
+        self._breaker = CircuitBreaker(reset_interval=reset_interval)
         self._lock = threading.Lock()
         self._stats = CatalogStats()
         self._closed = False

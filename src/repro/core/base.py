@@ -50,7 +50,7 @@ class SearchStatistics(Counters):
 
     ``stage_seconds`` is populated by the staged
     :class:`~repro.pipeline.engine.DecompositionEngine` with per-stage
-    wall-clock times (``simplify``, ``decompose``, ``lift``, ``validate``);
+    wall-clock times (``simplify``, ``cache``, ``decompose``, ``lift``);
     it stays empty for raw :meth:`Decomposer.decompose_raw` runs.
     """
 

@@ -70,6 +70,7 @@ class LogKSearch:
         negative_base_case: bool = True,
         parent_overlap_pruning: bool = True,
         require_balanced: bool = True,
+        # Memo off is the reference the log-k memo's tests hold its answers to.
         use_cache: bool = True,
         subedge_domination: bool = True,
         leaf_delegate: LeafDelegate | None = None,

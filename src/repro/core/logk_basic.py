@@ -27,15 +27,9 @@ from __future__ import annotations
 
 from ..decomp.components import ComponentSplitter
 from ..decomp.covers import label_union
-from ..decomp.decomposition import HypertreeDecomposition
 from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
 from .base import Decomposer, SearchContext
-from .fragments import (
-    base_case,
-    fragment_to_decomposition,
-    replace_special_leaf,
-    special_leaf,
-)
+from .fragments import base_case, replace_special_leaf, special_leaf
 
 __all__ = ["LogKBasicSearch", "LogKBasicDecomposer"]
 
@@ -156,8 +150,5 @@ class LogKBasicDecomposer(Decomposer):
 
     name = "log-k-decomp-basic"
 
-    def _run(self, context: SearchContext) -> HypertreeDecomposition | None:
-        fragment = LogKBasicSearch(context).run()
-        if fragment is None:
-            return None
-        return fragment_to_decomposition(context.host, fragment)
+    def search(self, context: SearchContext) -> FragmentNode | None:
+        return LogKBasicSearch(context).run()

@@ -7,7 +7,7 @@ from .decomposition import (
     GeneralizedHypertreeDecomposition,
     HypertreeDecomposition,
 )
-from .extended import BitComp, ExtendedSubhypergraph, FragmentNode, full_bitcomp
+from .extended import BitComp, FragmentNode, full_bitcomp
 from .components import components, covered_items, separate
 from .covers import CoverEnumerator, label_union
 from .separators import (
@@ -33,7 +33,6 @@ __all__ = [
     "GeneralizedHypertreeDecomposition",
     "HypertreeDecomposition",
     "BitComp",
-    "ExtendedSubhypergraph",
     "FragmentNode",
     "full_bitcomp",
     "components",

@@ -56,7 +56,7 @@ __all__ = [
     "covered_items",
 ]
 
-#: Default bound on the number of memoised effective separators per splitter.
+#: Bound on the number of memoised effective separators per splitter memo.
 #: Splitters are per-subproblem objects, so this mostly guards pathological
 #: subproblems with very large candidate pools.
 DEFAULT_MEMO_SIZE = 4096
@@ -112,7 +112,6 @@ class ComponentSplitter:
         comp: BitComp,
         memoize: bool = True,
         stats=None,
-        memo_size: int = DEFAULT_MEMO_SIZE,
         vertices: int | None = None,
     ) -> None:
         self.host = host
@@ -128,9 +127,9 @@ class ComponentSplitter:
         self._adjacency = host.adjacency_masks()
         self._comp_vertices = comp.vertices(host) if vertices is None else vertices
         self._memoize = memoize
-        self._split_memo: BoundedLRU = BoundedLRU(memo_size)
-        self._largest_memo: BoundedLRU = BoundedLRU(memo_size)
-        self._oversized_memo: BoundedLRU = BoundedLRU(memo_size)
+        self._split_memo: BoundedLRU = BoundedLRU(DEFAULT_MEMO_SIZE)
+        self._largest_memo: BoundedLRU = BoundedLRU(DEFAULT_MEMO_SIZE)
+        self._oversized_memo: BoundedLRU = BoundedLRU(DEFAULT_MEMO_SIZE)
         # (interior, size) of oversized groups found by fills, most recent
         # first; see the module docstring.
         self._witnesses: list[tuple[int, int]] = []

@@ -179,7 +179,6 @@ class CoverEnumerator:
         require_from: int | None = None,
         overlap_with: int | None = None,
         cover: int | None = None,
-        max_size: int | None = None,
         component_vertices: int | None = None,
         strict_domination: bool = True,
     ) -> Iterator[tuple[int, ...]]:
@@ -200,8 +199,6 @@ class CoverEnumerator:
         cover:
             If given (a vertex bitmask), the union of the label must contain
             it (det-k-decomp's Conn-covering requirement).
-        max_size:
-            Optional override of the maximum label size (defaults to ``k``).
         component_vertices:
             If given (the component's vertex bitmask), enables width-safe
             subedge domination over the pool (see the module docstring).
@@ -212,7 +209,7 @@ class CoverEnumerator:
             docstring).  Irrelevant without ``component_vertices``.
         """
         return self._branch_and_bound(
-            allowed, require_from, overlap_with, cover, max_size,
+            allowed, require_from, overlap_with, cover,
             component_vertices, strict_domination, None,
         )
 
@@ -326,13 +323,11 @@ class CoverEnumerator:
         require_from: int | None,
         overlap_with: int | None,
         cover: int | None,
-        max_size: int | None,
         component_vertices: int | None,
         strict_domination: bool,
         first_edges: int | None,
     ) -> Iterator[tuple[int, ...]]:
         host = self.host
-        limit = self.k if max_size is None else min(max_size, self.k)
         pool_mask = host.all_edges_mask if allowed is None else allowed
         if overlap_with is not None:
             # Edges sharing a vertex with it: the union of its incidence rows.
@@ -388,7 +383,7 @@ class CoverEnumerator:
         if first_edges is not None:
             first_ok = [first_edges >> e & 1 != 0 for e in pool]
 
-        for size in range(1, limit + 1):
+        for size in range(1, self.k + 1):
             if size > n:
                 break
             if size == 1:
@@ -505,6 +500,6 @@ class CoverEnumerator:
         Conn-covering requirement, as in :meth:`labels`.
         """
         return self._branch_and_bound(
-            allowed, require_from, None, cover, None, component_vertices, True,
+            allowed, require_from, None, cover, component_vertices, True,
             from_indices(first_edges),
         )

@@ -11,8 +11,7 @@ subhypergraphs* ⟨E', Sp, Conn⟩ of a host hypergraph H (Definition 3.1):
 
 The algorithms carry the pair ``(E', Sp)`` as a :class:`BitComp` (the ``Comp``
 record of Algorithm 1/2 in the paper, packed into ints) and pass ``Conn``
-separately as a vertex bitmask.  :class:`ExtendedSubhypergraph` is the
-user-facing, name-based view used by the validators and the tests.
+separately as a vertex bitmask.
 
 HDs *of* extended subhypergraphs (Definition 3.3) are represented as trees of
 :class:`FragmentNode`; special edges appear as dedicated leaf nodes whose
@@ -31,7 +30,6 @@ from ..hypergraph import bitset
 
 __all__ = [
     "BitComp",
-    "ExtendedSubhypergraph",
     "FragmentNode",
     "full_bitcomp",
 ]
@@ -91,78 +89,6 @@ class BitComp(NamedTuple):
 def full_bitcomp(host: Hypergraph) -> BitComp:
     """The component representing the whole host hypergraph: ⟨E(H), ∅⟩."""
     return BitComp(host.all_edges_mask, ())
-
-
-@dataclass(frozen=True)
-class ExtendedSubhypergraph:
-    """Name-based view of an extended subhypergraph ⟨E', Sp, Conn⟩.
-
-    Used by validators, tests and documentation examples; the decomposers work
-    on the bitmask-based :class:`BitComp` directly.
-    """
-
-    host: Hypergraph
-    edges: frozenset[str]
-    specials: frozenset[frozenset[str]] = frozenset()
-    conn: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        unknown = [e for e in self.edges if e not in self.host]
-        if unknown:
-            raise DecompositionError(f"edges {unknown} are not edges of the host")
-        host_vertices = self.host.vertices
-        for special in self.specials:
-            if not special:
-                raise DecompositionError("special edges must be non-empty")
-            if not special <= host_vertices:
-                raise DecompositionError(
-                    f"special edge {sorted(special)} uses unknown vertices"
-                )
-        if not self.conn <= host_vertices:
-            raise DecompositionError("Conn uses vertices outside the host hypergraph")
-
-    @classmethod
-    def whole(cls, host: Hypergraph) -> "ExtendedSubhypergraph":
-        """H viewed as the extended subhypergraph ⟨E(H), ∅, ∅⟩ of itself."""
-        return cls(host, frozenset(host.edge_names))
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        """V(H'): all vertices of edges and special edges."""
-        result: set[str] = set()
-        for edge in self.edges:
-            result |= self.host.edge_vertices(self.host.edge_index(edge))
-        for special in self.specials:
-            result |= special
-        return frozenset(result)
-
-    @property
-    def size(self) -> int:
-        """|E'| + |Sp|."""
-        return len(self.edges) + len(self.specials)
-
-    def to_comp(self) -> BitComp:
-        """Convert to the bitmask-based :class:`BitComp` representation."""
-        return BitComp.of(
-            (self.host.edge_index(e) for e in self.edges),
-            (self.host.vertices_to_mask(s) for s in self.specials),
-        )
-
-    def conn_mask(self) -> int:
-        """Conn as a vertex bitmask."""
-        return self.host.vertices_to_mask(self.conn)
-
-    @classmethod
-    def from_comp(
-        cls, host: Hypergraph, comp: BitComp, conn: int = 0
-    ) -> "ExtendedSubhypergraph":
-        """Build the name-based view from a :class:`BitComp` plus a Conn bitmask."""
-        return cls(
-            host,
-            frozenset(host.edge_name(i) for i in bitset.bits_of(comp.edges)),
-            frozenset(host.mask_to_vertices(s) for s in comp.specials),
-            host.mask_to_vertices(conn),
-        )
 
 
 @dataclass

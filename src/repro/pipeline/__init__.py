@@ -1,14 +1,14 @@
 """Staged decomposition pipeline: simplification, algorithm registry, engine.
 
 This package is the single route from "a hypergraph and a width ``k``" to "a
-validated hypertree decomposition":
+hypertree decomposition":
 
 * :mod:`repro.pipeline.simplify` — width-preserving reductions with a
   reversible trace (lifting a reduced-instance HD back to the original),
 * :mod:`repro.pipeline.registry` — the declarative algorithm catalogue every
   entry point builds decomposers from,
 * :mod:`repro.pipeline.engine` — the :class:`DecompositionEngine` running
-  simplify → cache → per-component decompose → lift → validate.
+  simplify → cache → per-component decompose → lift.
 
 ``Decomposer.decompose`` always delegates here; ``Decomposer.decompose_raw``
 runs the raw search.

@@ -28,9 +28,7 @@ each timed into ``SearchStatistics.stage_seconds``:
    hypergraph;
 4. **lift** — replay the simplification trace backwards
    (:func:`~repro.pipeline.simplify.lift_decomposition`) so the returned
-   decomposition is hosted on the *original* hypergraph;
-5. **validate** (optional) — run the independent
-   :func:`~repro.decomp.validation.validate_hd` oracle on the lifted result.
+   decomposition is hosted on the *original* hypergraph.
 
 The engine is what makes preprocessing wins apply uniformly: the CLI, the
 benchmark harness, the query layer and user code all construct algorithms
@@ -68,7 +66,6 @@ from ..decomp.decomposition import (
     DecompositionNode,
     HypertreeDecomposition,
 )
-from ..decomp.validation import validate_ghd, validate_hd
 from ..hypergraph import Hypergraph
 from ..hypergraph.properties import connected_components
 from ..lru import ShardedLRU, ShardStats
@@ -181,9 +178,6 @@ class DecompositionEngine:
         catalog; every certificate loaded from it is re-validated against
         the independent oracle before being trusted, and decided outcomes
         are written behind to the catalog after the L1 store.
-    validate:
-        Run ``validate_hd`` on every successful lifted decomposition.
-        Off by default (the test-suite exercises the oracle instead).
     """
 
     def __init__(
@@ -191,7 +185,6 @@ class DecompositionEngine:
         *,
         cache: ResultCache | bool | None = True,
         catalog: "DecompositionCatalog | str | None" = None,
-        validate: bool = False,
     ) -> None:
         if cache is True:
             cache = ResultCache()
@@ -201,7 +194,6 @@ class DecompositionEngine:
         if catalog is not None and not isinstance(catalog, DecompositionCatalog):
             catalog = DecompositionCatalog(catalog)
         self.catalog = catalog
-        self.validate = validate
         self._auxiliary: dict[str, ShardedLRU] = {}
         self._auxiliary_lock = threading.Lock()
 
@@ -333,15 +325,6 @@ class DecompositionEngine:
             if trace.reduced_anything:
                 decomposition = lift_decomposition(trace, decomposition)
             stats.record_stage("lift", time.monotonic() - t0)
-
-        # Stage 5: optional validation against the independent oracle.
-        if self.validate and decomposition is not None:
-            t0 = time.monotonic()
-            if isinstance(decomposition, HypertreeDecomposition):
-                validate_hd(decomposition)
-            else:
-                validate_ghd(decomposition)
-            stats.record_stage("validate", time.monotonic() - t0)
 
         return DecompositionResult(
             algorithm=decomposer.name,

@@ -127,7 +127,6 @@ class SimplificationTrace:
     original: Hypergraph
     reduced: Hypergraph
     steps: list[RemovedEdge | CollapsedVertices] = field(default_factory=list)
-    rounds: int = 0
 
     @property
     def reduced_anything(self) -> bool:
@@ -146,8 +145,7 @@ class SimplificationTrace:
         """One-line human-readable account of what the simplifier did."""
         return (
             f"{self.original.num_edges}->{self.reduced.num_edges} edges, "
-            f"{self.original.num_vertices}->{self.reduced.num_vertices} vertices "
-            f"in {self.rounds} round(s)"
+            f"{self.original.num_vertices}->{self.reduced.num_vertices} vertices"
         )
 
 
@@ -235,14 +233,14 @@ def simplify(hypergraph: Hypergraph) -> SimplificationTrace:
     steps: list[RemovedEdge | CollapsedVertices] = []
     edges = _collapse_vertices(_remove_subsumed(hypergraph.edges_as_dict(), steps), steps)
     if not steps:
-        return SimplificationTrace(original=hypergraph, reduced=hypergraph, rounds=0)
+        return SimplificationTrace(original=hypergraph, reduced=hypergraph)
     # Preserve the original edge order for the survivors (stable, and keeps
     # canonical hashes of equal reductions identical regardless of history).
     ordered = {
         name: edges[name] for name in hypergraph.edge_names if name in edges
     }
     reduced = Hypergraph(ordered, name=hypergraph.name)
-    return SimplificationTrace(original=hypergraph, reduced=reduced, steps=steps, rounds=1)
+    return SimplificationTrace(original=hypergraph, reduced=reduced, steps=steps)
 
 
 def _rebuild(node: DecompositionNode, expand) -> DecompositionNode:

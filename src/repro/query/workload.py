@@ -407,20 +407,18 @@ class QueryWorkload:
         self,
         database: Database,
         engine: QueryEngine | None = None,
-        default_mode: AnswerMode | str = AnswerMode.ENUMERATE,
         executor: str = "columnar",
     ) -> None:
         self.database = database
         self.engine = engine if engine is not None else QueryEngine()
-        self.default_mode = AnswerMode.coerce(default_mode)
         self.executor = check_executor(executor)
         self._items: list[tuple[ConjunctiveQuery, AnswerMode]] = []
 
     def add(
         self, query: ConjunctiveQuery, mode: AnswerMode | str | None = None
     ) -> "QueryWorkload":
-        """Append a query (chainable)."""
-        resolved = self.default_mode if mode is None else AnswerMode.coerce(mode)
+        """Append a query (chainable); no ``mode`` means enumerate."""
+        resolved = AnswerMode.ENUMERATE if mode is None else AnswerMode.coerce(mode)
         self._items.append((query, resolved))
         return self
 

@@ -321,10 +321,9 @@ class DecompositionService:
     algorithm / algorithm_options:
         Default registry algorithm (and options) for decomposition requests;
         both can be overridden per :meth:`submit`.  A ``timeout`` option
-        here becomes the default per-request computation timeout.
-    query_engine:
-        An explicit :class:`~repro.query.workload.QueryEngine` for query
-        requests; by default one is built lazily over ``engine``.
+        here becomes the default per-request computation timeout.  An
+        unknown algorithm or an option it does not take is a
+        :class:`ServiceError` here, not a failure of every request.
     poison_threshold:
         Number of worker crashes (exceptions escaping task execution — not
         ordinary failures, which finalize on first delivery) after which a
@@ -337,7 +336,6 @@ class DecompositionService:
         num_workers: int = 4,
         engine: DecompositionEngine | None = None,
         algorithm: str = "hybrid",
-        query_engine: QueryEngine | None = None,
         poison_threshold: int = 3,
         backend: str = "thread",
         workers: int | None = None,
@@ -360,6 +358,10 @@ class DecompositionService:
         # it inside algorithm_options would collide with those keywords.
         self.default_timeout = algorithm_options.pop("timeout", None)
         self.algorithm_options = dict(algorithm_options)
+        try:
+            registry.build(algorithm, timeout=self.default_timeout, **algorithm_options)
+        except (TypeError, SolverError) as error:
+            raise ServiceError(f"bad default algorithm configuration: {error}") from None
         self.num_workers = num_workers
 
         self._seq = count()
@@ -381,7 +383,7 @@ class DecompositionService:
         #: volume.
         self._searched = SearchStatistics()
 
-        self._query_engine = query_engine
+        self._query_engine: QueryEngine | None = None
         self._query_engine_lock = threading.Lock()
 
         # Worker thread i drains self._queues[i].  Thread workers share one

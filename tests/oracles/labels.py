@@ -1,8 +1,8 @@
 """λ-label enumeration by the definition: a filter over ``itertools.combinations``.
 
 This is ``CoverEnumerator.labels_reference``, the enumerator the library
-shipped before the branch-and-bound search, moved here verbatim (``self``
-became ``enumerator``).  The optimised ``CoverEnumerator.labels`` must yield
+shipped before the branch-and-bound search, moved here (``self`` became
+``enumerator``).  The optimised ``CoverEnumerator.labels`` must yield
 the byte-identical sequence.  Pools are edge-index bitmasks, as everywhere;
 nothing is shared with the optimised path.
 """
@@ -22,11 +22,9 @@ def labels_reference(
     require_from: int | None = None,
     overlap_with: int | None = None,
     cover: int | None = None,
-    max_size: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every label ``enumerator.labels`` may yield, in the contract's order."""
     host = enumerator.host
-    limit = enumerator.k if max_size is None else min(max_size, enumerator.k)
     pool = indices_of(host.all_edges_mask if allowed is None else allowed)
     if overlap_with is not None:
         pool = [i for i in pool if host.edge_bits(i) & overlap_with]
@@ -41,7 +39,7 @@ def labels_reference(
         full_union |= bits
     if cover is not None and cover & ~full_union:
         return
-    for size in range(1, limit + 1):
+    for size in range(1, enumerator.k + 1):
         for combo_positions in combinations(range(len(pool)), size):
             label = tuple(pool[p] for p in combo_positions)
             if require is not None and not any(

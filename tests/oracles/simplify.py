@@ -78,19 +78,15 @@ def simplify(hypergraph: Hypergraph) -> SimplificationTrace:
     """The reference reductions iterated to a fixpoint, round by round."""
     edges = hypergraph.edges_as_dict()
     steps: list[RemovedEdge | CollapsedVertices] = []
-    rounds = 0
     while True:
         edges, removed = _remove_subsumed(edges, steps)
         edges, collapsed = _collapse_vertices(edges, steps)
         if not (removed or collapsed):
             break
-        rounds += 1
     if not steps:
-        return SimplificationTrace(original=hypergraph, reduced=hypergraph, rounds=0)
+        return SimplificationTrace(original=hypergraph, reduced=hypergraph)
     ordered = {
         name: edges[name] for name in hypergraph.edge_names if name in edges
     }
     reduced = Hypergraph(ordered, name=hypergraph.name)
-    return SimplificationTrace(
-        original=hypergraph, reduced=reduced, steps=steps, rounds=rounds
-    )
+    return SimplificationTrace(original=hypergraph, reduced=reduced, steps=steps)

@@ -89,12 +89,6 @@ def test_cover_requirement_impossible():
     assert list(enumerator.labels(cover=conn)) == []
 
 
-def test_max_size_override(host):
-    enumerator = CoverEnumerator(host, 3)
-    labels = list(enumerator.labels(max_size=1))
-    assert all(len(label) == 1 for label in labels)
-
-
 def test_partition_covers_pool(host):
     enumerator = CoverEnumerator(host, 2)
     parts = partition_edges(host.num_edges, 3)

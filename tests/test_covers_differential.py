@@ -3,7 +3,7 @@
 The optimised :meth:`CoverEnumerator.labels` must emit the *byte-identical*
 label sequence as the reference implementation it replaced
 (``tests/oracles/labels.py``) for every combination of
-``(allowed, require_from, overlap_with, cover, k, max_size)`` — the pruning
+``(allowed, require_from, overlap_with, cover, k)`` — the pruning
 may only skip branches that contain no emitted label.  A randomized corpus of
 settings over random hypergraphs checks exactly that, plus the direct
 partition-restricted generation and the width-safety invariant of subedge
@@ -44,7 +44,8 @@ def _random_pool(rng: random.Random, m: int, at_least: int) -> int:
     return from_indices(rng.sample(range(m), rng.randint(at_least, m)))
 
 
-def _random_settings(rng: random.Random, host: Hypergraph, k: int) -> dict:
+def _random_settings(rng: random.Random, host: Hypergraph, k: int) -> tuple[dict, int]:
+    """The keyword settings of one draw, and the width (at most ``k``) to enumerate at."""
     m = host.num_edges
     allowed = None if rng.random() < 0.4 else _random_pool(rng, m, 1)
     # An empty draw is the mask 0: "no progress constraint", like None.
@@ -59,14 +60,15 @@ def _random_settings(rng: random.Random, host: Hypergraph, k: int) -> dict:
         cover = 0
         for edge in rng.sample(range(m), rng.randint(1, 2)):
             cover |= host.edge_bits(edge)
-    max_size = None if rng.random() < 0.7 else rng.randint(1, k)
-    return {
+    # A narrower label cap is an enumerator of smaller width.
+    width = k if rng.random() < 0.7 else rng.randint(1, k)
+    settings = {
         "allowed": allowed,
         "require_from": require,
         "overlap_with": overlap,
         "cover": cover,
-        "max_size": max_size,
     }
+    return settings, width
 
 
 def test_label_sequence_matches_reference_across_random_corpus():
@@ -74,11 +76,11 @@ def test_label_sequence_matches_reference_across_random_corpus():
     for trial in range(150):
         host = _random_host(rng, trial)
         k = rng.randint(1, 4)
-        enumerator = CoverEnumerator(host, k)
-        settings = _random_settings(rng, host, k)
+        settings, width = _random_settings(rng, host, k)
+        enumerator = CoverEnumerator(host, width)
         new = list(enumerator.labels(**settings))
         old = list(labels_reference(enumerator, **settings))
-        assert new == old, (trial, host, k, settings)
+        assert new == old, (trial, host, width, settings)
 
 
 def test_partition_generation_matches_reference_filter():

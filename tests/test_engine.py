@@ -15,7 +15,7 @@ from repro.bench.corpus import generate_corpus
 from repro.decomp import validate_hd
 from repro.decomp.decomposition import GeneralizedHypertreeDecomposition
 from repro.decomp.validation import is_valid_ghd
-from repro.exceptions import SolverError
+from repro.exceptions import ServiceError, SolverError
 from repro.hypergraph import Hypergraph, generators
 from repro.pipeline import DecompositionEngine, ResultCache
 
@@ -163,13 +163,6 @@ def test_component_splitting_produces_one_tree(engine, messy):
     assert covered == messy.vertices
 
 
-def test_validation_stage(engine, messy):
-    engine.validate = True
-    result = LogKDecomposer(engine=engine).decompose(messy, 2)
-    assert result.success
-    assert "validate" in result.statistics.stage_seconds
-
-
 def test_raw_search_switches_are_gone():
     # decompose_raw is the one way to run the raw search; the switches that
     # used to bypass the engine's stages are rejected outright.
@@ -184,10 +177,75 @@ def test_raw_search_switches_are_gone():
         DecompositionEngine(simplify=False)
     with pytest.raises(TypeError, match="split_components"):
         DecompositionEngine(split_components=False)
+    with pytest.raises(TypeError, match="validate"):
+        DecompositionEngine(validate=True)
     query = parse_conjunctive_query("ans(x) :- r(x, y), s(y, x).")
     database = random_database_for_query(query, domain_size=3, tuples_per_relation=4, seed=0)
     with pytest.raises(TypeError, match="simplify"):
         evaluate_query(query, database, simplify=False)
+
+
+def _workload_with_default_mode(tmp_path):
+    from repro.query import Database, QueryWorkload
+
+    QueryWorkload(Database(), default_mode="count")
+
+
+def _service_with_query_engine(tmp_path):
+    from repro.service import DecompositionService
+
+    DecompositionService(num_workers=1, query_engine=None)
+
+
+def _catalog_with_failure_threshold(tmp_path):
+    from repro.catalog import DecompositionCatalog
+
+    DecompositionCatalog(tmp_path / "catalog.db", failure_threshold=3)
+
+
+def _labels_with_max_size(tmp_path):
+    from repro.decomp.covers import CoverEnumerator
+
+    CoverEnumerator(generators.cycle(4), 3).labels(max_size=1)
+
+
+def _splitter_with_memo_size(tmp_path):
+    from repro.decomp import full_bitcomp
+    from repro.decomp.components import ComponentSplitter
+
+    host = generators.cycle(4)
+    ComponentSplitter(host, full_bitcomp(host), memo_size=4)
+
+
+def _trace_with_rounds(tmp_path):
+    from repro.pipeline import SimplificationTrace
+
+    host = generators.cycle(4)
+    SimplificationTrace(original=host, reduced=host, rounds=0)
+
+
+def _import_extended_subhypergraph(tmp_path):
+    from repro.decomp import ExtendedSubhypergraph  # noqa: F401
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (_workload_with_default_mode, TypeError),
+        (_service_with_query_engine, ServiceError),
+        (_catalog_with_failure_threshold, TypeError),
+        (_labels_with_max_size, TypeError),
+        (_splitter_with_memo_size, TypeError),
+        (_trace_with_rounds, TypeError),
+        (_import_extended_subhypergraph, ImportError),
+    ],
+    ids=lambda value: getattr(value, "__name__", "").lstrip("_"),
+)
+def test_settings_without_a_caller_are_gone(call, error, tmp_path):
+    # No caller outside the tests set any of these, so none is a setting;
+    # the service reports an unknown option as a ServiceError at construction.
+    with pytest.raises(error):
+        call(tmp_path)
 
 
 def test_ghd_results_keep_their_kind(engine, messy):

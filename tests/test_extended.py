@@ -1,10 +1,10 @@
-"""Unit tests for extended subhypergraphs, BitComp records and fragment nodes."""
+"""Unit tests for BitComp records and fragment nodes."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.decomp.extended import BitComp, ExtendedSubhypergraph, FragmentNode, full_bitcomp
+from repro.decomp.extended import BitComp, FragmentNode, full_bitcomp
 from repro.exceptions import DecompositionError
 from repro.hypergraph import Hypergraph
 
@@ -68,45 +68,6 @@ def test_comp_hashable(host):
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_extended_subhypergraph_whole(host):
-    ext = ExtendedSubhypergraph.whole(host)
-    assert ext.edges == frozenset(host.edge_names)
-    assert ext.size == 4
-    assert ext.vertices == host.vertices
-
-
-def test_extended_subhypergraph_roundtrip(host):
-    ext = ExtendedSubhypergraph(
-        host,
-        frozenset({"a", "b"}),
-        frozenset({frozenset({"w", "x"}), frozenset({"y"}), frozenset({"z", "w"})}),
-        frozenset({"y"}),
-    )
-    comp = ext.to_comp()
-    assert comp == BitComp.of(
-        {host.edge_index("a"), host.edge_index("b")},
-        (host.vertices_to_mask(s) for s in ext.specials),
-    )
-    assert comp.specials == tuple(sorted(comp.specials)) and len(comp.specials) == 3
-    back = ExtendedSubhypergraph.from_comp(host, comp, ext.conn_mask())
-    assert back.edges == ext.edges
-    assert back.specials == ext.specials
-    assert back.conn == ext.conn
-
-
-def test_extended_subhypergraph_validation(host):
-    with pytest.raises(DecompositionError):
-        ExtendedSubhypergraph(host, frozenset({"zz"}))
-    with pytest.raises(DecompositionError):
-        ExtendedSubhypergraph(host, frozenset({"a"}), frozenset({frozenset()}))
-    with pytest.raises(DecompositionError):
-        ExtendedSubhypergraph(host, frozenset({"a"}), conn=frozenset({"nope"}))
-    with pytest.raises(DecompositionError):
-        ExtendedSubhypergraph(
-            host, frozenset({"a"}), frozenset({frozenset({"unknown"})})
-        )
 
 
 def test_fragment_node_basics(host):

@@ -308,6 +308,14 @@ def test_algorithm_override_does_not_inherit_foreign_options(cycle6):
         svc.shutdown(wait=True, cancel_pending=True)
 
 
+def test_bad_default_algorithm_configuration_fails_at_construction():
+    # Checked once by building the default decomposer, not on every request.
+    with pytest.raises(ServiceError, match="timout"):
+        DecompositionService(num_workers=1, timout=5)
+    with pytest.raises(ServiceError, match="no-such-algorithm"):
+        DecompositionService(num_workers=1, algorithm="no-such-algorithm")
+
+
 def test_out_of_range_priority_is_rejected(service, cycle6):
     # A priority sorting behind the shutdown sentinels would leave the
     # ticket unresolvable; reject it at submission time.

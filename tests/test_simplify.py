@@ -22,7 +22,6 @@ def test_irreducible_instance_is_returned_unchanged(cycle10):
     trace = simplify(cycle10)
     assert not trace.reduced_anything
     assert trace.reduced is cycle10  # no copy when nothing reduces
-    assert trace.rounds == 0
 
 
 def test_subsumed_edge_removal():
@@ -93,7 +92,6 @@ def test_reductions_cascade_to_fixpoint():
         }
     )
     trace = simplify(h)
-    assert trace.rounds >= 1
     assert "small" not in trace.reduced
     assert simplify(trace.reduced).reduced is trace.reduced  # idempotent
 
@@ -150,7 +148,6 @@ def test_lift_restores_transitively_collapsed_vertices():
             CollapsedVertices(representative="r", removed=("x",)),
             CollapsedVertices(representative="s", removed=("r",)),
         ],
-        rounds=2,
     )
     result = LogKDecomposer().decompose_raw(reduced, 1)
     assert result.success
@@ -238,11 +235,10 @@ def _redundant_hypergraphs(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_simplify_matches_the_all_pairs_reference(hypergraph):
     # One shipping pass against the reference iterated to its fixpoint: the
-    # same steps, and no second round ever needed (``rounds`` agrees).
+    # same steps, so no second round is ever needed.
     got = simplify(hypergraph)
     want = simplify_by_definition(hypergraph)
     assert list(got.reduced.edges_as_dict().items()) == list(
         want.reduced.edges_as_dict().items()
     )
     assert got.steps == want.steps  # witnesses and collapse classes included
-    assert got.rounds == want.rounds

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -65,9 +66,12 @@ def test_memo_results_are_isolated_from_caller_mutation():
     assert splitter.split_bits(separator) != []
 
 
-def test_memo_is_bounded():
+def test_memo_is_bounded(monkeypatch):
+    # The attribute ``repro.decomp.components`` is the function, not the module.
+    module = importlib.import_module("repro.decomp.components")
+    monkeypatch.setattr(module, "DEFAULT_MEMO_SIZE", 4)
     host = generators.cycle(10)
-    splitter = ComponentSplitter(host, full_bitcomp(host), memo_size=4)
+    splitter = ComponentSplitter(host, full_bitcomp(host))
     for index in range(10):
         splitter.split_bits(host.edge_bits(index))
     assert len(splitter._split_memo) <= 4
