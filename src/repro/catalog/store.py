@@ -130,9 +130,8 @@ def _stable(value):
 def configuration_text(configuration: tuple) -> str:
     """A deterministic text rendering of an algorithm-configuration key.
 
-    Configuration keys (:meth:`repro.core.base.Decomposer.cache_key` /
-    :meth:`repro.pipeline.registry.DecomposerRegistry.configuration_key`)
-    are nested tuples of primitives, possibly containing frozensets whose
+    Configuration keys (:meth:`repro.core.base.Decomposer.cache_key`) are
+    nested tuples of primitives, possibly containing frozensets whose
     ``repr`` order is not deterministic — so the rendering sorts set
     contents before serialising.  The text is an opaque identity column,
     not meant to be decoded.
@@ -450,7 +449,7 @@ class DecompositionCatalog:
     # the L2 protocol: get / put / flush
     # ------------------------------------------------------------------ #
     def get(
-        self, hypergraph: Hypergraph, k: int, configuration: tuple | str
+        self, hypergraph: Hypergraph, k: int, configuration: tuple
     ) -> CatalogRecord | None:
         """Look up a decided outcome for ``(hypergraph, k, configuration)``.
 
@@ -460,7 +459,7 @@ class DecompositionCatalog:
         counted as a ``validate_reject`` and reported as a miss, so the
         caller transparently recomputes (and re-stores) it.
         """
-        config_text = self._configuration_text(configuration)
+        config_text = configuration_text(configuration)
         canonical_hash = hypergraph.canonical_hash()
         row = self._fetch_row(canonical_hash, k, config_text)
         if row is None:
@@ -482,7 +481,7 @@ class DecompositionCatalog:
         self,
         hypergraph: Hypergraph,
         k: int,
-        configuration: tuple | str,
+        configuration: tuple,
         *,
         algorithm: str,
         success: bool,
@@ -501,7 +500,7 @@ class DecompositionCatalog:
         pending = _PendingWrite(
             canonical_hash=hypergraph.canonical_hash(),
             k=k,
-            configuration=self._configuration_text(configuration),
+            configuration=configuration_text(configuration),
             algorithm=algorithm,
             success=bool(success),
             decomposition=decomposition,
@@ -692,12 +691,6 @@ class DecompositionCatalog:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _configuration_text(configuration: tuple | str) -> str:
-        if isinstance(configuration, str):
-            return configuration
-        return configuration_text(configuration)
-
     def _fetch_row(self, canonical_hash: str, k: int, config_text: str):
         sql = (
             "SELECT namespace, canonical_hash, k, configuration, algorithm, success, "

@@ -38,7 +38,14 @@ __all__ = [
     "SearchContext",
     "SearchMemo",
     "Decomposer",
+    "PRIMITIVE_OPTION_TYPES",
 ]
+
+#: Option-value types whose equality is a safe configuration identity.
+#: :meth:`Decomposer.cache_key` collapses anything else to its type name, and
+#: the serving layer (:mod:`repro.service`) refuses to share requests carrying
+#: such values; both decisions read this one tuple.
+PRIMITIVE_OPTION_TYPES = (str, int, float, bool, tuple, frozenset, type(None))
 
 #: Search calls between two deadline polls in :meth:`SearchContext.check_timeout`.
 _TIMEOUT_STRIDE = 64
@@ -290,7 +297,7 @@ class Decomposer(ABC):
         for attr, value in sorted(vars(self).items()):
             if attr == "engine":
                 continue  # engine plumbing, not algorithm configuration
-            if isinstance(value, (str, int, float, bool, frozenset, tuple, type(None))):
+            if isinstance(value, PRIMITIVE_OPTION_TYPES):
                 options.append((attr, value))
             else:
                 options.append((attr, type(value).__name__))

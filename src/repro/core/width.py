@@ -10,7 +10,8 @@
   width API, the query planner, the optimal solver and the paper harness are
   its callers; each keeps only its own budget rule inside ``decide``,
 * :func:`make_decomposer` — thin wrapper over the declarative
-  :mod:`repro.pipeline.registry` used by the benchmark harness and the CLI.
+  :mod:`repro.pipeline.registry`; :func:`decompose` and
+  :func:`smallest_width` build their decomposer through it.
 """
 
 from __future__ import annotations

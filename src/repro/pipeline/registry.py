@@ -20,25 +20,24 @@ Names are case-sensitive.  Each entry may carry aliases; the algorithm's
 public :attr:`~repro.core.base.Decomposer.name` (e.g. ``"log-k-decomp"``)
 is an alias of its short registry name (e.g. ``"logk"``).
 
-Beyond building algorithms, the registry is the library's notion of
-*configuration identity*: :meth:`DecomposerRegistry.configuration_key`
-resolves aliases and merges registered defaults into a stable tuple, which
-keys the query layer's compiled-plan cache and the serving layer's
-in-flight deduplication table (:mod:`repro.service`) — two callers asking
-for the same algorithm under different spellings coalesce onto one
-computation.
+The registry builds; it does not decide *configuration identity*.  That
+is :meth:`~repro.core.base.Decomposer.cache_key` of the built decomposer:
+the engine's result cache, the catalog's ``configuration`` column, the
+query layer's plan and SQL-program caches and the serving layer's
+in-flight deduplication table all key on it, so two callers asking for
+the same algorithm under different spellings, or with an option spelled
+out at its default, coalesce onto one computation.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
 from ..exceptions import SolverError
 
 __all__ = [
-    "PRIMITIVE_OPTION_TYPES",
     "AlgorithmEntry",
     "DecomposerRegistry",
     "registry",
@@ -47,16 +46,7 @@ __all__ = [
     "available",
     "describe",
     "resolve",
-    "configuration_key",
 ]
-
-
-#: Option-value types whose equality is a safe configuration identity.
-#: :meth:`DecomposerRegistry.configuration_key` collapses anything else to
-#: its type name, and the serving layer (:mod:`repro.service`) refuses to
-#: dedup/memoize requests carrying such values — both decisions must use
-#: the same list, so it lives here.
-PRIMITIVE_OPTION_TYPES = (str, int, float, bool, tuple, frozenset, type(None))
 
 
 @dataclass
@@ -69,7 +59,6 @@ class AlgorithmEntry:
     factory: Callable | None = None
     module: str | None = None
     class_name: str | None = None
-    defaults: dict = field(default_factory=dict)
 
     def load(self) -> Callable:
         """Return the factory, importing the implementing class if lazy."""
@@ -100,15 +89,13 @@ class DecomposerRegistry:
         class_name: str | None = None,
         description: str = "",
         aliases: Iterable[str] = (),
-        defaults: dict | None = None,
         overwrite: bool = False,
     ) -> AlgorithmEntry:
         """Register an algorithm under ``name``.
 
         Either ``factory`` (any callable returning a decomposer) or the pair
         ``module``/``class_name`` (imported lazily on first build) must be
-        given.  ``defaults`` are keyword arguments merged under explicit
-        build options.  Re-registering an existing name raises unless
+        given.  Re-registering an existing name raises unless
         ``overwrite=True``.
         """
         if factory is None and (module is None or class_name is None):
@@ -135,7 +122,6 @@ class DecomposerRegistry:
             class_name=class_name,
             description=description,
             aliases=aliases,
-            defaults=dict(defaults or {}),
         )
         self._entries[name] = entry
         for alias in aliases:
@@ -173,39 +159,8 @@ class DecomposerRegistry:
         return self._entries[self.resolve(name)]
 
     def build(self, name: str, **options):
-        """Instantiate the algorithm registered under ``name``.
-
-        Explicit ``options`` override the entry's registered defaults.
-        """
-        entry = self.entry(name)
-        merged = {**entry.defaults, **options}
-        return entry.load()(**merged)
-
-    def configuration_key(self, name: str, **options) -> tuple:
-        """Stable identity of an algorithm configuration.
-
-        Resolves aliases to the canonical name and merges the entry's
-        registered defaults under the explicit ``options`` — i.e. exactly
-        what :meth:`build` would construct — so downstream caches keyed by
-        algorithm configuration (the query layer's compiled-plan cache) treat
-        ``"hybrid"`` and its ``"log-k-decomp-hybrid"`` alias, or an explicit
-        option equal to the registered default, as the same configuration.
-        Non-primitive option values contribute their type name.
-        """
-        canonical = self.resolve(name)
-        merged = {**self._entries[canonical].defaults, **options}
-        items = tuple(
-            sorted(
-                (
-                    key,
-                    value
-                    if isinstance(value, PRIMITIVE_OPTION_TYPES)
-                    else type(value).__name__,
-                )
-                for key, value in merged.items()
-            )
-        )
-        return (canonical, items)
+        """Instantiate the algorithm registered under ``name`` with ``options``."""
+        return self.entry(name).load()(**options)
 
     def available(self) -> list[str]:
         """Canonical algorithm names in registration order."""
@@ -228,7 +183,6 @@ build = registry.build
 available = registry.available
 describe = registry.describe
 resolve = registry.resolve
-configuration_key = registry.configuration_key
 
 
 def _register_builtins() -> None:

@@ -59,12 +59,14 @@ All equality predicates use SQLite's null-safe ``IS`` operator, so ``None``
 values join with themselves exactly as they do in the Python executors.
 
 Cancellation polls the same :class:`~repro.deadline.Deadline` as the
-columnar executor: an armed execution that has a statement to run (not a
-recycled one) starts a small watcher thread that calls
-:meth:`sqlite3.Connection.interrupt` when the deadline fires (cancel event
-set or instant passed), and the interrupted statement surfaces as
+columnar executor, on the executing thread: an armed execution installs a
+:meth:`sqlite3.Connection.set_progress_handler` callback that polls it every
+``_PROGRESS_STEPS`` SQLite instructions of the program steps and the answer
+fetch and aborts the statement when the deadline fires (cancel event set or
+instant passed); the interrupted statement surfaces as
 :class:`~repro.exceptions.TimeoutExceeded` with the same messages — the
-serving layer's ``cancelled_running`` accounting works unchanged.
+serving layer's ``cancelled_running`` accounting works unchanged.  No SQL
+execution starts a thread.
 Transient SQLite errors at the ``sqlgen.connect`` / ``sqlgen.exec`` fault
 points are retried per statement under a :class:`~repro.faults.RetryPolicy`
 (each statement is atomic, so a retry can never double-apply); interrupts
@@ -99,8 +101,9 @@ __all__ = [
     "execute_plan_sql",
 ]
 
-#: Watcher poll interval; bounds how late an interrupt lands.
-_INTERRUPT_POLL = 0.02
+#: SQLite virtual-machine instructions between two deadline polls of an
+#: armed execution; bounds how late an interrupt lands.
+_PROGRESS_STEPS = 10_000
 #: Rows of recycled temp tables a :class:`SQLStore` keeps; beyond it the
 #: least recently used tables not pinned by the running program are dropped.
 _ROW_BUDGET = 1_000_000
@@ -586,62 +589,48 @@ class SQLStore:
 class _InterruptGuard:
     """The SQL arm's actuator for one execution's :class:`~repro.deadline.Deadline`.
 
-    Once :meth:`watch` is called on an armed guard, a watcher thread polls
-    the deadline and calls :meth:`sqlite3.Connection.interrupt` the moment
-    it fires; the aborted statement's :class:`sqlite3.OperationalError` is
-    translated to :class:`~repro.exceptions.TimeoutExceeded` by the
-    executor.  ``check()`` at step boundaries catches a signal that lands
-    *between* statements.  Unarmed guards (no deadline) and executions that
-    recycle every step (a thread costs more than they do) start no thread.
+    Entered with a deadline, the guard installs a SQLite progress handler
+    that polls the deadline every ``_PROGRESS_STEPS`` virtual-machine
+    instructions and aborts the running statement the moment it fires; the
+    statement's ``OperationalError: interrupted`` is translated to
+    :class:`~repro.exceptions.TimeoutExceeded` by the executor.  ``check()``
+    at step boundaries catches a signal that lands *between* statements.
+    Without a deadline the guard installs nothing.
     """
 
-    __slots__ = ("connection", "deadline", "fired", "reason", "_stop", "_thread")
+    __slots__ = ("connection", "deadline", "reason")
 
     def __init__(self, connection, deadline: Deadline | None = None) -> None:
         self.connection = connection
         self.deadline = deadline
-        self.fired = False
-        self.reason = ""
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        #: Why the deadline fired (``None`` while it has not).
+        self.reason: str | None = None
+
+    @property
+    def fired(self) -> bool:
+        return self.reason is not None
 
     def _poll(self) -> bool:
-        reason = None if self.deadline is None else self.deadline.reason()
-        if reason is not None:
-            self.reason = f"query execution {reason}"
-            self.fired = True
-        return self.fired
-
-    def _watch(self) -> None:
-        while not self._stop.wait(_INTERRUPT_POLL):
-            if self._poll():
-                try:
-                    self.connection.interrupt()
-                except sqlite3.Error:  # pragma: no cover - closing race
-                    pass
-                return
+        if self.reason is None and self.deadline is not None:
+            reason = self.deadline.reason()
+            if reason is not None:
+                self.reason = f"query execution {reason}"
+        return self.reason is not None
 
     def check(self) -> None:
         """Raise if cancellation already fired (or fires right now)."""
-        if self.fired or self._poll():
+        if self._poll():
             raise TimeoutExceeded(self.reason)
 
-    def watch(self) -> None:
-        """Start the watcher (once, if armed): a statement that can run long follows."""
-        if self._thread is None and self.deadline is not None:
-            self._thread = threading.Thread(
-                target=self._watch, name="repro-sqlgen-watchdog", daemon=True
-            )
-            self._thread.start()
-
     def __enter__(self) -> "_InterruptGuard":
+        if self.deadline is not None:
+            self.connection.set_progress_handler(self._poll, _PROGRESS_STEPS)
         return self
 
     def stop(self) -> None:
-        """Stop the watcher; no interrupt lands after this returns."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
+        """Remove the progress handler; no interrupt lands after this returns."""
+        if self.deadline is not None:
+            self.connection.set_progress_handler(None, 0)
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
@@ -668,7 +657,7 @@ class SQLExecutor:
                 return connection.execute(sql)
             except sqlite3.Error:
                 if guard is not None and guard.fired:
-                    # The watcher interrupted this statement: surface the
+                    # The progress handler aborted this statement: surface the
                     # cancellation, not the carrier error, and never retry.
                     raise TimeoutExceeded(guard.reason) from None
                 raise
@@ -714,7 +703,6 @@ class SQLExecutor:
             if rows is not None:
                 tables.move_to_end(name)
             else:
-                guard.watch()
                 self._exec(connection, sql, guard)
                 rows = 0
                 if kind != "index":
@@ -735,7 +723,6 @@ class SQLExecutor:
         def answer_rows() -> set[tuple]:
             if not plan.output:
                 return {()}
-            guard.watch()
             fetched = self._exec(connection, program.answer, guard).fetchall()
             guard.check()
             stats.rows_materialised += len(fetched)

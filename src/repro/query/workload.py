@@ -15,7 +15,7 @@ shared engine.  An engine owns
   one decomposition search even if their relation names differ;
 * a **plan cache** — an LRU obtained from the decomposition engine's
   :meth:`~repro.pipeline.engine.DecompositionEngine.auxiliary_cache`, keyed
-  by (query signature, answer mode, algorithm configuration), so repeated
+  by (query signature, answer mode, decomposer ``cache_key()``), so repeated
   query shapes skip planning entirely;
 * per-database **column stores** so dictionary encodings and base-relation
   key indexes persist across the queries of a workload.
@@ -173,7 +173,9 @@ class QueryEngine:
     """Plan-compiled query evaluation with cached plans.
 
     ``algorithm`` is any registry name, ``max_width`` (at least 1) and
-    ``timeout`` bound the decomposition search.  ``engine`` pins an explicit
+    ``timeout`` bound the decomposition search; an unknown algorithm or an
+    option it does not take is a :class:`~repro.exceptions.SolverError`
+    here.  ``engine`` pins an explicit
     :class:`~repro.pipeline.engine.DecompositionEngine`; by default the
     process-wide engine is used, so plans and decompositions are shared with
     every other caller and reset together via
@@ -200,9 +202,11 @@ class QueryEngine:
         self.timeout = timeout
         self.engine = engine
         self.algorithm_options = algorithm_options
-        self._configuration = registry.configuration_key(
-            algorithm, timeout=timeout, **algorithm_options
-        )
+        try:
+            decomposer = registry.build(algorithm, timeout=timeout, **algorithm_options)
+        except TypeError as error:
+            raise SolverError(f"bad algorithm configuration: {error}") from None
+        self._configuration = decomposer.cache_key()
         #: Per-database column stores, dropped when the database is collected.
         self._stores: "weakref.WeakKeyDictionary[Database, ColumnStore]" = (
             weakref.WeakKeyDictionary()
@@ -219,13 +223,10 @@ class QueryEngine:
 
     @property
     def configuration(self) -> tuple:
-        """The resolved algorithm-configuration key of this engine.
-
-        Computed through
-        :meth:`repro.pipeline.registry.DecomposerRegistry.configuration_key`,
-        so aliases and defaulted options collapse to one identity; the plan
-        cache and the serving layer's dedup table key on it.
-        """
+        """The :meth:`~repro.core.base.Decomposer.cache_key` of this engine's
+        decomposer, so aliases and defaulted options collapse to one
+        identity; the plan and SQL-program caches and the serving layer's
+        dedup table key on it."""
         return self._configuration
 
     # ------------------------------------------------------------------ #

@@ -12,7 +12,7 @@ single-caller library into something that can sit behind traffic:
   memo of completed results for a submit-time fast path that bypasses the
   queue entirely.
 * **In-flight deduplication** — concurrent requests for the same
-  ``(canonical hash, k, algorithm configuration)`` coalesce onto one
+  ``(canonical hash, k, Decomposer.cache_key())`` coalesce onto one
   computation: followers attach a ticket to the in-flight task and all
   tickets are released together when it completes.  Under duplicate-heavy
   traffic the expensive search runs exactly once per distinct key.
@@ -59,12 +59,12 @@ from dataclasses import dataclass, field, replace
 from itertools import count
 
 from .. import faults
-from ..core.base import DecompositionResult, SearchStatistics
+from ..core.base import PRIMITIVE_OPTION_TYPES, DecompositionResult, SearchStatistics
 from ..exceptions import QueryError, ServiceError, SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..lru import ShardStats, ShardedLRU
 from ..pipeline.engine import DecompositionEngine, default_engine
-from ..pipeline.registry import PRIMITIVE_OPTION_TYPES, registry
+from ..pipeline.registry import registry
 from ..query.plan import AnswerMode, check_executor
 from ..query.workload import QueryEngine, QueryResult, query_signature
 from .process_backend import POLL_INTERVAL, ProcessBackend, WorkerDied
@@ -220,6 +220,14 @@ class ServiceTicket:
         return self._service._cancel_ticket(self)
 
 
+def _build(algorithm: str, timeout: float | None, options: dict):
+    """Build ``algorithm``'s decomposer; an unknown name or option is a :class:`ServiceError`."""
+    try:
+        return registry.build(algorithm, timeout=timeout, **options)
+    except (TypeError, SolverError) as error:
+        raise ServiceError(f"bad algorithm configuration: {error}") from None
+
+
 def _percentile(samples: list[float], fraction: float) -> float:
     if not samples:
         return 0.0
@@ -353,15 +361,12 @@ class DecompositionService:
         self.poison_threshold = poison_threshold
         self.engine = engine if engine is not None else default_engine()
         self.algorithm = algorithm
-        # timeout is handled as an explicit parameter everywhere downstream
-        # (submit, configuration_key, registry.build, QueryEngine); leaving
-        # it inside algorithm_options would collide with those keywords.
+        # timeout is an explicit keyword of submit, registry.build and
+        # QueryEngine; leaving it inside algorithm_options would collide
+        # with it there.
         self.default_timeout = algorithm_options.pop("timeout", None)
         self.algorithm_options = dict(algorithm_options)
-        try:
-            registry.build(algorithm, timeout=self.default_timeout, **algorithm_options)
-        except (TypeError, SolverError) as error:
-            raise ServiceError(f"bad default algorithm configuration: {error}") from None
+        _build(algorithm, self.default_timeout, algorithm_options)
         self.num_workers = num_workers
 
         self._seq = count()
@@ -423,11 +428,13 @@ class DecompositionService:
 
         ``timeout`` bounds the *computation* (enforced by the engine's
         deadline machinery; a timed-out request completes with
-        ``result.timed_out``), not the caller's wait.  Requests for the
-        same ``(canonical hash, k, configuration)`` key are deduplicated:
-        already-completed keys return an immediately-done ticket from the
-        sharded result memo, in-flight keys coalesce onto the running
-        computation.
+        ``result.timed_out``), not the caller's wait.  The request's
+        decomposer is built here, so an unknown algorithm or an option it
+        does not take is a :class:`ServiceError` at submit.  Requests for
+        the same ``(canonical hash, k, decomposer.cache_key())`` key are
+        deduplicated: already-completed keys return an immediately-done
+        ticket from the sharded result memo, in-flight keys coalesce onto
+        the running computation.
 
         Coalesced and memo-served callers share one
         :class:`~repro.core.base.DecompositionResult` object (hosted on the
@@ -443,7 +450,7 @@ class DecompositionService:
         # Service-level options are tailored to the service's default
         # algorithm; a per-request override of a *different* algorithm must
         # not inherit them (it may not accept those keywords at all).
-        if registry.resolve(name) == registry.resolve(self.algorithm):
+        if name in registry and registry.resolve(name) == registry.resolve(self.algorithm):
             merged = {**self.algorithm_options, **options}
         else:
             merged = dict(options)
@@ -456,17 +463,17 @@ class DecompositionService:
             merged.pop("timeout", None)
         if timeout is None:
             timeout = self.default_timeout
-        configuration = registry.configuration_key(name, timeout=timeout, **merged)
-        key = ("decompose", hypergraph.canonical_hash(), k, configuration)
+        decomposer = _build(name, timeout, merged)
+        key = ("decompose", hypergraph.canonical_hash(), k, decomposer.cache_key())
         memoize = True
         if not all(
             isinstance(value, PRIMITIVE_OPTION_TYPES) for value in merged.values()
         ):
-            # configuration_key collapses object-valued options (e.g. a
-            # hybrid metric instance) to their type name, so two requests
-            # with differently-parameterized objects of one class would
-            # collide.  Make such requests unique instead of risking a
-            # wrong shared result: no cross-request dedup or memoization.
+            # cache_key() collapses object-valued options (e.g. a hybrid
+            # metric instance) to their type name, so two requests with
+            # differently-parameterized objects of one class would collide.
+            # Make such requests unique instead of risking a wrong shared
+            # result: no cross-request dedup or memoization.
             key = key + ("unshared", next(self._seq))
             memoize = False
         submitted_at = time.monotonic()
@@ -480,7 +487,6 @@ class DecompositionService:
             )
 
         def run(cancel_event):
-            decomposer = registry.build(name, timeout=timeout, **merged)
             return self.engine.decompose(decomposer, hypergraph, k, cancel_event=cancel_event)
 
         return self._admit(

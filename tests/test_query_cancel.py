@@ -9,6 +9,7 @@ layer's ``cancelled_running`` accounting for queries aborted mid-execution.
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
 
@@ -28,6 +29,7 @@ from repro.query.columnar import (
 )
 from repro.query.database import Database
 from repro.query.plan import AnswerMode
+from repro.query.sqlgen import _InterruptGuard
 from repro.service import DecompositionService
 
 
@@ -244,12 +246,12 @@ def test_query_timeout_aborts_running_execution():
 
 
 # --------------------------------------------------------------------------- #
-# the SQL arm's watcher thread starts lazily
+# the SQL arm polls its deadline from a progress handler, on the executing thread
 # --------------------------------------------------------------------------- #
 def test_recycled_sql_execution_starts_no_watchdog_thread(monkeypatch):
-    # A fully recycled query costs less than starting and joining a thread,
-    # so an armed guard only starts its watcher before a statement that can
-    # run long; cancellation is still honoured at every step boundary.
+    # An armed execution polls its deadline from SQLite's progress handler
+    # on the executing thread, cold or recycled; cancellation is still
+    # honoured at every step boundary.
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(
@@ -258,8 +260,7 @@ def test_recycled_sql_execution_starts_no_watchdog_thread(monkeypatch):
     engine, database = _engine_and_database()
     armed = threading.Event()  # what the service always passes
     cold = engine.execute(QUERY, database, "count", executor="sql", cancel_event=armed)
-    assert started == ["repro-sqlgen-watchdog"]  # tables had to be built
-    del started[:]
+    assert cold.execution.statistics.bags_built > 0 and started == []
     for mode in ("count", "boolean"):
         warm = engine.execute(QUERY, database, mode, executor="sql", cancel_event=armed)
         assert warm.boolean == cold.boolean
@@ -269,3 +270,24 @@ def test_recycled_sql_execution_starts_no_watchdog_thread(monkeypatch):
     with pytest.raises(TimeoutExceeded, match="cancelled"):
         engine.execute(QUERY, database, "count", executor="sql", cancel_event=armed)
     assert started == []
+
+
+def test_sql_progress_handler_aborts_a_running_statement():
+    # The deadline fires while one statement runs: SQLite's progress
+    # handler, not a step boundary, stops it.  Leaving the guard removes the
+    # handler, so the connection runs the cleanup that follows.
+    connection = sqlite3.connect(":memory:")
+    slow = (
+        "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n "
+        "WHERE i < 100000000) SELECT COUNT(*) FROM n"
+    )
+    start = time.monotonic()
+    with pytest.raises(sqlite3.OperationalError, match="interrupted"):
+        with _InterruptGuard(connection, Deadline.arm(0.05)) as guard:
+            connection.execute(slow).fetchone()
+    assert guard.fired and guard.reason.startswith("query execution")
+    assert time.monotonic() - start < 2.0
+    assert connection.execute("SELECT 1").fetchone() == (1,)
+    with _InterruptGuard(connection) as unarmed:  # installs nothing
+        assert connection.execute("SELECT 2").fetchone() == (2,)
+    assert not unarmed.fired

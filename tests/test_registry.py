@@ -8,7 +8,10 @@ from repro.core import make_decomposer
 from repro.core.detk import DetKDecomposer
 from repro.core.hybrid import HybridDecomposer
 from repro.exceptions import SolverError
-from repro.pipeline import DecomposerRegistry, registry
+from repro.hypergraph import generators
+from repro.pipeline import DecomposerRegistry, DecompositionEngine, ResultCache, registry
+from repro.query import QueryEngine
+from repro.service import DecompositionService
 
 
 def test_build_by_alias():
@@ -52,11 +55,12 @@ def test_register_custom_factory_with_defaults():
             self.timeout = timeout
             self.flavour = flavour
 
-    fresh.register("dummy", factory=Dummy, aliases=("d",), defaults={"flavour": "spicy"})
+    fresh.register("dummy", factory=Dummy, aliases=("d",))
     built = fresh.build("d", timeout=3)
-    assert built.flavour == "spicy" and built.timeout == 3
-    # Explicit options override registered defaults.
+    assert built.flavour == "plain" and built.timeout == 3  # the factory's defaults
     assert fresh.build("dummy", flavour="mild").flavour == "mild"
+    with pytest.raises(TypeError):
+        fresh.register("spicy", factory=Dummy, defaults={"flavour": "spicy"})
 
 
 def test_duplicate_registration_rejected_and_overwritable():
@@ -94,8 +98,9 @@ def test_unregister_removes_aliases():
     assert "ex" not in fresh
 
 
-#: Catalog rows and compiled-plan cache entries are keyed by these; a
-#: refactor of a decomposer's attributes must not move them.
+#: Engine cache entries, catalog rows, compiled-plan cache entries and the
+#: serving layer's dedup table are keyed by these; a refactor of a
+#: decomposer's attributes must not move them.
 _PINNED_IDENTITIES = [
     (
         "logk",
@@ -178,9 +183,15 @@ _PINNED_IDENTITIES = [
     _PINNED_IDENTITIES,
     ids=[name + "".join(f"-{k}{v}" for k, v in opts.items()) for name, opts, _ in _PINNED_IDENTITIES],
 )
-def test_cache_and_configuration_keys_are_pinned(name, options, cache_key):
+def test_cache_and_configuration_keys_are_pinned(name, options, cache_key, monkeypatch):
     assert registry.build(name, **options).cache_key() == cache_key
-    assert registry.configuration_key(name, **options) == (
-        name,
-        tuple(sorted(options.items())),
+    assert QueryEngine(algorithm=name, **options).configuration == cache_key
+    probed = []
+    get = ResultCache.get
+    monkeypatch.setattr(
+        ResultCache, "get", lambda self, key: (probed.append(key[2]), get(self, key))[1]
     )
+    with DecompositionService(num_workers=1, engine=DecompositionEngine()) as service:
+        ticket = service.submit(generators.cycle(6), 2, algorithm=name, **options)
+        assert ticket.result(timeout=30).success
+    assert ticket.key[3] == cache_key and set(probed) == {cache_key}

@@ -101,7 +101,7 @@ def test_repeat_submission_hits_fast_path(service, cycle10):
 
 
 def test_object_valued_options_are_never_shared(service, cycle10):
-    # configuration_key collapses object values to their type name, so two
+    # cache_key() collapses object values to their type name, so two
     # differently-parameterized metric instances would collide; the service
     # must bypass dedup/memoization for such requests.
     from repro.core.hybrid import EdgeCountMetric
@@ -314,6 +314,27 @@ def test_bad_default_algorithm_configuration_fails_at_construction():
         DecompositionService(num_workers=1, timout=5)
     with pytest.raises(ServiceError, match="no-such-algorithm"):
         DecompositionService(num_workers=1, algorithm="no-such-algorithm")
+
+
+def test_bad_request_option_fails_at_submit(service, cycle6):
+    # The request's decomposer is built at submit, so a misspelt option is
+    # a typed error there, not a ticket that fails later.
+    with pytest.raises(ServiceError, match="timout"):
+        service.submit(cycle6, 2, timout=5)
+    with pytest.raises(ServiceError, match="no-such-algorithm"):
+        service.submit(cycle6, 2, algorithm="no-such-algorithm")
+    assert service.stats().submitted == 0
+
+
+def test_an_option_spelled_at_its_default_shares_the_computation(service):
+    # Requests are keyed by the built decomposer's cache_key(), as the
+    # engine's cache is: the hybrid's default threshold spelled out is the
+    # same configuration.
+    c8 = generators.cycle(8)
+    assert service.submit(c8, 2).result(timeout=30).success
+    again = service.submit(c8, 2, threshold=400.0)
+    assert again.done() and again.result().success
+    assert service.stats().computations_by_kind == {"decompose": 1}
 
 
 def test_out_of_range_priority_is_rejected(service, cycle6):

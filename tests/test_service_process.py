@@ -139,6 +139,14 @@ def test_process_backend_rejects_object_valued_options(service, cycle10):
         service.submit(cycle10, 2, algorithm="hybrid", metric=EdgeCountMetric())
 
 
+def test_process_backend_rejects_a_bad_option_at_submit(service, cycle6):
+    # The parent builds the request's decomposer before anything ships, so
+    # a misspelt option never reaches a worker.
+    with pytest.raises(ServiceError, match="timout"):
+        service.submit(cycle6, 2, timout=5)
+    assert service.stats().submitted == 0
+
+
 def test_parallel_algorithm_needs_no_backend_option(service, cycle10):
     # Service workers are daemonic and may not fork; the parallel decomposer
     # notices that itself and runs the sequential search there, so the ticket

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import QueryError, TimeoutExceeded
+from repro.exceptions import QueryError, SolverError, TimeoutExceeded
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine, default_engine, set_default_engine
-from repro.pipeline.registry import configuration_key
 from repro.query import (
     AnswerMode,
     QueryEngine,
@@ -118,9 +117,20 @@ def test_unsatisfiable_width_raises(isolated_engine):
 
 
 def test_configuration_key_resolves_aliases_and_defaults():
-    assert configuration_key("hybrid") == configuration_key("log-k-decomp-hybrid")
-    assert configuration_key("hybrid") != configuration_key("hybrid", threshold=7.0)
-    assert configuration_key("logk") != configuration_key("detk")
+    def configuration(algorithm="hybrid", **options):
+        return QueryEngine(algorithm, **options).configuration
+
+    assert configuration() == configuration("log-k-decomp-hybrid")
+    assert configuration() == configuration(threshold=400.0)  # the default, spelled out
+    assert configuration() != configuration(threshold=7.0)
+    assert configuration("logk") != configuration("detk")
+
+
+def test_bad_algorithm_option_fails_at_construction():
+    with pytest.raises(SolverError, match="timout"):
+        QueryEngine(timout=5)
+    with pytest.raises(SolverError, match="no-such-algorithm"):
+        QueryEngine("no-such-algorithm")
 
 
 def test_auxiliary_cache_is_named_and_stable():
