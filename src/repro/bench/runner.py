@@ -61,11 +61,14 @@ DecomposerFactory = Callable[[float | None], Decomposer]
 
 @dataclass(frozen=True)
 class DecomposerSpec:
-    """A named decomposition method: a label plus a factory taking a timeout."""
+    """A named decomposition method: a label plus a factory taking a timeout.
+
+    ``factory=None`` is the direct optimal solver, which takes no width
+    parameter (:func:`run_optimal_solver`).
+    """
 
     label: str
-    factory: DecomposerFactory
-    parametrised: bool = True
+    factory: DecomposerFactory | None
 
 
 def default_method_specs(num_workers: int = 1) -> list[DecomposerSpec]:
@@ -76,13 +79,9 @@ def default_method_specs(num_workers: int = 1) -> list[DecomposerSpec]:
     """
     return [
         DecomposerSpec("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t)),
-        DecomposerSpec("HtdLEO", _optimal_factory, parametrised=False),
+        DecomposerSpec("HtdLEO", None),
         DecomposerSpec("log-k-decomp Hybrid", lambda t: _hybrid_factory(t, num_workers)),
     ]
-
-
-def _optimal_factory(timeout: float | None) -> Decomposer:  # pragma: no cover - trivial
-    raise RuntimeError("the optimal solver is run through run_optimal_solver")
 
 
 def _hybrid_factory(timeout: float | None, num_workers: int) -> Decomposer:
@@ -246,16 +245,16 @@ def run_experiment(
     for instance in instances:
         for spec in specs:
             start = time.monotonic()
-            if spec.parametrised:
-                record = run_parametrised(
-                    instance, spec.label, spec.factory, time_budget, max_width
-                )
-            else:
+            if spec.factory is None:
                 record = run_optimal_solver(
                     instance,
                     spec.label,
                     time_budget * optimal_budget_factor,
                     max_width,
+                )
+            else:
+                record = run_parametrised(
+                    instance, spec.label, spec.factory, time_budget, max_width
                 )
             data.add(record)
             if progress is not None:

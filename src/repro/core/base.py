@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from ..counters import Counters
 from ..deadline import Deadline
 from ..decomp.covers import CoverEnumerator
-from ..decomp.decomposition import Decomposition
+from ..decomp.decomposition import Decomposition, HypertreeDecomposition
 from ..decomp.extended import FragmentNode
 from ..exceptions import SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
@@ -246,8 +246,8 @@ class Decomposer(ABC):
     """Abstract base class of all decomposition algorithms.
 
     Subclasses implement :meth:`search`, which returns the fragment tree of
-    an HD of width at most ``k`` or ``None``; algorithms that do not build
-    fragments override :meth:`_run` and return the decomposition itself.
+    a decomposition of width at most ``k`` or ``None``; :attr:`kind` is the
+    decomposition class a found fragment is wrapped in.
 
     The public :meth:`decompose` routes through the staged
     :class:`~repro.pipeline.engine.DecompositionEngine` (width-preserving
@@ -257,6 +257,8 @@ class Decomposer(ABC):
     """
 
     name = "abstract"
+    #: The conditions a found fragment claims (a GHD search drops the special one).
+    kind: type[Decomposition] = HypertreeDecomposition
 
     def __init__(self, timeout: float | None = None, engine=None) -> None:
         self.timeout = timeout
@@ -275,13 +277,6 @@ class Decomposer(ABC):
         else is partitioned: not the hybrid's budgeted det-k root.
         """
         raise NotImplementedError
-
-    def _run(self, context: SearchContext) -> Decomposition | None:
-        """Run the search and return a decomposition of width <= k, or None."""
-        fragment = self.search(context)
-        if fragment is None:
-            return None
-        return fragment_to_decomposition(context.host, fragment)
 
     def cache_key(self) -> tuple:
         """Identity of this algorithm configuration for engine cache keys.
@@ -337,12 +332,14 @@ class Decomposer(ABC):
             deadline = Deadline.arm(self.timeout)
         context = SearchContext(hypergraph, k, deadline)
         start = time.monotonic()
-        timed_out = False
-        decomposition: Decomposition | None = None
+        timed_out, fragment = False, None
         try:
-            decomposition = self._run(context)
+            fragment = self.search(context)
         except TimeoutExceeded:
             timed_out = True
+        decomposition = (
+            None if fragment is None else fragment_to_decomposition(hypergraph, fragment, self.kind)
+        )
         elapsed = time.monotonic() - start
         return DecompositionResult(
             algorithm=self.name,
@@ -354,13 +351,6 @@ class Decomposer(ABC):
             timed_out=timed_out,
             statistics=context.stats,
         )
-
-    def is_width_at_most(self, hypergraph: Hypergraph, k: int) -> bool | None:
-        """Convenience wrapper: True / False, or ``None`` on timeout."""
-        result = self.decompose(hypergraph, k)
-        if result.timed_out:
-            return None
-        return result.success
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} timeout={self.timeout}>"

@@ -10,7 +10,8 @@ needed to turn these into full hypertree decompositions:
   c, below which the fragments of the components "below" c hang.
 * :func:`fragment_to_decomposition` — conversion of a *complete* fragment
   (one without special leaves) into a user-facing
-  :class:`~repro.decomp.decomposition.HypertreeDecomposition`.
+  :class:`~repro.decomp.decomposition.HypertreeDecomposition` (or, for the
+  GHD search, a :class:`~repro.decomp.decomposition.GeneralizedHypertreeDecomposition`).
 
 Fragments are persistent: no node is changed once built, and stitching
 rebuilds only the path to the replaced leaf.  The searches' memos hand the
@@ -20,7 +21,7 @@ unfolds it into a tree.
 
 from __future__ import annotations
 
-from ..decomp.decomposition import DecompositionNode, HypertreeDecomposition
+from ..decomp.decomposition import Decomposition, DecompositionNode, HypertreeDecomposition
 from ..decomp.extended import BitComp, FragmentNode
 from ..exceptions import DecompositionError
 from ..hypergraph import Hypergraph
@@ -97,9 +98,11 @@ def replace_special_leaf(
 
 
 def fragment_to_decomposition(
-    host: Hypergraph, fragment: FragmentNode
-) -> HypertreeDecomposition:
-    """Convert a complete fragment into a :class:`HypertreeDecomposition`.
+    host: Hypergraph,
+    fragment: FragmentNode,
+    kind: type[Decomposition] = HypertreeDecomposition,
+) -> Decomposition:
+    """Convert a complete fragment into a ``kind`` (an HD unless told otherwise).
 
     Raises :class:`DecompositionError` if the fragment still contains special
     placeholder leaves (which would mean stitching is incomplete).
@@ -117,4 +120,4 @@ def fragment_to_decomposition(
             children=[convert(child) for child in node.children],
         )
 
-    return HypertreeDecomposition(host, convert(fragment))
+    return kind(host, convert(fragment))

@@ -15,6 +15,12 @@ This module provides a faithful-in-spirit substitute for BalancedGo (see
   beyond connectedness bookkeeping), and
 * reassembles the sub-decompositions around the separator node.
 
+Like every algorithm it implements only :meth:`~repro.core.base.Decomposer.search`:
+the fragment tree it returns (χ the bag mask, λ the cover) is wrapped by the
+shared :meth:`~repro.core.base.Decomposer.decompose_raw` in a
+:class:`~repro.decomp.decomposition.GeneralizedHypertreeDecomposition`
+(:attr:`BalancedGHDDecomposer.kind`), which claims no special condition.
+
 Bags are of the form ∪λ restricted to the current subproblem plus the
 connecting vertices, which is sound (the produced decomposition always
 satisfies the GHD conditions and is checked by the validators) and matches
@@ -29,11 +35,8 @@ from __future__ import annotations
 
 from ..decomp.components import ComponentSplitter
 from ..decomp.covers import label_union
-from ..decomp.decomposition import (
-    DecompositionNode,
-    GeneralizedHypertreeDecomposition,
-)
-from ..decomp.extended import BitComp, full_bitcomp
+from ..decomp.decomposition import GeneralizedHypertreeDecomposition
+from ..decomp.extended import BitComp, FragmentNode, full_bitcomp
 from ..hypergraph.bitset import indices_of
 from .base import Decomposer, SearchContext
 
@@ -44,6 +47,7 @@ class BalancedGHDDecomposer(Decomposer):
     """Balanced-separator GHD search (substitute for BalancedGo)."""
 
     name = "balanced-ghd"
+    kind = GeneralizedHypertreeDecomposition
 
     def __init__(
         self,
@@ -54,18 +58,15 @@ class BalancedGHDDecomposer(Decomposer):
         super().__init__(timeout=timeout, engine=engine)
         self.require_balanced = require_balanced
 
-    def _run(self, context: SearchContext) -> GeneralizedHypertreeDecomposition | None:
-        node = self._decomp(context, full_bitcomp(context.host), conn=0, depth=1)
-        if node is None:
-            return None
-        return GeneralizedHypertreeDecomposition(context.host, node)
+    def search(self, context: SearchContext) -> FragmentNode | None:
+        return self._decomp(context, full_bitcomp(context.host), conn=0, depth=1)
 
     # ------------------------------------------------------------------ #
     # recursive search
     # ------------------------------------------------------------------ #
     def _decomp(
         self, context: SearchContext, comp: BitComp, conn: int, depth: int
-    ) -> DecompositionNode | None:
+    ) -> FragmentNode | None:
         context.stats.record_call(depth)
         context.check_timeout()
         host, k = context.host, context.k
@@ -79,10 +80,7 @@ class BalancedGHDDecomposer(Decomposer):
                 # within width k; fall through to the separator search.
                 pass
             else:
-                return DecompositionNode(
-                    bag=host.mask_to_vertices(bag),
-                    cover=frozenset(host.edge_name(i) for i in cover),
-                )
+                return FragmentNode(chi=bag, lam_edges=cover)
 
         comp_vertices = comp.vertices(host)
         half = comp.size / 2
@@ -118,11 +116,7 @@ class BalancedGHDDecomposer(Decomposer):
                 children.append(child)
             if failed:
                 continue
-            return DecompositionNode(
-                bag=host.mask_to_vertices(bag),
-                cover=frozenset(host.edge_name(i) for i in lam),
-                children=children,
-            )
+            return FragmentNode(chi=bag, lam_edges=lam, children=children)
         return None
 
     def _cover_for(

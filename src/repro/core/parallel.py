@@ -21,7 +21,12 @@ that strategy:
   and no pipe; positives still travel only as the one fragment out.
 * The search itself is not this module's: every worker runs the sequential
   decomposer's own on its partition (the hybrid's ``logk_phase``, or plain
-  log-k-decomp's ``search`` with ``hybrid=False``).
+  log-k-decomp's ``search`` with ``hybrid=False``).  Nor is the run:
+  :class:`ParallelLogKDecomposer` implements only ``search`` (the
+  coordinator), and the shared :meth:`~repro.core.base.Decomposer.decompose_raw`
+  arms the deadline and builds the result.  A cancel, or a partition that
+  timed out or was abandoned, reaches it as
+  :class:`~repro.exceptions.TimeoutExceeded`: the run is undecided.
 * The coordinator forks one supervised
   :class:`~repro.faults.supervise.WorkerProcess` per partition (each worker
   is a separate interpreter).  A caller that may not fork — a daemonic
@@ -40,7 +45,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing as mp
-import time
 from collections.abc import Callable
 from functools import partial
 
@@ -50,8 +54,7 @@ from ..decomp.extended import FragmentNode
 from ..exceptions import SolverError, TimeoutExceeded
 from ..faults.supervise import WorkerProcess, poll, write_frame
 from ..hypergraph import Hypergraph
-from .base import Decomposer, DecompositionResult, SearchContext, SearchStatistics
-from .fragments import fragment_to_decomposition
+from .base import Decomposer, SearchContext, SearchStatistics
 from .hybrid import HybridDecomposer, SwitchMetric
 from .logk import LogKDecomposer
 from .refuted import RefutedTable
@@ -152,48 +155,25 @@ class ParallelLogKDecomposer(Decomposer):
     # ------------------------------------------------------------------ #
     # Decomposer interface
     # ------------------------------------------------------------------ #
-    def decompose_raw(
-        self, hypergraph: Hypergraph, k: int, deadline: Deadline | None = None
-    ) -> DecompositionResult:
-        if deadline is None:
-            deadline = Deadline.arm(self.timeout)
+    def search(self, context: SearchContext) -> FragmentNode | None:
+        base = self._sequential()
         # A daemonic process (a serving-layer worker) may not have children.
         if self.num_workers <= 1 or mp.current_process().daemon:
-            return self._sequential().decompose_raw(hypergraph, k, deadline)
-        start = time.monotonic()
-        partitions = partition_edges(hypergraph.num_edges, self.num_workers)
+            return base.search(context)
+        context.force_timeout_check()
+        search: WorkerSearch = base.search
+        if self.hybrid:
+            # Phase 1 here, once and unpartitioned: its "no" is the
+            # sequential hybrid's.  The workers run phase 2 only, each on
+            # its forked copy of phase 1's det-k memo.
+            detk, decided, fragment = base.detk_phase(context)
+            if decided:
+                return fragment
+            search = partial(base.logk_phase, detk)
         # Built once here (the incidence table on the way): forked workers
         # and their respawns inherit both tables.
-        hypergraph.adjacency_masks()
-        # The coordinator's context: the run's one deadline, phase 1's counters.
-        context = SearchContext(hypergraph, k, deadline)
-        base = self._sequential()
-        search: WorkerSearch = base.search
-        timed_out, decided, fragment = False, False, None
-        try:
-            context.force_timeout_check()
-            if self.hybrid:
-                # Phase 1 here, once and unpartitioned: its "no" is the
-                # sequential hybrid's.  The workers run phase 2 only, each on
-                # its forked copy of phase 1's det-k memo.
-                detk, decided, fragment = base.detk_phase(context)
-                search = partial(base.logk_phase, detk)
-        except TimeoutExceeded:
-            timed_out = decided = True
-        if not decided:
-            timed_out, fragment = self._run_processes(hypergraph, k, partitions, context, search)
-        elapsed = time.monotonic() - start
-        decomposition = None if fragment is None else fragment_to_decomposition(hypergraph, fragment)
-        return DecompositionResult(
-            algorithm=self.name,
-            hypergraph=hypergraph,
-            width_parameter=k,
-            success=fragment is not None,
-            decomposition=decomposition,
-            elapsed=elapsed,
-            timed_out=timed_out and fragment is None,
-            statistics=context.stats,
-        )
+        context.host.adjacency_masks()
+        return self._run_processes(context, search)
 
     # ------------------------------------------------------------------ #
     # the search the workers run, and their supervision
@@ -213,15 +193,13 @@ class ParallelLogKDecomposer(Decomposer):
     #: partition).
     _MAX_RESPAWNS_PER_SLOT = 2
 
-    def _run_processes(
-        self,
-        hypergraph: Hypergraph,
-        k: int,
-        partitions: list[list[int]],
-        context: SearchContext,
-        search: WorkerSearch,
-    ) -> tuple[bool, FragmentNode | None]:
-        """``(timed_out, fragment)``; the workers' counters go to ``context.stats``."""
+    def _run_processes(self, context: SearchContext, search: WorkerSearch) -> FragmentNode | None:
+        """The first fragment a worker finds, or ``None`` once every partition
+        failed; the workers' counters go to ``context.stats``.
+
+        Raises :class:`TimeoutExceeded` on a cancel, and when a partition
+        timed out or was abandoned (its "no" is then unknown).
+        """
         # One supervised worker per partition: a worker that dies without
         # reporting (OOM-killed, injected ``kill``) is respawned on the same
         # partition — the search is pure, so recomputing a partition is
@@ -230,7 +208,8 @@ class ParallelLogKDecomposer(Decomposer):
         # deadline for every attempt (the monotonic clock is shared across
         # the fork): a respawn gets what is left of the caller's budget.
         fault_spec = faults.current_spec()
-        deadline, stats = context.deadline, context.stats
+        hypergraph, k, deadline, stats = context.host, context.k, context.deadline, context.stats
+        partitions = partition_edges(hypergraph.num_edges, self.num_workers)
         # Shared by every worker and respawn from here on (fork inherits it).
         refuted = RefutedTable()
 
@@ -256,7 +235,7 @@ class ParallelLogKDecomposer(Decomposer):
                 # block and report the run as undecided.  The budget the
                 # workers poll themselves, and report.
                 if deadline is not None and deadline.reason() == "cancelled":
-                    return True, None
+                    raise TimeoutExceeded("decomposition cancelled")
                 received = poll(pending, 0.1)
                 for worker, outcome in received:
                     pending.discard(worker)
@@ -264,7 +243,7 @@ class ParallelLogKDecomposer(Decomposer):
                     stats.merge(worker_stats)
                     timed_out = timed_out or worker_timeout
                     if success:
-                        return False, fragment
+                        return fragment
                 if received:
                     continue
                 for worker in workers:
@@ -295,4 +274,6 @@ class ParallelLogKDecomposer(Decomposer):
             for worker in workers:
                 worker.stop()
             refuted.close()
-        return timed_out, None
+        if timed_out:
+            raise TimeoutExceeded("decomposition undecided: a partition timed out or was abandoned")
+        return None

@@ -19,7 +19,6 @@ from .columnar import (
     ColumnarRelation,
     ExecutionResult,
     PlanExecutor,
-    execute_plan,
 )
 from .sqlgen import (
     SQLDatabase,
@@ -27,7 +26,6 @@ from .sqlgen import (
     SQLStore,
     compile_sql,
     dump_database,
-    execute_plan_sql,
 )
 from .workload import (
     PlannedQuery,
@@ -58,13 +56,11 @@ __all__ = [
     "ColumnarRelation",
     "ExecutionResult",
     "PlanExecutor",
-    "execute_plan",
     "SQLDatabase",
     "SQLProgram",
     "SQLStore",
     "compile_sql",
     "dump_database",
-    "execute_plan_sql",
     "PlannedQuery",
     "QueryEngine",
     "QueryResult",

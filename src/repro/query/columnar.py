@@ -79,7 +79,6 @@ __all__ = [
     "ExecutionStatistics",
     "ExecutionResult",
     "PlanExecutor",
-    "execute_plan",
 ]
 
 #: Typecode of the packed code columns: signed 64-bit, matching numpy int64
@@ -1017,21 +1016,3 @@ class PlanExecutor:
                 out.extend(column * rows)
         return ColumnarRelation(schema, tuple(columns), nrows=n_left * n_right)
 
-
-def execute_plan(
-    plan: QueryPlan,
-    database: Database,
-    store: ColumnStore | None = None,
-    deadline: Deadline | None = None,
-) -> ExecutionResult:
-    """Convenience wrapper: run ``plan`` over ``database``.
-
-    Pass a persistent :class:`ColumnStore` to amortise dictionary encoding
-    and base-relation indexes across the queries of a workload; ``deadline``
-    arms in-flight cancellation (see :class:`PlanExecutor`).
-    """
-    if store is None:
-        store = ColumnStore(database)
-    elif store.database is not database:
-        raise QueryError("the column store belongs to a different database")
-    return PlanExecutor(store, deadline).execute(plan)

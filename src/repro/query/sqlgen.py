@@ -98,7 +98,6 @@ __all__ = [
     "SQLExecutor",
     "compile_sql",
     "dump_database",
-    "execute_plan_sql",
 ]
 
 #: SQLite virtual-machine instructions between two deadline polls of an
@@ -735,21 +734,3 @@ class SQLExecutor:
         # is in the registry: the scalar answers need no statement.
         return ExecutionResult.of(plan, stats, tables[program.root], answer_rows)
 
-
-def execute_plan_sql(
-    plan: QueryPlan,
-    database: Database,
-    store: SQLStore | None = None,
-    deadline: Deadline | None = None,
-) -> ExecutionResult:
-    """Convenience wrapper: run ``plan`` over ``database`` via SQL pushdown.
-
-    Pass a persistent :class:`SQLStore` to amortise bulk loading and keep
-    the recycled tables across the queries of a workload; ``deadline`` arms
-    in-flight cancellation (see :class:`SQLExecutor`).
-    """
-    if store is None:
-        store = SQLStore(database)
-    elif store.database is not database:
-        raise QueryError("the SQL store belongs to a different database")
-    return SQLExecutor(store, deadline).execute(plan)

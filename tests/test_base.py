@@ -88,14 +88,6 @@ def test_timeout_marks_result(clique5):
     assert "timeout" in repr(result)
 
 
-def test_is_width_at_most(cycle6):
-    decomposer = LogKDecomposer()
-    assert decomposer.is_width_at_most(cycle6, 2) is True
-    assert decomposer.is_width_at_most(cycle6, 1) is False
-    timed = DetKDecomposer(timeout=0.0)
-    assert timed.is_width_at_most(generators.clique(7), 3) is None
-
-
 def test_repr_mentions_timeout():
     assert "timeout=5" in repr(LogKDecomposer(timeout=5))
 

@@ -25,9 +25,9 @@ from repro.query import (
     Database,
     QueryEngine,
     Relation,
+    SQLStore,
     compile_plan,
     evaluate_query,
-    execute_plan,
     naive_join_query,
     random_database_for_query,
 )
@@ -100,7 +100,7 @@ def _assert_modes_agree_with_naive_join(case):
     store = ColumnStore(database)
     for mode in ("enumerate", "boolean", "count"):
         plan = compile_plan(query, tree, mode)
-        result = execute_plan(plan, database, store)
+        result = PlanExecutor(store).execute(plan)
         assert result.boolean == (len(naive) > 0), mode
         if mode == "enumerate":
             assert result.answers.as_dicts() == naive.as_dicts()
@@ -311,7 +311,7 @@ def _assert_executor_reuses_indexes_across_passes() -> dict:
     width, decomposition = hypertree_width(query.hypergraph())
     tree = join_tree_from_decomposition(decomposition)
     plan = compile_plan(query, tree, "enumerate")
-    result = execute_plan(plan, database)
+    result = PlanExecutor(ColumnStore(database)).execute(plan)
     assert result.statistics.indexes_reused >= 1
     return result.statistics.as_dict()
 
@@ -478,8 +478,9 @@ def test_bags_differing_only_in_an_assigned_cover_atom_share_one_table():
     assert first.bags[0].filters == second.bags[0].filters == ()
     database = random_database_for_query(query, domain_size=4, tuples_per_relation=10, seed=2)
     store = ColumnStore(database)
-    one = execute_plan(first, database, store)
-    two = execute_plan(second, database, store)
+    executor = PlanExecutor(store)
+    one = executor.execute(first)
+    two = executor.execute(second)
     assert (one.statistics.bags_built, one.statistics.bags_reused) == (1, 0)
     assert (two.statistics.bags_built, two.statistics.bags_reused) == (1, 1)
     assert one.answers == two.answers
@@ -512,16 +513,17 @@ def test_bowtie_filter_leaves_the_same_rows_on_both_arms(kernels):
 
 
 def test_store_database_mismatch_rejected():
-    query = ConjunctiveQuery((Atom("r", ("x", "y")),), ("x",))
+    # A column store is bound to one database: the engine keeps one per
+    # database, and a SQL store refuses another database's dictionary.
     db1 = Database([Relation("r", ["a0", "a1"], [(1, 2)])])
     db2 = Database([Relation("r", ["a0", "a1"], [(1, 2)])])
-    width, decomposition = hypertree_width(query.hypergraph())
-    tree = join_tree_from_decomposition(decomposition)
-    plan = compile_plan(query, tree, "enumerate")
+    engine = QueryEngine()
+    assert engine.store_for(db1).database is db1
+    assert engine.store_for(db2).database is db2
     from repro.exceptions import QueryError
 
     with pytest.raises(QueryError):
-        execute_plan(plan, db1, ColumnStore(db2))
+        SQLStore(db1, ColumnStore(db2))
 
 
 # --------------------------------------------------------------------------- #

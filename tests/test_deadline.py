@@ -17,7 +17,6 @@ import pytest
 from repro.core import LogKDecomposer, OptimalHDSolver, ParallelLogKDecomposer
 from repro.core.base import SearchContext
 from repro.core.optimal import exact_ghw
-from repro.core.parallel import partition_edges
 from repro.deadline import Deadline
 from repro.exceptions import TimeoutExceeded
 from repro.hypergraph import Hypergraph, generators
@@ -116,11 +115,8 @@ def test_forked_workers_stop(fired):
     parallel = ParallelLogKDecomposer(num_workers=2, hybrid=False)
     context = SearchContext(HARD, 2, fired())
     search = LogKDecomposer().search
-    with _Timer():
-        timed_out, fragment = parallel._run_processes(
-            HARD, 2, partition_edges(HARD.num_edges, 2), context, search
-        )
-    assert timed_out and fragment is None
+    with _Timer(), pytest.raises(TimeoutExceeded):
+        parallel._run_processes(context, search)
 
 
 @pytest.mark.parametrize("algorithm", ["hybrid", "detk", "logk"])

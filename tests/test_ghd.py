@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BalancedGHDDecomposer, LogKDecomposer
+from repro.core.base import SearchContext
 from repro.decomp import validate_ghd
 from repro.decomp.decomposition import GeneralizedHypertreeDecomposition
+from repro.decomp.extended import FragmentNode
 from repro.exceptions import SolverError
 from repro.hypergraph import Hypergraph, generators
 
@@ -17,6 +19,16 @@ def test_produces_valid_ghd(cycle10):
     assert isinstance(result.decomposition, GeneralizedHypertreeDecomposition)
     validate_ghd(result.decomposition)
     assert result.decomposition.width <= 2
+
+
+def test_search_returns_a_fragment_wrapped_as_a_ghd(cycle10):
+    # The GHD search is a ``search`` like every other; the shared run path
+    # wraps its fragment in the class it declares, not in an HD.
+    fragment = BalancedGHDDecomposer().search(SearchContext(cycle10, 2))
+    assert isinstance(fragment, FragmentNode)
+    result = BalancedGHDDecomposer().decompose_raw(cycle10, 2)
+    assert type(result.decomposition) is GeneralizedHypertreeDecomposition
+    validate_ghd(result.decomposition)
 
 
 def test_acyclic_instance(path5):

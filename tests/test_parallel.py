@@ -49,6 +49,15 @@ def caller(request, monkeypatch):
         monkeypatch.setattr(mp.current_process(), "daemon", True)
 
 
+def test_the_fallback_names_the_parallel_decomposer(caller, cycle10):
+    # One run path: the sequential fallback (one worker, or any number under
+    # a daemonic caller) reports the decomposer that was asked for.
+    workers = 2 if mp.current_process().daemon else 1
+    result = ParallelLogKDecomposer(num_workers=workers).decompose_raw(cycle10, 2)
+    assert result.success
+    assert result.algorithm == ParallelLogKDecomposer.name
+
+
 def test_parallel_positive_instance(caller, cycle10):
     decomposer = ParallelLogKDecomposer(num_workers=2, hybrid=False)
     result = decomposer.decompose_raw(cycle10, 2)

@@ -9,8 +9,9 @@ from repro.core.width import hypertree_width
 from repro.decomp.jointree import JoinTree, JoinTreeNode, join_tree_from_decomposition
 from repro.exceptions import QueryError
 from repro.hypergraph.cq import Atom, ConjunctiveQuery, parse_conjunctive_query
-from repro.query import Database, Relation, execute_plan, execute_plan_sql
+from repro.query import ColumnStore, Database, PlanExecutor, Relation, SQLStore
 from repro.query.plan import AnswerMode, JoinOp, ProjectOp, compile_plan
+from repro.query.sqlgen import SQLExecutor
 
 
 def _join_tree(query):
@@ -127,7 +128,11 @@ def test_describe_lists_the_program(triangle):
     ]
 
 
-@pytest.mark.parametrize("executor", [execute_plan, execute_plan_sql], ids=["columnar", "sql"])
+@pytest.mark.parametrize(
+    "executor",
+    [lambda db: PlanExecutor(ColumnStore(db)), lambda db: SQLExecutor(SQLStore(db))],
+    ids=["columnar", "sql"],
+)
 @pytest.mark.parametrize(
     "root",
     [
@@ -144,7 +149,7 @@ def test_hand_built_join_tree_is_checked(executor, root):
         [Relation("r", ["a0", "a1"], [(1, 2), (3, 4)]), Relation("s", ["a0", "a1"], [(2, 9)])]
     )
     with pytest.raises(QueryError):
-        executor(compile_plan(query, JoinTree(query.hypergraph(), root)), database)
+        executor(database).execute(compile_plan(query, JoinTree(query.hypergraph(), root)))
 
 
 def _tiny_corpus_queries():

@@ -41,15 +41,13 @@ class _BlockingDecomposer(Decomposer):
         self.log = log
         self.tag = tag
 
-    def _run(self, context: SearchContext):
+    def search(self, context: SearchContext):
         while not self.gate.wait(0.005):
             context.force_timeout_check()  # raises on cancel or deadline
         self.log.append(self.tag)
         from repro.core.detk import DetKDecomposer
 
-        return DetKDecomposer().decompose_raw(
-            context.host, context.k
-        ).decomposition
+        return DetKDecomposer().search(context)
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ class _SpinDecomposer(Decomposer):
         super().__init__(timeout=timeout, **engine_options)
         self.signal_path = signal_path
 
-    def _run(self, context: SearchContext):
+    def search(self, context: SearchContext):
         Path(self.signal_path).touch()
         while True:
             time.sleep(0.005)
@@ -65,7 +65,7 @@ class _ExplodingDecomposer(Decomposer):
     def __init__(self, timeout=None, **engine_options):
         super().__init__(timeout=timeout, **engine_options)
 
-    def _run(self, context: SearchContext):
+    def search(self, context: SearchContext):
         raise ValueError("worker exploded")
 
 

@@ -34,7 +34,6 @@ from repro.query import (
     compile_sql,
     dump_database,
     evaluate_query,
-    execute_plan_sql,
     naive_join_query,
     random_database_for_query,
 )
@@ -330,10 +329,6 @@ def test_sql_store_database_mismatch_rejected():
     query = parse_conjunctive_query("ans(x) :- r(x,y).")
     db1 = random_database_for_query(query, seed=1)
     db2 = random_database_for_query(query, seed=2)
-    engine = QueryEngine()
-    planned, _ = engine.plan(query, "enumerate")
-    with pytest.raises(QueryError):
-        execute_plan_sql(planned.plan, db1, SQLStore(db2))
     with pytest.raises(QueryError):  # one value dictionary belongs to one database
         SQLStore(db1, ColumnStore(db2))
 
@@ -472,8 +467,6 @@ def test_compile_sql_program_shape():
     # Executing the compiled program directly matches the engine result.
     result = SQLExecutor(store).execute(planned.plan, program)
     assert result.count == engine.execute(query, database, "count", executor="sql").count
-    # ... and so does the store-less wrapper, on a throwaway store.
-    assert execute_plan_sql(planned.plan, database).count == result.count
 
 
 # --------------------------------------------------------------------------- #
