@@ -1,19 +1,23 @@
 """Micro-benchmark: the request front end scales with the input's incidences.
 
-Every ``decompose`` call parses its text and runs ``simplify`` before the
-result cache is consulted, cache hits included, so the front end's cost is
-paid per request.  Both stages are linear in the number of incidences: the
-parser visits only the structural characters ``(``, ``)`` and ``,``, and each
-simplifier reduction is one pass over a vertex -> edge-position bitmask table.
+Every ``decompose`` call parses its text, runs ``simplify`` and hashes the
+reduced instance before the result cache is probed, cache hits included, so
+the front end's cost is paid per request.  All three stages are linear in
+the number of incidences: the parser walks the body once, one anchored
+regex match per statement; each simplifier reduction is one pass over the
+edge bitmasks and a vertex -> edge-position row table; the canonical hash
+sorts the ``(edge name, sorted vertex names)`` pairs the hypergraph keeps.
 An all-pairs subset scan would be quadratic in the edge count.
 
-The guard times parse + simplify on ``grid(20, 20)`` (760 edges) and
-``grid(40, 40)`` (3,120 edges, 4.1x as many) and asserts that the larger
-input costs less than 8x the smaller.  Both timings come from the same
-process, so the runner's speed cancels out.  An all-pairs subset scan read
-11-21x on a 2-vCPU Intel Xeon VM, the linear front end 4.6-6x.  The perf ledger tracks the
-absolute per-op costs (``hypergraph.parse_us``, ``pipeline.simplify_ms``) on
-its own, smaller inputs; no ledger input is large enough to show the scaling.
+The guard times parse + simplify + ``canonical_hash`` on ``grid(20, 20)``
+(760 edges) and ``grid(40, 40)`` (3,120 edges, 4.1x as many) and asserts
+that the larger input costs less than 8x the smaller.  Both timings come
+from the same process, so the runner's speed cancels out.  An all-pairs
+subset scan read 11-21x on a 2-vCPU Intel Xeon VM, the linear front end
+4.6-6x.  The perf ledger tracks the absolute per-op costs
+(``hypergraph.parse_us``, ``pipeline.simplify_ms``,
+``hypergraph.canonical_hash_us``) on its own, smaller inputs; no ledger
+input is large enough to show the scaling.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ MAX_RATIO = 8.0
 
 
 def _front_end_seconds(text: str) -> float:
-    """Best-of-``REPEAT`` process CPU time of parse + simplify on ``text``."""
+    """Best-of-``REPEAT`` process CPU time of parse + simplify + hash on ``text``."""
     best = float("inf")
     for _ in range(REPEAT):
         start = time.process_time()
-        simplify(parse_hypergraph(text))
+        simplify(parse_hypergraph(text)).reduced.canonical_hash()
         best = min(best, time.process_time() - start)
     return best
 
@@ -50,7 +54,7 @@ def test_front_end_cost_grows_with_the_incidences():
         timings.append(seconds)
         rows.append(
             f"grid({side}, {side})  {hypergraph.num_edges:5d} edges  "
-            f"parse + simplify {seconds * 1e3:8.2f} ms"
+            f"parse + simplify + hash {seconds * 1e3:8.2f} ms"
         )
     ratio = timings[1] / timings[0]
     rows.append(f"ratio {ratio:.1f}x (bar < {MAX_RATIO:.0f}x)")

@@ -76,7 +76,7 @@ def width_sweep(
 
 def smallest_width(
     hypergraph: Hypergraph,
-    algorithm: str = "hybrid",
+    algorithm: str | Decomposer = "hybrid",
     max_width: int = 10,
     timeout: float | None = None,
     **options,
@@ -90,12 +90,19 @@ def smallest_width(
     (each ``k`` gets ``timeout`` seconds) ran out of time before the width
     was decided.  Acyclic hypergraphs short-circuit to width 1 via the GYO
     reduction, matching how practical tools treat the trivial case.
+    ``algorithm`` is a registry name, built with ``timeout`` and ``options``,
+    or a built :class:`~repro.core.base.Decomposer`, run as it is.
     """
     if hypergraph.num_edges == 0:
         raise SolverError("cannot decompose a hypergraph without edges")
     if max_width < 1:
         raise SolverError("max_width must be >= 1")
-    decomposer = make_decomposer(algorithm, timeout=timeout, **options)
+    if not isinstance(algorithm, Decomposer):
+        decomposer = make_decomposer(algorithm, timeout=timeout, **options)
+    elif timeout is None and not options:
+        decomposer = algorithm
+    else:
+        raise SolverError("a built decomposer takes no timeout or options")
     widths = [1] if is_alpha_acyclic(hypergraph) else range(2, max_width + 1)
     runs = width_sweep(lambda k: decomposer.decompose(hypergraph, k), widths)
     last = runs[-1] if runs else None

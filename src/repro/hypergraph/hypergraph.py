@@ -5,11 +5,12 @@ over named vertices.  Following the paper (Section 2), a hypergraph is
 identified with its set of edges; the vertex set is the union of the edges and
 isolated vertices are not representable.
 
-Internally every vertex receives an integer id and every edge is stored both as
-a frozenset of vertex names and as an integer bitmask over vertex ids (see
-:mod:`repro.hypergraph.bitset`).  The decomposition algorithms work exclusively
-on edge indices and vertex bitmasks; the name-based views exist for users, IO
-and validation.
+Internally every vertex receives an integer id and every edge is stored as a
+frozenset of vertex names, as the sorted tuple of those names (the canonical
+hash reads it) and as an integer bitmask over vertex ids (see
+:mod:`repro.hypergraph.bitset`).  The decomposition algorithms work
+exclusively on edge indices and vertex bitmasks; the name-based views exist
+for users, IO and validation.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class Hypergraph:
         "name",
         "_edge_names",
         "_edge_sets",
+        "_edge_sorted",
         "_edge_bits",
         "_edge_index",
         "_vertex_names",
@@ -70,6 +72,7 @@ class Hypergraph:
 
         self._edge_names: list[str] = []
         self._edge_sets: list[frozenset[Vertex]] = []
+        self._edge_sorted: list[tuple[Vertex, ...]] = []
         self._edge_index: dict[str, int] = {}
         self._vertex_names: list[Vertex] = []
         self._vertex_index: dict[Vertex, int] = {}
@@ -84,12 +87,14 @@ class Hypergraph:
             if edge_name in self._edge_index:
                 raise HypergraphError(f"duplicate edge name {edge_name!r}")
             self._edge_index[edge_name] = len(self._edge_names)
+            ordered = tuple(sorted(vertex_set))
             self._edge_names.append(edge_name)
             self._edge_sets.append(vertex_set)
+            self._edge_sorted.append(ordered)
             # Intern new vertices (ids by first appearance, sorted within the
             # edge) and build the edge's bitmask in the same pass.
             bits = 0
-            for vertex in sorted(vertex_set):
+            for vertex in ordered:
                 vertex_id = vertex_index.get(vertex)
                 if vertex_id is None:
                     vertex_id = vertex_index[vertex] = len(vertex_names)
@@ -287,15 +292,25 @@ class Hypergraph:
         result-cache key.  The value is computed lazily and memoised.
         """
         if self._canonical_hash is None:
-            pairs = sorted(
-                (name, tuple(sorted(edge)))
-                for name, edge in zip(self._edge_names, self._edge_sets)
-            )
+            # Edge names are unique, so the sort never compares vertex tuples.
             # repr() of the sorted pair list is an unambiguous serialisation
             # (names are quoted, so separator characters inside names cannot
             # collide with the structure).
-            payload = repr(pairs).encode("utf-8")
-            self._canonical_hash = hashlib.sha256(payload).hexdigest()
+            pairs = sorted(zip(self._edge_names, self._edge_sorted))
+            try:
+                names = "".join(self._edge_names) + "".join(self._vertex_names)
+            except TypeError:  # a name that is not a str
+                names = "'"
+            if names.isprintable() and "'" not in names and "\\" not in names:
+                # Every name's repr() is the name in single quotes: write the
+                # same text directly, at half the cost of repr().
+                payload = "[" + ", ".join(
+                    f"('{name}', ('{vertices[0]}',))" if len(vertices) == 1
+                    else f"""('{name}', ('{"', '".join(vertices)}'))"""
+                    for name, vertices in pairs) + "]"
+            else:
+                payload = repr(pairs)
+            self._canonical_hash = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         return self._canonical_hash
 
     # ------------------------------------------------------------------ #

@@ -45,18 +45,27 @@ __all__ = [
     "from_hif",
 ]
 
-_ATOM_RE = re.compile(r"\s*([A-Za-z0-9_\-.:]+)\s*\(([^()]*)\)\s*")
-_STRUCTURE_RE = re.compile(r"\([^()]*\)|[(),]")
+#: One HyperBench statement: ``name(vertex list)`` or nothing, then its
+#: separator.  A vertex list without whitespace is group 2, any other group 3.
+_STATEMENT_RE = re.compile(
+    r"\s*(?:([A-Za-z0-9_\-.:]+)\s*\((?:([^()\s]*)|([^()]*))\)\s*)?(?:,|\Z)"
+)
+_STRUCTURE_RE = re.compile(r"[(),]")
+_PACE_HEADER_RE = re.compile(r"^\s*p\s+htd\b", re.MULTILINE)
+#: Characters that make the line pass of :func:`_strip_comments` change the
+#: text: comment marks and every line break ``str.splitlines`` knows but
+#: ``\n``.  Without them it only drops a final ``\n``, which parsing strips.
+_LINE_PASS_RE = re.compile("[%#\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def parse_hypergraph(text: str, name: str = "") -> Hypergraph:
     """Parse hypergraph ``text`` in HyperBench, PACE or HIF (JSON) format."""
     if text.lstrip().startswith("{"):
         return from_hif(text, name=name)
-    stripped = _strip_comments(text)
+    stripped = _strip_comments(text) if _LINE_PASS_RE.search(text) else text
     if not stripped.strip():
         raise ParseError("empty hypergraph description")
-    if re.search(r"^\s*p\s+htd\b", stripped, flags=re.MULTILINE):
+    if _PACE_HEADER_RE.search(stripped):
         return _parse_pace(stripped, name)
     return _parse_hyperbench(stripped, name)
 
@@ -190,61 +199,65 @@ def _parse_hyperbench(text: str, name: str) -> Hypergraph:
     if body.endswith("."):
         body = body[:-1]
     atoms: list[tuple[str, list[str]]] = []
-    for statement in _split_top_level(body):
-        statement = statement.strip()
-        if not statement:
-            continue
-        match = _ATOM_RE.fullmatch(statement)
-        if match is None:
-            raise ParseError(f"cannot parse edge statement {statement!r}")
-        edge_name, vertex_part = match.group(1), match.group(2)
-        vertices = [v.strip() for v in vertex_part.split(",") if v.strip()]
+    match = _STATEMENT_RE.match
+    position, end = 0, len(body)
+    while position < end:
+        statement = match(body, position)
+        if statement is None:
+            raise _statement_error(body, position)
+        position = statement.end()
+        edge_name, plain, spaced = statement.groups()
+        if edge_name is None:
+            continue  # an empty statement, as in ``a(x),,b(y)``
+        if plain is not None:
+            vertices = plain.split(",")
+            if "" in vertices:
+                vertices = [v for v in vertices if v]
+        else:
+            vertices = [v for v in map(str.strip, spaced.split(",")) if v]
         if not vertices:
-            raise ParseError(f"edge {edge_name!r} has no vertices")
+            raise _statement_error(body, position, f"edge {edge_name!r} has no vertices")
         atoms.append((edge_name, vertices))
     if not atoms:
         raise ParseError("no edges found in hypergraph description")
-    # A repeated edge name is renamed ``<name>_<n>``, skipping every name the
-    # input states itself, so a later explicit edge keeps its own name.
-    stated = {edge_name for edge_name, _ in atoms}
-    edges: dict[str, list[str]] = {}
-    position = 0
-    for edge_name, vertices in atoms:
-        if edge_name in edges:
-            base = edge_name
-            while edge_name in edges or edge_name in stated:
-                position += 1
-                edge_name = f"{base}_{position}"
-        edges[edge_name] = vertices
+    edges = dict(atoms)
+    if len(edges) < len(atoms):
+        # A repeated edge name is renamed ``<name>_<n>``, skipping every name
+        # the input states itself, so a later explicit edge keeps its own name.
+        stated, edges = edges, {}
+        position = 0
+        for edge_name, vertices in atoms:
+            if edge_name in edges:
+                base = edge_name
+                while edge_name in edges or edge_name in stated:
+                    position += 1
+                    edge_name = f"{base}_{position}"
+            edges[edge_name] = vertices
     return Hypergraph(edges, name=name)
 
 
-def _split_top_level(body: str) -> list[str]:
-    """Split on commas that are not inside parentheses.
+def _statement_error(body: str, position: int, message: str = "") -> ParseError:
+    """The error for a bad statement starting at ``position`` of ``body``.
 
-    Only the structural characters ``(``, ``)`` and ``,`` are visited, and a
-    parenthesised group with no parentheses inside is one token; the text
-    between two top-level commas is sliced out whole.
+    Unbalanced parentheses anywhere in the text take precedence over any
+    one statement's fault.  Without ``message`` the statement is named: the
+    text from ``position`` to the next comma outside parentheses.
     """
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for match in _STRUCTURE_RE.finditer(body):
-        token = match.group()
-        if token == ",":
-            if depth == 0:
-                parts.append(body[start:match.start()])
-                start = match.end()
-        elif token == "(":
+    depth, stop = 0, len(body)
+    for token in _STRUCTURE_RE.finditer(body):
+        if token.group() == "(":
             depth += 1
-        elif token == ")":
+        elif token.group() == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced parentheses in hypergraph description")
-    if depth != 0:
-        raise ParseError("unbalanced parentheses in hypergraph description")
-    parts.append(body[start:])
-    return parts
+                break
+        elif depth == 0 and position <= token.start() < stop:
+            stop = token.start()
+    if depth:
+        return ParseError("unbalanced parentheses in hypergraph description")
+    if message:
+        return ParseError(message)
+    return ParseError(f"cannot parse edge statement {body[position:stop].strip()!r}")
 
 
 def _parse_pace(text: str, name: str) -> Hypergraph:

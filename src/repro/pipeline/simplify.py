@@ -59,14 +59,16 @@ Reduction 2 — vertex collapse (degree-one / interchangeable vertices)
     preserved in both directions and a ``k``-refutation on the reduced
     instance is a valid refutation for the original.
 
-*Cost.*  Each reduction is one pass over the incidences per round.  Both
-build a table from each vertex to the bitmask of the positions of the edges
-holding it.  Reduction 1 reads the surviving edges that contain ``e`` as one
-AND-chain over the rows of ``e``'s vertices, and takes as witness the first
-of them, in position order, that is a proper superset or a duplicate with a
-smaller name — the edge an all-pairs scan in position order would find.
+*Cost.*  Both reductions run on the host's edge bitmasks and one table from
+each vertex id to the bitmask of the positions of the edges holding it.
+Reduction 1 reads the other edges that contain ``e`` as one AND-chain over
+the rows of ``e``'s vertices, and takes as witness the first of them, in
+position order, that survives and is a proper superset or a duplicate with
+a smaller name — the edge an all-pairs scan in position order would find.
 Reduction 2 keys the membership classes by those rows.  No pair of edges is
-compared; the work is O(Σ|e|) big-integer operations per round.
+compared; the work is O(Σ|e|) big-integer operations, and an input that
+reduces nothing (no AND-chain finds another edge, no two rows are equal)
+costs that one pass and builds nothing else.
 
 Removing edges can make memberships equal, so the collapse runs after the
 removal.  One pass of the two reaches the fixpoint: a collapse creates no
@@ -88,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..decomp.decomposition import Decomposition, DecompositionNode
-from ..hypergraph import Hypergraph
+from ..hypergraph import Hypergraph, bitset
 
 __all__ = [
     "RemovedEdge",
@@ -149,76 +151,91 @@ class SimplificationTrace:
         )
 
 
-def _incidence(edges: dict[str, frozenset[str]]) -> dict[str, int]:
-    """Vertex -> bitmask of the positions (in ``edges``) of the edges holding it."""
-    table: dict[str, int] = {}
-    for position, vertices in enumerate(edges.values()):
+def _incidence_rows(masks: tuple[int, ...], num_vertices: int) -> list[int]:
+    """Vertex id -> bitmask of the positions of the edges holding it.
+
+    The transpose of ``masks``.  Built here rather than through
+    :meth:`Hypergraph.incidence_masks`, so that simplifying leaves the
+    host's cached table to the search (which counts building it).
+    """
+    rows = [0] * num_vertices
+    for position, mask in enumerate(masks):
         bit = 1 << position
-        for vertex in vertices:
-            table[vertex] = table.get(vertex, 0) | bit
-    return table
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1] |= bit
+            mask ^= low
+    return rows
 
 
-def _remove_subsumed(
-    edges: dict[str, frozenset[str]], steps: list
-) -> dict[str, frozenset[str]]:
-    """Drop every edge contained in another surviving edge."""
-    names = list(edges)
-    sizes = [len(edges[name]) for name in names]
-    incidence = _incidence(edges)
+def _remove_subsumed(hypergraph: Hypergraph, rows: list[int], steps: list) -> int:
+    """Drop every edge contained in another surviving edge.
+
+    Returns the survivors as a bitmask over edge positions."""
+    masks = hypergraph.edge_masks
+    everything = surviving = hypergraph.all_edges_mask
+    # The other edges containing each edge: an AND-chain of its vertices' rows.
+    containing = []
+    for position, mask in enumerate(masks):
+        candidates = everything ^ (1 << position)
+        while mask and candidates:
+            low = mask & -mask
+            candidates &= rows[low.bit_length() - 1]
+            mask ^= low
+        containing.append(candidates)
+    if not any(containing):
+        return everything
+    names = hypergraph.edge_names
+    sizes = [mask.bit_count() for mask in masks]
     # Deterministic scan order: smaller edges first (they can only be the
     # subsumed side); ties broken by name so duplicates keep the smaller name.
-    order = sorted(range(len(names)), key=lambda p: (sizes[p], names[p]))
-    everything = surviving = (1 << len(names)) - 1
-    for position in order:
-        name, size, bit = names[position], sizes[position], 1 << position
-        # The surviving edges containing this one: an AND-chain of its rows.
-        candidates = surviving ^ bit
-        for vertex in edges[name]:
-            candidates &= incidence[vertex]
-            if not candidates:
-                break
+    for position in sorted(range(len(masks)), key=lambda p: (sizes[p], names[p])):
+        candidates = containing[position] & surviving
         # The first in position order that is a proper superset, or an exact
         # duplicate with a smaller name, is the witness.
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             other = low.bit_length() - 1
-            if sizes[other] > size or names[other] < name:
-                surviving ^= bit
-                steps.append(RemovedEdge(name=name, witness=names[other]))
+            if sizes[other] > sizes[position] or names[other] < names[position]:
+                surviving ^= 1 << position
+                steps.append(RemovedEdge(name=names[position], witness=names[other]))
                 break
-    if surviving == everything:
-        return edges
-    return {
-        name: edges[name]
-        for position, name in enumerate(names)
-        if surviving >> position & 1
-    }
+    return surviving
 
 
 def _collapse_vertices(
-    edges: dict[str, frozenset[str]], steps: list
-) -> dict[str, frozenset[str]]:
-    """Collapse every class of identical-membership vertices onto one vertex."""
-    classes: dict[int, list[str]] = {}
-    for vertex, edge_mask in _incidence(edges).items():
-        classes.setdefault(edge_mask, []).append(vertex)
+    hypergraph: Hypergraph, rows: list[int], surviving: int, steps: list
+) -> int:
+    """Collapse every class of identical-membership vertices onto one vertex.
 
-    to_remove: set[str] = set()
-    for group in classes.values():
-        if len(group) < 2:
-            continue
-        group.sort()
-        representative, partners = group[0], tuple(group[1:])
-        steps.append(CollapsedVertices(representative=representative, removed=partners))
-        to_remove.update(partners)
-    if not to_remove:
-        return edges
-    return {
-        name: frozenset(v for v in vertices if v not in to_remove)
-        for name, vertices in edges.items()
-    }
+    Memberships count the ``surviving`` edges only.  Returns the bitmask of
+    the vertex ids removed.
+    """
+    if surviving != hypergraph.all_edges_mask:
+        rows = [row & surviving for row in rows]
+    if len(set(rows)) == len(rows):
+        return 0
+    classes: dict[int, list[int]] = {}
+    for vertex_id, row in enumerate(rows):
+        classes.setdefault(row, []).append(vertex_id)
+    names = hypergraph.vertex_names
+    groups = [sorted(names[v] for v in group) for group in classes.values() if len(group) > 1]
+
+    def first_met(group: list[str]) -> tuple[int, int]:
+        # Where a scan of the surviving edges in position order, each edge's
+        # vertices in ``edge_vertices`` order, first meets the class: in the
+        # first edge of its row, at its earliest member there.
+        row = rows[hypergraph.vertex_id(group[0])]
+        edge = (row & -row).bit_length() - 1
+        return edge, [v in group for v in hypergraph.edge_vertices(edge)].index(True)
+
+    removed = 0
+    for group in sorted(groups, key=first_met):
+        steps.append(CollapsedVertices(representative=group[0], removed=tuple(group[1:])))
+        for partner in group[1:]:
+            removed |= 1 << hypergraph.vertex_id(partner)
+    return removed
 
 
 def simplify(hypergraph: Hypergraph) -> SimplificationTrace:
@@ -231,15 +248,20 @@ def simplify(hypergraph: Hypergraph) -> SimplificationTrace:
     (no copy is made).
     """
     steps: list[RemovedEdge | CollapsedVertices] = []
-    edges = _collapse_vertices(_remove_subsumed(hypergraph.edges_as_dict(), steps), steps)
+    masks = hypergraph.edge_masks
+    rows = _incidence_rows(masks, hypergraph.num_vertices)
+    surviving = _remove_subsumed(hypergraph, rows, steps)
+    removed = _collapse_vertices(hypergraph, rows, surviving, steps)
     if not steps:
         return SimplificationTrace(original=hypergraph, reduced=hypergraph)
-    # Preserve the original edge order for the survivors (stable, and keeps
+    # The survivors keep the original edge order (stable, and keeps
     # canonical hashes of equal reductions identical regardless of history).
-    ordered = {
-        name: edges[name] for name in hypergraph.edge_names if name in edges
+    keep, names = hypergraph.all_vertices_mask ^ removed, hypergraph.vertex_names
+    edges = {
+        hypergraph.edge_name(p): [names[v] for v in bitset.bits_of(masks[p] & keep)]
+        for p in bitset.bits_of(surviving)
     }
-    reduced = Hypergraph(ordered, name=hypergraph.name)
+    reduced = Hypergraph(edges, name=hypergraph.name)
     return SimplificationTrace(original=hypergraph, reduced=reduced, steps=steps)
 
 

@@ -201,12 +201,14 @@ class QueryEngine:
         self.max_width = max_width
         self.timeout = timeout
         self.engine = engine
-        self.algorithm_options = algorithm_options
         try:
-            decomposer = registry.build(algorithm, timeout=timeout, **algorithm_options)
+            #: The one decomposer every plan-cache miss runs.
+            self._decomposer = registry.build(
+                algorithm, timeout=timeout, engine=engine, **algorithm_options
+            )
         except TypeError as error:
             raise SolverError(f"bad algorithm configuration: {error}") from None
-        self._configuration = decomposer.cache_key()
+        self._configuration = self._decomposer.cache_key()
         #: Per-database column stores, dropped when the database is collected.
         self._stores: "weakref.WeakKeyDictionary[Database, ColumnStore]" = (
             weakref.WeakKeyDictionary()
@@ -313,12 +315,7 @@ class QueryEngine:
         start = time.monotonic()
         # A timeout raises TimeoutExceeded; (None, None) means "wider".
         width, decomposition = smallest_width(
-            query.hypergraph(),
-            algorithm=self.algorithm,
-            max_width=self.max_width,
-            timeout=self.timeout,
-            engine=self.engine,
-            **self.algorithm_options,
+            query.hypergraph(), self._decomposer, max_width=self.max_width
         )
         decomposition_seconds = time.monotonic() - start
         if width is None or decomposition is None:

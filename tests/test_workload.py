@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.width import smallest_width
 from repro.exceptions import QueryError, SolverError, TimeoutExceeded
+from repro.hypergraph import generators
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.engine import DecompositionEngine, default_engine, set_default_engine
+from repro.pipeline.registry import registry
 from repro.query import (
     AnswerMode,
     QueryEngine,
@@ -131,6 +134,26 @@ def test_bad_algorithm_option_fails_at_construction():
         QueryEngine(timout=5)
     with pytest.raises(SolverError, match="no-such-algorithm"):
         QueryEngine("no-such-algorithm")
+
+
+def test_the_decomposer_is_built_once_per_engine(monkeypatch, isolated_engine, triangle):
+    builds = []
+    build = registry.build
+    monkeypatch.setattr(registry, "build", lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    engine = QueryEngine(engine=isolated_engine)
+    path = parse_conjunctive_query("ans(x) :- r(x,y), s(y,z).")
+    for query in (triangle, path):
+        assert engine.plan(query)[1] is False  # a plan-cache miss
+    assert builds == [("hybrid",)]  # construction only; both plan misses reuse it
+    # The plans were decomposed on the engine the query engine was given.
+    assert isolated_engine.cache.statistics.misses > 0
+
+
+def test_smallest_width_refuses_options_beside_a_built_decomposer():
+    decomposer = registry.build("logk")
+    assert smallest_width(generators.cycle(6), decomposer)[0] == 2
+    with pytest.raises(SolverError, match="built decomposer"):
+        smallest_width(generators.cycle(6), decomposer, timeout=1.0)
 
 
 def test_auxiliary_cache_is_named_and_stable():
