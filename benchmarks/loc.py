@@ -1,8 +1,10 @@
 """Line counts of ``src/``: raw, and code-only (no docstring, comment or blank).
 
 Every simplicity PR reports both; ``python3 benchmarks/loc.py [root]`` prints
-``raw / code-only`` and, on a second line, ``settings: N`` — the settable
-values of the public surface, counted by :func:`settings`.
+``raw / code-only``, on a second line ``settings: N`` — the settable values of
+the public surface, counted by :func:`settings` — and on a third ``public: N``,
+the public names: every ``__all__`` entry plus the public methods of the
+classes those entries export (:func:`exported`, :func:`public_methods`).
 """
 
 from __future__ import annotations
@@ -74,9 +76,34 @@ def settings(source: str) -> int:
     return total
 
 
+def exported(source: str) -> list[str]:
+    """The names in one module's ``__all__`` (none without one)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def public_methods(source: str, exported_names: set[str]) -> int:
+    """Methods without a leading underscore of the module-level classes named
+    in ``exported_names`` (any module's ``__all__``), counted where defined."""
+    return sum(
+        isinstance(member, _FUNCTIONS) and not member.name.startswith("_")
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name in exported_names
+        for member in node.body
+    )
+
+
 if __name__ == "__main__":
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent / "src")
     sources = [path.read_text() for path in sorted(root.rglob("*.py"))]
     totals = [count(source) for source in sources]
     print(f"{sum(raw for raw, _ in totals)} / {sum(code for _, code in totals)}")
     print(f"settings: {sum(settings(source) for source in sources)}")
+    names = [exported(source) for source in sources]
+    every = set().union(*names)
+    methods = sum(public_methods(source, every) for source in sources)
+    print(f"public: {sum(map(len, names)) + methods}")

@@ -303,7 +303,7 @@ class NodeFrame(Frame):
         return _new(cls, values)
 
     def build(self) -> DecompositionNode:
-        children = list(map(NodeFrame.build, self.children))
+        children = tuple(map(NodeFrame.build, self.children))
         return DecompositionNode(frozenset(self.bag), frozenset(self.cover), children)
 
 

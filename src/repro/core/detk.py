@@ -134,7 +134,7 @@ class DetKSearch:
             for special in comp.specials:
                 if special & ~chi == 0:
                     children.append(special_leaf(special))
-            return FragmentNode(chi=chi, lam_edges=lam, children=children)
+            return FragmentNode(chi=chi, lam_edges=lam, children=tuple(children))
         return None
 
 

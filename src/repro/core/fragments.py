@@ -13,13 +13,15 @@ needed to turn these into full hypertree decompositions:
   :class:`~repro.decomp.decomposition.HypertreeDecomposition` (or, for the
   GHD search, a :class:`~repro.decomp.decomposition.GeneralizedHypertreeDecomposition`).
 
-Fragments are persistent: no node is changed once built, and stitching
-rebuilds only the path to the replaced leaf.  The searches' memos hand the
-same nodes to every caller, so a fragment may be a DAG; the conversion
-unfolds it into a tree.
+Fragments are persistent: fragment nodes are frozen, and stitching rebuilds
+only the path to the replaced leaf.  The searches' memos hand the same nodes
+to every caller, so a fragment may be a DAG; the conversion unfolds it into
+a tree of (equally frozen) decomposition nodes, which callers may share.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from ..decomp.decomposition import Decomposition, DecompositionNode, HypertreeDecomposition
 from ..decomp.extended import BitComp, FragmentNode
@@ -61,13 +63,13 @@ def regular_node(
     host: Hypergraph,
     lam_edges: tuple[int, ...],
     chi: int,
-    children: list[FragmentNode] | None = None,
+    children: Iterable[FragmentNode] = (),
 ) -> FragmentNode:
     """A regular fragment node; raises if χ is not covered by ∪λ."""
     union = host.edges_to_mask(lam_edges)
     if chi & ~union:
         raise DecompositionError("χ of a regular node must be covered by ∪λ")
-    return FragmentNode(chi=chi, lam_edges=lam_edges, children=list(children or []))
+    return FragmentNode(chi=chi, lam_edges=lam_edges, children=tuple(children))
 
 
 def replace_special_leaf(
@@ -88,7 +90,7 @@ def replace_special_leaf(
         for index, child in enumerate(node.children):
             if child.special == special:
                 while True:  # rebuild the path, leaf to root
-                    children = node.children[:index] + [replacement] + node.children[index + 1 :]
+                    children = node.children[:index] + (replacement,) + node.children[index + 1 :]
                     replacement = FragmentNode(node.chi, node.lam_edges, children=children)
                     if trail is None:
                         return replacement
@@ -117,7 +119,7 @@ def fragment_to_decomposition(
         return DecompositionNode(
             bag=host.mask_to_vertices(node.chi),
             cover=frozenset(host.edge_name(i) for i in node.lam_edges),
-            children=[convert(child) for child in node.children],
+            children=tuple(map(convert, node.children)),
         )
 
     return kind(host, convert(fragment))

@@ -116,7 +116,7 @@ class BalancedGHDDecomposer(Decomposer):
                 children.append(child)
             if failed:
                 continue
-            return FragmentNode(chi=bag, lam_edges=lam, children=children)
+            return FragmentNode(chi=bag, lam_edges=lam, children=tuple(children))
         return None
 
     def _cover_for(

@@ -234,7 +234,7 @@ class LogKSearch:
         for special in comp.specials:
             if special & ~chi_c == 0:
                 children.append(special_leaf(special))
-        return FragmentNode(chi=chi_c, lam_edges=lam_c, children=children)
+        return FragmentNode(chi=chi_c, lam_edges=lam_c, children=tuple(children))
 
     def _try_parents(
         self,
@@ -299,7 +299,7 @@ class LogKSearch:
             for special in comp_down.specials:
                 if special & ~chi_c == 0:
                     children.append(special_leaf(special))
-            node_c = FragmentNode(chi=chi_c, lam_edges=lam_c, children=children)
+            node_c = FragmentNode(chi=chi_c, lam_edges=lam_c, children=tuple(children))
             stitched = replace_special_leaf(up, chi_c, node_c)
             if stitched is None:
                 # The fragment above must contain the placeholder for χ(c).

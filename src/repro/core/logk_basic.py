@@ -66,7 +66,7 @@ class LogKBasicSearch:
             if rejected:
                 continue
             # χ(r) = ∪λ(r) by the special condition at the root.
-            return FragmentNode(chi=lam_r_union, lam_edges=lam_r, children=children)
+            return FragmentNode(chi=lam_r_union, lam_edges=lam_r, children=tuple(children))
         return None
 
     # ------------------------------------------------------------------ #
@@ -137,7 +137,7 @@ class LogKBasicSearch:
                 for special in comp_down.specials:
                     if special & ~chi_c == 0:
                         children.append(special_leaf(special))
-                node_c = FragmentNode(chi=chi_c, lam_edges=lam_c, children=children)
+                node_c = FragmentNode(chi=chi_c, lam_edges=lam_c, children=tuple(children))
                 stitched = replace_special_leaf(up, chi_c, node_c)
                 if stitched is None:
                     continue

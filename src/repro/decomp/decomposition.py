@@ -7,12 +7,17 @@ special condition (condition (4) of the paper's Definition in Section 2);
 :class:`GeneralizedHypertreeDecomposition` does not.  Whether the promise is
 kept is checked by :mod:`repro.decomp.validation`, which all decomposers run
 through in the test-suite.
+
+Trees are values: a :class:`DecompositionNode` is frozen, with its children
+in a tuple, so no node changes once built.  A tree may therefore be shared
+by any number of decompositions, caches and results; building a different
+tree means building new nodes (``dataclasses.replace`` for one node).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from collections.abc import Iterator
 
 from ..exceptions import DecompositionError
 from ..hypergraph import Hypergraph
@@ -25,17 +30,27 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DecompositionNode:
-    """A node of a decomposition tree: a bag χ(u) and a cover λ(u)."""
+    """A node of a decomposition tree: a bag χ(u) and a cover λ(u).
+
+    Frozen, so it may be shared: the constructor also takes other iterables
+    for the three fields and stores them as frozensets and a tuple.
+    """
 
     bag: frozenset[str]
     cover: frozenset[str]
-    children: list["DecompositionNode"] = field(default_factory=list)
+    children: tuple["DecompositionNode", ...] = ()
 
     def __post_init__(self) -> None:
-        self.bag = frozenset(self.bag)
-        self.cover = frozenset(self.cover)
+        # Coerce only a wrong type: the builders on the hot paths (fragment
+        # conversion, lift, the codec) already pass the right ones.
+        if type(self.bag) is not frozenset:
+            object.__setattr__(self, "bag", frozenset(self.bag))
+        if type(self.cover) is not frozenset:
+            object.__setattr__(self, "cover", frozenset(self.cover))
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
 
     @property
     def width(self) -> int:
@@ -57,14 +72,14 @@ class DecompositionNode:
             result |= node.bag
         return frozenset(result)
 
-    def add_child(self, child: "DecompositionNode") -> "DecompositionNode":
-        """Append ``child`` and return it (builder-style convenience)."""
-        self.children.append(child)
-        return child
-
 
 class Decomposition:
-    """Common behaviour of hypertree and generalized hypertree decompositions."""
+    """Common behaviour of hypertree and generalized hypertree decompositions.
+
+    The constructor checks that every cover name and bag vertex exists in
+    ``hypergraph`` and keeps ``root`` as given, without a copy: its nodes are
+    frozen, so several decompositions may share one tree.
+    """
 
     kind = "decomposition"
 
@@ -98,26 +113,6 @@ class Decomposition:
             return 1 + max(rec(child) for child in node.children)
 
         return rec(self.root)
-
-    def parent_map(self) -> dict[int, DecompositionNode | None]:
-        """Map ``id(node)`` to its parent node (``None`` for the root)."""
-        parents: dict[int, DecompositionNode | None] = {id(self.root): None}
-        for node in self.nodes():
-            for child in node.children:
-                parents[id(child)] = node
-        return parents
-
-    def bags_containing(self, vertex: str) -> list[DecompositionNode]:
-        """All nodes whose bag contains the given vertex."""
-        return [node for node in self.nodes() if vertex in node.bag]
-
-    def covering_node(self, edge_name: str) -> DecompositionNode | None:
-        """Some node whose bag covers the given edge, if one exists."""
-        edge = self.hypergraph.edge_vertices(self.hypergraph.edge_index(edge_name))
-        for node in self.nodes():
-            if edge <= node.bag:
-                return node
-        return None
 
     # ------------------------------------------------------------------ #
     # presentation
@@ -171,13 +166,3 @@ class HypertreeDecomposition(GeneralizedHypertreeDecomposition):
 
     kind = "hd"
 
-    @classmethod
-    def single_node(
-        cls, hypergraph: Hypergraph, cover: Iterable[str]
-    ) -> "HypertreeDecomposition":
-        """The one-node HD covering everything with the given edges."""
-        cover = frozenset(cover)
-        bag: set[str] = set()
-        for edge_name in cover:
-            bag |= hypergraph.edge_vertices(hypergraph.edge_index(edge_name))
-        return cls(hypergraph, DecompositionNode(frozenset(bag), cover))

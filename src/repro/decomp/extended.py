@@ -15,12 +15,13 @@ separately as a vertex bitmask.
 
 HDs *of* extended subhypergraphs (Definition 3.3) are represented as trees of
 :class:`FragmentNode`; special edges appear as dedicated leaf nodes whose
-λ-label is the special edge itself.
+λ-label is the special edge itself.  Fragment nodes are frozen, with their
+children in a tuple, so fragments and the searches' memos may share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
@@ -91,22 +92,25 @@ def full_bitcomp(host: Hypergraph) -> BitComp:
     return BitComp(host.all_edges_mask, ())
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FragmentNode:
     """A node of an HD of an extended subhypergraph (Definition 3.3).
 
     Either a *regular* node with ``lam_edges`` ⊆ E(H) and χ ⊆ ∪λ, or a
     *special leaf* with ``special`` set to the special edge s, λ(u) = {s} and
     χ(u) = s.  χ is stored as a vertex bitmask of the host hypergraph.
-    Nodes are never changed once built, so fragments may share them.
+    Nodes are frozen, so fragments may share them; ``children`` given as
+    another iterable is stored as a tuple.
     """
 
     chi: int
     lam_edges: tuple[int, ...] = ()
     special: int | None = None
-    children: list["FragmentNode"] = field(default_factory=list)
+    children: tuple["FragmentNode", ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
         if self.special is not None and self.lam_edges:
             raise DecompositionError(
                 "a fragment node is either a regular node or a special leaf"

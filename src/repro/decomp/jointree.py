@@ -14,7 +14,7 @@ compiles to a :class:`~repro.query.plan.QueryPlan`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterator
 
 from ..exceptions import DecompositionError
@@ -24,14 +24,22 @@ from .decomposition import Decomposition
 __all__ = ["JoinTreeNode", "JoinTree", "join_tree_from_decomposition"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class JoinTreeNode:
-    """A node of a join tree: the bag variables and the atoms assigned to it."""
+    """A node of a join tree: the bag variables and the atoms assigned to it.
+
+    Frozen like the decomposition nodes it is built from; ``children`` given
+    as another iterable is stored as a tuple.
+    """
 
     variables: frozenset[str]
     cover_edges: frozenset[str]
     assigned_edges: frozenset[str] = frozenset()
-    children: list["JoinTreeNode"] = field(default_factory=list)
+    children: tuple["JoinTreeNode", ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
 
     def nodes(self) -> Iterator["JoinTreeNode"]:
         """Pre-order traversal of the subtree rooted at this node."""
@@ -169,7 +177,7 @@ def join_tree_from_decomposition(decomposition: Decomposition) -> JoinTree:
             variables=node.bag,
             cover_edges=node.cover,
             assigned_edges=frozenset(assignment.get(id(node), set())),
-            children=[convert(child) for child in node.children],
+            children=tuple(map(convert, node.children)),
         )
 
     tree = JoinTree(hypergraph, convert(decomposition.root))

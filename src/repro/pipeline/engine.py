@@ -12,20 +12,23 @@ each timed into ``SearchStatistics.stage_seconds``:
    ``(canonical hypergraph hash, k, algorithm cache key)``.  Only *decided*
    outcomes are stored — timeouts are never cached — and positive entries
    keep the decomposition tree of the reduced instance so a hit can be
-   lifted for the new caller.  When the engine was built with a ``catalog``
-   (a durable :class:`~repro.catalog.DecompositionCatalog`), an L1 miss
-   falls through to the catalog (L2): loaded certificates are re-validated
-   before use, hits are promoted into L1, and decided outcomes are written
-   behind to the catalog after the L1 store, so the durable tier can never
-   be *ahead* of the in-memory one within a process;
+   lifted for the new caller.  Trees are frozen, so a hit shares the stored
+   tree instead of copying it: L1, the catalog's promoted and written-behind
+   certificates and every result built from one entry hold the same nodes.
+   When the engine was built with a ``catalog`` (a durable
+   :class:`~repro.catalog.DecompositionCatalog`), an L1 miss falls through
+   to the catalog (L2): loaded certificates are re-validated before use,
+   hits are promoted into L1, and decided outcomes are written behind to the
+   catalog after the L1 store, so the durable tier can never be *ahead* of
+   the in-memory one within a process;
 3. **decompose** — split the reduced instance into vertex-connected
    components and run the underlying algorithm
    (:meth:`~repro.core.base.Decomposer.decompose_raw`) on each.  HDs of
-   disjoint components are grafted under the first component's root: no node
-   of one component shares vertices with another, so connectedness and the
-   special condition hold trivially for the combined tree and its width is
-   the maximum of the component widths — exactly ``hw`` of a disconnected
-   hypergraph;
+   disjoint components are grafted under a new copy of the first component's
+   root: no node of one component shares vertices with another, so
+   connectedness and the special condition hold trivially for the combined
+   tree and its width is the maximum of the component widths — exactly
+   ``hw`` of a disconnected hypergraph;
 4. **lift** — replay the simplification trace backwards
    (:func:`~repro.pipeline.simplify.lift_decomposition`) so the returned
    decomposition is hosted on the *original* hypergraph.
@@ -78,14 +81,6 @@ __all__ = [
     "default_engine",
     "set_default_engine",
 ]
-
-
-def _copy_node(node: DecompositionNode) -> DecompositionNode:
-    return DecompositionNode(
-        bag=node.bag,
-        cover=node.cover,
-        children=[_copy_node(child) for child in node.children],
-    )
 
 
 #: Hit/miss/store/eviction counters of a :class:`ResultCache`.  Kept as an
@@ -155,7 +150,7 @@ class ResultCache:
     ) -> None:
         entry = _CacheEntry(
             success=success,
-            root=_copy_node(root) if root is not None else None,
+            root=root,
             kind=kind,
             stats=replace(stats, stage_seconds={}) if stats is not None else SearchStatistics(),
         )
@@ -284,10 +279,12 @@ class DecompositionEngine:
                 # subproblem caches.
                 stats.merge(entry.stats)
                 success = entry.success
-                combined_root = _copy_node(entry.root) if entry.root else None
+                combined_root = entry.root
                 kind = entry.kind
 
-        # Stage 3: per-component decomposition.
+        # Stage 3: per-component decomposition.  A decided miss builds its
+        # certificate once, for the catalog and for stage 4 alike.
+        certificate: Decomposition | None = None
         if success is None:
             t0 = time.monotonic()
             success, timed_out, combined_root, kind = self._decompose_components(
@@ -300,11 +297,8 @@ class DecompositionEngine:
                 if self.cache is not None:
                     self.cache.put(key, success, combined_root, kind, stats)
                 if self.catalog is not None:
-                    certificate = (
-                        kind(reduced, _copy_node(combined_root))
-                        if success and combined_root is not None
-                        else None
-                    )
+                    if success and combined_root is not None:
+                        certificate = kind(reduced, combined_root)
                     self.catalog.put(
                         reduced,
                         k,
@@ -321,7 +315,9 @@ class DecompositionEngine:
         if success and combined_root is not None:
             t0 = time.monotonic()
             # When nothing reduced, ``reduced`` is ``hypergraph`` itself.
-            decomposition = kind(reduced, combined_root)
+            decomposition = certificate
+            if decomposition is None:
+                decomposition = kind(reduced, combined_root)
             if trace.reduced_anything:
                 decomposition = lift_decomposition(trace, decomposition)
             stats.record_stage("lift", time.monotonic() - t0)
@@ -370,8 +366,8 @@ class DecompositionEngine:
             roots.append(result.decomposition.root)
 
         combined = roots[0]
-        for other in roots[1:]:
-            combined.children.append(other)
+        if len(roots) > 1:
+            combined = replace(combined, children=combined.children + tuple(roots[1:]))
         return True, False, combined, kind
 
 

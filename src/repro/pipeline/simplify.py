@@ -269,7 +269,7 @@ def _rebuild(node: DecompositionNode, expand) -> DecompositionNode:
     return DecompositionNode(
         bag=frozenset(expand(node.bag)),
         cover=node.cover,
-        children=[_rebuild(child, expand) for child in node.children],
+        children=tuple(_rebuild(child, expand) for child in node.children),
     )
 
 

@@ -22,8 +22,8 @@ def host() -> Hypergraph:
 
 
 def _two_node_hd(host: Hypergraph) -> HypertreeDecomposition:
-    root = DecompositionNode(bag={"x", "y", "z"}, cover={"a", "b"})
-    root.add_child(DecompositionNode(bag={"z", "x"}, cover={"c"}))
+    leaf = DecompositionNode(bag={"z", "x"}, cover={"c"})
+    root = DecompositionNode(bag={"x", "y", "z"}, cover={"a", "b"}, children=[leaf])
     return HypertreeDecomposition(host, root)
 
 
@@ -54,20 +54,6 @@ def test_subtree_bags(host):
     assert hd.root.children[0].subtree_bags() == {"z", "x"}
 
 
-def test_parent_map(host):
-    hd = _two_node_hd(host)
-    parents = hd.parent_map()
-    assert parents[id(hd.root)] is None
-    assert parents[id(hd.root.children[0])] is hd.root
-
-
-def test_bags_containing_and_covering_node(host):
-    hd = _two_node_hd(host)
-    assert len(hd.bags_containing("z")) == 2
-    assert hd.covering_node("c") is not None
-    assert hd.covering_node("a") is hd.root
-
-
 def test_unknown_edge_in_cover_rejected(host):
     root = DecompositionNode(bag={"x"}, cover={"nonexistent"})
     with pytest.raises(DecompositionError):
@@ -78,13 +64,6 @@ def test_unknown_vertex_in_bag_rejected(host):
     root = DecompositionNode(bag={"x", "mystery"}, cover={"a"})
     with pytest.raises(DecompositionError):
         HypertreeDecomposition(host, root)
-
-
-def test_single_node_constructor(host):
-    hd = HypertreeDecomposition.single_node(host, ["a", "b", "c"])
-    assert len(hd) == 1
-    assert hd.width == 3
-    assert hd.root.bag == host.vertices
 
 
 def test_describe_output(host):

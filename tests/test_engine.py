@@ -81,6 +81,47 @@ def test_cache_hit_returns_equivalent_result(engine, messy):
     assert second.statistics.recursive_calls == first.statistics.recursive_calls
 
 
+def test_l1_hit_shares_the_stored_tree(engine):
+    decomposer = LogKDecomposer(engine=engine)
+    h = generators.cycle(8)  # nothing reduces: the stored tree is hosted on h
+    assert decomposer.decompose(h, 2).success
+    hit = decomposer.decompose(h, 2)
+    entry = engine.cache.get((h.canonical_hash(), 2, decomposer.cache_key()))
+    assert hit.decomposition.root is entry.root  # shared, not copied
+
+
+def test_component_graft_leaves_the_component_roots_unchanged(engine, monkeypatch):
+    two_triangles = Hypergraph(
+        {
+            "a": ["x", "y"],
+            "b": ["y", "z"],
+            "c": ["z", "x"],
+            "d": ["u", "v"],
+            "e": ["v", "w"],
+            "f": ["w", "u"],
+        }
+    )
+    decomposer = LogKDecomposer(engine=engine)
+    raw = decomposer.decompose_raw
+    seen = []
+
+    def spy(host, k, deadline=None):
+        result = raw(host, k, deadline)
+        seen.append((result.decomposition.root, tuple(result.decomposition.root.children)))
+        return result
+
+    monkeypatch.setattr(decomposer, "decompose_raw", spy)
+    result = decomposer.decompose(two_triangles, 2)
+    assert result.success and len(seen) == 2
+    (first, first_children), (second, second_children) = seen
+    assert tuple(first.children) == first_children
+    assert tuple(second.children) == second_children
+    root = result.decomposition.root
+    assert root is not first
+    assert root.children == first_children + (second,)
+    validate_hd(result.decomposition)
+
+
 def test_cache_shared_across_equal_instances(engine):
     decomposer = DetKDecomposer(engine=engine)
     a = generators.cycle(8)

@@ -73,7 +73,7 @@ def test_replace_only_one_of_two_equal_leaves():
     before = _shape(root)
     replacement = FragmentNode(chi=0b10, lam_edges=(1,))
     stitched = replace_special_leaf(root, special, replacement)
-    assert stitched.children == [replacement, root.children[1]]
+    assert stitched.children == (replacement, root.children[1])
     assert _shape(root) == before
 
 
@@ -89,7 +89,7 @@ def test_replace_special_leaf_rebuilds_only_the_path():
     stitched = replace_special_leaf(root, special, replacement)
     assert stitched.children[0] is deep
     assert stitched.children[1] is not shallow
-    assert stitched.children[1].children == [replacement]
+    assert stitched.children[1].children == (replacement,)
     assert _shape(root) == before
 
 

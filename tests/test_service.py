@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -96,6 +97,19 @@ def test_repeat_submission_hits_fast_path(service, cycle10):
     stats = service.stats()
     assert stats.fast_path_hits >= 1
     assert stats.computations_by_kind.get("decompose") == 1
+
+
+def test_memoised_results_share_one_frozen_tree(service, cycle6):
+    first = service.submit(cycle6, 2).result(timeout=30)
+    second = service.submit(cycle6, 2).result(timeout=30)
+    assert second is first
+    root = second.decomposition.root
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        root.children = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        root.bag = frozenset()
+    assert len(first.decomposition) == 4
+    validate_hd(first.decomposition)
 
 
 def test_object_valued_options_are_never_shared(service, cycle10):

@@ -24,8 +24,8 @@ def triangle_host() -> Hypergraph:
 
 
 def _valid_triangle_hd(host: Hypergraph) -> HypertreeDecomposition:
-    root = DecompositionNode(bag={"x", "y", "z"}, cover={"a", "b"})
-    root.add_child(DecompositionNode(bag={"z", "x"}, cover={"c"}))
+    leaf = DecompositionNode(bag={"z", "x"}, cover={"c"})
+    root = DecompositionNode(bag={"x", "y", "z"}, cover={"a", "b"}, children=[leaf])
     return HypertreeDecomposition(host, root)
 
 
@@ -47,18 +47,23 @@ def test_missing_edge_coverage_detected(triangle_host):
 
 def test_connectedness_violation_detected(triangle_host):
     # x appears at the root and at a grandchild but not at the child in between.
-    root = DecompositionNode(bag={"x", "y"}, cover={"a"})
-    middle = root.add_child(DecompositionNode(bag={"y", "z"}, cover={"b"}))
-    middle.add_child(DecompositionNode(bag={"z", "x"}, cover={"c"}))
+    leaf = DecompositionNode(bag={"z", "x"}, cover={"c"})
+    middle = DecompositionNode(bag={"y", "z"}, cover={"b"}, children=[leaf])
+    root = DecompositionNode(bag={"x", "y"}, cover={"a"}, children=[middle])
     hd = HypertreeDecomposition(triangle_host, root)
     with pytest.raises(ValidationError, match="condition 2"):
         validate_ghd(hd)
 
 
 def test_bag_not_covered_by_lambda_detected(triangle_host):
-    root = DecompositionNode(bag={"x", "y", "z"}, cover={"a"})
-    root.add_child(DecompositionNode(bag={"z", "x"}, cover={"c"}))
-    root.add_child(DecompositionNode(bag={"y", "z"}, cover={"b"}))
+    root = DecompositionNode(
+        bag={"x", "y", "z"},
+        cover={"a"},
+        children=[
+            DecompositionNode(bag={"z", "x"}, cover={"c"}),
+            DecompositionNode(bag={"y", "z"}, cover={"b"}),
+        ],
+    )
     hd = HypertreeDecomposition(triangle_host, root)
     with pytest.raises(ValidationError, match="condition 3"):
         validate_ghd(hd)
@@ -67,9 +72,9 @@ def test_bag_not_covered_by_lambda_detected(triangle_host):
 def test_special_condition_violation_detected(triangle_host):
     # Root covers edge a but its bag omits y although y occurs below: the
     # GHD conditions hold, the HD special condition does not.
-    root = DecompositionNode(bag={"x"}, cover={"a"})
-    child = root.add_child(DecompositionNode(bag={"x", "y", "z"}, cover={"b", "c"}))
-    child.add_child(DecompositionNode(bag={"x", "y"}, cover={"a"}))
+    leaf = DecompositionNode(bag={"x", "y"}, cover={"a"})
+    child = DecompositionNode(bag={"x", "y", "z"}, cover={"b", "c"}, children=[leaf])
+    root = DecompositionNode(bag={"x"}, cover={"a"}, children=[child])
     hd = HypertreeDecomposition(triangle_host, root)
     validate_ghd(hd)
     with pytest.raises(ValidationError, match="special condition"):
@@ -144,10 +149,10 @@ def test_validate_extended_hd_detects_special_leaf_with_children():
     host = generators.cycle(4)
     special = host.vertices_to_mask(["x1", "x2"])
     comp = BitComp.of({2}, (special,))
-    leaf = FragmentNode(chi=special, special=special)
     # Edge 0 of the 4-cycle has exactly the special's vertices {x1, x2}, so the
-    # appended child keeps connectedness intact and only condition 5 trips.
-    leaf.children.append(FragmentNode(chi=host.edge_bits(0), lam_edges=(0,)))
+    # leaf's child keeps connectedness intact and only condition 5 trips.
+    below = FragmentNode(chi=host.edge_bits(0), lam_edges=(0,))
+    leaf = FragmentNode(chi=special, special=special, children=[below])
     root = FragmentNode(chi=host.edge_bits(2), lam_edges=(2,), children=[leaf])
     with pytest.raises(ValidationError, match="condition 5"):
         validate_extended_hd(host, comp, conn=0, fragment=root)
