@@ -4,11 +4,17 @@ Every simplicity PR reports both; ``python3 benchmarks/loc.py [root]`` prints
 ``raw / code-only``, on a second line ``settings: N`` — the settable values of
 the public surface, counted by :func:`settings` — and on a third ``public: N``,
 the public names: every ``__all__`` entry plus the public methods of the
-classes those entries export (:func:`exported`, :func:`public_methods`).
+classes those entries export (:func:`public_names`).
+
+``python3 benchmarks/loc.py --names [root]`` prints those names instead, one
+``module:name`` or ``module:Class.method`` line each, sorted;
+``tests/data/public_api.txt`` is that output for ``src/``, and
+``tests/test_public_api.py`` fails when the two differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -86,24 +92,50 @@ def exported(source: str) -> list[str]:
     return []
 
 
-def public_methods(source: str, exported_names: set[str]) -> int:
-    """Methods without a leading underscore of the module-level classes named
-    in ``exported_names`` (any module's ``__all__``), counted where defined."""
-    return sum(
-        isinstance(member, _FUNCTIONS) and not member.name.startswith("_")
+def public_methods(source: str, exported_names: set[str]) -> list[str]:
+    """``Class.method`` for each method without a leading underscore of the
+    module-level classes named in ``exported_names`` (any module's
+    ``__all__``), listed where defined."""
+    return [
+        f"{node.name}.{member.name}"
         for node in ast.parse(source).body
         if isinstance(node, ast.ClassDef) and node.name in exported_names
         for member in node.body
-    )
+        if isinstance(member, _FUNCTIONS) and not member.name.startswith("_")
+    ]
+
+
+def _module(path: Path, root: Path) -> str:
+    parts = path.relative_to(root).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def public_names(root: Path) -> list[str]:
+    """The sorted ``module:name`` lines of every ``__all__`` entry under
+    ``root`` and ``module:Class.method`` lines of :func:`public_methods`."""
+    sources = {_module(path, root): path.read_text() for path in sorted(root.rglob("*.py"))}
+    exports = {module: exported(source) for module, source in sources.items()}
+    every = {name for names in exports.values() for name in names}
+    lines = [f"{module}:{name}" for module, names in exports.items() for name in names]
+    lines += [
+        f"{module}:{method}"
+        for module, source in sources.items()
+        for method in public_methods(source, every)
+    ]
+    return sorted(lines)
 
 
 if __name__ == "__main__":
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent / "src")
-    sources = [path.read_text() for path in sorted(root.rglob("*.py"))]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).parent.parent / "src")
+    parser.add_argument("--names", action="store_true", help="print the public names, sorted")
+    args = parser.parse_args()
+    names = public_names(args.root)
+    if args.names:
+        print("\n".join(names))
+        sys.exit()
+    sources = [path.read_text() for path in sorted(args.root.rglob("*.py"))]
     totals = [count(source) for source in sources]
     print(f"{sum(raw for raw, _ in totals)} / {sum(code for _, code in totals)}")
     print(f"settings: {sum(settings(source) for source in sources)}")
-    names = [exported(source) for source in sources]
-    every = set().union(*names)
-    methods = sum(public_methods(source, every) for source in sources)
-    print(f"public: {sum(map(len, names)) + methods}")
+    print(f"public: {len(names)}")

@@ -5,7 +5,7 @@ and Pichler.  The package provides:
 
 * :mod:`repro.hypergraph` — hypergraphs, parsing, query abstraction, generators,
 * :mod:`repro.decomp` — (generalized) hypertree decompositions, extended
-  subhypergraphs, balanced separators, validation, join trees,
+  subhypergraphs, components, λ-label enumeration, validation, join trees,
 * :mod:`repro.core` — the log-k-decomp algorithm (basic and optimised), the
   det-k-decomp baseline, the hybrid strategy, parallel execution, a GHD
   solver and an exact optimal-width solver,

@@ -13,7 +13,6 @@ __all__ = [
     "runtime_stats",
     "solved_count",
     "group_records",
-    "counter_totals",
 ]
 
 
@@ -65,21 +64,6 @@ def runtime_stats(records: Sequence[RunRecord]) -> RuntimeStats:
         max=max(solved_times),
         stdev=spread,
     )
-
-
-def counter_totals(records: Iterable[RunRecord]) -> dict[str, int]:
-    """Sum the per-record search-kernel counters over a set of records.
-
-    Aggregation helper for experiment reports over :class:`RunRecord` grids
-    (labels tried, branches pruned, domination skips, splitter memo traffic);
-    the ablation bench reads the same counters per run directly from
-    ``result.statistics``.
-    """
-    totals: dict[str, int] = {}
-    for record in records:
-        for key, value in record.search_counters.items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
 
 
 def group_records(

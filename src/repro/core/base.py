@@ -114,9 +114,13 @@ class SearchStatistics(Counters):
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionResult:
-    """Outcome of a single ``decompose(H, k)`` run."""
+    """Outcome of a single ``decompose(H, k)`` run.
+
+    Frozen, so a result shared by caches and tickets cannot be reassigned;
+    ``statistics`` is a mutable record all holders share.
+    """
 
     algorithm: str
     hypergraph: Hypergraph

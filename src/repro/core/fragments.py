@@ -21,8 +21,6 @@ a tree of (equally frozen) decomposition nodes, which callers may share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from ..decomp.decomposition import Decomposition, DecompositionNode, HypertreeDecomposition
 from ..decomp.extended import BitComp, FragmentNode
 from ..exceptions import DecompositionError
@@ -33,7 +31,6 @@ __all__ = [
     "replace_special_leaf",
     "fragment_to_decomposition",
     "special_leaf",
-    "regular_node",
 ]
 
 
@@ -57,19 +54,6 @@ def base_case(host: Hypergraph, k: int, comp: BitComp) -> FragmentNode | None:
     if not comp.edges and len(comp.specials) == 1:
         return special_leaf(comp.specials[0])
     return None
-
-
-def regular_node(
-    host: Hypergraph,
-    lam_edges: tuple[int, ...],
-    chi: int,
-    children: Iterable[FragmentNode] = (),
-) -> FragmentNode:
-    """A regular fragment node; raises if χ is not covered by ∪λ."""
-    union = host.edges_to_mask(lam_edges)
-    if chi & ~union:
-        raise DecompositionError("χ of a regular node must be covered by ∪λ")
-    return FragmentNode(chi=chi, lam_edges=lam_edges, children=tuple(children))
 
 
 def replace_special_leaf(

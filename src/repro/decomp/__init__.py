@@ -1,5 +1,5 @@
 """Decomposition substrate: HD/GHD structures, extended subhypergraphs,
-components, balanced separators, λ-label enumeration, validation, join trees."""
+components, λ-label enumeration, validation, join trees."""
 
 from .decomposition import (
     Decomposition,
@@ -10,13 +10,6 @@ from .decomposition import (
 from .extended import BitComp, FragmentNode, full_bitcomp
 from .components import components, covered_items, separate
 from .covers import CoverEnumerator, label_union
-from .separators import (
-    cov,
-    find_balanced_separator,
-    is_balanced_label,
-    is_balanced_separator_node,
-    largest_component_size,
-)
 from .validation import (
     check_width,
     is_valid_ghd,
@@ -40,11 +33,6 @@ __all__ = [
     "separate",
     "CoverEnumerator",
     "label_union",
-    "cov",
-    "find_balanced_separator",
-    "is_balanced_label",
-    "is_balanced_separator_node",
-    "largest_component_size",
     "check_width",
     "is_valid_ghd",
     "is_valid_hd",

@@ -96,7 +96,7 @@ from ..hypergraph import Hypergraph
 from ..hypergraph.bitset import bits_of, from_indices, indices_of
 from ..lru import BoundedLRU
 
-__all__ = ["CoverEnumerator", "label_union", "count_labels"]
+__all__ = ["CoverEnumerator", "label_union"]
 
 #: Bound on the number of memoised dominated pools per enumerator.
 DOMINATION_MEMO_SIZE = 2048
@@ -122,18 +122,6 @@ def _edges_containing(incidence: Sequence[int], vertices: int, candidates: int) 
         vertices ^= low
         candidates &= incidence[low.bit_length() - 1]
     return candidates
-
-
-def count_labels(num_allowed: int, k: int) -> int:
-    """Number of labels of size 1..k over ``num_allowed`` edges (search-space size)."""
-    total = 0
-    binom = 1
-    for size in range(1, k + 1):
-        binom = binom * (num_allowed - size + 1) // size
-        if num_allowed < size:
-            break
-        total += binom
-    return total
 
 
 class CoverEnumerator:

@@ -73,19 +73,22 @@ class DecompositionNode:
         return frozenset(result)
 
 
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Common behaviour of hypertree and generalized hypertree decompositions.
 
-    The constructor checks that every cover name and bag vertex exists in
-    ``hypergraph`` and keeps ``root`` as given, without a copy: its nodes are
-    frozen, so several decompositions may share one tree.
+    A frozen value compared by identity.  The constructor checks that every
+    cover name and bag vertex exists in ``hypergraph`` and keeps ``root`` as
+    given, without a copy: its nodes are frozen, so several decompositions
+    may share one tree.
     """
 
     kind = "decomposition"
 
-    def __init__(self, hypergraph: Hypergraph, root: DecompositionNode) -> None:
-        self.hypergraph = hypergraph
-        self.root = root
+    hypergraph: Hypergraph
+    root: DecompositionNode
+
+    def __post_init__(self) -> None:
         self._check_edges_exist()
 
     # ------------------------------------------------------------------ #

@@ -136,10 +136,6 @@ class FragmentNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def special_leaves(self) -> list["FragmentNode"]:
-        """All special-edge placeholder leaves of the fragment."""
-        return [node for node in self.nodes() if node.is_special_leaf]
-
     def max_width(self) -> int:
         """The width of the fragment: the maximum |λ| over all nodes."""
         return max(node.width for node in self.nodes())

@@ -7,29 +7,15 @@ precision, so this representation works for hypergraphs of any size, and the
 set operations the algorithms need most (union, intersection, difference,
 subset tests) become single arithmetic operations.
 
-These helpers are deliberately tiny free functions; the hot paths of the
-decomposers inline the corresponding expressions, but tests, validators and
-less performance-critical code use the named versions for readability.
+Code writes those operations inline; this module holds only the
+conversions between a bitset and its indices.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-__all__ = [
-    "bits_of",
-    "from_indices",
-    "indices_of",
-    "is_subset",
-    "intersects",
-    "popcount",
-    "singleton",
-]
-
-
-def singleton(index: int) -> int:
-    """Return the bitset containing only ``index``."""
-    return 1 << index
+__all__ = ["bits_of", "from_indices", "indices_of"]
 
 
 def from_indices(indices: Iterable[int]) -> int:
@@ -51,18 +37,3 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    """Return the number of elements in the bitset ``mask``."""
-    return mask.bit_count()
-
-
-def is_subset(inner: int, outer: int) -> bool:
-    """Return ``True`` iff every element of ``inner`` is contained in ``outer``."""
-    return inner & ~outer == 0
-
-
-def intersects(first: int, second: int) -> bool:
-    """Return ``True`` iff the two bitsets share at least one element."""
-    return first & second != 0

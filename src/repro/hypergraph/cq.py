@@ -66,11 +66,6 @@ class ConjunctiveQuery:
             result.update(atom.arguments)
         return frozenset(result)
 
-    @property
-    def is_boolean(self) -> bool:
-        """True iff the query has no free variables."""
-        return not self.free_variables
-
     def edge_atom_map(self) -> dict[str, Atom]:
         """Map hypergraph edge names to the atoms they abstract.
 

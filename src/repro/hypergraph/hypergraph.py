@@ -207,10 +207,6 @@ class Hypergraph:
     # ------------------------------------------------------------------ #
     # derived structures
     # ------------------------------------------------------------------ #
-    def edges_containing(self, vertex: Vertex) -> list[int]:
-        """Indices of all edges containing the given vertex."""
-        return bitset.indices_of(self.incidence_masks()[self.vertex_id(vertex)])
-
     @property
     def has_incidence_masks(self) -> bool:
         """True once the incidence-mask table has been built (lazily, on first use)."""
@@ -263,16 +259,6 @@ class Hypergraph:
             {self._edge_names[i]: self._edge_sets[i] for i in indices},
             name=name or (f"{self.name}-sub" if self.name else ""),
         )
-
-    def primal_graph_edges(self) -> set[tuple[Vertex, Vertex]]:
-        """Pairs of distinct vertices that co-occur in some edge (primal graph)."""
-        pairs: set[tuple[Vertex, Vertex]] = set()
-        for edge in self._edge_sets:
-            ordered = sorted(edge)
-            for i, u in enumerate(ordered):
-                for v in ordered[i + 1:]:
-                    pairs.add((u, v))
-        return pairs
 
     def rename(self, name: str) -> "Hypergraph":
         """Return a copy of this hypergraph carrying a different name."""

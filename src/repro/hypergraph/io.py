@@ -12,7 +12,7 @@ Three textual formats are supported:
       r2(x2,x3),
       r3(x3,x1).
 
-* **PACE-style format**: a header line ``p htd <num_vertices> <num_edges>``
+* **PACE-style format** (read only): a header line ``p htd <num_vertices> <num_edges>``
   followed by one line per edge listing vertex numbers; the edge written on
   line ``i`` (after the header) is named ``e<i>``.
 
@@ -40,7 +40,6 @@ __all__ = [
     "read_hypergraph",
     "write_hypergraph",
     "to_hyperbench_format",
-    "to_pace_format",
     "to_hif",
     "from_hif",
 ]
@@ -89,17 +88,6 @@ def to_hyperbench_format(hypergraph: Hypergraph) -> str:
         vertices = ",".join(sorted(hypergraph.edge_vertices(index)))
         terminator = "." if index == last else ","
         lines.append(f"{hypergraph.edge_name(index)}({vertices}){terminator}")
-    return "\n".join(lines) + "\n"
-
-
-def to_pace_format(hypergraph: Hypergraph) -> str:
-    """Serialise a hypergraph in the PACE-style numeric format."""
-    lines = [f"p htd {hypergraph.num_vertices} {hypergraph.num_edges}"]
-    for index in range(hypergraph.num_edges):
-        ids = sorted(
-            hypergraph.vertex_id(v) + 1 for v in hypergraph.edge_vertices(index)
-        )
-        lines.append(" ".join(str(i) for i in ids))
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "intersection_width",
     "is_alpha_acyclic",
     "gyo_reduction",
-    "is_connected",
     "connected_components",
 ]
 
@@ -148,7 +147,3 @@ def connected_components(hypergraph: Hypergraph) -> list[list[int]]:
         groups.setdefault(find(index), []).append(index)
     return list(groups.values())
 
-
-def is_connected(hypergraph: Hypergraph) -> bool:
-    """True iff the hypergraph has a single vertex-connected component."""
-    return len(connected_components(hypergraph)) <= 1

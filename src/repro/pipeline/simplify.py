@@ -135,14 +135,6 @@ class SimplificationTrace:
         """True iff at least one reduction step applied."""
         return bool(self.steps)
 
-    @property
-    def removed_edges(self) -> list[RemovedEdge]:
-        return [s for s in self.steps if isinstance(s, RemovedEdge)]
-
-    @property
-    def collapsed_vertices(self) -> list[CollapsedVertices]:
-        return [s for s in self.steps if isinstance(s, CollapsedVertices)]
-
     def summary(self) -> str:
         """One-line human-readable account of what the simplifier did."""
         return (

@@ -26,8 +26,8 @@ Design
   they operate on a packed-int ``alive`` bitmask (bit ``i`` = row ``i``
   survives).  A semijoin gathers the rows of the *dead* key groups into one
   bitmask and clears them from the alive set with one ``&``; the surviving
-  row count is a single popcount.  The cached indexes stay valid across the
-  passes (dead rows are skipped on probe).
+  row count is a single ``int.bit_count()``.  The cached indexes stay valid
+  across the passes (dead rows are skipped on probe).
 * **Packed columns, two kernel arms** — code columns are ``array('q')``
   buffers.  With numpy, an operator whose keys are *packable* (non-negative
   codes, key span below ``2**62``) folds its key columns into one int64 per
@@ -608,12 +608,6 @@ class _NodeState:
         selectors = self.selectors()
         columns = tuple(_compress_column(column, selectors) for column in self.table.columns)
         return ColumnarRelation(self.table.schema, columns, nrows=self.live_count)
-
-    def live_rows(self):
-        """Iterate the alive rows as code tuples."""
-        if self.alive is None:
-            return self.table.rows()
-        return compress(self.table.rows(), self.selectors())
 
     def live_keys(self, attributes: tuple[str, ...]) -> set:
         """Distinct join keys of the alive rows over ``attributes``.

@@ -91,13 +91,10 @@ class DecompositionCSPSolver:
         self.engine = QueryEngine(algorithm, max_width, timeout)
         self.executor = check_executor(executor)
 
-    def _run(self, csp: CSPInstance, mode: str) -> QueryResult:
-        query, database = csp_to_query(csp)
-        return self.engine.execute(query, database, mode, executor=self.executor)
-
     def solve(self, csp: CSPInstance) -> CSPSolution:
         """Return satisfiability, one witness assignment and the solution count."""
-        report = self._run(csp, "enumerate")
+        query, database = csp_to_query(csp)
+        report = self.engine.execute(query, database, "enumerate", executor=self.executor)
         answers = report.answers
         row = next(iter(answers.tuples), None)
         return CSPSolution(
@@ -107,14 +104,6 @@ class DecompositionCSPSolver:
             width=report.width,
             report=report,
         )
-
-    def is_satisfiable(self, csp: CSPInstance) -> bool:
-        """Decide satisfiability only — a ``boolean``-mode plan with early exit."""
-        return self._run(csp, "boolean").boolean
-
-    def count_solutions(self, csp: CSPInstance) -> int:
-        """Count solutions without materialising/decoding them (``count`` mode)."""
-        return self._run(csp, "count").count
 
 
 def backtracking_solve(csp: CSPInstance) -> dict[str, object] | None:

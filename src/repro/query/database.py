@@ -43,10 +43,6 @@ class Database:
         """All registered relation names."""
         return sorted(self._relations)
 
-    def total_tuples(self) -> int:
-        """Total number of tuples over all relations."""
-        return sum(len(r) for r in self._relations.values())
-
 
 def random_database_for_query(
     query: ConjunctiveQuery,

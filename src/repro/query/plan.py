@@ -188,16 +188,6 @@ class QueryPlan:
     width: int
     children: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
-    @property
-    def semijoin_count(self) -> int:
-        """Total number of semijoin steps of the full-reduction passes."""
-        return len(self.bottom_up) + len(self.top_down)
-
-    @property
-    def is_boolean(self) -> bool:
-        """True iff the plan answers a Boolean query (no output variables)."""
-        return not self.output
-
     def describe(self) -> str:
         """Human-readable rendering of the operator program."""
         lines = [f"plan mode={self.mode.value} output=({', '.join(self.output)})"]

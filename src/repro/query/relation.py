@@ -88,12 +88,6 @@ class Relation:
         rows = {tuple(row[p] for p in positions) for row in self.tuples}
         return Relation(name or f"π({self.name})", attributes, rows)
 
-    def select_equal(self, attribute: str, value: object, name: str | None = None) -> "Relation":
-        """Selection σ_{attribute = value}."""
-        position = self.attribute_index(attribute)
-        rows = {row for row in self.tuples if row[position] == value}
-        return Relation(name or f"σ({self.name})", self.schema, rows)
-
     def rename(self, mapping: dict[str, str], name: str | None = None) -> "Relation":
         """Rename attributes according to ``mapping`` (missing keys unchanged)."""
         schema = tuple(mapping.get(a, a) for a in self.schema)
@@ -136,17 +130,6 @@ class Relation:
         keys = {tuple(row[p] for p in other_pos) for row in other.tuples}
         rows = {row for row in self.tuples if tuple(row[p] for p in own_pos) in keys}
         return Relation(name or self.name, self.schema, rows)
-
-    def is_empty(self) -> bool:
-        """True iff the relation has no tuples."""
-        return not self.tuples
-
-    @classmethod
-    def from_dicts(
-        cls, name: str, schema: Sequence[str], rows: Iterable[dict[str, object]]
-    ) -> "Relation":
-        """Build a relation from attribute → value dictionaries."""
-        return cls(name, schema, [tuple(row[a] for a in schema) for row in rows])
 
     @classmethod
     def from_trusted_rows(

@@ -392,16 +392,6 @@ class SQLDatabase(Database):
     def relation_names(self) -> list[str]:
         return sorted(self._schemas)
 
-    def total_tuples(self) -> int:
-        connection = sqlite3.connect(self.path)
-        try:
-            return sum(
-                connection.execute(f"SELECT COUNT(*) FROM {_quote(name)}").fetchone()[0]
-                for name in self._schemas
-            )
-        finally:
-            connection.close()
-
 
 def dump_database(database: Database, path) -> SQLDatabase:
     """Write an in-memory database to a SQLite file; returns the path handle.

@@ -439,8 +439,10 @@ class DecompositionService:
         Coalesced and memo-served callers share one
         :class:`~repro.core.base.DecompositionResult` object (hosted on the
         hypergraph of the request that computed it — by construction an
-        edge-for-edge equal instance); treat it as read-only, as concurrent
-        callers do.  Requests carrying non-primitive option values (e.g. a
+        edge-for-edge equal instance).  The result and its decomposition are
+        frozen, but ``result.statistics`` is still one shared, mutable
+        :class:`~repro.counters.Counters` record; treat it as read-only, as
+        concurrent callers do.  Requests carrying non-primitive option values (e.g. a
         metric *instance*) are never shared: their configuration identity
         cannot be compared safely, so they bypass dedup and memoization.
         """

@@ -90,7 +90,7 @@ def yannakakis(root: AnnotatedNode, output_variables: Sequence[str]) -> Relation
         raise QueryError(f"output variables {missing} do not occur in the join tree")
 
     full_reduce(root)
-    if any(node.relation.is_empty() for node in root.nodes()):
+    if any(not node.relation.tuples for node in root.nodes()):
         return Relation("answer", tuple(output), set())
 
     joined = _joined_projection(root, frozenset(output))

@@ -1,6 +1,8 @@
 """Balanced separators of extended subhypergraphs (Definitions 3.4, 3.9, Lemma 3.10).
 
-This module provides:
+The paper's definitions as written, for the tests to hold the searches
+against; the searches themselves only ask whether a label is balanced, of a
+``ComponentSplitter`` (``has_oversized``, ``largest_size``).
 
 * :func:`cov` / :func:`cov_subtree` — the "covered for the first time" sets of
   Definition 3.4, computed on fragment trees;
@@ -15,20 +17,10 @@ This module provides:
 
 from __future__ import annotations
 
-from ..hypergraph import Hypergraph
-from ..hypergraph.bitset import bits_of
-from .components import ComponentSplitter
-from .extended import BitComp, FragmentNode
-
-__all__ = [
-    "cov",
-    "cov_subtree",
-    "subtree_cov_sizes",
-    "is_balanced_separator_node",
-    "find_balanced_separator",
-    "is_balanced_label",
-    "largest_component_size",
-]
+from repro.decomp.components import ComponentSplitter
+from repro.decomp.extended import BitComp, FragmentNode
+from repro.hypergraph import Hypergraph
+from repro.hypergraph.bitset import bits_of
 
 
 def _covered_at(host: Hypergraph, comp: BitComp, node: FragmentNode) -> set[object]:

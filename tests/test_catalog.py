@@ -17,7 +17,6 @@ import pytest
 
 from repro import DecompositionEngine, LogKDecomposer, validate_hd
 from repro.catalog import DecompositionCatalog
-from repro.core.codec import decomposition_to_json
 from repro.hypergraph import generators
 from repro.service import DecompositionService
 

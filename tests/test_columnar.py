@@ -613,7 +613,7 @@ def test_semijoin_kernel_arms_leave_identical_alive_masks(
         nonempty = executor._semijoin(target, source, on, stats)
         # A second pass over unchanged masks reads the cached live keys.
         assert executor._semijoin(target, source, on, stats) == nonempty
-        return nonempty, target.alive, target.live_count, set(source.live_rows())
+        return nonempty, target.alive, target.live_count, set(source.live_table().rows())
 
     packed, pure = _on_both_arms(run)
     assert packed == pure

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from repro.core.parallel import partition_edges
-from repro.decomp.covers import CoverEnumerator, count_labels, label_union
+from repro.decomp.covers import CoverEnumerator, label_union
 from repro.hypergraph import Hypergraph, generators
 
 
@@ -106,12 +106,6 @@ def test_partition_single_worker(host):
     parts = partition_edges(host.num_edges, 1)
     assert len(parts) == 1
     assert set(enumerator.labels_for_partition(None, parts[0])) == set(enumerator.labels())
-
-
-def test_count_labels_matches_enumeration(host):
-    enumerator = CoverEnumerator(host, 2)
-    assert count_labels(5, 2) == len(list(enumerator.labels()))
-    assert count_labels(5, 1) == 5
 
 
 def test_label_union(host):

@@ -22,7 +22,7 @@ def test_atom_without_arguments_rejected():
 def test_query_variables_and_boolean():
     query = ConjunctiveQuery((Atom("r", ("x", "y")), Atom("s", ("y", "z"))))
     assert query.variables == {"x", "y", "z"}
-    assert query.is_boolean
+    assert not query.free_variables
 
 
 def test_query_free_variables_must_occur():
@@ -73,7 +73,7 @@ def test_parse_query_with_head():
 
 def test_parse_boolean_query():
     query = parse_conjunctive_query("r(x,y), s(y,x)")
-    assert query.is_boolean
+    assert not query.free_variables
     assert len(query.atoms) == 2
 
 

@@ -47,7 +47,7 @@ def test_boolean_query_agreement(seed):
     )
     report = evaluate_query(query, database)
     naive = naive_join_query(database, query.atoms, [])
-    assert report.planned.plan.is_boolean
+    assert report.planned.plan.output == ()
     assert report.boolean == (len(naive) > 0)
 
 

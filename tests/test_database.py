@@ -16,7 +16,7 @@ def test_add_and_get():
     assert len(db) == 1
     assert db.get("r").name == "r"
     assert db.relation_names() == ["r"]
-    assert db.total_tuples() == 1
+    assert len(db.get("r")) == 1
 
 
 def test_duplicate_relation_rejected():

@@ -79,7 +79,7 @@ def test_fragment_node_basics(host):
     assert not node.is_special_leaf
     assert node.width == 1
     assert len(list(node.nodes())) == 2
-    assert node.special_leaves() == [leaf]
+    assert [n for n in node.nodes() if n.is_special_leaf] == [leaf]
     assert node.max_width() == 1
 
 

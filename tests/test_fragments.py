@@ -4,16 +4,30 @@ from __future__ import annotations
 
 import pytest
 
+from collections.abc import Iterable
+
 from repro.core.fragments import (
     fragment_to_decomposition,
-    regular_node,
     replace_special_leaf,
     special_leaf,
 )
 from repro.decomp.extended import FragmentNode
 from repro.decomp.validation import validate_hd
 from repro.exceptions import DecompositionError
-from repro.hypergraph import generators
+from repro.hypergraph import Hypergraph, generators
+
+
+def regular_node(
+    host: Hypergraph,
+    lam_edges: tuple[int, ...],
+    chi: int,
+    children: Iterable[FragmentNode] = (),
+) -> FragmentNode:
+    """A regular fragment node; raises if χ is not covered by ∪λ."""
+    union = host.edges_to_mask(lam_edges)
+    if chi & ~union:
+        raise DecompositionError("χ of a regular node must be covered by ∪λ")
+    return FragmentNode(chi=chi, lam_edges=lam_edges, children=tuple(children))
 
 
 def test_special_leaf_constructor():

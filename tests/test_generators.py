@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import HypergraphError
 from repro.hypergraph import generators
-from repro.hypergraph.properties import is_alpha_acyclic, is_connected
+from repro.hypergraph.properties import connected_components, is_alpha_acyclic
 
 
 def test_cycle_structure():
@@ -14,7 +14,7 @@ def test_cycle_structure():
     assert h.num_edges == 6
     assert h.num_vertices == 6
     assert all(len(h.edge_vertices(i)) == 2 for i in range(6))
-    assert is_connected(h)
+    assert len(connected_components(h)) == 1
 
 
 def test_cycle_invalid_length():

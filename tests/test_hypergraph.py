@@ -76,23 +76,10 @@ def test_all_vertices_mask(simple_hypergraph):
     )
 
 
-def test_edges_containing(simple_hypergraph):
-    containing = simple_hypergraph.edges_containing("y")
-    names = {simple_hypergraph.edge_name(i) for i in containing}
-    assert names == {"r", "s"}
-
-
 def test_subhypergraph(simple_hypergraph):
     sub = simple_hypergraph.subhypergraph([0, 2])
     assert set(sub.edge_names) == {"r", "t"}
     assert sub.vertices == {"x", "y", "w"}
-
-
-def test_primal_graph_edges(simple_hypergraph):
-    pairs = simple_hypergraph.primal_graph_edges()
-    assert ("x", "y") in pairs
-    assert ("w", "y") in pairs or ("y", "w") in pairs  # from edge s
-    assert all(a < b for a, b in pairs)
 
 
 def test_container_protocol(simple_hypergraph):

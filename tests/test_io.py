@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ParseError
 from repro.hypergraph import Hypergraph, from_hif, parse_hypergraph, read_hypergraph, to_hif, write_hypergraph
-from repro.hypergraph.io import to_hyperbench_format, to_pace_format
+from repro.hypergraph.io import to_hyperbench_format
 
 
 HYPERBENCH_TEXT = """
@@ -145,17 +145,6 @@ def test_hyperbench_roundtrip(simple_hypergraph):
     text = to_hyperbench_format(simple_hypergraph)
     parsed = parse_hypergraph(text)
     assert parsed == simple_hypergraph
-
-
-def test_pace_roundtrip_structure(simple_hypergraph):
-    text = to_pace_format(simple_hypergraph)
-    parsed = parse_hypergraph(text)
-    # PACE renames vertices and edges but must preserve the structure sizes.
-    assert parsed.num_edges == simple_hypergraph.num_edges
-    assert parsed.num_vertices == simple_hypergraph.num_vertices
-    assert sorted(len(parsed.edge_vertices(i)) for i in range(parsed.num_edges)) == sorted(
-        len(simple_hypergraph.edge_vertices(i)) for i in range(simple_hypergraph.num_edges)
-    )
 
 
 def test_file_roundtrip(tmp_path, simple_hypergraph):

@@ -11,7 +11,6 @@ from repro.hypergraph.properties import (
     gyo_reduction,
     intersection_width,
     is_alpha_acyclic,
-    is_connected,
     rank,
     statistics,
 )
@@ -63,7 +62,6 @@ def test_two_overlapping_edges_are_acyclic():
 
 def test_connected_components_single(simple_hypergraph):
     assert len(connected_components(simple_hypergraph)) == 1
-    assert is_connected(simple_hypergraph)
 
 
 def test_connected_components_multiple():
@@ -72,7 +70,6 @@ def test_connected_components_multiple():
     assert len(components) == 2
     sizes = sorted(len(c) for c in components)
     assert sizes == [1, 2]
-    assert not is_connected(h)
 
 
 def test_statistics_bundle(simple_hypergraph):

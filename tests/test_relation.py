@@ -57,11 +57,6 @@ def test_projection_reorders(r):
     assert (2, 1) in projected.tuples
 
 
-def test_selection(r):
-    selected = r.select_equal("a", 2)
-    assert set(selected.tuples) == {(2, 3)}
-
-
 def test_rename(r):
     renamed = r.rename({"a": "x"})
     assert renamed.schema == ("x", "b")
@@ -99,7 +94,7 @@ def test_semijoin_without_shared_attributes(r):
     nonempty = Relation("u", ("q",), [(1,)])
     empty = Relation("v", ("q",), [])
     assert len(r.semijoin(nonempty)) == len(r)
-    assert r.semijoin(empty).is_empty()
+    assert not r.semijoin(empty).tuples
 
 
 def test_semijoin_without_shared_attributes_returns_a_copy(r):
@@ -112,11 +107,6 @@ def test_semijoin_without_shared_attributes_returns_a_copy(r):
     assert result.tuples is not r.tuples
     result.tuples.clear()
     assert r.tuples == before
-
-
-def test_from_dicts_roundtrip():
-    rel = Relation.from_dicts("w", ("a", "b"), [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-    assert set(rel.tuples) == {(1, 2), (3, 4)}
 
 
 def test_equality_is_schema_order_independent():

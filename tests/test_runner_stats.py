@@ -12,7 +12,7 @@ from repro.bench.runner import (
     run_optimal_solver,
     run_parametrised,
 )
-from repro.bench.stats import counter_totals, group_records, runtime_stats, solved_count
+from repro.bench.stats import group_records, runtime_stats, solved_count
 from repro.core import DetKDecomposer, HybridDecomposer
 from repro.hypergraph import generators
 from repro.pipeline.engine import DecompositionEngine
@@ -70,23 +70,6 @@ def test_run_parametrised_accumulates_search_counters(small_instances):
         "bitset_memo_hits",
         "worker_respawns",
     }
-
-
-def test_counter_totals_sums_over_records(small_instances):
-    records = [
-        run_parametrised(
-            instance,
-            "detk",
-            lambda t: DetKDecomposer(timeout=t, engine=DecompositionEngine(cache=None)),
-            5.0,
-            max_width=4,
-        )
-        for instance in small_instances
-    ]
-    totals = counter_totals(records)
-    for key in records[0].search_counters:
-        assert totals[key] == sum(r.search_counters[key] for r in records)
-    assert totals["labels_tried"] > 0
 
 
 def test_run_parametrised_timeout():

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core import LogKDecomposer, decompose
-from repro.decomp.components import components
-from repro.decomp.extended import BitComp, FragmentNode, full_bitcomp
-from repro.decomp.separators import (
+from oracles.separators import (
     cov,
     cov_subtree,
     find_balanced_separator,
@@ -14,6 +11,10 @@ from repro.decomp.separators import (
     largest_component_size,
     subtree_cov_sizes,
 )
+
+from repro.core import LogKDecomposer, decompose
+from repro.decomp.components import components
+from repro.decomp.extended import BitComp, FragmentNode, full_bitcomp
 from repro.hypergraph import generators
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.core.base import Decomposer, SearchContext
-from repro.decomp import validate_hd
+from repro.decomp import DecompositionNode, validate_hd
 from repro.exceptions import ServiceError, TimeoutExceeded
 from repro.hypergraph import generators
 from repro.hypergraph.cq import parse_conjunctive_query
@@ -110,6 +110,18 @@ def test_memoised_results_share_one_frozen_tree(service, cycle6):
         root.bag = frozenset()
     assert len(first.decomposition) == 4
     validate_hd(first.decomposition)
+
+
+def test_memoised_results_cannot_be_reassigned(service, cycle6):
+    first = service.submit(cycle6, 2).result(timeout=30)
+    second = service.submit(cycle6, 2).result(timeout=30)
+    assert second is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.decomposition.root = DecompositionNode(bag=frozenset(), cover=frozenset())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.decomposition = None
+    third = service.submit(cycle6, 2).result(timeout=30)
+    assert len(second.decomposition) == len(third.decomposition) == 4
 
 
 def test_object_valued_options_are_never_shared(service, cycle10):

@@ -26,7 +26,6 @@ from repro.exceptions import ServiceError
 from repro.faults.supervise import encode_frame
 from repro.hypergraph import generators
 from repro.hypergraph.cq import parse_conjunctive_query
-from repro.pipeline.engine import DecompositionEngine
 from repro.pipeline.registry import registry
 from repro.query import random_database_for_query
 from repro.query.workload import QueryEngine, query_signature

@@ -12,10 +12,19 @@ from repro.decomp.validation import check_width
 from repro.hypergraph import Hypergraph, generators
 from repro.pipeline import (
     CollapsedVertices,
+    RemovedEdge,
     SimplificationTrace,
     lift_decomposition,
     simplify,
 )
+
+
+def _removed(trace: SimplificationTrace) -> list[RemovedEdge]:
+    return [step for step in trace.steps if isinstance(step, RemovedEdge)]
+
+
+def _collapsed(trace: SimplificationTrace) -> list[CollapsedVertices]:
+    return [step for step in trace.steps if isinstance(step, CollapsedVertices)]
 
 
 def test_irreducible_instance_is_returned_unchanged(cycle10):
@@ -27,7 +36,7 @@ def test_irreducible_instance_is_returned_unchanged(cycle10):
 def test_subsumed_edge_removal():
     h = Hypergraph({"big": ["a", "b", "c"], "sub": ["a", "b"], "other": ["c", "d"]})
     trace = simplify(h)
-    removed = trace.removed_edges
+    removed = _removed(trace)
     assert [r.name for r in removed] == ["sub"]
     assert removed[0].witness == "big"
     assert set(trace.reduced.edge_names) == {"big", "other"}
@@ -40,7 +49,7 @@ def test_duplicate_edges_keep_smaller_name():
     trace = simplify(h)
     assert "a" in trace.reduced
     assert "b" not in trace.reduced
-    assert {r.name for r in trace.removed_edges} == {"b"}
+    assert {r.name for r in _removed(trace)} == {"b"}
 
 
 def test_redundant_cycle_strips_back_to_the_plain_cycle():
@@ -55,7 +64,7 @@ def test_redundant_cycle_strips_back_to_the_plain_cycle():
         edges[f"{name}_sub"] = ordered[:1]
     trace = simplify(Hypergraph(edges))
     assert trace.reduced.num_edges == 16
-    assert len(trace.removed_edges) == 32
+    assert len(_removed(trace)) == 32
 
 
 def test_degree_one_vertices_collapse_to_one_representative():
@@ -64,7 +73,7 @@ def test_degree_one_vertices_collapse_to_one_representative():
     # liftable through the special condition).
     h = Hypergraph({"core": ["x", "y"], "tail": ["y", "p1", "p2", "p3"]})
     trace = simplify(h)
-    collapsed = trace.collapsed_vertices
+    collapsed = _collapsed(trace)
     assert collapsed == [CollapsedVertices(representative="p1", removed=("p2", "p3"))]
     assert trace.reduced.vertices == {"x", "y", "p1"}
     assert trace.reduced.num_edges == 2
@@ -76,7 +85,7 @@ def test_identical_membership_vertices_collapse_across_edges():
     trace = simplify(h)
     assert any(
         step.representative == "u" and step.removed == ("v",)
-        for step in trace.collapsed_vertices
+        for step in _collapsed(trace)
     )
 
 
@@ -173,8 +182,8 @@ def test_collapse_and_subsumption_interact_in_one_pass():
         }
     )
     trace = simplify(h)
-    assert {r.name for r in trace.removed_edges} == {"sub"}
-    assert trace.collapsed_vertices == [
+    assert {r.name for r in _removed(trace)} == {"sub"}
+    assert _collapsed(trace) == [
         CollapsedVertices(representative="p1", removed=("p2", "q"))
     ]
     result = LogKDecomposer().decompose_raw(trace.reduced, 1)

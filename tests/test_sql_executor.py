@@ -384,7 +384,7 @@ def test_sql_database_handle(tmp_path):
     database = random_database_for_query(query, seed=5)
     handle = dump_database(database, tmp_path / "facts.sqlite")
     assert set(handle.relation_names()) == set(database.relation_names())
-    assert handle.total_tuples() == database.total_tuples()
+    assert all(len(handle.get(name)) == len(database.get(name)) for name in database.relation_names())
     assert "r" in handle and "zzz" not in handle
     assert handle.get("r").as_dicts() == database.get("r").as_dicts()
     with pytest.raises(QueryError):
@@ -437,7 +437,7 @@ def test_compile_sql_program_shape():
     kinds = [kind for kind, _, _ in program.steps]
     assert kinds[0] == "atom" and {"atom", "index", "bag", "red", "join", "proj"} >= set(kinds)
     assert kinds.count("bag") == planned.plan.num_nodes
-    assert kinds.count("red") == planned.plan.semijoin_count
+    assert kinds.count("red") == len(planned.plan.bottom_up) + len(planned.plan.top_down)
     names = [name for _, name, _ in program.steps]
     assert len(set(names)) == len(names)
     for kind, name, sql in program.steps:

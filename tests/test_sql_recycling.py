@@ -107,7 +107,8 @@ def test_statistics_count_executed_work_only():
     assert not cold.early_exit
     assert (cold.bags_built, cold.bags_reused) == (kinds.count("bag"), 0)
     assert (cold.indexes_built, cold.indexes_reused) == (kinds.count("index"), 0)
-    assert cold.semijoins_run == kinds.count("red") == planned.plan.semijoin_count
+    semijoins = len(planned.plan.bottom_up) + len(planned.plan.top_down)
+    assert cold.semijoins_run == kinds.count("red") == semijoins
     assert cold.joins_run == kinds.count("join")
     warm = engine.execute(TRIANGLE, database, "count", executor="sql").execution.statistics
     assert (warm.bags_built, warm.indexes_built, warm.semijoins_run, warm.joins_run) == (0, 0, 0, 0)

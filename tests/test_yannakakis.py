@@ -58,7 +58,7 @@ def test_yannakakis_empty_branch_empties_answers():
     root = _chain_tree()
     root.children[0].children[0].relation = Relation("T", ("c", "d"), [])
     answers = yannakakis(root, ["a"])
-    assert answers.is_empty()
+    assert not answers.tuples
 
 
 def test_yannakakis_unknown_output_variable():
