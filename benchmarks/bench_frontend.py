@@ -1,13 +1,15 @@
 """Micro-benchmark: the request front end scales with the input's incidences.
 
-Every ``decompose`` call parses its text, runs ``simplify`` and hashes the
-reduced instance before the result cache is probed, cache hits included, so
-the front end's cost is paid per request.  All three stages are linear in
-the number of incidences: the parser walks the body once, one anchored
-regex match per statement; each simplifier reduction is one pass over the
-edge bitmasks and a vertex -> edge-position row table; the canonical hash
-sorts the ``(edge name, sorted vertex names)`` pairs the hypergraph keeps.
-An all-pairs subset scan would be quadratic in the edge count.
+Every request parses its text and hashes the input to probe the result
+cache, cache hits included; only a miss then runs ``simplify`` and hashes
+the reduced instance for the catalog.  So parse + hash is the front end
+every request pays, and a miss adds ``simplify``.  All three stages are
+linear in the number of incidences: the parser walks the body once, one
+anchored regex match per statement; each simplifier reduction is one pass
+over the edge bitmasks and a vertex -> edge-position row table; the
+canonical hash sorts the ``(edge name, sorted vertex names)`` pairs the
+hypergraph keeps.  An all-pairs subset scan would be quadratic in the edge
+count.
 
 The guard times parse + simplify + ``canonical_hash`` on ``grid(20, 20)``
 (760 edges) and ``grid(40, 40)`` (3,120 edges, 4.1x as many) and asserts

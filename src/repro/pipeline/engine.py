@@ -1,26 +1,22 @@
-"""The staged decomposition engine: simplify → cache → decompose → lift.
+"""The staged decomposition engine: cache → simplify → decompose → lift.
 
 Every :meth:`repro.core.base.Decomposer.decompose` call routes through a
 :class:`DecompositionEngine`; :meth:`~repro.core.base.Decomposer.decompose_raw`
 is the raw search the engine runs per component.  A run proceeds in stages,
 each timed into ``SearchStatistics.stage_seconds``:
 
-1. **simplify** — apply the width-preserving reductions of
-   :mod:`repro.pipeline.simplify` (subsumed edges, interchangeable
-   degree-one vertices) and keep the reversible trace;
-2. **cache** — look the reduced instance up in an LRU result cache keyed by
+1. **cache** — look the *input* up in an LRU result cache (L1) keyed by
    ``(canonical hypergraph hash, k, algorithm cache key)``.  Only *decided*
    outcomes are stored — timeouts are never cached — and positive entries
-   keep the decomposition tree of the reduced instance so a hit can be
-   lifted for the new caller.  Trees are frozen, so a hit shares the stored
-   tree instead of copying it: L1, the catalog's promoted and written-behind
-   certificates and every result built from one entry hold the same nodes.
-   When the engine was built with a ``catalog`` (a durable
-   :class:`~repro.catalog.DecompositionCatalog`), an L1 miss falls through
-   to the catalog (L2): loaded certificates are re-validated before use,
-   hits are promoted into L1, and decided outcomes are written behind to the
-   catalog after the L1 store, so the durable tier can never be *ahead* of
-   the in-memory one within a process;
+   keep the tree already lifted onto the input, so a hit is hash, probe and
+   a :class:`~repro.decomp.decomposition.Decomposition` over the caller's
+   hypergraph sharing the stored (frozen) tree: no simplify, no lift;
+2. **simplify** — on a miss, apply the width-preserving reductions of
+   :mod:`repro.pipeline.simplify` (subsumed edges, interchangeable
+   degree-one vertices) and keep the reversible trace.  An engine built with
+   a ``catalog`` (a durable :class:`~repro.catalog.DecompositionCatalog`,
+   L2) then looks the *reduced* instance up there; loaded certificates are
+   re-validated before use;
 3. **decompose** — split the reduced instance into vertex-connected
    components and run the underlying algorithm
    (:meth:`~repro.core.base.Decomposer.decompose_raw`) on each.  HDs of
@@ -31,7 +27,9 @@ each timed into ``SearchStatistics.stage_seconds``:
    ``hw`` of a disconnected hypergraph;
 4. **lift** — replay the simplification trace backwards
    (:func:`~repro.pipeline.simplify.lift_decomposition`) so the returned
-   decomposition is hosted on the *original* hypergraph.
+   decomposition is hosted on the *original* hypergraph.  The lifted tree
+   goes into L1 before a searched outcome is written behind to the catalog,
+   so the durable tier is never *ahead* of the in-memory one in a process.
 
 The engine is what makes preprocessing wins apply uniformly: the CLI, the
 benchmark harness, the query layer and user code all construct algorithms
@@ -91,13 +89,14 @@ CacheStatistics = ShardStats
 
 @dataclass(frozen=True)
 class _CacheEntry:
-    """A decided (never timed-out) outcome for a reduced instance.
+    """A decided (never timed-out) outcome for an input hypergraph.
 
-    ``stats`` are the producing run's search counters (stage timings
-    stripped); they are replayed into hit results so statistics-based
-    analyses (recursion depth, label counts) stay meaningful and
-    deterministic whether or not the cache intervened.  The instance itself
-    is identified solely by the SHA-256 canonical hash inside the key.
+    ``root`` is the tree already lifted onto the input.  ``stats`` are the
+    producing run's search counters (stage timings stripped); they are
+    replayed into hit results so statistics-based analyses (recursion depth,
+    label counts) stay meaningful and deterministic whether or not the cache
+    intervened.  The input is identified solely by the SHA-256 canonical
+    hash inside the key, a digest of its edge and vertex names.
     """
 
     success: bool
@@ -112,10 +111,12 @@ class ResultCache:
     The entries live in a :class:`~repro.lru.ShardedLRU`: the key space is
     partitioned over ``num_shards`` independently locked shards, so
     concurrent callers (the :class:`~repro.service.DecompositionService`
-    worker pool in particular) probing different instances never serialise
-    on a global cache lock.  :attr:`statistics` aggregates the per-shard
-    counters; :meth:`shard_statistics` exposes them individually for the
-    service stats snapshot.
+    worker pool in particular) probing different inputs never serialise on
+    a global cache lock.  The engine keys it by the input's canonical hash,
+    ``k`` and ``cache_key()``, and a positive entry holds the lifted tree.
+    :attr:`statistics` aggregates the per-shard counters;
+    :meth:`shard_statistics` exposes them individually for the service
+    stats snapshot.
     """
 
     def __init__(self, max_entries: int = 1024, num_shards: int = 8) -> None:
@@ -145,16 +146,11 @@ class ResultCache:
         key: tuple,
         success: bool,
         root: DecompositionNode | None,
-        kind: type = HypertreeDecomposition,
-        stats: SearchStatistics | None = None,
+        kind: type,
+        stats: SearchStatistics,
     ) -> None:
-        entry = _CacheEntry(
-            success=success,
-            root=root,
-            kind=kind,
-            stats=replace(stats, stage_seconds={}) if stats is not None else SearchStatistics(),
-        )
-        self._entries.put(key, entry)
+        """Store a decided outcome; ``root`` is ``None`` for a "no"."""
+        self._entries.put(key, _CacheEntry(success, root, kind, replace(stats, stage_seconds={})))
 
 
 class DecompositionEngine:
@@ -237,101 +233,101 @@ class DecompositionEngine:
         faults.fire("engine.decompose", algorithm=decomposer.name, k=k)
         start = time.monotonic()
         stats = SearchStatistics()
+        configuration = decomposer.cache_key()
 
-        # Stage 1: simplification.
-        t0 = time.monotonic()
-        trace = simplify(hypergraph)
-        reduced = trace.reduced
-        stats.record_stage("simplify", time.monotonic() - t0)
-
-        # Stage 2: cache lookup on the reduced instance (L1, then the
-        # durable catalog as L2).
-        key = None
-        success: bool | None = None
-        timed_out = False
-        combined_root: DecompositionNode | None = None
-        kind: type = HypertreeDecomposition
-        if self.cache is not None or self.catalog is not None:
+        # Stage 1: L1, keyed by the input itself and holding the lifted tree,
+        # so a hit runs no simplify and no lift.
+        key = entry = None
+        if self.cache is not None:
             t0 = time.monotonic()
-            key = (reduced.canonical_hash(), k, decomposer.cache_key())
-            entry = self.cache.get(key) if self.cache is not None else None
-            if entry is None and self.catalog is not None:
-                record = self.catalog.get(reduced, k, key[2])
-                if record is not None:
-                    # The catalog re-validated the certificate against
-                    # ``reduced`` before returning it, so it can be promoted
-                    # into L1 and used exactly like an L1 hit.
-                    entry = _CacheEntry(
-                        success=record.success,
-                        root=record.root,
-                        kind=record.kind,
-                        stats=record.stats,
-                    )
-                    if self.cache is not None:
-                        self.cache.put(
-                            key, record.success, record.root, record.kind, record.stats
-                        )
+            key = (hypergraph.canonical_hash(), k, configuration)
+            entry = self.cache.get(key)
             stats.record_stage("cache", time.monotonic() - t0)
-            if entry is not None:
-                # Replay the producing run's counters; engine-level hit/miss
-                # totals live in ``self.cache.statistics``, not here, because
-                # SearchStatistics.cache_* belong to the algorithms' own
-                # subproblem caches.
-                stats.merge(entry.stats)
-                success = entry.success
-                combined_root = entry.root
-                kind = entry.kind
-
-        # Stage 3: per-component decomposition.  A decided miss builds its
-        # certificate once, for the catalog and for stage 4 alike.
-        certificate: Decomposition | None = None
-        if success is None:
-            t0 = time.monotonic()
-            success, timed_out, combined_root, kind = self._decompose_components(
-                decomposer, reduced, k, stats, cancel_event
+        if entry is not None:
+            # Replay the producing run's counters; engine-level hit/miss
+            # totals live in ``self.cache.statistics``, not here, because
+            # SearchStatistics.cache_* belong to the algorithms' own
+            # subproblem caches.
+            stats.merge(entry.stats)
+            success, timed_out = entry.success, False
+            decomposition = None if entry.root is None else entry.kind(hypergraph, entry.root)
+        else:
+            success, timed_out, decomposition = self._miss(
+                decomposer, hypergraph, k, configuration, key, stats, cancel_event
             )
-            stats.record_stage("decompose", time.monotonic() - t0)
-            if key is not None and not timed_out:
-                # L1 first, then the durable write-behind: within a process
-                # the catalog never gets ahead of the in-memory tier.
-                if self.cache is not None:
-                    self.cache.put(key, success, combined_root, kind, stats)
-                if self.catalog is not None:
-                    if success and combined_root is not None:
-                        certificate = kind(reduced, combined_root)
-                    self.catalog.put(
-                        reduced,
-                        k,
-                        key[2],
-                        algorithm=decomposer.name,
-                        success=bool(success),
-                        decomposition=certificate,
-                        stats=stats,
-                        wall_seconds=stats.stage_seconds.get("decompose", 0.0),
-                    )
-
-        # Stage 4: lift back to the original hypergraph.
-        decomposition: Decomposition | None = None
-        if success and combined_root is not None:
-            t0 = time.monotonic()
-            # When nothing reduced, ``reduced`` is ``hypergraph`` itself.
-            decomposition = certificate
-            if decomposition is None:
-                decomposition = kind(reduced, combined_root)
-            if trace.reduced_anything:
-                decomposition = lift_decomposition(trace, decomposition)
-            stats.record_stage("lift", time.monotonic() - t0)
-
         return DecompositionResult(
             algorithm=decomposer.name,
             hypergraph=hypergraph,
             width_parameter=k,
-            success=bool(success),
+            success=success,
             decomposition=decomposition,
             elapsed=time.monotonic() - start,
             timed_out=timed_out,
             statistics=stats,
         )
+
+    def _miss(
+        self,
+        decomposer: Decomposer,
+        hypergraph: Hypergraph,
+        k: int,
+        configuration: tuple,
+        key: tuple | None,
+        stats: SearchStatistics,
+        cancel_event: threading.Event | None,
+    ) -> tuple[bool, bool, Decomposition | None]:
+        """Stages 2-4 of an L1 miss: ``(success, timed_out, lifted decomposition)``."""
+        # Stage 2: simplification, then the catalog (L2) on the reduced instance.
+        t0 = time.monotonic()
+        trace = simplify(hypergraph)
+        reduced = trace.reduced
+        stats.record_stage("simplify", time.monotonic() - t0)
+        record = None
+        if self.catalog is not None:
+            t0 = time.monotonic()
+            record = self.catalog.get(reduced, k, configuration)
+            stats.record_stage("cache", time.monotonic() - t0)
+        if record is not None:
+            # The catalog re-validated the certificate against ``reduced``.
+            stats.merge(record.stats)
+            success, timed_out, root, kind = record.success, False, record.root, record.kind
+        else:
+            # Stage 3: per-component decomposition.
+            t0 = time.monotonic()
+            success, timed_out, root, kind = self._decompose_components(
+                decomposer, reduced, k, stats, cancel_event
+            )
+            stats.record_stage("decompose", time.monotonic() - t0)
+
+        # Stage 4: build the certificate once, for the catalog and the lift,
+        # and lift it back to the original hypergraph.
+        certificate = decomposition = None
+        if success and root is not None:
+            t0 = time.monotonic()
+            # When nothing reduced, ``reduced`` is ``hypergraph`` itself.
+            certificate = decomposition = kind(reduced, root)
+            if trace.reduced_anything:
+                decomposition = lift_decomposition(trace, certificate)
+            stats.record_stage("lift", time.monotonic() - t0)
+
+        if not timed_out:
+            # L1 first, then the durable write-behind: within a process the
+            # catalog never gets ahead of the in-memory tier.
+            if key is not None:
+                lifted = None if decomposition is None else decomposition.root
+                self.cache.put(key, success, lifted, kind, stats)
+            if self.catalog is not None and record is None:
+                self.catalog.put(
+                    reduced,
+                    k,
+                    configuration,
+                    algorithm=decomposer.name,
+                    success=success,
+                    decomposition=certificate,
+                    stats=stats,
+                    wall_seconds=stats.stage_seconds.get("decompose", 0.0),
+                )
+        return success, timed_out, decomposition
 
     def _decompose_components(
         self,

@@ -15,7 +15,7 @@ import sqlite3
 
 import pytest
 
-from repro import DecompositionEngine, LogKDecomposer, validate_hd
+from repro import DecompositionEngine, Hypergraph, LogKDecomposer, validate_hd
 from repro.catalog import DecompositionCatalog
 from repro.hypergraph import generators
 from repro.service import DecompositionService
@@ -207,6 +207,27 @@ def test_l2_hit_promotes_into_l1(tmp_path):
     assert warm.catalog.stats().hits == 1  # the catalog was probed only once
     assert warm.cache.statistics.hits == 1
     warm.catalog.close()
+
+
+@pytest.mark.parametrize("k, expect", [(2, True), (1, False)], ids=["positive", "negative"])
+def test_l1_holds_the_input_before_the_catalog_write(tmp_path, monkeypatch, k, expect):
+    # Write-behind ordering: within a process the durable tier is never
+    # ahead of L1.  The input reduces (a subsumed edge), so the L1 key and
+    # the catalog row's key differ.
+    engine = DecompositionEngine(catalog=str(tmp_path / "cat.db"))
+    decomposer = LogKDecomposer(engine=engine)
+    hypergraph = Hypergraph({**generators.cycle(8).edges_as_dict(), "S": ["x1"]})
+    key = (hypergraph.canonical_hash(), k, decomposer.cache_key())
+    put, seen = engine.catalog.put, []
+
+    def spy(*args, **kwargs):
+        seen.append(engine.cache.get(key))
+        return put(*args, **kwargs)
+
+    monkeypatch.setattr(engine.catalog, "put", spy)
+    assert decomposer.decompose(hypergraph, k).success is expect
+    assert len(seen) == 1 and seen[0] is not None and seen[0].success is expect
+    engine.catalog.close()
 
 
 def test_timeouts_never_reach_the_catalog(tmp_path):

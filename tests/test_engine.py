@@ -90,6 +90,110 @@ def test_l1_hit_shares_the_stored_tree(engine):
     assert hit.decomposition.root is entry.root  # shared, not copied
 
 
+def test_l1_hit_runs_neither_simplify_nor_lift(engine, messy, monkeypatch):
+    import repro.pipeline.engine as engine_module
+
+    decomposer = LogKDecomposer(engine=engine)
+    assert decomposer.decompose(messy, 2).success
+
+    def miss_stage(*args):
+        raise AssertionError("an L1 hit ran a miss stage")
+
+    monkeypatch.setattr(engine_module, "simplify", miss_stage)
+    monkeypatch.setattr(engine_module, "lift_decomposition", miss_stage)
+    hit = decomposer.decompose(messy, 2)
+    assert hit.success and engine.cache.statistics.hits == 1
+    assert set(hit.statistics.stage_seconds) == {"cache"}
+
+
+def test_l1_hits_share_the_lifted_root_on_the_callers_hypergraph(engine, messy):
+    decomposer = LogKDecomposer(engine=engine)
+    assert decomposer.decompose(messy, 2).success
+    again = Hypergraph(messy.edges_as_dict(), name="again")  # same key, another object
+    first, second = decomposer.decompose(messy, 2), decomposer.decompose(again, 2)
+    assert engine.cache.statistics.hits == 2
+    assert first.decomposition.root is second.decomposition.root
+    assert first.decomposition.hypergraph is messy
+    assert second.decomposition.hypergraph is again
+    validate_hd(first.decomposition)
+    validate_hd(second.decomposition)
+    entry = engine.cache.get((messy.canonical_hash(), 2, decomposer.cache_key()))
+    assert entry.root is first.decomposition.root  # keyed by the input, holding the lifted tree
+
+
+def test_catalog_answers_once_then_l1(tmp_path, messy):
+    path = tmp_path / "cat.db"
+    cold = DecompositionEngine(catalog=path)
+    assert LogKDecomposer(engine=cold).decompose(messy, 2).success
+    cold.catalog.close()
+
+    warm = DecompositionEngine(catalog=path)
+    decomposer = LogKDecomposer(engine=warm)
+    from_l2 = decomposer.decompose(messy, 2)
+    assert "decompose" not in from_l2.statistics.stage_seconds
+    assert warm.catalog.stats().hits == 1 and warm.cache.statistics.stores == 1
+    key = (messy.canonical_hash(), 2, decomposer.cache_key())
+    assert warm.cache.get(key).root is from_l2.decomposition.root
+    from_l1 = decomposer.decompose(messy, 2)
+    assert warm.catalog.stats().hits == 1  # the catalog was not probed again
+    assert from_l1.decomposition.root is from_l2.decomposition.root
+    assert from_l1.decomposition.hypergraph is messy
+    validate_hd(from_l1.decomposition)
+    warm.catalog.close()
+
+
+def test_catalog_without_l1_reads_through_and_writes_behind(tmp_path, messy):
+    path = tmp_path / "cat.db"
+    cold = DecompositionEngine(cache=None, catalog=path)
+    assert cold.cache is None
+    assert LogKDecomposer(engine=cold).decompose(messy, 2).success
+    cold.catalog.flush()
+    assert cold.catalog.stats().stores == 1
+    cold.catalog.close()
+
+    warm = DecompositionEngine(cache=None, catalog=path)
+    for _ in range(2):  # no L1: every request reads the catalog
+        result = LogKDecomposer(engine=warm).decompose(messy, 2)
+        assert result.success and "decompose" not in result.statistics.stage_seconds
+        assert result.decomposition.hypergraph is messy
+        validate_hd(result.decomposition)
+    assert warm.catalog.stats().hits == 2
+    warm.catalog.close()
+
+
+def _cycle8_plus(edge, vertex):
+    """cycle(8) plus one edge that ``simplify`` removes as subsumed."""
+    return Hypergraph({**generators.cycle(8).edges_as_dict(), edge: [vertex]})
+
+
+def test_inputs_that_reduce_alike_search_once_each_without_a_catalog(engine):
+    one, other = _cycle8_plus("S1", "x1"), _cycle8_plus("S2", "x5")
+    assert one.canonical_hash() != other.canonical_hash()
+    decomposer = LogKDecomposer(engine=engine)
+    for hypergraph in (one, other):
+        result = decomposer.decompose(hypergraph, 2)
+        assert result.success and "decompose" in result.statistics.stage_seconds
+        assert result.decomposition.hypergraph is hypergraph
+    assert engine.cache.statistics.stores == 2 and engine.cache.statistics.hits == 0
+
+
+def test_inputs_that_reduce_alike_share_one_catalog_row(tmp_path):
+    engine = DecompositionEngine(catalog=tmp_path / "cat.db")
+    decomposer = LogKDecomposer(engine=engine)
+    first = decomposer.decompose(_cycle8_plus("S1", "x1"), 2)
+    assert "decompose" in first.statistics.stage_seconds
+    engine.catalog.flush()
+    other = _cycle8_plus("S2", "x5")
+    second = decomposer.decompose(other, 2)
+    assert second.success and "decompose" not in second.statistics.stage_seconds
+    assert second.decomposition.hypergraph is other
+    validate_hd(second.decomposition)
+    stats = engine.catalog.stats()
+    assert (stats.hits, stats.stores) == (1, 1)
+    assert engine.cache.statistics.stores == 2
+    engine.catalog.close()
+
+
 def test_component_graft_leaves_the_component_roots_unchanged(engine, monkeypatch):
     two_triangles = Hypergraph(
         {
