@@ -45,9 +45,11 @@ Design
   the top-down pass and join stage entirely; all modes short-circuit when a
   bag or a reduced node comes out empty.
 
-Base-relation encodings (per atom binding pattern) persist in the
-:class:`ColumnStore` across queries, which is what makes warm workload
-evaluation cheap: repeated queries touch only per-query bag state.
+Base-relation encodings (per atom binding pattern), bag tables and plan
+outcomes persist in the :class:`ColumnStore` across queries, which is what
+makes warm workload evaluation cheap: a new plan over known bags runs only
+its semijoin passes and joins, and a repeated plan runs no operator at all
+(an ``ENUMERATE`` answer still decodes its root table).
 """
 
 from __future__ import annotations
@@ -450,9 +452,18 @@ class ColumnStore:
 
     Encodings are computed lazily per atom binding pattern (relation name
     plus repeated-variable positions) and cached, as are the key indexes
-    living on the cached :class:`ColumnarRelation` objects.  Keep one store
-    per database and pass it to every execution to amortise the encoding
-    across a workload; the executor creates a throwaway store otherwise.
+    living on the cached :class:`ColumnarRelation` objects, the bag tables
+    and each executed plan's outcome.  Keep one store per database and pass
+    it to every execution to amortise the work across a workload.
+
+    An in-memory database never changes under its store.  For a
+    file-backed :class:`~repro.query.sqlgen.SQLDatabase` the executor reads
+    the file's data version at the start of each execution; when another
+    connection has committed, the store drops everything it read from the
+    file (atom columns, atom tables, bag tables and outcomes, and the
+    database's materialised relations) and starts cold.  An execution
+    already running when the commit lands may still store what it read
+    before it.
 
     The store may be shared by concurrent executions (the serving layer runs
     many queries against one database at once): the value dictionary grows
@@ -479,8 +490,25 @@ class ColumnStore:
         #: (cover/filter atom identities + bag variables).  Bags depend
         #: only on that signature and the database content, so across a
         #: workload of repeated query shapes the bag join work — and the
-        #: key indexes living on the cached tables — is paid once.
+        #: key indexes living on the cached tables — is paid once.  The
+        #: same cache holds plan outcomes, keyed by the plan
+        #: (:meth:`PlanExecutor.execute`).
         self._bag_tables: ShardedLRU = ShardedLRU(512)
+        #: The source's data-version probe (None: the source never changes)
+        #: and the version the caches were read at.
+        self._probe = database._data_version
+        self._version: int | None = None
+
+    def _sync(self) -> None:
+        """Drop everything read from the source if its data version moved
+        (also on the first probe: the database may have read rows before)."""
+        version = self._probe()
+        if version != self._version:
+            self._version = version
+            self._atom_columns.clear()
+            self._atom_tables.clear()
+            self._bag_tables.clear()
+            self.database._relations.clear()
 
     # ------------------------------------------------------------------ #
     # encoding
@@ -724,31 +752,56 @@ class PlanExecutor:
     # public entry point
     # ------------------------------------------------------------------ #
     def execute(self, plan: QueryPlan) -> ExecutionResult:
-        """Execute ``plan`` against the store's database."""
-        stats = ExecutionStatistics()
+        """Execute ``plan`` against the store's database.
+
+        A plan is a pure function of its bags, so its outcome (the root row
+        count, and for ``ENUMERATE`` the root table) is recycled in the
+        store's bag cache under the plan itself: a repeated plan polls the
+        deadline, runs no operator and reports every bag reused.  A run
+        that raises stores nothing.
+        """
         self._check()
-
-        states = self._bag_states(plan, stats)
-        if states is None or not self._reduce(plan, states, stats):
-            stats.early_exit = True
-            return ExecutionResult.of(plan, stats, 0)
-        if plan.mode is AnswerMode.BOOLEAN:
-            # Bottom-up reduction succeeded with a surviving root tuple.
-            return ExecutionResult.of(plan, stats, states[0].live_count)
-
-        root = self._join_stage(plan, states, stats)
+        store = self.store
+        if store._probe is not None:
+            store._sync()
+        outcome = store._bag_tables.get(plan)
+        if outcome is None:
+            stats = ExecutionStatistics()
+            outcome = self._run(plan, stats)
+            store._bag_tables.put(plan, outcome)
+        else:
+            # A run that did not exit early ends with a non-empty root.
+            stats = ExecutionStatistics(bags_reused=len(plan.bags), early_exit=not outcome[0])
+        count, root = outcome
+        if root is None:
+            return ExecutionResult.of(plan, stats, count)
 
         def rows() -> set[tuple]:
             self._check()
             if not plan.output:
                 return {()}
             # Decode column-at-a-time in output order; adopt the zipped tuples.
-            decode = self.store._values.__getitem__
+            decode = store._values.__getitem__
             return set(zip(*(map(decode, root.column(v)) for v in plan.output)))
 
+        return ExecutionResult.of(plan, stats, count, rows)
+
+    def _run(
+        self, plan: QueryPlan, stats: ExecutionStatistics
+    ) -> tuple[int, ColumnarRelation | None]:
+        """Bags, semijoin passes and joins: the root row count and, for an
+        ``ENUMERATE`` plan that did not exit early, the root table."""
+        states = self._bag_states(plan, stats)
+        if states is None or not self._reduce(plan, states, stats):
+            stats.early_exit = True
+            return 0, None
+        if plan.mode is AnswerMode.BOOLEAN:
+            # Bottom-up reduction succeeded with a surviving root tuple.
+            return states[0].live_count, None
+        root = self._join_stage(plan, states, stats)
         # Joins of distinct inputs stay distinct and projections dedupe, so
         # the root row count *is* the answer count.
-        return ExecutionResult.of(plan, stats, root.nrows, rows)
+        return root.nrows, root if plan.mode is AnswerMode.ENUMERATE else None
 
     # ------------------------------------------------------------------ #
     # stage 1: bag materialisation

@@ -15,6 +15,10 @@ __all__ = ["Database", "random_database_for_query"]
 class Database:
     """A named collection of :class:`~repro.query.relation.Relation` objects."""
 
+    #: A source whose content can change under a store overrides this with
+    #: a method returning its current data version; None: it never changes.
+    _data_version = None
+
     def __init__(self, relations: Iterable[Relation] = ()) -> None:
         self._relations: dict[str, Relation] = {}
         for relation in relations:

@@ -345,6 +345,8 @@ class SQLDatabase(Database):
         super().__init__()
         self.path = str(path)
         self._schemas: dict[str, tuple[str, ...]] = {}
+        self._watch: sqlite3.Connection | None = None
+        self._watch_lock = threading.Lock()
         faults.fire("sqlgen.connect", path=self.path)
         connection = sqlite3.connect(self.path)
         try:
@@ -367,6 +369,15 @@ class SQLDatabase(Database):
 
     def add(self, relation: Relation) -> None:
         raise QueryError("a SQLDatabase is read-only; relations live in the file")
+
+    def _data_version(self) -> int:
+        """The file's ``PRAGMA data_version`` on a connection kept for it: the
+        value moves whenever another connection commits to the file."""
+        with self._watch_lock:
+            if self._watch is None:
+                self._watch = sqlite3.connect(self.path, check_same_thread=False)
+                weakref.finalize(self, self._watch.close)
+            return self._watch.execute("PRAGMA data_version").fetchone()[0]
 
     def get(self, name: str) -> Relation:
         relation = self._relations.get(name)

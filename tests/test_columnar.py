@@ -9,6 +9,7 @@ variables and Boolean queries.
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import threading
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from repro.query import (
     Relation,
     SQLStore,
     compile_plan,
+    dump_database,
     evaluate_query,
     naive_join_query,
     random_database_for_query,
@@ -524,6 +526,117 @@ def test_store_database_mismatch_rejected():
 
     with pytest.raises(QueryError):
         SQLStore(db1, ColumnStore(db2))
+
+
+# --------------------------------------------------------------------------- #
+# recycled executions: a repeated plan on one store runs no operator
+# --------------------------------------------------------------------------- #
+_MODES = ("enumerate", "boolean", "count")
+_CHAIN = parse_conjunctive_query("ans(x, w) :- r(x,y), s(y,z), t(z,w).")
+
+
+def _work(statistics) -> tuple[int, ...]:
+    return (
+        statistics.bags_built,
+        statistics.indexes_built,
+        statistics.semijoins_run,
+        statistics.joins_run,
+    )
+
+
+def _outcome(result) -> tuple:
+    answers = None if result.answers is None else result.answers.tuples
+    return result.boolean, result.count, answers
+
+
+def test_a_warm_repeat_runs_no_operator(kernels):
+    engine = QueryEngine(engine=DecompositionEngine())
+    database = random_database_for_query(_CHAIN, domain_size=5, tuples_per_relation=15, seed=3)
+    for mode in _MODES:
+        first = engine.execute(_CHAIN, database, mode)
+        assert not first.execution.statistics.early_exit
+        assert first.execution.statistics.semijoins_run > 0
+        again = engine.execute(_CHAIN, database, mode)
+        statistics = again.execution.statistics
+        assert _work(statistics) == (0, 0, 0, 0)
+        assert statistics.bags_reused == len(again.planned.plan.bags)
+        assert (statistics.rows_materialised, statistics.indexes_reused) == (0, 0)
+        assert not statistics.early_exit
+        assert _outcome(again) == _outcome(first)
+
+
+def test_recycled_answers_equal_those_of_a_fresh_store(kernels):
+    engine = QueryEngine(engine=DecompositionEngine())
+    query = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z), t(z,x), u(x).")
+    database = random_database_for_query(query, domain_size=4, tuples_per_relation=12, seed=8)
+    for mode in _MODES + _MODES:
+        recycled = engine.execute(query, database, mode)
+        fresh = PlanExecutor(ColumnStore(database)).execute(recycled.planned.plan)
+        assert _outcome(recycled.execution) == _outcome(fresh)
+    naive = naive_join_query(database, query.atoms, query.free_variables)
+    assert recycled.count == len(naive)
+
+
+def test_recycled_empty_plan_is_an_immediate_early_exit():
+    query = parse_conjunctive_query("ans(x) :- r(x,y), s(y,z).")
+    database = Database([Relation("r", ["a0", "a1"], [(1, 2)]), Relation("s", ["a0", "a1"], [])])
+    engine = QueryEngine(engine=DecompositionEngine())
+    for mode in _MODES:
+        engine.execute(query, database, mode)
+        again = engine.execute(query, database, mode)
+        statistics = again.execution.statistics
+        assert statistics.early_exit and not again.boolean
+        assert _work(statistics) == (0, 0, 0, 0)
+        assert statistics.bags_reused == len(again.planned.plan.bags)
+        assert again.count in (None, 0)
+        assert again.answers is None or len(again.answers) == 0
+
+
+def test_two_databases_never_share_an_outcome():
+    # Equal plans, equal or different content: one store per database, so
+    # the second database always runs its own program.
+    def chain(last):
+        rows = {"r": [(1, 2), (6, 2)], "s": [(2, 3)], "t": [(3, last)]}
+        return Database([Relation(name, ["a0", "a1"], rows[name]) for name in rows])
+
+    engine = QueryEngine(engine=DecompositionEngine())
+    one, other, twin = chain(4), chain(5), chain(4)
+    assert engine.execute(_CHAIN, one).answers.tuples == {(1, 4), (6, 4)}
+    for database, last in ((other, 5), (twin, 4)):
+        result = engine.execute(_CHAIN, database)
+        assert result.plan_cached
+        assert result.execution.statistics.joins_run > 0
+        assert result.answers.tuples == {(1, last), (6, last)}
+    assert engine.execute(_CHAIN, one).answers.tuples == {(1, 4), (6, 4)}
+
+
+def test_both_executors_see_a_commit_to_the_file(tmp_path):
+    # Another connection inserts into a relation both arms have already
+    # read: each drops what it cached from the file and answers anew.
+    query = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z).")
+    database = Database(
+        [
+            Relation("r", ["a0", "a1"], [(1, 2), (2, 3), (3, 4)]),
+            Relation("s", ["a0", "a1"], [(2, 5)]),
+        ]
+    )
+    path = tmp_path / "facts.sqlite"
+    on_disk = dump_database(database, path)
+    engine = QueryEngine(engine=DecompositionEngine())
+    for executor in ("sql", "columnar"):
+        for mode in _MODES:
+            assert engine.execute(query, on_disk, mode, executor=executor).count in (None, 1)
+    with sqlite3.connect(path) as writer:
+        writer.execute("INSERT INTO s VALUES (3, 7)")
+    writer.close()
+    for mode in _MODES:
+        sql, col = (
+            engine.execute(query, on_disk, mode, executor=executor).execution
+            for executor in ("sql", "columnar")
+        )
+        assert _outcome(col) == _outcome(sql)
+        assert sql.count in (None, 2)
+    assert engine.execute(query, on_disk).answers.tuples == {(1, 5), (2, 7)}
 
 
 # --------------------------------------------------------------------------- #

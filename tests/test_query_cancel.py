@@ -151,6 +151,39 @@ def test_execute_with_expired_timeout_raises():
         engine.execute(QUERY, database, AnswerMode.ENUMERATE, timeout=-1.0)
 
 
+@pytest.mark.parametrize("mode", list(AnswerMode))
+def test_a_recycled_plan_still_honours_a_fired_deadline(mode):
+    # The outcome is recycled, but the first step of every execution is
+    # still a deadline poll: an already-cancelled or expired execution
+    # raises instead of answering from the store.
+    engine, database = _engine_and_database()
+    planned, _ = engine.plan(QUERY, mode)
+    store = ColumnStore(database)
+    PlanExecutor(store).execute(planned.plan)
+    recycled = PlanExecutor(store).execute(planned.plan)
+    assert recycled.statistics.joins_run == recycled.statistics.semijoins_run == 0
+    cancelled = threading.Event()
+    cancelled.set()
+    for deadline in (Deadline(cancel_event=cancelled), Deadline(at=time.monotonic() - 1.0)):
+        with pytest.raises(TimeoutExceeded):
+            PlanExecutor(store, deadline).execute(planned.plan)
+
+
+def test_a_cancelled_run_recycles_nothing(monkeypatch):
+    # A run that raises stores no outcome: the next execution of the plan
+    # on the same store runs its program again and answers in full.
+    monkeypatch.setattr(columnar, "_CHECK_STRIDE", 1)
+    engine, database = _engine_and_database()
+    planned, _ = engine.plan(QUERY, AnswerMode.ENUMERATE)
+    store = ColumnStore(database)
+    with pytest.raises(TimeoutExceeded):
+        PlanExecutor(store, Deadline(cancel_event=_TripAfter(5))).execute(planned.plan)
+    result = PlanExecutor(store).execute(planned.plan)
+    assert result.statistics.semijoins_run > 0
+    expected = PlanExecutor(ColumnStore(database)).execute(planned.plan)
+    assert result.answers.tuples == expected.answers.tuples
+
+
 # --------------------------------------------------------------------------- #
 # service-level cancellation accounting
 # --------------------------------------------------------------------------- #
