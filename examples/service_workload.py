@@ -35,7 +35,7 @@ QUERY = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z), t(z,x).", name="de
 
 def main() -> None:
     database = random_database_for_query(QUERY, domain_size=8, tuples_per_relation=40)
-    service = DecompositionService(num_workers=4, engine=DecompositionEngine())
+    service = DecompositionService(workers=4, engine=DecompositionEngine())
     barrier = threading.Barrier(CLIENTS)
 
     def client(client_id: int) -> None:

@@ -10,6 +10,7 @@ Usage (installed as ``repro-bench`` or via ``python -m repro.bench``)::
     repro-bench figure1 --cores 1 2 3 4
     repro-bench figure3
     repro-bench depth
+    repro-bench ablation
     repro-bench all
     repro-bench --list-algorithms
 
@@ -38,7 +39,9 @@ from .reporting import (
     render_table,
 )
 from .runner import run_experiment
-from .tables import build_table1, build_table2, build_table3, build_table4, build_table5
+from .tables import (
+    build_ablation, build_table1, build_table2, build_table3, build_table4, build_table5,
+)  # fmt: skip
 
 __all__ = ["main"]
 
@@ -51,6 +54,7 @@ EXPERIMENTS = (
     "figure1",
     "figure3",
     "depth",
+    "ablation",
     "all",
 )
 
@@ -152,6 +156,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             outputs.append(render_scatter(build_figure3(data)))
         elif experiment == "depth":
             outputs.append(render_depth_series(build_recursion_depth_series()))
+        elif experiment == "ablation":
+            outputs.append(render_table(build_ablation()))
 
     print("\n\n".join(outputs))
     return 0

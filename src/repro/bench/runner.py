@@ -56,6 +56,12 @@ def bench_decomposer(name: str, **options) -> Decomposer:
     """
     return registry.build(name, engine=DecompositionEngine(cache=None), **options)
 
+
+#: The direct optimal solver's budget over a parametrised method's
+#: per-(instance, k) budget: the paper similarly grants HtdLEO a larger
+#: memory budget because SMT solving is more resource-hungry.
+OPTIMAL_BUDGET_FACTOR = 2.0
+
 DecomposerFactory = Callable[[float | None], Decomposer]
 
 
@@ -71,7 +77,7 @@ class DecomposerSpec:
     factory: DecomposerFactory | None
 
 
-def default_method_specs(num_workers: int = 1) -> list[DecomposerSpec]:
+def default_method_specs() -> list[DecomposerSpec]:
     """The three methods compared in Table 1 of the paper.
 
     All decomposers are built through the algorithm registry by
@@ -80,14 +86,8 @@ def default_method_specs(num_workers: int = 1) -> list[DecomposerSpec]:
     return [
         DecomposerSpec("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t)),
         DecomposerSpec("HtdLEO", None),
-        DecomposerSpec("log-k-decomp Hybrid", lambda t: _hybrid_factory(t, num_workers)),
+        DecomposerSpec("log-k-decomp Hybrid", lambda t: bench_decomposer("hybrid", timeout=t)),
     ]
-
-
-def _hybrid_factory(timeout: float | None, num_workers: int) -> Decomposer:
-    if num_workers > 1:
-        return bench_decomposer("parallel", timeout=timeout, num_workers=num_workers, hybrid=True)
-    return bench_decomposer("hybrid", timeout=timeout)
 
 
 @dataclass
@@ -229,18 +229,15 @@ def run_experiment(
     instances: Sequence[Instance],
     methods: Iterable[DecomposerSpec] | None = None,
     time_budget: float = 2.0,
-    optimal_budget_factor: float = 2.0,
     max_width: int = 6,
-    num_workers: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> ExperimentData:
     """Run every method on every instance and collect the records.
 
-    ``optimal_budget_factor`` scales the budget of the direct optimal solver
-    relative to ``time_budget`` (the paper similarly grants HtdLEO a larger
-    memory budget because SMT solving is more resource-hungry).
+    The direct optimal solver runs with :data:`OPTIMAL_BUDGET_FACTOR` times
+    ``time_budget``.
     """
-    specs = list(methods) if methods is not None else default_method_specs(num_workers)
+    specs = list(methods) if methods is not None else default_method_specs()
     data = ExperimentData(instances=list(instances))
     for instance in instances:
         for spec in specs:
@@ -249,7 +246,7 @@ def run_experiment(
                 record = run_optimal_solver(
                     instance,
                     spec.label,
-                    time_budget * optimal_budget_factor,
+                    time_budget * OPTIMAL_BUDGET_FACTOR,
                     max_width,
                 )
             else:

@@ -14,15 +14,21 @@ table follows the paper:
   Best method.
 * **Table 4** — for how many instances the question ``hw <= w`` is decided.
 * **Table 5** — the optimal solver re-run with an extended time budget.
+* **Ablation** (Appendix C) — the search-space effect of switching off each
+  of log-k-decomp's optimisations.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from ..exceptions import DecompositionError
+from ..hypergraph import generators
 from .corpus import SIZE_GROUPS, Instance, corpus_summary
 from .runner import (
+    OPTIMAL_BUDGET_FACTOR,
     bench_decomposer,
     ExperimentData,
     RunRecord,
@@ -38,6 +44,7 @@ __all__ = [
     "build_table3",
     "build_table4",
     "build_table5",
+    "build_ablation",
 ]
 
 
@@ -57,7 +64,14 @@ class Table:
 # Table 1
 # --------------------------------------------------------------------------- #
 def build_table1(data: ExperimentData) -> Table:
-    """Comparison of the methods: #solved and runtimes per origin/size group."""
+    """Comparison of the methods: #solved and runtimes per origin/size group.
+
+    Paper reference (Table 1): over the full HyperBench corpus, the log-k-decomp
+    hybrid solves the most instances (3102 of 3648), ahead of HtdLEO (2544) and
+    NewDetKDecomp (2060), with average runtimes comparable to NewDetKDecomp and
+    far below HtdLEO.  The benchmark regenerates the same table structure on the
+    synthetic corpus; see "Paper experiments" in ``docs/benchmarks.md`` on comparing shapes.
+    """
     methods = data.methods()
     headers = ["Origin", "Size group", "Instances"]
     for method in methods:
@@ -103,6 +117,11 @@ def build_table2(
     factor as the corpus' instance sizes; pass the paper's values explicitly
     to run the original grid.  The det-k and optimal baselines close the
     table.
+
+    Paper reference (Table 2): WeightedCount with thresholds 200-600 solves ~395-411
+    of the 465 HB_large instances with average runtimes around 90 s, clearly ahead
+    of EdgeCount, NewDetKDecomp (174) and HtdLEO (277).  Thresholds here are scaled
+    to the smaller corpus (see "Paper experiments" in ``docs/benchmarks.md``).
     """
     table = Table(
         "Table 2: hybrid metrics on HB_large",
@@ -135,7 +154,7 @@ def build_table2(
     records = run_method("NewDetKDecomp", lambda t: bench_decomposer("detk", timeout=t))
     add_row("NewDetKDecomp", "-", records)
     records = [
-        run_optimal_solver(instance, "HtdLEO", time_budget * 2, max_width)
+        run_optimal_solver(instance, "HtdLEO", time_budget * OPTIMAL_BUDGET_FACTOR, max_width)
         for instance in instances
     ]
     add_row("HtdLEO", "-", records)
@@ -146,7 +165,12 @@ def build_table2(
 # Table 3
 # --------------------------------------------------------------------------- #
 def build_table3(data: ExperimentData, max_width: int = 6) -> Table:
-    """Instances solved per optimal width, with the Virtual Best aggregate."""
+    """Instances solved per optimal width, with the Virtual Best aggregate.
+
+    Paper reference (Table 3): log-k-decomp matches the Virtual Best for every
+    width up to 5 (e.g. 450/450 at width 5, where NewDetKDecomp solves only 38)
+    and stays close at width 6.
+    """
     methods = data.methods()
     table = Table(
         "Table 3: instances solved per width",
@@ -180,7 +204,12 @@ def build_table3(data: ExperimentData, max_width: int = 6) -> Table:
 # Table 4
 # --------------------------------------------------------------------------- #
 def build_table4(data: ExperimentData, max_width: int = 6) -> Table:
-    """For how many instances each method decides ``hw <= w`` (w = 1..max)."""
+    """For how many instances each method decides ``hw <= w`` (w = 1..max).
+
+    Paper reference (Table 4): the hybrid decides hw <= 5 for 3611 of 3648
+    instances (99%) and hw <= 6 for 3253 (89%), well ahead of NewDetKDecomp; the
+    pure log-k-decomp falls off at the larger widths.
+    """
     methods = data.methods()
     table = Table(
         "Table 4: upper-bound questions decided (hw <= w)",
@@ -208,7 +237,13 @@ def build_table5(
     extension_factor: float = 10.0,
     max_width: int = 6,
 ) -> Table:
-    """The optimal solver with an extended budget (Table 5): solved and delta."""
+    """The optimal solver with an extended budget (Table 5): solved and delta.
+
+    Paper reference (Table 5): extending HtdLEO's timeout from 1 to 10 hours adds
+    only 222 solved instances (2544 -> 2766), still short of the hybrid's 3102 —
+    i.e. more time does not close the gap.  The benchmark reproduces the same
+    comparison with the scaled-down budgets.
+    """
     table = Table(
         "Table 5: HtdLEO-style solver with extended timeout",
         ["Origin", "Size group", "Instances", "#solved (short)", "#solved (long)", "Change"],
@@ -259,4 +294,65 @@ def build_table5(
             f"+{delta_total}" if delta_total > 0 else ("±0" if delta_total == 0 else str(delta_total)),
         ]
     )
+    return table
+
+
+# --------------------------------------------------------------------------- #
+# Ablation (Appendix C)
+# --------------------------------------------------------------------------- #
+_ABLATION_VARIANTS = {
+    "full (Algorithm 2)": {},
+    "no negative base case": {"negative_base_case": False},
+    "no parent-overlap pruning": {"parent_overlap_pruning": False},
+    "no balancedness requirement": {"require_balanced": False},
+    "no subedge domination": {"subedge_domination": False},
+}
+
+
+def build_ablation() -> Table:
+    """Ablation study: the Appendix C optimisations of log-k-decomp.
+
+    ``docs/architecture.md`` lists the ablation switches; this benchmark measures
+    the effect of disabling each on the size of the explored search space
+    (λ-labels tried) and the wall-clock time for a representative positive and
+    negative instance:
+
+    * ``negative_base_case`` — early failure when only special edges remain,
+    * ``parent_overlap_pruning`` — parent labels must intersect ∪λ(c),
+    * ``require_balanced`` — the balanced-separator filter itself (also removes
+      the logarithmic depth guarantee).
+
+    One search-kernel switch rides along:
+
+    * ``subedge_domination`` — dropping pool edges whose component-restricted
+      vertex sets are contained in another pool edge's (shrinks the label space).
+
+    Each run builds its decomposer through :func:`bench_decomposer`, so no
+    cache hides the search; a variant that contradicts an instance's known
+    answer raises :class:`~repro.exceptions.DecompositionError`.
+    """
+    # (name, hypergraph, k, expected answer); None leaves the answer open.
+    instances = (
+        ("cycle-20 (k=2, positive)", generators.cycle(20), 2, True),
+        ("chorded-cycle-14 (k=2)", generators.with_chords(generators.cycle(14), 2, seed=3), 2, None),
+        ("clique-5 (k=2, negative)", generators.clique(5), 2, False),
+    )
+    table = Table(
+        "Ablation: effect of the Appendix C optimisations",
+        ["Variant", "Instance", "Solved", "Labels tried", "Branches pruned", "Domination skips",
+         "Splitter memo hits", "Max depth", "Time (s)"],
+    )  # fmt: skip
+    for label, options in _ABLATION_VARIANTS.items():
+        for name, hypergraph, k, expected in instances:
+            start = time.perf_counter()
+            result = bench_decomposer("logk", **options).decompose(hypergraph, k)
+            elapsed = time.perf_counter() - start
+            if expected is not None and result.success != expected:
+                raise DecompositionError(f"{label!r} answered {result.success} on {name}")
+            stats = result.statistics
+            table.add_row(
+                [label, name, "yes" if result.success else "no", stats.labels_tried,
+                 stats.enum_branches_pruned, stats.enum_domination_skips,
+                 stats.splitter_memo_hits, stats.max_recursion_depth, f"{elapsed:.3f}"]
+            )  # fmt: skip
     return table

@@ -111,7 +111,9 @@ class WorkerProcess:
         return self.result_rfd
 
     def start(self) -> None:
-        # Daemonic, so a crashed parent never leaks workers.
+        # Daemonic, so a parent that exits ends its workers.  A parent killed
+        # outright skips that exit handler; a worker that waits on a request
+        # pipe must then see EOF there (see process_backend._spawn).
         self.process = self.context.Process(daemon=True, **self.spawn(self))
         self.process.start()
         self.pid = self.process.pid

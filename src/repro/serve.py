@@ -188,7 +188,7 @@ def run_selftest(
 
     failures: list[str] = []
     service = DecompositionService(
-        num_workers=workers,
+        workers=workers,
         engine=DecompositionEngine(catalog=catalog),
         backend=backend,
     )

@@ -178,6 +178,7 @@ def _worker_main(
     request_fd: int,
     result_fd: int,
     cancel_word,
+    foreign_fds: tuple[int, ...],
 ) -> None:
     """Long-lived worker: warm engines, one reply frame per request frame.
 
@@ -186,8 +187,12 @@ def _worker_main(
     request carries the parent's fault spec so chaos schedules behave
     identically across the boundary.  Both pipe ends ride across the fork
     as raw file descriptors, so the backend requires the ``fork`` start
-    method.
+    method.  ``foreign_fds`` are the inherited pipe ends this worker does
+    not use; closing them leaves the parent the request pipe's only writer,
+    so a parent that dies without stopping the worker is EOF here.
     """
+    for fd in foreign_fds:
+        os.close(fd)
     engine = DecompositionEngine(catalog=config["catalog_path"])
     query_engine = QueryEngine(
         algorithm=config["algorithm"],
@@ -205,8 +210,7 @@ def _worker_main(
     installed_fingerprint = repr(spec) if spec is not None else None
 
     try:
-        # ``None`` is the parent's stop frame (EOF never comes: siblings
-        # forked from the same parent hold copies of the write end).
+        # ``None`` is the parent's stop frame.
         while (message := read_frame(request_fd)) is not None:
             if message["request"] is None:  # a catalog probe
                 catalog = engine.catalog
@@ -244,6 +248,8 @@ def _worker_main(
                 status, payload = "error", codec.error_to_dict(exc, traceback.format_exc())
             served += 1
             write_frame(result_fd, (status, payload, _worker_meta(slot, attempt, served, engine)))
+    except (EOFError, BrokenPipeError):
+        pass  # the parent is gone: nobody is left to ask or to answer
     finally:
         # The write-behind queue of this worker's catalog handle would be
         # dropped with the process; drain it so decided outcomes reach the
@@ -283,11 +289,15 @@ class _Slot(WorkerProcess):
         os.set_blocking(self.request_wfd, False)
         self.shipped_graphs: set[str] = set()
         self.shipped_dbs: set[str] = set()
+        #: This attempt's pipe ends, none once closed: every worker forked
+        #: while they are open inherits them (see ProcessBackend._spawn).
+        self.fds = (self.result_rfd, self.result_wfd, self.request_rfd, self.request_wfd)
 
     def _close_pipe(self) -> None:
         super()._close_pipe()
         os.close(self.request_rfd)
         os.close(self.request_wfd)
+        self.fds = ()
 
 
 class ProcessBackend:
@@ -316,6 +326,10 @@ class ProcessBackend:
             slot.start()
 
     def _spawn(self, slot: _Slot) -> dict:
+        # Runs before each fork, under ``self._lock`` on a respawn, so no
+        # other slot's pipes change meanwhile.
+        own = (slot.request_rfd, slot.result_wfd)
+        foreign = tuple(fd for other in self._slots for fd in other.fds if fd not in own)
         return {
             "target": _worker_main,
             "args": (
@@ -325,6 +339,7 @@ class ProcessBackend:
                 slot.request_rfd,
                 slot.result_wfd,
                 slot.cancel_word,
+                foreign,
             ),
             "name": f"repro-service-worker-{slot.index}",
         }
@@ -434,9 +449,9 @@ class ProcessBackend:
         """Send one frame, wait for the one reply (caller holds ``slot.lock``).
 
         The write is non-blocking.  A dead reader does not turn a blocking
-        ``os.write`` of a frame larger than the pipe into ``EPIPE``: every
-        worker forked after this pipe was made holds a copy of its read end,
-        so the write would wait forever on a pipe nobody drains.
+        ``os.write`` of a frame larger than the pipe into ``EPIPE``: the
+        parent holds the pipe's read end itself, so the write would wait
+        forever on a pipe nobody drains.
         """
         unsent = memoryview(encode_frame(message))
         while True:

@@ -40,7 +40,7 @@ Example::
 
     >>> from repro.hypergraph import generators
     >>> from repro.service import DecompositionService
-    >>> with DecompositionService(num_workers=2) as service:
+    >>> with DecompositionService(workers=2) as service:
     ...     ticket = service.submit(generators.cycle(6), 2)
     ...     result = ticket.result()
     >>> result.success
@@ -308,7 +308,7 @@ class DecompositionService:
 
     Parameters
     ----------
-    num_workers:
+    workers:
         Size of the worker pool draining the request queue.
     backend:
         ``"thread"`` (default) runs tasks on a pool of threads sharing the
@@ -319,9 +319,6 @@ class DecompositionService:
         cost and shares one cache; process mode buys real multi-core
         scaling for CPU-bound traffic at the price of shipping inputs
         across the boundary (hypergraphs/databases ship once per worker).
-    workers:
-        Alias for ``num_workers`` (takes precedence when both are given) —
-        reads naturally next to ``backend``.
     engine:
         The shared :class:`~repro.pipeline.engine.DecompositionEngine`;
         defaults to the process-wide engine, so results are shared with
@@ -341,18 +338,15 @@ class DecompositionService:
 
     def __init__(
         self,
-        num_workers: int = 4,
+        workers: int = 4,
         engine: DecompositionEngine | None = None,
         algorithm: str = "hybrid",
         poison_threshold: int = 3,
         backend: str = "thread",
-        workers: int | None = None,
         **algorithm_options,
     ) -> None:
-        if workers is not None:
-            num_workers = workers
-        if num_workers < 1:
-            raise ServiceError("num_workers must be >= 1")
+        if workers < 1:
+            raise ServiceError("workers must be >= 1")
         if poison_threshold < 1:
             raise ServiceError("poison_threshold must be >= 1")
         if backend not in {"thread", "process"}:
@@ -367,7 +361,7 @@ class DecompositionService:
         self.default_timeout = algorithm_options.pop("timeout", None)
         self.algorithm_options = dict(algorithm_options)
         _build(algorithm, self.default_timeout, algorithm_options)
-        self.num_workers = num_workers
+        self.workers = workers
 
         self._seq = count()
         self._lock = threading.Lock()
@@ -377,7 +371,7 @@ class DecompositionService:
         self._closed = False
 
         #: The live request counters (guarded by ``_lock``).
-        self._counters = ServiceStats(workers=num_workers)
+        self._counters = ServiceStats(workers=workers)
         self._worker_crashes = 0
         self._worker_respawns = 0
         self._tasks_requeued = 0
@@ -395,18 +389,16 @@ class DecompositionService:
         # queue; a process slot owns its queue, because the admission key
         # decides which worker process is warm for a task.
         if backend == "process":
-            self._process_backend: ProcessBackend | None = ProcessBackend(
-                self, num_workers
-            )
-            self._queues = [pyqueue.PriorityQueue() for _ in range(num_workers)]
+            self._process_backend: ProcessBackend | None = ProcessBackend(self, workers)
+            self._queues = [pyqueue.PriorityQueue() for _ in range(workers)]
         else:
             self._process_backend = None
-            self._queues = [pyqueue.PriorityQueue()] * num_workers
+            self._queues = [pyqueue.PriorityQueue()] * workers
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, args=(i,), name=f"repro-service-{i}", daemon=True
             )
-            for i in range(num_workers)
+            for i in range(workers)
         ]
         for worker in self._workers:
             worker.start()
@@ -853,7 +845,7 @@ class DecompositionService:
                 health={
                     "backend": self.backend,
                     "workers_alive": workers_alive,
-                    "workers_total": self.num_workers,
+                    "workers_total": self.workers,
                     "worker_crashes": self._worker_crashes,
                     "worker_respawns": self._worker_respawns,
                     "tasks_requeued": self._tasks_requeued,

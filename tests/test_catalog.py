@@ -170,7 +170,7 @@ def test_restart_warm_service_recomputes_nothing(tmp_path):
     path = str(tmp_path / "cat.db")
 
     engine = DecompositionEngine(catalog=path)
-    with DecompositionService(num_workers=2, engine=engine) as service:
+    with DecompositionService(workers=2, engine=engine) as service:
         for tag, k, expect in WORKLOAD:
             assert service.submit(_instance(tag), k).result(timeout=60).success is expect
     engine.catalog.flush()
@@ -178,7 +178,7 @@ def test_restart_warm_service_recomputes_nothing(tmp_path):
 
     # "Kill and restart": a fresh engine and service over the same file.
     engine = DecompositionEngine(catalog=path)
-    with DecompositionService(num_workers=2, engine=engine) as service:
+    with DecompositionService(workers=2, engine=engine) as service:
         for tag, k, expect in WORKLOAD:
             result = service.submit(_instance(tag), k).result(timeout=60)
             assert result.success is expect

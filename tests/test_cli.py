@@ -46,6 +46,14 @@ def test_depth_experiment(capsys):
     assert "log-k-decomp" in out
 
 
+def test_ablation_experiment(capsys):
+    exit_code = main(["ablation", "--quiet"])
+    assert exit_code == 0
+    out = capsys.readouterr().out
+    assert "Ablation" in out
+    assert "no balancedness requirement" in out
+
+
 def test_table1_on_tiny_corpus(capsys, shared_run):
     exit_code = main(["table1", *_TINY, "--quiet"])
     assert exit_code == 0

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import DetKDecomposer, LogKDecomposer, make_decomposer
 from repro.bench.corpus import generate_corpus
+from repro.bench.runner import default_method_specs, run_experiment
 from repro.decomp import validate_hd
 from repro.decomp.decomposition import GeneralizedHypertreeDecomposition
 from repro.decomp.validation import is_valid_ghd
@@ -339,7 +340,7 @@ def _workload_with_default_mode(tmp_path):
 def _service_with_query_engine(tmp_path):
     from repro.service import DecompositionService
 
-    DecompositionService(num_workers=1, query_engine=None)
+    DecompositionService(workers=1, query_engine=None)
 
 
 def _catalog_with_failure_threshold(tmp_path):
@@ -373,6 +374,26 @@ def _import_extended_subhypergraph(tmp_path):
     from repro.decomp import ExtendedSubhypergraph  # noqa: F401
 
 
+def _experiment_with_num_workers(tmp_path):
+    run_experiment([], num_workers=2)
+
+
+def _experiment_with_optimal_budget_factor(tmp_path):
+    run_experiment([], optimal_budget_factor=3.0)
+
+
+def _method_specs_with_num_workers(tmp_path):
+    default_method_specs(num_workers=2)
+
+
+def _service_with_num_workers(tmp_path):
+    from repro.service import DecompositionService
+
+    # The pool size is ``workers=``; the default algorithm takes no
+    # ``num_workers`` option.
+    DecompositionService(num_workers=1)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -383,6 +404,10 @@ def _import_extended_subhypergraph(tmp_path):
         (_splitter_with_memo_size, TypeError),
         (_trace_with_rounds, TypeError),
         (_import_extended_subhypergraph, ImportError),
+        (_experiment_with_num_workers, TypeError),
+        (_experiment_with_optimal_budget_factor, TypeError),
+        (_method_specs_with_num_workers, TypeError),
+        (_service_with_num_workers, ServiceError),
     ],
     ids=lambda value: getattr(value, "__name__", "").lstrip("_"),
 )

@@ -355,7 +355,7 @@ def test_sql_interrupt_during_query_counts_cancelled_running():
     database.add(_GatedRelation(real.get("r"), started, release))
     for name in ("s", "t"):
         database.add(real.get(name))
-    svc = DecompositionService(num_workers=2, engine=DecompositionEngine(cache=False))
+    svc = DecompositionService(workers=2, engine=DecompositionEngine(cache=False))
     try:
         ticket = svc.submit_query(_SQL_QUERY, database, "enumerate", executor="sql")
         assert started.wait(timeout=10)  # execution is inside the bulk load

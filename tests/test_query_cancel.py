@@ -222,7 +222,7 @@ def _gated_database(started, release):
 def test_cancel_aborts_running_query(cycle6):
     started, release = threading.Event(), threading.Event()
     database = _gated_database(started, release)
-    svc = DecompositionService(num_workers=2, engine=DecompositionEngine(cache=False))
+    svc = DecompositionService(workers=2, engine=DecompositionEngine(cache=False))
     try:
         ticket = svc.submit_query(QUERY, database, "enumerate")
         assert started.wait(timeout=10)  # execution is inside the store build
@@ -245,7 +245,7 @@ def test_cancel_aborts_running_query(cycle6):
 def test_queued_cancel_is_not_counted_as_running(cycle6):
     started, release = threading.Event(), threading.Event()
     database = _gated_database(started, release)
-    svc = DecompositionService(num_workers=1, engine=DecompositionEngine(cache=False))
+    svc = DecompositionService(workers=1, engine=DecompositionEngine(cache=False))
     try:
         blocker = svc.submit_query(QUERY, database, "enumerate")
         assert started.wait(timeout=10)
@@ -263,7 +263,7 @@ def test_queued_cancel_is_not_counted_as_running(cycle6):
 def test_query_timeout_aborts_running_execution():
     started, release = threading.Event(), threading.Event()
     database = _gated_database(started, release)
-    svc = DecompositionService(num_workers=2, engine=DecompositionEngine(cache=False))
+    svc = DecompositionService(workers=2, engine=DecompositionEngine(cache=False))
     try:
         ticket = svc.submit_query(QUERY, database, "enumerate", timeout=0.05)
         assert started.wait(timeout=10)

@@ -191,7 +191,7 @@ def test_cache_and_configuration_keys_are_pinned(name, options, cache_key, monke
     monkeypatch.setattr(
         ResultCache, "get", lambda self, key: (probed.append(key[2]), get(self, key))[1]
     )
-    with DecompositionService(num_workers=1, engine=DecompositionEngine()) as service:
+    with DecompositionService(workers=1, engine=DecompositionEngine()) as service:
         ticket = service.submit(generators.cycle(6), 2, algorithm=name, **options)
         assert ticket.result(timeout=30).success
     assert ticket.key[3] == cache_key and set(probed) == {cache_key}

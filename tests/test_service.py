@@ -26,7 +26,7 @@ from oracles.eager import evaluate_eager
 
 @pytest.fixture
 def service():
-    svc = DecompositionService(num_workers=4, engine=DecompositionEngine())
+    svc = DecompositionService(workers=4, engine=DecompositionEngine())
     yield svc
     svc.shutdown(wait=True, cancel_pending=True)
 
@@ -161,7 +161,7 @@ def test_query_priorities_by_mode(service):
 
 
 def test_submit_after_shutdown_raises(cycle6):
-    svc = DecompositionService(num_workers=1, engine=DecompositionEngine())
+    svc = DecompositionService(workers=1, engine=DecompositionEngine())
     svc.shutdown(wait=True)
     with pytest.raises(ServiceError):
         svc.submit(cycle6, 2)
@@ -173,7 +173,7 @@ def test_submit_after_shutdown_raises(cycle6):
 def test_concurrent_duplicates_computed_exactly_once(blocking_algorithm, cycle6):
     gate, log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=4, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=4, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     try:
         tickets = [svc.submit(cycle6, 2) for _ in range(12)]
@@ -192,7 +192,7 @@ def test_concurrent_duplicates_computed_exactly_once(blocking_algorithm, cycle6)
 def test_priority_queue_orders_pending_work(blocking_algorithm):
     gate, log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     try:
         blocker = svc.submit(generators.cycle(4), 2, tag="blocker")
@@ -216,7 +216,7 @@ def test_priority_queue_orders_pending_work(blocking_algorithm):
 def test_coalescing_escalates_priority_of_queued_task(blocking_algorithm):
     gate, log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     try:
         blocker = svc.submit(generators.cycle(4), 2, tag="blocker")
@@ -244,7 +244,7 @@ def test_coalescing_escalates_priority_of_queued_task(blocking_algorithm):
 def test_cancel_aborts_running_search(blocking_algorithm, cycle6):
     gate, log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=2, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=2, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     try:
         ticket = svc.submit(cycle6, 2)
@@ -276,7 +276,7 @@ def test_cancel_while_owner_blocks_in_result_raises(blocking_algorithm, cycle6):
     # must surface ServiceError, never a bare None.
     gate, _log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     try:
         ticket = svc.submit(cycle6, 2)
@@ -305,7 +305,7 @@ def test_cancel_of_one_coalesced_ticket_keeps_others_running(
 ):
     gate, log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=2, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=2, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     try:
         first = svc.submit(cycle6, 2)
@@ -323,7 +323,7 @@ def test_algorithm_override_does_not_inherit_foreign_options(cycle6):
     # threshold is a hybrid option; overriding the algorithm per request
     # must not forward it to a decomposer that cannot accept it.
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(), algorithm="hybrid", threshold=0.5
+        workers=1, engine=DecompositionEngine(), algorithm="hybrid", threshold=0.5
     )
     try:
         assert svc.submit(cycle6, 2).result(timeout=30).success  # hybrid w/ option
@@ -335,9 +335,9 @@ def test_algorithm_override_does_not_inherit_foreign_options(cycle6):
 def test_bad_default_algorithm_configuration_fails_at_construction():
     # Checked once by building the default decomposer, not on every request.
     with pytest.raises(ServiceError, match="timout"):
-        DecompositionService(num_workers=1, timout=5)
+        DecompositionService(workers=1, timout=5)
     with pytest.raises(ServiceError, match="no-such-algorithm"):
-        DecompositionService(num_workers=1, algorithm="no-such-algorithm")
+        DecompositionService(workers=1, algorithm="no-such-algorithm")
 
 
 def test_bad_request_option_fails_at_submit(service, cycle6):
@@ -375,7 +375,7 @@ def test_service_level_timeout_option_is_accepted():
     # (or inside per-request **options) must become the default request
     # timeout instead of colliding with the explicit keyword downstream.
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(), timeout=0.05
+        workers=1, engine=DecompositionEngine(), timeout=0.05
     )
     try:
         assert svc.default_timeout == 0.05
@@ -403,7 +403,7 @@ def test_per_request_timeout_times_out_and_is_not_memoized(service):
 def test_ticket_wait_timeout_raises(blocking_algorithm, cycle6):
     gate, _log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     try:
         ticket = svc.submit(cycle6, 2)
@@ -422,7 +422,7 @@ def test_shutdown_drain_skips_stale_escalation_entries(blocking_algorithm, cycle
     # as cancelled twice and republish the outcome).
     gate, _log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     blocker = svc.submit(generators.cycle(4), 2)
     deadline = time.monotonic() + 5
@@ -451,7 +451,7 @@ def test_shutdown_drain_skips_stale_escalation_entries(blocking_algorithm, cycle
 def test_shutdown_cancel_pending_fails_queued_requests(blocking_algorithm, cycle6):
     gate, _log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     running = svc.submit(cycle6, 2)
     queued = svc.submit(generators.cycle(8), 2)
@@ -475,7 +475,7 @@ def test_shutdown_wait_after_nonwaiting_shutdown_joins_workers(
 ):
     gate, _log = blocking_algorithm
     svc = DecompositionService(
-        num_workers=2, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
+        workers=2, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
     )
     ticket = svc.submit(cycle6, 2)
     svc.shutdown(wait=False)
@@ -492,7 +492,7 @@ def test_stats_exposes_search_counters():
     # The stats snapshot aggregates the kernel counters of every computed
     # decomposition; cached/coalesced requests add nothing.  A fresh
     # hypergraph guarantees an incidence-mask table build is recorded.
-    svc = DecompositionService(num_workers=1, engine=DecompositionEngine())
+    svc = DecompositionService(workers=1, engine=DecompositionEngine())
     try:
         assert svc.stats().search_counters == {}
         result = svc.submit(generators.cycle(6), 2).result(timeout=30)
@@ -574,7 +574,7 @@ def test_worker_crash_is_requeued_and_answer_still_served(cycle6):
         point="service.worker", error=RuntimeError("dispatch bug"), where={"attempt": 0},
         times=1,
     )
-    with DecompositionService(num_workers=2, engine=DecompositionEngine()) as service:
+    with DecompositionService(workers=2, engine=DecompositionEngine()) as service:
         with faults.injected(rule):
             result = service.submit(cycle6, 2).result(timeout=60)
             assert result.success
@@ -595,7 +595,7 @@ def test_poison_task_is_quarantined_with_descriptive_error(cycle6):
     # crashes the key is finalized as failed instead of retried forever.
     rule = faults.FaultRule(point="service.worker", error=RuntimeError("poison"))
     with DecompositionService(
-        num_workers=2, engine=DecompositionEngine(), poison_threshold=3
+        workers=2, engine=DecompositionEngine(), poison_threshold=3
     ) as service:
         with faults.injected(rule):
             ticket = service.submit(cycle6, 2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro import faults
 from repro.core import codec
 from repro.core.base import Decomposer, SearchContext
@@ -432,9 +434,8 @@ def _fat_query_routed_to(service, target):
 
 
 def test_dead_worker_found_while_writing_a_frame_larger_than_the_pipe(service):
-    # Both workers were forked after both request pipes existed, so each
-    # holds a copy of its sibling's read end: killing a reader gives its
-    # writer no EPIPE, only a pipe that stays full.
+    # The parent keeps each request pipe's read end open, so killing a
+    # reader gives its writer no EPIPE, only a pipe that stays full.
     backend = service._process_backend
     for target in (1, 0):
         database, key, expected = _fat_query_routed_to(service, target)
@@ -520,6 +521,49 @@ def test_process_backend_service_leaves_no_descriptor_thread_or_child(cycle10):
         svc.shutdown(wait=True)
     # No gc.collect(): respawn and stop close what they opened themselves.
     assert _resources() == before
+
+
+_KILLED_PARENT = """
+import os, signal
+from repro.service import DecompositionService
+service = DecompositionService(backend="process", workers=2)
+print(*(slot.pid for slot in service._process_backend._slots), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    # A SIGKILL skips the exit handler that ends daemonic children; the
+    # workers must see EOF on their request pipes instead.
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_PARENT], stdout=subprocess.PIPE, text=True, env=env
+    )
+    pids: list[int] = []
+    try:
+        # Read one line, not to EOF: the workers hold the pipe's write end.
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert parent.wait(timeout=60) == -signal.SIGKILL
+        assert len(pids) == 2
+        _wait_for(lambda: not any(map(_running, pids)), timeout=5, message="orphans to exit")
+    finally:
+        parent.stdout.close()
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # --------------------------------------------------------------------------- #

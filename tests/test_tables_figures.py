@@ -18,7 +18,9 @@ from repro.bench.reporting import (
     render_table,
 )
 from repro.bench.runner import run_experiment
-from repro.bench.tables import Table, build_table1, build_table2, build_table3, build_table4, build_table5
+from repro.bench.tables import (
+    Table, build_ablation, build_table1, build_table2, build_table3, build_table4, build_table5,
+)  # fmt: skip
 from repro.hypergraph import generators
 
 
@@ -149,6 +151,27 @@ def test_recursion_depth_series():
     assert series["det-k-decomp"] == [(8, 5), (16, 9), (32, 17), (64, 33)]
     text = render_depth_series(series)
     assert "Recursion depth" in text
+
+
+def test_build_ablation():
+    table = build_ablation()
+    assert len(table.rows) == 15
+    rows = {(row[0], row[1]): row for row in table.rows}
+    instances = [row[1] for row in table.rows[:3]]
+    for variant, name in rows:  # every variant answers as the full one does
+        assert rows[variant, name][2] == rows["full (Algorithm 2)", name][2], (variant, name)
+
+    def counts(variant, column):
+        return [int(rows[variant, name][table.headers.index(column)]) for name in instances]
+
+    # Counted through a cache-less engine; negative_base_case changes nothing
+    # on these instances and subedge_domination lowers cycle-20's count, so
+    # neither is pinned.
+    assert counts("full (Algorithm 2)", "Labels tried") == [275, 305, 5405]
+    assert counts("full (Algorithm 2)", "Max depth") == [6, 5, 2]
+    assert counts("no balancedness requirement", "Labels tried") == [809, 866, 38395]
+    assert counts("no balancedness requirement", "Max depth") == [8, 7, 4]
+    assert counts("no parent-overlap pruning", "Labels tried") == [809, 723, 6005]
 
 
 def test_render_table_alignment():
