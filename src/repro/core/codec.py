@@ -107,7 +107,7 @@ def class_for_kind(kind: str) -> type[Decomposition]:
 #: A JSON scalar: all a shipped row or option value may hold.
 Scalar = str | int | float | bool | None
 #: A table's rows: equal-width tuples of scalars (a sorted list of lists on the wire).
-Rows = set[tuple[Scalar, ...]]
+Rows = frozenset[tuple[Scalar, ...]]
 _SCALARS = (str, int, float, bool, NoneType)
 
 
@@ -147,11 +147,11 @@ def _scalar_dict(value) -> dict:
     return dict(value)
 
 
-def _read_rows(value) -> set:
+def _read_rows(value) -> frozenset:
     if type(value) is not list or not set(map(type, value)) <= {list}:
         raise _fail("a list of rows", value)
     try:
-        return set(map(tuple, value))
+        return frozenset(map(tuple, value))
     except TypeError:  # lists and objects, JSON's only unhashable values
         raise ParseError("a row holds a value that is not a JSON scalar") from None
 

@@ -48,8 +48,10 @@ Design
 Base-relation encodings (per atom binding pattern), bag tables and plan
 outcomes persist in the :class:`ColumnStore` across queries, which is what
 makes warm workload evaluation cheap: a new plan over known bags runs only
-its semijoin passes and joins, and a repeated plan runs no operator at all
-(an ``ENUMERATE`` answer still decodes its root table).
+its semijoin passes and joins, and a repeated plan runs no operator and
+decodes nothing.  An ``ENUMERATE`` outcome keeps its answer as an immutable
+:class:`~repro.query.relation.Relation`, decoded once when the plan first
+runs, and every repeat returns that same object.
 """
 
 from __future__ import annotations
@@ -453,17 +455,23 @@ class ColumnStore:
     Encodings are computed lazily per atom binding pattern (relation name
     plus repeated-variable positions) and cached, as are the key indexes
     living on the cached :class:`ColumnarRelation` objects, the bag tables
-    and each executed plan's outcome.  Keep one store per database and pass
-    it to every execution to amortise the work across a workload.
+    and each executed plan's outcome: the root row count, and for an
+    ``ENUMERATE`` plan the decoded answer relation.  Keep one store per
+    database and pass it to every execution to amortise the work across a
+    workload.
 
-    An in-memory database never changes under its store.  For a
-    file-backed :class:`~repro.query.sqlgen.SQLDatabase` the executor reads
-    the file's data version at the start of each execution; when another
-    connection has committed, the store drops everything it read from the
-    file (atom columns, atom tables, bag tables and outcomes, and the
-    database's materialised relations) and starts cold.  An execution
-    already running when the commit lands may still store what it read
-    before it.
+    An in-memory database never changes under its store: its data version
+    is None and it is never probed.  For a file-backed
+    :class:`~repro.query.sqlgen.SQLDatabase` the executor reads the file's
+    data version at the start of each execution, and every entry the
+    execution reads or stores (atom columns, atom tables, bag tables and
+    the outcome) is keyed by ``(version, key)``, as are the database's own
+    materialised relations.  An entry read at an old version is therefore
+    never served at a newer one, and the lookups take no lock.  When the
+    version has moved, the store also drops the entries of the old one.
+    Before it stores its outcome a run reads the version again; if another
+    connection committed in between, the rows it read may mix two states
+    of the file, so it stores nothing and runs again at the new version.
 
     The store may be shared by concurrent executions (the serving layer runs
     many queries against one database at once): the value dictionary grows
@@ -499,16 +507,22 @@ class ColumnStore:
         self._probe = database._data_version
         self._version: int | None = None
 
-    def _sync(self) -> None:
-        """Drop everything read from the source if its data version moved
-        (also on the first probe: the database may have read rows before)."""
+    def _sync(self) -> int | None:
+        """The source's data version now (None: it never changes).  When it
+        moved, drop the entries keyed by the old one: they are never served
+        again."""
+        if self._probe is None:
+            return None
         version = self._probe()
+        # Unlocked: two threads may both clear, or a late thread may set an
+        # older version and cause one more clear.  Either costs cache hits
+        # only, because no lookup trusts ``_version``; every key holds one.
         if version != self._version:
             self._version = version
             self._atom_columns.clear()
             self._atom_tables.clear()
             self._bag_tables.clear()
-            self.database._relations.clear()
+        return version
 
     # ------------------------------------------------------------------ #
     # encoding
@@ -535,19 +549,20 @@ class ColumnStore:
     # ------------------------------------------------------------------ #
     # base relations
     # ------------------------------------------------------------------ #
-    def atom_table(self, binding: AtomBinding) -> ColumnarRelation:
+    def atom_table(self, binding: AtomBinding, version: int | None = None) -> ColumnarRelation:
         """The encoded relation of an atom, bound to its variables.
 
         Mirrors :func:`repro.query.joins.atom_relation`: attributes are the
         atom's distinct variables and rows violating repeated-variable
-        equality are dropped.  Cached per (relation, argument pattern).
+        equality are dropped.  Cached per (source data version, relation,
+        argument pattern).
         """
-        table_key = self.atom_key(binding)
+        table_key = (version, *self.atom_key(binding))
         table = self._atom_tables.get(table_key)
         if table is not None:
             return table
 
-        columns_key = table_key[:2]  # (relation, repeat pattern)
+        columns_key = table_key[:3]  # (version, relation, repeat pattern)
         columns = self._atom_columns.get(columns_key)
         if columns is None:
             base = self.database.get(binding.relation)
@@ -693,23 +708,27 @@ class ExecutionResult:
 
     @classmethod
     def of(
-        cls, plan: QueryPlan, statistics: ExecutionStatistics, count: int, rows=None
+        cls,
+        plan: QueryPlan,
+        statistics: ExecutionStatistics,
+        count: int,
+        answers: Relation | None = None,
     ) -> "ExecutionResult":
         """The result of ``plan`` from its root row count — every executor's tail.
 
         ``count`` is the number of rows the executor's final table holds: the
         distinct answers, or for a ``BOOLEAN`` plan the surviving root tuples;
-        0 is the early-exit shape.  ``rows()`` decodes that table into the
-        answer tuples and is called for a non-empty ``ENUMERATE`` result only.
+        0 is the early-exit shape.  ``answers`` is an ``ENUMERATE`` plan's
+        answer relation, taken as is (None: the empty answer); being
+        immutable, one relation may serve every repeat of the plan.
         """
         mode = plan.mode
         if mode is AnswerMode.BOOLEAN:
             return cls(mode, boolean=count > 0, statistics=statistics)
         if mode is AnswerMode.COUNT:
             return cls(mode, boolean=count > 0, count=count, statistics=statistics)
-        answers = Relation.from_trusted_rows(
-            "answer", plan.output, rows() if count else set()
-        )
+        if answers is None:
+            answers = Relation.from_trusted_rows("answer", plan.output, frozenset())
         return cls(
             mode,
             answers=answers,
@@ -736,6 +755,8 @@ class PlanExecutor:
         self.store = store
         self._deadline = deadline
         self._ticks = 0
+        #: The source's data version this execution reads at.
+        self._version: int | None = None
 
     def _check(self) -> None:
         """Poll the deadline now (stage boundaries, vectorised blocks)."""
@@ -755,36 +776,47 @@ class PlanExecutor:
         """Execute ``plan`` against the store's database.
 
         A plan is a pure function of its bags, so its outcome (the root row
-        count, and for ``ENUMERATE`` the root table) is recycled in the
-        store's bag cache under the plan itself: a repeated plan polls the
-        deadline, runs no operator and reports every bag reused.  A run
-        that raises stores nothing.
+        count, and for ``ENUMERATE`` the answer relation, decoded once) is
+        recycled in the store's bag cache under (data version, plan): a
+        repeated plan polls the deadline, probes the version, runs no
+        operator, decodes nothing and reports every bag reused; every
+        repeat returns the same immutable answer object.  A run that raises
+        stores nothing, and so does a run during which the source's data
+        version moved: it runs again at the new version.
         """
-        self._check()
         store = self.store
-        if store._probe is not None:
-            store._sync()
-        outcome = store._bag_tables.get(plan)
-        if outcome is None:
-            stats = ExecutionStatistics()
-            outcome = self._run(plan, stats)
-            store._bag_tables.put(plan, outcome)
-        else:
-            # A run that did not exit early ends with a non-empty root.
-            stats = ExecutionStatistics(bags_reused=len(plan.bags), early_exit=not outcome[0])
-        count, root = outcome
-        if root is None:
-            return ExecutionResult.of(plan, stats, count)
-
-        def rows() -> set[tuple]:
+        while True:
             self._check()
-            if not plan.output:
-                return {()}
-            # Decode column-at-a-time in output order; adopt the zipped tuples.
-            decode = store._values.__getitem__
-            return set(zip(*(map(decode, root.column(v)) for v in plan.output)))
+            version = self._version = store._sync()
+            outcome = store._bag_tables.get((version, plan))
+            if outcome is not None:
+                count, answers = outcome
+                # A run that did not exit early ends with a non-empty root.
+                stats = ExecutionStatistics(bags_reused=len(plan.bags), early_exit=not count)
+                return ExecutionResult.of(plan, stats, count, answers)
+            stats = ExecutionStatistics()
+            count, root = self._run(plan, stats)
+            answers = None
+            if plan.mode is AnswerMode.ENUMERATE:
+                answers = self._decode(plan, root)
+            if store._sync() == version:
+                store._bag_tables.put((version, plan), (count, answers))
+                return ExecutionResult.of(plan, stats, count, answers)
+            # Another connection committed during the run, so its reads may
+            # mix two states of the file: store nothing, run at the new one.
 
-        return ExecutionResult.of(plan, stats, count, rows)
+    def _decode(self, plan: QueryPlan, root: ColumnarRelation | None) -> Relation:
+        """The answer relation of an ``ENUMERATE`` root (None: early exit),
+        decoded column-at-a-time in output order into one frozenset."""
+        if root is None or not root.nrows:
+            rows = frozenset()
+        elif not plan.output:
+            rows = frozenset({()})
+        else:
+            self._check()
+            decode = self.store._values.__getitem__
+            rows = frozenset(zip(*(map(decode, root.column(v)) for v in plan.output)))
+        return Relation.from_trusted_rows("answer", plan.output, rows)
 
     def _run(
         self, plan: QueryPlan, stats: ExecutionStatistics
@@ -813,6 +845,7 @@ class PlanExecutor:
         for bag in plan.bags:
             self._check()
             key = (
+                self._version,
                 tuple(ColumnStore.atom_key(plan.atoms[i]) for i in bag.cover),
                 bag.variables,
                 tuple(ColumnStore.atom_key(plan.atoms[i]) for i in bag.filters),
@@ -830,7 +863,7 @@ class PlanExecutor:
         return states
 
     def _build_bag(self, plan: QueryPlan, bag, stats: ExecutionStatistics) -> ColumnarRelation:
-        pending = [self.store.atom_table(plan.atoms[i]) for i in bag.cover]
+        pending = [self.store.atom_table(plan.atoms[i], self._version) for i in bag.cover]
         # Greedy join order: always join in a table sharing attributes with
         # the accumulated schema to avoid needless cartesian growth.
         current = pending.pop(0)
@@ -857,7 +890,7 @@ class PlanExecutor:
         # Semijoin with the filter atoms; their index requests are not counted.
         state = _NodeState(current)
         for atom_index in bag.filters:
-            atom = self.store.atom_table(plan.atoms[atom_index])
+            atom = self.store.atom_table(plan.atoms[atom_index], self._version)
             shared = tuple(a for a in bag.variables if a in atom._position)
             if not atom.nrows or not self._semijoin(state, _NodeState(atom), shared):
                 return ColumnarRelation.from_rows(bag.variables, ())

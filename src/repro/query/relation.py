@@ -7,11 +7,18 @@ test) that pipeline end to end, this module provides a small relational
 layer: a :class:`Relation` is a named set of tuples over a schema of
 attribute names, supporting projection, selection, natural join and
 semijoin — everything the Yannakakis implementation needs.
+
+A relation is an immutable value: its tuples are a ``frozenset`` and its
+attributes cannot be rebound, so one relation may be shared by any number
+of holders (the columnar executor hands the same answer to every recycled
+execution of a plan) and an operator may return its input's tuples as they
+are.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import FrozenInstanceError
 
 from ..exceptions import QueryError
 
@@ -19,9 +26,17 @@ __all__ = ["Relation"]
 
 
 class Relation:
-    """A named relation: a schema (attribute names) plus a set of tuples."""
+    """A named relation: a schema (attribute names) plus a frozen set of tuples.
+
+    Immutable: ``tuples`` is a ``frozenset`` and rebinding any attribute
+    raises :class:`~dataclasses.FrozenInstanceError`.
+    """
 
     __slots__ = ("name", "schema", "tuples")
+
+    name: str
+    schema: tuple[str, ...]
+    tuples: frozenset[tuple[object, ...]]
 
     def __init__(
         self,
@@ -29,20 +44,36 @@ class Relation:
         schema: Sequence[str],
         tuples: Iterable[Sequence[object]] = (),
     ) -> None:
-        self.name = name
-        self.schema = tuple(schema)
-        if len(set(self.schema)) != len(self.schema):
+        schema = tuple(schema)
+        if len(set(schema)) != len(schema):
             raise QueryError(f"relation {name!r} has duplicate attributes")
-        rows: set[tuple[object, ...]] = set()
-        for row in tuples:
-            row = tuple(row)
-            if len(row) != len(self.schema):
-                raise QueryError(
-                    f"relation {name!r}: tuple {row!r} does not match the "
-                    f"{len(self.schema)}-attribute schema"
-                )
-            rows.add(row)
-        self.tuples = rows
+
+        def conforming():
+            for row in tuples:
+                row = tuple(row)
+                if len(row) != len(schema):
+                    raise QueryError(
+                        f"relation {name!r}: tuple {row!r} does not match the "
+                        f"{len(schema)}-attribute schema"
+                    )
+                yield row
+
+        self._freeze(name, schema, frozenset(conforming()))
+
+    def _freeze(self, name: str, schema: tuple[str, ...], rows: frozenset) -> None:
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "schema", schema)
+        set_field(self, "tuples", rows)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Relation.from_trusted_rows, (self.name, self.schema, self.tuples)
 
     # ------------------------------------------------------------------ #
     # basics
@@ -85,13 +116,15 @@ class Relation:
     def project(self, attributes: Sequence[str], name: str | None = None) -> "Relation":
         """Projection onto the given attributes (duplicates removed)."""
         positions = [self.attribute_index(a) for a in attributes]
-        rows = {tuple(row[p] for p in positions) for row in self.tuples}
+        rows = (tuple(row[p] for p in positions) for row in self.tuples)
         return Relation(name or f"π({self.name})", attributes, rows)
 
     def rename(self, mapping: dict[str, str], name: str | None = None) -> "Relation":
         """Rename attributes according to ``mapping`` (missing keys unchanged)."""
         schema = tuple(mapping.get(a, a) for a in self.schema)
-        return Relation(name or self.name, schema, self.tuples)
+        if len(set(schema)) != len(schema):
+            raise QueryError(f"relation {name or self.name!r} has duplicate attributes")
+        return Relation.from_trusted_rows(name or self.name, schema, self.tuples)
 
     def natural_join(self, other: "Relation", name: str | None = None) -> "Relation":
         """Natural join on the shared attributes (hash join)."""
@@ -100,8 +133,7 @@ class Relation:
         other_extra = [a for a in other.schema if a not in shared]
         schema = tuple(shared + own_extra + other_extra)
 
-        own_shared_pos = [self.attribute_index(a) for a in shared]
-        own_extra_pos = [self.attribute_index(a) for a in own_extra]
+        own_pos = [self.attribute_index(a) for a in shared + own_extra]
         other_shared_pos = [other.attribute_index(a) for a in shared]
         other_extra_pos = [other.attribute_index(a) for a in other_extra]
 
@@ -110,39 +142,39 @@ class Relation:
             key = tuple(row[p] for p in other_shared_pos)
             index.setdefault(key, []).append(tuple(row[p] for p in other_extra_pos))
 
-        rows: set[tuple[object, ...]] = set()
-        for row in self.tuples:
-            key = tuple(row[p] for p in own_shared_pos)
-            for extra in index.get(key, ()):
-                rows.add(key + tuple(row[p] for p in own_extra_pos) + extra)
-        return Relation(name or f"({self.name}⋈{other.name})", schema, rows)
+        # A head is a row's shared values followed by its own extras.
+        heads = (tuple(row[p] for p in own_pos) for row in self.tuples)
+        rows = frozenset(
+            head + extra for head in heads for extra in index.get(head[: len(shared)], ())
+        )
+        return Relation.from_trusted_rows(name or f"({self.name}⋈{other.name})", schema, rows)
 
     def semijoin(self, other: "Relation", name: str | None = None) -> "Relation":
         """Semijoin: keep the tuples that join with at least one tuple of ``other``."""
         shared = [a for a in self.schema if a in other.schema]
         if not shared:
-            # Copy: returning self.tuples by reference would alias the result
-            # with this relation, so mutating one would corrupt the other.
-            rows = set(self.tuples) if len(other) else set()
-            return Relation(name or self.name, self.schema, rows)
+            # Both relations are immutable, so the result shares the tuples.
+            rows = self.tuples if len(other) else frozenset()
+            return Relation.from_trusted_rows(name or self.name, self.schema, rows)
         own_pos = [self.attribute_index(a) for a in shared]
         other_pos = [other.attribute_index(a) for a in shared]
         keys = {tuple(row[p] for p in other_pos) for row in other.tuples}
-        rows = {row for row in self.tuples if tuple(row[p] for p in own_pos) in keys}
-        return Relation(name or self.name, self.schema, rows)
+        rows = frozenset(row for row in self.tuples if tuple(row[p] for p in own_pos) in keys)
+        return Relation.from_trusted_rows(name or self.name, self.schema, rows)
 
     @classmethod
     def from_trusted_rows(
-        cls, name: str, schema: Sequence[str], rows: set[tuple[object, ...]]
+        cls, name: str, schema: Sequence[str], rows: frozenset[tuple[object, ...]]
     ) -> "Relation":
-        """Adopt an existing set of schema-conformant tuples without copying.
+        """Adopt a frozenset of schema-conformant tuples without copying.
 
-        Fast path for internal producers (the columnar executor decodes its
-        answer columns straight into such a set); the caller guarantees every
-        tuple matches the schema arity and hands over ownership of ``rows``.
+        Fast path for internal producers (the executors decode their answers
+        and the codec its rows straight into a frozenset); the caller
+        guarantees every tuple matches the schema arity.  Any other
+        collection is frozen first, so the relation stays immutable.
         """
+        if type(rows) is not frozenset:
+            rows = frozenset(rows)
         relation = cls.__new__(cls)
-        relation.name = name
-        relation.schema = tuple(schema)
-        relation.tuples = rows
+        relation._freeze(name, tuple(schema), rows)
         return relation

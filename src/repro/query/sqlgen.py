@@ -81,6 +81,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 from .. import faults
 from ..deadline import Deadline
@@ -344,6 +345,8 @@ class SQLDatabase(Database):
     def __init__(self, path) -> None:
         super().__init__()
         self.path = str(path)
+        #: (data version, name) → the relation read at that version (:meth:`get`).
+        self._relations: dict[tuple[int, str], Relation] = {}
         self._schemas: dict[str, tuple[str, ...]] = {}
         self._watch: sqlite3.Connection | None = None
         self._watch_lock = threading.Lock()
@@ -380,7 +383,11 @@ class SQLDatabase(Database):
             return self._watch.execute("PRAGMA data_version").fetchone()[0]
 
     def get(self, name: str) -> Relation:
-        relation = self._relations.get(name)
+        """The relation as the file holds it now, materialised once per data
+        version: the key is the version read before the rows, so a relation
+        read at an old version is never served at a newer one."""
+        version = self._data_version()
+        relation = self._relations.get((version, name))
         if relation is not None:
             return relation
         columns = self.table_columns(name)
@@ -390,8 +397,12 @@ class SQLDatabase(Database):
             rows = connection.execute(f"SELECT {select} FROM {_quote(name)}").fetchall()
         finally:
             connection.close()
-        relation = Relation.from_trusted_rows(name, columns, set(rows))
-        self._relations[name] = relation
+        relation = Relation.from_trusted_rows(name, columns, frozenset(rows))
+        # Copy on write, keeping only this version: a concurrent reader keeps
+        # the dict it holds, and no lock is taken.
+        relations = {key: kept for key, kept in self._relations.items() if key[0] == version}
+        relations[version, name] = relation
+        self._relations = relations
         return relation
 
     def __contains__(self, name: object) -> bool:
@@ -720,18 +731,22 @@ class SQLExecutor:
                 stats.early_exit = True
                 return ExecutionResult.of(plan, stats, 0)
 
-        def answer_rows() -> set[tuple]:
-            if not plan.output:
-                return {()}
+        # Every step is registered and none is empty, so the root's row count
+        # is in the registry: the scalar answers need no statement.
+        if plan.mode is not AnswerMode.ENUMERATE:
+            return ExecutionResult.of(plan, stats, tables[program.root])
+        tuples = frozenset({()})
+        if plan.output:
             fetched = self._exec(connection, program.answer, guard).fetchall()
             guard.check()
             stats.rows_materialised += len(fetched)
-            if self.store.interned:
-                decode = self.store.columns._values.__getitem__
-                return {tuple(map(decode, row)) for row in fetched}
-            return {tuple(row) for row in fetched}
-
-        # Every step is registered and none is empty, so the root's row count
-        # is in the registry: the scalar answers need no statement.
-        return ExecutionResult.of(plan, stats, tables[program.root], answer_rows)
+            if not self.store.interned:
+                tuples = frozenset(fetched)
+            else:
+                # Decode every value in one pass, then regroup them into rows
+                # of the output's width: no per-row map or tuple call.
+                values = map(self.store.columns._values.__getitem__, chain.from_iterable(fetched))
+                tuples = frozenset(zip(*[values] * len(plan.output)))
+        answers = Relation.from_trusted_rows("answer", plan.output, tuples)
+        return ExecutionResult.of(plan, stats, tables[program.root], answers)
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles.eager import evaluate_eager
 
+from repro.core import codec
 from repro.core.width import hypertree_width
 from repro.decomp.jointree import JoinTree, JoinTreeNode, join_tree_from_decomposition
 from repro.pipeline.engine import DecompositionEngine
@@ -43,6 +44,7 @@ from repro.query.columnar import (
 )
 from repro.hypergraph.cq import Atom, ConjunctiveQuery, parse_conjunctive_query
 from repro.query.plan import AtomBinding
+from repro.service import DecompositionService
 
 
 # --------------------------------------------------------------------------- #
@@ -637,6 +639,194 @@ def test_both_executors_see_a_commit_to_the_file(tmp_path):
         assert _outcome(col) == _outcome(sql)
         assert sql.count in (None, 2)
     assert engine.execute(query, on_disk).answers.tuples == {(1, 5), (2, 7)}
+
+
+# --------------------------------------------------------------------------- #
+# answers are immutable values: a recycled ENUMERATE shares one answer object
+# --------------------------------------------------------------------------- #
+def _assert_immutable(answers) -> None:
+    assert type(answers.tuples) is frozenset
+    with pytest.raises(AttributeError):
+        answers.tuples.add((0, 0))
+    with pytest.raises(AttributeError):
+        answers.tuples = frozenset()
+
+
+def test_enumerate_hits_share_one_immutable_answer(kernels):
+    engine = QueryEngine(engine=DecompositionEngine())
+    database = random_database_for_query(_CHAIN, domain_size=5, tuples_per_relation=15, seed=3)
+    first = engine.execute(_CHAIN, database).answers
+    expected = set(first.tuples)
+    again, third = (engine.execute(_CHAIN, database).answers for _ in range(2))
+    assert again is third is first
+    _assert_immutable(again)
+    assert engine.execute(_CHAIN, database).answers.tuples == expected
+
+
+def test_every_answer_producer_hands_over_a_frozenset(tmp_path):
+    database = random_database_for_query(_CHAIN, domain_size=5, tuples_per_relation=15, seed=3)
+    on_disk = dump_database(database, tmp_path / "facts.sqlite")
+    engine = QueryEngine(engine=DecompositionEngine())
+    boolean_query = parse_conjunctive_query("ans() :- r(x,y), s(y,z).")
+    for source in (database, on_disk):
+        for executor in ("columnar", "sql"):
+            for query in (_CHAIN, boolean_query):
+                _assert_immutable(engine.execute(query, source, executor=executor).answers)
+    empty = Database([Relation("r", ["a0", "a1"], [(1, 2)]), Relation("s", ["a0", "a1"], [])])
+    for executor in ("columnar", "sql"):
+        _assert_immutable(engine.execute(boolean_query, empty, executor=executor).answers)
+    assert type(on_disk.get("r").tuples) is frozenset
+    decoded = codec.database_from_dict(codec.database_to_dict(database))
+    assert type(decoded.get("r").tuples) is frozenset
+
+
+def test_service_tickets_of_one_enumerate_query_share_an_immutable_answer():
+    database = random_database_for_query(_CHAIN, domain_size=5, tuples_per_relation=15, seed=3)
+    naive = naive_join_query(database, _CHAIN.atoms, _CHAIN.free_variables)
+    with DecompositionService(workers=2, engine=DecompositionEngine()) as service:
+        first = service.submit_query(_CHAIN, database, "enumerate").result(timeout=60)
+        second = service.submit_query(_CHAIN, database, "enumerate").result(timeout=60)
+    assert first.answers is second.answers
+    assert first.answers == naive
+    for result in (first, second):
+        _assert_immutable(result.answers)
+    assert first.answers == naive
+
+
+# --------------------------------------------------------------------------- #
+# a commit while a run reads the file never leaves a recycled wrong answer
+# --------------------------------------------------------------------------- #
+_RACE = parse_conjunctive_query("ans(x, z) :- r(x,y), s(y,z).")
+_RACE_AFTER = {(1, 5), (2, 7)}
+
+
+def _race_file(tmp_path):
+    database = Database(
+        [
+            Relation("r", ["a0", "a1"], [(1, 2), (2, 3)]),
+            Relation("s", ["a0", "a1"], [(2, 5)]),
+        ]
+    )
+    path = tmp_path / "race.sqlite"
+    return dump_database(database, path), path
+
+
+def _commit(path) -> None:
+    with sqlite3.connect(path) as writer:
+        writer.execute("INSERT INTO s VALUES (3, 7)")
+    writer.close()
+
+
+def _assert_no_stale_outcome(engine, on_disk) -> None:
+    sql = engine.execute(_RACE, on_disk, executor="sql").answers.tuples
+    assert engine.execute(_RACE, on_disk).answers.tuples == sql == _RACE_AFTER
+
+
+def test_a_commit_during_a_run_leaves_no_stale_outcome(tmp_path, monkeypatch):
+    # A reads the old rows; before A stores its outcome, another connection
+    # commits and B runs and stores the new answer on the same engine.
+    on_disk, path = _race_file(tmp_path)
+    engine = QueryEngine(engine=DecompositionEngine())
+    run, interleaved = PlanExecutor._run, []
+
+    def run_then_interleave(self, plan, stats):
+        outcome = run(self, plan, stats)
+        if not interleaved:
+            interleaved.append(plan)
+            _commit(path)
+            assert engine.execute(_RACE, on_disk).answers.tuples == _RACE_AFTER
+        return outcome
+
+    monkeypatch.setattr(PlanExecutor, "_run", run_then_interleave)
+    answers = engine.execute(_RACE, on_disk).answers.tuples
+    assert interleaved
+    _assert_no_stale_outcome(engine, on_disk)
+    # A's version moved during its run: it stored nothing and ran again.
+    assert answers == _RACE_AFTER
+
+
+def test_a_commit_between_two_threads_runs_leaves_no_stale_outcome(tmp_path, monkeypatch):
+    # The same schedule on two threads: A waits after its run until B has
+    # committed, run and stored.
+    on_disk, path = _race_file(tmp_path)
+    engine = QueryEngine(engine=DecompositionEngine())
+    barrier = threading.Barrier(2, timeout=30)
+    run, held = PlanExecutor._run, []
+
+    def run_then_wait(self, plan, stats):
+        outcome = run(self, plan, stats)
+        if threading.current_thread().name == "A" and not held:
+            held.append(plan)
+            barrier.wait()  # A has read the old rows
+            barrier.wait()  # B has committed, run and stored
+        return outcome
+
+    monkeypatch.setattr(PlanExecutor, "_run", run_then_wait)
+    answers = {}
+
+    def execute():
+        answers[threading.current_thread().name] = engine.execute(_RACE, on_disk).answers.tuples
+
+    a = threading.Thread(target=execute, name="A")
+    a.start()
+    barrier.wait()
+    _commit(path)
+    b = threading.Thread(target=execute, name="B")
+    b.start()
+    b.join(timeout=30)
+    barrier.wait()
+    a.join(timeout=30)
+    assert not a.is_alive() and not b.is_alive()
+    _assert_no_stale_outcome(engine, on_disk)
+    assert answers == {"A": _RACE_AFTER, "B": _RACE_AFTER}
+
+
+def test_readers_racing_a_writer_see_only_whole_versions(tmp_path):
+    # Commit k moves r to (0, k) and s to (k, k) in one transaction, so
+    # every state of the file answers {(0, k)}; a run that read r and s at
+    # two versions would answer {}.  More reader threads than cores, with a
+    # short switch interval, against one engine and one store.
+    commits, readers = 15, 4
+    database = Database(
+        [Relation("r", ["a0", "a1"], [(0, 0)]), Relation("s", ["a0", "a1"], [(0, 0)])]
+    )
+    path = tmp_path / "versions.sqlite"
+    on_disk = dump_database(database, path)
+    engine = QueryEngine(engine=DecompositionEngine())
+    engine.execute(_RACE, on_disk)
+    done = threading.Event()
+    seen: list[frozenset] = []
+
+    def read():
+        while not done.is_set():
+            seen.append(engine.execute(_RACE, on_disk).answers.tuples)
+
+    def write():
+        with sqlite3.connect(path, timeout=30) as writer:
+            for k in range(1, commits + 1):
+                writer.execute("UPDATE r SET a1 = ?", (k,))
+                writer.execute("UPDATE s SET a0 = ?, a1 = ?", (k, k))
+                writer.commit()
+        writer.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        for thread in threads:
+            thread.start()
+        write()
+        done.set()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    states = {frozenset({(0, k)}) for k in range(commits + 1)}
+    assert seen and set(seen) <= states
+    assert engine.execute(_RACE, on_disk).answers.tuples == {(0, commits)}
+    assert engine.execute(_RACE, on_disk, executor="sql").answers.tuples == {(0, commits)}
 
 
 # --------------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.exceptions import QueryError
@@ -97,16 +99,31 @@ def test_semijoin_without_shared_attributes(r):
     assert not r.semijoin(empty).tuples
 
 
-def test_semijoin_without_shared_attributes_returns_a_copy(r):
-    # Regression: the result used to alias self.tuples, so mutating it
-    # (as e.g. an executor compacting intermediate results might) silently
-    # corrupted the source relation.
+def test_semijoin_without_shared_attributes_shares_the_immutable_tuples(r):
+    # The result holds the source's tuples by reference; neither relation
+    # can be changed through the other, so the sharing is harmless.
     nonempty = Relation("u", ("q",), [(1,)])
     before = set(r.tuples)
     result = r.semijoin(nonempty)
-    assert result.tuples is not r.tuples
-    result.tuples.clear()
+    assert result.tuples is r.tuples
+    with pytest.raises(AttributeError):
+        result.tuples.clear()
+    with pytest.raises(AttributeError):
+        result.tuples = frozenset()
     assert r.tuples == before
+
+
+def test_relations_are_immutable_values(r):
+    assert type(r.tuples) is frozenset
+    for field in ("name", "schema", "tuples"):
+        with pytest.raises(AttributeError):
+            setattr(r, field, getattr(r, field))
+        with pytest.raises(AttributeError):
+            delattr(r, field)
+    rows = frozenset({(5, 6)})
+    assert Relation.from_trusted_rows("t", ("a", "b"), rows).tuples is rows
+    assert type(Relation.from_trusted_rows("t", ("a", "b"), {(5, 6)}).tuples) is frozenset
+    assert pickle.loads(pickle.dumps(r)) == r
 
 
 def test_equality_is_schema_order_independent():
