@@ -687,7 +687,6 @@ def test_service_tickets_of_one_enumerate_query_share_an_immutable_answer():
         first = service.submit_query(_CHAIN, database, "enumerate").result(timeout=60)
         second = service.submit_query(_CHAIN, database, "enumerate").result(timeout=60)
     assert first.answers is second.answers
-    assert first.answers == naive
     for result in (first, second):
         _assert_immutable(result.answers)
     assert first.answers == naive
