@@ -54,7 +54,7 @@ def bench_decomposer(name: str, **options) -> Decomposer:
     process measure real search work instead of hitting the process-wide
     default cache.
     """
-    return registry.build(name, engine=DecompositionEngine(cache=None), **options)
+    return registry.build(name, engine=DecompositionEngine(cache=False), **options)
 
 
 #: The direct optimal solver's budget over a parametrised method's

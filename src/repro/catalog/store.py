@@ -227,16 +227,15 @@ class DecompositionCatalog:
     namespace:
         The tenant namespace this handle reads and writes (default
         ``"default"``).  Other namespaces in the same file are invisible.
-    synchronous_writes:
-        Bypass the write-behind queue and insert inline — slower ``put`` but
-        no :meth:`flush` needed before handing the file to another process.
     reset_interval:
         The circuit breaker's cooldown before a half-open re-attach probe;
-        it opens after the breaker's default of 3 consecutive failures.
+        it opens after 3 consecutive failures.
 
     The handle is thread-safe: one connection guarded by a lock (SQLite WAL
-    handles cross-process concurrency).  Use as a context manager or call
-    :meth:`close` to flush queued writes and release the file.
+    handles cross-process concurrency).  Every :meth:`put` is written
+    behind: call :meth:`flush` before handing the file to another process.
+    Use as a context manager or call :meth:`close` to flush queued writes
+    and release the file.
     """
 
     def __init__(
@@ -244,14 +243,12 @@ class DecompositionCatalog:
         path: str | Path,
         namespace: str = "default",
         *,
-        synchronous_writes: bool = False,
         reset_interval: float = 1.0,
     ) -> None:
         if not namespace or any(ch.isspace() for ch in namespace):
             raise ReproError(f"invalid catalog namespace {namespace!r}")
         self.path = Path(path)
         self.namespace = namespace
-        self.synchronous_writes = synchronous_writes
         # Wrapped around every SQLite operation: 2 retries, 10 ms base
         # backoff with jitter.
         self._retry = RetryPolicy()
@@ -489,7 +486,7 @@ class DecompositionCatalog:
         stats: SearchStatistics | None = None,
         wall_seconds: float = 0.0,
     ) -> None:
-        """Persist a decided outcome (write-behind unless ``synchronous_writes``).
+        """Persist a decided outcome, written behind: :meth:`flush` waits for it.
 
         ``decomposition`` must be hosted on ``hypergraph`` (the engine passes
         the *reduced* instance and its certificate); negative outcomes pass
@@ -509,9 +506,6 @@ class DecompositionCatalog:
             stats=stats if stats is not None else SearchStatistics(),
             wall_seconds=wall_seconds,
         )
-        if self.synchronous_writes:
-            self._write(pending)
-            return
         with self._lock:
             if self._closed:
                 return

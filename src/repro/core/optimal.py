@@ -216,7 +216,7 @@ class OptimalHDSolver:
         # entries never land in the process-wide cache.
         from ..pipeline.engine import DecompositionEngine  # deferred: avoids an import cycle
 
-        engine = DecompositionEngine(cache=None)
+        engine = DecompositionEngine(cache=False)
 
         def decide(width: int) -> DecompositionResult:
             remaining = None if deadline is None else deadline.remaining()

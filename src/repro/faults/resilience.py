@@ -2,9 +2,9 @@
 
 Two small, dependency-free building blocks shared by the supervised layers:
 
-* :class:`RetryPolicy` — bounded retries with exponential backoff plus
-  deterministic (seedable) jitter; the catalog wraps every SQLite operation
-  in one, so transient errors heal without tripping anything.
+* :class:`RetryPolicy` — two retries with exponential backoff plus
+  deterministic jitter; the catalog and the SQL executor wrap every SQLite
+  operation in one, so transient errors heal without tripping anything.
 * :class:`CircuitBreaker` — the classic three-state breaker.  Repeated
   failures *open* the circuit (callers stop touching the broken dependency
   and degrade); after a cooling-off interval a single *half-open* probe is
@@ -20,65 +20,57 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from random import Random
 
 __all__ = ["RetryPolicy", "CircuitBreaker"]
 
+#: Retries a :class:`RetryPolicy` allows after the first failed try.
+_MAX_RETRIES = 2
+#: The first retry's delay in seconds; each later retry doubles it.
+_BACKOFF_BASE = 0.01
+#: Each delay is scaled by a random factor in ``[1, 1 + _JITTER]``.
+_JITTER = 0.5
+#: Consecutive failures that open a closed :class:`CircuitBreaker`.
+_FAILURE_THRESHOLD = 3
 
-@dataclass(frozen=True)
+
 class RetryPolicy:
-    """Exponential backoff with jitter: ``base * 2^attempt``, capped.
+    """Two retries with exponential backoff and jitter: ``0.01 * 2^attempt``
+    seconds, each scaled by a factor in ``[1, 1.5]``.
 
-    ``jitter`` scales a multiplicative random component in
-    ``[1, 1 + jitter]`` drawn from a :class:`random.Random` seeded with
-    ``seed`` — the default seed makes delay sequences reproducible, which
-    the deterministic chaos suite relies on; pass ``seed=None`` for
-    entropy-seeded jitter in production fleets (it decorrelates retry
-    storms across processes).
+    The factors come from a :class:`random.Random` seeded with 0, so every
+    policy sleeps the same delays — the deterministic chaos suite relies on
+    it.
     """
-
-    max_retries: int = 2
-    backoff_base: float = 0.01
-    backoff_cap: float = 0.25
-    jitter: float = 0.5
-    seed: int | None = 0
 
     def delays(self):
         """Yield one sleep duration per permitted retry."""
-        rng = Random(self.seed)
-        for attempt in range(self.max_retries):
-            delay = min(self.backoff_cap, self.backoff_base * (2**attempt))
-            if self.jitter > 0.0:
-                delay *= 1.0 + self.jitter * rng.random()
-            yield delay
+        rng = Random(0)
+        for attempt in range(_MAX_RETRIES):
+            yield _BACKOFF_BASE * 2**attempt * (1.0 + _JITTER * rng.random())
 
-    def call(self, fn, *, retry_on=(Exception,), on_retry=None, sleep=time.sleep):
+    def call(self, fn, *, retry_on=(Exception,), sleep=time.sleep):
         """Run ``fn()`` retrying on ``retry_on``; re-raises when exhausted."""
         delays = self.delays()
-        attempt = 0
         while True:
             try:
                 return fn()
-            except retry_on as exc:
+            except retry_on:
                 # next(..., None) rather than catching StopIteration: a bare
                 # ``raise`` inside that handler would re-raise StopIteration,
                 # not the caller's exception.
                 delay = next(delays, None)
                 if delay is None:
                     raise
-                if on_retry is not None:
-                    on_retry(attempt, exc)
                 sleep(delay)
-                attempt += 1
 
 
 class CircuitBreaker:
     """Closed → open → half-open → closed, with counters proving each hop.
 
     * ``record_failure`` increments a consecutive-failure count; reaching
-      ``failure_threshold`` (or any failure while half-open) opens the
-      circuit and stamps the time.
+      three (or any failure while half-open) opens the circuit and stamps
+      the time.
     * ``allow`` answers "may I touch the dependency?": always while closed;
       while open only once ``reset_interval`` has elapsed, which moves the
       breaker to half-open (that caller is the probe; concurrent callers
@@ -93,17 +85,9 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_interval: float = 1.0,
-        clock=time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
+    def __init__(self, reset_interval: float = 1.0, clock=time.monotonic) -> None:
         if reset_interval < 0:
             raise ValueError("reset_interval must be >= 0")
-        self.failure_threshold = failure_threshold
         self.reset_interval = reset_interval
         self._clock = clock
         self._lock = threading.Lock()
@@ -157,7 +141,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             should_open = self._state == self.HALF_OPEN or (
                 self._state == self.CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+                and self._consecutive_failures >= _FAILURE_THRESHOLD
             )
             if self._state == self.OPEN:
                 # Late failure reports while already open just re-stamp the

@@ -159,8 +159,8 @@ class DecompositionEngine:
     Parameters
     ----------
     cache:
-        A :class:`ResultCache`, ``True`` for a private default-sized cache,
-        or ``False``/``None`` to disable caching.
+        ``True`` (the default) for a private :class:`ResultCache`, ``False``
+        to run without one.
     catalog:
         A durable L2 tier behind the result cache: a
         :class:`~repro.catalog.DecompositionCatalog`, or a path (``str`` /
@@ -174,14 +174,12 @@ class DecompositionEngine:
     def __init__(
         self,
         *,
-        cache: ResultCache | bool | None = True,
+        cache: bool = True,
         catalog: "DecompositionCatalog | str | None" = None,
     ) -> None:
-        if cache is True:
-            cache = ResultCache()
-        elif cache is False:
-            cache = None
-        self.cache = cache
+        if not isinstance(cache, bool):
+            raise TypeError(f"cache must be True or False, not {cache!r}")
+        self.cache = ResultCache() if cache else None
         if catalog is not None and not isinstance(catalog, DecompositionCatalog):
             catalog = DecompositionCatalog(catalog)
         self.catalog = catalog

@@ -42,7 +42,9 @@ whose name the store still holds is skipped, so the three answer modes of
 one query shape share atoms, bags and the bottom-up pass, and a repeated
 query runs at most its final ``SELECT``.  In-memory sources never change under
 a store; an on-disk file is watched through ``PRAGMA data_version`` and a
-commit by another connection drops every recycled table.
+commit by another connection drops every recycled table.  Each statement
+reads its own snapshot of the file, so an execution that a commit landed in
+runs again at the new version.
 
 Two data sources are supported.  An in-memory
 :class:`~repro.query.database.Database` is bulk-loaded once per
@@ -558,6 +560,10 @@ class SQLStore:
         the catalog itself — base table and columns, hence arity, per relation."""
         return tuple(sorted(self.catalog_for(plan).items()))
 
+    def _version(self, executor: "SQLExecutor") -> int:
+        """The on-disk file's ``PRAGMA data_version`` on the store's connection."""
+        return executor._exec(self.connection(), "PRAGMA data_version").fetchone()[0]
+
     def ensure_loaded(self, plan: QueryPlan, executor: "SQLExecutor") -> None:
         """Bulk-load (once) every base relation an in-memory plan touches; for
         an on-disk source, drop what was recycled from a since-changed file.
@@ -567,7 +573,7 @@ class SQLStore:
         table is left behind to make the next attempt's ``CREATE`` fail."""
         connection = self.connection()
         if self.path is not None:
-            version = executor._exec(connection, "PRAGMA data_version").fetchone()[0]
+            version = self._version(executor)
             if version != self._data_version:  # another connection committed
                 self._data_version = version
                 self.trim()
@@ -679,27 +685,41 @@ class SQLExecutor:
     # public entry point
     # ------------------------------------------------------------------ #
     def execute(self, plan: QueryPlan, program: SQLProgram | None = None) -> ExecutionResult:
-        """Execute ``plan`` (compiling it to SQL unless ``program`` is given)."""
+        """Execute ``plan`` (compiling it to SQL unless ``program`` is given).
+
+        On an on-disk source the file's data version is read again after the
+        run: if another connection committed meanwhile, the run's statements
+        may have read two states of the file, so it runs again, and
+        :meth:`SQLStore.ensure_loaded` first drops the recycled tables.
+        """
         store = self.store
         with store.lock:
             connection = store.connection()
-            store.ensure_loaded(plan, self)
-            if program is None:
-                program = compile_sql(plan, store.catalog_for(plan))
-            guard = _InterruptGuard(connection, self.deadline)
-            try:
-                with guard:
-                    try:
-                        return self._run(plan, program, connection, guard)
-                    except sqlite3.Error:
-                        # An interrupt can also land inside a fetch (result
-                        # rows are produced lazily); surface it uniformly.
-                        if guard.fired:
-                            raise TimeoutExceeded(guard.reason) from None
-                        raise
-            finally:
-                if store._rows > _ROW_BUDGET:
-                    store.trim(_ROW_BUDGET, {name for _, name, _ in program.steps})
+            while True:
+                store.ensure_loaded(plan, self)
+                if program is None:
+                    program = compile_sql(plan, store.catalog_for(plan))
+                result = self._guarded_run(plan, program, connection)
+                if store.path is None or store._version(self) == store._data_version:
+                    return result
+
+    def _guarded_run(self, plan: QueryPlan, program: SQLProgram, connection) -> ExecutionResult:
+        """:meth:`_run` under the deadline's interrupt guard, then the row budget."""
+        store = self.store
+        guard = _InterruptGuard(connection, self.deadline)
+        try:
+            with guard:
+                try:
+                    return self._run(plan, program, connection, guard)
+                except sqlite3.Error:
+                    # An interrupt can also land inside a fetch (result
+                    # rows are produced lazily); surface it uniformly.
+                    if guard.fired:
+                        raise TimeoutExceeded(guard.reason) from None
+                    raise
+        finally:
+            if store._rows > _ROW_BUDGET:
+                store.trim(_ROW_BUDGET, {name for _, name, _ in program.steps})
 
     def _run(
         self, plan: QueryPlan, program: SQLProgram, connection, guard: _InterruptGuard

@@ -2,8 +2,10 @@
 
 Usage::
 
-    python -m repro.serve --selftest [--backend thread|process] [--workers 4]
-                          [--clients 8] [--json] [--catalog my.db]
+    python -m repro.serve --selftest [--backend thread|process]
+                          [--executor columnar|sql] [--clients 8]
+                          [--repeats 3] [--catalog my.db]
+                          [--chaos [--chaos-seed N]]
 
 ``--selftest`` hammers a fresh :class:`~repro.service.DecompositionService`
 from several client threads with a duplicate-heavy mix of decomposition and
@@ -16,9 +18,8 @@ query requests, then verifies the serving invariants end to end:
 * the three query answer modes agree with each other;
 * the pool shuts down cleanly (no deadlock, bounded join).
 
-Exit status 0 means every check passed.  ``--json`` prints the final
-:meth:`~repro.service.DecompositionService.stats` snapshot as JSON for
-scripting; the default output is a human-readable summary.
+The service runs four workers.  Exit status 0 means every check passed;
+the output is a human-readable summary.
 
 ``--catalog PATH`` opens (or creates) a durable
 :class:`~repro.catalog.DecompositionCatalog` behind the engine's result
@@ -30,7 +31,7 @@ shows the L2 hit/store counters), and the file can be inspected with
 ``--chaos [--chaos-seed N]`` runs the same scenario under a seeded,
 *bounded* fault schedule (see :mod:`repro.faults`): transient-then-persistent
 catalog errors that trip the circuit breaker, service-worker crashes below
-the poison threshold, OOM-killed process workers in the parallel backend,
+the poison threshold (3), OOM-killed process workers in the parallel backend,
 and random dispatch delays.  Every injected outage ends (rule ``times``
 budgets), so on top of the normal invariants the chaos run asserts
 *recovery*: answers byte-identical to a fault-free run, exactly-once
@@ -42,7 +43,6 @@ and a clean bounded shutdown.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import threading
@@ -90,8 +90,8 @@ def chaos_rules(seed: int, backend: str = "thread") -> list:
     process respawn — always get their turn; that is what lets the chaos
     invariants assert *recovery*, not merely degradation.
 
-    The schedule is calibrated so no single task can accumulate
-    ``poison_threshold`` (3) crashes.  Both backends run the one worker
+    The schedule is calibrated so no single task can accumulate the
+    service's poison threshold of 3 crashes.  Both backends run the one worker
     loop, so the ``service.worker`` dispatch crash fires in the same place
     on both, and its whole budget can land on one task (a requeued task
     passes the point again).  Under the process backend the
@@ -428,14 +428,8 @@ def _parser() -> argparse.ArgumentParser:
         help="query execution arm: the in-memory columnar engine (default) "
         "or SQL pushdown into SQLite",
     )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="service workers (threads or processes)"
-    )
     parser.add_argument("--clients", type=int, default=8, help="concurrent client threads")
     parser.add_argument("--repeats", type=int, default=3, help="rounds per client")
-    parser.add_argument(
-        "--json", action="store_true", help="print the stats snapshot as JSON"
-    )
     parser.add_argument(
         "--catalog",
         default=None,
@@ -465,8 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.selftest:
         parser.print_help()
         return 2
-    ok, report, stats = run_selftest(
-        workers=args.workers,
+    ok, report, _stats = run_selftest(
         clients=args.clients,
         repeats=args.repeats,
         catalog=args.catalog,
@@ -474,12 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         backend=args.backend,
         executor=args.executor,
     )
-    if args.json:
-        print(json.dumps(stats, indent=2))
-        if not ok:
-            print(report, file=sys.stderr)
-    else:
-        print(report)
+    print(report)
     return 0 if ok else 1
 
 

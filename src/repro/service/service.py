@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 from itertools import count
 
 from .. import faults
-from ..core.base import PRIMITIVE_OPTION_TYPES, DecompositionResult, SearchStatistics
+from ..core.base import PRIMITIVE_OPTION_TYPES, SearchStatistics
 from ..exceptions import QueryError, ServiceError, SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
 from ..lru import ShardStats, ShardedLRU
@@ -87,6 +87,11 @@ PRIORITY_BULK = 2
 
 _SHUTDOWN_PRIORITY = 1 << 30
 
+#: Worker crashes (exceptions escaping task execution — not ordinary
+#: failures, which finalize on first delivery) after which a task is
+#: quarantined: finalized as failed with a descriptive :class:`ServiceError`
+#: instead of retried forever or left hanging.
+_POISON_THRESHOLD = 3
 #: Capacity of the sharded completed-result memo (the submit-time fast path).
 _RESULT_MEMO_ENTRIES = 4096
 #: Most recent request latencies kept for the p50/p95 snapshot.
@@ -275,7 +280,7 @@ class ServiceStats:
     health: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        """A JSON-friendly rendering (used by ``python -m repro.serve``)."""
+        """A JSON-friendly rendering (the stats of :func:`repro.serve.run_selftest`)."""
         return {
             "submitted": self.submitted,
             "completed": self.completed,
@@ -329,11 +334,12 @@ class DecompositionService:
         here becomes the default per-request computation timeout.  An
         unknown algorithm or an option it does not take is a
         :class:`ServiceError` here, not a failure of every request.
-    poison_threshold:
-        Number of worker crashes (exceptions escaping task execution — not
-        ordinary failures, which finalize on first delivery) after which a
-        task is quarantined: finalized as failed with a descriptive
-        :class:`ServiceError` instead of retried forever or left hanging.
+
+    A request's scheduling class follows from its kind: decompositions run
+    at :data:`PRIORITY_NORMAL`, boolean and count queries at
+    :data:`PRIORITY_INTERACTIVE`, enumerations at :data:`PRIORITY_BULK`.
+    A task that crashes its worker three times is quarantined: its tickets
+    fail with a :class:`ServiceError` that chains the last crash.
     """
 
     def __init__(
@@ -341,18 +347,14 @@ class DecompositionService:
         workers: int = 4,
         engine: DecompositionEngine | None = None,
         algorithm: str = "hybrid",
-        poison_threshold: int = 3,
         backend: str = "thread",
         **algorithm_options,
     ) -> None:
         if workers < 1:
             raise ServiceError("workers must be >= 1")
-        if poison_threshold < 1:
-            raise ServiceError("poison_threshold must be >= 1")
         if backend not in {"thread", "process"}:
             raise ServiceError(f"unknown service backend {backend!r}")
         self.backend = backend
-        self.poison_threshold = poison_threshold
         self.engine = engine if engine is not None else default_engine()
         self.algorithm = algorithm
         # timeout is an explicit keyword of submit, registry.build and
@@ -373,7 +375,6 @@ class DecompositionService:
         #: The live request counters (guarded by ``_lock``).
         self._counters = ServiceStats(workers=workers)
         self._worker_crashes = 0
-        self._worker_respawns = 0
         self._tasks_requeued = 0
         self._quarantined = 0
         #: The merged statistics of every decomposition computed by this
@@ -413,7 +414,6 @@ class DecompositionService:
         *,
         algorithm: str | None = None,
         timeout: float | None = None,
-        priority: int | None = None,
         **options,
     ) -> ServiceTicket:
         """Schedule ``decompose(hypergraph, k)`` and return a ticket.
@@ -484,12 +484,7 @@ class DecompositionService:
             return self.engine.decompose(decomposer, hypergraph, k, cancel_event=cancel_event)
 
         return self._admit(
-            key,
-            run,
-            submitted_at,
-            memoize=memoize,
-            priority=PRIORITY_NORMAL if priority is None else priority,
-            request=request,
+            key, run, submitted_at, memoize=memoize, priority=PRIORITY_NORMAL, request=request
         )
 
     def submit_query(
@@ -500,7 +495,6 @@ class DecompositionService:
         *,
         executor: str = "columnar",
         timeout: float | None = None,
-        priority: int | None = None,
     ) -> ServiceTicket:
         """Schedule a conjunctive query; the ticket resolves to a
         :class:`~repro.query.workload.QueryResult` (thread backend) or a
@@ -534,10 +528,7 @@ class DecompositionService:
         except QueryError as error:
             raise ServiceError(str(error)) from None
         query_engine = self._resolve_query_engine()
-        if priority is None:
-            priority = (
-                PRIORITY_INTERACTIVE if mode.is_interactive else PRIORITY_BULK
-            )
+        priority = PRIORITY_INTERACTIVE if mode.is_interactive else PRIORITY_BULK
         # id(database) is safe here because the key is only used for
         # *in-flight* dedup: the task references the database, so its id
         # cannot be recycled while the key is live.
@@ -574,11 +565,6 @@ class DecompositionService:
             key, run, submitted_at, memoize=False, priority=priority, request=request
         )
 
-    def map(self, hypergraphs, k: int, **options) -> list[DecompositionResult]:
-        """Submit many decomposition requests and gather results in order."""
-        tickets = [self.submit(h, k, **options) for h in hypergraphs]
-        return [ticket.result() for ticket in tickets]
-
     def _admit(
         self,
         key: tuple,
@@ -589,10 +575,6 @@ class DecompositionService:
         priority: int,
         request=None,
     ) -> ServiceTicket:
-        if not isinstance(priority, int) or priority >= _SHUTDOWN_PRIORITY:
-            # A priority sorting behind the shutdown sentinels would make
-            # the task undrainable and its tickets unresolvable.
-            raise ServiceError(f"priority out of range: {priority!r}")
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shut down")
@@ -602,13 +584,6 @@ class DecompositionService:
                 ticket = ServiceTicket(self, task, submitted_at)
                 task.tickets.append(ticket)
                 self._counters.coalesced += 1
-                if priority < task.priority and not task.started:
-                    # A more urgent caller joined a queued task: escalate by
-                    # re-enqueueing at the stronger priority.  The stale
-                    # queue entry is skipped when dequeued (_execute ignores
-                    # tasks that already started or finished).
-                    task.priority = priority
-                    self._enqueue(task)
                 return ticket
             if memoize:
                 # Probe the completed-result memo under the lock.  Workers
@@ -675,14 +650,13 @@ class DecompositionService:
         """A task crashed its worker: requeue it, quarantine it, or fail it.
 
         Runs on the reviving worker thread.  A key that keeps crashing
-        workers is poison — after ``poison_threshold`` crashes it is
+        workers is poison — after ``_POISON_THRESHOLD`` crashes it is
         finalized as failed with a descriptive error chaining the last
         crash, instead of being retried forever or leaving its tickets
         hanging.
         """
         with self._lock:
             self._worker_crashes += 1
-            self._worker_respawns += 1
             if task.done.is_set():
                 return
             task.attempts += 1
@@ -690,7 +664,7 @@ class DecompositionService:
             if task.cancelled:
                 self._finalize_locked(task, None, None)
                 return
-            if task.attempts >= self.poison_threshold:
+            if task.attempts >= _POISON_THRESHOLD:
                 self._quarantined += 1
                 error: BaseException = ServiceError(
                     f"request {task.key[0]!r} key quarantined after "
@@ -712,8 +686,6 @@ class DecompositionService:
 
     def _execute(self, task: _Task, slot: int) -> None:
         with self._lock:
-            if task.started or task.done.is_set():
-                return  # stale queue entry from a priority escalation
             if task.cancelled:
                 self._finalize_locked(task, None, None)
                 return
@@ -846,8 +818,9 @@ class DecompositionService:
                     "backend": self.backend,
                     "workers_alive": workers_alive,
                     "workers_total": self.workers,
+                    # The supervisor revives every crashed worker in place.
                     "worker_crashes": self._worker_crashes,
-                    "worker_respawns": self._worker_respawns,
+                    "worker_respawns": self._worker_crashes,
                     "tasks_requeued": self._tasks_requeued,
                     "quarantined": self._quarantined,
                     # Replacement *processes* spawned by a supervisor: the
@@ -933,11 +906,6 @@ class DecompositionService:
                 if task is None:
                     continue
                 with self._lock:
-                    # Skip stale entries left behind by priority escalation
-                    # (same guard as _execute): a started task is the
-                    # running worker's to finalize, a done one already was.
-                    if task.started or task.done.is_set():
-                        continue
                     task.cancelled = True
                     task.cancel_event.set()
                     self._finalize_locked(

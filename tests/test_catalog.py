@@ -57,7 +57,7 @@ def test_put_get_roundtrip_with_provenance(tmp_path):
 
     h = generators.cycle(6)
     width, hd = hypertree_width(h)
-    with DecompositionCatalog(tmp_path / "cat.db", synchronous_writes=True) as catalog:
+    with DecompositionCatalog(tmp_path / "cat.db") as catalog:
         catalog.put(
             h,
             width,
@@ -67,6 +67,7 @@ def test_put_get_roundtrip_with_provenance(tmp_path):
             decomposition=hd,
             wall_seconds=0.25,
         )
+        catalog.flush()
         record = catalog.get(h, width, ("test-config",))
         assert record is not None and record.success
         assert record.algorithm == "test"
@@ -99,7 +100,7 @@ def test_stored_statistics_keep_their_bytes_and_old_rows_still_load(tmp_path):
         sort_keys=True,
     )
     path = tmp_path / "cat.db"
-    with DecompositionCatalog(path, synchronous_writes=True) as catalog:
+    with DecompositionCatalog(path) as catalog:
         catalog.put(
             h, 1, ("cfg",), algorithm="test", success=False, decomposition=None, stats=stats
         )
@@ -119,8 +120,9 @@ def test_stored_statistics_keep_their_bytes_and_old_rows_still_load(tmp_path):
 
 def test_negative_entries_roundtrip(tmp_path):
     h = generators.cycle(8)
-    with DecompositionCatalog(tmp_path / "cat.db", synchronous_writes=True) as catalog:
+    with DecompositionCatalog(tmp_path / "cat.db") as catalog:
         catalog.put(h, 1, ("cfg",), algorithm="test", success=False, decomposition=None)
+        catalog.flush()
         record = catalog.get(h, 1, ("cfg",))
         assert record is not None
         assert record.success is False and record.root is None
@@ -132,8 +134,9 @@ def test_catalog_refuses_to_store_invalid_certificates(tmp_path):
     h = generators.cycle(6)
     # A structurally fine but semantically invalid HD: nothing is covered.
     bogus = HypertreeDecomposition(h, DecompositionNode(frozenset(), frozenset()))
-    with DecompositionCatalog(tmp_path / "cat.db", synchronous_writes=True) as catalog:
+    with DecompositionCatalog(tmp_path / "cat.db") as catalog:
         catalog.put(h, 2, ("cfg",), algorithm="test", success=True, decomposition=bogus)
+        catalog.flush()
         assert len(catalog) == 0
         assert catalog.stats().errors == 1
 
@@ -250,8 +253,9 @@ def test_namespace_isolation(tmp_path):
     from repro import hypertree_width
 
     width, hd = hypertree_width(h)
-    with DecompositionCatalog(path, namespace="tenant-a", synchronous_writes=True) as a:
+    with DecompositionCatalog(path, namespace="tenant-a") as a:
         a.put(h, width, ("cfg",), algorithm="test", success=True, decomposition=hd)
+        a.flush()
         assert a.get(h, width, ("cfg",)) is not None
         with DecompositionCatalog(path, namespace="tenant-b") as b:
             assert b.get(h, width, ("cfg",)) is None  # invisible across namespaces
@@ -531,8 +535,9 @@ def test_transient_error_is_retried_invisibly(tmp_path):
 
     h = generators.cycle(6)
     width, hd = hypertree_width(h)
-    with DecompositionCatalog(tmp_path / "cat.db", synchronous_writes=True) as catalog:
+    with DecompositionCatalog(tmp_path / "cat.db") as catalog:
         catalog.put(h, width, ("cfg",), algorithm="test", success=True, decomposition=hd)
+        catalog.flush()
         rule = faults.FaultRule(
             point="catalog.get", error=sqlite3.OperationalError("disk I/O error"), times=1
         )

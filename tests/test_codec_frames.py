@@ -149,9 +149,10 @@ def test_catalog_row_keeps_its_bytes(tmp_path):
 
     # The catalog itself writes the same three columns and reads the row back.
     stats.record_stage("decompose", 0.25)  # timings never reach the file
-    with DecompositionCatalog(tmp_path / "cat.db", synchronous_writes=True) as catalog:
+    with DecompositionCatalog(tmp_path / "cat.db") as catalog:
         catalog.put(host, row["k"], ("fixture",), algorithm="hybrid", success=True,
                     decomposition=decomposition, stats=stats)
+        catalog.flush()
         record = catalog.get(host, row["k"], ("fixture",))
     assert _tree(record.kind(host, record.root)) == expected["decomposition"]
     with sqlite3.connect(tmp_path / "cat.db") as connection:

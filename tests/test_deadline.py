@@ -122,7 +122,7 @@ def test_forked_workers_stop(fired):
 @pytest.mark.parametrize("algorithm", ["hybrid", "detk", "logk"])
 def test_a_multi_component_engine_run_stops(algorithm):
     host = _two_components()
-    engine = DecompositionEngine(cache=None)
+    engine = DecompositionEngine(cache=False)
     event = threading.Event()
     event.set()
     with _Timer():
@@ -141,7 +141,7 @@ SYN_CSP = generators.random_csp(45, 60, arity=3, seed=80)
 @pytest.mark.parametrize("algorithm", ["detk", "hybrid"])
 def test_the_cover_enumerator_polls_a_live_budget(algorithm):
     budget = 2.0
-    engine = DecompositionEngine(cache=None)
+    engine = DecompositionEngine(cache=False)
     start = time.monotonic()
     result = engine.decompose(registry.build(algorithm, timeout=budget), SYN_CSP, 6)
     assert time.monotonic() - start < budget + PROMPT

@@ -24,7 +24,7 @@ from repro.pipeline import DecompositionEngine, ResultCache
 @pytest.fixture
 def engine():
     """A fresh engine with a private cache (isolated from the default one)."""
-    return DecompositionEngine(cache=ResultCache())
+    return DecompositionEngine()
 
 
 @pytest.fixture
@@ -145,14 +145,14 @@ def test_catalog_answers_once_then_l1(tmp_path, messy):
 
 def test_catalog_without_l1_reads_through_and_writes_behind(tmp_path, messy):
     path = tmp_path / "cat.db"
-    cold = DecompositionEngine(cache=None, catalog=path)
+    cold = DecompositionEngine(cache=False, catalog=path)
     assert cold.cache is None
     assert LogKDecomposer(engine=cold).decompose(messy, 2).success
     cold.catalog.flush()
     assert cold.catalog.stats().stores == 1
     cold.catalog.close()
 
-    warm = DecompositionEngine(cache=None, catalog=path)
+    warm = DecompositionEngine(cache=False, catalog=path)
     for _ in range(2):  # no L1: every request reads the catalog
         result = LogKDecomposer(engine=warm).decompose(messy, 2)
         assert result.success and "decompose" not in result.statistics.stage_seconds
@@ -291,8 +291,8 @@ def test_timeouts_are_not_cached(engine):
 
 
 def test_cache_eviction_is_bounded():
-    cache = ResultCache(max_entries=2)
-    engine = DecompositionEngine(cache=cache)
+    engine = DecompositionEngine()
+    engine.cache = cache = ResultCache(max_entries=2)
     decomposer = LogKDecomposer(engine=engine)
     for n in (4, 5, 6, 7):
         decomposer.decompose(generators.cycle(n), 2)
@@ -394,9 +394,125 @@ def _service_with_num_workers(tmp_path):
     DecompositionService(num_workers=1)
 
 
+def _submit_with_priority(tmp_path):
+    from repro.service import DecompositionService
+
+    # A request's class follows from its kind; ``priority`` is an unknown
+    # option of the default algorithm.
+    with DecompositionService(workers=1) as service:
+        service.submit(generators.cycle(4), 2, priority=0)
+
+
+def _submit_query_with_priority(tmp_path):
+    from repro.hypergraph.cq import parse_conjunctive_query
+    from repro.query import random_database_for_query
+    from repro.service import DecompositionService
+
+    query = parse_conjunctive_query("ans(x) :- r(x, y).")
+    database = random_database_for_query(query, domain_size=2, tuples_per_relation=2, seed=0)
+    with DecompositionService(workers=1) as service:
+        service.submit_query(query, database, "boolean", priority=0)
+
+
+def _service_with_poison_threshold(tmp_path):
+    from repro.service import DecompositionService
+
+    DecompositionService(workers=1, poison_threshold=3)
+
+
+def _service_map(tmp_path):
+    from repro.service import DecompositionService
+
+    DecompositionService.map  # noqa: B018
+
+
+def _catalog_with_synchronous_writes(tmp_path):
+    from repro.catalog import DecompositionCatalog
+
+    DecompositionCatalog(tmp_path / "catalog.db", synchronous_writes=True)
+
+
+def _retry_with_max_retries(tmp_path):
+    from repro.faults import RetryPolicy
+
+    RetryPolicy(max_retries=4)
+
+
+def _retry_with_backoff_base(tmp_path):
+    from repro.faults import RetryPolicy
+
+    RetryPolicy(backoff_base=0.1)
+
+
+def _retry_with_backoff_cap(tmp_path):
+    from repro.faults import RetryPolicy
+
+    RetryPolicy(backoff_cap=0.3)
+
+
+def _retry_with_jitter(tmp_path):
+    from repro.faults import RetryPolicy
+
+    RetryPolicy(jitter=0.0)
+
+
+def _retry_with_seed(tmp_path):
+    from repro.faults import RetryPolicy
+
+    RetryPolicy(seed=None)
+
+
+def _retry_call_with_on_retry(tmp_path):
+    from repro.faults import RetryPolicy
+
+    RetryPolicy().call(lambda: None, on_retry=print)
+
+
+def _breaker_with_failure_threshold(tmp_path):
+    from repro.faults import CircuitBreaker
+
+    CircuitBreaker(failure_threshold=2)
+
+
+def _serve_with_json(tmp_path):
+    from repro.serve import main
+
+    main(["--json"])  # argparse exits 2 on an unknown flag
+
+
+def _serve_with_workers(tmp_path):
+    from repro.serve import main
+
+    main(["--workers", "2"])
+
+
+def _engine_with_a_cache_instance(tmp_path):
+    DecompositionEngine(cache=ResultCache())
+
+
+def _engine_with_cache_none(tmp_path):
+    DecompositionEngine(cache=None)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
+        (_submit_with_priority, ServiceError),
+        (_submit_query_with_priority, TypeError),
+        (_service_with_poison_threshold, ServiceError),
+        (_service_map, AttributeError),
+        (_catalog_with_synchronous_writes, TypeError),
+        (_retry_with_max_retries, TypeError),
+        (_retry_with_backoff_base, TypeError),
+        (_retry_with_backoff_cap, TypeError),
+        (_retry_with_jitter, TypeError),
+        (_retry_with_seed, TypeError),
+        (_retry_call_with_on_retry, TypeError),
+        (_breaker_with_failure_threshold, TypeError),
+        (_serve_with_json, SystemExit),
+        (_serve_with_workers, SystemExit),
+        (_engine_with_a_cache_instance, TypeError),
+        (_engine_with_cache_none, TypeError),
         (_workload_with_default_mode, TypeError),
         (_service_with_query_engine, ServiceError),
         (_catalog_with_failure_threshold, TypeError),
@@ -413,7 +529,8 @@ def _service_with_num_workers(tmp_path):
 )
 def test_settings_without_a_caller_are_gone(call, error, tmp_path):
     # No caller outside the tests set any of these, so none is a setting;
-    # the service reports an unknown option as a ServiceError at construction.
+    # the service reports an unknown option as a ServiceError (at
+    # construction or at submit) and the CLI's argparse exits.
     with pytest.raises(error):
         call(tmp_path)
 
@@ -447,7 +564,7 @@ def _tiny_corpus():
 
 @pytest.mark.parametrize("algorithm", ["logk", "detk", "hybrid"])
 def test_differential_engine_on_vs_off_over_corpus(algorithm):
-    engine = DecompositionEngine(cache=ResultCache())
+    engine = DecompositionEngine()
     for instance in _tiny_corpus():
         h = instance.hypergraph
         optimum_on = optimum_off = None

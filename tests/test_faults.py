@@ -158,19 +158,17 @@ def test_current_spec_none_when_disabled():
 # --------------------------------------------------------------------------- #
 # RetryPolicy
 # --------------------------------------------------------------------------- #
-def test_retry_delays_are_capped_exponential_and_deterministic():
-    policy = RetryPolicy(max_retries=4, backoff_base=0.1, backoff_cap=0.3, jitter=0.0)
-    assert list(policy.delays()) == [0.1, 0.2, 0.3, 0.3]
-    jittered = RetryPolicy(max_retries=3, backoff_base=0.1, backoff_cap=10.0, jitter=0.5)
-    first, second = list(jittered.delays()), list(jittered.delays())
+def test_retry_delays_are_exponential_and_deterministic():
+    first, second = list(RetryPolicy().delays()), list(RetryPolicy().delays())
     assert first == second  # seeded jitter reproduces
+    assert len(first) == 2
     for attempt, delay in enumerate(first):
-        base = 0.1 * 2**attempt
+        base = 0.01 * 2**attempt
         assert base <= delay <= base * 1.5
 
 
 def test_retry_call_retries_then_raises():
-    policy = RetryPolicy(max_retries=2, backoff_base=0.0, jitter=0.0)
+    policy = RetryPolicy()
     attempts = []
 
     def flaky():
@@ -181,11 +179,11 @@ def test_retry_call_retries_then_raises():
     with pytest.raises(OSError):
         policy.call(flaky, retry_on=(OSError,), sleep=slept.append)
     assert len(attempts) == 3  # initial try + 2 retries
-    assert len(slept) == 2
+    assert slept == list(policy.delays())
 
 
 def test_retry_call_recovers_mid_sequence():
-    policy = RetryPolicy(max_retries=3, backoff_base=0.0, jitter=0.0)
+    policy = RetryPolicy()
     state = {"left": 2}
 
     def flaky():
@@ -210,7 +208,7 @@ class FakeClock:
 
 def test_breaker_opens_after_threshold_and_probes_after_cooldown():
     clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=3, reset_interval=10.0, clock=clock)
+    breaker = CircuitBreaker(reset_interval=10.0, clock=clock)
     assert breaker.state == "closed"
     assert not breaker.record_failure()
     assert not breaker.record_failure()
@@ -230,17 +228,19 @@ def test_breaker_opens_after_threshold_and_probes_after_cooldown():
 
 
 def test_breaker_success_resets_consecutive_failures():
-    breaker = CircuitBreaker(failure_threshold=2, reset_interval=10.0, clock=FakeClock())
+    breaker = CircuitBreaker(reset_interval=10.0, clock=FakeClock())
+    breaker.record_failure()
     breaker.record_failure()
     breaker.record_success()
     assert not breaker.record_failure()  # count restarted
+    assert not breaker.record_failure()
     assert breaker.state == "closed"
 
 
 def test_breaker_half_open_failure_reopens():
     clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=1, reset_interval=5.0, clock=clock)
-    breaker.record_failure()
+    breaker = CircuitBreaker(reset_interval=5.0, clock=clock)
+    breaker.trip()
     clock.now = 6.0
     assert breaker.allow()
     assert breaker.record_failure()  # probe failed: straight back to open
@@ -250,7 +250,7 @@ def test_breaker_half_open_failure_reopens():
 
 
 def test_breaker_force_probe_bypasses_cooldown():
-    breaker = CircuitBreaker(failure_threshold=1, reset_interval=1e9, clock=FakeClock())
+    breaker = CircuitBreaker(reset_interval=1e9, clock=FakeClock())
     breaker.trip()
     assert not breaker.allow()
     assert breaker.allow(force_probe=True)
@@ -260,7 +260,7 @@ def test_breaker_force_probe_bypasses_cooldown():
 
 
 def test_breaker_trip_is_idempotent():
-    breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())
+    breaker = CircuitBreaker(clock=FakeClock())
     breaker.trip()
     breaker.trip()
     assert breaker.as_dict()["opens"] == 1

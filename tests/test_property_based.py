@@ -10,7 +10,7 @@ from repro.decomp.components import components, covered_items
 from repro.decomp.extended import full_bitcomp
 from repro.hypergraph import Hypergraph
 from repro.hypergraph.properties import is_alpha_acyclic
-from repro.pipeline import DecompositionEngine, ResultCache, lift_decomposition, simplify
+from repro.pipeline import DecompositionEngine, lift_decomposition, simplify
 from repro.query.relation import Relation
 
 
@@ -115,7 +115,7 @@ def test_simplify_decompose_lift_yields_valid_hd_on_original(hypergraph):
 @given(_small_hypergraphs)
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_engine_agrees_with_raw_search(hypergraph):
-    engine = DecompositionEngine(cache=ResultCache())
+    engine = DecompositionEngine()
     for k in (1, 2):
         on = LogKDecomposer(engine=engine).decompose(hypergraph, k)
         off = LogKDecomposer().decompose_raw(hypergraph, k)

@@ -50,7 +50,7 @@ def test_run_parametrised_accumulates_search_counters(small_instances):
     record = run_parametrised(
         instance,
         "detk",
-        lambda t: DetKDecomposer(timeout=t, engine=DecompositionEngine(cache=None)),
+        lambda t: DetKDecomposer(timeout=t, engine=DecompositionEngine(cache=False)),
         5.0,
         max_width=4,
     )

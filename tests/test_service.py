@@ -81,13 +81,6 @@ def test_negative_answer_served(service, cycle10):
     assert service.submit(cycle10, 1).result(timeout=30).success is False
 
 
-def test_map_preserves_order(service):
-    instances = [generators.cycle(n) for n in (4, 6, 8, 10)]
-    results = service.map(instances, 2)
-    assert [r.hypergraph for r in results] == instances
-    assert all(r.success for r in results)
-
-
 def test_repeat_submission_hits_fast_path(service, cycle10):
     first = service.submit(cycle10, 2)
     first.result(timeout=30)
@@ -189,54 +182,36 @@ def test_concurrent_duplicates_computed_exactly_once(blocking_algorithm, cycle6)
         svc.shutdown(wait=True, cancel_pending=True)
 
 
-def test_priority_queue_orders_pending_work(blocking_algorithm):
+def test_priority_queue_orders_pending_work(blocking_algorithm, monkeypatch):
+    # Behind a blocker on the single worker, a BOOLEAN query submitted after
+    # an ENUMERATE one still runs first: interactive before bulk.
+    from repro.query import QueryEngine
+
     gate, log = blocking_algorithm
-    svc = DecompositionService(
-        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
-    )
+    execute = QueryEngine.execute
+
+    def logged(self, query, database, mode, **options):
+        log.append(mode.value)
+        return execute(self, query, database, mode, **options)
+
+    monkeypatch.setattr(QueryEngine, "execute", logged)
+    query = parse_conjunctive_query("ans(x) :- r(x,y), s(y,x).")
+    database = random_database_for_query(query)
+    svc = DecompositionService(workers=1, engine=DecompositionEngine(cache=False))
     try:
-        blocker = svc.submit(generators.cycle(4), 2, tag="blocker")
+        blocker = svc.submit(generators.cycle(4), 2, algorithm="blocking-test", tag="blocker")
         # Wait until the single worker is busy on the blocker so the next
         # submissions queue up behind it.
         deadline = time.monotonic() + 5
         while svc.stats().computations == 0 and time.monotonic() < deadline:
             time.sleep(0.005)
-        bulk = svc.submit(generators.cycle(6), 2, priority=PRIORITY_BULK, tag="bulk")
-        urgent = svc.submit(
-            generators.cycle(8), 2, priority=PRIORITY_INTERACTIVE, tag="urgent"
-        )
+        bulk = svc.submit_query(query, database, "enumerate")
+        urgent = svc.submit_query(query, database, "boolean")
+        assert svc.stats().queue_depth == 2
         gate.set()
-        for ticket in (blocker, bulk, urgent):
-            assert ticket.result(timeout=30).success
-        assert log == ["blocker", "urgent", "bulk"]
-    finally:
-        svc.shutdown(wait=True, cancel_pending=True)
-
-
-def test_coalescing_escalates_priority_of_queued_task(blocking_algorithm):
-    gate, log = blocking_algorithm
-    svc = DecompositionService(
-        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
-    )
-    try:
-        blocker = svc.submit(generators.cycle(4), 2, tag="blocker")
-        deadline = time.monotonic() + 5
-        while svc.stats().computations == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        slow = svc.submit(generators.cycle(6), 2, priority=PRIORITY_BULK, tag="slow")
-        other = svc.submit(generators.cycle(8), 2, priority=PRIORITY_BULK, tag="other")
-        # An interactive caller joins the queued "slow" task: it must be
-        # escalated ahead of "other" instead of inheriting bulk service.
-        joined = svc.submit(
-            generators.cycle(6), 2, priority=PRIORITY_INTERACTIVE, tag="slow"
-        )
-        assert joined._task is slow._task  # coalesced, not a new task
-        gate.set()
-        for ticket in (blocker, slow, other, joined):
-            assert ticket.result(timeout=30).success
-        assert log == ["blocker", "slow", "other"]
-        # The stale queue entry from the escalation must not rerun the task.
-        assert svc.stats().computations == 3
+        assert blocker.result(timeout=30).success
+        assert urgent.result(timeout=30).boolean == (bulk.result(timeout=30).count > 0)
+        assert log == ["blocker", "boolean", "enumerate"]
     finally:
         svc.shutdown(wait=True, cancel_pending=True)
 
@@ -361,15 +336,6 @@ def test_an_option_spelled_at_its_default_shares_the_computation(service):
     assert service.stats().computations_by_kind == {"decompose": 1}
 
 
-def test_out_of_range_priority_is_rejected(service, cycle6):
-    # A priority sorting behind the shutdown sentinels would leave the
-    # ticket unresolvable; reject it at submission time.
-    with pytest.raises(ServiceError):
-        service.submit(cycle6, 2, priority=1 << 31)
-    with pytest.raises(ServiceError):
-        service.submit(cycle6, 2, priority="urgent")
-
-
 def test_service_level_timeout_option_is_accepted():
     # timeout is a natural Decomposer option: passing it at service level
     # (or inside per-request **options) must become the default request
@@ -413,39 +379,6 @@ def test_ticket_wait_timeout_raises(blocking_algorithm, cycle6):
         assert ticket.result(timeout=30).success  # still resolvable afterwards
     finally:
         svc.shutdown(wait=True, cancel_pending=True)
-
-
-def test_shutdown_drain_skips_stale_escalation_entries(blocking_algorithm, cycle6):
-    # A priority escalation re-enqueues a queued task, leaving its original
-    # queue entry behind as a stale duplicate; the shutdown drain must
-    # finalize such a task exactly once (a double finalize would count it
-    # as cancelled twice and republish the outcome).
-    gate, _log = blocking_algorithm
-    svc = DecompositionService(
-        workers=1, engine=DecompositionEngine(cache=False), algorithm="blocking-test"
-    )
-    blocker = svc.submit(generators.cycle(4), 2)
-    deadline = time.monotonic() + 5
-    while svc.stats().computations == 0 and time.monotonic() < deadline:
-        time.sleep(0.005)
-    queued = svc.submit(cycle6, 2, priority=PRIORITY_BULK)
-    joined = svc.submit(cycle6, 2, priority=PRIORITY_INTERACTIVE)  # escalates
-    assert joined._task is queued._task
-    # The queue now holds two entries for one task; drain both.
-    svc.shutdown(wait=True, cancel_pending=True)
-    for ticket in (queued, joined):
-        with pytest.raises(ServiceError):
-            ticket.result(timeout=30)
-    stats = svc.stats()
-    # Counters are per ticket: the drained task carried two coalesced
-    # tickets and was finalized exactly once despite the stale entry (a
-    # double finalize would count four).
-    assert stats.cancelled == 2
-    assert stats.cancelled_running == 0  # drained while queued, never ran
-    # The running blocker was asked to cancel and resolves as timed out.
-    assert blocker.result(timeout=30).timed_out
-    # Every submitted request is accounted for exactly once.
-    assert stats.submitted == stats.completed + stats.failed + stats.cancelled
 
 
 def test_shutdown_cancel_pending_fails_queued_requests(blocking_algorithm, cycle6):
@@ -591,12 +524,10 @@ def test_worker_crash_is_requeued_and_answer_still_served(cycle6):
 def test_poison_task_is_quarantined_with_descriptive_error(cycle6):
     from repro import faults
 
-    # Every dispatch of this task crashes its worker: after poison_threshold
-    # crashes the key is finalized as failed instead of retried forever.
+    # Every dispatch of this task crashes its worker: after three crashes
+    # the key is finalized as failed instead of retried forever.
     rule = faults.FaultRule(point="service.worker", error=RuntimeError("poison"))
-    with DecompositionService(
-        workers=2, engine=DecompositionEngine(), poison_threshold=3
-    ) as service:
+    with DecompositionService(workers=2, engine=DecompositionEngine()) as service:
         with faults.injected(rule):
             ticket = service.submit(cycle6, 2)
             with pytest.raises(ServiceError, match="quarantined after 3") as info:

@@ -238,6 +238,37 @@ def test_commit_by_another_connection_changes_the_answer(tmp_path):
     _assert_registry_matches_connection(engine.sql_store_for(handle))
 
 
+def test_a_commit_between_two_statements_is_not_a_torn_answer(tmp_path, monkeypatch):
+    # Each statement reads its own snapshot of the file, so a commit after
+    # the first CREATE would join the old r with the new s: every state of
+    # the file answers one row, the torn mix none.  The run reads the data
+    # version again at its end and runs again at the new one.
+    query = parse_conjunctive_query("ans(x,z) :- r(x,y), s(y,z).")
+    path = tmp_path / "torn.sqlite"
+    handle = dump_database(
+        Database([Relation("r", ["a0", "a1"], [(0, 0)]), Relation("s", ["a0", "a1"], [(0, 0)])]),
+        path,
+    )
+    execute, committed = sqlgen.SQLExecutor._exec, []
+
+    def commit_after_the_first_create(self, connection, sql, guard=None):
+        cursor = execute(self, connection, sql, guard)
+        if sql.startswith("CREATE") and not committed:
+            committed.append(sql)
+            with sqlite3.connect(path) as writer:
+                writer.execute("UPDATE r SET a1 = 1")
+                writer.execute("UPDATE s SET a0 = 1, a1 = 1")
+            writer.close()
+        return cursor
+
+    monkeypatch.setattr(sqlgen.SQLExecutor, "_exec", commit_after_the_first_create)
+    engine = _engine()
+    answers = engine.execute(query, handle, "enumerate", executor="sql").answers.tuples
+    assert committed
+    assert answers == {(0, 1)}
+    _assert_registry_matches_connection(engine.sql_store_for(handle))
+
+
 # --------------------------------------------------------------------------- #
 # resource hygiene: the store owns its temp tables for its whole life
 # --------------------------------------------------------------------------- #

@@ -187,13 +187,13 @@ CLIQUE9 = parse_conjunctive_query(
 
 
 def test_a_planning_timeout_is_reported_as_a_timeout():
-    engine = QueryEngine(timeout=0.001, engine=DecompositionEngine(cache=None))
+    engine = QueryEngine(timeout=0.001, engine=DecompositionEngine(cache=False))
     with pytest.raises(TimeoutExceeded, match="time budget"):
         engine.plan(CLIQUE9)
 
 
 def test_a_query_wider_than_max_width_is_refused():
-    engine = QueryEngine(max_width=3, engine=DecompositionEngine(cache=None))
+    engine = QueryEngine(max_width=3, engine=DecompositionEngine(cache=False))
     with pytest.raises(QueryError, match="no hypertree decomposition of width <= 3"):
         engine.plan(CLIQUE9)
-    assert QueryEngine(engine=DecompositionEngine(cache=None)).plan(CLIQUE9)[0].width == 5
+    assert QueryEngine(engine=DecompositionEngine(cache=False)).plan(CLIQUE9)[0].width == 5
