@@ -6,7 +6,7 @@ Eight client threads hammer one service with overlapping decomposition and
 query requests.  The point of the demo is what does *not* happen: although
 96 decomposition requests arrive, only a handful of searches run — in-flight
 deduplication coalesces concurrent duplicates onto one computation and the
-sharded result memo serves repeats at submit time.  The stats snapshot at
+result memo serves repeats at submit time.  The stats snapshot at
 the end makes the serving behaviour visible.
 """
 

@@ -16,8 +16,8 @@ and Pichler.  The package provides:
   L2 cache tier persisting validated certificates with provenance
   (``python -m repro.catalog`` maintains it),
 * :mod:`repro.query` — HD-guided conjunctive query evaluation and CSP solving,
-* :mod:`repro.service` — the concurrent serving layer: sharded caches,
-  in-flight request deduplication and a prioritised worker pool
+* :mod:`repro.service` — the concurrent serving layer: caches shared behind
+  one lock each, in-flight request deduplication and a prioritised worker pool
   (``python -m repro.serve --selftest`` smoke-tests it end to end),
 * :mod:`repro.faults` — deterministic fault injection (named fault points,
   seeded schedules) and the resilience primitives behind the supervised

@@ -23,6 +23,11 @@ transport and liveness rules live here once:
 * **Fresh pipes on respawn, in both directions**: the dead worker may have
   left a half-written result frame or a half-read request frame behind,
   which would desync its successor's frames on a reused pipe.
+* **A child keeps only its own pipe ends**: a fork inherits every open
+  pipe of every live :class:`WorkerProcess` in the parent, so the child
+  first closes all of them but the ends it uses itself.  A worker then
+  holds no sibling's result pipe, and the parent is the one writer of a
+  request pipe: a parent killed outright is EOF in its workers.
 
 What to do about a crash (respawn budget, requeueing the dead worker's
 tasks) is the caller's policy and stays with the caller.
@@ -45,6 +50,9 @@ __all__ = [
 
 #: Consecutive frame-less sweeps before a non-alive worker counts as crashed.
 DEAD_STRIKES = 2
+
+#: Every worker whose pipes are open: what a forked child closes.
+_live: set["WorkerProcess"] = set()
 
 
 def encode_frame(message) -> bytes:
@@ -83,7 +91,8 @@ class WorkerProcess:
     ``spawn(worker)`` returns the ``Process`` keyword arguments (``target``,
     ``args``, ``name``) of the next attempt, built from ``worker.index``,
     ``worker.attempt`` and ``worker.result_wfd`` (the child's
-    :func:`write_frame` fd).
+    :func:`write_frame` fd).  The child closes every inherited pipe end
+    but :meth:`_own_fds` before it calls ``target``.
     """
 
     def __init__(self, context, index: int, spawn) -> None:
@@ -101,10 +110,20 @@ class WorkerProcess:
         self.result_rfd, self.result_wfd = os.pipe()
         self.rbuf = bytearray()
         self.strikes = 0
+        #: This attempt's pipe ends, both the parent's and the child's.
+        self.fds = (self.result_rfd, self.result_wfd)
+        _live.add(self)
 
     def _close_pipe(self) -> None:
+        # Unlisted first: a child forked meanwhile must not close an fd
+        # that the parent has already closed and may have reused.
+        _live.discard(self)
         os.close(self.result_rfd)
         os.close(self.result_wfd)
+
+    def _own_fds(self) -> tuple[int, ...]:
+        """The pipe ends the child itself uses: its result pipe's write end."""
+        return (self.result_wfd,)
 
     def fileno(self) -> int:
         """The read end of the result pipe (what :func:`poll` selects on)."""
@@ -113,8 +132,13 @@ class WorkerProcess:
     def start(self) -> None:
         # Daemonic, so a parent that exits ends its workers.  A parent killed
         # outright skips that exit handler; a worker that waits on a request
-        # pipe must then see EOF there (see process_backend._spawn).
-        self.process = self.context.Process(daemon=True, **self.spawn(self))
+        # pipe then sees EOF there, since the child closes its copy of the
+        # write end (see _child_main).
+        kwargs = self.spawn(self)
+        target, args = kwargs.pop("target"), kwargs.pop("args")
+        self.process = self.context.Process(
+            daemon=True, target=_child_main, args=(self, target, args), **kwargs
+        )
         self.process.start()
         self.pid = self.process.pid
 
@@ -154,6 +178,18 @@ class WorkerProcess:
             self.process.close()
             self.process = None
         self._close_pipe()
+
+
+def _child_main(worker: WorkerProcess, target, args) -> None:
+    """A forked worker's entry: close every inherited pipe end it does not
+    use (its siblings' and the parent's ends of its own), then run."""
+    own = worker._own_fds()
+    for other in _live:
+        for fd in other.fds:
+            if fd not in own:
+                os.close(fd)
+    _live.clear()
+    target(*args)
 
 
 def poll(workers, timeout: float) -> list[tuple[WorkerProcess, object]]:

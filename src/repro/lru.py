@@ -7,18 +7,18 @@ Two flavours are provided:
   :mod:`repro.decomp.components`, the log-k search's splitter pool in
   :mod:`repro.core.logk`).  Deliberately tiny: no statistics, no locking;
   callers layer their own counting on top where they need it.
-* :class:`ShardedLRU` — a thread-safe, lock-striped wrapper partitioning the
-  key space over independent :class:`BoundedLRU` shards, each behind its own
-  lock.  Concurrent callers hitting different shards never contend, which is
-  what lets the serving layer (:mod:`repro.service`) drive the engine result
-  cache, the compiled-plan cache and the per-database column stores from many
-  threads at once.  Per-shard hit/miss/store/eviction counters make cache
-  behaviour observable (:meth:`ShardedLRU.shard_stats`).
+* :class:`SharedLRU` — a :class:`BoundedLRU` behind one lock, with one
+  :class:`CacheStatistics` record of its traffic.  It backs every cache
+  that threads share: the engine result cache, the compiled-plan caches,
+  the column stores' bag tables and the serving layer's result memo.  One
+  lock is enough: only the thread backend shares these caches, CPython's
+  GIL runs its threads one at a time, and an operation holds the lock for
+  one dict access.
 
 Example::
 
-    >>> from repro.lru import ShardedLRU
-    >>> cache = ShardedLRU(max_entries=64, num_shards=4)
+    >>> from repro.lru import SharedLRU
+    >>> cache = SharedLRU(max_entries=64)
     >>> cache.put("answer", 42)
     0
     >>> cache.get("answer")
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .counters import Counters
 
-__all__ = ["BoundedLRU", "ShardStats", "ShardedLRU"]
+__all__ = ["BoundedLRU", "CacheStatistics", "SharedLRU"]
 
 
 class BoundedLRU:
@@ -82,11 +82,10 @@ class BoundedLRU:
 
 
 @dataclass
-class ShardStats(Counters):
-    """Traffic counters of one shard (or an aggregate over shards).
+class CacheStatistics(Counters):
+    """Hit/miss/eviction/store counters of one :class:`SharedLRU`.
 
-    The field order is relied on: positional construction is used.
-    Instances returned by :meth:`ShardedLRU.stats` are point-in-time
+    Instances returned by :meth:`SharedLRU.stats` are point-in-time
     snapshots, not live views.
     """
 
@@ -102,98 +101,52 @@ class ShardStats(Counters):
         return self.hits / lookups if lookups else 0.0
 
 
-class ShardedLRU:
-    """A thread-safe bounded LRU striped over independently locked shards.
+class SharedLRU:
+    """A thread-safe bounded LRU: one :class:`BoundedLRU` behind one lock.
 
-    Keys are assigned to shards by ``hash(key)``; each shard is a private
-    :class:`BoundedLRU` guarded by its own lock, so operations on different
-    shards proceed concurrently and an operation only ever holds one lock
-    (there is no global lock to convoy on).  Capacity is split evenly across
-    the shards, which makes eviction per-shard-local: a hot shard evicts its
-    own least-recently-used entries without touching the recency order of
-    the others.  Because every shard holds at least one entry, the requested
-    capacity is rounded **up** to the next multiple of ``num_shards``; the
-    effective bound is published as :attr:`max_entries` (e.g. requesting
-    ``max_entries=10, num_shards=8`` yields 8 shards of 2 = 16).  ``len``
-    and :meth:`stats` aggregate over shards and are therefore only momentary
-    snapshots under concurrent mutation.
+    ``max_entries`` is the exact bound, and eviction follows one recency
+    order over every key.
     """
 
-    __slots__ = ("max_entries", "num_shards", "_shards", "_locks", "_stats")
+    __slots__ = ("max_entries", "_entries", "_lock", "_stats")
 
-    def __init__(self, max_entries: int, num_shards: int = 8) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        num_shards = min(num_shards, max_entries)
-        per_shard = -(-max_entries // num_shards)  # ceil division
-        self.max_entries = per_shard * num_shards
-        self.num_shards = num_shards
-        self._shards = [BoundedLRU(per_shard) for _ in range(num_shards)]
-        self._locks = [threading.Lock() for _ in range(num_shards)]
-        self._stats = [ShardStats() for _ in range(num_shards)]
-
-    def _index(self, key) -> int:
-        return hash(key) % self.num_shards
+    def __init__(self, max_entries: int) -> None:
+        self._entries = BoundedLRU(max_entries)
+        self.max_entries = max_entries
+        self._lock = threading.Lock()
+        self._stats = CacheStatistics()
 
     def get(self, key):
         """Return the stored value (refreshing its recency), or ``None``."""
-        index = self._index(key)
-        with self._locks[index]:
-            value = self._shards[index].get(key)
+        with self._lock:
+            value = self._entries.get(key)
             if value is None:
-                self._stats[index].misses += 1
+                self._stats.misses += 1
             else:
-                self._stats[index].hits += 1
+                self._stats.hits += 1
             return value
 
     def put(self, key, value) -> int:
         """Insert or overwrite; returns the number of evicted entries."""
-        index = self._index(key)
-        with self._locks[index]:
-            evicted = self._shards[index].put(key, value)
-            self._stats[index].stores += 1
-            self._stats[index].evictions += evicted
+        with self._lock:
+            evicted = self._entries.put(key, value)
+            self._stats.stores += 1
+            self._stats.evictions += evicted
             return evicted
 
     def clear(self) -> None:
-        for index in range(self.num_shards):
-            with self._locks[index]:
-                self._shards[index].clear()
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
-        total = 0
-        for index in range(self.num_shards):
-            with self._locks[index]:
-                total += len(self._shards[index])
-        return total
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key) -> bool:
-        index = self._index(key)
-        with self._locks[index]:
-            return key in self._shards[index]
+        with self._lock:
+            return key in self._entries
 
-    def shard_stats(self) -> list[ShardStats]:
-        """A snapshot of each shard's counters, in shard order."""
-        snapshot = []
-        for index in range(self.num_shards):
-            with self._locks[index]:
-                stats = self._stats[index]
-                snapshot.append(
-                    ShardStats(
-                        hits=stats.hits,
-                        misses=stats.misses,
-                        evictions=stats.evictions,
-                        stores=stats.stores,
-                    )
-                )
-        return snapshot
-
-    def stats(self) -> ShardStats:
-        """Aggregate counters over all shards."""
-        total = ShardStats()
-        for index in range(self.num_shards):
-            with self._locks[index]:
-                total.merge(self._stats[index])
-        return total
+    def stats(self) -> CacheStatistics:
+        """A snapshot of the traffic counters."""
+        with self._lock:
+            return replace(self._stats)

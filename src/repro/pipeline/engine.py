@@ -69,7 +69,7 @@ from ..decomp.decomposition import (
 )
 from ..hypergraph import Hypergraph
 from ..hypergraph.properties import connected_components
-from ..lru import ShardedLRU, ShardStats
+from ..lru import CacheStatistics, SharedLRU
 from .simplify import lift_decomposition, simplify
 
 __all__ = [
@@ -79,12 +79,6 @@ __all__ = [
     "default_engine",
     "set_default_engine",
 ]
-
-
-#: Hit/miss/store/eviction counters of a :class:`ResultCache`.  Kept as an
-#: alias of :class:`repro.lru.ShardStats` (same four counters, plus
-#: ``hit_rate``) so adding a counter to the sharded LRU shows up here too.
-CacheStatistics = ShardStats
 
 
 @dataclass(frozen=True)
@@ -106,31 +100,21 @@ class _CacheEntry:
 
 
 class ResultCache:
-    """Thread-safe, lock-striped LRU cache of decided decomposition outcomes.
+    """Thread-safe LRU cache of decided decomposition outcomes.
 
-    The entries live in a :class:`~repro.lru.ShardedLRU`: the key space is
-    partitioned over ``num_shards`` independently locked shards, so
-    concurrent callers (the :class:`~repro.service.DecompositionService`
-    worker pool in particular) probing different inputs never serialise on
-    a global cache lock.  The engine keys it by the input's canonical hash,
+    The entries live in a :class:`~repro.lru.SharedLRU`, so the
+    :class:`~repro.service.DecompositionService` worker threads can probe
+    it concurrently.  The engine keys it by the input's canonical hash,
     ``k`` and ``cache_key()``, and a positive entry holds the lifted tree.
-    :attr:`statistics` aggregates the per-shard counters;
-    :meth:`shard_statistics` exposes them individually for the service
-    stats snapshot.
     """
 
-    def __init__(self, max_entries: int = 1024, num_shards: int = 8) -> None:
-        self._entries = ShardedLRU(max_entries, num_shards=num_shards)
-        self.max_entries = self._entries.max_entries
+    def __init__(self, max_entries: int = 1024) -> None:
+        self._entries = SharedLRU(max_entries)
 
     @property
     def statistics(self) -> CacheStatistics:
-        """Aggregate hit/miss/store/eviction counters over all shards."""
+        """A snapshot of the hit/miss/store/eviction counters."""
         return self._entries.stats()
-
-    def shard_statistics(self) -> list[ShardStats]:
-        """Per-shard traffic counters (hit rates feed the service snapshot)."""
-        return self._entries.shard_stats()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -183,25 +167,24 @@ class DecompositionEngine:
         if catalog is not None and not isinstance(catalog, DecompositionCatalog):
             catalog = DecompositionCatalog(catalog)
         self.catalog = catalog
-        self._auxiliary: dict[str, ShardedLRU] = {}
+        self._auxiliary: dict[str, SharedLRU] = {}
         self._auxiliary_lock = threading.Lock()
 
-    def auxiliary_cache(self, name: str, max_entries: int = 256) -> ShardedLRU:
-        """A named side-cache sharing this engine's lifecycle.
+    def auxiliary_cache(self, name: str) -> SharedLRU:
+        """A named 256-entry side-cache sharing this engine's lifecycle.
 
         Downstream layers that key derived artefacts off decomposition work —
         the query planner caches compiled :class:`~repro.query.plan.QueryPlan`
         programs here — get an LRU that lives and dies with the engine, so
         :func:`set_default_engine` (used by tests to isolate cache state)
-        resets them together with the result cache.  The first caller fixes
-        ``max_entries``; later callers receive the same instance.  The cache
-        is a lock-striped :class:`~repro.lru.ShardedLRU`, safe to hit from
-        the concurrent serving layer without further locking.
+        resets them together with the result cache.  Every caller of one
+        name receives the same :class:`~repro.lru.SharedLRU`, safe to hit
+        from the concurrent serving layer without further locking.
         """
         with self._auxiliary_lock:
             cache = self._auxiliary.get(name)
             if cache is None:
-                cache = ShardedLRU(max_entries)
+                cache = SharedLRU(256)
                 self._auxiliary[name] = cache
             return cache
 

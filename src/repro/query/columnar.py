@@ -67,7 +67,7 @@ from typing import NamedTuple
 from ..counters import Counters
 from ..deadline import Deadline
 from ..exceptions import QueryError
-from ..lru import ShardedLRU
+from ..lru import SharedLRU
 from .database import Database
 from .plan import AnswerMode, AtomBinding, JoinOp, QueryPlan
 from .relation import Relation
@@ -479,7 +479,7 @@ class ColumnStore:
     :meth:`intern`) — without it two threads interning overlapping
     columns could hand out *different* codes for one value, breaking the
     code-equality-is-value-equality invariant — and the bag cache is a
-    lock-striped :class:`~repro.lru.ShardedLRU`.  Atom tables may
+    :class:`~repro.lru.SharedLRU` behind its own lock.  Atom tables may
     rarely be built twice under a race; both builds are equivalent and the
     last one wins, so that duplication costs time, never answers.
     """
@@ -501,7 +501,7 @@ class ColumnStore:
         #: key indexes living on the cached tables — is paid once.  The
         #: same cache holds plan outcomes, keyed by the plan
         #: (:meth:`PlanExecutor.execute`).
-        self._bag_tables: ShardedLRU = ShardedLRU(512)
+        self._bag_tables: SharedLRU = SharedLRU(512)
         #: The source's data-version probe (None: the source never changes)
         #: and the version the caches were read at.
         self._probe = database._data_version

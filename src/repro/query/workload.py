@@ -184,8 +184,6 @@ class QueryEngine:
 
     PLAN_CACHE_NAME = "query-plans"
     SQL_CACHE_NAME = "query-sql"
-    #: Capacity of each of the two auxiliary caches above.
-    PLAN_CACHE_ENTRIES = 256
 
     def __init__(
         self,
@@ -238,9 +236,7 @@ class QueryEngine:
         return self.engine if self.engine is not None else default_engine()
 
     def _plan_cache(self):
-        return self._decomposition_engine().auxiliary_cache(
-            self.PLAN_CACHE_NAME, self.PLAN_CACHE_ENTRIES
-        )
+        return self._decomposition_engine().auxiliary_cache(self.PLAN_CACHE_NAME)
 
     def store_for(self, database: Database) -> ColumnStore:
         """The persistent column store of ``database`` (created on demand).
@@ -285,9 +281,7 @@ class QueryEngine:
             self.max_width,
             store.source_fingerprint(planned.plan),
         )
-        cache = self._decomposition_engine().auxiliary_cache(
-            self.SQL_CACHE_NAME, self.PLAN_CACHE_ENTRIES
-        )
+        cache = self._decomposition_engine().auxiliary_cache(self.SQL_CACHE_NAME)
         program = cache.get(key)
         if program is None:
             program = compile_sql(planned.plan, store.catalog_for(planned.plan))

@@ -75,6 +75,9 @@ SELFTEST_INSTANCES = (
 
 SELFTEST_QUERY = "ans(x, z) :- r(x,y), s(y,z), t(z,x)."
 
+#: The service's pool size in every selftest.
+SELFTEST_WORKERS = 4
+
 #: The chaos run's parallel-backend probe: a request forced through the
 #: process backend so an injected worker kill (and the supervised respawn)
 #: is actually exercised.  ``hybrid=False`` keeps its search deterministic
@@ -150,7 +153,6 @@ def chaos_rules(seed: int, backend: str = "thread") -> list:
 
 
 def run_selftest(
-    workers: int = 4,
     clients: int = 8,
     repeats: int = 3,
     catalog: str | None = None,
@@ -188,7 +190,7 @@ def run_selftest(
 
     failures: list[str] = []
     service = DecompositionService(
-        workers=workers,
+        workers=SELFTEST_WORKERS,
         engine=DecompositionEngine(catalog=catalog),
         backend=backend,
     )
@@ -355,7 +357,7 @@ def run_selftest(
     ok = not failures
     lines = [
         f"serve selftest: {clients} clients x {repeats} rounds over "
-        f"{len(instances)} instances + 3 query modes ({workers} {backend} workers)",
+        f"{len(instances)} instances + 3 query modes ({SELFTEST_WORKERS} {backend} workers)",
         f"  requests submitted : {stats.submitted}",
         f"  completed          : {stats.completed}",
         f"  computations       : {stats.computations} "

@@ -178,7 +178,6 @@ def _worker_main(
     request_fd: int,
     result_fd: int,
     cancel_word,
-    foreign_fds: tuple[int, ...],
 ) -> None:
     """Long-lived worker: warm engines, one reply frame per request frame.
 
@@ -187,12 +186,11 @@ def _worker_main(
     request carries the parent's fault spec so chaos schedules behave
     identically across the boundary.  Both pipe ends ride across the fork
     as raw file descriptors, so the backend requires the ``fork`` start
-    method.  ``foreign_fds`` are the inherited pipe ends this worker does
-    not use; closing them leaves the parent the request pipe's only writer,
-    so a parent that dies without stopping the worker is EOF here.
+    method.  The other inherited pipe ends are closed before this runs
+    (:class:`~repro.faults.supervise.WorkerProcess`), so the parent is the
+    request pipe's only writer and a parent that dies without stopping the
+    worker is EOF here.
     """
-    for fd in foreign_fds:
-        os.close(fd)
     engine = DecompositionEngine(catalog=config["catalog_path"])
     query_engine = QueryEngine(
         algorithm=config["algorithm"],
@@ -289,15 +287,16 @@ class _Slot(WorkerProcess):
         os.set_blocking(self.request_wfd, False)
         self.shipped_graphs: set[str] = set()
         self.shipped_dbs: set[str] = set()
-        #: This attempt's pipe ends, none once closed: every worker forked
-        #: while they are open inherits them (see ProcessBackend._spawn).
-        self.fds = (self.result_rfd, self.result_wfd, self.request_rfd, self.request_wfd)
+        self.fds += (self.request_rfd, self.request_wfd)
 
     def _close_pipe(self) -> None:
         super()._close_pipe()
         os.close(self.request_rfd)
         os.close(self.request_wfd)
-        self.fds = ()
+
+    def _own_fds(self) -> tuple[int, ...]:
+        """... and the request pipe's read end."""
+        return (self.result_wfd, self.request_rfd)
 
 
 class ProcessBackend:
@@ -326,10 +325,6 @@ class ProcessBackend:
             slot.start()
 
     def _spawn(self, slot: _Slot) -> dict:
-        # Runs before each fork, under ``self._lock`` on a respawn, so no
-        # other slot's pipes change meanwhile.
-        own = (slot.request_rfd, slot.result_wfd)
-        foreign = tuple(fd for other in self._slots for fd in other.fds if fd not in own)
         return {
             "target": _worker_main,
             "args": (
@@ -339,7 +334,6 @@ class ProcessBackend:
                 slot.request_rfd,
                 slot.result_wfd,
                 slot.cancel_word,
-                foreign,
             ),
             "name": f"repro-service-worker-{slot.index}",
         }

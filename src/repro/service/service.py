@@ -5,12 +5,12 @@
 :class:`~repro.query.workload.QueryEngine`.  Three mechanisms turn the
 single-caller library into something that can sit behind traffic:
 
-* **Sharded caches** — the engine result cache, the compiled-plan cache and
-  the per-database column stores are lock-striped
-  (:class:`~repro.lru.ShardedLRU`), so concurrent cache hits on different
-  keys never serialise on a global lock.  The service adds its own sharded
-  memo of completed results for a submit-time fast path that bypasses the
-  queue entirely.
+* **Shared caches** — the engine result cache, the compiled-plan cache and
+  the per-database column stores each sit behind one lock
+  (:class:`~repro.lru.SharedLRU`), held for one dict access per probe; the
+  GIL runs the worker threads one at a time anyway.  The service adds its
+  own memo of completed results for a submit-time fast path that bypasses
+  the queue entirely.
 * **In-flight deduplication** — concurrent requests for the same
   ``(canonical hash, k, Decomposer.cache_key())`` coalesce onto one
   computation: followers attach a ticket to the in-flight task and all
@@ -62,7 +62,7 @@ from .. import faults
 from ..core.base import PRIMITIVE_OPTION_TYPES, SearchStatistics
 from ..exceptions import QueryError, ServiceError, SolverError, TimeoutExceeded
 from ..hypergraph import Hypergraph
-from ..lru import ShardStats, ShardedLRU
+from ..lru import CacheStatistics, SharedLRU
 from ..pipeline.engine import DecompositionEngine, default_engine
 from ..pipeline.registry import registry
 from ..query.plan import AnswerMode, check_executor
@@ -92,7 +92,7 @@ _SHUTDOWN_PRIORITY = 1 << 30
 #: quarantined: finalized as failed with a descriptive :class:`ServiceError`
 #: instead of retried forever or left hanging.
 _POISON_THRESHOLD = 3
-#: Capacity of the sharded completed-result memo (the submit-time fast path).
+#: Capacity of the completed-result memo (the submit-time fast path).
 _RESULT_MEMO_ENTRIES = 4096
 #: Most recent request latencies kept for the p50/p95 snapshot.
 _LATENCY_WINDOW = 2048
@@ -266,9 +266,8 @@ class ServiceStats:
     #: tried, splitter/bitset memo hits, mask-table builds, ...) summed over
     #: every computation this service actually ran.
     search_counters: dict = field(default_factory=dict)
-    result_memo: ShardStats = field(default_factory=ShardStats)
-    engine_cache: ShardStats = field(default_factory=ShardStats)
-    engine_cache_shards: list[ShardStats] = field(default_factory=list)
+    result_memo: CacheStatistics = field(default_factory=CacheStatistics)
+    engine_cache: CacheStatistics = field(default_factory=CacheStatistics)
     #: Traffic of the engine's durable L2 tier (``None`` without a catalog):
     #: a :class:`repro.catalog.CatalogStats` with hit / miss /
     #: validate-reject / store counters and the memory-fallback flag.
@@ -299,10 +298,6 @@ class ServiceStats:
             "search_counters": dict(self.search_counters),
             "result_memo_hit_rate": self.result_memo.hit_rate,
             "engine_cache_hit_rate": self.engine_cache.hit_rate,
-            "engine_cache_shards": [
-                {"hits": s.hits, "misses": s.misses, "hit_rate": s.hit_rate}
-                for s in self.engine_cache_shards
-            ],
             "catalog": self.catalog.as_dict() if self.catalog is not None else None,
             "health": dict(self.health),
         }
@@ -368,7 +363,7 @@ class DecompositionService:
         self._seq = count()
         self._lock = threading.Lock()
         self._inflight: dict[tuple, _Task] = {}
-        self._results = ShardedLRU(_RESULT_MEMO_ENTRIES)
+        self._results = SharedLRU(_RESULT_MEMO_ENTRIES)
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._closed = False
 
@@ -425,7 +420,7 @@ class DecompositionService:
         does not take is a :class:`ServiceError` at submit.  Requests for
         the same ``(canonical hash, k, decomposer.cache_key())`` key are
         deduplicated: already-completed keys return an immediately-done
-        ticket from the sharded result memo, in-flight keys coalesce onto
+        ticket from the result memo, in-flight keys coalesce onto
         the running computation.
 
         Coalesced and memo-served callers share one
@@ -812,8 +807,7 @@ class DecompositionService:
                 queue_depth=sum(queue.qsize() for queue in set(self._queues)),
                 inflight=len(self._inflight),
                 search_counters=dict(self._counters.search_counters),
-                engine_cache=ShardStats(),
-                engine_cache_shards=[],
+                engine_cache=CacheStatistics(),
                 health={
                     "backend": self.backend,
                     "workers_alive": workers_alive,
@@ -840,9 +834,7 @@ class DecompositionService:
         stats.result_memo = self._results.stats()
         cache = self.engine.cache
         if cache is not None:
-            stats.engine_cache_shards = cache.shard_statistics()
-            for shard in stats.engine_cache_shards:
-                stats.engine_cache.merge(shard)
+            stats.engine_cache = cache.statistics
         catalog = getattr(self.engine, "catalog", None)
         if catalog is not None:
             stats.catalog = catalog.stats()

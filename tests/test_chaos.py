@@ -21,7 +21,6 @@ CHAOS_SEEDS = (0, 1, 2)
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_chaos_selftest_recovers_under_seeded_fault_storm(seed, tmp_path):
     ok, report, snapshot = serve.run_selftest(
-        workers=4,
         clients=3,
         repeats=2,
         catalog=str(tmp_path / "chaos-catalog.db"),
@@ -93,7 +92,7 @@ def test_chaos_cli_reports_ok_and_exits_zero(tmp_path, capsys):
 
 def test_selftest_without_chaos_reports_no_chaos_section(tmp_path):
     ok, report, snapshot = serve.run_selftest(
-        workers=2, clients=2, repeats=1, catalog=str(tmp_path / "plain.db")
+        clients=2, repeats=1, catalog=str(tmp_path / "plain.db")
     )
     assert ok, report
     assert "chaos" not in snapshot

@@ -24,7 +24,7 @@ from repro.counters import Counters
 from repro.exceptions import ParseError
 from repro.faults import CircuitBreaker
 from repro.hypergraph import generators
-from repro.lru import ShardStats
+from repro.lru import CacheStatistics
 from repro.pipeline.engine import DecompositionEngine
 from repro.service import DecompositionService, ServiceStats
 from repro.service.process_backend import _worker_meta
@@ -47,7 +47,6 @@ SERVICE_KEYS = [
     "search_counters",
     "result_memo_hit_rate",
     "engine_cache_hit_rate",
-    "engine_cache_shards",
     "catalog",
     "health",
 ]
@@ -130,7 +129,7 @@ def test_public_shapes(tmp_path):
     assert list(result.statistics.search_counters()) == SEARCH_COUNTER_KEYS
 
     assert list(CatalogStats().as_dict()) == CATALOG_KEYS
-    assert [f.name for f in dataclasses.fields(ShardStats)] == [
+    assert [f.name for f in dataclasses.fields(CacheStatistics)] == [
         "hits",
         "misses",
         "evictions",
@@ -198,7 +197,7 @@ def _record_classes():
 
 def test_every_record_is_discovered():
     names = {cls.__name__ for cls in _record_classes()}
-    assert names >= {"SearchStatistics", "CatalogStats", "ShardStats", "ExecutionStatistics"}
+    assert names >= {"SearchStatistics", "CatalogStats", "CacheStatistics", "ExecutionStatistics"}
 
 
 @settings(max_examples=40, deadline=None)

@@ -451,7 +451,7 @@ def test_concurrent_stress_selftest():
     bounded (deadlock-free) shutdown."""
     from repro.serve import run_selftest
 
-    ok, report, stats = run_selftest(workers=4, clients=8, repeats=3)
+    ok, report, stats = run_selftest(clients=8, repeats=3)
     assert ok, report
     assert stats["coalesced"] + stats["fast_path_hits"] > 0
 

@@ -572,8 +572,6 @@ def test_workers_exit_when_their_parent_is_killed():
 def test_selftest_passes_under_process_backend():
     from repro.serve import run_selftest
 
-    ok, report, stats = run_selftest(
-        workers=2, clients=2, repeats=1, backend="process"
-    )
+    ok, report, stats = run_selftest(clients=2, repeats=1, backend="process")
     assert ok, report
     assert "process" in report

@@ -1,4 +1,4 @@
-"""Tests for the lock-striped :class:`repro.lru.ShardedLRU`."""
+"""Tests for the single-lock :class:`repro.lru.SharedLRU`."""
 
 from __future__ import annotations
 
@@ -6,12 +6,15 @@ import threading
 
 import pytest
 
-from repro.lru import BoundedLRU, ShardedLRU
-from repro.pipeline.engine import DecompositionEngine, ResultCache
+from repro.core import LogKDecomposer
+from repro.hypergraph import generators
+from repro.lru import BoundedLRU, SharedLRU
+from repro.pipeline.engine import DecompositionEngine
+from repro.service import DecompositionService
 
 
 def test_basic_get_put_contains():
-    cache = ShardedLRU(max_entries=16, num_shards=4)
+    cache = SharedLRU(max_entries=16)
     assert cache.get("a") is None
     cache.put("a", 1)
     assert cache.get("a") == 1
@@ -21,24 +24,28 @@ def test_basic_get_put_contains():
     assert len(cache) == 0
 
 
-def test_capacity_is_split_across_shards_and_bounded():
-    cache = ShardedLRU(max_entries=8, num_shards=4)
+def test_max_entries_is_the_exact_bound():
+    cache = SharedLRU(max_entries=10)
     for i in range(100):
         cache.put(i, i)
-    assert len(cache) <= cache.max_entries
+    assert cache.max_entries == 10 and len(cache) == 10
     stats = cache.stats()
-    assert stats.stores == 100
-    assert stats.evictions >= 100 - cache.max_entries
+    assert (stats.stores, stats.evictions) == (100, 90)
 
 
-def test_shard_count_never_exceeds_capacity():
-    cache = ShardedLRU(max_entries=2, num_shards=8)
-    assert cache.num_shards == 2
+def test_eviction_follows_one_lru_order_over_every_key():
+    cache = SharedLRU(max_entries=8)
+    for i in range(8):
+        cache.put(i, i)
+    for i in range(4):  # refresh the four oldest
+        cache.get(i)
+    for i in range(8, 12):
+        cache.put(i, i)
+    assert [i for i in range(12) if i in cache] == [0, 1, 2, 3, 8, 9, 10, 11]
 
 
 def test_recency_is_per_shard():
-    # One shard, so plain LRU behaviour must be observable through the wrapper.
-    cache = ShardedLRU(max_entries=2, num_shards=1)
+    cache = SharedLRU(max_entries=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1  # refresh "a"
@@ -47,30 +54,15 @@ def test_recency_is_per_shard():
     assert cache.get("a") == 1 and cache.get("c") == 3
 
 
-def test_stats_aggregate_matches_shards():
-    cache = ShardedLRU(max_entries=64, num_shards=8)
-    for i in range(32):
-        cache.put(i, i)
-    for i in range(48):  # 32 hits, 16 misses
-        cache.get(i)
-    per_shard = cache.shard_stats()
-    total = cache.stats()
-    assert sum(s.hits for s in per_shard) == total.hits == 32
-    assert sum(s.misses for s in per_shard) == total.misses == 16
-    assert total.hit_rate == pytest.approx(32 / 48)
-
-
 def test_invalid_parameters():
     with pytest.raises(ValueError):
-        ShardedLRU(0)
-    with pytest.raises(ValueError):
-        ShardedLRU(4, num_shards=0)
+        SharedLRU(0)
     with pytest.raises(ValueError):
         BoundedLRU(0)
 
 
 def test_concurrent_hammer_is_consistent():
-    cache = ShardedLRU(max_entries=256, num_shards=8)
+    cache = SharedLRU(max_entries=256)
     errors: list[str] = []
     barrier = threading.Barrier(8)
 
@@ -84,7 +76,7 @@ def test_concurrent_hammer_is_consistent():
             # exactly what *some* put stored under that key.
             if value is not None and value != key:
                 errors.append(f"wrong value {value!r} for {key!r}")
-            cache.get((worker_id + 1, round_ % 50))  # cross-shard traffic
+            cache.get((worker_id + 1, round_ % 50))  # another thread's keys
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     for thread in threads:
@@ -94,20 +86,18 @@ def test_concurrent_hammer_is_consistent():
         assert not thread.is_alive()
     assert errors == []
     assert len(cache) <= cache.max_entries
-    assert cache.stats().stores == 8 * 400
+    stats = cache.stats()
+    assert stats.stores == 8 * 400
+    assert stats.hits + stats.misses == 2 * 8 * 400  # one record, no lost update
 
 
-def test_result_cache_exposes_shard_statistics():
-    cache = ResultCache(max_entries=64, num_shards=4)
-    assert cache.shard_statistics() and len(cache.shard_statistics()) == 4
-    assert cache.statistics.hits == 0
-    assert cache.get(("missing", 1)) is None
-    assert cache.statistics.misses == 1
-
-
-def test_auxiliary_cache_is_sharded():
+def test_service_engine_cache_is_the_engine_cache_statistics():
     engine = DecompositionEngine()
-    aux = engine.auxiliary_cache("test-cache", 32)
-    assert isinstance(aux, ShardedLRU)
-    aux.put("k", "v")
-    assert aux.get("k") == "v"
+    decomposer = LogKDecomposer(engine=engine)
+    for _ in range(3):  # one store, two hits
+        decomposer.decompose(generators.cycle(6), 2)
+    with DecompositionService(workers=1, engine=engine) as service:
+        assert service.submit(generators.cycle(8), 2).result(timeout=60).success
+        snapshot = service.stats().engine_cache
+    assert snapshot == engine.cache.statistics
+    assert (snapshot.hits, snapshot.stores) == (2, 2)

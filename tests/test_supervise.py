@@ -12,6 +12,7 @@ import pytest
 
 from repro import faults
 from repro.core import ParallelLogKDecomposer
+from repro.core import parallel as parallel_module
 from repro.faults.supervise import (
     DEAD_STRIKES,
     WorkerProcess,
@@ -214,3 +215,35 @@ def test_parallel_decomposer_leaves_no_child_and_no_descriptor(cycle10, kill_eve
         assert result.success
     assert not mp.active_children()
     assert _open_fds() == before
+
+
+def test_a_forked_parallel_worker_holds_no_sibling_pipe_end(cycle10, monkeypatch, tmp_path):
+    # Each child lists the pipes it holds; of the run's result pipes it may
+    # hold exactly one end: the write end of its own.  A refutation, so that
+    # every worker runs to its end.
+    pipes = set()
+    start, search = WorkerProcess.start, parallel_module._worker_search
+
+    def recording_start(worker):
+        pipes.add(f"pipe:[{os.fstat(worker.result_rfd).st_ino}]")
+        start(worker)
+
+    def listing_search(*args):
+        held = []
+        for name in os.listdir("/proc/self/fd"):
+            try:
+                held.append(os.readlink(f"/proc/self/fd/{name}"))
+            except FileNotFoundError:  # the listing's own directory fd
+                pass
+        (tmp_path / str(os.getpid())).write_text("\n".join(held))
+        return search(*args)
+
+    monkeypatch.setattr(WorkerProcess, "start", recording_start)
+    monkeypatch.setattr(parallel_module, "_worker_search", listing_search)
+    decomposer = ParallelLogKDecomposer(num_workers=3, hybrid=False)
+    result = decomposer.decompose_raw(cycle10, 1)
+    assert not result.success and not result.timed_out
+    listings = [path.read_text().split("\n") for path in tmp_path.iterdir()]
+    assert len(pipes) == len(listings) == 3
+    for held in listings:
+        assert len([link for link in held if link in pipes]) == 1

@@ -158,7 +158,7 @@ def test_smallest_width_refuses_options_beside_a_built_decomposer():
 
 def test_auxiliary_cache_is_named_and_stable():
     engine = DecompositionEngine()
-    cache = engine.auxiliary_cache("query-plans", 16)
+    cache = engine.auxiliary_cache("query-plans")
     assert engine.auxiliary_cache("query-plans") is cache
     assert engine.auxiliary_cache("other") is not cache
     cache.put("k", "v")
