@@ -16,11 +16,15 @@ convert between frames and library objects.
 * **Host-free** — only a decomposition's tree (bags, covers, kind) is
   encoded; decoding takes the host explicitly and re-resolves every name
   against it, so a payload cannot smuggle in structure the host lacks.
-* **Byte-stable** — the catalog's two texts, the certificate
-  (:func:`decomposition_to_json`) and the statistics column
+* **Byte-stable where it matters** — the catalog's two texts, the
+  certificate (:func:`decomposition_to_json`) and the statistics column
   (:func:`statistics_to_json`), are sorted-key JSON of sorted collections:
-  a catalog file outlives the code that wrote it.  The ``format`` tag makes
-  a schema change fail loudly instead of mis-decoding old rows.
+  a catalog file outlives the code that wrote it.  A shipped database's
+  rows are sorted too, so equal databases encode to equal payloads.  A
+  query answer is a set on both sides and nothing compares its payloads,
+  so it crosses by columns, in no order (:class:`AnswerColumnsFrame`).
+  The ``format`` tag makes a schema change fail loudly instead of
+  mis-decoding old rows.
 
 Round-trip example::
 
@@ -57,8 +61,9 @@ from .base import DecompositionResult, SearchStatistics
 __all__ = [
     "DECOMPOSITION_FORMAT", "HYPERGRAPH_FORMAT", "DATABASE_FORMAT", "REQUEST_FORMAT",
     "ANSWER_FORMAT", "ERROR_FORMAT", "Frame", "NodeFrame", "TreeFrame", "HypergraphFrame",
-    "AnswerRowsFrame", "RelationFrame", "DatabaseFrame", "DecomposeRequestFrame",
-    "QueryRequestFrame", "DecompositionAnswerFrame", "QueryAnswerFrame", "ErrorFrame",
+    "AnswerRowsFrame", "RelationFrame", "AnswerColumnsFrame", "DatabaseFrame",
+    "DecomposeRequestFrame", "QueryRequestFrame", "DecompositionAnswerFrame", "QueryAnswerFrame",
+    "ErrorFrame",
     "decode", "kind_of", "class_for_kind", "decomposition_to_dict", "decomposition_from_dict",
     "decomposition_to_json", "decomposition_from_json", "statistics_to_json",
     "statistics_from_json", "hypergraph_to_dict", "hypergraph_from_dict", "database_to_dict",
@@ -106,8 +111,11 @@ def class_for_kind(kind: str) -> type[Decomposition]:
 # --------------------------------------------------------------------------- #
 #: A JSON scalar: all a shipped row or option value may hold.
 Scalar = str | int | float | bool | None
-#: A table's rows: equal-width tuples of scalars (a sorted list of lists on the wire).
+#: A table's rows: equal-width tuples of scalars (a sorted list of rows on
+#: the wire; a database's tables, and answers from older senders).
 Rows = frozenset[tuple[Scalar, ...]]
+#: A table's columns: one list of scalars per attribute, rows in no order.
+Columns = list[list[Scalar]]
 _SCALARS = (str, int, float, bool, NoneType)
 
 
@@ -163,6 +171,18 @@ def _write_rows(rows) -> list:
     return encoded
 
 
+def _read_columns(value) -> list:
+    # The values are checked where the rows are built (AnswerColumnsFrame.rows).
+    if type(value) is not list or not set(map(type, value)) <= {list}:
+        raise _fail("a list of columns", value)
+    return value
+
+
+def _write_columns(columns) -> list:
+    _check_scalars(chain.from_iterable(columns), "a column")
+    return columns
+
+
 #: ``(kinds, read, write)`` of the leaf annotations (see :func:`_codec`).
 _LEAVES = {
     str: _scalar(str),
@@ -172,6 +192,7 @@ _LEAVES = {
     list[tuple[str, list[str]]]: ((), _read_named, lambda value: list(map(list, value))),
     dict[str, Scalar]: ((), _scalar_dict, _scalar_dict),
     Rows: ((), _read_rows, _write_rows),
+    Columns: ((), _read_columns, _write_columns),
 }
 
 
@@ -422,6 +443,50 @@ class RelationFrame(AnswerRowsFrame):
 
 
 @_frame
+class AnswerColumnsFrame(Frame):
+    """An answer table by columns: a schema, its row count and one list of
+    JSON scalars per attribute.  The rows are in no order: an answer is a
+    set on both sides, so the sender neither sorts nor builds a row.  The
+    count tells ``{()}`` from ``∅`` when the schema is empty."""
+
+    schema: list[str]
+    length: int
+    columns: Columns
+
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(self.schema):
+            raise ParseError(
+                f"{len(self.columns)} columns do not match the {len(self.schema)}-attribute schema"
+            )
+        if not set(map(len, self.columns)) <= {self.length}:
+            raise ParseError(f"a column does not hold the table's {self.length} rows")
+        if not self.columns and self.length not in (0, 1):
+            raise ParseError(f"a table without attributes holds 0 or 1 rows, not {self.length}")
+
+    @classmethod
+    def of(cls, relation) -> "AnswerColumnsFrame":
+        """The frame of a :class:`~repro.query.relation.Relation`."""
+        rows = relation.tuples
+        columns = list(map(list, zip(*rows))) or [[] for _ in relation.schema]
+        return cls(schema=list(relation.schema), length=len(rows), columns=columns)
+
+    def rows(self) -> frozenset:
+        """The table's rows; a list or object value, or a repeated row,
+        raises :class:`~repro.exceptions.ParseError`.  (The sender checks
+        every value is a scalar; of JSON's values only lists and objects
+        are unhashable, so the receiver's check is the set it builds.)"""
+        if not self.columns:
+            return frozenset({()}) if self.length else frozenset()
+        try:
+            rows = frozenset(zip(*self.columns))
+        except TypeError:
+            raise ParseError("a column holds a value that is not a JSON scalar") from None
+        if len(rows) != self.length:
+            raise ParseError(f"the columns hold {len(rows)} distinct rows, not {self.length}")
+        return rows
+
+
+@_frame
 class DatabaseFrame(Frame):
     """A database: its relations or, path-backed, the file alone."""
 
@@ -563,27 +628,32 @@ def decomposition_answer_from_dict(hypergraph: Hypergraph, payload: dict) -> Dec
 @_frame
 class QueryAnswerFrame(Frame):
     """A query outcome, field for field a
-    :class:`~repro.query.workload.QueryAnswer`; ``answers`` only when
-    enumerating."""
+    :class:`~repro.query.workload.QueryAnswer`; the answer table only when
+    enumerating, by columns (``answer_columns``) or, from older senders, by
+    rows (``answers``)."""
 
     FORMAT, KIND = ANSWER_FORMAT, "query"
     mode: str
     boolean: bool
     count: int | None = None
     answers: AnswerRowsFrame | None = None
+    answer_columns: AnswerColumnsFrame | None = None
     width: int
     plan_cached: bool
     plan_seconds: float
     execution_seconds: float
     statistics: dict[str, Scalar]
 
+    def __post_init__(self) -> None:
+        if self.answers is not None and self.answer_columns is not None:
+            raise ParseError("an answer carries its table by rows or by columns, not both")
+
 
 def query_answer_to_dict(*, answers, boolean: bool, **fields) -> dict:
     """Encode a :class:`QueryAnswerFrame`; ``answers`` is a
     :class:`~repro.query.relation.Relation` or ``None``."""
-    if answers is not None:
-        answers = AnswerRowsFrame(schema=list(answers.schema), rows=answers.tuples)
-    return QueryAnswerFrame(answers=answers, boolean=bool(boolean), **fields).to_dict()
+    columns = None if answers is None else AnswerColumnsFrame.of(answers)
+    return QueryAnswerFrame(answer_columns=columns, boolean=bool(boolean), **fields).to_dict()
 
 
 def query_answer_from_dict(payload: dict):
@@ -591,9 +661,15 @@ def query_answer_from_dict(payload: dict):
     :class:`~repro.query.workload.QueryAnswer` (an unknown ``mode`` raises
     :class:`~repro.exceptions.QueryError`)."""
     frame, query = decode(payload, QueryAnswerFrame), _query()
-    rows, mode = frame.answers, query.AnswerMode.coerce(frame.mode)
-    answers = rows and query.Relation.from_trusted_rows("answer", rows.schema, rows.rows)
-    return query.workload.QueryAnswer(**{**vars(frame), "mode": mode, "answers": answers})
+    values = dict(vars(frame), mode=query.AnswerMode.coerce(frame.mode))
+    rows, columns = frame.answers, values.pop("answer_columns")
+    if columns is not None:
+        values["answers"] = query.Relation.from_trusted_rows(
+            "answer", columns.schema, columns.rows()
+        )
+    elif rows is not None:
+        values["answers"] = query.Relation.from_trusted_rows("answer", rows.schema, rows.rows)
+    return query.workload.QueryAnswer(**values)
 
 
 @_frame

@@ -174,12 +174,8 @@ def test_failed_decomposition_answer_round_trip(cycle6):
     assert rebuilt.decomposition is None
 
 
-@pytest.mark.parametrize("mode", ["enumerate", "count", "boolean"])
-def test_query_answer_round_trip(mode):
-    engine = QueryEngine(engine=DecompositionEngine(cache=False))
-    database = random_database_for_query(QUERY, domain_size=6, tuples_per_relation=30)
-    result = engine.execute(QUERY, database, mode)
-    payload = codec.query_answer_to_dict(
+def _answer_payload(result, mode) -> dict:
+    return codec.query_answer_to_dict(
         mode=mode,
         answers=result.answers,
         boolean=result.boolean,
@@ -190,6 +186,14 @@ def test_query_answer_round_trip(mode):
         execution_seconds=result.execution_seconds,
         statistics=result.execution.statistics.as_dict(),
     )
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "count", "boolean"])
+def test_query_answer_round_trip(mode):
+    engine = QueryEngine(engine=DecompositionEngine(cache=False))
+    database = random_database_for_query(QUERY, domain_size=6, tuples_per_relation=30)
+    result = engine.execute(QUERY, database, mode)
+    payload = _answer_payload(result, mode)
     json.dumps(payload)
     decoded = codec.query_answer_from_dict(payload)
     assert decoded.mode == AnswerMode(mode)
@@ -199,8 +203,47 @@ def test_query_answer_round_trip(mode):
     assert decoded.statistics == result.execution.statistics.as_dict()
     if mode == "enumerate":
         assert decoded.answers.as_dicts() == result.answers.as_dicts()
+        # The table crosses by columns: one list per attribute, no rows.
+        assert payload["answers"] is None
+        table = payload["answer_columns"]
+        assert table["schema"] == ["x", "z"] and table["length"] == len(result.answers)
     else:
         assert decoded.answers is None
+
+
+@pytest.mark.parametrize("s_rows, expected", [
+    ({(2, 3)}, frozenset({()})),  # r(1,2) joins s(2,3): the empty tuple
+    ({(5, 3)}, frozenset()),  # nothing joins: no answer at all
+], ids=["one-empty-row", "no-rows"])
+def test_zero_attribute_answers_round_trip(s_rows, expected):
+    from repro.query.database import Database
+    from repro.query.relation import Relation
+
+    query = parse_conjunctive_query("ans() :- r(x,y), s(y,z).")
+    database = Database()
+    database.add(Relation("r", ("a", "b"), {(1, 2)}))
+    database.add(Relation("s", ("a", "b"), s_rows))
+    result = QueryEngine(engine=DecompositionEngine(cache=False)).execute(
+        query, database, "enumerate"
+    )
+    assert result.answers.tuples == expected
+    payload = _answer_payload(result, "enumerate")
+    # No column tells {()} from ∅: the row count does.
+    for wire in (pickle.loads(pickle.dumps(payload)), json.loads(json.dumps(payload))):
+        decoded = codec.query_answer_from_dict(wire)
+        assert decoded.answers.schema == ()
+        assert decoded.answers.tuples == expected
+
+
+def test_query_answer_rejects_object_values():
+    from repro.query.relation import Relation
+
+    answers = Relation.from_trusted_rows("answer", ("a",), {(object(),)})
+    with pytest.raises(ParseError):
+        codec.query_answer_to_dict(
+            mode="enumerate", answers=answers, boolean=True, count=1, width=1,
+            plan_cached=False, plan_seconds=0.0, execution_seconds=0.0, statistics={},
+        )  # fmt: skip
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from repro.faults.supervise import encode_frame
 from repro.hypergraph import generators
 from repro.hypergraph.cq import parse_conjunctive_query
 from repro.pipeline.registry import registry
-from repro.query import random_database_for_query
+from repro.query import Database, Relation, random_database_for_query
 from repro.query.workload import QueryEngine, query_signature
 from repro.service import DecompositionService
 from oracles.eager import evaluate_eager
@@ -131,6 +132,37 @@ def test_process_backend_query_modes_agree(service):
     assert enum.answers.as_dicts() == reference.as_dicts()
     assert count.count == len(reference)
     assert boolean.boolean == (len(reference) > 0)
+
+
+def _star3_database(value) -> Database:
+    """The perf ledger's ``star3`` tables (seed 0), each value mapped by
+    ``value``: 1,200 rows per relation, a 7,228-row answer."""
+    rng = random.Random("db:star3:1200")
+    database = Database()
+    for name in ("r1", "r2", "r3"):
+        rows = {(rng.randrange(200), rng.randrange(200)) for _ in range(1200)}
+        database.add(Relation(name, ("a0", "a1"), {(value(a), value(b)) for a, b in rows}))
+    return database
+
+
+def _mixed(v: int):
+    """A one-to-one map onto str, float, int and None values."""
+    return None if v == 7 else (f"v{v}", v + 0.5, float(v), v)[v % 4]
+
+
+@pytest.mark.parametrize("value", [int, _mixed], ids=["int", "str-float-none"])
+def test_process_backend_enumerate_equals_the_thread_backend(value):
+    query = parse_conjunctive_query("ans(x,a,b) :- r1(x,a), r2(x,b), r3(x,c).")
+    database = _star3_database(value)
+    answers = {}
+    for backend in ("thread", "process"):
+        with DecompositionService(backend=backend, workers=1) as svc:
+            answers[backend] = svc.submit_query(query, database).result(timeout=60).answers
+    thread, process = answers["thread"], answers["process"]
+    assert len(thread) == 7228
+    assert process.schema == thread.schema
+    # repr tells 1 from 1.0 and "1": a dropped, merged or retyped row shows.
+    assert sorted(map(repr, process.tuples)) == sorted(map(repr, thread.tuples))
 
 
 def test_process_backend_rejects_object_valued_options(service, cycle10):
