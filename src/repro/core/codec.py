@@ -19,12 +19,11 @@ convert between frames and library objects.
 * **Byte-stable where it matters** — the catalog's two texts, the
   certificate (:func:`decomposition_to_json`) and the statistics column
   (:func:`statistics_to_json`), are sorted-key JSON of sorted collections:
-  a catalog file outlives the code that wrote it.  A shipped database's
-  rows are sorted too, so equal databases encode to equal payloads.  A
-  query answer is a set on both sides and nothing compares its payloads,
-  so it crosses by columns, in no order (:class:`AnswerColumnsFrame`).
-  The ``format`` tag makes a schema change fail loudly instead of
-  mis-decoding old rows.
+  a catalog file outlives the code that wrote it.  A table, a shipped
+  database's relation or a query answer, is a set on both sides and
+  nothing compares its payloads, so it crosses by columns, in no order
+  (:class:`TableFrame`).  The ``format`` tag makes a schema change fail
+  loudly instead of mis-decoding old rows.
 
 Round-trip example::
 
@@ -61,7 +60,7 @@ from .base import DecompositionResult, SearchStatistics
 __all__ = [
     "DECOMPOSITION_FORMAT", "HYPERGRAPH_FORMAT", "DATABASE_FORMAT", "REQUEST_FORMAT",
     "ANSWER_FORMAT", "ERROR_FORMAT", "Frame", "NodeFrame", "TreeFrame", "HypergraphFrame",
-    "AnswerRowsFrame", "RelationFrame", "AnswerColumnsFrame", "DatabaseFrame",
+    "TableFrame", "RelationFrame", "DatabaseFrame",
     "DecomposeRequestFrame", "QueryRequestFrame", "DecompositionAnswerFrame", "QueryAnswerFrame",
     "ErrorFrame",
     "decode", "kind_of", "class_for_kind", "decomposition_to_dict", "decomposition_from_dict",
@@ -75,7 +74,7 @@ __all__ = [
 
 DECOMPOSITION_FORMAT = "repro-decomposition/1"
 HYPERGRAPH_FORMAT = "repro-hypergraph/1"
-DATABASE_FORMAT = "repro-database/1"
+DATABASE_FORMAT = "repro-database/2"
 REQUEST_FORMAT = "repro-service-request/1"
 ANSWER_FORMAT = "repro-service-answer/1"
 ERROR_FORMAT = "repro-service-error/1"
@@ -109,12 +108,10 @@ def class_for_kind(kind: str) -> type[Decomposition]:
 # --------------------------------------------------------------------------- #
 # field annotations → readers and writers
 # --------------------------------------------------------------------------- #
-#: A JSON scalar: all a shipped row or option value may hold.
+#: A JSON scalar: all a shipped table or option value may hold.
 Scalar = str | int | float | bool | None
-#: A table's rows: equal-width tuples of scalars (a sorted list of rows on
-#: the wire; a database's tables, and answers from older senders).
-Rows = frozenset[tuple[Scalar, ...]]
-#: A table's columns: one list of scalars per attribute, rows in no order.
+#: A table's columns: one list of scalars per attribute, rows in no order
+#: (the sender's frame may hold any sequences; the wire holds lists).
 Columns = list[list[Scalar]]
 _SCALARS = (str, int, float, bool, NoneType)
 
@@ -155,24 +152,8 @@ def _scalar_dict(value) -> dict:
     return dict(value)
 
 
-def _read_rows(value) -> frozenset:
-    if type(value) is not list or not set(map(type, value)) <= {list}:
-        raise _fail("a list of rows", value)
-    try:
-        return frozenset(map(tuple, value))
-    except TypeError:  # lists and objects, JSON's only unhashable values
-        raise ParseError("a row holds a value that is not a JSON scalar") from None
-
-
-def _write_rows(rows) -> list:
-    _check_scalars(chain.from_iterable(rows), "a row")
-    encoded = list(map(list, rows))
-    encoded.sort(key=repr)
-    return encoded
-
-
 def _read_columns(value) -> list:
-    # The values are checked where the rows are built (AnswerColumnsFrame.rows).
+    # The values are checked where the rows are built (TableFrame.build).
     if type(value) is not list or not set(map(type, value)) <= {list}:
         raise _fail("a list of columns", value)
     return value
@@ -180,7 +161,7 @@ def _read_columns(value) -> list:
 
 def _write_columns(columns) -> list:
     _check_scalars(chain.from_iterable(columns), "a column")
-    return columns
+    return list(map(list, columns))
 
 
 #: ``(kinds, read, write)`` of the leaf annotations (see :func:`_codec`).
@@ -191,7 +172,6 @@ _LEAVES = {
     float: _scalar(int, float),
     list[tuple[str, list[str]]]: ((), _read_named, lambda value: list(map(list, value))),
     dict[str, Scalar]: ((), _scalar_dict, _scalar_dict),
-    Rows: ((), _read_rows, _write_rows),
     Columns: ((), _read_columns, _write_columns),
 }
 
@@ -424,30 +404,11 @@ def hypergraph_from_dict(payload: dict) -> Hypergraph:
 
 
 @_frame
-class AnswerRowsFrame(Frame):
-    """A table: a schema and rows of as many JSON scalars."""
-
-    schema: list[str]
-    rows: Rows
-
-    def __post_init__(self) -> None:
-        if not set(map(len, self.rows)) <= {len(self.schema)}:
-            raise ParseError(f"a row does not match the {len(self.schema)}-attribute schema")
-
-
-@_frame
-class RelationFrame(AnswerRowsFrame):
-    """A named table of a shipped database."""
-
-    name: str
-
-
-@_frame
-class AnswerColumnsFrame(Frame):
-    """An answer table by columns: a schema, its row count and one list of
-    JSON scalars per attribute.  The rows are in no order: an answer is a
-    set on both sides, so the sender neither sorts nor builds a row.  The
-    count tells ``{()}`` from ``∅`` when the schema is empty."""
+class TableFrame(Frame):
+    """A table by columns: a schema, its row count and one list of JSON
+    scalars per attribute.  The rows are in no order: a table is a set on
+    both sides, so the sender neither sorts nor builds a row.  The count
+    tells ``{()}`` from ``∅`` when the schema is empty."""
 
     schema: list[str]
     length: int
@@ -464,26 +425,32 @@ class AnswerColumnsFrame(Frame):
             raise ParseError(f"a table without attributes holds 0 or 1 rows, not {self.length}")
 
     @classmethod
-    def of(cls, relation) -> "AnswerColumnsFrame":
-        """The frame of a :class:`~repro.query.relation.Relation`."""
-        rows = relation.tuples
-        columns = list(map(list, zip(*rows))) or [[] for _ in relation.schema]
-        return cls(schema=list(relation.schema), length=len(rows), columns=columns)
+    def of(cls, relation, **fields) -> "TableFrame":
+        """The frame of a :class:`~repro.query.relation.Relation`, by its
+        column view (``fields``: a subclass's own fields)."""
+        schema, length = list(relation.schema), len(relation)
+        return cls(schema=schema, length=length, columns=relation.columns, **fields)
 
-    def rows(self) -> frozenset:
-        """The table's rows; a list or object value, or a repeated row,
-        raises :class:`~repro.exceptions.ParseError`.  (The sender checks
-        every value is a scalar; of JSON's values only lists and objects
-        are unhashable, so the receiver's check is the set it builds.)"""
-        if not self.columns:
-            return frozenset({()}) if self.length else frozenset()
-        try:
-            rows = frozenset(zip(*self.columns))
+    def build(self, name: str):
+        """The table as a :class:`~repro.query.relation.Relation`; a list or
+        object value, or a repeated row, raises
+        :class:`~repro.exceptions.ParseError`.  (The sender checks every
+        value is a scalar; of JSON's values only lists and objects are
+        unhashable, so the receiver's check is the set it builds.)"""
+        try:  # no columns: ∅ or {()}, as the count says
+            rows = frozenset(zip(*self.columns) if self.columns else [()] * self.length)
         except TypeError:
             raise ParseError("a column holds a value that is not a JSON scalar") from None
         if len(rows) != self.length:
             raise ParseError(f"the columns hold {len(rows)} distinct rows, not {self.length}")
-        return rows
+        return _query().Relation.from_trusted_rows(name, self.schema, rows)
+
+
+@_frame
+class RelationFrame(TableFrame):
+    """A named table of a shipped database."""
+
+    name: str
 
 
 @_frame
@@ -499,18 +466,16 @@ def database_to_dict(database) -> dict:
     """Encode a :class:`~repro.query.database.Database` as plain JSON data.
 
     Only JSON-scalar values are supported (:class:`ParseError` otherwise);
-    rows are sorted, so equal databases encode to equal payloads.  A
-    path-backed database (a string ``path`` attribute, i.e.
-    :class:`~repro.query.sqlgen.SQLDatabase`) ships as the *path* alone and
-    the receiver reopens the file: its rows never cross the wire.
+    each relation ships by columns, in no order.  A path-backed database (a
+    string ``path`` attribute, i.e. :class:`~repro.query.sqlgen.SQLDatabase`)
+    ships as the *path* alone and the receiver reopens the file: its rows
+    never cross the wire.
     """
     path = getattr(database, "path", None)
     if isinstance(path, str):
         return DatabaseFrame(path=path).to_dict()
-    relations = [
-        RelationFrame(name=r.name, schema=list(r.schema), rows=r.tuples)
-        for r in map(database.get, database.relation_names())
-    ]
+    tables = map(database.get, database.relation_names())
+    relations = [RelationFrame.of(table, name=table.name) for table in tables]
     return DatabaseFrame(relations=relations).to_dict()
 
 
@@ -529,7 +494,7 @@ def database_from_dict(payload: dict):
         return query.SQLDatabase(frame.path)
     database = query.Database()
     for table in frame.relations or ():
-        database.add(query.Relation.from_trusted_rows(table.name, table.schema, table.rows))
+        database.add(table.build(table.name))
     return database
 
 
@@ -550,7 +515,8 @@ class DecomposeRequestFrame(Frame):
 @_frame
 class QueryRequestFrame(Frame):
     """A query request; ``database`` is the parent's shipping token of the
-    separately shipped database (``executor`` is absent from older senders)."""
+    separately shipped database (``executor`` defaults to the columnar arm
+    for a caller that names none)."""
 
     FORMAT, KIND = REQUEST_FORMAT, "query"
     atoms: list[tuple[str, list[str]]]
@@ -629,31 +595,25 @@ def decomposition_answer_from_dict(hypergraph: Hypergraph, payload: dict) -> Dec
 class QueryAnswerFrame(Frame):
     """A query outcome, field for field a
     :class:`~repro.query.workload.QueryAnswer`; the answer table only when
-    enumerating, by columns (``answer_columns``) or, from older senders, by
-    rows (``answers``)."""
+    enumerating."""
 
     FORMAT, KIND = ANSWER_FORMAT, "query"
     mode: str
     boolean: bool
     count: int | None = None
-    answers: AnswerRowsFrame | None = None
-    answer_columns: AnswerColumnsFrame | None = None
+    answers: TableFrame | None = None
     width: int
     plan_cached: bool
     plan_seconds: float
     execution_seconds: float
     statistics: dict[str, Scalar]
 
-    def __post_init__(self) -> None:
-        if self.answers is not None and self.answer_columns is not None:
-            raise ParseError("an answer carries its table by rows or by columns, not both")
-
 
 def query_answer_to_dict(*, answers, boolean: bool, **fields) -> dict:
     """Encode a :class:`QueryAnswerFrame`; ``answers`` is a
     :class:`~repro.query.relation.Relation` or ``None``."""
-    columns = None if answers is None else AnswerColumnsFrame.of(answers)
-    return QueryAnswerFrame(answer_columns=columns, boolean=bool(boolean), **fields).to_dict()
+    table = None if answers is None else TableFrame.of(answers)
+    return QueryAnswerFrame(answers=table, boolean=bool(boolean), **fields).to_dict()
 
 
 def query_answer_from_dict(payload: dict):
@@ -662,13 +622,8 @@ def query_answer_from_dict(payload: dict):
     :class:`~repro.exceptions.QueryError`)."""
     frame, query = decode(payload, QueryAnswerFrame), _query()
     values = dict(vars(frame), mode=query.AnswerMode.coerce(frame.mode))
-    rows, columns = frame.answers, values.pop("answer_columns")
-    if columns is not None:
-        values["answers"] = query.Relation.from_trusted_rows(
-            "answer", columns.schema, columns.rows()
-        )
-    elif rows is not None:
-        values["answers"] = query.Relation.from_trusted_rows("answer", rows.schema, rows.rows)
+    if frame.answers is not None:
+        values["answers"] = frame.answers.build("answer")
     return query.workload.QueryAnswer(**values)
 
 

@@ -32,7 +32,7 @@ class Relation:
     raises :class:`~dataclasses.FrozenInstanceError`.
     """
 
-    __slots__ = ("name", "schema", "tuples")
+    __slots__ = ("name", "schema", "tuples", "_columns")
 
     name: str
     schema: tuple[str, ...]
@@ -74,6 +74,19 @@ class Relation:
 
     def __reduce__(self):
         return Relation.from_trusted_rows, (self.name, self.schema, self.tuples)
+
+    @property
+    def columns(self) -> tuple[tuple[object, ...], ...]:
+        """The tuples by attribute: one tuple of values per schema position,
+        the rows in one shared order.  Built on first use and kept, so a
+        shared answer is transposed once however often it is encoded; two
+        threads that race to build it store equal views."""
+        try:
+            return self._columns
+        except AttributeError:
+            columns = tuple(zip(*self.tuples)) or ((),) * len(self.schema)
+            object.__setattr__(self, "_columns", columns)
+            return columns
 
     # ------------------------------------------------------------------ #
     # basics
@@ -168,8 +181,8 @@ class Relation:
     ) -> "Relation":
         """Adopt a frozenset of schema-conformant tuples without copying.
 
-        Fast path for internal producers (the executors decode their answers
-        and the codec its rows straight into a frozenset); the caller
+        Fast path for internal producers (the executors and the codec build
+        their rows straight into a frozenset); the caller
         guarantees every tuple matches the schema arity.  Any other
         collection is frozen first, so the relation stays immutable.
         """

@@ -1,13 +1,13 @@
 """Pins and hostile inputs for the codec's declared frames.
 
-``tests/data/codec/`` holds one payload of every frame but the newer
-``AnswerColumnsFrame``, one catalog row (certificate, statistics and HIF
-columns) and certificates over the tiny corpus, all written by an earlier
-release of the codec, together with
-``expected.json``: what that release decoded each payload to.  The files
-are pins — never regenerate them from the current code.  A catalog file
-outlives the code that wrote it, so the stored texts must re-encode byte
-for byte.
+``tests/data/codec/`` holds one payload of every frame, one catalog row
+(certificate, statistics and HIF columns) and certificates over the tiny
+corpus, together with ``expected.json``: what the release that wrote each
+payload decoded it to.  The files are pins — never regenerate them from
+the current code.  ``database.json`` and ``query_answer.json`` hold their
+tables by columns, re-pinned when the rows form was removed; they decode
+to the entries the rows form decoded to.  A catalog file outlives the code
+that wrote it, so the stored texts must re-encode byte for byte.
 
 The hostile-frame test mutates each declared frame (dropped fields, wrong
 types, wrong tags, non-dict payloads, non-scalar values, deep nesting) and
@@ -182,25 +182,17 @@ def _frames(cls=codec.Frame):
         yield from _frames(sub)
 
 
-def _columns_answer() -> dict:
-    """``query_answer.json`` as today's sender writes it: the table by columns.
-    (No pinned fixture holds one: the pins were written before the columns form.)"""
-    answer = codec.query_answer_from_dict(_load("query_answer.json"))
-    values = {spec.name: getattr(answer, spec.name) for spec in fields(answer)}
-    return codec.query_answer_to_dict(**{**values, "mode": answer.mode.value})
+#: The ``/1`` pins' table form, rows where a table now holds columns.
+ROWS_TABLE = {"schema": ["x", "z"], "rows": [[1, 3], [2, 1], [3, 2]]}
 
-
-#: frame → (fixture holding one, or the payload itself; path to it inside
-#: the payload; decoder).
+#: frame → (fixture holding one; path to it inside the payload; decoder).
 CASES = {
     codec.NodeFrame: ("decomposition.json", ("root",),
                       lambda p: codec.decomposition_from_dict(HOST, p)),
     codec.TreeFrame: ("decomposition.json", (), lambda p: codec.decomposition_from_dict(HOST, p)),
     codec.HypergraphFrame: ("hypergraph.json", (), codec.hypergraph_from_dict),
-    codec.AnswerRowsFrame: ("query_answer.json", ("answers",), codec.query_answer_from_dict),
+    codec.TableFrame: ("query_answer.json", ("answers",), codec.query_answer_from_dict),
     codec.RelationFrame: ("database.json", ("relations", 3), codec.database_from_dict),
-    codec.AnswerColumnsFrame: (_columns_answer(), ("answer_columns",),
-                               codec.query_answer_from_dict),
     codec.DatabaseFrame: ("database.json", (), codec.database_from_dict),
     codec.DecomposeRequestFrame: ("decompose_request.json", (), codec.service_request_from_dict),
     codec.QueryRequestFrame: ("query_request.json", (),
@@ -233,7 +225,7 @@ def test_every_declared_frame_has_a_hostile_case():
 def test_hostile_frames_raise_repro_errors(frame, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a mutated database path opens a file here
     fixture, path, decoder = CASES[frame]
-    base = _load(fixture) if isinstance(fixture, str) else fixture
+    base = _load(fixture)
     hints = typing.get_type_hints(frame)
 
     def outcome(mutate):
@@ -282,19 +274,10 @@ def test_hostile_frames_raise_repro_errors(frame, tmp_path, monkeypatch):
     if frame.KIND is not None:
         assert isinstance(outcome(with_field("kind", "mystery")), ParseError)
     # ``None`` is the legitimate "no rows" of a count or boolean answer.
-    tables = (codec.AnswerRowsFrame, codec.AnswerColumnsFrame)
-    for value in ([], "payload", 3, [{}]) + ((None,) * (frame not in tables)):
+    for value in ([], "payload", 3, [{}]) + ((None,) * (frame is not codec.TableFrame)):
         assert isinstance(outcome(lambda target, value=value: value), ParseError)
 
     for name, hint in hints.items():
-        if hint == codec.Rows:
-            for value in ([1], {"a": 1}):
-                bad = outcome(lambda target, v=value: {
-                    **target, name: [[v] * len(target["schema"])] + target[name]
-                })
-                assert isinstance(bad, ParseError), value
-            short = outcome(lambda target: {**target, name: [[]] + target[name]})
-            assert isinstance(short, ParseError)  # a row narrower than the schema
         if hint == codec.Columns:
             bad_tables = {
                 "ragged": lambda t: {**t, name: [t[name][0] + t[name][0][:1], *t[name][1:]]},
@@ -307,8 +290,8 @@ def test_hostile_frames_raise_repro_errors(frame, tmp_path, monkeypatch):
                 "a repeated row": lambda t: {
                     **t, "length": t["length"] + 1, name: [c + c[:1] for c in t[name]]
                 },
-                "no attributes, two rows": lambda t: {"schema": [], "length": 2, name: []},
-                "no attributes, -1 rows": lambda t: {"schema": [], "length": -1, name: []},
+                "no attributes, two rows": lambda t: {**t, "schema": [], "length": 2, name: []},
+                "no attributes, -1 rows": lambda t: {**t, "schema": [], "length": -1, name: []},
             }
             for value in ([1], {"a": 1}):
                 bad_tables[repr(value)] = lambda t, v=value: {
@@ -318,13 +301,18 @@ def test_hostile_frames_raise_repro_errors(frame, tmp_path, monkeypatch):
                 assert isinstance(outcome(mutate), ParseError), label
             for length in (0, 1):  # ∅ and {()}, told apart by the count alone
                 empty = {"schema": [], "length": length, name: []}
-                assert outcome(lambda target, table=empty: table) is None
+                assert outcome(lambda target, table=empty: {**target, **table}) is None
         if hint == dict[str, codec.Scalar]:
             assert isinstance(outcome(with_field(name, {"x": [1]})), ParseError)
             assert isinstance(outcome(with_field(name, {"x": {"y": 1}})), ParseError)
 
     if frame is codec.NodeFrame:
         assert isinstance(outcome(lambda target: _deep_node(2000)), ParseError)
-    if frame is codec.QueryAnswerFrame:  # a table by rows and by columns at once
-        columns = _columns_answer()["answer_columns"]
-        assert isinstance(outcome(with_field("answer_columns", columns)), ParseError)
+    if frame is codec.DatabaseFrame:  # a /1 database held its tables by rows
+        relation = {"name": "r", **ROWS_TABLE}
+        old = {"format": "repro-database/1", "relations": [relation]}
+        assert isinstance(outcome(lambda target: old), ParseError)
+        assert isinstance(outcome(with_field("format", "repro-database/1")), ParseError)
+        assert isinstance(outcome(lambda target: {**old, "format": frame.FORMAT}), ParseError)
+    if frame is codec.QueryAnswerFrame:  # a /1 enumerate answer held its table by rows
+        assert isinstance(outcome(with_field("answers", ROWS_TABLE)), ParseError)

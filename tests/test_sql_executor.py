@@ -422,7 +422,7 @@ def test_query_request_round_trips_executor():
     )
     decoded = codec.service_request_from_dict(payload)
     assert decoded.executor == "sql"
-    # Payloads from older senders default to the columnar arm.
+    # A caller that names no executor gets the columnar arm.
     del payload["executor"]
     assert codec.service_request_from_dict(payload).executor == "columnar"
 
