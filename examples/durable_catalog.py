@@ -43,8 +43,7 @@ def run(engine: DecompositionEngine, label: str) -> None:
         if result.success:
             validate_hd(result.decomposition)
     elapsed = (time.perf_counter() - start) * 1000
-    engine.catalog.flush()  # settle the write-behind queue before reading stats
-    stats = engine.catalog.stats()
+    stats = engine.catalog.stats()  # every put was committed when it returned
     print(
         f"{label:<13}: {elapsed:7.1f} ms, {searches} searches ran, "
         f"L2 hits={stats.hits} stores={stats.stores} "
@@ -59,7 +58,7 @@ def main() -> None:
         print(f"catalog file: {path}")
         cold = DecompositionEngine(catalog=path)
         run(cold, "cold process")
-        cold.catalog.close()  # flushes the write-behind queue
+        cold.catalog.close()  # releases the file
 
         # A brand-new engine over the same file: the "restarted" process.
         warm = DecompositionEngine(catalog=path)

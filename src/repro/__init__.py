@@ -45,7 +45,6 @@ importing :mod:`repro` does not pull the query engine in.
 """
 
 from .exceptions import (
-    CatalogError,
     DecompositionError,
     HypergraphError,
     ParseError,
@@ -145,7 +144,6 @@ __all__ = [
     "TimeoutExceeded",
     "QueryError",
     "ServiceError",
-    "CatalogError",
     # hypergraph substrate
     "Hypergraph",
     "Atom",

@@ -22,16 +22,14 @@ Design decisions that make the catalog safe to share:
 * **Exactly-once rows.**  Stores go through ``INSERT OR IGNORE`` on the
   primary key, so many processes racing to store one key agree on a single
   surviving row without any cross-process locking.
-* **Write-behind.**  :meth:`DecompositionCatalog.put` enqueues; a daemon
-  writer thread serializes, validates and inserts off the caller's hot
-  path.  :meth:`flush` drains the queue (tests and clean shutdowns call it;
-  :meth:`close` flushes implicitly).  Because rows are only ever *decided*
-  answers and inserts are idempotent, losing queued writes in a crash costs
-  recomputation, never correctness.  The writer thread is supervised: an
-  unexpected exception loses at most the one write it was applying (counted
-  as ``lost_writes``), and a *dead* writer is detected — :meth:`flush`
-  raises :class:`~repro.exceptions.CatalogError` instead of silently
-  dropping the queue, and the next :meth:`put` respawns the thread.
+* **Stored on return.**  :meth:`DecompositionCatalog.put` validates,
+  serializes and inserts the row in the caller's thread, through the same
+  retry and circuit gateway as every other operation, so the row is
+  committed (or, while degraded, in the shadow) when ``put`` returns.
+  Because rows are only ever *decided* answers and inserts are idempotent,
+  a failed store costs recomputation, never correctness: an unexpected
+  exception while storing loses that one write (logged, counted as
+  ``lost_writes``) and never reaches the caller.
 * **Retry, then break the circuit — degradation is temporary.**  Every
   SQLite operation runs under a :class:`~repro.faults.RetryPolicy`
   (exponential backoff + jitter), so transient errors heal invisibly.
@@ -47,8 +45,8 @@ Design decisions that make the catalog safe to share:
 
 Fault points (see :mod:`repro.faults`): ``catalog.open``, ``catalog.probe``
 and ``catalog.<op>`` for every SQLite operation (``get``, ``put``,
-``delete``, ``query``, ``evict``, ``vacuum``), plus ``catalog.writer``
-around each write-behind application — the chaos suite drives the whole
+``delete``, ``query``, ``evict``, ``vacuum``), plus ``catalog.store``
+inside the guard around each store — the chaos suite drives the whole
 retry → break → probe → re-attach ladder through them.
 
 Namespaces isolate tenants sharing one file: a catalog handle is bound to
@@ -60,7 +58,6 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
 import sqlite3
 import threading
 import time
@@ -85,7 +82,7 @@ from ..decomp.decomposition import (
     HypertreeDecomposition,
 )
 from ..decomp.validation import validate_ghd, validate_hd
-from ..exceptions import CatalogError, ReproError
+from ..exceptions import ReproError
 from ..faults import CircuitBreaker, RetryPolicy
 from ..hypergraph import Hypergraph
 from ..hypergraph.io import from_hif, to_hif
@@ -153,8 +150,8 @@ class CatalogStats(Counters):
     serves from its in-memory shadow; it flips back to False on re-attach.
     ``retries`` counts healed transient errors, ``circuit_*`` the breaker's
     state transitions, ``reattach_replays`` shadow rows replayed into the
-    file on recovery, and ``lost_writes`` / ``writer_respawns`` the
-    write-behind supervisor's interventions.
+    file on recovery, and ``lost_writes`` the stores dropped on an
+    unexpected exception.
     """
 
     hits: int = 0
@@ -165,7 +162,6 @@ class CatalogStats(Counters):
     errors: int = 0
     retries: int = 0
     lost_writes: int = 0
-    writer_respawns: int = 0
     reattach_replays: int = 0
     circuit_opens: int = 0
     circuit_probes: int = 0
@@ -201,22 +197,6 @@ class CatalogRecord:
     configuration: str = ""
 
 
-@dataclass
-class _PendingWrite:
-    """A queued write-behind store, fully resolved off the caller's objects."""
-
-    canonical_hash: str
-    k: int
-    configuration: str
-    algorithm: str
-    success: bool
-    decomposition: Decomposition | None
-    kind: type
-    hypergraph: Hypergraph
-    stats: SearchStatistics
-    wall_seconds: float
-
-
 class DecompositionCatalog:
     """A durable, namespaced store of decided decomposition outcomes.
 
@@ -232,10 +212,9 @@ class DecompositionCatalog:
         it opens after 3 consecutive failures.
 
     The handle is thread-safe: one connection guarded by a lock (SQLite WAL
-    handles cross-process concurrency).  Every :meth:`put` is written
-    behind: call :meth:`flush` before handing the file to another process.
-    Use as a context manager or call :meth:`close` to flush queued writes
-    and release the file.
+    handles cross-process concurrency).  A row is committed when
+    :meth:`put` returns.  Use as a context manager or call :meth:`close` to
+    release the file.
     """
 
     def __init__(
@@ -256,11 +235,6 @@ class DecompositionCatalog:
         self._lock = threading.Lock()
         self._stats = CatalogStats()
         self._closed = False
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._pending = 0
-        self._drained = threading.Condition(self._lock)
-        self._writer: threading.Thread | None = None
-        self._writer_died = False
         self._attached = False
         self._connection = self._open()
 
@@ -421,15 +395,7 @@ class DecompositionCatalog:
                 return default
 
     def close(self) -> None:
-        """Flush queued writes and close the underlying connection.
-
-        A dead write-behind writer discovered during the flush has already
-        been accounted (``lost_writes``) — close proceeds regardless.
-        """
-        try:
-            self.flush()
-        except CatalogError:
-            pass  # loss already flagged in stats; close must still succeed
+        """Close the underlying connection."""
         with self._lock:
             if self._closed:
                 return
@@ -486,99 +452,33 @@ class DecompositionCatalog:
         stats: SearchStatistics | None = None,
         wall_seconds: float = 0.0,
     ) -> None:
-        """Persist a decided outcome, written behind: :meth:`flush` waits for it.
+        """Persist a decided outcome; the row is committed when this returns.
 
         ``decomposition`` must be hosted on ``hypergraph`` (the engine passes
         the *reduced* instance and its certificate); negative outcomes pass
         ``success=False`` with ``decomposition=None``.  Timed-out or
         cancelled runs must never reach the catalog — the engine enforces
-        that, mirroring its L1 policy.
+        that, mirroring its L1 policy.  An unexpected exception while
+        storing loses this one write (``lost_writes``) and is not raised.
         """
-        pending = _PendingWrite(
-            canonical_hash=hypergraph.canonical_hash(),
-            k=k,
-            configuration=configuration_text(configuration),
-            algorithm=algorithm,
-            success=bool(success),
-            decomposition=decomposition,
-            kind=type(decomposition) if decomposition is not None else HypertreeDecomposition,
-            hypergraph=hypergraph,
-            stats=stats if stats is not None else SearchStatistics(),
-            wall_seconds=wall_seconds,
-        )
-        with self._lock:
-            if self._closed:
-                return
-            if self._writer is not None and not self._writer.is_alive():
-                # The write-behind thread died (an escaped BaseException):
-                # account whatever it stranded, then respawn below.
-                self._reap_dead_writer_locked()
-            self._pending += 1
-            if self._writer is None:
-                if self._writer_died:
-                    self._stats.writer_respawns += 1
-                    self._writer_died = False
-                self._writer = threading.Thread(
-                    target=self._writer_loop, name="repro-catalog-writer", daemon=True
-                )
-                self._writer.start()
-        self._queue.put(pending)
-
-    def _reap_dead_writer_locked(self) -> int:
-        """Account a dead writer's stranded queue; returns the writes lost.
-
-        The caller holds the lock.  Stranded writes are drained and counted
-        as ``lost_writes``, the pending counter is reset so later flushes
-        don't block on work nobody will do, and the circuit is tripped —
-        an unexplained writer death is not a healthy catalog.
-        """
-        lost = self._pending
-        self._stats.lost_writes += lost
-        self._pending = 0
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._writer = None
-        self._writer_died = True
-        self._breaker.trip()
-        self._drained.notify_all()
-        if lost:
-            logger.warning(
-                "catalog write-behind writer died; %d queued write(s) lost", lost
+        try:
+            faults.fire("catalog.store")
+            self._write(
+                hypergraph, k, configuration, algorithm, success, decomposition, stats, wall_seconds
             )
-        return lost
+        except Exception:
+            logger.warning(
+                "catalog store failed unexpectedly for k=%d; dropping this write",
+                k,
+                exc_info=True,
+            )
+            with self._lock:
+                self._stats.lost_writes += 1
+                self._stats.errors += 1
 
-    def flush(self, timeout: float | None = 30.0) -> bool:
-        """Block until every queued write-behind store has been applied.
-
-        Returns False if ``timeout`` elapses first.  Raises
-        :class:`~repro.exceptions.CatalogError` if the writer thread is
-        found dead with writes still queued — the loss is counted
-        (``lost_writes``), the circuit is tripped, and a later :meth:`put`
-        respawns the writer; silently dropping the queue is exactly the
-        failure mode this guard exists to surface.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._drained:
-            while self._pending:
-                writer = self._writer
-                if writer is not None and not writer.is_alive():
-                    lost = self._reap_dead_writer_locked()
-                    raise CatalogError(
-                        f"catalog write-behind writer died; {lost} queued "
-                        "write(s) were lost (the circuit is now open; the "
-                        "next put() respawns the writer)"
-                    )
-                wait = 0.05
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    wait = min(wait, remaining)
-                self._drained.wait(timeout=wait)
-            return True
+    def flush(self) -> bool:
+        """Return True: every :meth:`put` is committed when it returns."""
+        return True
 
     def stats(self) -> CatalogStats:
         """A snapshot of this handle's traffic and resilience counters."""
@@ -670,7 +570,6 @@ class DecompositionCatalog:
 
     def vacuum(self) -> None:
         """Reclaim the space of evicted rows (SQLite ``VACUUM``)."""
-        self.flush()
         self._run("vacuum", lambda connection: connection.execute("VACUUM"))
 
     def __len__(self) -> int:
@@ -771,74 +670,56 @@ class DecompositionCatalog:
             configuration=configuration,
         )
 
-    def _writer_loop(self) -> None:
-        while True:
-            pending = self._queue.get()
-            try:
-                faults.fire("catalog.writer")
-                self._write(pending)
-            except Exception:
-                # One queued write is lost; the writer itself survives.  A
-                # BaseException (thread killed) escapes past this handler —
-                # flush() and the next put() detect the dead thread.
-                logger.warning(
-                    "catalog write-behind failed unexpectedly for %s (k=%d); "
-                    "dropping this write",
-                    pending.canonical_hash[:12],
-                    pending.k,
-                    exc_info=True,
-                )
-                with self._lock:
-                    self._stats.lost_writes += 1
-                    self._stats.errors += 1
-            finally:
-                with self._drained:
-                    self._pending -= 1
-                    if self._pending == 0:
-                        self._drained.notify_all()
-
-    def _write(self, pending: _PendingWrite) -> None:
+    def _write(
+        self,
+        hypergraph: Hypergraph,
+        k: int,
+        configuration: tuple,
+        algorithm: str,
+        success: bool,
+        decomposition: Decomposition | None,
+        stats: SearchStatistics | None,
+        wall_seconds: float,
+    ) -> None:
         from .. import __version__
 
+        canonical_hash = hypergraph.canonical_hash()
         validated = False
         certificate = None
-        kind_name = kind_of(pending.kind) if pending.decomposition is None else ""
-        try:
-            if pending.decomposition is not None:
-                # Validate before persisting: a row in the catalog is a
-                # *trusted-at-store-time* certificate, and the check runs on
-                # the writer thread, off the serving hot path.
-                if isinstance(pending.decomposition, HypertreeDecomposition):
-                    validate_hd(pending.decomposition)
+        kind_name = kind_of(HypertreeDecomposition)
+        if decomposition is not None:
+            # Validate before persisting: a row in the catalog is a
+            # *trusted-at-store-time* certificate.
+            try:
+                if isinstance(decomposition, HypertreeDecomposition):
+                    validate_hd(decomposition)
                 else:
-                    validate_ghd(pending.decomposition)
-                validated = True
-                certificate = json.dumps(
-                    decomposition_to_dict(pending.decomposition), sort_keys=True
+                    validate_ghd(decomposition)
+            except ReproError:
+                logger.warning(
+                    "refusing to store an invalid certificate for %s (k=%d)",
+                    canonical_hash[:12],
+                    k,
                 )
-                kind_name = pending.decomposition.kind
-        except ReproError:
-            logger.warning(
-                "refusing to store an invalid certificate for %s (k=%d)",
-                pending.canonical_hash[:12],
-                pending.k,
-            )
-            with self._lock:
-                self._stats.errors += 1
-            return
+                with self._lock:
+                    self._stats.errors += 1
+                return
+            validated = True
+            certificate = json.dumps(decomposition_to_dict(decomposition), sort_keys=True)
+            kind_name = decomposition.kind
 
         row = (
             self.namespace,
-            pending.canonical_hash,
-            pending.k,
-            pending.configuration,
-            pending.algorithm,
-            int(pending.success),
+            canonical_hash,
+            k,
+            configuration_text(configuration),
+            algorithm,
+            int(success),
             kind_name,
             certificate,
-            json.dumps(to_hif(pending.hypergraph), sort_keys=True),
-            statistics_to_json(pending.stats),
-            pending.wall_seconds,
+            json.dumps(to_hif(hypergraph), sort_keys=True),
+            statistics_to_json(stats if stats is not None else SearchStatistics()),
+            wall_seconds,
             datetime.now(timezone.utc).isoformat(timespec="seconds"),
             __version__,
             int(validated),

@@ -210,21 +210,27 @@ def _codec(hint) -> tuple:
 @cache
 def _plan(cls) -> tuple:
     """A frame class's tags, ``(field, kinds, read, default)`` per field,
-    ``(field, write)`` per field with a distinct wire value, and ``__post_init__``."""
+    ``(field, write)`` per field with a distinct wire value, ``__post_init__``,
+    and the keys a payload may hold (its tags and fields)."""
     tags = {"format": cls.FORMAT, "kind": cls.KIND}
+    tags = {tag: value for tag, value in tags.items() if value is not None}
     codecs = [(spec, *_codec(spec.type)) for spec in fields(cls)]
     return (
-        {tag: value for tag, value in tags.items() if value is not None},
+        tags,
         tuple((spec.name, kinds, read, spec.default) for spec, kinds, read, _ in codecs),
         tuple((spec.name, write) for spec, _, _, write in codecs if write is not None),
         getattr(cls, "__post_init__", None),
+        frozenset(tags) | {spec.name for spec in fields(cls)},
     )
 
 
 def _read_frame(cls, payload):
     if type(payload) is not dict:
         raise _fail(f"a {cls.__name__} object", payload)
-    _, reads, _, check = _plan(cls)
+    _, reads, _, check, declared = _plan(cls)
+    if not payload.keys() <= declared:
+        undeclared = ", ".join(sorted(map(repr, payload.keys() - declared)))
+        raise ParseError(f"{cls.__name__} payload has undeclared keys: {undeclared}")
     values = {}
     for name, kinds, read, default in reads:
         if (value := payload.get(name, default)) is MISSING:
@@ -259,7 +265,7 @@ class Frame:
 
     def to_dict(self) -> dict:
         """The frame as plain JSON data: tags first, then fields in order."""
-        tags, _, writes, _ = _plan(type(self))
+        tags, _, writes, _, _ = _plan(type(self))
         payload = {**tags, **vars(self)}
         for name, write in writes:
             payload[name] = write(payload[name])

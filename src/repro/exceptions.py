@@ -41,13 +41,3 @@ class QueryError(ReproError):
 
 class ServiceError(ReproError):
     """Raised by the serving layer: submit after shutdown, cancelled tickets."""
-
-
-class CatalogError(ReproError):
-    """Raised by the decomposition catalog for non-degradable failures.
-
-    Most catalog trouble degrades silently (retry, then circuit-open into a
-    memory-only shadow); a :class:`CatalogError` is reserved for the cases
-    the caller must see, such as :meth:`~repro.catalog.DecompositionCatalog.flush`
-    discovering that the write-behind thread died with writes still queued.
-    """

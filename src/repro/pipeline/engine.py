@@ -28,8 +28,8 @@ each timed into ``SearchStatistics.stage_seconds``:
 4. **lift** — replay the simplification trace backwards
    (:func:`~repro.pipeline.simplify.lift_decomposition`) so the returned
    decomposition is hosted on the *original* hypergraph.  The lifted tree
-   goes into L1 before a searched outcome is written behind to the catalog,
-   so the durable tier is never *ahead* of the in-memory one in a process.
+   goes into L1 before a searched outcome is stored in the catalog, so the
+   durable tier is never *ahead* of the in-memory one in a process.
 
 The engine is what makes preprocessing wins apply uniformly: the CLI, the
 benchmark harness, the query layer and user code all construct algorithms
@@ -152,7 +152,7 @@ class DecompositionEngine:
         keeps the engine memory-only.  Misses in L1 fall through to the
         catalog; every certificate loaded from it is re-validated against
         the independent oracle before being trusted, and decided outcomes
-        are written behind to the catalog after the L1 store.
+        are stored in the catalog after the L1 store.
     """
 
     def __init__(
@@ -292,8 +292,9 @@ class DecompositionEngine:
             stats.record_stage("lift", time.monotonic() - t0)
 
         if not timed_out:
-            # L1 first, then the durable write-behind: within a process the
-            # catalog never gets ahead of the in-memory tier.
+            # L1 first, then the catalog store (committed when ``put``
+            # returns): within a process the catalog never gets ahead of the
+            # in-memory tier.
             if key is not None:
                 lifted = None if decomposition is None else decomposition.root
                 self.cache.put(key, success, lifted, kind, stats)

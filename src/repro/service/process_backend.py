@@ -119,19 +119,12 @@ class _WordCancel:
 # --------------------------------------------------------------------------- #
 # worker process
 # --------------------------------------------------------------------------- #
-def _worker_meta(slot, attempt, served, engine):
+def _worker_meta(engine):
     cache = engine.cache.statistics
     catalog = engine.catalog
     return {
-        "pid": os.getpid(),
-        "slot": slot,
-        "attempt": attempt,
-        "served": served,
         "engine_cache": {"hits": cache.hits, "misses": cache.misses},
         "catalog": catalog.stats().as_dict() if catalog is not None else None,
-        "faults_injected": (
-            faults.installed().injected_counts() if faults.installed() else {}
-        ),
     }
 
 
@@ -200,7 +193,6 @@ def _worker_main(
     )
     graphs: dict[str, object] = {}
     databases: dict[str, object] = {}
-    served = 0
     # Under fork the child inherits the parent's installed injector; start
     # the fingerprint from it so only a genuinely *changed* spec re-installs
     # (a re-install resets per-rule ``times`` budgets).
@@ -213,7 +205,7 @@ def _worker_main(
             if message["request"] is None:  # a catalog probe
                 catalog = engine.catalog
                 ok = catalog.probe() if catalog is not None else True
-                write_frame(result_fd, ("ok", ok, _worker_meta(slot, attempt, served, engine)))
+                write_frame(result_fd, ("ok", ok, _worker_meta(engine)))
                 continue
 
             spec = message["spec"]
@@ -244,20 +236,12 @@ def _worker_main(
                 )
             except BaseException as exc:
                 status, payload = "error", codec.error_to_dict(exc, traceback.format_exc())
-            served += 1
-            write_frame(result_fd, (status, payload, _worker_meta(slot, attempt, served, engine)))
+            write_frame(result_fd, (status, payload, _worker_meta(engine)))
     except (EOFError, BrokenPipeError):
         pass  # the parent is gone: nobody is left to ask or to answer
     finally:
-        # The write-behind queue of this worker's catalog handle would be
-        # dropped with the process; drain it so decided outcomes reach the
-        # shared durable tier.
         if engine.catalog is not None:
-            try:
-                engine.catalog.flush()
-                engine.catalog.close()
-            except Exception:
-                pass
+            engine.catalog.close()
 
 
 # --------------------------------------------------------------------------- #

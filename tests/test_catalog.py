@@ -12,6 +12,8 @@ import json
 import logging
 import multiprocessing
 import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -142,7 +144,7 @@ def test_catalog_refuses_to_store_invalid_certificates(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# engine integration: read-through, write-behind, restart-warm
+# engine integration: read-through, store on return, restart-warm
 # --------------------------------------------------------------------------- #
 def test_restart_warm_engine_recomputes_nothing(tmp_path):
     path = str(tmp_path / "cat.db")
@@ -414,7 +416,7 @@ def test_statistics_of_the_wrong_type_are_rejected_not_a_late_type_error(tmp_pat
 # --------------------------------------------------------------------------- #
 def _process_workload(path, barrier):
     # Runs in a child process: both children decompose the same instances
-    # against one shared catalog file, racing their write-behind inserts.
+    # against one shared catalog file, racing their inserts.
     from repro import DecompositionEngine, LogKDecomposer
     from repro.hypergraph import generators as gen
 
@@ -527,7 +529,7 @@ def test_serialized_configuration_key_is_stable():
 
 
 # --------------------------------------------------------------------------- #
-# resilience: retry, circuit breaker, re-attach, writer supervision
+# resilience: retry, circuit breaker, re-attach, the store guard
 # --------------------------------------------------------------------------- #
 def test_transient_error_is_retried_invisibly(tmp_path):
     from repro import faults
@@ -564,7 +566,7 @@ def test_mid_run_corruption_opens_circuit_then_reattaches(tmp_path, caplog):
 
     # Mid-run corruption: reads and writes against the file now fail
     # persistently.  (Not ``catalog.*``: that would also hit the
-    # ``catalog.writer`` fault point and drop the write before it reaches
+    # ``catalog.store`` fault point and drop the write before it reaches
     # the shadow database this test asserts the replay of.)
     rules = [
         faults.FaultRule(
@@ -614,60 +616,90 @@ def test_mid_run_corruption_opens_circuit_then_reattaches(tmp_path, caplog):
     fresh_engine.catalog.close()
 
 
-class _WriterKill(BaseException):
-    """Escapes the writer loop's ``except Exception`` — kills the thread."""
+def test_an_unexpected_store_exception_loses_one_write_not_the_answer(tmp_path):
+    from repro import faults
+    from repro.core.codec import decomposition_to_json
+
+    engine = DecompositionEngine(catalog=str(tmp_path / "cat.db"))
+    decomposer = LogKDecomposer(engine=engine)
+    rule = faults.FaultRule(
+        point="catalog.store", error=RuntimeError("serialization bug"), times=1
+    )
+    with faults.injected(rule):
+        first = decomposer.decompose(generators.cycle(6), 2)
+        second = decomposer.decompose(generators.cycle(8), 2)
+    # The caller never sees the failed store: its answer is the fault-free one.
+    plain = LogKDecomposer(engine=DecompositionEngine()).decompose(generators.cycle(6), 2)
+    assert first.success and second.success
+    assert decomposition_to_json(first.decomposition) == decomposition_to_json(
+        plain.decomposition
+    )
+    stats = engine.catalog.stats()
+    assert (stats.lost_writes, stats.errors, stats.stores) == (1, 1, 1)
+    # The next put landed: only the cycle(8) row is in the file.
+    assert [record.k for record in engine.catalog.entries()] == [2]
+    assert engine.catalog.get(generators.cycle(8), 2, decomposer.cache_key()) is not None
+    engine.catalog.close()
 
 
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-def test_dead_writer_flush_raises_and_next_put_respawns(tmp_path):
-    from repro import faults, hypertree_width
-    from repro.exceptions import CatalogError
-
-    h6, h8, g23 = generators.cycle(6), generators.cycle(8), generators.grid(2, 3)
-    width, hd6 = hypertree_width(h6)
-    _, hd8 = hypertree_width(h8)
-    _, hdg = hypertree_width(g23)
-    with DecompositionCatalog(tmp_path / "cat.db") as catalog:
-        # The first write sleeps long enough for the others to queue behind
-        # it, then raises a BaseException that escapes the writer loop.
-        rule = faults.FaultRule(
-            point="catalog.writer", delay=0.3, error=_WriterKill("killed"), times=1
-        )
-        with faults.injected(rule):
-            catalog.put(h6, width, ("a",), algorithm="t", success=True, decomposition=hd6)
-            catalog.put(h8, width, ("b",), algorithm="t", success=True, decomposition=hd8)
-            catalog.put(g23, width, ("c",), algorithm="t", success=True, decomposition=hdg)
-            with pytest.raises(CatalogError, match="write-behind writer died"):
-                catalog.flush()
-        stats = catalog.stats()
-        assert stats.lost_writes >= 1  # the stranded queue was accounted
-        assert stats.circuit_state == "open"  # an unexplained death trips it
-
-        # The next put respawns the writer; the catalog heals.
-        assert catalog.probe()
-        catalog.put(h6, width, ("d",), algorithm="t", success=True, decomposition=hd6)
-        assert catalog.flush()
-        stats = catalog.stats()
-        assert stats.writer_respawns == 1
-        assert stats.stores >= 1
-        assert catalog.get(h6, width, ("d",)) is not None
-
-
-def test_ordinary_writer_exception_loses_one_write_not_the_thread(tmp_path):
+def test_a_stored_row_is_durable_when_put_returns(tmp_path, monkeypatch):
     from repro import faults, hypertree_width
 
-    h6, h8 = generators.cycle(6), generators.cycle(8)
-    width, hd6 = hypertree_width(h6)
-    _, hd8 = hypertree_width(h8)
-    with DecompositionCatalog(tmp_path / "cat.db") as catalog:
-        rule = faults.FaultRule(
-            point="catalog.writer", error=RuntimeError("serialization bug"), times=1
-        )
-        with faults.injected(rule):
-            catalog.put(h6, width, ("a",), algorithm="t", success=True, decomposition=hd6)
-            catalog.put(h8, width, ("b",), algorithm="t", success=True, decomposition=hd8)
-            assert catalog.flush()  # the writer survived and drained
-        stats = catalog.stats()
-        assert stats.lost_writes == 1
-        assert stats.writer_respawns == 0
-        assert stats.stores == 1  # the second write landed
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    h = generators.cycle(6)
+    width, hd = hypertree_width(h)
+    path = tmp_path / "cat.db"
+    # A slow insert: a store still in flight when ``put`` returns would
+    # not be there for the fresh handle below.
+    rule = faults.FaultRule(point="catalog.put", delay=0.3, times=1)
+    with DecompositionCatalog(path) as catalog, faults.injected(rule):
+        catalog.put(h, width, ("cfg",), algorithm="t", success=True, decomposition=hd)
+        with DecompositionCatalog(path) as reader:  # no flush()
+            record = reader.get(h, width, ("cfg",))
+    assert record is not None and record.success
+    assert "repro-catalog-writer" not in started
+
+
+def test_eight_threads_storing_overlapping_keys_through_one_handle(tmp_path):
+    from repro import hypertree_width
+
+    keys = []
+    for hypergraph in (generators.cycle(6), generators.cycle(8), generators.grid(2, 3)):
+        width, hd = hypertree_width(hypergraph)
+        keys += [(hypergraph, width, (f"cfg{i}",), hd) for i in range(4)]
+    barrier = threading.Barrier(8)
+
+    def store(catalog, offset):
+        barrier.wait(timeout=30)
+        for index in range(len(keys)):
+            hypergraph, width, config, hd = keys[(index + offset) % len(keys)]
+            catalog.put(hypergraph, width, config, algorithm="t", success=True, decomposition=hd)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with DecompositionCatalog(tmp_path / "cat.db") as catalog:
+            threads = [
+                threading.Thread(target=store, args=(catalog, 3 * i)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = catalog.stats()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats.stores + stats.duplicate_stores == 8 * len(keys)
+    assert stats.lost_writes == 0
+    with sqlite3.connect(tmp_path / "cat.db") as connection:
+        rows = connection.execute(
+            "SELECT canonical_hash, k, configuration FROM entries"
+        ).fetchall()
+    assert len(rows) == len(set(rows)) == len(keys)

@@ -273,6 +273,12 @@ def test_hostile_frames_raise_repro_errors(frame, tmp_path, monkeypatch):
         assert isinstance(outcome(with_field("format", [frame.FORMAT])), ParseError)
     if frame.KIND is not None:
         assert isinstance(outcome(with_field("kind", "mystery")), ParseError)
+    # Every key of a payload is a tag or a field of its frame.
+    names = {spec.name for spec in fields(frame)}
+    tags = {"format": frame.FORMAT, "kind": frame.KIND}
+    for key in ["undeclared"] + [tag for tag, value in tags.items() if value is None]:
+        if key not in names:
+            assert isinstance(outcome(with_field(key, 1)), ParseError), key
     # ``None`` is the legitimate "no rows" of a count or boolean answer.
     for value in ([], "payload", 3, [{}]) + ((None,) * (frame is not codec.TableFrame)):
         assert isinstance(outcome(lambda target, value=value: value), ParseError)
@@ -316,3 +322,7 @@ def test_hostile_frames_raise_repro_errors(frame, tmp_path, monkeypatch):
         assert isinstance(outcome(lambda target: {**old, "format": frame.FORMAT}), ParseError)
     if frame is codec.QueryAnswerFrame:  # a /1 enumerate answer held its table by rows
         assert isinstance(outcome(with_field("answers", ROWS_TABLE)), ParseError)
+        # The table under a field name this frame does not have, ``answers`` empty:
+        # read as an enumerate answer without answers unless the key is refused.
+        moved = outcome(lambda t: {**t, "answers": None, "answer_columns": t["answers"]})
+        assert isinstance(moved, ParseError)

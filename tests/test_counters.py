@@ -63,7 +63,7 @@ HEALTH_KEYS = [
 ]
 CIRCUIT_KEYS = ["state", "opens", "probes", "reattaches", "retries", "memory_fallback"]
 SLOT_KEYS = ["slot", "pid", "alive", "attempt", "dispatched", "completed", "engine_cache"]
-META_KEYS = ["pid", "slot", "attempt", "served", "engine_cache", "catalog", "faults_injected"]
+META_KEYS = ["engine_cache", "catalog"]
 CATALOG_KEYS = [
     "hits",
     "misses",
@@ -73,7 +73,6 @@ CATALOG_KEYS = [
     "errors",
     "retries",
     "lost_writes",
-    "writer_respawns",
     "reattach_replays",
     "circuit_opens",
     "circuit_probes",
@@ -115,10 +114,10 @@ def test_public_shapes(tmp_path):
             assert list(pool["workers"][0]["engine_cache"]) == ["hits", "misses"]
         engine.catalog.close()
 
-    meta = _worker_meta(0, 0, 0, DecompositionEngine(catalog=tmp_path / "meta.db"))
+    meta = _worker_meta(DecompositionEngine(catalog=tmp_path / "meta.db"))
     assert list(meta) == META_KEYS
     assert list(meta["catalog"]) == CATALOG_KEYS
-    assert _worker_meta(0, 0, 0, DecompositionEngine())["catalog"] is None
+    assert _worker_meta(DecompositionEngine())["catalog"] is None
 
     result = make_decomposer("hybrid").decompose(generators.cycle(6), 2)
     frame = decomposition_answer_to_dict(result)["statistics"]
